@@ -261,10 +261,6 @@ impl Check {
 /// one check per entry in their `results` array (matched by `rung` / `id`);
 /// the rest contribute a single dotted-path scalar.
 const SCALAR_BENCHES: &[(&str, &str, Direction)] = &[
-    ("BENCH_serve.json", "serve.qps", Direction::HigherIsBetter),
-    ("BENCH_mqo.json", "mqo.qps", Direction::HigherIsBetter),
-    ("BENCH_prepared.json", "prepared.qps", Direction::HigherIsBetter),
-    ("BENCH_sql.json", "autoparam.qps", Direction::HigherIsBetter),
     ("BENCH_chaos.json", "goodput_ratio", Direction::HigherIsBetter),
 ];
 

@@ -170,9 +170,9 @@ fn join_blocked(left: &VectorStore, right: &VectorStore) -> usize {
 fn join_parallel(left: &VectorStore, right: &VectorStore, threads: usize) -> usize {
     let counter = AtomicUsize::new(0);
     let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 let view = right.as_block();
                 let mut local = 0usize;
                 loop {
@@ -192,8 +192,7 @@ fn join_parallel(left: &VectorStore, right: &VectorStore, threads: usize) -> usi
                 counter.fetch_add(local, Ordering::Relaxed);
             });
         }
-    })
-    .expect("parallel join worker panicked");
+    });
     counter.into_inner()
 }
 

@@ -10,7 +10,6 @@
 //! `QuantizedArena`. The kernel ladder bench measures the speed/recall
 //! trade-off per tier.
 
-use serde::{Deserialize, Serialize};
 
 /// A storage/scoring precision tier for embedding panels.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// bytes-per-row (f32 4 B → f16 2 B → int8 1 B) and speed up panel scoring
 /// at a bounded score error, trading recall tolerance for data movement —
 /// the paper's Section VI half-precision opportunity made a plan property.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QuantTier {
     /// Full precision: exact blocked kernels.
     #[default]
@@ -77,7 +76,7 @@ impl QuantTier {
 pub use cx_simd::{f16_to_f32, f32_to_f16};
 
 /// A vector quantized to one of the reduced formats.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QuantizedVector {
     /// IEEE binary16 payloads.
     F16(Vec<u16>),

@@ -12,7 +12,7 @@
 //! * [`operators`] — relational physical operators (scan, filter, project,
 //!   hash join, nested-loop join, hash aggregate, sort, limit, distinct,
 //!   union),
-//! * [`parallel`] — morsel-style parallel chunk processing on crossbeam
+//! * [`parallel`] — morsel-style parallel chunk processing on std
 //!   scoped threads (the "scale-up" rung of Figure 4),
 //! * [`metrics`] — per-operator row/time counters for EXPLAIN ANALYZE-style
 //!   reporting,

@@ -7,14 +7,13 @@
 
 use cx_expr::Expr;
 use cx_storage::{DataType, Error, Field, Result, Scalar, Schema};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
 /// The probe of a semantic filter: a fixed text literal, or a
 /// prepared-statement parameter slot bound at execute time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SemanticTarget {
     /// A concrete probe string.
     Text(String),
@@ -83,7 +82,7 @@ impl fmt::Display for SemanticTarget {
 
 /// A LIMIT row count: fixed, or a prepared-statement parameter slot bound
 /// at execute time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LimitCount {
     /// A concrete row count.
     Fixed(usize),
@@ -136,7 +135,7 @@ impl fmt::Display for LimitCount {
 }
 
 /// Join variants supported by the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinType {
     Inner,
     /// Left outer: unmatched left rows padded with NULLs.
@@ -160,7 +159,7 @@ impl fmt::Display for JoinType {
 }
 
 /// Aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
     CountStar,
     Count,
@@ -185,7 +184,7 @@ impl fmt::Display for AggFunc {
 }
 
 /// One aggregate in an [`LogicalPlan::Aggregate`] or semantic group-by.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggSpec {
     pub func: AggFunc,
     /// Input column (`None` only for `CountStar`).
@@ -242,7 +241,7 @@ impl fmt::Display for AggSpec {
 
 /// Parameters of a semantic join: match rows whose key embeddings are
 /// within `threshold` cosine similarity under `model`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SemanticJoinSpec {
     pub left_column: String,
     pub right_column: String,
@@ -254,7 +253,7 @@ pub struct SemanticJoinSpec {
 }
 
 /// A sort key: column plus direction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SortKey {
     pub column: String,
     pub ascending: bool,

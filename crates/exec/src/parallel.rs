@@ -1,16 +1,17 @@
 //! Morsel-style parallel chunk processing.
 //!
 //! The "scale up the execution" rung of Figure 4: chunks are morsels pulled
-//! from a shared atomic counter by crossbeam scoped worker threads, with
-//! results written back in order (so parallel execution is deterministic).
+//! from a shared atomic counter by scoped worker threads, with results
+//! written back in order (so parallel execution is deterministic).
 
-use cx_storage::{Chunk, Error, Result};
+use cx_storage::{Chunk, Result};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Applies `f` to every chunk using `threads` workers, preserving order.
 ///
-/// `threads == 0` or `1` runs inline. Errors from any worker abort the call.
+/// `threads == 0` or `1` runs inline. Errors from any worker abort the
+/// call; a worker panic resurfaces here when the scope joins.
 pub fn parallel_map_chunks<F>(chunks: &[Chunk], threads: usize, f: F) -> Result<Vec<Chunk>>
 where
     F: Fn(&Chunk) -> Result<Chunk> + Sync,
@@ -22,9 +23,9 @@ where
     let results: Vec<Mutex<Option<Result<Chunk>>>> =
         (0..chunks.len()).map(|_| Mutex::new(None)).collect();
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads.min(chunks.len()) {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= chunks.len() {
                     break;
@@ -33,8 +34,7 @@ where
                 *results[i].lock().expect("result slot poisoned") = Some(out);
             });
         }
-    })
-    .map_err(|_| Error::InvalidArgument("parallel worker panicked".into()))?;
+    });
 
     results
         .into_iter()
@@ -63,12 +63,12 @@ where
     if ranges.len() <= 1 {
         return ranges.into_iter().map(f).collect();
     }
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = ranges
             .into_iter()
             .map(|range| {
                 let f = &f;
-                scope.spawn(move |_| f(range))
+                scope.spawn(move || f(range))
             })
             .collect();
         handles
@@ -76,7 +76,6 @@ where
             .map(|h| h.join().expect("parallel range worker panicked"))
             .collect()
     })
-    .expect("scoped workers joined")
 }
 
 /// Splits the row range `0..n` into at most `parts` contiguous spans of
@@ -152,7 +151,7 @@ mod tests {
         let chunks = chunks();
         let res = parallel_map_chunks(&chunks, 4, |c| {
             if c.row(0).unwrap()[0] == cx_storage::Scalar::Int64(500) {
-                Err(Error::InvalidArgument("boom".into()))
+                Err(cx_storage::Error::InvalidArgument("boom".into()))
             } else {
                 Ok(c.clone())
             }

@@ -1,12 +1,11 @@
 //! The name-resolved expression AST and its builder API.
 
 use cx_storage::Scalar;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     Eq,
     NotEq,
@@ -60,7 +59,7 @@ impl fmt::Display for BinOp {
 /// A scalar expression over named columns.
 ///
 /// Constructed fluently: `col("price").gt(lit(20.0)).and(col("type").eq(lit("shoes")))`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Reference to a column by name.
     Column(String),

@@ -1,13 +1,12 @@
 //! Device catalog and interconnect topology.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Index of a device within a [`Topology`].
 pub type DeviceId = usize;
 
 /// Classes of compute devices (Figure 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     Cpu,
     Gpu,
@@ -27,7 +26,7 @@ impl std::fmt::Display for DeviceKind {
 }
 
 /// One compute device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Device {
     pub name: String,
     pub kind: DeviceKind,
@@ -76,7 +75,7 @@ impl Device {
 }
 
 /// An interconnect link (bidirectional).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// Bandwidth in GB/s.
     pub bandwidth_gbps: f64,
@@ -92,7 +91,7 @@ pub const FAST_LINK: Link = Link { bandwidth_gbps: 300.0, latency_ns: 600.0 };
 const LOCAL: Link = Link { bandwidth_gbps: f64::INFINITY, latency_ns: 0.0 };
 
 /// A set of devices with pairwise links.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     devices: Vec<Device>,
     /// Keyed by (min, max) device id.

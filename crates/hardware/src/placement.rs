@@ -8,10 +8,9 @@
 
 use crate::device::{DeviceId, Topology};
 use crate::profile::OperatorProfile;
-use serde::{Deserialize, Serialize};
 
 /// The result of placing a pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementPlan {
     /// Chosen device per stage.
     pub assignments: Vec<DeviceId>,

@@ -1,12 +1,11 @@
 //! Operator resource profiles and per-device efficiency.
 
 use crate::device::{Device, DeviceKind};
-use serde::{Deserialize, Serialize};
 
 /// Classes of pipeline operators, each with a distinct device-affinity
 /// profile (Section VI: "optimizing novel analytical operators individually
 /// for existing or new platforms").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperatorClass {
     /// Sequential scan / decode.
     Scan,
@@ -76,7 +75,7 @@ impl OperatorClass {
 }
 
 /// Resource demand of one pipeline stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatorProfile {
     pub class: OperatorClass,
     /// Total floating-point (or equivalent) work.

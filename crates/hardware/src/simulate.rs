@@ -9,10 +9,9 @@
 
 use crate::device::Topology;
 use crate::placement::PlacementPlan;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one simulated execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationResult {
     /// Per-stage simulated time (compute + incoming transfer), ns.
     pub stage_ns: Vec<f64>,

@@ -12,7 +12,6 @@
 //! scan the KB like any table (the polystore angle of Section IV).
 
 use cx_storage::{Column, Field, Result, Schema, Table};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
@@ -20,7 +19,7 @@ use std::fmt;
 pub type EntityId = u32;
 
 /// Object of a triple: an entity reference or a literal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Object {
     Entity(EntityId),
     Text(String),
@@ -38,7 +37,7 @@ impl fmt::Display for Object {
 }
 
 /// A `(subject, predicate, object)` fact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Triple {
     pub subject: EntityId,
     pub predicate: String,
@@ -51,7 +50,7 @@ pub const IS_A: &str = "is_a";
 pub const LABEL: &str = "label";
 
 /// An in-memory triple store with entity dictionary and predicate indexes.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct KnowledgeBase {
     names: Vec<String>,
     by_name: HashMap<String, EntityId>,

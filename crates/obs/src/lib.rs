@@ -5,11 +5,10 @@
 //!
 //! 1. **Query traces** ([`QueryTrace`], [`span`], [`install_trace`]) — a
 //!    per-query record of timestamped, nested spans plus point-in-time
-//!    events (retries, injected faults). The span API follows the same
-//!    discipline as `cx_serve`'s `FaultPlan`: when tracing is disabled the
-//!    cost of an instrumentation site is **one relaxed atomic load** — no
-//!    allocation, no lock, no clock read. That property is regression
-//!    tested through [`span_allocations`].
+//!    events (retries, injected faults). A site records iff a trace is
+//!    installed on the thread it runs on; otherwise it costs **one
+//!    thread-local flag load** — no allocation, no lock, no clock read.
+//!    That property is regression tested through [`span_allocations`].
 //! 2. **Histograms** ([`Histogram`]) — HDR-style log-linear latency
 //!    histograms with bounded relative error (32 sub-buckets per power of
 //!    two, ≤ ~3.2% quantile error) and exact count/sum/min/max, safe to
@@ -20,10 +19,12 @@
 //!    exposition-format parser ([`promparse`]) used as a lint by benches
 //!    and CI.
 //!
-//! Tracing is enabled process-wide by holding a [`TracingSession`] (a
-//! server holds one for its lifetime when configured with tracing on);
-//! instrumentation sites attach to whatever trace is ambiently installed
-//! on the current thread via [`install_trace`].
+//! Nothing here is switched on process-wide. Recording is armed by the
+//! handle the serving layer installs on the executing thread — a
+//! [`QueryTrace`] via [`install_trace`] for spans and events, an open
+//! [`ProfileSpan`] for the allocator and kernel counters — so two servers
+//! (or two tests) in one process with different settings never observe
+//! each other.
 
 #![deny(missing_docs)]
 
@@ -37,13 +38,10 @@ pub mod trace;
 
 pub use export::{Metric, MetricValue, MetricsSnapshot};
 pub use hist::{BucketCount, HistSnapshot, Histogram};
-pub use profile::{
-    add_pairs, add_tiles, profiling_enabled, CountingAlloc, ProfileSpan, ProfilerSession,
-    QueryProfile,
-};
+pub use profile::{add_pairs, add_tiles, CountingAlloc, ProfileSpan, QueryProfile};
 pub use ring::TraceRing;
 pub use systab::{is_reserved_name, IncidentLog, IncidentRecord};
 pub use trace::{
-    event, install_trace, span, span_allocations, span_with, tracing_enabled, EventRecord,
-    QueryTrace, Span, SpanRecord, TraceScope, TracingSession,
+    event, install_trace, span, span_allocations, span_with, EventRecord, QueryTrace, Span,
+    SpanRecord, TraceScope,
 };

@@ -1,14 +1,14 @@
 //! Opt-in per-query resource profiling.
 //!
-//! The same discipline as tracing: profiling is enabled process-wide by
-//! holding a [`ProfilerSession`] (a server holds one for its lifetime
-//! when configured with profiling on), and every instrumentation site —
-//! the allocator hook, [`add_pairs`], [`add_tiles`] — costs exactly one
-//! relaxed atomic load when no session is alive. Counters are plain
-//! thread-locals, so a profile window ([`ProfileSpan`]) measures the
-//! thread it was started on: work an MQO leader performs on behalf of
-//! its followers is attributed to the *leader's* profile, mirroring how
-//! shared spans credit wall time.
+//! The same discipline as tracing: counting is a property of the handle,
+//! not of the process. Every instrumentation site — the allocator hook,
+//! [`add_pairs`], [`add_tiles`] — counts iff a [`ProfileSpan`] is open on
+//! the thread it runs on, and otherwise costs one load of a
+//! const-initialised thread-local: a server that profiles never arms the
+//! hooks under another server's (or another test's) threads. Counters are
+//! plain thread-locals, so a window measures the thread it was opened on:
+//! work an MQO leader performs on behalf of its followers is attributed
+//! to the *leader's* profile, mirroring how shared spans credit wall time.
 //!
 //! Allocation counting needs the embedding binary to opt in by
 //! installing [`CountingAlloc`] as its `#[global_allocator]`; without it
@@ -19,80 +19,65 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
-
-/// Count of live [`ProfilerSession`]s; profiling is on while nonzero.
-static PROFILER_SESSIONS: AtomicU32 = AtomicU32::new(0);
-
-/// Whether any [`ProfilerSession`] is alive. One relaxed load.
-#[inline]
-pub fn profiling_enabled() -> bool {
-    PROFILER_SESSIONS.load(Ordering::Relaxed) != 0
-}
-
-/// RAII enablement of profiling: the process profiles while at least one
-/// session is alive. Servers configured with `profiling: true` hold one.
-#[derive(Debug)]
-pub struct ProfilerSession(());
-
-impl ProfilerSession {
-    /// Enables profiling for the lifetime of the returned guard.
-    pub fn new() -> Self {
-        PROFILER_SESSIONS.fetch_add(1, Ordering::Relaxed);
-        ProfilerSession(())
-    }
-}
-
-impl Default for ProfilerSession {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for ProfilerSession {
-    fn drop(&mut self) {
-        PROFILER_SESSIONS.fetch_sub(1, Ordering::Relaxed);
-    }
-}
+use std::marker::PhantomData;
 
 thread_local! {
+    /// [`ProfileSpan`]s open on this thread; the hooks count while nonzero.
+    static OPEN_SPANS: Cell<u32> = const { Cell::new(0) };
     static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
     static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
     static PAIRS: Cell<u64> = const { Cell::new(0) };
     static TILES: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Whether a [`ProfileSpan`] is open on this thread. Safe in allocator
+/// context: a const-initialised `Cell` never allocates, and `try_with`
+/// tolerates thread-local teardown.
+#[inline]
+fn counting() -> bool {
+    OPEN_SPANS.try_with(|c| c.get() != 0).unwrap_or(false)
+}
+
+#[inline]
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>, n: u64) {
+    let _ = counter.try_with(|c| c.set(c.get().wrapping_add(n)));
+}
+
 /// Credits `n` scored vector pairs to the current thread's profile
-/// window. Called by similarity kernels; one relaxed load when off.
+/// window. Called by similarity kernels; one thread-local load when no
+/// window is open.
 #[inline]
 pub fn add_pairs(n: u64) {
-    if profiling_enabled() {
-        let _ = PAIRS.try_with(|c| c.set(c.get().wrapping_add(n)));
+    if counting() {
+        bump(&PAIRS, n);
     }
 }
 
 /// Credits `n` panel tiles (distinct panel rows / blocks touched) to the
-/// current thread's profile window. One relaxed load when off.
+/// current thread's profile window. One thread-local load when no window
+/// is open.
 #[inline]
 pub fn add_tiles(n: u64) {
-    if profiling_enabled() {
-        let _ = TILES.try_with(|c| c.set(c.get().wrapping_add(n)));
+    if counting() {
+        bump(&TILES, n);
     }
 }
 
-/// Credits one heap allocation of `bytes` to the current thread's
-/// profile window. Called from [`CountingAlloc`]; safe in allocator
-/// context (const-initialized thread-locals, `try_with` tolerates TLS
-/// teardown).
+/// Credits one successful heap allocation of `bytes` to the current
+/// thread's profile window, if one is open.
 #[inline]
-pub fn record_alloc(bytes: usize) {
-    let _ = ALLOC_COUNT.try_with(|c| c.set(c.get().wrapping_add(1)));
-    let _ = ALLOC_BYTES.try_with(|c| c.set(c.get().wrapping_add(bytes as u64)));
+fn record_alloc(p: *mut u8, bytes: usize) -> *mut u8 {
+    if !p.is_null() && counting() {
+        bump(&ALLOC_COUNT, 1);
+        bump(&ALLOC_BYTES, bytes as u64);
+    }
+    p
 }
 
 /// A `#[global_allocator]` wrapper that counts allocations into the
-/// profiler's thread-local counters while a [`ProfilerSession`] is
-/// alive, and is a pure pass-through (one relaxed load) otherwise.
+/// profiler's thread-local counters on threads with an open
+/// [`ProfileSpan`], and is a pure pass-through (one thread-local load)
+/// everywhere else.
 ///
 /// ```
 /// // In a binary that wants allocation profiles:
@@ -124,11 +109,7 @@ impl<A> CountingAlloc<A> {
 // allocates or unwinds.
 unsafe impl<A: GlobalAlloc> GlobalAlloc for CountingAlloc<A> {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = self.inner.alloc(layout);
-        if !p.is_null() && profiling_enabled() {
-            record_alloc(layout.size());
-        }
-        p
+        record_alloc(self.inner.alloc(layout), layout.size())
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -136,19 +117,11 @@ unsafe impl<A: GlobalAlloc> GlobalAlloc for CountingAlloc<A> {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = self.inner.alloc_zeroed(layout);
-        if !p.is_null() && profiling_enabled() {
-            record_alloc(layout.size());
-        }
-        p
+        record_alloc(self.inner.alloc_zeroed(layout), layout.size())
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = self.inner.realloc(ptr, layout, new_size);
-        if !p.is_null() && profiling_enabled() {
-            record_alloc(new_size);
-        }
-        p
+        record_alloc(self.inner.realloc(ptr, layout, new_size), new_size)
     }
 }
 
@@ -187,10 +160,11 @@ impl fmt::Display for QueryProfile {
     }
 }
 
-/// An open profiling window on the current thread: snapshots the
-/// thread-local counters and CPU clock at start, and [`finish`] returns
-/// the deltas as a [`QueryProfile`]. Must be finished on the thread that
-/// started it.
+/// An open profiling window on the current thread: arms the thread's
+/// hooks while it lives, snapshots the thread-local counters and CPU
+/// clock at start, and [`finish`] returns the deltas as a
+/// [`QueryProfile`]. `!Send`: the window belongs to the thread that
+/// opened it.
 ///
 /// [`finish`]: ProfileSpan::finish
 #[derive(Debug)]
@@ -200,22 +174,32 @@ pub struct ProfileSpan {
     alloc_bytes0: u64,
     pairs0: u64,
     tiles0: u64,
+    _this_thread: PhantomData<*const ()>,
+}
+
+impl Drop for ProfileSpan {
+    fn drop(&mut self) {
+        let _ = OPEN_SPANS.try_with(|c| c.set(c.get().saturating_sub(1)));
+    }
 }
 
 impl ProfileSpan {
     /// Opens a window at the current thread's counter values.
     pub fn start() -> Self {
+        OPEN_SPANS.with(|c| c.set(c.get() + 1));
         ProfileSpan {
             cpu0: thread_cpu_ns(),
             alloc_count0: ALLOC_COUNT.with(Cell::get),
             alloc_bytes0: ALLOC_BYTES.with(Cell::get),
             pairs0: PAIRS.with(Cell::get),
             tiles0: TILES.with(Cell::get),
+            _this_thread: PhantomData,
         }
     }
 
-    /// Closes the window, charging `bytes_charged` (from the query's
-    /// memory budget) into the resulting profile.
+    /// Closes the window (dropping `self` disarms the hooks), charging
+    /// `bytes_charged` (from the query's memory budget) into the
+    /// resulting profile.
     pub fn finish(self, bytes_charged: u64) -> QueryProfile {
         QueryProfile {
             cpu_ns: thread_cpu_ns().saturating_sub(self.cpu0),
@@ -261,28 +245,57 @@ pub fn thread_cpu_ns() -> u64 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn counters_only_move_while_enabled() {
-        // No session: kernel hooks are inert.
-        if profiling_enabled() {
-            return; // a parallel test holds a session; skip
-        }
-        let span = ProfileSpan::start();
-        add_pairs(100);
-        add_tiles(10);
-        let p = span.finish(0);
-        assert_eq!(p.pairs_scored, 0);
-        assert_eq!(p.panel_tiles, 0);
+    // The unit-test binary counts for real, so the allocator hook's
+    // scoping is asserted on the counters themselves.
+    #[global_allocator]
+    static ALLOC: CountingAlloc = CountingAlloc::system();
 
-        let _session = ProfilerSession::new();
+    fn counters() -> [u64; 4] {
+        [&ALLOC_COUNT, &ALLOC_BYTES, &PAIRS, &TILES].map(|c| c.with(Cell::get))
+    }
+
+    #[test]
+    fn counters_do_not_move_outside_a_window_even_while_another_thread_profiles() {
+        // `open` holds this thread back until the other has its window
+        // open; `done` keeps that window open until this thread has
+        // allocated and scored.
+        let (open, done) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let (before, after) = std::thread::scope(|s| {
+            s.spawn(|| {
+                let span = ProfileSpan::start();
+                open.wait();
+                done.wait();
+                span.finish(0)
+            });
+            open.wait();
+            let before = counters();
+            let ballast: Vec<u64> = (0..4096).collect();
+            add_pairs(100);
+            add_tiles(ballast.len() as u64);
+            let after = counters();
+            done.wait();
+            (before, after)
+        });
+        assert_eq!(after, before);
+    }
+
+    #[test]
+    fn a_window_counts_until_it_closes() {
         let span = ProfileSpan::start();
         add_pairs(100);
         add_pairs(23);
         add_tiles(10);
+        let ballast: Vec<u64> = (0..4096).collect();
+        assert_eq!(ballast.len(), 4096);
         let p = span.finish(4096);
         assert_eq!(p.pairs_scored, 123);
         assert_eq!(p.panel_tiles, 10);
+        assert!(p.alloc_count >= 1 && p.alloc_bytes >= 4096 * 8, "{p:?}");
         assert_eq!(p.bytes_charged, 4096);
+
+        let closed = counters();
+        add_pairs(1);
+        assert_eq!(counters(), closed, "closing the window disarms the hooks");
     }
 
     #[test]
@@ -302,12 +315,14 @@ mod tests {
 
     #[test]
     fn windows_are_deltas() {
-        let _session = ProfilerSession::new();
+        let outer = ProfileSpan::start();
         add_pairs(50);
         let span = ProfileSpan::start();
         add_pairs(7);
         let p = span.finish(0);
         assert_eq!(p.pairs_scored, 7, "baseline pairs must not leak into the window");
+        add_pairs(1);
+        assert_eq!(outer.finish(0).pairs_scored, 58, "an inner close keeps the outer armed");
     }
 
     #[test]

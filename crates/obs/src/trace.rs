@@ -1,65 +1,34 @@
 //! Per-query traces: timestamped nested spans plus point events.
 //!
-//! Ownership model: the server creates one [`QueryTrace`] per query (only
-//! when tracing is on), installs it on the executing thread with
-//! [`install_trace`], and instrumentation sites anywhere in the engine
-//! attach spans with [`span`] / [`span_with`] without knowing about the
-//! server. Cross-thread work done on a query's behalf (an MQO leader
-//! sweeping for its followers) is attributed explicitly with
-//! [`QueryTrace::add_span`] and a `shared = true` tag.
+//! Ownership model: the server creates one [`QueryTrace`] per traced
+//! query, installs it on the executing thread with [`install_trace`], and
+//! instrumentation sites anywhere in the engine attach spans with
+//! [`span`] / [`span_with`] without knowing about the server. Cross-thread
+//! work done on a query's behalf (an MQO leader sweeping for its
+//! followers) is attributed explicitly with [`QueryTrace::add_span`] and
+//! a `shared = true` tag.
 //!
-//! When tracing is disabled — no [`TracingSession`] alive — every site
-//! costs exactly one relaxed atomic load: [`span`] and [`event`] return
-//! before touching thread-locals, clocks, or the heap. The global
-//! [`span_allocations`] counter only moves when a span actually records,
-//! which is what the overhead regression test pins to zero.
+//! Recording is a property of the installed handle, not of the process:
+//! a site records iff a trace is installed on the thread it runs on.
+//! With none installed every site costs one load of a const-initialised,
+//! destructor-free thread-local flag — [`span`] and [`event`] return
+//! before touching a clock or the heap — so a traced query on one thread
+//! (or one server) never arms the sites another thread executes. The
+//! global [`span_allocations`] counter only moves when a span actually
+//! records, which is what the overhead regression test pins to zero.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Count of live [`TracingSession`]s; tracing is on while nonzero.
-static TRACING_SESSIONS: AtomicU32 = AtomicU32::new(0);
-
 /// Total spans ever allocated (recorded) process-wide. Used by the
-/// overhead regression test: with tracing off this must not move.
+/// overhead regression test: with no trace installed this must not move.
 static SPAN_ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-/// Whether any [`TracingSession`] is alive. One relaxed load.
-#[inline]
-pub fn tracing_enabled() -> bool {
-    TRACING_SESSIONS.load(Ordering::Relaxed) != 0
-}
 
 /// Total spans recorded process-wide since start.
 pub fn span_allocations() -> u64 {
     SPAN_ALLOCS.load(Ordering::Relaxed)
-}
-
-/// RAII enablement of tracing: the process traces while at least one
-/// session is alive. Servers configured with tracing hold one.
-#[derive(Debug)]
-pub struct TracingSession(());
-
-impl TracingSession {
-    /// Enables tracing for the lifetime of the returned guard.
-    pub fn new() -> Self {
-        TRACING_SESSIONS.fetch_add(1, Ordering::Relaxed);
-        TracingSession(())
-    }
-}
-
-impl Default for TracingSession {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for TracingSession {
-    fn drop(&mut self) {
-        TRACING_SESSIONS.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 /// One recorded span: a named interval relative to the trace start.
@@ -102,8 +71,8 @@ struct TraceInner {
 }
 
 /// A per-query trace: a shared, cloneable handle to the span list.
-/// Created by the serving layer when tracing is enabled; finished with
-/// the query's outcome and retained in a bounded ring.
+/// Created by the serving layer for each traced query; finished with the
+/// query's outcome and retained in a bounded ring.
 #[derive(Clone, Debug)]
 pub struct QueryTrace {
     started: Instant,
@@ -271,6 +240,10 @@ impl QueryTrace {
 }
 
 thread_local! {
+    /// Whether `CURRENT` holds a trace: the one load a disabled site pays.
+    /// Kept apart from `CURRENT` because a `Cell<bool>` has no destructor,
+    /// so reading it never registers thread-local teardown.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
     static CURRENT: RefCell<Option<QueryTrace>> = const { RefCell::new(None) };
     static DEPTH: Cell<u16> = const { Cell::new(0) };
 }
@@ -284,9 +257,17 @@ pub struct TraceScope {
 
 impl Drop for TraceScope {
     fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
+        swap_current(self.prev.take());
         DEPTH.with(|d| d.set(self.prev_depth));
     }
+}
+
+/// Makes `trace` this thread's ambient trace and returns the one it
+/// replaces — the only writer of `ARMED` and `CURRENT`, so the flag
+/// cannot drift from the slot.
+fn swap_current(trace: Option<QueryTrace>) -> Option<QueryTrace> {
+    ARMED.with(|a| a.set(trace.is_some()));
+    CURRENT.with(|c| c.replace(trace))
 }
 
 /// Installs `trace` as the current thread's ambient trace until the
@@ -294,23 +275,21 @@ impl Drop for TraceScope {
 /// installs restore the previous trace — an MQO leader temporarily
 /// installs each follower's trace around that follower's epilogue.
 pub fn install_trace(trace: Option<&QueryTrace>) -> TraceScope {
-    let prev = CURRENT.with(|c| c.borrow_mut().take());
+    let prev = swap_current(trace.cloned());
     let prev_depth = DEPTH.with(|d| d.replace(0));
-    CURRENT.with(|c| *c.borrow_mut() = trace.cloned());
     TraceScope { prev, prev_depth }
 }
 
 /// The trace ambiently installed on this thread, if any.
 pub fn current_trace() -> Option<QueryTrace> {
-    if !tracing_enabled() {
+    if !ARMED.with(Cell::get) {
         return None;
     }
     CURRENT.with(|c| c.borrow().clone())
 }
 
 /// An in-flight span guard: records into the ambient trace on drop.
-/// Inert (and allocation-free) when tracing is off or no trace is
-/// installed.
+/// Inert (and allocation-free) when no trace is installed.
 #[derive(Debug)]
 pub struct Span(Option<ActiveSpan>);
 
@@ -340,7 +319,7 @@ impl Span {
         }
     }
 
-    /// Whether this span will record (tracing on and a trace installed).
+    /// Whether this span will record (a trace was installed at open).
     pub fn is_recording(&self) -> bool {
         self.0.is_some()
     }
@@ -364,8 +343,8 @@ impl Drop for Span {
     }
 }
 
-/// Opens a span named `name` on the ambient trace. One relaxed load when
-/// tracing is disabled.
+/// Opens a span named `name` on the ambient trace. One thread-local flag
+/// load when none is installed.
 #[inline]
 pub fn span(name: &'static str) -> Span {
     span_with(name, String::new)
@@ -375,10 +354,7 @@ pub fn span(name: &'static str) -> Span {
 /// runs when the span will actually record.
 #[inline]
 pub fn span_with(name: &'static str, detail: impl FnOnce() -> String) -> Span {
-    if !tracing_enabled() {
-        return Span(None);
-    }
-    let Some(trace) = CURRENT.with(|c| c.borrow().clone()) else {
+    let Some(trace) = current_trace() else {
         return Span(None);
     };
     SPAN_ALLOCS.fetch_add(1, Ordering::Relaxed);
@@ -398,13 +374,10 @@ pub fn span_with(name: &'static str, detail: impl FnOnce() -> String) -> Span {
 }
 
 /// Records a point event on the ambient trace (detail computed lazily).
-/// One relaxed load when tracing is disabled.
+/// One thread-local flag load when none is installed.
 #[inline]
 pub fn event(name: &'static str, detail: impl FnOnce() -> String) {
-    if !tracing_enabled() {
-        return;
-    }
-    if let Some(trace) = CURRENT.with(|c| c.borrow().clone()) {
+    if let Some(trace) = current_trace() {
         trace.add_event(name, detail());
     }
 }
@@ -414,31 +387,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_sites_do_not_record() {
-        // No TracingSession alive in this test: spans must be inert.
-        // (Runs in the same process as other tests that *do* enable
-        // tracing, so only assert local behavior, not the global
-        // counter — the dedicated overhead test owns that.)
-        if tracing_enabled() {
-            return; // another test's session is alive; skip
-        }
+    fn sites_record_only_on_the_thread_a_trace_is_installed_on() {
+        // Sibling tests trace on their own threads throughout; nothing
+        // installed here means nothing records here.
+        assert!(!span("stage").is_recording());
         let t = QueryTrace::new("q");
-        let _scope = install_trace(Some(&t));
-        let s = span("stage");
-        let recorded = s.is_recording();
-        drop(s);
-        event("e", || "detail".into());
-        if tracing_enabled() {
-            return; // a parallel test enabled tracing mid-flight; skip
-        }
-        assert!(!recorded);
-        assert!(t.spans().is_empty());
+        let scope = install_trace(Some(&t));
+        // `opened` holds the other thread back until this one has a span
+        // open; `checked` holds that span open until the other has looked.
+        let (opened, checked) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                opened.wait();
+                let recording = span("elsewhere").is_recording();
+                let mut detail_ran = false;
+                event("e", || {
+                    detail_ran = true;
+                    String::new()
+                });
+                checked.wait();
+                assert!(!recording && !detail_ran);
+            });
+            let here = span("stage");
+            opened.wait();
+            checked.wait();
+            assert!(here.is_recording());
+        });
+        drop(scope);
+        assert!(!span("after").is_recording());
+        assert_eq!(t.spans().iter().map(|s| s.name).collect::<Vec<_>>(), ["stage"]);
         assert!(t.events().is_empty());
     }
 
     #[test]
     fn spans_nest_and_record_depth() {
-        let _session = TracingSession::new();
         let t = QueryTrace::new("nested");
         let scope = install_trace(Some(&t));
         {
@@ -466,7 +448,6 @@ mod tests {
 
     #[test]
     fn install_is_scoped_and_restores() {
-        let _session = TracingSession::new();
         let a = QueryTrace::new("a");
         let b = QueryTrace::new("b");
         let _sa = install_trace(Some(&a));
@@ -483,7 +464,6 @@ mod tests {
 
     #[test]
     fn explicit_shared_span_and_events() {
-        let _session = TracingSession::new();
         let t = QueryTrace::new("member");
         let start = Instant::now();
         std::thread::sleep(Duration::from_millis(1));

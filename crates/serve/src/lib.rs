@@ -31,8 +31,8 @@
 //! * **[`Prepared`]** — prepared statements with parameter binding: a
 //!   template with placeholder slots ([`cx_expr::param`],
 //!   `Query::semantic_filter_param`, `Query::limit_param`) is optimized
-//!   and lowered once per plan *shape*
-//!   ([`LogicalPlan::shape_fingerprint`]) ⊕ config ⊕ catalog version;
+//!   and lowered once per template ⊕ config ⊕ catalog version (an ad-hoc
+//!   query is the zero-parameter case of the same serving path);
 //!   [`Prepared::execute`] binds values into a copy of the cached
 //!   physical tree, re-costs admission with the bound literals, memoizes
 //!   results per binding vector, and still participates in multi-query
@@ -42,9 +42,10 @@
 //!   SIM(..)`, `GROUP BY SEMANTIC`, and `PREPARE`/`EXECUTE`/`EXPLAIN`)
 //!   bound against the live catalog. Ad-hoc statements are
 //!   **auto-parameterized** ([`ServeConfig::sql_auto_param`]): literals
-//!   lift into parameter slots so same-shaped statements share one
-//!   prepared plan-cache entry — prepared-statement throughput for plain
-//!   text, bit-identical results.
+//!   lift into parameter slots so same-shaped statements
+//!   ([`LogicalPlan::shape_fingerprint`]) share one plan-cache entry —
+//!   prepared-statement throughput for plain text, bit-identical
+//!   results.
 //! * **Observability** (`cx_obs`) — per-query lifecycle traces
 //!   ([`ServeConfig::tracing`], rendered EXPLAIN-ANALYZE-style and kept
 //!   in a bounded ring plus an optional slow-query log), always-on

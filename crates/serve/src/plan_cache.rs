@@ -39,6 +39,12 @@ pub const MAX_BOUND_RESULTS: usize = 1024;
 pub struct BindingKey(Vec<u8>);
 
 impl BindingKey {
+    /// Whether this keys the empty binding vector (a statement with no
+    /// parameters, memoized at the plan level).
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
     /// Encodes `params` into a key.
     pub fn new(params: &[Scalar]) -> Self {
         let mut out = Vec::with_capacity(params.len() * 9);
@@ -91,19 +97,16 @@ pub struct CachedPlan {
     pub estimated_cost: f64,
     /// Catalog version this plan was built against.
     pub catalog_version: u64,
-    /// The exact [`LogicalPlan::fingerprint`] of the plan this entry was
-    /// built from. Ad-hoc lookups key the cache by this exact hash, so the
-    /// field is redundant there; prepared statements key by
-    /// [`LogicalPlan::shape_fingerprint`], which erases unparameterized
-    /// literal values, and must validate a shape hit against this field
-    /// before reuse (two templates may share a shape yet differ in a
-    /// baked-in literal).
+    /// The exact [`LogicalPlan::fingerprint`] of the template this entry
+    /// was built from. The cache key is this hash ⊕ the config
+    /// fingerprint, so two (template, config) pairs can collide on a key;
+    /// a hit is validated against this field before reuse.
     pub exact_fingerprint: u64,
     /// The plan's shareable scan, discovered at build time
     /// (`cx_exec::find_shared_scan`): the operator node inside
     /// `physical` plus its signature. `None` for plans with no mergeable
     /// sweep (including templates whose probe is an unbound parameter —
-    /// the prepared path re-discovers the scan on the bound tree); such
+    /// a bound execution re-discovers the scan on its bound tree); such
     /// plans execute solo.
     pub shared_scan: Option<(Arc<dyn PhysicalOperator>, cx_exec::ScanSignature)>,
     /// Memoized result of executing this plan. Sound because the engine is

@@ -11,12 +11,12 @@
 //! 1. **Prepare** — the template (built with [`cx_expr::param`],
 //!    `Query::semantic_filter_param`, `Query::limit_param`) is optimized
 //!    and lowered once; the entry lands in the server's shared plan cache
-//!    under the template's [`LogicalPlan::shape_fingerprint`] (⊕ its
-//!    exact fingerprint, separating same-shape templates that differ in
-//!    an unparameterized literal) ⊕ the session's config fingerprint,
-//!    pinned to the catalog version. Every binding of one template — and
-//!    every re-prepare of an equivalent template — resolves to this one
-//!    entry.
+//!    under the template's [`LogicalPlan::fingerprint`] — parameter slots
+//!    hash by slot, so the hash is the same for every binding, while
+//!    same-shape templates that differ in an unparameterized literal stay
+//!    apart — ⊕ the session's config fingerprint, pinned to the catalog
+//!    version. Every binding of one template — and every re-prepare of an
+//!    equivalent template — resolves to this one entry.
 //! 2. **Execute** — the binding vector is substituted into a *copy* of the
 //!    cached physical tree (`PhysicalOperator::bind_params`; unaffected
 //!    subtrees stay shared), admission is weighted with a cost estimate
@@ -29,19 +29,60 @@
 //!    Nothing is ever served from a plan (or memo) built against an older
 //!    catalog.
 //!
+//! There is one key space and one serving path: an ad-hoc query is the
+//! zero-parameter case. Every entry point describes what it wants served
+//! as a `Statement` — the fields of a [`Prepared`] handle, or built on
+//! the stack around the caller's [`Query`] — and hands it to
+//! `Server::serve_statement` with a binding vector (empty for ad hoc).
+//!
 //! [`LogicalPlan::fingerprint`]: cx_exec::logical::LogicalPlan::fingerprint
-//! [`LogicalPlan::shape_fingerprint`]: cx_exec::logical::LogicalPlan::shape_fingerprint
 
 use crate::plan_cache::config_fingerprint;
-use crate::server::{ServeResult, Server};
+use crate::server::{QueryOptions, ServeResult, Server};
 use context_engine::Query;
 use cx_optimizer::OptimizerConfig;
 use cx_storage::{Result, Scalar};
 use std::sync::Arc;
 
-/// Salt separating the prepared (shape-keyed) plan-cache key space from
-/// the ad-hoc (exact-fingerprint) key space.
-const PREPARED_KEY_SALT: u64 = 0x5afe_c0de_9e37_79b9;
+/// What the server serves: a query template, the optimizer configuration
+/// it runs under, and the fingerprints that key its plan-cache entry —
+/// what a [`Prepared`] handle carries, minus the server.
+pub(crate) struct Statement<'a> {
+    pub(crate) template: &'a Query,
+    pub(crate) config: OptimizerConfig,
+    /// Binding values every execution must supply (0 = ad-hoc query).
+    pub(crate) param_count: usize,
+    /// [`LogicalPlan::fingerprint`] of the template; validates cache hits.
+    pub(crate) exact_fingerprint: u64,
+    /// [`config_fingerprint`] of `config`; also partitions scan groups.
+    pub(crate) config_fingerprint: u64,
+}
+
+impl<'a> Statement<'a> {
+    /// Fingerprints `template` under `config`. `param_count` is the
+    /// caller's to get right: [`Prepared::new`] validates it, auto-param
+    /// SQL lifted exactly that many literals.
+    pub(crate) fn new(template: &'a Query, config: OptimizerConfig, param_count: usize) -> Self {
+        Statement {
+            template,
+            config,
+            param_count,
+            exact_fingerprint: template.plan().fingerprint(),
+            config_fingerprint: config_fingerprint(&config),
+        }
+    }
+
+    /// An ad-hoc query: the zero-parameter statement.
+    pub(crate) fn adhoc(query: &'a Query, config: OptimizerConfig) -> Self {
+        Statement::new(query, config, 0)
+    }
+
+    /// The plan-cache key: the template's exact fingerprint ⊕ the config
+    /// fingerprint.
+    pub(crate) fn cache_key(&self) -> u64 {
+        self.exact_fingerprint ^ self.config_fingerprint
+    }
+}
 
 /// A prepared statement: a query template optimized and lowered once,
 /// executable any number of times with different parameter bindings.
@@ -91,9 +132,8 @@ pub struct Prepared {
     template: Query,
     config: OptimizerConfig,
     param_count: usize,
-    shape_fingerprint: u64,
     exact_fingerprint: u64,
-    cache_key: u64,
+    config_fingerprint: u64,
     shape_cache_hit: bool,
 }
 
@@ -107,44 +147,28 @@ impl Prepared {
         config: OptimizerConfig,
     ) -> Result<Prepared> {
         let param_count = template.plan().required_params()?;
-        let shape_fingerprint = template.plan().shape_fingerprint();
-        let exact_fingerprint = template.plan().fingerprint();
-        // Shape ⊕ exact: the shape fingerprint makes every binding (and
-        // every re-prepare of an equivalent template) land on one entry;
-        // mixing in the exact fingerprint keeps two templates that share
-        // a shape but differ in an *unparameterized* literal in separate
-        // slots — with shape alone they would alternately evict each
-        // other (the exact-fingerprint validation at resolve time would
-        // force a rebuild per execute). Within one template, bindings
-        // never change either hash. Note that with the exact fingerprint
-        // in the key, the shape component is not load-bearing for
-        // share/split decisions today (equal exact ⟹ equal shape); it
-        // keeps the key aligned with the planned auto-parameterization
-        // rung, where ad-hoc literal queries resolve by shape alone.
-        let cache_key = PREPARED_KEY_SALT
-            ^ shape_fingerprint
-            ^ exact_fingerprint.rotate_left(17)
-            ^ config_fingerprint(&config);
-        let mut prepared = Prepared {
+        let stmt = Statement::new(&template, config, param_count);
+        let (_, shape_cache_hit) = server.resolve_plan(&stmt, server.engine().catalog_version())?;
+        let Statement {
+            exact_fingerprint,
+            config_fingerprint,
+            ..
+        } = stmt;
+        Ok(Prepared {
             server,
             template,
             config,
             param_count,
-            shape_fingerprint,
             exact_fingerprint,
-            cache_key,
-            shape_cache_hit: false,
-        };
-        let version = prepared.server.engine().catalog_version();
-        let (_, hit) = prepared.server.resolve_prepared(&prepared, version)?;
-        prepared.shape_cache_hit = hit;
-        Ok(prepared)
+            config_fingerprint,
+            shape_cache_hit,
+        })
     }
 
     /// Whether prepare time resolved an already-cached plan for this
-    /// template's shape (an equivalent template was prepared — or an
-    /// equivalent statement auto-parameterized — before), rather than
-    /// optimizing and lowering fresh.
+    /// template (an equivalent template was prepared — or an equivalent
+    /// statement auto-parameterized — before), rather than optimizing and
+    /// lowering fresh.
     pub fn shape_cache_hit(&self) -> bool {
         self.shape_cache_hit
     }
@@ -154,7 +178,15 @@ impl Prepared {
     /// [`Self::param_count`]. Results are bit-identical to executing the
     /// equivalent literal query ad hoc.
     pub fn execute(&self, params: &[Scalar]) -> Result<ServeResult> {
-        self.server.execute_prepared(self, params)
+        let stmt = Statement {
+            template: &self.template,
+            config: self.config,
+            param_count: self.param_count,
+            exact_fingerprint: self.exact_fingerprint,
+            config_fingerprint: self.config_fingerprint,
+        };
+        self.server
+            .serve_statement(&stmt, params, &QueryOptions::default(), false)
     }
 
     /// The number of binding values every `execute` call must provide.
@@ -173,20 +205,9 @@ impl Prepared {
     }
 
     /// The template's shape fingerprint
-    /// ([`cx_exec::logical::LogicalPlan::shape_fingerprint`]).
+    /// ([`cx_exec::logical::LogicalPlan::shape_fingerprint`]): equal for
+    /// templates that differ only in literal values.
     pub fn shape_fingerprint(&self) -> u64 {
-        self.shape_fingerprint
-    }
-
-    /// The template's exact fingerprint, used to validate shape-keyed
-    /// cache hits.
-    pub(crate) fn exact_fingerprint(&self) -> u64 {
-        self.exact_fingerprint
-    }
-
-    /// The plan-cache key this handle resolves through (salted shape ⊕
-    /// exact ⊕ config fingerprint).
-    pub(crate) fn cache_key(&self) -> u64 {
-        self.cache_key
+        self.template.plan().shape_fingerprint()
     }
 }

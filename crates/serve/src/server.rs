@@ -1,7 +1,11 @@
 //! The concurrent query server: one shared engine, many sessions.
 //!
-//! [`Server`] wraps an `Arc<Engine>` and serves [`Server::execute`] from
-//! any number of threads. Per query it:
+//! [`Server`] wraps an `Arc<Engine>` and serves from any number of
+//! threads. Every entry point — [`Server::execute`] and its variants,
+//! [`Session::execute`], [`Session::explain_analyze`],
+//! [`Prepared::execute`], [`Session::sql`] — is a thin caller of one
+//! function that owns the statement's whole lifecycle; an ad-hoc query is
+//! the zero-parameter case of a prepared statement. Per statement it:
 //!
 //! 1. **warms embeddings** — the raw plan's semantic operators name the
 //!    (model, column) pairs the query will embed; their distinct values
@@ -9,10 +13,12 @@
 //!    overlapping requests from concurrent queries into single batched
 //!    cache fills (warming runs *before* optimization so the optimizer's
 //!    sampling probes hit the cache too),
-//! 2. **resolves the plan** — a [`PlanCache`] lookup on
+//! 2. **resolves the plan** — a [`PlanCache`] lookup on the template's
 //!    `LogicalPlan::fingerprint() ⊕ config_fingerprint(...)`, validated
 //!    against the catalog version; a miss optimizes + lowers once and
-//!    caches the re-executable operator tree,
+//!    caches the re-executable operator tree; a replayed (template,
+//!    binding vector) is then served from the entry's result memo, and
+//!    anything else binds its parameters into a copy of the cached tree,
 //! 3. **admits** — [`CostGate::acquire_ctx`] on the optimizer's cost
 //!    estimate bounds the total estimated cost executing at once, sheds
 //!    with [`QueryError::QueueFull`] past [`ServeConfig::max_queued`]
@@ -48,8 +54,8 @@
 use crate::admission::{AdmissionStats, CostGate};
 use crate::batcher::{BatcherConfig, BatcherStats, EmbedBatcher};
 use crate::faults::{FaultPlan, FaultSite, FaultStats};
-use crate::plan_cache::{config_fingerprint, BindingKey, CachedPlan, PlanCache, PlanCacheStats};
-use crate::prepared::Prepared;
+use crate::plan_cache::{BindingKey, CachedPlan, PlanCache, PlanCacheStats};
+use crate::prepared::{Prepared, Statement};
 use crate::scan_queue::{GroupEntry, ScanQueue, ScanQueueConfig, ScanQueueStats};
 use context_engine::{Engine, Query};
 use cx_exec::logical::LogicalPlan;
@@ -60,8 +66,7 @@ use cx_exec::{
 use cx_mqo::SharedScanExec;
 use crate::watchdog::{WatchdogConfig, WatchdogHandle};
 use cx_obs::{
-    Histogram, IncidentLog, MetricsSnapshot, ProfileSpan, ProfilerSession, QueryProfile,
-    QueryTrace, TraceRing, TracingSession,
+    Histogram, IncidentLog, MetricsSnapshot, ProfileSpan, QueryProfile, QueryTrace, TraceRing,
 };
 use cx_optimizer::{shared_scan_cost, OptimizerConfig};
 use cx_storage::{
@@ -136,9 +141,10 @@ pub struct ServeConfig {
     pub retry_transient: bool,
     /// Record a per-query [`QueryTrace`] of lifecycle spans (plan cache,
     /// embed warm, queue waits, shared sweeps, epilogues) for every
-    /// query. Off by default: with tracing off every instrumentation
-    /// site costs one relaxed atomic load. Latency histograms are always
-    /// on regardless (they are counter-cheap).
+    /// query. Off by default: a span site records only on a thread this
+    /// server installed a trace on, and costs one thread-local load
+    /// everywhere else — other servers in the process included. Latency
+    /// histograms are always on regardless (they are counter-cheap).
     pub tracing: bool,
     /// Finished traces retained in the in-memory ring
     /// ([`Server::traces`] / [`Server::last_trace`]); 0 disables
@@ -154,8 +160,9 @@ pub struct ServeConfig {
     /// the global allocator), kernel pairs/tiles, and bytes charged
     /// against the memory budget — attached to traces, surfaced in
     /// `cx.queries`, and aggregated into [`Server::profile_totals`]. Off
-    /// by default: with profiling off every hook costs one relaxed
-    /// atomic load.
+    /// by default: the allocator and kernel hooks count only on a thread
+    /// with this server's profile window open, and cost one thread-local
+    /// load everywhere else.
     pub profiling: bool,
     /// Self-watchdog (`None` = no background thread). When set, a
     /// sampler wakes every [`WatchdogConfig::interval`], diffs the
@@ -245,22 +252,23 @@ pub struct ServeResult {
     pub trace: Option<QueryTrace>,
 }
 
-/// One query's execution state as it flows through result memoization,
-/// scan grouping, admission and execution. Ad-hoc queries execute the
-/// cached tree itself and memoize at the plan level; prepared executions
-/// run a parameter-bound copy and memoize per binding vector.
+/// One statement's execution state as it flows through result
+/// memoization, scan grouping, admission and execution. With no
+/// parameters (an ad-hoc query) it executes the cached tree itself and
+/// memoizes at the plan level; with parameters it runs a bound copy and
+/// memoizes per binding vector.
 #[derive(Clone)]
 pub struct ExecUnit {
     /// The resolved plan-cache entry.
     pub cached: Arc<CachedPlan>,
-    /// The tree to execute: the cached tree for ad-hoc queries, its
-    /// parameter-bound copy for prepared executions.
+    /// The tree to execute: the cached tree itself, or its
+    /// parameter-bound copy when the statement has parameters.
     pub root: Arc<dyn PhysicalOperator>,
-    /// The binding vector key for prepared executions (`None` = ad-hoc;
-    /// the plan-level result memo applies instead).
-    pub binding: Option<BindingKey>,
-    /// Admission weight — the bound-literal cost estimate for prepared
-    /// executions, the cached estimate otherwise.
+    /// The binding vector's memo key (empty = no parameters; the
+    /// plan-level result memo applies instead of the per-binding one).
+    pub binding: BindingKey,
+    /// Admission weight — the bound-literal cost estimate when there are
+    /// parameters, the cached estimate otherwise.
     pub cost: f64,
     /// Whether plan resolution hit the plan cache.
     pub plan_cache_hit: bool,
@@ -270,7 +278,7 @@ pub struct ExecUnit {
     /// installed around its execution, consulted at admission, and
     /// checked per member inside shared-scan groups.
     pub ctx: QueryContext,
-    /// The query's trace, when tracing is on. Carried inside the unit so
+    /// The query's trace, when it is traced. Carried inside the unit so
     /// the group leader's thread can attribute shared-sweep and epilogue
     /// spans to *every* member's trace, not just its own.
     pub trace: Option<QueryTrace>,
@@ -325,7 +333,8 @@ pub struct ServerStats {
     pub queries: u64,
     /// Sessions opened.
     pub sessions: u64,
-    /// Prepared-statement executions among `queries`.
+    /// Parameter-bound executions among `queries`: prepared statements
+    /// and auto-parameterized SQL.
     pub prepared_queries: u64,
     /// Queries answered from a cached plan's result memo (per-binding
     /// memo hits included).
@@ -380,9 +389,6 @@ pub struct Server {
     queue_wait_hist: Histogram,
     /// Shared-sweep duration per drained group. Always on.
     sweep_hist: Histogram,
-    /// Keeps process-wide tracing enabled while this server is configured
-    /// for it (span sites everywhere check one relaxed atomic).
-    _tracing_session: Option<TracingSession>,
     /// Structured incidents appended by the watchdog, queryable as
     /// `cx.incidents`. Present even without a watchdog so the table
     /// always resolves (empty).
@@ -399,10 +405,6 @@ pub struct Server {
     pub(crate) sql: crate::sql::SqlCounters,
     /// Server-wide totals across profiled queries.
     profile_totals: ProfileTotals,
-    /// Keeps process-wide profiling enabled while this server is
-    /// configured for it (allocator and kernel hooks check one relaxed
-    /// atomic).
-    _profiler_session: Option<ProfilerSession>,
 }
 
 /// Aggregated resource usage across every profiled query (see
@@ -531,7 +533,6 @@ impl Server {
             latency_hist: Histogram::new(),
             queue_wait_hist: Histogram::new(),
             sweep_hist: Histogram::new(),
-            _tracing_session: config.tracing.then(TracingSession::new),
             incidents: Arc::new(IncidentLog::new(
                 config.watchdog.map_or(DEFAULT_INCIDENT_CAPACITY, |w| w.incident_capacity),
             )),
@@ -540,7 +541,6 @@ impl Server {
             timestamp_source: RwLock::new(None),
             sql: crate::sql::SqlCounters::default(),
             profile_totals: ProfileTotals::default(),
-            _profiler_session: config.profiling.then(ProfilerSession::new),
         });
         // The engine can now query the server: every telemetry surface
         // registers as a live `cx.*` system table holding a Weak handle
@@ -607,7 +607,7 @@ impl Server {
 
     /// Serves one query; safe to call from any number of threads.
     pub fn execute(&self, query: &Query) -> Result<ServeResult> {
-        self.serve_query(query, self.engine.config().optimizer, &QueryOptions::default())
+        self.execute_with_options(query, &QueryOptions::default())
     }
 
     /// Serves one query under explicit lifecycle options (deadline,
@@ -617,7 +617,8 @@ impl Server {
         query: &Query,
         options: &QueryOptions,
     ) -> Result<ServeResult> {
-        self.serve_query(query, self.engine.config().optimizer, options)
+        let stmt = Statement::adhoc(query, self.engine.config().optimizer);
+        self.serve_statement(&stmt, &[], options, false)
     }
 
     /// Serves one query under an explicit optimizer configuration (the
@@ -630,133 +631,56 @@ impl Server {
         query: &Query,
         opt_config: OptimizerConfig,
     ) -> Result<ServeResult> {
-        self.serve_query(query, opt_config, &QueryOptions::default())
+        let stmt = Statement::adhoc(query, opt_config);
+        self.serve_statement(&stmt, &[], &QueryOptions::default(), false)
     }
 
-    /// The full serving path: plan resolution, dispatch (memo → scan
-    /// sharing → solo), panic containment, and the transient retry-once
-    /// policy, all under the query's lifecycle context.
-    pub(crate) fn serve_query(
+    /// The one serving path. Every entry point — [`Server::execute`] and
+    /// its variants, [`Session::execute`], [`Session::explain_analyze`],
+    /// [`Prepared::execute`], [`Session::sql`] — describes its statement
+    /// as a [`Statement`] plus a binding vector (empty for an ad-hoc
+    /// query) and calls this. In order: in-flight accounting, lifecycle
+    /// context, trace + profile window, then per attempt (panics
+    /// contained, one solo retry on a transient failure) plan resolution
+    /// through the shared plan cache, the result-memo probe, parameter
+    /// binding into a copy of the cached tree with admission re-weighed
+    /// over the *bound* plan, and dispatch (scan sharing → solo); finally
+    /// the outcome lands in the lifecycle counters and the trace is
+    /// sealed.
+    ///
+    /// `trace_this` records a [`QueryTrace`] for this statement even when
+    /// [`ServeConfig::tracing`] is off (`EXPLAIN ANALYZE`). The trace is
+    /// attached to the result; with tracing off the ring has capacity 0,
+    /// so nothing is retained server-side, and since span sites record
+    /// only on threads the trace is installed on, no other query pays a
+    /// thing.
+    pub(crate) fn serve_statement(
         &self,
-        query: &Query,
-        opt_config: OptimizerConfig,
-        options: &QueryOptions,
-    ) -> Result<ServeResult> {
-        self.serve_query_inner(query, opt_config, options, false)
-    }
-
-    /// [`Server::serve_query`] with one extra switch: `force_trace`
-    /// records a [`QueryTrace`] for this query even when
-    /// [`ServeConfig::tracing`] is off (the `EXPLAIN ANALYZE` path —
-    /// see [`Session::explain_analyze`]). The forced trace is attached
-    /// to the result; with tracing off the ring has capacity 0, so
-    /// nothing is retained server-side and no other query pays a thing.
-    fn serve_query_inner(
-        &self,
-        query: &Query,
-        opt_config: OptimizerConfig,
-        options: &QueryOptions,
-        force_trace: bool,
-    ) -> Result<ServeResult> {
-        let start = Instant::now();
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-        let _in_flight = InFlightGuard(&self.in_flight);
-        let ctx = self.make_ctx(options);
-        let cfg_fp = config_fingerprint(&opt_config);
-        let exact = query.plan().fingerprint();
-        let key = exact ^ cfg_fp;
-        let trace = (self.config.tracing || force_trace)
-            .then(|| QueryTrace::new(format!("query#{exact:016x}")));
-        // Span sites check a process-wide refcount; forcing a trace
-        // needs it held for this query's duration.
-        let _forced = (force_trace && !self.config.tracing).then(TracingSession::new);
-        let profile_span = self.config.profiling.then(ProfileSpan::start);
-
-        let attempt = |solo: bool| -> Result<ServeResult> {
-            let _scope = cx_obs::install_trace(trace.as_ref());
-            if solo {
-                cx_obs::event("retry", || "solo (no scan sharing)".into());
-            }
-            let version = self.engine.catalog_version();
-            let mut pc_span = cx_obs::span("plan_cache");
-            let (cached, hit) = match self.plan_cache.get(key, version) {
-                Some(cached) => {
-                    pc_span.set_detail("hit");
-                    drop(pc_span);
-                    (cached, true)
-                }
-                None => {
-                    pc_span.set_detail("miss");
-                    let cached = self.build_plan(query, opt_config, exact, version)?;
-                    drop(pc_span);
-                    self.plan_cache.insert(key, cached.clone());
-                    (cached, false)
-                }
-            };
-            let unit = ExecUnit {
-                root: cached.physical.clone(),
-                binding: None,
-                cost: cached.estimated_cost,
-                cached,
-                plan_cache_hit: hit,
-                started: start,
-                ctx: ctx.clone(),
-                trace: trace.clone(),
-            };
-            if solo {
-                // Retry path: no scan sharing, full solo cost — but a
-                // result memoized since the first attempt still counts.
-                if let Some(result) = self.try_result_memo(&unit) {
-                    return Ok(result);
-                }
-                self.execute_solo(&unit)
-            } else {
-                self.dispatch(unit, cfg_fp, false)
-            }
-        };
-
-        let mut result = self.run_with_recovery(attempt);
-        self.record_outcome(&result);
-        let profile =
-            profile_span.map(|p| p.finish(ctx.budget().map_or(0, |b| b.allocated())));
-        self.finish_query(trace, start, &mut result, profile);
-        result
-    }
-
-    /// Executes a prepared statement under `params` (called through
-    /// [`Prepared::execute`]). Plan resolution goes through the shared
-    /// plan cache keyed by the template's *shape*, parameters are bound
-    /// into a copy of the cached physical tree, admission is weighted by
-    /// a cost estimate over the *bound* logical plan, and results are
-    /// memoized per binding vector. Bound executions participate in
-    /// multi-query scan sharing exactly like ad-hoc queries, and run
-    /// under the same lifecycle policies (server-default deadline/budget,
-    /// panic containment, transient retry).
-    pub(crate) fn execute_prepared(
-        &self,
-        prepared: &Prepared,
+        stmt: &Statement<'_>,
         params: &[Scalar],
+        options: &QueryOptions,
+        trace_this: bool,
     ) -> Result<ServeResult> {
-        if params.len() != prepared.param_count() {
+        if params.len() != stmt.param_count {
             return Err(Error::InvalidArgument(format!(
                 "prepared statement expects {} parameter(s), got {}",
-                prepared.param_count(),
+                stmt.param_count,
                 params.len()
             )));
         }
         let start = Instant::now();
         self.in_flight.fetch_add(1, Ordering::Relaxed);
         let _in_flight = InFlightGuard(&self.in_flight);
-        let ctx = self.make_ctx(&QueryOptions::default());
-        let profile_span = self.config.profiling.then(ProfileSpan::start);
-        let cfg_fp = config_fingerprint(&prepared.config());
-        let trace = self.config.tracing.then(|| {
-            QueryTrace::new(format!(
-                "prepared#{:016x}({} params)",
-                prepared.exact_fingerprint(),
-                params.len()
-            ))
+        let ctx = self.make_ctx(options);
+        let trace = (self.config.tracing || trace_this).then(|| {
+            let exact = stmt.exact_fingerprint;
+            QueryTrace::new(if params.is_empty() {
+                format!("query#{exact:016x}")
+            } else {
+                format!("prepared#{exact:016x}({} params)", params.len())
+            })
         });
+        let profile_span = self.config.profiling.then(ProfileSpan::start);
 
         let attempt = |solo: bool| -> Result<ServeResult> {
             let _scope = cx_obs::install_trace(trace.as_ref());
@@ -765,16 +689,18 @@ impl Server {
             }
             let version = self.engine.catalog_version();
             let mut pc_span = cx_obs::span("plan_cache");
-            let (cached, hit) = self.resolve_prepared(prepared, version)?;
+            let (cached, hit) = self.resolve_plan(stmt, version)?;
             pc_span.set_detail(if hit { "hit" } else { "miss" });
             drop(pc_span);
-            let binding = BindingKey::new(params);
 
-            // Per-binding memo first: a replayed binding skips parameter
-            // rebinding, cost estimation, grouping and admission outright.
-            let unit = ExecUnit {
-                root: cached.physical.clone(), // placeholder until bound below
-                binding: Some(binding),
+            // Memo first: a replay skips parameter rebinding, cost
+            // estimation, grouping and admission outright (memoized
+            // replays must never re-enter the cost gate) — on the solo
+            // retry too, where a result memoized since the first attempt
+            // still counts.
+            let mut unit = ExecUnit {
+                root: cached.physical.clone(),
+                binding: BindingKey::new(params),
                 cost: cached.estimated_cost,
                 cached,
                 plan_cache_hit: hit,
@@ -786,33 +712,27 @@ impl Server {
                 return Ok(result);
             }
 
-            // Bind the physical tree (subtrees without parameters stay
-            // shared) and re-cost the plan with the bound literals — the
-            // template was optimized with placeholder slots and default
-            // selectivities, but admission should weigh the real query.
-            let bind_span = cx_obs::span("bind_params");
-            let root = bind_physical(&unit.cached.physical, params)?;
-            let cost = if params.is_empty() {
-                unit.cached.estimated_cost
-            } else {
-                self.engine.estimate_plan_cost(
-                    &unit.cached.optimized.bind_params(params)?,
-                    prepared.config(),
-                )
-            };
-            drop(bind_span);
-            let unit = ExecUnit { root, cost, ..unit };
+            if !params.is_empty() {
+                // Bind the physical tree (subtrees without parameters
+                // stay shared) and re-cost the plan with the bound
+                // literals — the template was optimized with placeholder
+                // slots and default selectivities, but admission should
+                // weigh the real query.
+                let _bind_span = cx_obs::span("bind_params");
+                unit.root = bind_physical(&unit.cached.physical, params)?;
+                unit.cost = self
+                    .engine
+                    .estimate_plan_cost(&unit.cached.optimized.bind_params(params)?, stmt.config);
+            }
             if solo {
                 self.execute_solo(&unit)
             } else {
-                self.dispatch(unit, cfg_fp, true)
+                self.dispatch(unit, stmt.config_fingerprint)
             }
         };
 
         let mut result = self.run_with_recovery(attempt);
-        if result.is_ok() {
-            // Counted on success only, so the counter stays a subset of
-            // `queries` even when bindings fail validation.
+        if result.is_ok() && !params.is_empty() {
             self.prepared_queries.fetch_add(1, Ordering::Relaxed);
         }
         self.record_outcome(&result);
@@ -824,10 +744,10 @@ impl Server {
 
     /// Seals a query's observability record: the end-to-end latency lands
     /// in the histogram (always), a resource profile (profiling on) folds
-    /// into the server totals and onto the trace, and when tracing is on
-    /// the trace is finished with the outcome, pushed into the ring,
-    /// rendered into the slow log if over threshold, and attached to a
-    /// successful result.
+    /// into the server totals and onto the trace, and a traced query's
+    /// trace is finished with the outcome, pushed into the ring, rendered
+    /// into the slow log if over threshold, and attached to a successful
+    /// result.
     fn finish_query(
         &self,
         trace: Option<QueryTrace>,
@@ -941,27 +861,23 @@ impl Server {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Resolves a prepared statement's cached plan: a shape-keyed lookup
-    /// validated against the template's exact fingerprint, rebuilding
-    /// (and replacing) the entry on miss, staleness, or a shape
-    /// collision with a different template.
-    pub(crate) fn resolve_prepared(
+    /// Resolves a statement's cached plan: a keyed lookup validated
+    /// against the template's exact fingerprint, rebuilding (and
+    /// replacing) the entry on miss, staleness, or a key collision with a
+    /// different template.
+    pub(crate) fn resolve_plan(
         &self,
-        prepared: &Prepared,
+        stmt: &Statement<'_>,
         version: u64,
     ) -> Result<(Arc<CachedPlan>, bool)> {
-        let key = prepared.cache_key();
+        let key = stmt.cache_key();
         if let Some(cached) = self.plan_cache.get(key, version) {
-            if cached.exact_fingerprint == prepared.exact_fingerprint() {
+            if cached.exact_fingerprint == stmt.exact_fingerprint {
                 return Ok((cached, true));
             }
         }
-        let cached = self.build_plan(
-            prepared.template(),
-            prepared.config(),
-            prepared.exact_fingerprint(),
-            version,
-        )?;
+        let cached =
+            self.build_plan(stmt.template, stmt.config, stmt.exact_fingerprint, version)?;
         self.plan_cache.insert(key, cached.clone());
         Ok((cached, false))
     }
@@ -998,32 +914,20 @@ impl Server {
         }))
     }
 
-    /// Routes a resolved execution unit: result memo, then multi-query
-    /// scan sharing, then solo execution. `memo_checked` lets a caller
-    /// that already probed the result memo (the prepared path checks it
-    /// before paying for parameter binding) skip the second probe.
-    fn dispatch(&self, unit: ExecUnit, cfg_fp: u64, memo_checked: bool) -> Result<ServeResult> {
-        // Result memo: a replayed fingerprint (⊕ binding) over an
-        // unchanged catalog is the same table — skip grouping, admission
-        // and execution outright (memoized replays must never re-enter
-        // the cost gate).
-        if !memo_checked {
-            if let Some(result) = self.try_result_memo(&unit) {
-                return Ok(result);
-            }
-        }
-
+    /// Routes a resolved execution unit whose result memo missed:
+    /// multi-query scan sharing, then solo execution.
+    fn dispatch(&self, unit: ExecUnit, cfg_fp: u64) -> Result<ServeResult> {
         // Multi-query scan sharing: plans with a shareable sweep queue up
         // by group key — the scan signature's key ⊕ the config fingerprint
         // (configs change how subtrees lower) ⊕ the catalog version (never
-        // group across registrations). Prepared executions re-discover the
+        // group across registrations). Bound executions re-discover the
         // scan on their *bound* tree; the signature's group key excludes
         // per-query probes, so bound sweeps join ad-hoc groups freely.
         if self.config.mqo {
-            let shared = if unit.binding.is_some() {
-                find_shared_scan(&unit.root)
-            } else {
+            let shared = if unit.binding.is_empty() {
                 unit.cached.shared_scan.clone()
+            } else {
+                find_shared_scan(&unit.root)
             };
             if let Some((node, sig)) = shared {
                 let group_key = sig.group_key()
@@ -1044,8 +948,8 @@ impl Server {
     }
 
     /// Serves `unit` from its result memo if enabled and populated — the
-    /// plan-level memo for ad-hoc queries, the per-binding memo for
-    /// prepared executions.
+    /// plan-level memo with no parameters, the per-binding memo
+    /// otherwise.
     fn try_result_memo(&self, unit: &ExecUnit) -> Option<ServeResult> {
         // Volatile plans scan live `cx.*` state: the *plan* stays cached
         // (lowering is as deterministic as ever) but the data is a
@@ -1053,9 +957,10 @@ impl Server {
         if !self.config.cache_results || unit.cached.volatile {
             return None;
         }
-        let table = match &unit.binding {
-            None => unit.cached.result.lock().clone()?,
-            Some(binding) => unit.cached.bound_results.lock().get(binding).cloned()?,
+        let table = if unit.binding.is_empty() {
+            unit.cached.result.lock().clone()?
+        } else {
+            unit.cached.bound_results.lock().get(&unit.binding).cloned()?
         };
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.result_hits.fetch_add(1, Ordering::Relaxed);
@@ -1107,9 +1012,10 @@ impl Server {
         let table = Arc::new(unit.ctx.scope(|| collect_table(&root))?);
         drop(exec_span);
         if self.config.cache_results && !unit.cached.volatile {
-            match &unit.binding {
-                None => *unit.cached.result.lock() = Some(table.clone()),
-                Some(binding) => unit.cached.memoize_binding(binding, table.clone()),
+            if unit.binding.is_empty() {
+                *unit.cached.result.lock() = Some(table.clone());
+            } else {
+                unit.cached.memoize_binding(&unit.binding, table.clone());
             }
         }
         self.queries.fetch_add(1, Ordering::Relaxed);
@@ -1158,22 +1064,20 @@ impl Server {
         let fault = self.fault_plan();
         let k = entries.len();
         let drain_started = Instant::now();
-        if cx_obs::tracing_enabled() {
-            // Attribute the linger to every member: how long each query
-            // sat in the scan queue before its group drained. The leader
-            // waited the whole linger; late joiners waited less.
-            for (i, e) in entries.iter().enumerate() {
-                if let Some(trace) = &e.unit.trace {
-                    let role = if i == 0 { "leader" } else { "follower" };
-                    trace.add_span(
-                        "scan_queue_wait",
-                        format!("{role} k={k}"),
-                        e.queued_at,
-                        drain_started.saturating_duration_since(e.queued_at),
-                        0,
-                        false,
-                    );
-                }
+        // Attribute the linger to every traced member: how long each
+        // query sat in the scan queue before its group drained. The
+        // leader waited the whole linger; late joiners waited less.
+        for (i, e) in entries.iter().enumerate() {
+            if let Some(trace) = &e.unit.trace {
+                let role = if i == 0 { "leader" } else { "follower" };
+                trace.add_span(
+                    "scan_queue_wait",
+                    format!("{role} k={k}"),
+                    e.queued_at,
+                    drain_started.saturating_duration_since(e.queued_at),
+                    0,
+                    false,
+                );
             }
         }
         if let Some(plan) = &fault {
@@ -1234,13 +1138,11 @@ impl Server {
         let admitted = self.gate.acquire_ctx(weight, &group_ctx, 0);
         let admit_dur = admit_started.elapsed();
         self.queue_wait_hist.record_duration(admit_dur);
-        if cx_obs::tracing_enabled() {
-            // One group permit covers everyone: the wait is shared work,
-            // attributed to every member's trace.
-            for e in &entries {
-                if let Some(trace) = &e.unit.trace {
-                    trace.add_span("admission", "group", admit_started, admit_dur, 0, true);
-                }
+        // One group permit covers everyone: the wait is shared work,
+        // attributed to every traced member.
+        for e in &entries {
+            if let Some(trace) = &e.unit.trace {
+                trace.add_span("admission", "group", admit_started, admit_dur, 0, true);
             }
         }
         let permit = match admitted {
@@ -1295,18 +1197,16 @@ impl Server {
             };
             let sweep_dur = sweep_started.elapsed();
             self.sweep_hist.record_duration(sweep_dur);
-            if cx_obs::tracing_enabled() {
-                for e in entries.iter().skip(1) {
-                    if let Some(trace) = &e.unit.trace {
-                        trace.add_span(
-                            "shared_sweep",
-                            format!("follower k={k}"),
-                            sweep_started,
-                            sweep_dur,
-                            0,
-                            true,
-                        );
-                    }
+            for e in entries.iter().skip(1) {
+                if let Some(trace) = &e.unit.trace {
+                    trace.add_span(
+                        "shared_sweep",
+                        format!("follower k={k}"),
+                        sweep_started,
+                        sweep_dur,
+                        0,
+                        true,
+                    );
                 }
             }
             self.metrics.handle(&shared.name()).record(
@@ -2243,9 +2143,7 @@ impl Session {
     /// Serves one query through the shared server, under this session's
     /// optimizer configuration.
     pub fn execute(&self, query: &Query) -> Result<ServeResult> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.server
-            .serve_query(query, self.optimizer_config(), &QueryOptions::default())
+        self.execute_with_options(query, &QueryOptions::default())
     }
 
     /// Serves one query under explicit lifecycle options (deadline,
@@ -2257,7 +2155,8 @@ impl Session {
         options: &QueryOptions,
     ) -> Result<ServeResult> {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        self.server.serve_query(query, self.optimizer_config(), options)
+        let stmt = Statement::adhoc(query, self.optimizer_config());
+        self.server.serve_statement(&stmt, &[], options, false)
     }
 
     /// Prepares a query template for repeated execution with different
@@ -2303,13 +2202,13 @@ impl Session {
         Prepared::new(self.server.clone(), query.clone(), self.optimizer_config())
     }
 
-    /// Executes `query` with tracing forced on *for this one query* and
-    /// returns its rendered span tree — `EXPLAIN ANALYZE` for the serving
-    /// layer. Works regardless of [`ServeConfig::tracing`]: the forced
-    /// trace lives only as long as this call (with tracing off the
-    /// server's ring has capacity 0, so nothing is retained and
-    /// concurrent queries still pay one relaxed atomic load per span
-    /// site). The query executes for real, through the full serving path.
+    /// Executes `query` traced — *this one query*, whatever
+    /// [`ServeConfig::tracing`] says — and returns its rendered span tree:
+    /// `EXPLAIN ANALYZE` for the serving layer. The trace lives only as
+    /// long as this call (with tracing off the server's ring has capacity
+    /// 0, so nothing is retained) and arms only the threads it is
+    /// installed on, so concurrent queries pay nothing. The query executes
+    /// for real, through the one serving path.
     ///
     /// ```
     /// use context_engine::{Engine, EngineConfig};
@@ -2338,12 +2237,8 @@ impl Session {
     /// ```
     pub fn explain_analyze(&self, query: &Query) -> Result<String> {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let result = self.server.serve_query_inner(
-            query,
-            self.optimizer_config(),
-            &QueryOptions::default(),
-            true,
-        )?;
+        let stmt = Statement::adhoc(query, self.optimizer_config());
+        let result = self.server.serve_statement(&stmt, &[], &QueryOptions::default(), true)?;
         Ok(result.trace.map(|t| t.render()).unwrap_or_default())
     }
 

@@ -11,29 +11,32 @@
 //!   [`cx_sql::SchemaProvider`] over the shared [`Engine`].
 //! * **Auto-parameterization** ([`ServeConfig::sql_auto_param`](crate::ServeConfig::sql_auto_param), on by
 //!   default) — every literal in an ad-hoc statement is lifted into a
-//!   parameter slot, the lifted template is prepared (one plan-cache
-//!   entry per statement *shape*, via `LogicalPlan::shape_fingerprint`),
-//!   and the literals are bound back transparently. A dashboard firing
+//!   parameter slot, the lifted template is served as a prepared
+//!   statement (one plan-cache entry per statement *shape*: the template
+//!   is all that is fingerprinted, resolved once per statement), and the
+//!   literals are bound back transparently. A dashboard firing
 //!   `price > 10`, `price > 20`, `price > 30` optimizes once and binds
 //!   three times — prepared-statement throughput for plain text, results
 //!   bit-identical to exact planning (binding re-infers expression types
-//!   per value). Statements with nothing to lift fall back to the exact
-//!   plan cache; both paths still coalesce into shared scans and are
-//!   admission-weighed like any other query.
+//!   per value). Statements with nothing to lift are the zero-parameter
+//!   case of the same call.
 //! * **`PREPARE` / `EXECUTE`** — session-scoped named statements backed
-//!   by the same [`Prepared`] handles the programmatic API returns.
+//!   by the same [`Prepared`](crate::Prepared) handles the programmatic
+//!   API returns.
 //! * **`EXPLAIN [ANALYZE]`** — the optimizer's plan rendering, or the
-//!   served query's rendered lifecycle span tree.
+//!   rendered lifecycle span tree of the statement served exactly as the
+//!   plain `SELECT` would be (auto-parameterized, `sql_parse`/`sql_bind`
+//!   included), traced whether or not the server traces.
 //! * **Observability** — `sql_parse` / `sql_bind` spans attached to the
-//!   query trace (when tracing is on), and `cx_serve_sql_*` counters in
+//!   query trace (when the statement is traced), and `cx_serve_sql_*` counters in
 //!   [`Server::metrics_snapshot`] / [`Server::report`].
 
-use crate::prepared::Prepared;
-use crate::server::{ServeResult, Server, Session};
+use crate::prepared::Statement;
+use crate::server::{QueryOptions, ServeResult, Server, Session};
 use context_engine::{Engine, Query};
 use cx_exec::logical::LogicalPlan;
 use cx_sql::{Bound, SqlError};
-use cx_storage::{Error, Result, Scalar, Schema};
+use cx_storage::{Error, Result, Schema};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -217,7 +220,7 @@ impl Session {
                         q.param_count
                     )));
                 }
-                let result = self.serve_sql_plan(&server, q.plan)?;
+                let result = self.serve_select(q.plan, false)?;
                 attach_sql_spans(&result, text, parse_start, parse_dur, bind_start, bind_dur);
                 Ok(SqlResponse::Rows(result))
             }
@@ -229,13 +232,13 @@ impl Session {
                         query.param_count
                     )));
                 }
-                let q = Query::from_plan(query.plan);
-                let rendered = if analyze {
-                    self.explain_analyze(&q)?
-                } else {
-                    server.engine().explain(&q)?
-                };
-                Ok(SqlResponse::Explain(rendered))
+                if !analyze {
+                    let rendered = server.engine().explain(&Query::from_plan(query.plan))?;
+                    return Ok(SqlResponse::Explain(rendered));
+                }
+                let result = self.serve_select(query.plan, true)?;
+                attach_sql_spans(&result, text, parse_start, parse_dur, bind_start, bind_dur);
+                Ok(SqlResponse::Explain(result.trace.map(|t| t.render()).unwrap_or_default()))
             }
             Bound::Prepare { name, query } => {
                 let prepared = Arc::new(self.prepare(&Query::from_plan(query.plan))?);
@@ -258,45 +261,39 @@ impl Session {
         }
     }
 
-    /// Serves a bound, parameter-free SELECT: auto-parameterized through
-    /// the prepared machinery when enabled and the statement has
-    /// liftable literals, exact ad-hoc planning otherwise.
-    fn serve_sql_plan(&self, server: &Arc<Server>, plan: LogicalPlan) -> Result<ServeResult> {
-        if server.config().sql_auto_param {
+    /// Serves a bound, parameter-free SELECT. With auto-parameterization
+    /// on, its literals are lifted into parameter slots and bound back,
+    /// so the plan cache sees only the template; a statement with nothing
+    /// to lift (or auto-parameterization off) is the zero-parameter case.
+    /// `trace_this` is `EXPLAIN ANALYZE`.
+    fn serve_select(&self, plan: LogicalPlan, trace_this: bool) -> Result<ServeResult> {
+        let server = self.server();
+        let (plan, literals) = if server.config().sql_auto_param {
             let (template, literals) = plan.lift_literals();
-            if !literals.is_empty() {
-                return self.execute_auto_param(server, template, &literals);
-            }
-            server.sql.exact_fallback.fetch_add(1, Ordering::Relaxed);
-        }
-        self.execute(&Query::from_plan(plan))
-    }
-
-    fn execute_auto_param(
-        &self,
-        server: &Arc<Server>,
-        template: LogicalPlan,
-        literals: &[Scalar],
-    ) -> Result<ServeResult> {
-        server.sql.auto_param.fetch_add(1, Ordering::Relaxed);
-        // A fresh handle per statement: on a shape hit, `Prepared::new`
-        // is a plan-cache lookup, not an optimization. (The server must
-        // not retain handles itself — `Prepared` holds an `Arc<Server>`.)
-        let prepared = Prepared::new(
-            server.clone(),
-            Query::from_plan(template),
-            self.optimizer_config(),
-        )?;
-        if prepared.shape_cache_hit() {
+            let counter = if literals.is_empty() {
+                &server.sql.exact_fallback
+            } else {
+                &server.sql.auto_param
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            (template, literals)
+        } else {
+            (plan, Vec::new())
+        };
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        let query = Query::from_plan(plan);
+        let stmt = Statement::new(&query, self.optimizer_config(), literals.len());
+        let result =
+            server.serve_statement(&stmt, &literals, &QueryOptions::default(), trace_this)?;
+        if !literals.is_empty() && result.plan_cache_hit {
             server.sql.auto_param_shape_hits.fetch_add(1, Ordering::Relaxed);
         }
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        prepared.execute(literals)
+        Ok(result)
     }
 }
 
 /// Attaches the front-end's parse/bind timings to the query's lifecycle
-/// trace (no-op when tracing is off). The spans predate the trace clock,
+/// trace (no-op for an untraced query). The spans predate the trace clock,
 /// whose offsets saturate at zero — they render first, at depth 0.
 fn attach_sql_spans(
     result: &ServeResult,
@@ -461,13 +458,26 @@ mod tests {
             panic!()
         };
         assert!(plan.contains("products"), "{plan}");
+        // ANALYZE serves the statement the way the plain SELECT is served
+        // — literal lifted, bound back — and renders the whole statement,
+        // front-end included, with tracing off server-wide.
         let SqlResponse::Explain(spans) = session
             .sql("EXPLAIN ANALYZE SELECT name FROM products WHERE price > 10.0")
             .unwrap()
         else {
             panic!()
         };
-        assert!(spans.contains("execute"), "{spans}");
+        for stage in ["sql_parse", "sql_bind", "plan_cache", "bind_params", "execute"] {
+            assert!(spans.contains(stage), "no `{stage}` in:\n{spans}");
+        }
+        assert!(server.last_trace().is_none(), "nothing retained with tracing off");
+        // It explained the plan the server serves: the plain statement
+        // with another literal finds the shape ANALYZE cached.
+        let stats = server.sql_stats();
+        assert_eq!((stats.auto_param, stats.exact_fallback), (1, 0), "{stats:?}");
+        let r = rows(session.sql("SELECT name FROM products WHERE price > 50.0").unwrap());
+        assert!(r.plan_cache_hit && r.trace.is_none());
+        assert_eq!(server.plan_cache_stats().misses, 1);
     }
 
     #[test]

@@ -166,8 +166,8 @@ fn explain_analyze_forces_one_trace_without_retention() {
     for required in ["plan_cache", "execute"] {
         assert!(rendered.contains(required), "missing {required} in:\n{rendered}");
     }
-    // Forced traces are rendered and dropped: nothing is retained in the
-    // (capacity-zero) ring, and the global tracing flag never flipped.
+    // The trace is rendered and dropped: nothing is retained in the
+    // (capacity-zero) ring.
     assert!(server.last_trace().is_none());
     assert!(server.traces().is_empty());
     assert_eq!(server.stats().queries, 1);

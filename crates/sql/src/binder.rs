@@ -566,6 +566,14 @@ impl<'a> Binder<'a> {
             plan = LogicalPlan::Sort { input: Box::new(plan), keys: sort_below };
         }
         if let Some(exprs) = project {
+            for (i, (_, name)) in exprs.iter().enumerate() {
+                if exprs[..i].iter().any(|(_, earlier)| earlier == name) {
+                    return Err(bind_err(
+                        select.span,
+                        format!("duplicate output column `{name}`; alias one of them (`AS name`)"),
+                    ));
+                }
+            }
             plan = LogicalPlan::Project { exprs, input: Box::new(plan) };
         }
         if select.distinct {

@@ -307,11 +307,11 @@ fn check_error(e: &SqlError, input: &str) {
     );
 }
 
-/// The ten most common mistakes, golden-tested: these exact messages are
+/// The most common mistakes, golden-tested: these exact messages are
 /// part of the front-end's contract.
 #[test]
 fn golden_error_messages() {
-    let cases: [(&str, &str); 10] = [
+    let cases: [(&str, &str); 11] = [
         (
             "SELEC * FROM products",
             "parse error at line 1, column 1: expected `SELECT`, `EXPLAIN`, `PREPARE`, or \
@@ -356,6 +356,13 @@ fn golden_error_messages() {
             "SELECT * FROM products WHERE price > $1",
             "bind error at line 1, column 38: parameter slots must be contiguous starting at \
              $0; missing $0",
+        ),
+        (
+            // Found by the fuzzer below at iteration 16206, which only a
+            // fast unloaded host reaches inside its time budget.
+            "SELECT name, name, COUNT(*) FROM products GROUP BY SEMANTIC name (0.75)",
+            "bind error at line 1, column 1: duplicate output column `name`; alias one of them \
+             (`AS name`)",
         ),
     ];
     for (sql, want) in cases {

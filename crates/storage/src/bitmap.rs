@@ -1,13 +1,12 @@
 //! Packed validity bitmaps.
 
-use serde::{Deserialize, Serialize};
 
 /// A packed bitmap storing one bit per row, used for column validity (null
 /// tracking) and filter selection masks.
 ///
 /// Bits beyond `len` are kept zero so that word-wise operations (count,
 /// and/or) need no edge handling.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmap {
     words: Vec<u64>,
     len: usize,

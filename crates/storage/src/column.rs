@@ -4,14 +4,13 @@ use crate::bitmap::Bitmap;
 use crate::error::{Error, Result};
 use crate::scalar::Scalar;
 use crate::types::DataType;
-use serde::{Deserialize, Serialize};
 
 /// A contiguous, typed column of values with an optional validity bitmap.
 ///
 /// `validity == None` means "all rows valid"; this keeps the common non-null
 /// path free of bitmap reads. Operators work on whole columns (vectorized);
 /// [`Column::get`] exists for plan boundaries, tests, and display.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     Bool { values: Vec<bool>, validity: Option<Bitmap> },
     Int64 { values: Vec<i64>, validity: Option<Bitmap> },

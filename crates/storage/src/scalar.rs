@@ -1,7 +1,6 @@
 //! Single (scalar) values.
 
 use crate::types::DataType;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -10,7 +9,7 @@ use std::fmt;
 /// `Scalar` is used at plan boundaries (literals in expressions, row
 /// extraction for tests and display); the hot paths operate on whole
 /// [`crate::Column`]s instead.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Scalar {
     /// SQL NULL (typed columns carry nullability in their validity bitmap).
     Null,

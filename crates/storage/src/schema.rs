@@ -2,12 +2,11 @@
 
 use crate::error::{Error, Result};
 use crate::types::DataType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// A named, typed column slot in a schema.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     pub name: String,
     pub data_type: DataType,
@@ -40,7 +39,7 @@ impl fmt::Display for Field {
 ///
 /// Schemas are immutable and cheap to share (`Arc` internally via
 /// [`SchemaRef`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     fields: Vec<Field>,
 }

@@ -4,7 +4,6 @@ use crate::column::Column;
 use crate::error::Result;
 use crate::scalar::Scalar;
 use crate::table::Table;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::collections::HashSet;
 
@@ -12,7 +11,7 @@ use std::collections::HashSet;
 pub const HISTOGRAM_BUCKETS: usize = 32;
 
 /// An equi-width histogram over a numeric column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     pub min: f64,
     pub max: f64,
@@ -86,7 +85,7 @@ impl Histogram {
 }
 
 /// Statistics for a single column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     pub null_count: u64,
     /// Minimum value (numeric columns and lexicographic min for strings).
@@ -204,7 +203,7 @@ fn numeric_iter(column: &Column) -> Option<Vec<f64>> {
 }
 
 /// Statistics for a whole table: row count plus per-column stats.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
     pub row_count: u64,
     pub columns: HashMap<String, ColumnStats>,

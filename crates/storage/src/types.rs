@@ -1,6 +1,5 @@
 //! The logical type system.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Logical data types supported by the engine.
@@ -8,7 +7,7 @@ use std::fmt;
 /// The set is intentionally small: the engine's focus is the interaction of
 /// relational processing with *context-rich* (string / embedding) data, not
 /// breadth of SQL types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// Boolean.
     Bool,

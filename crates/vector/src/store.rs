@@ -2,7 +2,6 @@
 
 use crate::arena::RowBlock;
 use crate::kernels::norm;
-use serde::{Deserialize, Serialize};
 
 /// A row-major matrix of `len × dim` embeddings with per-row norms.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// hash-table entries pair-by-pair) is the "prefetch" rung of Figure 4: it
 /// converts the inner join loop into streaming reads the hardware prefetcher
 /// can follow, and caches norms so cosine becomes a single dot product.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VectorStore {
     dim: usize,
     data: Vec<f32>,

@@ -17,14 +17,13 @@
 
 use cx_embed::rng::SplitMix64;
 use cx_storage::{Column, Field, Result, Schema, Table};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Microseconds per day (timestamps are micros since the UNIX epoch).
 pub const MICROS_PER_DAY: i64 = 86_400_000_000;
 
 /// A synthetic image: metadata plus a latent object set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticImage {
     pub id: i64,
     /// Micros since epoch.
@@ -36,7 +35,7 @@ pub struct SyntheticImage {
 }
 
 /// An in-memory collection of synthetic images.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct ImageStore {
     images: Vec<SyntheticImage>,
 }
@@ -95,14 +94,14 @@ impl ImageStore {
 }
 
 /// One detected object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Detection {
     pub label: String,
     pub confidence: f64,
 }
 
 /// Noise model for the simulated detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorNoise {
     /// Probability a latent object is missed entirely.
     pub miss_rate: f64,

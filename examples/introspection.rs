@@ -97,8 +97,8 @@ fn main() -> cx_storage::Result<()> {
         .limit(8);
     println!("== cx.metrics (largest counters) ==\n{}", server.execute(&cx_metrics)?.table);
 
-    // 6. An EXPLAIN ANALYZE without flipping the global tracing flag:
-    //    one query is traced, rendered, and retained nowhere.
+    // 6. EXPLAIN ANALYZE: one query executed for real and rendered as
+    //    its span tree (it would be traced even with `tracing` off).
     let session = server.session();
     let probe = server
         .table("products")?
