@@ -2,11 +2,19 @@
 //! JSON.
 //!
 //! The serving layer assembles a [`MetricsSnapshot`] on demand from its
-//! live counters and histograms; benches and CI write the Prometheus
-//! rendering next to their `BENCH_*.json` artifacts and lint it with
-//! [`crate::promparse`].
+//! live counters and histograms — families declared with
+//! [`metric_family!`](crate::metric_family) export themselves into it —
+//! and tests lint the Prometheus rendering with [`crate::promparse`].
 
+use crate::family::MetricKind;
 use crate::hist::Histogram;
+
+crate::metric_descs! {
+    /// Capture time stamped by [`MetricsSnapshot::set_timestamp`].
+    pub STAMP_MS: gauge "cx_obs_snapshot_timestamp_ms" "Snapshot capture time (ms)",
+    /// Capture sequence number stamped alongside [`STAMP_MS`].
+    pub STAMP_SEQUENCE: counter "cx_obs_snapshot_sequence" "Snapshot sequence number",
+}
 
 /// The value of one metric sample.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,25 +167,25 @@ impl MetricsSnapshot {
     /// samples plus `_sum` / `_count`.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
+        let header = |name: &str, help: &str, kind: MetricKind| {
+            format!("# HELP {name} {}\n# TYPE {name} {}\n", escape_help(help), kind.as_str())
+        };
         if let Some((ts, seq)) = self.stamp {
-            out.push_str("# HELP cx_obs_snapshot_timestamp_ms Snapshot capture time (ms)\n");
-            out.push_str("# TYPE cx_obs_snapshot_timestamp_ms gauge\n");
-            out.push_str(&format!("cx_obs_snapshot_timestamp_ms {ts}\n"));
-            out.push_str("# HELP cx_obs_snapshot_sequence Snapshot sequence number\n");
-            out.push_str("# TYPE cx_obs_snapshot_sequence counter\n");
-            out.push_str(&format!("cx_obs_snapshot_sequence {seq}\n"));
+            for (d, v) in [(STAMP_MS, ts), (STAMP_SEQUENCE, seq)] {
+                out.push_str(&header(d.name, d.help, d.kind));
+                out.push_str(&format!("{} {v}\n", d.name));
+            }
         }
         let mut seen_header: Vec<&str> = Vec::new();
         for m in &self.metrics {
             if !seen_header.contains(&m.name.as_str()) {
                 seen_header.push(&m.name);
                 let kind = match m.value {
-                    MetricValue::Counter(_) => "counter",
-                    MetricValue::Gauge(_) => "gauge",
-                    MetricValue::Summary { .. } => "summary",
+                    MetricValue::Counter(_) => MetricKind::Counter,
+                    MetricValue::Gauge(_) => MetricKind::Gauge,
+                    MetricValue::Summary { .. } => MetricKind::Summary,
                 };
-                out.push_str(&format!("# HELP {} {}\n", m.name, escape_help(&m.help)));
-                out.push_str(&format!("# TYPE {} {}\n", m.name, kind));
+                out.push_str(&header(&m.name, &m.help, kind));
             }
             match &m.value {
                 MetricValue::Counter(v) => {

@@ -17,7 +17,7 @@
 //!    (counters, gauges, histogram summaries) serializable to the
 //!    Prometheus text exposition format and to JSON, with an in-tree
 //!    exposition-format parser ([`promparse`]) used as a lint by benches
-//!    and CI.
+//!    and CI. A counter family is declared once, as a [`metric_family!`].
 //!
 //! Nothing here is switched on process-wide. Recording is armed by the
 //! handle the serving layer installs on the executing thread — a
@@ -29,6 +29,7 @@
 #![deny(missing_docs)]
 
 pub mod export;
+pub mod family;
 pub mod hist;
 pub mod profile;
 pub mod promparse;
@@ -36,7 +37,8 @@ pub mod ring;
 pub mod systab;
 pub mod trace;
 
-pub use export::{Metric, MetricValue, MetricsSnapshot};
+pub use export::{Metric, MetricValue, MetricsSnapshot, STAMP_MS, STAMP_SEQUENCE};
+pub use family::{MetricDesc, MetricFamily, MetricKind};
 pub use hist::{BucketCount, HistSnapshot, Histogram};
 pub use profile::{add_pairs, add_tiles, CountingAlloc, ProfileSpan, QueryProfile};
 pub use ring::TraceRing;

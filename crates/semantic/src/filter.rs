@@ -10,8 +10,9 @@ use cx_storage::{Bitmap, DataType, Error, Result, Scalar, Schema};
 use cx_vector::block::cosine_block_threshold;
 use cx_vector::kernels::{cosine_with_norms, norm};
 use cx_vector::{QuantTier, QuantizedArena, VectorArena};
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Filters rows whose `column` value embeds within `threshold` cosine
 /// similarity of the target string's embedding. The target may be a
@@ -167,7 +168,7 @@ impl PhysicalOperator for SemanticFilterExec {
     fn inject_shared_scan(&self, state: SharedScanState) -> bool {
         match state {
             SharedScanState::FilterScores(map) => {
-                *self.shared.lock().unwrap_or_else(|e| e.into_inner()) = Some(map);
+                *self.shared.lock() = Some(map);
                 true
             }
             SharedScanState::JoinMatches(_) => false,
@@ -181,7 +182,7 @@ impl PhysicalOperator for SemanticFilterExec {
                 self.target
             ))
         })?;
-        let injected = self.shared.lock().unwrap_or_else(|e| e.into_inner()).take();
+        let injected = self.shared.lock().take();
         let target_vec = self.cache.get(target);
         let target_norm = norm(&target_vec);
         // Quantized tiers score unit vectors, so normalize the target once.

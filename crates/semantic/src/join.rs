@@ -103,7 +103,7 @@ pub struct SemanticJoinExec {
     /// One-shot injected slice of a shared sweep: the complete
     /// value-level match list at this join's threshold; consumed by the
     /// next `execute()`.
-    shared: std::sync::Mutex<Option<Vec<(String, String, f32)>>>,
+    shared: parking_lot::Mutex<Option<Vec<(String, String, f32)>>>,
     pairs_evaluated: AtomicU64,
     matches_found: AtomicU64,
 }
@@ -159,7 +159,7 @@ impl SemanticJoinExec {
             schema,
             scan_fingerprint: None,
             probe_fingerprint: None,
-            shared: std::sync::Mutex::new(None),
+            shared: parking_lot::Mutex::new(None),
             pairs_evaluated: AtomicU64::new(0),
             matches_found: AtomicU64::new(0),
         })
@@ -289,7 +289,7 @@ impl PhysicalOperator for SemanticJoinExec {
     fn inject_shared_scan(&self, state: SharedScanState) -> bool {
         match state {
             SharedScanState::JoinMatches(matches) => {
-                *self.shared.lock().unwrap_or_else(|e| e.into_inner()) = Some(matches);
+                *self.shared.lock() = Some(matches);
                 true
             }
             SharedScanState::FilterScores(_) => false,
@@ -330,7 +330,7 @@ impl PhysicalOperator for SemanticJoinExec {
             schema: self.schema.clone(),
             scan_fingerprint,
             probe_fingerprint,
-            shared: std::sync::Mutex::new(None),
+            shared: parking_lot::Mutex::new(None),
             pairs_evaluated: AtomicU64::new(0),
             matches_found: AtomicU64::new(0),
         })))
@@ -357,7 +357,7 @@ impl PhysicalOperator for SemanticJoinExec {
         let (left_vals, left_rows) = distinct_values(&left, self.left_key)?;
         let (right_vals, right_rows) = distinct_values(&right, self.right_key)?;
 
-        let injected = self.shared.lock().unwrap_or_else(|e| e.into_inner()).take();
+        let injected = self.shared.lock().take();
         let matches = match injected {
             // Shared-sweep slice: the complete value-level match list at
             // this join's threshold, scored with exactly the solo blocked

@@ -29,37 +29,42 @@
 //!   line skips it) and returns the typed error rather than being
 //!   admitted post-mortem.
 //!
-//! Uses `std::sync::{Mutex, Condvar}` rather than the workspace's
-//! `parking_lot` shim because blocking admission needs a condition
-//! variable, which the shim does not carry. Lock acquisitions recover
-//! from poisoning (`unwrap_or_else(into_inner)`): the protected state
-//! is a handful of counters that are always left consistent, so a
+//! Lock acquisitions and waits recover from poisoning: the protected
+//! state is a handful of counters that are always left consistent, so a
 //! panicked peer must not brick admission for every later query.
 
 use cx_storage::{QueryContext, QueryError, Result};
+use parking_lot::{Condvar, Mutex};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 /// How often a blocked waiter re-checks its cancellation token.
 const CANCEL_POLL: Duration = Duration::from_millis(5);
 
-/// Aggregate admission counters (see [`CostGate`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AdmissionStats {
-    /// Queries admitted so far.
-    pub admitted: u64,
-    /// Queries that had to block before admission.
-    pub waited: u64,
-    /// Queries refused with `QueueFull` (load shedding).
-    pub shed: u64,
-    /// Waiters that abandoned the line (deadline passed / cancelled).
-    pub abandoned: u64,
-    /// Cost currently executing.
-    pub in_use: f64,
-    /// Queries currently executing.
-    pub active: u64,
+cx_obs::metric_family! {
+    /// Aggregate admission counters (see [`CostGate`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct AdmissionStats, counters AdmissionCounters {
+        /// Queries admitted so far.
+        admitted: counter "cx_serve_admission_admitted_total" "Queries admitted",
+        /// Queries that had to block before admission.
+        waited: counter "cx_serve_admission_waited_total" "Admissions that had to wait",
+        /// Queries refused with `QueueFull` (load shedding).
+        shed: counter "cx_serve_admission_shed_total" "Queries shed at the admission gate",
+        /// Waiters that abandoned the line (deadline passed / cancelled).
+        abandoned: counter "cx_serve_admission_abandoned_total"
+            "Admission waits abandoned (deadline/cancel)",
+    }
+    supplied {
+        /// Cost currently executing.
+        in_use: f64 => gauge "cx_serve_admission_in_use" "Admitted cost currently executing",
+        /// Permits currently held (a shared-scan group holds one for all
+        /// its members).
+        active: u64 => gauge "cx_serve_admission_active" "Queries currently holding permits",
+        /// The gate's configured capacity (infinite = admission disabled).
+        capacity: f64 => gauge "cx_serve_admission_capacity" "Total admission capacity",
+    }
 }
 
 #[derive(Default)]
@@ -92,10 +97,7 @@ pub struct CostGate {
     capacity: f64,
     gate: Mutex<Gate>,
     cv: Condvar,
-    admitted: AtomicU64,
-    waited: AtomicU64,
-    shed: AtomicU64,
-    abandoned: AtomicU64,
+    counters: AdmissionCounters,
 }
 
 /// An admitted query's slot; releases its cost on drop.
@@ -117,10 +119,7 @@ impl CostGate {
             capacity,
             gate: Mutex::new(Gate::default()),
             cv: Condvar::new(),
-            admitted: AtomicU64::new(0),
-            waited: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            abandoned: AtomicU64::new(0),
+            counters: AdmissionCounters::default(),
         }
     }
 
@@ -157,14 +156,14 @@ impl CostGate {
     ) -> Result<Permit<'_>> {
         let cost = if cost.is_finite() { cost.max(1.0) } else { self.capacity };
         ctx.check()?;
-        let mut gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
+        let mut gate = self.gate.lock();
         gate.skip_abandoned();
         let would_block = gate.now_serving != gate.next_ticket
             || (gate.active > 0 && gate.in_use + cost > self.capacity);
         if would_block && max_queued > 0 && gate.waiting >= max_queued {
             let queued = gate.waiting;
             drop(gate);
-            self.shed.fetch_add(1, Ordering::Relaxed);
+            self.counters.shed.fetch_add(1, Ordering::Relaxed);
             return Err(QueryError::QueueFull { queued, max: max_queued }.into());
         }
         let ticket = gate.next_ticket;
@@ -189,7 +188,7 @@ impl CostGate {
                     gate.waiting -= 1;
                 }
                 drop(gate);
-                self.abandoned.fetch_add(1, Ordering::Relaxed);
+                self.counters.abandoned.fetch_add(1, Ordering::Relaxed);
                 self.cv.notify_all();
                 return Err(e);
             }
@@ -200,11 +199,7 @@ impl CostGate {
             // Bounded wait so cancellation/deadline stay responsive even
             // if no peer ever notifies.
             let timeout = ctx.remaining().map_or(CANCEL_POLL, |r| r.min(CANCEL_POLL));
-            let (g, _) = self
-                .cv
-                .wait_timeout(gate, timeout.max(Duration::from_micros(100)))
-                .unwrap_or_else(|e| e.into_inner());
-            gate = g;
+            gate = self.cv.wait_timeout(gate, timeout.max(Duration::from_micros(100))).0;
         }
         if blocked {
             gate.waiting -= 1;
@@ -215,30 +210,23 @@ impl CostGate {
         drop(gate);
         // Wake the next ticket in line (it may also fit right now).
         self.cv.notify_all();
-        self.admitted.fetch_add(1, Ordering::Relaxed);
+        self.counters.admitted.fetch_add(1, Ordering::Relaxed);
         if blocked {
-            self.waited.fetch_add(1, Ordering::Relaxed);
+            self.counters.waited.fetch_add(1, Ordering::Relaxed);
         }
         Ok(Permit { gate: self, cost })
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> AdmissionStats {
-        let gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        AdmissionStats {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            waited: self.waited.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            abandoned: self.abandoned.load(Ordering::Relaxed),
-            in_use: gate.in_use,
-            active: gate.active,
-        }
+        let gate = self.gate.lock();
+        self.counters.snapshot(gate.in_use, gate.active, self.capacity)
     }
 }
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        let mut gate = self.gate.gate.lock().unwrap_or_else(|e| e.into_inner());
+        let mut gate = self.gate.gate.lock();
         gate.in_use = (gate.in_use - self.cost).max(0.0);
         gate.active = gate.active.saturating_sub(1);
         drop(gate);
@@ -320,7 +308,7 @@ mod tests {
         };
         // Wait until the waiter is actually queued.
         while gate.stats().waited == 0 {
-            let queued = gate.gate.lock().unwrap().waiting;
+            let queued = gate.gate.lock().waiting;
             if queued >= 1 {
                 break;
             }
@@ -401,11 +389,11 @@ mod tests {
         let gate = Arc::new(CostGate::new(100.0));
         let g2 = gate.clone();
         let _ = std::thread::spawn(move || {
-            let _guard = g2.gate.lock().unwrap();
+            let _guard = g2.gate.lock();
             panic!("poison the gate");
         })
         .join();
-        assert!(gate.gate.lock().is_err(), "gate mutex should be poisoned");
+        assert!(gate.gate.is_poisoned(), "gate mutex should be poisoned");
         let p = gate.acquire(10.0);
         assert_eq!(gate.stats().active, 1);
         drop(p);

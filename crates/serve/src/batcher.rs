@@ -15,14 +15,12 @@
 //! delayed at most one linger interval while bursts fill whole batches.
 //! The queue is bounded by the size trigger: it cannot sit above
 //! `max_batch` for longer than one flush.
-//!
-//! Uses `std::sync::{Mutex, Condvar}` (not the `parking_lot` shim, which
-//! has no condition variable).
 
 use cx_embed::EmbeddingCache;
+use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -42,33 +40,43 @@ impl Default for BatcherConfig {
     }
 }
 
-/// Counter snapshot of a batcher (all totals since construction).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatcherStats {
-    /// `warm` calls.
-    pub requests: u64,
-    /// Texts across all `warm` calls (pre-dedup).
-    pub texts_requested: u64,
-    /// Texts that entered the pending queue (first requester).
-    pub texts_enqueued: u64,
-    /// Texts skipped because the cache already held them.
-    pub texts_already_cached: u64,
-    /// Texts that piggybacked on another request's pending/in-flight slot —
-    /// the cross-query sharing this scheduler exists for.
-    pub texts_coalesced: u64,
-    /// Batched `get_batch_into` calls issued.
-    pub batches: u64,
-    /// Texts embedded across all batches.
-    pub batched_texts: u64,
-    /// Batches whose texts came from ≥ 2 distinct `warm` calls.
-    pub coalesced_batches: u64,
-    /// Largest single batch.
-    pub max_batch_size: u64,
-    /// Most distinct `warm` calls served by one batch.
-    pub max_batch_submitters: u64,
-    /// Batches whose embedding pass panicked (the batch was abandoned;
-    /// its waiters proceeded and embed inline in their own queries).
-    pub failed_batches: u64,
+cx_obs::metric_family! {
+    /// Counter snapshot of a batcher (all totals since construction).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct BatcherStats, counters BatcherCounters {
+        /// `warm` calls.
+        requests: counter "cx_serve_batcher_requests_total" "Warm requests submitted",
+        /// Texts across all `warm` calls (pre-dedup).
+        texts_requested: counter "cx_serve_batcher_texts_requested_total"
+            "Texts requested for warming",
+        /// Texts that entered the pending queue (first requester).
+        texts_enqueued: counter "cx_serve_batcher_texts_enqueued_total"
+            "Texts enqueued for embedding",
+        /// Texts skipped because the cache already held them.
+        texts_already_cached: counter "cx_serve_batcher_texts_already_cached_total"
+            "Texts skipped as already cached",
+        /// Texts that piggybacked on another request's pending/in-flight slot —
+        /// the cross-query sharing this scheduler exists for.
+        texts_coalesced: counter "cx_serve_batcher_texts_coalesced_total"
+            "Texts coalesced with concurrent requests",
+        /// Batched `get_batch_into` calls issued.
+        batches: counter "cx_serve_batcher_batches_total" "Batches flushed",
+        /// Texts embedded across all batches.
+        batched_texts: counter "cx_serve_batcher_batched_texts_total"
+            "Texts embedded through batches",
+        /// Batches whose texts came from ≥ 2 distinct `warm` calls.
+        coalesced_batches: counter "cx_serve_batcher_coalesced_batches_total"
+            "Batches serving more than one submitter",
+        /// Largest single batch.
+        max_batch_size: gauge "cx_serve_batcher_max_batch_size" "Largest batch flushed",
+        /// Most distinct `warm` calls served by one batch.
+        max_batch_submitters: gauge "cx_serve_batcher_max_batch_submitters"
+            "Most submitters served by one batch",
+        /// Batches whose embedding pass panicked (the batch was abandoned;
+        /// its waiters proceeded and embed inline in their own queries).
+        failed_batches: counter "cx_serve_batcher_failed_batches_total"
+            "Batches that failed to embed",
+    }
 }
 
 struct State {
@@ -93,17 +101,7 @@ struct Shared {
     /// Wakes waiters (batch finished).
     done: Condvar,
     next_ticket: AtomicU64,
-    requests: AtomicU64,
-    texts_requested: AtomicU64,
-    texts_enqueued: AtomicU64,
-    texts_already_cached: AtomicU64,
-    texts_coalesced: AtomicU64,
-    batches: AtomicU64,
-    batched_texts: AtomicU64,
-    coalesced_batches: AtomicU64,
-    max_batch_size: AtomicU64,
-    max_batch_submitters: AtomicU64,
-    failed_batches: AtomicU64,
+    counters: BatcherCounters,
 }
 
 /// A batching front-end over one model's [`EmbeddingCache`].
@@ -128,17 +126,7 @@ impl EmbedBatcher {
             work: Condvar::new(),
             done: Condvar::new(),
             next_ticket: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            texts_requested: AtomicU64::new(0),
-            texts_enqueued: AtomicU64::new(0),
-            texts_already_cached: AtomicU64::new(0),
-            texts_coalesced: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_texts: AtomicU64::new(0),
-            coalesced_batches: AtomicU64::new(0),
-            max_batch_size: AtomicU64::new(0),
-            max_batch_submitters: AtomicU64::new(0),
-            failed_batches: AtomicU64::new(0),
+            counters: BatcherCounters::default(),
         });
         let worker = {
             let shared = shared.clone();
@@ -161,8 +149,8 @@ impl EmbedBatcher {
     /// were already cached).
     pub fn warm<S: AsRef<str>>(&self, texts: &[S]) -> usize {
         let sh = &*self.shared;
-        sh.requests.fetch_add(1, Ordering::Relaxed);
-        sh.texts_requested.fetch_add(texts.len() as u64, Ordering::Relaxed);
+        sh.counters.requests.fetch_add(1, Ordering::Relaxed);
+        sh.counters.texts_requested.fetch_add(texts.len() as u64, Ordering::Relaxed);
         if texts.is_empty() {
             return 0;
         }
@@ -172,7 +160,7 @@ impl EmbedBatcher {
         let waited;
         {
             let mut seen = HashSet::new();
-            let mut state = sh.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut state = sh.state.lock();
             for t in texts {
                 let t = t.as_ref();
                 if !seen.insert(t) {
@@ -180,20 +168,20 @@ impl EmbedBatcher {
                 }
                 if let Some(tickets) = state.pending.get_mut(t) {
                     tickets.push(ticket);
-                    sh.texts_coalesced.fetch_add(1, Ordering::Relaxed);
+                    sh.counters.texts_coalesced.fetch_add(1, Ordering::Relaxed);
                     waiting.push(t.to_string());
                 } else if state.inflight.contains(t) {
-                    sh.texts_coalesced.fetch_add(1, Ordering::Relaxed);
+                    sh.counters.texts_coalesced.fetch_add(1, Ordering::Relaxed);
                     waiting.push(t.to_string());
                 } else if sh.cache.contains(t) {
-                    sh.texts_already_cached.fetch_add(1, Ordering::Relaxed);
+                    sh.counters.texts_already_cached.fetch_add(1, Ordering::Relaxed);
                 } else {
                     state.pending.insert(t.to_string(), vec![ticket]);
                     state.order.push_back(t.to_string());
                     if state.deadline.is_none() {
                         state.deadline = Some(Instant::now() + sh.config.linger);
                     }
-                    sh.texts_enqueued.fetch_add(1, Ordering::Relaxed);
+                    sh.counters.texts_enqueued.fetch_add(1, Ordering::Relaxed);
                     waiting.push(t.to_string());
                 }
             }
@@ -211,7 +199,7 @@ impl EmbedBatcher {
                 if waiting.is_empty() {
                     break;
                 }
-                state = sh.done.wait(state).unwrap_or_else(|e| e.into_inner());
+                state = sh.done.wait(state);
             }
         }
         waited
@@ -219,31 +207,18 @@ impl EmbedBatcher {
 
     /// Counter snapshot.
     pub fn stats(&self) -> BatcherStats {
-        let sh = &*self.shared;
-        BatcherStats {
-            requests: sh.requests.load(Ordering::Relaxed),
-            texts_requested: sh.texts_requested.load(Ordering::Relaxed),
-            texts_enqueued: sh.texts_enqueued.load(Ordering::Relaxed),
-            texts_already_cached: sh.texts_already_cached.load(Ordering::Relaxed),
-            texts_coalesced: sh.texts_coalesced.load(Ordering::Relaxed),
-            batches: sh.batches.load(Ordering::Relaxed),
-            batched_texts: sh.batched_texts.load(Ordering::Relaxed),
-            coalesced_batches: sh.coalesced_batches.load(Ordering::Relaxed),
-            max_batch_size: sh.max_batch_size.load(Ordering::Relaxed),
-            max_batch_submitters: sh.max_batch_submitters.load(Ordering::Relaxed),
-            failed_batches: sh.failed_batches.load(Ordering::Relaxed),
-        }
+        self.shared.counters.snapshot()
     }
 }
 
 impl Drop for EmbedBatcher {
     fn drop(&mut self) {
         {
-            let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut state = self.shared.state.lock();
             state.shutdown = true;
         }
         self.shared.work.notify_all();
-        if let Some(worker) = self.worker.lock().unwrap_or_else(|e| e.into_inner()).take() {
+        if let Some(worker) = self.worker.lock().take() {
             let _ = worker.join();
         }
     }
@@ -256,7 +231,7 @@ fn flusher(sh: &Shared) {
     loop {
         // Phase 1: decide what to flush (under the lock).
         let batch: Vec<(String, Vec<u64>)> = {
-            let mut state = sh.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut state = sh.state.lock();
             loop {
                 if state.shutdown {
                     break; // drain whatever is left, then exit below
@@ -270,15 +245,9 @@ fn flusher(sh: &Shared) {
                         if now >= deadline {
                             break;
                         }
-                        let (guard, _) = sh
-                            .work
-                            .wait_timeout(state, deadline - now)
-                            .unwrap_or_else(|e| e.into_inner());
-                        state = guard;
+                        state = sh.work.wait_timeout(state, deadline - now).0;
                     }
-                    None => {
-                        state = sh.work.wait(state).unwrap_or_else(|e| e.into_inner());
-                    }
+                    None => state = sh.work.wait(state),
                 }
             }
             let mut batch = Vec::new();
@@ -320,21 +289,21 @@ fn flusher(sh: &Shared) {
             sh.cache.get_batch_into(&texts, dim, &mut buf);
         }));
         if embed.is_err() {
-            sh.failed_batches.fetch_add(1, Ordering::Relaxed);
+            sh.counters.failed_batches.fetch_add(1, Ordering::Relaxed);
         }
 
-        sh.batches.fetch_add(1, Ordering::Relaxed);
-        sh.batched_texts.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        sh.max_batch_size.fetch_max(batch.len() as u64, Ordering::Relaxed);
+        sh.counters.batches.fetch_add(1, Ordering::Relaxed);
+        sh.counters.batched_texts.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        sh.counters.max_batch_size.fetch_max(batch.len() as u64, Ordering::Relaxed);
         let submitters: HashSet<u64> =
             batch.iter().flat_map(|(_, tickets)| tickets.iter().copied()).collect();
-        sh.max_batch_submitters.fetch_max(submitters.len() as u64, Ordering::Relaxed);
+        sh.counters.max_batch_submitters.fetch_max(submitters.len() as u64, Ordering::Relaxed);
         if submitters.len() >= 2 {
-            sh.coalesced_batches.fetch_add(1, Ordering::Relaxed);
+            sh.counters.coalesced_batches.fetch_add(1, Ordering::Relaxed);
         }
 
         // Phase 3: mark done, wake waiters.
-        let mut state = sh.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = sh.state.lock();
         for (t, _) in &batch {
             state.inflight.remove(t);
         }

@@ -51,7 +51,11 @@
 //!   in a bounded ring plus an optional slow-query log), always-on
 //!   latency/queue-wait/sweep histograms with p50/p95/p99, and a full
 //!   counter registry exportable as Prometheus text or JSON
-//!   ([`Server::metrics_snapshot`], [`Server::prometheus`]).
+//!   ([`Server::metrics_snapshot`], [`Server::prometheus`]). Every metric
+//!   is declared once: each counter family is a `cx_obs::metric_family!`
+//!   table beside the code that bumps it (atomics, `*Stats` struct,
+//!   `snapshot()`, export and descriptors all come from it), and
+//!   [`metrics`] holds the exporters, the report and [`metric_inventory`].
 //!
 //! ```
 //! use context_engine::{Engine, EngineConfig};
@@ -82,16 +86,17 @@
 //! [`LogicalPlan::shape_fingerprint`]: cx_exec::logical::LogicalPlan::shape_fingerprint
 
 #![deny(missing_docs)]
-// Shared-state lock acquisitions in this crate must recover from
-// poisoning (`unwrap_or_else(PoisonError::into_inner)`) rather than
-// unwrap: a panicked peer — chaos-injected or genuine — must never brick
-// the server for every later query. The lint keeps new `.unwrap()`s out
+// Shared-state locks in this crate are the `parking_lot` shim's, whose
+// acquisitions and condvar waits recover from poisoning: a panicked peer
+// — chaos-injected or genuine — must never brick the server for every
+// later query. The lint keeps `.unwrap()`s (and with them std locks) out
 // of the serving path; tests assert freely.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod admission;
 pub mod batcher;
 pub mod faults;
+pub mod metrics;
 pub mod plan_cache;
 pub mod prepared;
 pub mod scan_queue;
@@ -103,6 +108,7 @@ pub mod watchdog;
 pub use admission::{AdmissionStats, CostGate, Permit};
 pub use batcher::{BatcherConfig, BatcherStats, EmbedBatcher};
 pub use faults::{FaultKind, FaultPlan, FaultSite, FaultStats};
+pub use metrics::{metric_inventory, MetricGroup};
 pub use plan_cache::{
     config_fingerprint, BindingKey, CachedPlan, PlanCache, PlanCacheStats, PlanEntryInfo,
 };

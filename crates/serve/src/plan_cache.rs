@@ -22,7 +22,7 @@ use cx_optimizer::OptimizerConfig;
 use cx_storage::{Scalar, Table};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Most distinct binding vectors memoized per cached plan. Past this the
@@ -142,19 +142,25 @@ impl CachedPlan {
     }
 }
 
-/// Counter snapshot of a [`PlanCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Lookups that returned a current-version entry.
-    pub hits: u64,
-    /// Lookups that found nothing usable.
-    pub misses: u64,
-    /// Entries dropped because the catalog moved past them.
-    pub invalidations: u64,
-    /// Entries dropped by the capacity bound.
-    pub evictions: u64,
-    /// Entries currently cached.
-    pub len: usize,
+cx_obs::metric_family! {
+    /// Counter snapshot of a [`PlanCache`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PlanCacheStats, counters PlanCacheCounters {
+        /// Lookups that returned a current-version entry.
+        hits: counter "cx_serve_plan_cache_hits_total" "Plan cache hits",
+        /// Lookups that found nothing usable.
+        misses: counter "cx_serve_plan_cache_misses_total" "Plan cache misses",
+        /// Entries dropped because the catalog moved past them.
+        invalidations: counter "cx_serve_plan_cache_invalidations_total"
+            "Plans invalidated by catalog changes",
+        /// Entries dropped by the capacity bound.
+        evictions: counter "cx_serve_plan_cache_evictions_total" "Plans evicted by capacity",
+    }
+    supplied {
+        /// Entries currently cached.
+        len: usize => gauge "cx_serve_plan_cache_len" "Plans currently cached",
+    }
+    derived { hit_rate: gauge "cx_serve_plan_cache_hit_rate" "Plan cache hit rate", }
 }
 
 impl PlanCacheStats {
@@ -203,10 +209,7 @@ pub struct PlanEntryInfo {
 pub struct PlanCache {
     capacity: usize,
     state: Mutex<(HashMap<u64, Slot>, u64)>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
-    evictions: AtomicU64,
+    counters: PlanCacheCounters,
 }
 
 impl PlanCache {
@@ -216,10 +219,7 @@ impl PlanCache {
         PlanCache {
             capacity: capacity.max(1),
             state: Mutex::new((HashMap::new(), 0)),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            counters: PlanCacheCounters::default(),
         }
     }
 
@@ -232,17 +232,17 @@ impl PlanCache {
             Some(slot) if slot.plan.catalog_version == catalog_version => {
                 *tick += 1;
                 slot.last_used = *tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 Some(slot.plan.clone())
             }
             Some(_) => {
                 map.remove(&key);
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
+                self.counters.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.counters.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -267,7 +267,7 @@ impl PlanCache {
                 .map(|(k, _)| *k)
             {
                 map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.counters.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -299,13 +299,7 @@ impl PlanCache {
 
     /// Counter snapshot.
     pub fn stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            len: self.state.lock().0.len(),
-        }
+        self.counters.snapshot(self.state.lock().0.len())
     }
 }
 

@@ -4,7 +4,7 @@
 //! `cx_exec::shared`) are held here for a short window so they can be
 //! answered by one `cx_mqo::SharedScanExec` sweep instead of one sweep
 //! each. The discipline mirrors [`crate::batcher::EmbedBatcher`] —
-//! `std::sync::{Mutex, Condvar}`, size/linger flush — but with a
+//! mutex + condvar, size/linger flush — but with a
 //! **leader/follower** twist instead of a dedicated flusher thread: the
 //! first query to arrive for a key becomes the group's leader, lingers
 //! for co-runners (up to `group_max` of them, at most `linger` long),
@@ -22,9 +22,10 @@
 use crate::server::{ExecUnit, ServeResult};
 use cx_exec::{PhysicalOperator, ScanSignature};
 use cx_storage::{Error, QueryError, Result};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Grouping policy.
@@ -51,27 +52,35 @@ pub struct GroupEntry {
     pub queued_at: Instant,
 }
 
-/// Counter snapshot of a [`ScanQueue`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScanQueueStats {
-    /// Queries that entered the queue.
-    pub submitted: u64,
-    /// Groups drained (singletons included).
-    pub groups: u64,
-    /// Queries drained through groups.
-    pub grouped_queries: u64,
-    /// Groups that actually coalesced (≥ 2 members).
-    pub shared_groups: u64,
-    /// Queries answered by a genuinely shared sweep.
-    pub shared_queries: u64,
-    /// Largest group drained.
-    pub max_group: u64,
-    /// Candidate-panel row materializations avoided versus solo runs.
-    pub panel_rows_saved: u64,
-    /// Similarity pairs avoided by cross-query probe deduplication.
-    pub pairs_saved: u64,
-    /// Groups whose shared sweep failed and fell back to solo execution.
-    pub sweep_fallbacks: u64,
+cx_obs::metric_family! {
+    /// Counter snapshot of a [`ScanQueue`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ScanQueueStats, counters ScanQueueCounters {
+        /// Queries that entered the queue.
+        submitted: counter "cx_serve_scan_submitted_total" "Queries entering the scan queue",
+        /// Groups drained (singletons included).
+        groups: counter "cx_serve_scan_groups_total" "Scan groups drained",
+        /// Queries drained through groups.
+        grouped_queries: counter "cx_serve_scan_grouped_queries_total"
+            "Queries drained through groups",
+        /// Groups that actually coalesced (≥ 2 members).
+        shared_groups: counter "cx_serve_scan_shared_groups_total"
+            "Groups that actually coalesced",
+        /// Queries answered by a genuinely shared sweep.
+        shared_queries: counter "cx_serve_scan_shared_queries_total"
+            "Queries answered by a shared sweep",
+        /// Largest group drained.
+        max_group: gauge "cx_serve_scan_max_group" "Largest group drained",
+        /// Candidate-panel row materializations avoided versus solo runs.
+        panel_rows_saved: counter "cx_serve_scan_panel_rows_saved_total"
+            "Panel row materializations avoided by sharing",
+        /// Similarity pairs avoided by cross-query probe deduplication.
+        pairs_saved: counter "cx_serve_scan_pairs_saved_total"
+            "Similarity pairs deduplicated across queries",
+        /// Groups whose shared sweep failed and fell back to solo execution.
+        sweep_fallbacks: counter "cx_serve_scan_sweep_fallbacks_total"
+            "Shared sweeps that fell back to solo execution",
+    }
 }
 
 struct GroupState {
@@ -94,15 +103,7 @@ struct GroupCell {
 pub struct ScanQueue {
     config: ScanQueueConfig,
     groups: Mutex<HashMap<u64, Arc<GroupCell>>>,
-    submitted: AtomicU64,
-    drained_groups: AtomicU64,
-    grouped_queries: AtomicU64,
-    shared_groups: AtomicU64,
-    shared_queries: AtomicU64,
-    max_group: AtomicU64,
-    panel_rows_saved: AtomicU64,
-    pairs_saved: AtomicU64,
-    sweep_fallbacks: AtomicU64,
+    counters: ScanQueueCounters,
 }
 
 impl ScanQueue {
@@ -111,15 +112,7 @@ impl ScanQueue {
         ScanQueue {
             config: ScanQueueConfig { group_max: config.group_max.max(1), ..config },
             groups: Mutex::new(HashMap::new()),
-            submitted: AtomicU64::new(0),
-            drained_groups: AtomicU64::new(0),
-            grouped_queries: AtomicU64::new(0),
-            shared_groups: AtomicU64::new(0),
-            shared_queries: AtomicU64::new(0),
-            max_group: AtomicU64::new(0),
-            panel_rows_saved: AtomicU64::new(0),
-            pairs_saved: AtomicU64::new(0),
-            sweep_fallbacks: AtomicU64::new(0),
+            counters: ScanQueueCounters::default(),
         }
     }
 
@@ -141,10 +134,10 @@ impl ScanQueue {
         contended: bool,
         drain: impl FnOnce(Vec<GroupEntry>) -> Vec<Result<ServeResult>>,
     ) -> Result<ServeResult> {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
+        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
         loop {
             let cell = {
-                let mut map = self.groups.lock().unwrap_or_else(|e| e.into_inner());
+                let mut map = self.groups.lock();
                 map.entry(key)
                     .or_insert_with(|| {
                         Arc::new(GroupCell {
@@ -159,7 +152,7 @@ impl ScanQueue {
                     })
                     .clone()
             };
-            let mut state = cell.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut state = cell.state.lock();
             if state.closed || state.entries.len() >= self.config.group_max {
                 // The leader sealed this group between our map lookup and
                 // now — or the size trigger fired but the leader has not
@@ -185,7 +178,7 @@ impl ScanQueue {
                 if let Some(result) = state.results[index].take() {
                     return result;
                 }
-                state = cell.cv.wait(state).unwrap_or_else(|e| e.into_inner());
+                state = cell.cv.wait(state);
             }
         }
     }
@@ -205,11 +198,7 @@ impl ScanQueue {
             if now >= deadline {
                 break;
             }
-            let (guard, _) = cell
-                .cv
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            state = guard;
+            state = cell.cv.wait_timeout(state, deadline - now).0;
         }
         state.closed = true;
         let entries: Vec<GroupEntry> =
@@ -218,12 +207,12 @@ impl ScanQueue {
         self.detach(key, cell);
 
         let k = entries.len();
-        self.drained_groups.fetch_add(1, Ordering::Relaxed);
-        self.grouped_queries.fetch_add(k as u64, Ordering::Relaxed);
-        self.max_group.fetch_max(k as u64, Ordering::Relaxed);
+        self.counters.groups.fetch_add(1, Ordering::Relaxed);
+        self.counters.grouped_queries.fetch_add(k as u64, Ordering::Relaxed);
+        self.counters.max_group.fetch_max(k as u64, Ordering::Relaxed);
         if k >= 2 {
-            self.shared_groups.fetch_add(1, Ordering::Relaxed);
-            self.shared_queries.fetch_add(k as u64, Ordering::Relaxed);
+            self.counters.shared_groups.fetch_add(1, Ordering::Relaxed);
+            self.counters.shared_queries.fetch_add(k as u64, Ordering::Relaxed);
         }
 
         // A panicking drain must cost this group, not the server: turn it
@@ -239,7 +228,7 @@ impl ScanQueue {
         }
         results.truncate(k);
 
-        let mut state = cell.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = cell.state.lock();
         let mut mine = None;
         for (i, r) in results.into_iter().enumerate() {
             if i == 0 {
@@ -255,7 +244,7 @@ impl ScanQueue {
 
     /// Removes `cell` from the map if it is still the group under `key`.
     fn detach(&self, key: u64, cell: &Arc<GroupCell>) {
-        let mut map = self.groups.lock().unwrap_or_else(|e| e.into_inner());
+        let mut map = self.groups.lock();
         if map.get(&key).is_some_and(|current| Arc::ptr_eq(current, cell)) {
             map.remove(&key);
         }
@@ -264,28 +253,18 @@ impl ScanQueue {
     /// Folds one shared sweep's savings into the counters (called by the
     /// drain).
     pub fn record_sweep(&self, panel_rows_saved: u64, pairs_saved: u64) {
-        self.panel_rows_saved.fetch_add(panel_rows_saved, Ordering::Relaxed);
-        self.pairs_saved.fetch_add(pairs_saved, Ordering::Relaxed);
+        self.counters.panel_rows_saved.fetch_add(panel_rows_saved, Ordering::Relaxed);
+        self.counters.pairs_saved.fetch_add(pairs_saved, Ordering::Relaxed);
     }
 
     /// Counts a group whose sweep failed and fell back to solo runs.
     pub fn record_fallback(&self) {
-        self.sweep_fallbacks.fetch_add(1, Ordering::Relaxed);
+        self.counters.sweep_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> ScanQueueStats {
-        ScanQueueStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            groups: self.drained_groups.load(Ordering::Relaxed),
-            grouped_queries: self.grouped_queries.load(Ordering::Relaxed),
-            shared_groups: self.shared_groups.load(Ordering::Relaxed),
-            shared_queries: self.shared_queries.load(Ordering::Relaxed),
-            max_group: self.max_group.load(Ordering::Relaxed),
-            panel_rows_saved: self.panel_rows_saved.load(Ordering::Relaxed),
-            pairs_saved: self.pairs_saved.load(Ordering::Relaxed),
-            sweep_fallbacks: self.sweep_fallbacks.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 }
 
@@ -296,10 +275,10 @@ mod tests {
     /// Poisons `mutex` by unwinding through a held guard.
     fn poison<T>(mutex: &Mutex<T>) {
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = mutex.lock().unwrap();
+            let _guard = mutex.lock();
             panic!("poison");
         }));
-        assert!(mutex.lock().is_err(), "mutex should be poisoned");
+        assert!(mutex.is_poisoned(), "mutex should be poisoned");
     }
 
     #[test]
@@ -324,15 +303,11 @@ mod tests {
         // Both map users must survive the poisoned lock.
         queue.detach(7, &cell);
         {
-            let mut map = queue.groups.lock().unwrap_or_else(|e| e.into_inner());
+            let mut map = queue.groups.lock();
             map.insert(9, cell.clone());
         }
         queue.detach(9, &cell);
-        assert!(queue
-            .groups
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_empty());
+        assert!(queue.groups.lock().is_empty());
     }
 
     #[test]
@@ -348,7 +323,7 @@ mod tests {
             cv: Condvar::new(),
         };
         poison(&cell.state);
-        let mut state = cell.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = cell.state.lock();
         state.closed = true;
         assert!(state.closed);
     }

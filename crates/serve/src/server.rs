@@ -65,9 +65,7 @@ use cx_exec::{
 };
 use cx_mqo::SharedScanExec;
 use crate::watchdog::{WatchdogConfig, WatchdogHandle};
-use cx_obs::{
-    Histogram, IncidentLog, MetricsSnapshot, ProfileSpan, QueryProfile, QueryTrace, TraceRing,
-};
+use cx_obs::{Histogram, IncidentLog, ProfileSpan, QueryProfile, QueryTrace, TraceRing};
 use cx_optimizer::{shared_scan_cost, OptimizerConfig};
 use cx_storage::{
     CancelToken, Error, MemoryBudget, QueryContext, QueryError, Result, Scalar, Table,
@@ -284,77 +282,66 @@ pub struct ExecUnit {
     pub trace: Option<QueryTrace>,
 }
 
-/// Lifecycle-policy counters: how queries died early and how the server
-/// recovered (see the module docs for the policies themselves).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LifecycleStats {
-    /// Queries that returned [`QueryError::DeadlineExceeded`].
-    pub deadline_exceeded: u64,
-    /// Queries that returned [`QueryError::Cancelled`].
-    pub cancelled: u64,
-    /// Queries that returned [`QueryError::MemoryBudget`].
-    pub budget_exceeded: u64,
-    /// Queries that (after any retry) returned [`QueryError::Transient`].
-    pub transient_failures: u64,
-    /// Solo retries taken after a transient first attempt.
-    pub retries: u64,
-    /// Panics contained at the query boundary (converted to
-    /// [`QueryError::Transient`] instead of unwinding the caller).
-    pub contained_panics: u64,
-}
-
-#[derive(Default)]
-struct LifecycleCounters {
-    deadline_exceeded: AtomicU64,
-    cancelled: AtomicU64,
-    budget_exceeded: AtomicU64,
-    transient_failures: AtomicU64,
-    retries: AtomicU64,
-    contained_panics: AtomicU64,
-}
-
-impl LifecycleCounters {
-    fn snapshot(&self) -> LifecycleStats {
-        LifecycleStats {
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            budget_exceeded: self.budget_exceeded.load(Ordering::Relaxed),
-            transient_failures: self.transient_failures.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            contained_panics: self.contained_panics.load(Ordering::Relaxed),
-        }
+cx_obs::metric_family! {
+    /// Lifecycle-policy counters: how queries died early and how the server
+    /// recovered (see the module docs for the policies themselves).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct LifecycleStats, counters LifecycleCounters {
+        /// Queries that returned [`QueryError::DeadlineExceeded`].
+        deadline_exceeded: counter "cx_serve_deadline_exceeded_total"
+            "Queries past their deadline",
+        /// Queries that returned [`QueryError::Cancelled`].
+        cancelled: counter "cx_serve_cancelled_total" "Queries cancelled",
+        /// Queries that returned [`QueryError::MemoryBudget`].
+        budget_exceeded: counter "cx_serve_budget_exceeded_total" "Queries over memory budget",
+        /// Queries that (after any retry) returned [`QueryError::Transient`].
+        transient_failures: counter "cx_serve_transient_failures_total"
+            "Queries that failed transiently (after any retry)",
+        /// Solo retries taken after a transient first attempt.
+        retries: counter "cx_serve_retries_total" "Solo retries after transient failures",
+        /// Panics contained at the query boundary (converted to
+        /// [`QueryError::Transient`] instead of unwinding the caller).
+        contained_panics: counter "cx_serve_contained_panics_total"
+            "Panics contained at the query boundary",
     }
 }
 
-/// Aggregate server counters.
-#[derive(Debug, Clone)]
-pub struct ServerStats {
-    /// Queries served.
-    pub queries: u64,
-    /// Sessions opened.
-    pub sessions: u64,
-    /// Parameter-bound executions among `queries`: prepared statements
-    /// and auto-parameterized SQL.
-    pub prepared_queries: u64,
-    /// Queries answered from a cached plan's result memo (per-binding
-    /// memo hits included).
-    pub result_cache_hits: u64,
-    /// Plan-cache counters.
-    pub plan_cache: PlanCacheStats,
-    /// Admission counters.
-    pub admission: AdmissionStats,
-    /// Multi-query scan-sharing counters.
-    pub scan_sharing: ScanQueueStats,
-    /// Lifecycle-policy counters (deadlines, cancels, budgets, retries,
-    /// contained panics).
-    pub lifecycle: LifecycleStats,
-    /// SQL front-end counters ([`Session::sql`]).
-    pub sql: crate::sql::SqlStats,
-    /// Per-model embed-batcher counters, sorted by model name.
-    pub batchers: Vec<(String, BatcherStats)>,
-    /// The resolved SIMD kernel dispatch serving every similarity sweep
-    /// (e.g. `f32=avx512 f16=f16c+avx512 int8=vnni512`).
-    pub simd: String,
+cx_obs::metric_family! {
+    /// Aggregate server counters: the serving family's own four, then every
+    /// other family's snapshot taken at the same moment.
+    #[derive(Debug, Clone)]
+    pub struct ServerStats, counters ServingCounters {
+        /// Queries served.
+        queries: counter "cx_serve_queries_total" "Queries served",
+        /// Sessions opened.
+        sessions: counter "cx_serve_sessions_total" "Sessions opened",
+        /// Parameter-bound executions among `queries` (prepared statements +
+        /// auto-parameterized SQL).
+        prepared_queries: counter "cx_serve_prepared_queries_total"
+            "Parameter-bound executions (prepared statements + auto-parameterized SQL)",
+        /// Queries answered from a cached plan's result memo (per-binding
+        /// memo hits included).
+        result_cache_hits: counter "cx_serve_result_cache_hits_total"
+            "Queries answered from a result memo",
+    }
+    supplied {
+        /// Plan-cache counters.
+        plan_cache: PlanCacheStats,
+        /// Admission counters.
+        admission: AdmissionStats,
+        /// Multi-query scan-sharing counters.
+        scan_sharing: ScanQueueStats,
+        /// Lifecycle-policy counters (deadlines, cancels, budgets, retries,
+        /// contained panics).
+        lifecycle: LifecycleStats,
+        /// SQL front-end counters ([`Session::sql`]).
+        sql: crate::sql::SqlStats,
+        /// Per-model embed-batcher counters, sorted by model name.
+        batchers: Vec<(String, BatcherStats)>,
+        /// The resolved SIMD kernel dispatch serving every similarity sweep
+        /// (e.g. `f32=avx512 f16=f16c+avx512 int8=vnni512`).
+        simd: String,
+    }
 }
 
 /// A concurrent query-serving layer over one shared [`Engine`].
@@ -366,10 +353,7 @@ pub struct Server {
     scan_queue: ScanQueue,
     batchers: RwLock<HashMap<String, Arc<EmbedBatcher>>>,
     metrics: ExecMetrics,
-    queries: AtomicU64,
-    sessions: AtomicU64,
-    prepared_queries: AtomicU64,
-    result_hits: AtomicU64,
+    serving: ServingCounters,
     lifecycle: LifecycleCounters,
     /// The installed chaos schedule, if any (see [`crate::faults`]).
     fault_plan: RwLock<Option<Arc<FaultPlan>>>,
@@ -378,10 +362,10 @@ pub struct Server {
     /// group-forming linger (nobody exists who could join it).
     in_flight: AtomicU64,
     /// Finished traces, newest last (tracing on; capacity from config).
-    trace_ring: TraceRing,
+    pub(crate) trace_ring: TraceRing,
     /// Rendered span trees of queries past the slow-query threshold,
     /// newest last, bounded.
-    slow_log: Mutex<VecDeque<String>>,
+    pub(crate) slow_log: Mutex<VecDeque<String>>,
     /// End-to-end serve latency (memo hits included). Always on.
     latency_hist: Histogram,
     /// Time spent waiting at the admission gate (solo and group
@@ -397,7 +381,7 @@ pub struct Server {
     watchdog: Mutex<Option<WatchdogHandle>>,
     /// Monotonic sequence stamped onto every metrics snapshot, so two
     /// diffed exports are orderable even under a frozen test clock.
-    snapshot_seq: AtomicU64,
+    pub(crate) snapshot_seq: AtomicU64,
     /// Injectable millisecond timestamp source for snapshot stamps and
     /// incident records (`None` = wall clock since the Unix epoch).
     timestamp_source: RwLock<Option<Arc<dyn Fn() -> u64 + Send + Sync>>>,
@@ -407,35 +391,33 @@ pub struct Server {
     profile_totals: ProfileTotals,
 }
 
-/// Aggregated resource usage across every profiled query (see
-/// [`ServeConfig::profiling`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProfileTotalsStats {
-    /// Queries that ran with a profile attached.
-    pub profiled_queries: u64,
-    /// Total thread CPU time, in nanoseconds.
-    pub cpu_ns: u64,
-    /// Total heap allocations observed by the counting allocator.
-    pub alloc_count: u64,
-    /// Total bytes requested from the counting allocator.
-    pub alloc_bytes: u64,
-    /// Total candidate×probe pairs scored by similarity kernels.
-    pub pairs_scored: u64,
-    /// Total panel tiles touched by similarity kernels.
-    pub panel_tiles: u64,
-    /// Total bytes charged against per-query memory budgets.
-    pub bytes_charged: u64,
-}
-
-#[derive(Default)]
-struct ProfileTotals {
-    profiled_queries: AtomicU64,
-    cpu_ns: AtomicU64,
-    alloc_count: AtomicU64,
-    alloc_bytes: AtomicU64,
-    pairs_scored: AtomicU64,
-    panel_tiles: AtomicU64,
-    bytes_charged: AtomicU64,
+cx_obs::metric_family! {
+    /// Aggregated resource usage across every profiled query (see
+    /// [`ServeConfig::profiling`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ProfileTotalsStats, counters ProfileTotals {
+        /// Queries that ran with a profile attached.
+        profiled_queries: counter "cx_serve_profiled_queries_total"
+            "Queries that ran with a resource profile",
+        /// Total thread CPU time, in nanoseconds.
+        cpu_ns: counter "cx_serve_profile_cpu_ns_total"
+            "Thread CPU time across profiled queries (ns)",
+        /// Total heap allocations observed by the counting allocator.
+        alloc_count: counter "cx_serve_profile_allocs_total"
+            "Heap allocations across profiled queries",
+        /// Total bytes requested from the counting allocator.
+        alloc_bytes: counter "cx_serve_profile_alloc_bytes_total"
+            "Heap bytes requested across profiled queries",
+        /// Total candidate×probe pairs scored by similarity kernels.
+        pairs_scored: counter "cx_serve_profile_pairs_scored_total"
+            "Similarity pairs scored across profiled queries",
+        /// Total panel tiles touched by similarity kernels.
+        panel_tiles: counter "cx_serve_profile_panel_tiles_total"
+            "Panel tiles touched across profiled queries",
+        /// Total bytes charged against per-query memory budgets.
+        bytes_charged: counter "cx_serve_profile_bytes_charged_total"
+            "Bytes charged against memory budgets across profiled queries",
+    }
 }
 
 impl ProfileTotals {
@@ -447,18 +429,6 @@ impl ProfileTotals {
         self.pairs_scored.fetch_add(p.pairs_scored, Ordering::Relaxed);
         self.panel_tiles.fetch_add(p.panel_tiles, Ordering::Relaxed);
         self.bytes_charged.fetch_add(p.bytes_charged, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> ProfileTotalsStats {
-        ProfileTotalsStats {
-            profiled_queries: self.profiled_queries.load(Ordering::Relaxed),
-            cpu_ns: self.cpu_ns.load(Ordering::Relaxed),
-            alloc_count: self.alloc_count.load(Ordering::Relaxed),
-            alloc_bytes: self.alloc_bytes.load(Ordering::Relaxed),
-            pairs_scored: self.pairs_scored.load(Ordering::Relaxed),
-            panel_tiles: self.panel_tiles.load(Ordering::Relaxed),
-            bytes_charged: self.bytes_charged.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -517,10 +487,7 @@ impl Server {
             config,
             batchers: RwLock::new(HashMap::new()),
             metrics,
-            queries: AtomicU64::new(0),
-            sessions: AtomicU64::new(0),
-            prepared_queries: AtomicU64::new(0),
-            result_hits: AtomicU64::new(0),
+            serving: ServingCounters::default(),
             lifecycle: LifecycleCounters::default(),
             fault_plan: RwLock::new(None),
             in_flight: AtomicU64::new(0),
@@ -582,14 +549,14 @@ impl Server {
         self.fault_plan.read().as_ref().map(|p| p.stats())
     }
 
-    fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
+    pub(crate) fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
         self.fault_plan.read().clone()
     }
 
     /// Opens a session handle. Sessions are cheap tagged views over the
     /// shared server; one per client connection.
     pub fn session(self: &Arc<Self>) -> Session {
-        let id = self.sessions.fetch_add(1, Ordering::Relaxed);
+        let id = self.serving.sessions.fetch_add(1, Ordering::Relaxed);
         Session {
             server: self.clone(),
             id,
@@ -733,7 +700,7 @@ impl Server {
 
         let mut result = self.run_with_recovery(attempt);
         if result.is_ok() && !params.is_empty() {
-            self.prepared_queries.fetch_add(1, Ordering::Relaxed);
+            self.serving.prepared_queries.fetch_add(1, Ordering::Relaxed);
         }
         self.record_outcome(&result);
         let profile =
@@ -962,8 +929,8 @@ impl Server {
         } else {
             unit.cached.bound_results.lock().get(&unit.binding).cloned()?
         };
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.result_hits.fetch_add(1, Ordering::Relaxed);
+        self.serving.queries.fetch_add(1, Ordering::Relaxed);
+        self.serving.result_cache_hits.fetch_add(1, Ordering::Relaxed);
         Some(ServeResult {
             table,
             elapsed: unit.started.elapsed(),
@@ -1018,7 +985,7 @@ impl Server {
                 unit.cached.memoize_binding(&unit.binding, table.clone());
             }
         }
-        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.serving.queries.fetch_add(1, Ordering::Relaxed);
         Ok(ServeResult {
             table,
             elapsed: unit.started.elapsed(),
@@ -1341,19 +1308,15 @@ impl Server {
             .map(|(name, b)| (name.clone(), b.stats()))
             .collect();
         batchers.sort_by(|a, b| a.0.cmp(&b.0));
-        ServerStats {
-            queries: self.queries.load(Ordering::Relaxed),
-            sessions: self.sessions.load(Ordering::Relaxed),
-            prepared_queries: self.prepared_queries.load(Ordering::Relaxed),
-            result_cache_hits: self.result_hits.load(Ordering::Relaxed),
-            plan_cache: self.plan_cache.stats(),
-            admission: self.gate.stats(),
-            scan_sharing: self.scan_queue.stats(),
-            lifecycle: self.lifecycle.snapshot(),
-            sql: self.sql.snapshot(),
+        self.serving.snapshot(
+            self.plan_cache.stats(),
+            self.gate.stats(),
+            self.scan_queue.stats(),
+            self.lifecycle.snapshot(),
+            self.sql.snapshot(),
             batchers,
-            simd: cx_simd::KernelDispatch::active().report(),
-        }
+            cx_simd::KernelDispatch::active().report(),
+        )
     }
 
     /// Recent finished traces, oldest first (empty unless
@@ -1429,526 +1392,6 @@ impl Server {
         std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0, |d| d.as_millis() as u64)
-    }
-
-    /// Captures every server counter, cache rate, histogram quantile, and
-    /// per-operator metric into one exportable [`MetricsSnapshot`] —
-    /// render it with [`MetricsSnapshot::to_prometheus`] /
-    /// [`MetricsSnapshot::to_json`] (or the [`Server::prometheus`] /
-    /// [`Server::metrics_json`] shorthands).
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let s = self.stats();
-        let mut m = MetricsSnapshot::new();
-        m.counter("cx_serve_queries_total", "Queries served", &[], s.queries);
-        m.counter("cx_serve_sessions_total", "Sessions opened", &[], s.sessions);
-        m.counter(
-            "cx_serve_prepared_queries_total",
-            "Prepared-statement executions served",
-            &[],
-            s.prepared_queries,
-        );
-        m.counter(
-            "cx_serve_result_cache_hits_total",
-            "Queries answered from a result memo",
-            &[],
-            s.result_cache_hits,
-        );
-        let pc = &s.plan_cache;
-        m.counter("cx_serve_plan_cache_hits_total", "Plan cache hits", &[], pc.hits);
-        m.counter("cx_serve_plan_cache_misses_total", "Plan cache misses", &[], pc.misses);
-        m.counter(
-            "cx_serve_plan_cache_invalidations_total",
-            "Plans invalidated by catalog changes",
-            &[],
-            pc.invalidations,
-        );
-        m.counter(
-            "cx_serve_plan_cache_evictions_total",
-            "Plans evicted by capacity",
-            &[],
-            pc.evictions,
-        );
-        m.gauge("cx_serve_plan_cache_len", "Plans currently cached", &[], pc.len as f64);
-        m.gauge("cx_serve_plan_cache_hit_rate", "Plan cache hit rate", &[], pc.hit_rate());
-        let a = &s.admission;
-        m.counter("cx_serve_admission_admitted_total", "Queries admitted", &[], a.admitted);
-        m.counter(
-            "cx_serve_admission_waited_total",
-            "Admissions that had to wait",
-            &[],
-            a.waited,
-        );
-        m.counter(
-            "cx_serve_admission_shed_total",
-            "Queries shed at the admission gate",
-            &[],
-            a.shed,
-        );
-        m.counter(
-            "cx_serve_admission_abandoned_total",
-            "Admission waits abandoned (deadline/cancel)",
-            &[],
-            a.abandoned,
-        );
-        m.gauge("cx_serve_admission_in_use", "Admitted cost currently executing", &[], a.in_use);
-        m.gauge(
-            "cx_serve_admission_active",
-            "Queries currently holding permits",
-            &[],
-            a.active as f64,
-        );
-        m.gauge(
-            "cx_serve_admission_capacity",
-            "Total admission capacity",
-            &[],
-            self.gate.capacity(),
-        );
-        let sc = &s.scan_sharing;
-        m.counter("cx_serve_scan_submitted_total", "Queries entering the scan queue", &[], sc.submitted);
-        m.counter("cx_serve_scan_groups_total", "Scan groups drained", &[], sc.groups);
-        m.counter(
-            "cx_serve_scan_grouped_queries_total",
-            "Queries drained through groups",
-            &[],
-            sc.grouped_queries,
-        );
-        m.counter(
-            "cx_serve_scan_shared_groups_total",
-            "Groups that actually coalesced",
-            &[],
-            sc.shared_groups,
-        );
-        m.counter(
-            "cx_serve_scan_shared_queries_total",
-            "Queries answered by a shared sweep",
-            &[],
-            sc.shared_queries,
-        );
-        m.gauge("cx_serve_scan_max_group", "Largest group drained", &[], sc.max_group as f64);
-        m.counter(
-            "cx_serve_scan_panel_rows_saved_total",
-            "Panel row materializations avoided by sharing",
-            &[],
-            sc.panel_rows_saved,
-        );
-        m.counter(
-            "cx_serve_scan_pairs_saved_total",
-            "Similarity pairs deduplicated across queries",
-            &[],
-            sc.pairs_saved,
-        );
-        m.counter(
-            "cx_serve_scan_sweep_fallbacks_total",
-            "Shared sweeps that fell back to solo execution",
-            &[],
-            sc.sweep_fallbacks,
-        );
-        let l = &s.lifecycle;
-        m.counter(
-            "cx_serve_deadline_exceeded_total",
-            "Queries past their deadline",
-            &[],
-            l.deadline_exceeded,
-        );
-        m.counter("cx_serve_cancelled_total", "Queries cancelled", &[], l.cancelled);
-        m.counter(
-            "cx_serve_budget_exceeded_total",
-            "Queries over memory budget",
-            &[],
-            l.budget_exceeded,
-        );
-        m.counter(
-            "cx_serve_transient_failures_total",
-            "Queries that failed transiently (after any retry)",
-            &[],
-            l.transient_failures,
-        );
-        m.counter("cx_serve_retries_total", "Solo retries after transient failures", &[], l.retries);
-        m.counter(
-            "cx_serve_contained_panics_total",
-            "Panics contained at the query boundary",
-            &[],
-            l.contained_panics,
-        );
-        let sq = &s.sql;
-        m.counter("cx_serve_sql_statements_total", "SQL statements accepted", &[], sq.statements);
-        m.counter(
-            "cx_serve_sql_auto_param_total",
-            "Ad-hoc SQL statements auto-parameterized into prepared shapes",
-            &[],
-            sq.auto_param,
-        );
-        m.counter(
-            "cx_serve_sql_auto_param_shape_hits_total",
-            "Auto-parameterized statements resolved by a cached shape",
-            &[],
-            sq.auto_param_shape_hits,
-        );
-        m.counter(
-            "cx_serve_sql_exact_fallback_total",
-            "Ad-hoc SQL statements with nothing to lift (exact planning)",
-            &[],
-            sq.exact_fallback,
-        );
-        m.counter(
-            "cx_serve_sql_errors_total",
-            "SQL statements rejected at parse or bind",
-            &[],
-            sq.errors,
-        );
-        m.gauge(
-            "cx_serve_sql_shape_hit_rate",
-            "Auto-parameterized shape hit rate",
-            &[],
-            sq.shape_hit_rate(),
-        );
-        if let Some(f) = self.fault_stats() {
-            for (i, site) in FaultSite::ALL.iter().enumerate() {
-                m.counter(
-                    "cx_serve_faults_injected_total",
-                    "Faults injected by the installed plan, by site",
-                    &[("site", site.label())],
-                    f.per_site[i],
-                );
-            }
-        }
-        for (model, b) in &s.batchers {
-            let labels: &[(&str, &str)] = &[("model", model.as_str())];
-            m.counter("cx_serve_batcher_requests_total", "Warm requests submitted", labels, b.requests);
-            m.counter(
-                "cx_serve_batcher_texts_requested_total",
-                "Texts requested for warming",
-                labels,
-                b.texts_requested,
-            );
-            m.counter(
-                "cx_serve_batcher_texts_enqueued_total",
-                "Texts enqueued for embedding",
-                labels,
-                b.texts_enqueued,
-            );
-            m.counter(
-                "cx_serve_batcher_texts_already_cached_total",
-                "Texts skipped as already cached",
-                labels,
-                b.texts_already_cached,
-            );
-            m.counter(
-                "cx_serve_batcher_texts_coalesced_total",
-                "Texts coalesced with concurrent requests",
-                labels,
-                b.texts_coalesced,
-            );
-            m.counter("cx_serve_batcher_batches_total", "Batches flushed", labels, b.batches);
-            m.counter(
-                "cx_serve_batcher_batched_texts_total",
-                "Texts embedded through batches",
-                labels,
-                b.batched_texts,
-            );
-            m.counter(
-                "cx_serve_batcher_coalesced_batches_total",
-                "Batches serving more than one submitter",
-                labels,
-                b.coalesced_batches,
-            );
-            m.gauge(
-                "cx_serve_batcher_max_batch_size",
-                "Largest batch flushed",
-                labels,
-                b.max_batch_size as f64,
-            );
-            m.gauge(
-                "cx_serve_batcher_max_batch_submitters",
-                "Most submitters served by one batch",
-                labels,
-                b.max_batch_submitters as f64,
-            );
-            m.counter(
-                "cx_serve_batcher_failed_batches_total",
-                "Batches that failed to embed",
-                labels,
-                b.failed_batches,
-            );
-        }
-        m.summary_from_hist(
-            "cx_serve_query_latency_ns",
-            "End-to-end serve latency (ns)",
-            &[],
-            &self.latency_hist,
-        );
-        m.summary_from_hist(
-            "cx_serve_queue_wait_ns",
-            "Admission queue wait (ns)",
-            &[],
-            &self.queue_wait_hist,
-        );
-        m.summary_from_hist(
-            "cx_serve_sweep_ns",
-            "Shared-sweep duration (ns)",
-            &[],
-            &self.sweep_hist,
-        );
-        for (op, h) in self.metrics.handles() {
-            let labels: &[(&str, &str)] = &[("operator", op.as_str())];
-            m.counter(
-                "cx_exec_operator_rows_total",
-                "Rows emitted per operator",
-                labels,
-                h.rows_out(),
-            );
-            m.summary_from_hist(
-                "cx_exec_operator_latency_ns",
-                "Per-execution operator latency (ns)",
-                labels,
-                h.latency(),
-            );
-        }
-        m.gauge("cx_obs_trace_ring_len", "Finished traces retained", &[], self.trace_ring.len() as f64);
-        let p = self.profile_totals.snapshot();
-        m.counter(
-            "cx_serve_profiled_queries_total",
-            "Queries that ran with a resource profile",
-            &[],
-            p.profiled_queries,
-        );
-        m.counter(
-            "cx_serve_profile_cpu_ns_total",
-            "Thread CPU time across profiled queries (ns)",
-            &[],
-            p.cpu_ns,
-        );
-        m.counter(
-            "cx_serve_profile_allocs_total",
-            "Heap allocations across profiled queries",
-            &[],
-            p.alloc_count,
-        );
-        m.counter(
-            "cx_serve_profile_alloc_bytes_total",
-            "Heap bytes requested across profiled queries",
-            &[],
-            p.alloc_bytes,
-        );
-        m.counter(
-            "cx_serve_profile_pairs_scored_total",
-            "Similarity pairs scored across profiled queries",
-            &[],
-            p.pairs_scored,
-        );
-        m.counter(
-            "cx_serve_profile_panel_tiles_total",
-            "Panel tiles touched across profiled queries",
-            &[],
-            p.panel_tiles,
-        );
-        m.counter(
-            "cx_serve_profile_bytes_charged_total",
-            "Bytes charged against memory budgets across profiled queries",
-            &[],
-            p.bytes_charged,
-        );
-        m.counter(
-            "cx_obs_incidents_total",
-            "Watchdog incidents recorded since startup",
-            &[],
-            self.incidents.total(),
-        );
-        m.gauge(
-            "cx_obs_incidents_retained",
-            "Watchdog incidents currently retained",
-            &[],
-            self.incidents.len() as f64,
-        );
-        m.gauge(
-            "cx_serve_simd_info",
-            &format!("Resolved SIMD dispatch: {}", s.simd),
-            &[("dispatch", s.simd.as_str())],
-            1.0,
-        );
-        let seq = self.snapshot_seq.fetch_add(1, Ordering::Relaxed);
-        m.set_timestamp(self.now_ms(), seq);
-        m
-    }
-
-    /// The metrics snapshot rendered in the Prometheus text exposition
-    /// format (scrape surface; also written by the bench binaries).
-    pub fn prometheus(&self) -> String {
-        self.metrics_snapshot().to_prometheus()
-    }
-
-    /// The metrics snapshot rendered as JSON.
-    pub fn metrics_json(&self) -> String {
-        self.metrics_snapshot().to_json()
-    }
-
-    /// Human-readable server report: serving counters plus the aggregated
-    /// per-operator execution metrics.
-    pub fn report(&self) -> String {
-        let s = self.stats();
-        let mut out = String::new();
-        out.push_str(&format!(
-            "queries: {} across {} sessions ({} prepared)\n",
-            s.queries, s.sessions, s.prepared_queries
-        ));
-        out.push_str(&format!("result memo: {} hits\n", s.result_cache_hits));
-        out.push_str(&format!(
-            "plan cache: {} hits / {} misses (hit rate {:.1}%), {} cached, {} invalidated, {} evicted\n",
-            s.plan_cache.hits,
-            s.plan_cache.misses,
-            100.0 * s.plan_cache.hit_rate(),
-            s.plan_cache.len,
-            s.plan_cache.invalidations,
-            s.plan_cache.evictions,
-        ));
-        out.push_str(&format!(
-            "admission: {} admitted, {} waited, {} shed, {} abandoned (capacity {:.0}, in use {:.0})\n",
-            s.admission.admitted,
-            s.admission.waited,
-            s.admission.shed,
-            s.admission.abandoned,
-            self.gate.capacity(),
-            s.admission.in_use,
-        ));
-        out.push_str(&format!(
-            "lifecycle: {} deadline-exceeded, {} cancelled, {} over budget, \
-             {} transient failures, {} retries, {} contained panics\n",
-            s.lifecycle.deadline_exceeded,
-            s.lifecycle.cancelled,
-            s.lifecycle.budget_exceeded,
-            s.lifecycle.transient_failures,
-            s.lifecycle.retries,
-            s.lifecycle.contained_panics,
-        ));
-        if s.sql.statements > 0 {
-            out.push_str(&format!(
-                "sql: {} statements ({} auto-parameterized, {} shape hits, \
-                 {} exact fallbacks, {} errors)\n",
-                s.sql.statements,
-                s.sql.auto_param,
-                s.sql.auto_param_shape_hits,
-                s.sql.exact_fallback,
-                s.sql.errors,
-            ));
-        }
-        let ms = |ns: u64| ns as f64 / 1e6;
-        let lat = self.latency_hist.snapshot();
-        out.push_str(&format!(
-            "latency: p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms, max {:.3} ms ({} samples)\n",
-            ms(lat.p50),
-            ms(lat.p95),
-            ms(lat.p99),
-            ms(lat.max),
-            lat.count,
-        ));
-        let qw = self.queue_wait_hist.snapshot();
-        out.push_str(&format!(
-            "queue wait: p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms, max {:.3} ms ({} samples)\n",
-            ms(qw.p50),
-            ms(qw.p95),
-            ms(qw.p99),
-            ms(qw.max),
-            qw.count,
-        ));
-        let sw = self.sweep_hist.snapshot();
-        if sw.count > 0 {
-            out.push_str(&format!(
-                "shared sweeps: p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms, max {:.3} ms ({} samples)\n",
-                ms(sw.p50),
-                ms(sw.p95),
-                ms(sw.p99),
-                ms(sw.max),
-                sw.count,
-            ));
-        }
-        if self.config.tracing {
-            out.push_str(&format!(
-                "tracing: on, {} trace(s) retained (capacity {}), {} slow-query log entries\n",
-                self.trace_ring.len(),
-                self.trace_ring.capacity(),
-                self.slow_log.lock().len(),
-            ));
-        }
-        // One quantile line over *all* operators: every per-operator
-        // latency histogram merged into a scratch histogram (bucketed
-        // merge is exact — same geometry on both sides).
-        let merged = Histogram::new();
-        for (_, h) in self.metrics.handles() {
-            merged.merge(h.latency());
-        }
-        let ao = merged.snapshot();
-        if ao.count > 0 {
-            out.push_str(&format!(
-                "all operators: p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms, max {:.3} ms ({} executions)\n",
-                ms(ao.p50),
-                ms(ao.p95),
-                ms(ao.p99),
-                ms(ao.max),
-                ao.count,
-            ));
-        }
-        if self.config.profiling {
-            let p = self.profile_totals.snapshot();
-            out.push_str(&format!(
-                "profiler: {} queries profiled, cpu {:.3} ms, {} allocs ({} B), \
-                 {} pairs scored, {} tiles, {} B charged\n",
-                p.profiled_queries,
-                p.cpu_ns as f64 / 1e6,
-                p.alloc_count,
-                p.alloc_bytes,
-                p.pairs_scored,
-                p.panel_tiles,
-                p.bytes_charged,
-            ));
-        }
-        if self.config.watchdog.is_some() || self.incidents.total() > 0 {
-            out.push_str(&format!(
-                "watchdog: {} incident(s) recorded, {} retained\n",
-                self.incidents.total(),
-                self.incidents.len(),
-            ));
-        }
-        out.push_str(&format!("simd kernels: {}\n", s.simd));
-        out.push_str(&format!(
-            "scan sharing: {} queries coalesced into {} shared groups (max group {}), \
-             {} panel rows saved, {} pairs deduped, {} fallbacks\n",
-            s.scan_sharing.shared_queries,
-            s.scan_sharing.shared_groups,
-            s.scan_sharing.max_group,
-            s.scan_sharing.panel_rows_saved,
-            s.scan_sharing.pairs_saved,
-            s.scan_sharing.sweep_fallbacks,
-        ));
-        if let Some(plan) = self.fault_plan() {
-            let f = plan.stats();
-            out.push_str(&format!(
-                "fault injection [seed {}]: {} faults (",
-                plan.seed(),
-                f.total()
-            ));
-            for (i, site) in FaultSite::ALL.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("{site} {}", f.per_site[i]));
-            }
-            out.push_str(")\n");
-        }
-        for (model, b) in &s.batchers {
-            out.push_str(&format!(
-                "embed batcher [{model}]: {} batches / {} texts (max batch {}, max submitters {}), \
-                 {} coalesced texts, {} already cached\n",
-                b.batches,
-                b.batched_texts,
-                b.max_batch_size,
-                b.max_batch_submitters,
-                b.texts_coalesced,
-                b.texts_already_cached,
-            ));
-        }
-        out.push_str("operator metrics:\n");
-        out.push_str(&self.metrics.report());
-        out
     }
 
     /// Submits every semantic operator's embedding working set to the

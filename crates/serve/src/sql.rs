@@ -37,7 +37,7 @@ use context_engine::{Engine, Query};
 use cx_exec::logical::LogicalPlan;
 use cx_sql::{Bound, SqlError};
 use cx_storage::{Error, Result, Schema};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -59,42 +59,29 @@ pub enum SqlResponse {
     },
 }
 
-/// SQL front-end counters (server-wide, all sessions).
-#[derive(Default)]
-pub(crate) struct SqlCounters {
-    pub(crate) statements: AtomicU64,
-    pub(crate) auto_param: AtomicU64,
-    pub(crate) auto_param_shape_hits: AtomicU64,
-    pub(crate) exact_fallback: AtomicU64,
-    pub(crate) errors: AtomicU64,
-}
-
-impl SqlCounters {
-    pub(crate) fn snapshot(&self) -> SqlStats {
-        SqlStats {
-            statements: self.statements.load(Ordering::Relaxed),
-            auto_param: self.auto_param.load(Ordering::Relaxed),
-            auto_param_shape_hits: self.auto_param_shape_hits.load(Ordering::Relaxed),
-            exact_fallback: self.exact_fallback.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-        }
+cx_obs::metric_family! {
+    /// SQL front-end counters (server-wide, all sessions), snapshotted by
+    /// [`Server::sql_stats`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SqlStats, counters pub(crate) SqlCounters {
+        /// SQL statements accepted (parse attempts, all sessions).
+        statements: counter "cx_serve_sql_statements_total" "SQL statements accepted",
+        /// Ad-hoc statements auto-parameterized into prepared shapes.
+        auto_param: counter "cx_serve_sql_auto_param_total"
+            "Ad-hoc SQL statements auto-parameterized into prepared shapes",
+        /// Auto-parameterized statements whose shape was already cached
+        /// (no re-optimization, no re-lowering).
+        auto_param_shape_hits: counter "cx_serve_sql_auto_param_shape_hits_total"
+            "Auto-parameterized statements resolved by a cached shape",
+        /// Ad-hoc statements with no liftable literal, planned exactly.
+        exact_fallback: counter "cx_serve_sql_exact_fallback_total"
+            "Ad-hoc SQL statements with nothing to lift (exact planning)",
+        /// Statements rejected at parse or bind.
+        errors: counter "cx_serve_sql_errors_total" "SQL statements rejected at parse or bind",
     }
-}
-
-/// SQL front-end counters, snapshotted ([`Server::sql_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SqlStats {
-    /// SQL statements accepted (parse attempts, all sessions).
-    pub statements: u64,
-    /// Ad-hoc statements auto-parameterized into prepared shapes.
-    pub auto_param: u64,
-    /// Auto-parameterized statements whose shape was already cached
-    /// (no re-optimization, no re-lowering).
-    pub auto_param_shape_hits: u64,
-    /// Ad-hoc statements with no liftable literal, planned exactly.
-    pub exact_fallback: u64,
-    /// Statements rejected at parse or bind.
-    pub errors: u64,
+    derived {
+        shape_hit_rate: gauge "cx_serve_sql_shape_hit_rate" "Auto-parameterized shape hit rate",
+    }
 }
 
 impl SqlStats {

@@ -370,8 +370,9 @@ impl SystemTableSource for MetricsTable {
             value.push(v);
         };
         if let (Some(ts), Some(seq)) = (snap.timestamp_ms(), snap.sequence()) {
-            row("cx_obs_snapshot_timestamp_ms".into(), String::new(), "gauge", ts as f64);
-            row("cx_obs_snapshot_sequence".into(), String::new(), "counter", seq as f64);
+            for (d, v) in [(cx_obs::STAMP_MS, ts), (cx_obs::STAMP_SEQUENCE, seq)] {
+                row(d.name.into(), String::new(), d.kind.as_str(), v as f64);
+            }
         }
         for m in snap.metrics() {
             let rendered = m

@@ -23,8 +23,9 @@
 
 use crate::server::Server;
 use cx_obs::BucketCount;
+use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Weak};
 use std::thread::{JoinHandle, ThreadId};
 use std::time::Duration;
 
@@ -92,7 +93,7 @@ impl WatchdogHandle {
     pub(crate) fn stop(mut self) {
         {
             let (lock, cvar) = &*self.stop;
-            *lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
+            *lock.lock() = true;
             cvar.notify_all();
         }
         if let Some(join) = self.join.take() {
@@ -139,11 +140,9 @@ pub(crate) fn spawn(server: Weak<Server>, config: WatchdogConfig) -> WatchdogHan
             loop {
                 {
                     let (lock, cvar) = &*stop_thread;
-                    let mut stopped = lock.lock().unwrap_or_else(|e| e.into_inner());
+                    let mut stopped = lock.lock();
                     while !*stopped {
-                        let (guard, timeout) = cvar
-                            .wait_timeout(stopped, config.interval)
-                            .unwrap_or_else(|e| e.into_inner());
+                        let (guard, timeout) = cvar.wait_timeout(stopped, config.interval);
                         stopped = guard;
                         if timeout.timed_out() {
                             break;

@@ -366,6 +366,12 @@ fn prometheus_snapshot_roundtrips_with_every_counter() {
         "cx_serve_transient_failures_total",
         "cx_serve_retries_total",
         "cx_serve_contained_panics_total",
+        "cx_serve_sql_statements_total",
+        "cx_serve_sql_auto_param_total",
+        "cx_serve_sql_auto_param_shape_hits_total",
+        "cx_serve_sql_exact_fallback_total",
+        "cx_serve_sql_errors_total",
+        "cx_serve_sql_shape_hit_rate",
         "cx_serve_faults_injected_total",
         "cx_serve_batcher_requests_total",
         "cx_serve_batcher_texts_requested_total",
@@ -385,6 +391,15 @@ fn prometheus_snapshot_roundtrips_with_every_counter() {
         "cx_exec_operator_rows_total",
         "cx_exec_operator_latency_ns",
         "cx_obs_trace_ring_len",
+        "cx_serve_profiled_queries_total",
+        "cx_serve_profile_cpu_ns_total",
+        "cx_serve_profile_allocs_total",
+        "cx_serve_profile_alloc_bytes_total",
+        "cx_serve_profile_pairs_scored_total",
+        "cx_serve_profile_panel_tiles_total",
+        "cx_serve_profile_bytes_charged_total",
+        "cx_obs_incidents_total",
+        "cx_obs_incidents_retained",
         "cx_serve_simd_info",
     ] {
         assert!(parsed.contains(name), "metric missing from exposition: {name}");
