@@ -169,12 +169,17 @@ impl Engine {
             return Some(c.clone());
         }
         let m = self.catalog.models().get(model)?;
-        let cache = Arc::new(match self.config.embedding_cache_capacity {
-            Some(cap) => EmbeddingCache::with_capacity(m, cap),
-            None => EmbeddingCache::new(m),
+        // Racing first lookups must all leave with the *resident* cache:
+        // the loser of the creation race adopts the winner's instead of
+        // overwriting it (an orphaned cache gets warmed but never read).
+        let mut caches = self.caches.write();
+        let cache = caches.entry(model.to_string()).or_insert_with(|| {
+            Arc::new(match self.config.embedding_cache_capacity {
+                Some(cap) => EmbeddingCache::with_capacity(m, cap),
+                None => EmbeddingCache::new(m),
+            })
         });
-        self.caches.write().insert(model.to_string(), cache.clone());
-        Some(cache)
+        Some(cache.clone())
     }
 
     /// The catalog's change version — bumped by every registration. Plans
@@ -597,6 +602,36 @@ mod tests {
         }
         assert!(cache.len() <= 2);
         assert!(cache.evictions() > 0);
+    }
+
+    #[test]
+    fn racing_first_lookups_share_one_embedding_cache() {
+        // Every caller must get the *same* cache for a model. Whoever held
+        // the loser of the creation race (the serving layer's embed
+        // batcher, say) warmed a cache no operator ever read, and every
+        // string was embedded twice — the `serve_concurrency` flake, 30
+        // model calls where 15 suffice.
+        let threads = 8;
+        for round in 0..200 {
+            let engine = Engine::new(EngineConfig::default());
+            engine.register_model(Arc::new(HashNGramModel::new(42)));
+            let barrier = std::sync::Barrier::new(threads);
+            let caches: Vec<_> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            engine.embedding_cache("hash-ngram").unwrap()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let resident = engine.embedding_cache("hash-ngram").unwrap();
+            for c in &caches {
+                assert!(Arc::ptr_eq(c, &resident), "round {round}: caller holds an orphaned cache");
+            }
+        }
     }
 
     #[test]

@@ -32,11 +32,18 @@
 //! Lock acquisitions and waits recover from poisoning: the protected
 //! state is a handful of counters that are always left consistent, so a
 //! panicked peer must not brick admission for every later query.
+//!
+//! The gate admits; it does not coalesce, so it is not a client of
+//! [`crate::coalesce`] — but its deadline and cancel-poll waits read the
+//! same clock, which is what lets tests expire a queued waiter
+//! without sleeping.
 
+use crate::coalesce::{Clock, SystemClock};
 use cx_storage::{QueryContext, QueryError, Result};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How often a blocked waiter re-checks its cancellation token.
@@ -97,6 +104,7 @@ pub struct CostGate {
     capacity: f64,
     gate: Mutex<Gate>,
     cv: Condvar,
+    clock: Arc<dyn Clock>,
     counters: AdmissionCounters,
 }
 
@@ -108,8 +116,14 @@ pub struct Permit<'a> {
 
 impl CostGate {
     /// A gate admitting up to `capacity` total estimated cost at once
-    /// (non-finite or non-positive capacities mean "unlimited").
+    /// (non-finite or non-positive capacities mean "unlimited"), on the
+    /// real clock.
     pub fn new(capacity: f64) -> Self {
+        Self::with_clock(capacity, Arc::new(SystemClock))
+    }
+
+    /// A gate whose queued waiters measure deadlines on `clock`.
+    pub(crate) fn with_clock(capacity: f64, clock: Arc<dyn Clock>) -> Self {
         let capacity = if capacity.is_finite() && capacity > 0.0 {
             capacity
         } else {
@@ -119,6 +133,7 @@ impl CostGate {
             capacity,
             gate: Mutex::new(Gate::default()),
             cv: Condvar::new(),
+            clock,
             counters: AdmissionCounters::default(),
         }
     }
@@ -179,7 +194,13 @@ impl CostGate {
             {
                 break;
             }
-            if let Err(e) = ctx.check() {
+            // The deadline is read on the gate's clock; cancellation and
+            // budget (and the deadline by wall time) on the context.
+            let alive = match ctx.deadline() {
+                Some(d) if self.clock.now() >= d => Err(QueryError::DeadlineExceeded.into()),
+                _ => ctx.check(),
+            };
+            if let Err(e) = alive {
                 // Leave the line: mark the ticket abandoned so the FIFO
                 // skips it, and wake peers in case we were its head.
                 gate.abandoned.insert(ticket);
@@ -198,8 +219,10 @@ impl CostGate {
             }
             // Bounded wait so cancellation/deadline stay responsive even
             // if no peer ever notifies.
-            let timeout = ctx.remaining().map_or(CANCEL_POLL, |r| r.min(CANCEL_POLL));
-            gate = self.cv.wait_timeout(gate, timeout.max(Duration::from_micros(100))).0;
+            let poll = self.clock.now() + CANCEL_POLL;
+            let wake = ctx.deadline().map_or(poll, |d| d.min(poll));
+            let timeout = self.clock.park(wake).max(Duration::from_micros(100));
+            gate = self.cv.wait_timeout(gate, timeout).0;
         }
         if blocked {
             gate.waiting -= 1;
@@ -237,9 +260,14 @@ impl Drop for Permit<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coalesce::testing::{spin_until, ManualClock};
     use cx_storage::{CancelToken, Error};
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
+
+    /// Callers blocked in `gate`'s line.
+    fn queued(gate: &CostGate) -> usize {
+        gate.gate.lock().waiting
+    }
 
     #[test]
     fn admits_within_capacity_without_blocking() {
@@ -277,8 +305,9 @@ mod tests {
                 order.fetch_add(1, Ordering::SeqCst);
             })
         };
-        // Give the second query time to reach the gate, then release.
-        std::thread::sleep(std::time::Duration::from_millis(30));
+        // Once the second query is in the line it has seen the gate
+        // full; it must still be there when the first releases.
+        spin_until("the second query queues", || queued(&gate) == 1);
         assert_eq!(order.load(Ordering::SeqCst), 0, "second query jumped the gate");
         drop(first);
         t.join().unwrap();
@@ -306,14 +335,7 @@ mod tests {
                 gate.acquire_ctx(10.0, &QueryContext::unbounded(), 1).map(|_| ())
             })
         };
-        // Wait until the waiter is actually queued.
-        while gate.stats().waited == 0 {
-            let queued = gate.gate.lock().waiting;
-            if queued >= 1 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        spin_until("the waiter queues", || queued(&gate) == 1);
         // The next bounded query must be refused immediately.
         let r = gate.acquire_ctx(10.0, &QueryContext::unbounded(), 1);
         match r {
@@ -343,16 +365,21 @@ mod tests {
 
     #[test]
     fn queued_waiter_respects_deadline() {
-        let gate = Arc::new(CostGate::new(10.0));
+        // An hour away by wall time: only the gate's clock can expire it.
+        let clock = ManualClock::new();
+        let gate = CostGate::with_clock(10.0, clock.clone());
         let hold = gate.acquire(10.0);
-        let ctx = QueryContext::unbounded().with_timeout(Duration::from_millis(20));
-        let started = std::time::Instant::now();
-        let r = gate.acquire_ctx(10.0, &ctx, 0);
-        assert_eq!(
-            r.err().and_then(|e| e.as_query().cloned()),
-            Some(QueryError::DeadlineExceeded)
-        );
-        assert!(started.elapsed() < Duration::from_secs(2));
+        let timeout = Duration::from_secs(3600);
+        let ctx = QueryContext::unbounded().with_deadline(clock.now() + timeout);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| gate.acquire_ctx(10.0, &ctx, 0).map(|_| ()));
+            spin_until("the waiter queues", || queued(&gate) == 1);
+            clock.advance(timeout);
+            assert_eq!(
+                waiter.join().unwrap().err().and_then(|e| e.as_query().cloned()),
+                Some(QueryError::DeadlineExceeded)
+            );
+        });
         assert_eq!(gate.stats().abandoned, 1);
         // The line skips the abandoned ticket: the next caller admits
         // as soon as the holder releases.
@@ -363,21 +390,20 @@ mod tests {
 
     #[test]
     fn queued_waiter_observes_cancellation() {
-        let gate = Arc::new(CostGate::new(10.0));
+        let gate = CostGate::with_clock(10.0, ManualClock::new());
         let hold = gate.acquire(10.0);
         let token = CancelToken::new();
         let ctx = QueryContext::unbounded().with_cancel(token.clone());
-        let waiter = {
-            let gate = gate.clone();
-            std::thread::spawn(move || gate.acquire_ctx(10.0, &ctx, 0).map(|_| ()))
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        token.cancel();
-        let r = waiter.join().unwrap();
-        assert_eq!(
-            r.err().and_then(|e| e.as_query().cloned()),
-            Some(QueryError::Cancelled)
-        );
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| gate.acquire_ctx(10.0, &ctx, 0).map(|_| ()));
+            spin_until("the waiter queues", || queued(&gate) == 1);
+            token.cancel();
+            assert_eq!(
+                waiter.join().unwrap().err().and_then(|e| e.as_query().cloned()),
+                Some(QueryError::Cancelled)
+            );
+        });
+        assert_eq!(gate.stats().abandoned, 1);
         drop(hold);
     }
 
@@ -404,7 +430,6 @@ mod tests {
     fn already_expired_context_is_refused_before_queueing() {
         let gate = CostGate::new(100.0);
         let ctx = QueryContext::unbounded().with_timeout(Duration::ZERO);
-        std::thread::sleep(Duration::from_millis(1));
         assert!(gate.acquire_ctx(1.0, &ctx, 0).is_err());
         assert_eq!(gate.stats().admitted, 0);
     }

@@ -32,7 +32,8 @@ const SITES: usize = 5;
 /// The serving-stack boundaries a [`FaultPlan`] can strike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// Inside the embed batcher's flusher, around the model pass.
+    /// At plan warm-up on the query thread, before a model's texts are
+    /// submitted to its embed batcher.
     Embed,
     /// Before admission (the cost gate) on the query thread.
     Admission,

@@ -5,7 +5,7 @@
 //! This crate is that layer. It shares a single [`context_engine::Engine`]
 //! (which is `Send + Sync`: catalog, model registry, and embedding caches
 //! are all lock-protected shared state) across any number of threads and
-//! adds the three mechanisms one-shot execution lacks:
+//! adds the mechanisms one-shot execution lacks:
 //!
 //! * **[`PlanCache`]** — repeated and parameterized-identical queries skip
 //!   logical optimization *and* physical planning. Keyed by
@@ -15,10 +15,11 @@
 //!   deterministic and the entry is pinned to one catalog version, so an
 //!   exact replay is the same table and skips execution outright.
 //! * **[`EmbedBatcher`]** — a cross-query embedding batch scheduler:
-//!   concurrent queries' embed working sets are deduplicated into one
-//!   pending queue and flushed (on size or deadline) with single
-//!   [`cx_embed::EmbeddingCache::get_batch_into`] calls, so N concurrent
-//!   semantic scans over overlapping corpora pay one model pass.
+//!   concurrent queries' embed working sets coalesce into one group
+//!   (sealed on size or deadline) whose first submitter deduplicates them
+//!   and runs batched [`cx_embed::EmbeddingCache::get_batch_into`] calls
+//!   on its own thread, so N concurrent semantic scans over overlapping
+//!   corpora pay one model pass.
 //! * **[`CostGate`]** — admission control: a cost-weighted semaphore on
 //!   `cx_optimizer::estimate_cost`, bounding the total estimated work
 //!   executing at once.
@@ -28,6 +29,12 @@
 //!   answered by a single stacked-probe panel sweep plus per-query
 //!   epilogues — bit-identical to solo execution, admission-weighted at
 //!   `cx_optimizer::shared_scan_cost`.
+//! * **[`coalesce`]** — the one leader/follower primitive both of the
+//!   above are clients of: first arrival leads, the group seals on size,
+//!   linger or an uncontended leader, one drain on the leader's thread
+//!   serves every member, a drain panic costs its group only. No
+//!   background threads; its only time source is a clock passed at
+//!   construction, so the protocol is tested without sleeping.
 //! * **[`Prepared`]** — prepared statements with parameter binding: a
 //!   template with placeholder slots ([`cx_expr::param`],
 //!   `Query::semantic_filter_param`, `Query::limit_param`) is optimized
@@ -95,6 +102,7 @@
 
 pub mod admission;
 pub mod batcher;
+pub mod coalesce;
 pub mod faults;
 pub mod metrics;
 pub mod plan_cache;
@@ -476,6 +484,60 @@ mod tests {
             .is_err());
         // A non-UTF8 probe binding is a type error, not a panic.
         assert!(prepared.execute(&[cx_storage::Scalar::Int64(3)]).is_err());
+    }
+
+    #[test]
+    fn lingering_leader_shares_one_sweep_with_a_late_joiner() {
+        use crate::coalesce::testing::{spin_until, ManualClock};
+        // Every wait in this server is on a clock that moves only below.
+        let clock = ManualClock::new();
+        let engine = engine_with_data();
+        engine.register_model(Arc::new(cx_embed::HashNGramModel::new(3)));
+        let config = ServeConfig { cache_results: false, ..ServeConfig::default() };
+        let server = Server::with_clock(engine.clone(), config, clock.clone());
+        // Model "m" starts warm, so only the pin below ever parks in a
+        // batcher.
+        let names = ["boots", "parka", "kitten", "sneakers", "coat", "clothes"];
+        engine.embedding_cache("m").unwrap().prefetch(names);
+        let sweep = |threshold: f32| {
+            server
+                .table("products")
+                .unwrap()
+                .semantic_filter("name", "clothes", "m", threshold)
+                .sort(&[("product_id", true)])
+        };
+        let (first, second) = (sweep(0.75), sweep(0.8));
+        // Pins the contention signal: a statement whose warm-up lingers in
+        // the other model's (cold) batcher until the clock moves.
+        let pin = server.table("products").unwrap().semantic_group_by(
+            "name",
+            "hash-ngram",
+            0.9,
+            vec![cx_exec::logical::AggSpec::count_star("n")],
+        );
+        let (shared_a, shared_b) = std::thread::scope(|s| {
+            let pinned = s.spawn(|| server.execute(&pin).unwrap());
+            let cold = server.batcher("hash-ngram").unwrap();
+            spin_until("the pin parks", || cold.groups.parked() == 1);
+            let a = s.spawn(|| server.execute(&first).unwrap());
+            spin_until("the leader lingers", || server.scan_queue.groups.parked() == 1);
+            let b = s.spawn(|| server.execute(&second).unwrap());
+            spin_until("the follower joins", || server.scan_queue.groups.parked() == 2);
+            assert_eq!(server.scan_sharing_stats().groups, 0, "sealed before the linger passed");
+            clock.advance(config.scan_linger.max(config.batch_linger));
+            pinned.join().unwrap();
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(shared_a.shared_scan && shared_b.shared_scan);
+        let sharing = server.scan_sharing_stats();
+        assert_eq!((sharing.groups, sharing.shared_groups, sharing.shared_queries), (1, 1, 2));
+        for (served, q) in [(shared_a, first), (shared_b, second)] {
+            let solo = engine.execute(&q).unwrap();
+            assert_eq!(served.table.num_rows(), solo.table.num_rows());
+            for r in 0..solo.table.num_rows() {
+                assert_eq!(served.table.row(r).unwrap(), solo.table.row(r).unwrap());
+            }
+        }
     }
 
     #[test]

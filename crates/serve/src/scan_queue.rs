@@ -1,29 +1,32 @@
-//! The scan queue: groups concurrently queued queries for shared sweeps.
+//! Multi-query scan sharing: how a group of queries is formed, admitted,
+//! swept and unwound.
 //!
 //! Queries whose cached plans expose equal shared-scan group keys (see
-//! `cx_exec::shared`) are held here for a short window so they can be
-//! answered by one `cx_mqo::SharedScanExec` sweep instead of one sweep
-//! each. The discipline mirrors [`crate::batcher::EmbedBatcher`] —
-//! mutex + condvar, size/linger flush — but with a
-//! **leader/follower** twist instead of a dedicated flusher thread: the
-//! first query to arrive for a key becomes the group's leader, lingers
-//! for co-runners (up to `group_max` of them, at most `linger` long),
-//! then drains the whole group on its own thread while followers block
-//! for their results. No background thread, nothing to shut down; an
-//! idle server pays nothing — and an *uncontended* query pays nothing
-//! either: the caller passes a contention signal, and a leader that is
-//! provably alone seals and sweeps immediately instead of lingering.
+//! `cx_exec::shared`) are held for a short window so they can be answered
+//! by one `cx_mqo::SharedScanExec` sweep instead of one sweep each.
+//! [`ScanQueue`] forms the groups as a client of the serving layer's one
+//! coalescing primitive ([`crate::coalesce`]): the first query to arrive
+//! for a key leads, lingers for co-runners (up to `group_max` of them, at
+//! most `linger` long), then drains the whole group on its own thread
+//! while followers block for their results. An *uncontended* query pays
+//! nothing: the caller passes a contention signal, and a leader that is
+//! provably alone seals and sweeps immediately instead of lingering. A
+//! drain panic is contained: every member gets a transient error (and
+//! retries solo) instead of a wedged condvar.
 //!
-//! The queue owns grouping and hand-off only; what a "drain" does is the
-//! caller's closure (the server sweeps shared panels there). A drain
-//! panic is contained: every member of the group gets an error instead
-//! of a wedged condvar.
+//! What a drain does lives here too, as the server's `dispatch` and
+//! `drain_group`: one group admission, one shared sweep, each member's
+//! own epilogue, and the solo fallbacks when any of that fails.
 
-use crate::server::{ExecUnit, ServeResult};
-use cx_exec::{PhysicalOperator, ScanSignature};
-use cx_storage::{Error, QueryError, Result};
-use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::HashMap;
+use crate::coalesce::{Clock, Coalescer, SystemClock};
+use crate::faults::FaultSite;
+use crate::server::{ExecUnit, ServeResult, Server};
+use cx_exec::{find_shared_scan, PhysicalOperator, ScanSignature};
+use cx_mqo::SharedScanExec;
+use cx_obs::QueryTrace;
+use cx_optimizer::shared_scan_cost;
+use cx_storage::{Error, QueryContext, QueryError, Result};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -83,35 +86,32 @@ cx_obs::metric_family! {
     }
 }
 
-struct GroupState {
-    /// Entries in arrival order; taken (`None`) by the leader at drain.
-    entries: Vec<Option<GroupEntry>>,
-    /// Per-entry result slots, filled by the leader.
-    results: Vec<Option<Result<ServeResult>>>,
-    /// Set when the size trigger fires (wakes the lingering leader).
-    full: bool,
-    /// Set once the leader seals the group; late arrivals start fresh.
-    closed: bool,
-}
-
-struct GroupCell {
-    state: Mutex<GroupState>,
-    cv: Condvar,
-}
-
 /// Leader/follower group former (see module docs).
 pub struct ScanQueue {
-    config: ScanQueueConfig,
-    groups: Mutex<HashMap<u64, Arc<GroupCell>>>,
+    pub(crate) groups: Coalescer<GroupEntry, Result<ServeResult>>,
+    clock: Arc<dyn Clock>,
     counters: ScanQueueCounters,
 }
 
 impl ScanQueue {
-    /// A queue under `config` (group size clamped to at least 1).
+    /// A queue under `config` (group size clamped to at least 1) on the
+    /// real clock.
     pub fn new(config: ScanQueueConfig) -> Self {
+        Self::with_clock(config, Arc::new(SystemClock))
+    }
+
+    /// A queue whose linger is measured on `clock`.
+    pub(crate) fn with_clock(config: ScanQueueConfig, clock: Arc<dyn Clock>) -> Self {
+        // A failed drain reports *transient* errors, so every member
+        // retries once, solo, under the server's transient-failure policy.
+        let failed = || {
+            Err(Error::Query(QueryError::Transient(
+                "shared-scan drain failed to produce a result".into(),
+            )))
+        };
         ScanQueue {
-            config: ScanQueueConfig { group_max: config.group_max.max(1), ..config },
-            groups: Mutex::new(HashMap::new()),
+            groups: Coalescer::new(config.group_max, config.linger, clock.clone(), failed),
+            clock,
             counters: ScanQueueCounters::default(),
         }
     }
@@ -134,132 +134,19 @@ impl ScanQueue {
         contended: bool,
         drain: impl FnOnce(Vec<GroupEntry>) -> Vec<Result<ServeResult>>,
     ) -> Result<ServeResult> {
-        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        loop {
-            let cell = {
-                let mut map = self.groups.lock();
-                map.entry(key)
-                    .or_insert_with(|| {
-                        Arc::new(GroupCell {
-                            state: Mutex::new(GroupState {
-                                entries: Vec::new(),
-                                results: Vec::new(),
-                                full: false,
-                                closed: false,
-                            }),
-                            cv: Condvar::new(),
-                        })
-                    })
-                    .clone()
-            };
-            let mut state = cell.state.lock();
-            if state.closed || state.entries.len() >= self.config.group_max {
-                // The leader sealed this group between our map lookup and
-                // now — or the size trigger fired but the leader has not
-                // reacquired the lock yet (`group_max` binds at join time,
-                // not just at seal time). Either way: detach the stale
-                // slot and start a fresh group.
-                drop(state);
-                self.detach(key, &cell);
-                continue;
+        let c = &self.counters;
+        c.submitted.fetch_add(1, Ordering::Relaxed);
+        self.groups.submit(key, entry, 1, contended, |entries| {
+            let k = entries.len() as u64;
+            c.groups.fetch_add(1, Ordering::Relaxed);
+            c.grouped_queries.fetch_add(k, Ordering::Relaxed);
+            c.max_group.fetch_max(k, Ordering::Relaxed);
+            if k >= 2 {
+                c.shared_groups.fetch_add(1, Ordering::Relaxed);
+                c.shared_queries.fetch_add(k, Ordering::Relaxed);
             }
-            let index = state.entries.len();
-            state.entries.push(Some(entry));
-            state.results.push(None);
-            if index + 1 >= self.config.group_max {
-                state.full = true;
-                cell.cv.notify_all();
-            }
-            if index == 0 {
-                return self.lead(key, &cell, state, contended, drain);
-            }
-            // Follower: the leader will post our result.
-            loop {
-                if let Some(result) = state.results[index].take() {
-                    return result;
-                }
-                state = cell.cv.wait(state);
-            }
-        }
-    }
-
-    /// Leader path: linger, seal, drain, distribute.
-    fn lead(
-        &self,
-        key: u64,
-        cell: &Arc<GroupCell>,
-        mut state: MutexGuard<'_, GroupState>,
-        contended: bool,
-        drain: impl FnOnce(Vec<GroupEntry>) -> Vec<Result<ServeResult>>,
-    ) -> Result<ServeResult> {
-        let deadline = Instant::now() + self.config.linger;
-        while contended && !state.full {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            state = cell.cv.wait_timeout(state, deadline - now).0;
-        }
-        state.closed = true;
-        let entries: Vec<GroupEntry> =
-            state.entries.iter_mut().map(|e| e.take().expect("entry taken once")).collect();
-        drop(state);
-        self.detach(key, cell);
-
-        let k = entries.len();
-        self.counters.groups.fetch_add(1, Ordering::Relaxed);
-        self.counters.grouped_queries.fetch_add(k as u64, Ordering::Relaxed);
-        self.counters.max_group.fetch_max(k as u64, Ordering::Relaxed);
-        if k >= 2 {
-            self.counters.shared_groups.fetch_add(1, Ordering::Relaxed);
-            self.counters.shared_queries.fetch_add(k as u64, Ordering::Relaxed);
-        }
-
-        // A panicking drain must cost this group, not the server: turn it
-        // into per-member *transient* errors — no follower wedges on the
-        // condvar, and every member retries once, solo, under the
-        // server's transient-failure policy.
-        let mut results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drain(entries)))
-            .unwrap_or_default();
-        while results.len() < k {
-            results.push(Err(Error::Query(QueryError::Transient(
-                "shared-scan drain failed to produce a result".into(),
-            ))));
-        }
-        results.truncate(k);
-
-        let mut state = cell.state.lock();
-        let mut mine = None;
-        for (i, r) in results.into_iter().enumerate() {
-            if i == 0 {
-                mine = Some(r);
-            } else {
-                state.results[i] = Some(r);
-            }
-        }
-        drop(state);
-        cell.cv.notify_all();
-        mine.expect("leader result present")
-    }
-
-    /// Removes `cell` from the map if it is still the group under `key`.
-    fn detach(&self, key: u64, cell: &Arc<GroupCell>) {
-        let mut map = self.groups.lock();
-        if map.get(&key).is_some_and(|current| Arc::ptr_eq(current, cell)) {
-            map.remove(&key);
-        }
-    }
-
-    /// Folds one shared sweep's savings into the counters (called by the
-    /// drain).
-    pub fn record_sweep(&self, panel_rows_saved: u64, pairs_saved: u64) {
-        self.counters.panel_rows_saved.fetch_add(panel_rows_saved, Ordering::Relaxed);
-        self.counters.pairs_saved.fetch_add(pairs_saved, Ordering::Relaxed);
-    }
-
-    /// Counts a group whose sweep failed and fell back to solo runs.
-    pub fn record_fallback(&self) {
-        self.counters.sweep_fallbacks.fetch_add(1, Ordering::Relaxed);
+            drain(entries)
+        })
     }
 
     /// Counter snapshot.
@@ -268,63 +155,256 @@ impl ScanQueue {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// The traced members of a group, with their positions in it.
+fn traced(entries: &[GroupEntry]) -> impl Iterator<Item = (usize, &GroupEntry, &QueryTrace)> {
+    entries.iter().enumerate().filter_map(|(i, e)| Some((i, e, e.unit.trace.as_ref()?)))
+}
 
-    /// Poisons `mutex` by unwinding through a held guard.
-    fn poison<T>(mutex: &Mutex<T>) {
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = mutex.lock();
-            panic!("poison");
-        }));
-        assert!(mutex.is_poisoned(), "mutex should be poisoned");
+/// The context a group's shared sweep runs under: deadline = the *latest*
+/// member deadline (any member with no deadline makes the sweep
+/// unbounded). Per-member deadlines are enforced at the epilogues; the
+/// sweep itself only dies when it can no longer serve anyone.
+fn group_context(entries: &[GroupEntry]) -> QueryContext {
+    let deadlines: Option<Vec<Instant>> = entries.iter().map(|e| e.unit.ctx.deadline()).collect();
+    match deadlines.and_then(|d| d.into_iter().max()) {
+        Some(latest) => QueryContext::unbounded().with_deadline(latest),
+        None => QueryContext::unbounded(),
     }
+}
 
-    #[test]
-    fn poisoned_group_map_recovers() {
-        // A peer thread panicking while holding the group map must not
-        // brick grouping for every later query: lock acquisitions recover
-        // from poisoning instead of unwrapping.
-        let queue = ScanQueue::new(ScanQueueConfig {
-            group_max: 4,
-            linger: Duration::from_millis(1),
-        });
-        poison(&queue.groups);
-        let cell = Arc::new(GroupCell {
-            state: Mutex::new(GroupState {
-                entries: Vec::new(),
-                results: Vec::new(),
-                full: false,
-                closed: false,
-            }),
-            cv: Condvar::new(),
-        });
-        // Both map users must survive the poisoned lock.
-        queue.detach(7, &cell);
-        {
-            let mut map = queue.groups.lock();
-            map.insert(9, cell.clone());
+impl Server {
+    /// Routes a resolved execution unit whose result memo missed:
+    /// multi-query scan sharing, then solo execution.
+    pub(crate) fn dispatch(&self, unit: ExecUnit, cfg_fp: u64) -> Result<ServeResult> {
+        // Multi-query scan sharing: plans with a shareable sweep queue up
+        // by group key — the scan signature's key ⊕ the config fingerprint
+        // (configs change how subtrees lower) ⊕ the catalog version (never
+        // group across registrations). Bound executions re-discover the
+        // scan on their *bound* tree; the signature's group key excludes
+        // per-query probes, so bound sweeps join ad-hoc groups freely.
+        if self.config.mqo {
+            let shared = if unit.binding.is_empty() {
+                unit.cached.shared_scan.clone()
+            } else {
+                find_shared_scan(&unit.root)
+            };
+            if let Some((node, sig)) = shared {
+                let group_key = sig.group_key()
+                    ^ cfg_fp
+                    ^ unit.cached.catalog_version.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let queued_at = self.scan_queue.clock.now();
+                let entry = GroupEntry { unit, node, signature: sig, queued_at };
+                // A query with no other query in flight cannot be joined
+                // by anyone: skip the linger and sweep immediately.
+                let contended = self.in_flight.load(Ordering::Relaxed) > 1;
+                return self
+                    .scan_queue
+                    .submit(group_key, entry, contended, |entries| self.drain_group(entries));
+            }
         }
-        queue.detach(9, &cell);
-        assert!(queue.groups.lock().is_empty());
+
+        self.execute_solo(&unit)
     }
 
-    #[test]
-    fn poisoned_group_state_recovers() {
-        // Same for a group cell's own state lock.
-        let cell = GroupCell {
-            state: Mutex::new(GroupState {
-                entries: Vec::new(),
-                results: Vec::new(),
-                full: false,
-                closed: false,
-            }),
-            cv: Condvar::new(),
+    /// Drains one scan-queue group: one shared sweep, then every member's
+    /// own epilogue. Runs on the group leader's thread.
+    ///
+    /// Failure domains, narrowest first: an expired/cancelled **member**
+    /// exits alone at its epilogue (the group survives); a failed or
+    /// panicked **sweep** falls back to solo execution per member; a
+    /// panicked **drain** is contained by the scan queue and every member
+    /// retries solo via the transient policy. Non-faulted members always
+    /// get bit-identical-to-solo results.
+    fn drain_group(&self, entries: Vec<GroupEntry>) -> Vec<Result<ServeResult>> {
+        let clock = &self.scan_queue.clock;
+        let fault = self.fault_plan();
+        let k = entries.len();
+        let drain_started = clock.now();
+        // Attribute the linger to every traced member: how long each
+        // query sat in the scan queue before its group drained. The
+        // leader waited the whole linger; late joiners waited less.
+        for (i, e, trace) in traced(&entries) {
+            let role = if i == 0 { "leader" } else { "follower" };
+            let waited = drain_started.saturating_duration_since(e.queued_at);
+            trace.add_span("scan_queue_wait", format!("{role} k={k}"), e.queued_at, waited, 0, false);
+        }
+        if let Some(plan) = &fault {
+            // An injected drain *panic* deliberately propagates into the
+            // scan queue's containment (every member gets a transient
+            // error); an injected transient error is reported per member
+            // directly.
+            if plan.strike(FaultSite::Drain).is_err() {
+                for (_, _, trace) in traced(&entries) {
+                    trace.add_event("fault", "drain");
+                }
+                return entries
+                    .iter()
+                    .map(|_| Err(QueryError::Transient("injected fault at drain".into()).into()))
+                    .collect();
+            }
+        }
+
+        if k == 1 {
+            // Nobody joined inside the linger window: plain solo
+            // execution, no sweep overhead beyond the wait itself.
+            return vec![self.execute_solo(&entries[0].unit)];
+        }
+
+        // Build the shared plan. Any failure here (unknown model, a
+        // malformed group) falls back to solo execution per member —
+        // sharing is an optimization, never a correctness dependency.
+        let model = &entries[0].signature.model;
+        let shared = self
+            .engine
+            .embedding_cache(model)
+            .ok_or_else(|| Error::InvalidArgument(format!("unknown model: {model}")))
+            .and_then(|cache| {
+                let members: Vec<(Arc<dyn PhysicalOperator>, ScanSignature)> =
+                    entries.iter().map(|e| (e.node.clone(), e.signature.clone())).collect();
+                SharedScanExec::from_group(&members, cache)
+            });
+
+        // One admission permit covers the whole group; each member is
+        // charged its shared weight (sweep split k ways, epilogue whole),
+        // so coalesced queries admit cheaper than k solo queries would.
+        // The wait honors the group deadline: if even the latest member
+        // deadline passes while queued, nobody is left to serve.
+        let group_ctx = group_context(&entries);
+        let weight: f64 = entries.iter().map(|e| shared_scan_cost(e.unit.cost, k)).sum();
+        let admit_started = clock.now();
+        let admitted = self.gate.acquire_ctx(weight, &group_ctx, 0);
+        let admit_dur = clock.now().saturating_duration_since(admit_started);
+        self.queue_wait_hist.record_duration(admit_dur);
+        // One group permit covers everyone: the wait is shared work,
+        // attributed to every traced member.
+        for (_, _, trace) in traced(&entries) {
+            trace.add_span("admission", "group", admit_started, admit_dur, 0, true);
+        }
+        let permit = match admitted {
+            Ok(permit) => permit,
+            Err(_) => {
+                // The group deadline is the max over members, so every
+                // member's own deadline has passed too; report each with
+                // its own typed error.
+                return entries
+                    .iter()
+                    .map(|e| match e.unit.ctx.check() {
+                        Err(err) => Err(err),
+                        Ok(()) => Err(QueryError::DeadlineExceeded.into()),
+                    })
+                    .collect();
+            }
         };
-        poison(&cell.state);
-        let mut state = cell.state.lock();
-        state.closed = true;
-        assert!(state.closed);
+
+        let states = shared.and_then(|shared| {
+            if let Some(plan) = &fault {
+                // A sweep fault (transient) takes the solo-fallback path
+                // below; a sweep panic propagates to the scan queue's
+                // containment.
+                if let Err(e) = plan.strike(FaultSite::Sweep) {
+                    for (_, _, trace) in traced(&entries) {
+                        trace.add_event("fault", "sweep");
+                    }
+                    return Err(e);
+                }
+            }
+            // The sweep is consumed through its outcome, not its chunk
+            // stream (materializing the pair table just to discard it
+            // would cost O(hits) clones); record it into the operator
+            // metrics by hand so reports still show SharedScan rows/time.
+            // It runs under the *group* context: member deadlines are
+            // enforced at the epilogues, not mid-sweep.
+            let sweep_started = clock.now();
+            let outcome = {
+                // The leader's trace hosts the live span so the sweep's
+                // internal spans (candidate scan, probe gather, panel
+                // sweep) nest beneath it; every other member gets the
+                // same interval attributed below, tagged shared — the
+                // sweep ran once but served them all.
+                let _scope = cx_obs::install_trace(entries[0].unit.trace.as_ref());
+                let _sweep_span =
+                    cx_obs::span_with("shared_sweep", || format!("leader k={k} model={model}"))
+                        .shared();
+                group_ctx.scope(|| shared.sweep())?
+            };
+            let sweep_dur = clock.now().saturating_duration_since(sweep_started);
+            self.sweep_hist.record_duration(sweep_dur);
+            for (_, _, trace) in traced(&entries).filter(|(i, ..)| *i > 0) {
+                let detail = format!("follower k={k}");
+                trace.add_span("shared_sweep", detail, sweep_started, sweep_dur, 0, true);
+            }
+            self.metrics.handle(&shared.name()).record(
+                outcome.emitted_pairs(shared.min_threshold()),
+                1,
+                sweep_dur,
+            );
+            let saved = &self.scan_queue.counters;
+            saved.panel_rows_saved.fetch_add(outcome.stats.panel_rows_saved, Ordering::Relaxed);
+            saved.pairs_saved.fetch_add(outcome.stats.pairs_saved, Ordering::Relaxed);
+            shared.member_states()
+        });
+        let states = match states {
+            Ok(states) => states,
+            Err(_) => {
+                // Shared sweep failed: fall back to solo execution. The
+                // group permit was sized for a *shared* sweep; solo runs
+                // do full work, so hand it back and let every member
+                // re-admit at its full cost.
+                self.scan_queue.counters.sweep_fallbacks.fetch_add(1, Ordering::Relaxed);
+                drop(permit);
+                return entries.iter().map(|e| self.execute_solo(&e.unit)).collect();
+            }
+        };
+
+        // Epilogues run sequentially on this (leader) thread; followers
+        // later in line spend that time waiting, which their traces show
+        // as `epilogue_wait` so per-member span sums still cover the
+        // member's wall clock.
+        let epilogues_base = clock.now();
+        entries
+            .iter()
+            .zip(states)
+            .enumerate()
+            .map(|(i, (e, state))| {
+                // A member whose result got memoized since it queued (an
+                // identical query in this very group, say) skips
+                // execution — memo hits never re-execute.
+                if let Some(result) = self.try_result_memo(&e.unit) {
+                    return Ok(result);
+                }
+                if i > 0 {
+                    if let Some(trace) = &e.unit.trace {
+                        let waited = clock.now().saturating_duration_since(epilogues_base);
+                        let detail = format!("behind {i} sibling epilogue(s)");
+                        trace.add_span("epilogue_wait", detail, epilogues_base, waited, 0, false);
+                    }
+                }
+                // Per-member blast radius: a panicking epilogue (injected
+                // or genuine) costs this member a transient error — its
+                // siblings' epilogues still run off the same sweep. A
+                // member past its deadline (or cancelled, or over budget)
+                // exits here without killing the group.
+                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    let _scope = cx_obs::install_trace(e.unit.trace.as_ref());
+                    let _epi = cx_obs::span_with("epilogue", || format!("member {i}/{k}"));
+                    if let Some(plan) = &fault {
+                        if let Err(err) = plan.strike(FaultSite::Epilogue) {
+                            cx_obs::event("fault", || "epilogue".into());
+                            return Err(err);
+                        }
+                    }
+                    e.unit.ctx.check()?;
+                    // Injection failing (operator refuses the state) is
+                    // fine: the member simply runs its solo scan inside
+                    // the same execution.
+                    e.node.inject_shared_scan(state);
+                    self.run_unit(&e.unit, true)
+                }));
+                outcome.unwrap_or_else(|_| {
+                    self.lifecycle.contained_panics.fetch_add(1, Ordering::Relaxed);
+                    Err(QueryError::Transient("epilogue panicked (contained)".into()).into())
+                })
+            })
+            .collect()
     }
 }

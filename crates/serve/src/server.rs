@@ -53,25 +53,23 @@
 
 use crate::admission::{AdmissionStats, CostGate};
 use crate::batcher::{BatcherConfig, BatcherStats, EmbedBatcher};
+use crate::coalesce::{Clock, SystemClock};
 use crate::faults::{FaultPlan, FaultSite, FaultStats};
 use crate::plan_cache::{BindingKey, CachedPlan, PlanCache, PlanCacheStats};
 use crate::prepared::{Prepared, Statement};
-use crate::scan_queue::{GroupEntry, ScanQueue, ScanQueueConfig, ScanQueueStats};
+use crate::scan_queue::{ScanQueue, ScanQueueConfig, ScanQueueStats};
 use context_engine::{Engine, Query};
 use cx_exec::logical::LogicalPlan;
 use cx_exec::metrics::InstrumentedExec;
-use cx_exec::{
-    bind_physical, collect_table, find_shared_scan, ExecMetrics, PhysicalOperator, ScanSignature,
-};
-use cx_mqo::SharedScanExec;
+use cx_exec::{bind_physical, collect_table, find_shared_scan, ExecMetrics, PhysicalOperator};
 use crate::watchdog::{WatchdogConfig, WatchdogHandle};
 use cx_obs::{Histogram, IncidentLog, ProfileSpan, QueryProfile, QueryTrace, TraceRing};
-use cx_optimizer::{shared_scan_cost, OptimizerConfig};
+use cx_optimizer::OptimizerConfig;
 use cx_storage::{
     CancelToken, Error, MemoryBudget, QueryContext, QueryError, Result, Scalar, Table,
 };
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -286,7 +284,7 @@ cx_obs::metric_family! {
     /// Lifecycle-policy counters: how queries died early and how the server
     /// recovered (see the module docs for the policies themselves).
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct LifecycleStats, counters LifecycleCounters {
+    pub struct LifecycleStats, counters pub(crate) LifecycleCounters {
         /// Queries that returned [`QueryError::DeadlineExceeded`].
         deadline_exceeded: counter "cx_serve_deadline_exceeded_total"
             "Queries past their deadline",
@@ -346,21 +344,23 @@ cx_obs::metric_family! {
 
 /// A concurrent query-serving layer over one shared [`Engine`].
 pub struct Server {
-    engine: Arc<Engine>,
-    config: ServeConfig,
+    pub(crate) engine: Arc<Engine>,
+    pub(crate) config: ServeConfig,
     plan_cache: PlanCache,
-    gate: CostGate,
-    scan_queue: ScanQueue,
+    pub(crate) gate: CostGate,
+    pub(crate) scan_queue: ScanQueue,
     batchers: RwLock<HashMap<String, Arc<EmbedBatcher>>>,
-    metrics: ExecMetrics,
+    /// What every coalescing linger and admission wait is timed on.
+    clock: Arc<dyn Clock>,
+    pub(crate) metrics: ExecMetrics,
     serving: ServingCounters,
-    lifecycle: LifecycleCounters,
+    pub(crate) lifecycle: LifecycleCounters,
     /// The installed chaos schedule, if any (see [`crate::faults`]).
     fault_plan: RwLock<Option<Arc<FaultPlan>>>,
     /// Queries currently inside the server — the scan queue's
     /// contention signal: a query that is provably alone skips the
     /// group-forming linger (nobody exists who could join it).
-    in_flight: AtomicU64,
+    pub(crate) in_flight: AtomicU64,
     /// Finished traces, newest last (tracing on; capacity from config).
     pub(crate) trace_ring: TraceRing,
     /// Rendered span trees of queries past the slow-query threshold,
@@ -370,9 +370,9 @@ pub struct Server {
     latency_hist: Histogram,
     /// Time spent waiting at the admission gate (solo and group
     /// acquisitions). Always on.
-    queue_wait_hist: Histogram,
+    pub(crate) queue_wait_hist: Histogram,
     /// Shared-sweep duration per drained group. Always on.
-    sweep_hist: Histogram,
+    pub(crate) sweep_hist: Histogram,
     /// Structured incidents appended by the watchdog, queryable as
     /// `cx.incidents`. Present even without a watchdog so the table
     /// always resolves (empty).
@@ -462,6 +462,16 @@ impl Drop for InFlightGuard<'_> {
 impl Server {
     /// Wraps `engine` for concurrent serving under `config`.
     pub fn new(engine: Arc<Engine>, config: ServeConfig) -> Arc<Self> {
+        Self::with_clock(engine, config, Arc::new(SystemClock))
+    }
+
+    /// [`Server::new`] with every linger and admission wait timed on
+    /// `clock`.
+    pub(crate) fn with_clock(
+        engine: Arc<Engine>,
+        config: ServeConfig,
+        clock: Arc<dyn Clock>,
+    ) -> Arc<Self> {
         // Log the resolved kernel dispatch once per process, not per
         // server: which ISA paths serve the sweeps is global state.
         static SIMD_BANNER: std::sync::Once = std::sync::Once::new();
@@ -478,14 +488,15 @@ impl Server {
         ));
         let server = Arc::new(Server {
             plan_cache: PlanCache::new(config.plan_cache_capacity),
-            gate: CostGate::new(config.admission_capacity),
-            scan_queue: ScanQueue::new(ScanQueueConfig {
-                group_max: config.scan_group_max,
-                linger: config.scan_linger,
-            }),
+            gate: CostGate::with_clock(config.admission_capacity, clock.clone()),
+            scan_queue: ScanQueue::with_clock(
+                ScanQueueConfig { group_max: config.scan_group_max, linger: config.scan_linger },
+                clock.clone(),
+            ),
             engine,
             config,
             batchers: RwLock::new(HashMap::new()),
+            clock,
             metrics,
             serving: ServingCounters::default(),
             lifecycle: LifecycleCounters::default(),
@@ -881,43 +892,10 @@ impl Server {
         }))
     }
 
-    /// Routes a resolved execution unit whose result memo missed:
-    /// multi-query scan sharing, then solo execution.
-    fn dispatch(&self, unit: ExecUnit, cfg_fp: u64) -> Result<ServeResult> {
-        // Multi-query scan sharing: plans with a shareable sweep queue up
-        // by group key — the scan signature's key ⊕ the config fingerprint
-        // (configs change how subtrees lower) ⊕ the catalog version (never
-        // group across registrations). Bound executions re-discover the
-        // scan on their *bound* tree; the signature's group key excludes
-        // per-query probes, so bound sweeps join ad-hoc groups freely.
-        if self.config.mqo {
-            let shared = if unit.binding.is_empty() {
-                unit.cached.shared_scan.clone()
-            } else {
-                find_shared_scan(&unit.root)
-            };
-            if let Some((node, sig)) = shared {
-                let group_key = sig.group_key()
-                    ^ cfg_fp
-                    ^ unit.cached.catalog_version.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let entry =
-                    GroupEntry { unit, node, signature: sig, queued_at: Instant::now() };
-                // A query with no other query in flight cannot be joined
-                // by anyone: skip the linger and sweep immediately.
-                let contended = self.in_flight.load(Ordering::Relaxed) > 1;
-                return self
-                    .scan_queue
-                    .submit(group_key, entry, contended, |entries| self.drain_group(entries));
-            }
-        }
-
-        self.execute_solo(&unit)
-    }
-
     /// Serves `unit` from its result memo if enabled and populated — the
     /// plan-level memo with no parameters, the per-binding memo
     /// otherwise.
-    fn try_result_memo(&self, unit: &ExecUnit) -> Option<ServeResult> {
+    pub(crate) fn try_result_memo(&self, unit: &ExecUnit) -> Option<ServeResult> {
         // Volatile plans scan live `cx.*` state: the *plan* stays cached
         // (lowering is as deterministic as ever) but the data is a
         // point-in-time snapshot, so the memo is never read or written.
@@ -946,7 +924,7 @@ impl Server {
 
     /// Solo path: full-cost lifecycle-aware admission (deadline-aware
     /// waiting, `max_queued` shedding), then execution.
-    fn execute_solo(&self, unit: &ExecUnit) -> Result<ServeResult> {
+    pub(crate) fn execute_solo(&self, unit: &ExecUnit) -> Result<ServeResult> {
         // Installed explicitly (not inherited from the caller's thread):
         // a group leader running a solo fallback for a *foreign* member
         // must attribute this wait to that member's trace, not its own.
@@ -973,7 +951,7 @@ impl Server {
     /// solo path installs it at [`Server::execute_solo`], the group path
     /// around each epilogue), so the `execute` span here nests under
     /// whatever stage span the caller holds open.
-    fn run_unit(&self, unit: &ExecUnit, shared_scan: bool) -> Result<ServeResult> {
+    pub(crate) fn run_unit(&self, unit: &ExecUnit, shared_scan: bool) -> Result<ServeResult> {
         let root = InstrumentedExec::new(unit.root.clone(), &self.metrics);
         let exec_span = cx_obs::span("execute");
         let table = Arc::new(unit.ctx.scope(|| collect_table(&root))?);
@@ -999,263 +977,6 @@ impl Server {
         })
     }
 
-    /// The context a group's shared sweep runs under: deadline = the
-    /// *latest* member deadline (any member with no deadline makes the
-    /// sweep unbounded). Per-member deadlines are enforced at the
-    /// epilogues; the sweep itself only dies when it can no longer serve
-    /// anyone.
-    fn group_context(entries: &[GroupEntry]) -> QueryContext {
-        let mut latest: Option<Instant> = None;
-        for e in entries {
-            match e.unit.ctx.deadline() {
-                None => return QueryContext::unbounded(),
-                Some(d) => latest = Some(latest.map_or(d, |cur| cur.max(d))),
-            }
-        }
-        match latest {
-            Some(d) => QueryContext::unbounded().with_deadline(d),
-            None => QueryContext::unbounded(),
-        }
-    }
-
-    /// Drains one scan-queue group: one shared sweep, then every member's
-    /// own epilogue. Runs on the group leader's thread.
-    ///
-    /// Failure domains, narrowest first: an expired/cancelled **member**
-    /// exits alone at its epilogue (the group survives); a failed or
-    /// panicked **sweep** falls back to solo execution per member; a
-    /// panicked **drain** is contained by the scan queue and every member
-    /// retries solo via the transient policy. Non-faulted members always
-    /// get bit-identical-to-solo results.
-    fn drain_group(&self, entries: Vec<GroupEntry>) -> Vec<Result<ServeResult>> {
-        let fault = self.fault_plan();
-        let k = entries.len();
-        let drain_started = Instant::now();
-        // Attribute the linger to every traced member: how long each
-        // query sat in the scan queue before its group drained. The
-        // leader waited the whole linger; late joiners waited less.
-        for (i, e) in entries.iter().enumerate() {
-            if let Some(trace) = &e.unit.trace {
-                let role = if i == 0 { "leader" } else { "follower" };
-                trace.add_span(
-                    "scan_queue_wait",
-                    format!("{role} k={k}"),
-                    e.queued_at,
-                    drain_started.saturating_duration_since(e.queued_at),
-                    0,
-                    false,
-                );
-            }
-        }
-        if let Some(plan) = &fault {
-            // An injected drain *panic* deliberately propagates into the
-            // scan queue's containment (every member gets a transient
-            // error); an injected transient error is reported per member
-            // directly.
-            if plan.strike(FaultSite::Drain).is_err() {
-                return entries
-                    .iter()
-                    .map(|e| {
-                        if let Some(trace) = &e.unit.trace {
-                            trace.add_event("fault", "drain");
-                        }
-                        Err(QueryError::Transient("injected fault at drain".into()).into())
-                    })
-                    .collect();
-            }
-        }
-
-        if k == 1 {
-            // Nobody joined inside the linger window: plain solo
-            // execution, no sweep overhead beyond the wait itself.
-            return vec![self.execute_solo(&entries[0].unit)];
-        }
-
-        // Build the shared plan. Any failure here (unknown model, a
-        // malformed group) falls back to solo execution per member —
-        // sharing is an optimization, never a correctness dependency.
-        let shared = self
-            .engine
-            .embedding_cache(&entries[0].signature.model)
-            .ok_or_else(|| {
-                cx_storage::Error::InvalidArgument(format!(
-                    "unknown model: {}",
-                    entries[0].signature.model
-                ))
-            })
-            .and_then(|cache| {
-                let members: Vec<(Arc<dyn PhysicalOperator>, ScanSignature)> = entries
-                    .iter()
-                    .map(|e| (e.node.clone(), e.signature.clone()))
-                    .collect();
-                SharedScanExec::from_group(&members, cache)
-            });
-
-        // One admission permit covers the whole group; each member is
-        // charged its shared weight (sweep split k ways, epilogue whole),
-        // so coalesced queries admit cheaper than k solo queries would.
-        // The wait honors the group deadline: if even the latest member
-        // deadline passes while queued, nobody is left to serve.
-        let group_ctx = Self::group_context(&entries);
-        let weight: f64 = entries
-            .iter()
-            .map(|e| shared_scan_cost(e.unit.cost, k))
-            .sum();
-        let admit_started = Instant::now();
-        let admitted = self.gate.acquire_ctx(weight, &group_ctx, 0);
-        let admit_dur = admit_started.elapsed();
-        self.queue_wait_hist.record_duration(admit_dur);
-        // One group permit covers everyone: the wait is shared work,
-        // attributed to every traced member.
-        for e in &entries {
-            if let Some(trace) = &e.unit.trace {
-                trace.add_span("admission", "group", admit_started, admit_dur, 0, true);
-            }
-        }
-        let permit = match admitted {
-            Ok(permit) => permit,
-            Err(_) => {
-                // The group deadline is the max over members, so every
-                // member's own deadline has passed too; report each with
-                // its own typed error.
-                return entries
-                    .iter()
-                    .map(|e| match e.unit.ctx.check() {
-                        Err(err) => Err(err),
-                        Ok(()) => Err(QueryError::DeadlineExceeded.into()),
-                    })
-                    .collect();
-            }
-        };
-
-        let states = shared.and_then(|shared| {
-            if let Some(plan) = &fault {
-                // A sweep fault (transient) takes the solo-fallback path
-                // below; a sweep panic propagates to the scan queue's
-                // containment.
-                if let Err(e) = plan.strike(FaultSite::Sweep) {
-                    for en in &entries {
-                        if let Some(trace) = &en.unit.trace {
-                            trace.add_event("fault", "sweep");
-                        }
-                    }
-                    return Err(e);
-                }
-            }
-            // The sweep is consumed through its outcome, not its chunk
-            // stream (materializing the pair table just to discard it
-            // would cost O(hits) clones); record it into the operator
-            // metrics by hand so reports still show SharedScan rows/time.
-            // It runs under the *group* context: member deadlines are
-            // enforced at the epilogues, not mid-sweep.
-            let sweep_started = Instant::now();
-            let outcome = {
-                // The leader's trace hosts the live span so the sweep's
-                // internal spans (candidate scan, probe gather, panel
-                // sweep) nest beneath it; every other member gets the
-                // same interval attributed below, tagged shared — the
-                // sweep ran once but served them all.
-                let _scope = cx_obs::install_trace(entries[0].unit.trace.as_ref());
-                let _sweep_span = cx_obs::span_with("shared_sweep", || {
-                    format!("leader k={k} model={}", entries[0].signature.model)
-                })
-                .shared();
-                group_ctx.scope(|| shared.sweep())?
-            };
-            let sweep_dur = sweep_started.elapsed();
-            self.sweep_hist.record_duration(sweep_dur);
-            for e in entries.iter().skip(1) {
-                if let Some(trace) = &e.unit.trace {
-                    trace.add_span(
-                        "shared_sweep",
-                        format!("follower k={k}"),
-                        sweep_started,
-                        sweep_dur,
-                        0,
-                        true,
-                    );
-                }
-            }
-            self.metrics.handle(&shared.name()).record(
-                outcome.emitted_pairs(shared.min_threshold()),
-                1,
-                sweep_dur,
-            );
-            self.scan_queue
-                .record_sweep(outcome.stats.panel_rows_saved, outcome.stats.pairs_saved);
-            shared.member_states()
-        });
-        let states = match states {
-            Ok(states) => states,
-            Err(_) => {
-                // Shared sweep failed: fall back to solo execution. The
-                // group permit was sized for a *shared* sweep; solo runs
-                // do full work, so hand it back and let every member
-                // re-admit at its full cost.
-                self.scan_queue.record_fallback();
-                drop(permit);
-                return entries.iter().map(|e| self.execute_solo(&e.unit)).collect();
-            }
-        };
-
-        // Epilogues run sequentially on this (leader) thread; followers
-        // later in line spend that time waiting, which their traces show
-        // as `epilogue_wait` so per-member span sums still cover the
-        // member's wall clock.
-        let epilogues_base = Instant::now();
-        entries
-            .iter()
-            .zip(states)
-            .enumerate()
-            .map(|(i, (e, state))| {
-                // A member whose result got memoized since it queued (an
-                // identical query in this very group, say) skips
-                // execution — memo hits never re-execute.
-                if let Some(result) = self.try_result_memo(&e.unit) {
-                    return Ok(result);
-                }
-                let epi_started = Instant::now();
-                if i > 0 {
-                    if let Some(trace) = &e.unit.trace {
-                        trace.add_span(
-                            "epilogue_wait",
-                            format!("behind {i} sibling epilogue(s)"),
-                            epilogues_base,
-                            epi_started.saturating_duration_since(epilogues_base),
-                            0,
-                            false,
-                        );
-                    }
-                }
-                // Per-member blast radius: a panicking epilogue (injected
-                // or genuine) costs this member a transient error — its
-                // siblings' epilogues still run off the same sweep. A
-                // member past its deadline (or cancelled, or over budget)
-                // exits here without killing the group.
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    let _scope = cx_obs::install_trace(e.unit.trace.as_ref());
-                    let _epi = cx_obs::span_with("epilogue", || format!("member {i}/{k}"));
-                    if let Some(plan) = &fault {
-                        if let Err(err) = plan.strike(FaultSite::Epilogue) {
-                            cx_obs::event("fault", || "epilogue".into());
-                            return Err(err);
-                        }
-                    }
-                    e.unit.ctx.check()?;
-                    // Injection failing (operator refuses the state) is
-                    // fine: the member simply runs its solo scan inside
-                    // the same execution.
-                    e.node.inject_shared_scan(state);
-                    self.run_unit(&e.unit, true)
-                }));
-                outcome.unwrap_or_else(|_| {
-                    self.lifecycle.contained_panics.fetch_add(1, Ordering::Relaxed);
-                    Err(QueryError::Transient("epilogue panicked (contained)".into()).into())
-                })
-            })
-            .collect()
-    }
-
     /// The batcher for `model` (created on first use), or `None` for
     /// models the engine does not know.
     pub fn batcher(&self, model: &str) -> Option<Arc<EmbedBatcher>> {
@@ -1267,13 +988,11 @@ impl Server {
         Some(
             map.entry(model.to_string())
                 .or_insert_with(|| {
-                    Arc::new(EmbedBatcher::new(
-                        cache,
-                        BatcherConfig {
-                            max_batch: self.config.batch_max,
-                            linger: self.config.batch_linger,
-                        },
-                    ))
+                    let config = BatcherConfig {
+                        max_batch: self.config.batch_max,
+                        linger: self.config.batch_linger,
+                    };
+                    Arc::new(EmbedBatcher::with_clock(cache, config, self.clock.clone()))
                 })
                 .clone(),
         )
@@ -1393,92 +1112,6 @@ impl Server {
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0, |d| d.as_millis() as u64)
     }
-
-    /// Submits every semantic operator's embedding working set to the
-    /// per-model batchers and blocks until the cache holds it. Best-effort
-    /// and purely a performance hint — except under an installed fault
-    /// plan, whose [`FaultSite::Embed`] strikes fire here (per model
-    /// batch) on the query thread. Anything missed (renamed columns,
-    /// post-filter subsets, capped columns) embeds inside the operator
-    /// exactly as before.
-    fn warm_embeddings(&self, plan: &LogicalPlan) -> Result<()> {
-        let mut warm_span = cx_obs::span("embed_warm");
-        let fault = self.fault_plan();
-        let mut requests: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        collect_warm_requests(plan, self, &mut requests);
-        let mut warmed = 0usize;
-        for (model, texts) in requests {
-            if let Some(batcher) = self.batcher(&model) {
-                if let Some(plan) = &fault {
-                    if let Err(e) = plan.strike(crate::faults::FaultSite::Embed) {
-                        cx_obs::event("fault", || "embed".into());
-                        return Err(e);
-                    }
-                }
-                warmed += texts.len();
-                batcher.warm(&texts);
-            }
-        }
-        warm_span.set_detail(format!("{warmed} texts"));
-        Ok(())
-    }
-
-    /// Distinct string values of `column` across the base tables scanned
-    /// under `plan` that the `model`'s cache does not already hold — a
-    /// (superset) estimate of what a semantic operator on `column` will
-    /// still need to embed. Filtering through
-    /// [`cx_embed::EmbeddingCache::contains`] at collection time keeps a
-    /// warm server from re-cloning a table's whole distinct set on every
-    /// plan-cache miss just to learn it was all cached. `warm_limit`
-    /// budgets each call separately (`cap` is absolute: the `out` length
-    /// this call may grow to), so one huge column cannot consume a later
-    /// column's budget.
-    fn column_values(&self, plan: &LogicalPlan, column: &str, model: &str, out: &mut Vec<String>) {
-        let Some(cache) = self.engine.embedding_cache(model) else {
-            return;
-        };
-        let cap = out.len().saturating_add(self.config.warm_limit);
-        self.column_values_capped(plan, column, &cache, cap, out);
-    }
-
-    fn column_values_capped(
-        &self,
-        plan: &LogicalPlan,
-        column: &str,
-        cache: &cx_embed::EmbeddingCache,
-        cap: usize,
-        out: &mut Vec<String>,
-    ) {
-        if let LogicalPlan::Scan { source, schema } = plan {
-            let is_utf8 = schema
-                .field(column)
-                .map(|f| f.data_type == cx_storage::DataType::Utf8)
-                .unwrap_or(false);
-            if is_utf8 {
-                if let Some(table) = self.engine.catalog().table(source) {
-                    if let Ok(col) = table.column_by_name(column) {
-                        if let Ok(values) = col.utf8_values() {
-                            let mut seen: HashSet<&str> = HashSet::new();
-                            for v in values {
-                                if out.len() >= cap {
-                                    break;
-                                }
-                                if seen.insert(v.as_str()) && !cache.contains(v) {
-                                    out.push(v.clone());
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for child in plan.children() {
-            if out.len() >= cap {
-                break;
-            }
-            self.column_values_capped(child, column, cache, cap, out);
-        }
-    }
 }
 
 /// True when any scan under `plan` reads a live `cx.*` system table —
@@ -1490,39 +1123,6 @@ fn plan_scans_system_table(plan: &LogicalPlan) -> bool {
         }
     }
     plan.children().into_iter().any(plan_scans_system_table)
-}
-
-/// Walks `plan` collecting, per model, the texts its semantic operators
-/// will embed.
-fn collect_warm_requests(
-    plan: &LogicalPlan,
-    server: &Server,
-    out: &mut BTreeMap<String, Vec<String>>,
-) {
-    match plan {
-        LogicalPlan::SemanticFilter { input, column, target, model, .. } => {
-            let dst = out.entry(model.clone()).or_default();
-            // A parameterized probe has no text to warm; the bound value
-            // embeds through the cache at execute time.
-            if let Some(text) = target.text() {
-                dst.push(text.to_string());
-            }
-            server.column_values(input, column, model, dst);
-        }
-        LogicalPlan::SemanticJoin { left, right, spec } => {
-            let dst = out.entry(spec.model.clone()).or_default();
-            server.column_values(left, &spec.left_column, &spec.model, dst);
-            server.column_values(right, &spec.right_column, &spec.model, dst);
-        }
-        LogicalPlan::SemanticGroupBy { input, column, model, .. } => {
-            let dst = out.entry(model.clone()).or_default();
-            server.column_values(input, column, model, dst);
-        }
-        _ => {}
-    }
-    for child in plan.children() {
-        collect_warm_requests(child, server, out);
-    }
 }
 
 /// A per-client handle onto a shared [`Server`].

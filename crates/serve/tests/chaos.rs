@@ -16,9 +16,10 @@ use cx_datagen::{generate_corpus, synthetic_clusters, CorpusConfig};
 use cx_embed::ClusteredTextModel;
 use cx_serve::{FaultPlan, QueryOptions, ServeConfig, Server};
 use cx_storage::{CancelToken, Column, DataType, Error, Field, QueryError, Schema, Table};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
+
+mod common;
 
 /// A fresh engine over `n` product rows plus a label relation.
 fn build_engine(n: usize) -> Arc<Engine> {
@@ -234,28 +235,11 @@ fn bounded_queue_sheds_with_queue_full() {
 #[test]
 fn expired_member_exits_group_without_killing_it() {
     let engine = build_engine(400);
-    // Ballast: one slow, non-shareable relational query kept in flight
-    // for the storm's whole duration. On a single core the three-way
-    // barrier storm can fully serialize — each query finishes inside its
-    // thread's timeslice, so no scan-queue leader ever observes a second
-    // in-flight query, nobody lingers, and the doomed member sweeps solo
-    // before its deadline. The ballast makes every leader check
-    // contended; the leader lingers and the runnable siblings join its
-    // group. Relational-only: no scan signature, so it never appears in
-    // the sharing stats itself.
-    let ballast_rows = 300_000usize;
-    engine
-        .register_table(
-            "ballast",
-            Table::from_columns(
-                Schema::new(vec![Field::new("x", DataType::Int64)]),
-                vec![Column::from_i64(
-                    (0..ballast_rows as i64).map(|k| (k * 48271) % ballast_rows as i64).collect(),
-                )],
-            )
-            .unwrap(),
-        )
-        .unwrap();
+    // On a single core the three-way barrier storm can fully serialize,
+    // so nobody lingers and the doomed member sweeps solo before its
+    // deadline; a held statement pins the contention signal (see
+    // `common`), the leader lingers and the runnable siblings join it.
+    let latch = common::Latch::register(&engine);
     let server = Server::new(
         engine.clone(),
         ServeConfig {
@@ -275,26 +259,8 @@ fn expired_member_exits_group_without_killing_it() {
     server.execute(&doomed).unwrap();
     let solo: Vec<_> = survivors.iter().map(|q| server.execute(q).unwrap()).collect();
 
-    // Ballast starts after the warm-ups so they run uncontended (fast).
-    let ballast_stop = Arc::new(AtomicBool::new(false));
-    let ballast_thread = {
-        let server = server.clone();
-        let stop = ballast_stop.clone();
-        std::thread::spawn(move || {
-            let mut lap = 0usize;
-            while !stop.load(Ordering::Relaxed) {
-                // A distinct limit per lap defeats the plan cache, so
-                // every lap genuinely re-sorts.
-                let q = server
-                    .table("ballast")
-                    .unwrap()
-                    .sort(&[("x", true)])
-                    .limit(400_000 + lap);
-                server.execute(&q).unwrap();
-                lap += 1;
-            }
-        })
-    };
+    // Held only after the warm-ups, so those run uncontended (fast).
+    let held = latch.hold_statement(&server);
 
     let barrier = Arc::new(Barrier::new(3));
     let (doomed_result, survivor_results) = std::thread::scope(|s| {
@@ -329,8 +295,7 @@ fn expired_member_exits_group_without_killing_it() {
         )
     });
 
-    ballast_stop.store(true, Ordering::Relaxed);
-    ballast_thread.join().unwrap();
+    drop(held);
 
     let err = doomed_result.expect_err("20ms deadline under a 300ms linger must expire");
     assert_eq!(as_query_error(&err), Some(&QueryError::DeadlineExceeded), "{err}");

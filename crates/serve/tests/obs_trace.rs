@@ -8,9 +8,10 @@ use cx_embed::ClusteredTextModel;
 use cx_obs::{promparse, QueryTrace, SpanRecord};
 use cx_serve::{FaultPlan, ServeConfig, Server};
 use cx_storage::{Column, DataType, Field, Scalar, Schema, Table};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
+
+mod common;
 
 fn build_engine() -> Arc<Engine> {
     let engine = Arc::new(Engine::new(EngineConfig::default()));
@@ -35,62 +36,7 @@ fn build_engine() -> Arc<Engine> {
     )
     .unwrap();
     engine.register_table("products", products).unwrap();
-    // Ballast for the storm tests: a pure-relational table big enough
-    // that sorting it takes real wall time (see `Ballast`).
-    let n = 300_000usize;
-    let shuffled: Vec<i64> = (0..n as i64).map(|k| (k * 48271) % n as i64).collect();
-    let ballast = Table::from_columns(
-        Schema::new(vec![Field::new("x", DataType::Int64)]),
-        vec![Column::from_i64(shuffled)],
-    )
-    .unwrap();
-    engine.register_table("ballast", ballast).unwrap();
     engine
-}
-
-/// Keeps one slow, non-shareable relational query in flight for a
-/// storm's whole duration. On a single core a barrier storm of tiny
-/// queries can fully serialize — each query finishes inside its thread's
-/// timeslice, so no scan-queue leader ever observes a second in-flight
-/// query and nobody lingers. The ballast makes every leader check
-/// contended, the leader lingers, and the runnable siblings pile into
-/// its group. Relational-only: no scan signature, so it never enters
-/// the scan queue or the sharing stats itself.
-struct Ballast {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Ballast {
-    fn start(server: &Arc<Server>) -> Ballast {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = stop.clone();
-        let server = Arc::clone(server);
-        let handle = std::thread::spawn(move || {
-            let mut lap = 0usize;
-            while !flag.load(Ordering::Relaxed) {
-                // A distinct limit per lap defeats the plan cache and the
-                // result memo, so every lap genuinely re-sorts.
-                let q = server
-                    .table("ballast")
-                    .unwrap()
-                    .sort(&[("x", true)])
-                    .limit(400_000 + lap);
-                server.execute(&q).unwrap();
-                lap += 1;
-            }
-        });
-        Ballast { stop, handle: Some(handle) }
-    }
-}
-
-impl Drop for Ballast {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
 }
 
 fn span_names(spans: &[SpanRecord]) -> Vec<&'static str> {
@@ -105,8 +51,10 @@ fn span_names(spans: &[SpanRecord]) -> Vec<&'static str> {
 /// whole storm coalesces into shared groups; returns the traces of the
 /// results that were answered by a shared sweep.
 fn coalesced_prepared_traces(threads: usize) -> Vec<QueryTrace> {
+    let engine = build_engine();
+    let latch = common::Latch::register(&engine);
     let server = Server::new(
-        build_engine(),
+        engine,
         ServeConfig {
             tracing: true,
             // group_max above the thread count: the group seals on
@@ -119,14 +67,11 @@ fn coalesced_prepared_traces(threads: usize) -> Vec<QueryTrace> {
     );
     let targets = ["boots", "parka", "kitten", "sneakers", "coat", "puppy"];
     assert!(threads <= targets.len());
-    // Contention backstop (see `Ballast`), plus each thread runs a
-    // *sequence* of executions with fresh bindings: a one-shot barrier
-    // storm can degenerate into sequential solo runs when thread wakeups
-    // stagger (each tiny query finishes before the next thread even
-    // wakes, so nobody ever looks contended), but sustained sequences
-    // keep the in-flight count up — and the first leader that lingers
-    // pulls every concurrent sibling into its group.
-    let _ballast = Ballast::start(&server);
+    // Contention is pinned (see `common`), so the first leader lingers
+    // and pulls every concurrent sibling into its group; each thread
+    // also runs a *sequence* of executions with fresh bindings, so a
+    // sibling that wakes late still finds a later round to join.
+    let _held = latch.hold_statement(&server);
     let mut traces: Vec<QueryTrace> = Vec::new();
     for attempt in 0..5 {
         let rounds = 4;

@@ -13,9 +13,12 @@ use context_analytics::expr::{col, param};
 use context_analytics::{Engine, EngineConfig, ServeConfig, Server};
 use cx_embed::ClusteredTextModel;
 use cx_storage::{Column, DataType, Field, Scalar, Schema, Table};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
+
+#[path = "../crates/serve/tests/common/mod.rs"]
+mod common;
 
 const NAMES: [&str; 12] = [
     "boots", "parka", "kitten", "sneakers", "coat", "puppy", "oxfords", "windbreaker", "blazer",
@@ -211,28 +214,13 @@ fn prepared_storm_coalesces_into_shared_sweeps_bit_identically() {
         })
         .collect();
 
-    // Ballast: one slow, non-shareable relational query kept in flight
-    // for the storm's whole duration. On a single core the barrier storm
-    // of tiny queries can fully serialize — each execution finishes
-    // inside its thread's timeslice, so no scan-queue leader ever
-    // observes a second in-flight query and nobody lingers. The ballast
-    // makes every leader check contended; the leader lingers and the
-    // runnable siblings pile into its group. Relational-only: no scan
-    // signature, so it never appears in the sharing stats itself.
+    // On a single core the barrier storm of tiny queries can fully
+    // serialize, so no scan-queue leader ever observes a second
+    // in-flight query and nobody lingers; a held statement pins the
+    // contention signal (see `common`), every leader lingers and the
+    // runnable siblings pile into its group.
     let engine = fresh_engine();
-    let ballast_rows = 300_000usize;
-    engine
-        .register_table(
-            "ballast",
-            Table::from_columns(
-                Schema::new(vec![Field::new("x", DataType::Int64)]),
-                vec![Column::from_i64(
-                    (0..ballast_rows as i64).map(|k| (k * 48271) % ballast_rows as i64).collect(),
-                )],
-            )
-            .unwrap(),
-        )
-        .unwrap();
+    let latch = common::Latch::register(&engine);
 
     let server = Server::new(
         engine,
@@ -242,25 +230,6 @@ fn prepared_storm_coalesces_into_shared_sweeps_bit_identically() {
             ..ServeConfig::default()
         },
     );
-    let ballast_stop = Arc::new(AtomicBool::new(false));
-    let ballast_thread = {
-        let server = server.clone();
-        let stop = ballast_stop.clone();
-        std::thread::spawn(move || {
-            let mut lap = 0usize;
-            while !stop.load(Ordering::Relaxed) {
-                // A distinct limit per lap defeats the plan cache and the
-                // result memo, so every lap genuinely re-sorts.
-                let q = server
-                    .table("ballast")
-                    .unwrap()
-                    .sort(&[("x", true)])
-                    .limit(400_000 + lap);
-                server.execute(&q).unwrap();
-                lap += 1;
-            }
-        })
-    };
     // One shared handle: prepared handles are Send + Sync.
     let prepared = Arc::new(
         server
@@ -276,6 +245,7 @@ fn prepared_storm_coalesces_into_shared_sweeps_bit_identically() {
             .unwrap(),
     );
 
+    let held = latch.hold_statement(&server);
     let barrier = Arc::new(Barrier::new(threads));
     let shared_answers = Arc::new(AtomicU64::new(0));
     std::thread::scope(|s| {
@@ -309,8 +279,7 @@ fn prepared_storm_coalesces_into_shared_sweeps_bit_identically() {
         }
     });
 
-    ballast_stop.store(true, Ordering::Relaxed);
-    ballast_thread.join().unwrap();
+    drop(held);
 
     let stats = server.stats();
     assert_eq!(stats.prepared_queries, (threads * rounds) as u64);
