@@ -39,6 +39,16 @@ impl QuantTier {
         }
     }
 
+    /// The EXPLAIN suffix operators append after their own parameters:
+    /// empty at full precision, `", quant=<label>"` otherwise.
+    pub fn explain_suffix(&self) -> &'static str {
+        match self {
+            QuantTier::F32 => "",
+            QuantTier::F16 => ", quant=f16",
+            QuantTier::Int8 => ", quant=int8",
+        }
+    }
+
     /// Storage bytes per vector element at this tier.
     pub fn bytes_per_value(&self) -> usize {
         match self {

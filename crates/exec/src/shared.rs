@@ -46,15 +46,19 @@
 //!    chunks. The serving layer guarantees the parenthetical by mixing
 //!    its config fingerprint into the group key and never grouping
 //!    across catalog versions.
-//! 2. **Blocked ≡ pairwise** — the blocked kernels (`cx_vector::block`)
-//!    are bit-identical to the pairwise kernels, so scoring a *stacked*
-//!    probe panel row-by-row against the candidate panel yields exactly
-//!    the scores each query's solo scan would have computed. A shared
-//!    sweep changes the schedule, never the arithmetic.
+//! 2. **One sweep** — an operator's solo scan and the shared scan are the
+//!    same function (`cx_semantic::sweep::sweep`): solo passes one query's
+//!    probe rows, shared passes every member's, stacked. Each probe row is
+//!    scored against the candidate panel independently of the rows stacked
+//!    beside it, so a member's slice of the shared scores is, to the bit,
+//!    what its solo scan computes. The identity holds by construction —
+//!    there is no second copy of the arithmetic to keep in step. (That the
+//!    sweep's blocked kernels equal the pairwise ones is a separate
+//!    guarantee of `cx_vector::block`.)
 //!
 //! Operators must preserve invariant 2 when consuming an injected state:
-//! the injected scores must be indistinguishable (to the bit) from the
-//! scores the solo scan computes.
+//! whatever an injected state lacks must come from that same sweep, so
+//! injected and solo scores stay indistinguishable to the bit.
 
 use crate::physical::PhysicalOperator;
 use std::collections::HashMap;
@@ -73,6 +77,16 @@ pub enum ScanKind {
     /// Raw dot products over prenormalized probe and candidate panels
     /// (the blocked semantic join's arithmetic).
     DotJoin,
+}
+
+impl ScanKind {
+    /// Short name for EXPLAIN output and span details.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ScanKind::CosineFilter => "cosine-filter",
+            ScanKind::DotJoin => "dot-join",
+        }
+    }
 }
 
 /// Where a query's probe vectors come from.

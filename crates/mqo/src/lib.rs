@@ -19,19 +19,20 @@
 //!    deduplicated probe panel** (a filter contributes its target; a join
 //!    contributes its probe side's distinct values — identical probe rows
 //!    across queries are swept once),
-//! 3. runs **one** blocked sweep — `scores_matrix` tiles for f32,
-//!    quantized-panel kernels for f16/int8 — producing the full score
-//!    tile, and
-//! 4. slices the tile per member into a [`SharedScanState`] that each
+//! 3. runs **one** panel sweep ([`cx_semantic::sweep::sweep`]) of the
+//!    stacked probes over the panel, floored at the group's lowest
+//!    threshold, and
+//! 4. slices the scores per member into a [`SharedScanState`] that each
 //!    query's own operator consumes as its epilogue (threshold masks,
 //!    pair expansion, and everything above the scan stay per-query).
 //!
-//! **Bit-identity.** The sweep applies exactly the member operators' solo
-//! arithmetic — raw-dot-over-norms for filters, prenormalized dots for
-//! blocked joins, the same quantized-panel kernels per tier — and the
-//! blocked kernels are bit-identical to the pairwise rungs by
-//! construction. Shared execution changes the schedule, never the
-//! arithmetic: results equal solo execution to the bit.
+//! **Bit-identity.** Results equal solo execution to the bit because
+//! solo and shared execution call one function: the member operators'
+//! own solo scans are `cx_semantic::sweep::sweep` with one member's
+//! probes, and this crate calls it with every member's. Each probe row is
+//! scored independently of the rows stacked beside it, so a member's
+//! slice of the k-member sweep is its one-member sweep; no arithmetic is
+//! mirrored here.
 //!
 //! The serving layer (`cx_serve`) owns the queueing policy (who waits how
 //! long to form a group); this crate owns the shared plan itself.
@@ -39,9 +40,8 @@
 use cx_embed::{EmbeddingCache, QuantTier};
 use cx_exec::shared::{ProbeSource, ScanKind, ScanSignature, SharedScanState};
 use cx_exec::{ChunkStream, PhysicalOperator};
+use cx_semantic::sweep::{sweep, Distinct, Scores};
 use cx_storage::{Chunk, Column, DataType, Error, Field, QueryContext, Result, Schema};
-use cx_vector::block::{dot_block_threshold, scores_matrix, TILE};
-use cx_vector::{QuantizedArena, VectorArena};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -84,23 +84,6 @@ pub struct SweepStats {
     pub pairs_saved: u64,
 }
 
-/// Shared score storage, shaped per scan kind.
-///
-/// Filters have one probe row per member, so the full `probes ×
-/// candidates` tile is small and every member needs its whole row —
-/// dense is right. Joins stack *many* probe rows per member and their
-/// epilogues consume only above-threshold pairs; materializing the dense
-/// tile would turn a compute-bound sweep into a memory-bound one
-/// (allocate + write + re-scan `p × c` floats several times), so the
-/// sweep emits only the pairs clearing the group's lowest threshold.
-enum SweepScores {
-    /// Row-major `probes.len() × candidates.len()` score tile.
-    Dense(Vec<f32>),
-    /// `(probe row, candidate row, score)` for every pair at or above
-    /// the minimum member threshold.
-    Hits(Vec<(u32, u32, f32)>),
-}
-
 /// The memoized result of a shared sweep.
 pub struct SweepOutcome {
     /// Distinct valid candidate values, first-appearance order.
@@ -110,7 +93,7 @@ pub struct SweepOutcome {
     /// Per member: its probe rows as indices into `probes`.
     pub member_probe_rows: Vec<Vec<u32>>,
     /// Scores, dense or hit-compacted per kind.
-    scores: SweepScores,
+    scores: Scores,
     /// Sweep counters.
     pub stats: SweepStats,
 }
@@ -138,10 +121,10 @@ impl SweepOutcome {
     /// would stream for that floor.
     pub fn emitted_pairs(&self, floor: f32) -> u64 {
         match &self.scores {
-            SweepScores::Dense(scores) => {
+            Scores::Dense(scores) => {
                 scores.iter().filter(|s| **s >= floor).count() as u64
             }
-            SweepScores::Hits(hits) => hits.len() as u64,
+            Scores::Hits(hits) => hits.len() as u64,
         }
     }
 }
@@ -220,14 +203,14 @@ impl SharedScanExec {
 
     /// Runs (or returns the memoized) shared sweep: candidate subtree
     /// executed once, probe rows gathered and deduplicated across
-    /// members, one blocked pass over the panel.
+    /// members, one panel sweep.
     pub fn sweep(&self) -> Result<Arc<SweepOutcome>> {
         if let Some(out) = self.outcome.lock().clone() {
             return Ok(out);
         }
         let candidates = {
             let _span = cx_obs::span("candidate_scan");
-            distinct_valid_values(&self.candidate, self.candidate_column)?
+            subtree_values(&self.candidate, self.candidate_column)?
         };
 
         // Stacked probe panel with cross-query deduplication: a probe row
@@ -248,12 +231,12 @@ impl SharedScanExec {
                     Some(fp) => match subtree_memo.get(&(*fp, *column)) {
                         Some(values) => values.clone(),
                         None => {
-                            let values = distinct_valid_values(op, *column)?;
+                            let values = subtree_values(op, *column)?;
                             subtree_memo.insert((*fp, *column), values.clone());
                             values
                         }
                     },
-                    None => distinct_valid_values(op, *column)?,
+                    None => subtree_values(op, *column)?,
                 },
             };
             probe_rows_total += texts.len();
@@ -270,7 +253,16 @@ impl SharedScanExec {
         }
 
         drop(probe_span);
-        let scores = self.compute_scores(&candidates, &probes)?;
+        // Joins keep only pairs some member can use. The sweep runs under
+        // the *group* context installed by the server (deadline = max
+        // member deadline), so one slow member cannot be killed by
+        // another's tighter deadline mid-sweep; per-member deadlines are
+        // enforced at the epilogues instead. It runs on the group
+        // leader's thread, so its pairs land in the leader's profile —
+        // the same convention shared spans use.
+        let (floor, ctx) = (self.min_threshold(), QueryContext::current());
+        let scores =
+            sweep(self.kind, self.quant, &self.cache, &candidates, &probes, floor, 1, &ctx)?;
         let stats = SweepStats {
             members: self.members.len(),
             candidate_rows: candidates.len(),
@@ -299,8 +291,8 @@ impl SharedScanExec {
             .members
             .iter()
             .zip(&out.member_probe_rows)
-            .map(|(spec, rows)| match (&out.scores, self.kind) {
-                (SweepScores::Dense(scores), ScanKind::CosineFilter) => {
+            .map(|(spec, rows)| match &out.scores {
+                Scores::Dense(scores) => {
                     let map = match rows.first() {
                         Some(&r) => out
                             .candidates
@@ -312,7 +304,7 @@ impl SharedScanExec {
                     };
                     SharedScanState::FilterScores(map)
                 }
-                (SweepScores::Hits(hits), _) => {
+                Scores::Hits(hits) => {
                     let mine: HashSet<u32> = rows.iter().copied().collect();
                     let matches = hits
                         .iter()
@@ -323,166 +315,26 @@ impl SharedScanExec {
                         .collect();
                     SharedScanState::JoinMatches(matches)
                 }
-                (SweepScores::Dense(_), ScanKind::DotJoin) => {
-                    unreachable!("dense scores are only built for filter groups")
-                }
             })
             .collect())
     }
-
-    /// One blocked pass of the stacked probe panel over the candidate
-    /// panel, applying exactly the member operators' solo arithmetic per
-    /// kind and tier (bit-identity is the whole point — see module docs).
-    fn compute_scores(&self, candidates: &[String], probes: &[String]) -> Result<SweepScores> {
-        let (p, c) = (probes.len(), candidates.len());
-        // Joins keep only pairs some member can use.
-        let floor = self.min_threshold();
-        if p == 0 || c == 0 {
-            return Ok(match self.kind {
-                ScanKind::CosineFilter => SweepScores::Dense(Vec::new()),
-                ScanKind::DotJoin => SweepScores::Hits(Vec::new()),
-            });
-        }
-        let _span = cx_obs::span_with("panel_sweep", || {
-            format!(
-                "kind={:?} tier={:?} probes={p} candidates={c} simd={}",
-                self.kind,
-                self.quant,
-                cx_vector::simd::KernelDispatch::active().report()
-            )
-        });
-        // Profile attribution: the shared sweep runs on the group
-        // leader's thread, so its pairs land in the leader's profile —
-        // the same convention shared spans use.
-        cx_obs::add_pairs((p * c) as u64);
-        cx_obs::add_tiles(1);
-        // Sweeps run under the *group* context installed by the server
-        // (deadline = max member deadline), so one slow member cannot be
-        // killed by another's tighter deadline mid-sweep; per-member
-        // deadlines are enforced at the epilogues instead.
-        let ctx = QueryContext::current();
-        let cand = VectorArena::from_texts(&self.cache, candidates);
-        let prob = VectorArena::from_texts(&self.cache, probes);
-        ctx.check()?;
-        Ok(match (self.kind, self.quant) {
-            (ScanKind::CosineFilter, QuantTier::F32) => {
-                // Raw dots, then the exact `cosine_with_norms` expression
-                // (zero norms score 0.0) — the semantic filter's blocked
-                // cosine path to the bit. Dense: one probe row per member.
-                let mut scores = vec![0.0f32; p * c];
-                let (pv, cv) = (prob.as_block(), cand.as_block());
-                scores_matrix(pv.data, pv.stride, p, prob.dim(), cv.data, cv.stride, c, &mut scores);
-                for i in 0..p {
-                    ctx.check()?;
-                    let pn = prob.row_norm(i);
-                    for j in 0..c {
-                        let s = &mut scores[i * c + j];
-                        let cn = cand.row_norm(j);
-                        *s = if pn == 0.0 || cn == 0.0 { 0.0 } else { *s / (pn * cn) };
-                    }
-                }
-                SweepScores::Dense(scores)
-            }
-            (ScanKind::DotJoin, QuantTier::F32) => {
-                // Exactly the blocked join's own schedule — build-side
-                // tiles stay cache-resident while every probe row streams
-                // over them, matches emitted straight from registers — so
-                // the shared sweep costs what one solo sweep costs, paid
-                // once for the whole group.
-                let (pn, cn) = (prob.normalized(), cand.normalized());
-                let mut hits: Vec<(u32, u32, f32)> = Vec::new();
-                for t0 in (0..c).step_by(TILE) {
-                    ctx.check()?;
-                    let tile = cn.block(t0..(t0 + TILE).min(c));
-                    for i in 0..p {
-                        dot_block_threshold(
-                            pn.row(i),
-                            tile.data,
-                            tile.stride,
-                            tile.rows,
-                            floor,
-                            |r, score| hits.push((i as u32, (t0 + r) as u32, score)),
-                        );
-                    }
-                }
-                SweepScores::Hits(hits)
-            }
-            (ScanKind::CosineFilter, tier) => {
-                // The quantized filter path: unit-normalized probe scored
-                // against the quantized normalized panel; a zero-norm
-                // probe scores 0.0 everywhere, as solo.
-                let mut scores = vec![0.0f32; p * c];
-                let panel = QuantizedArena::from_arena(&cand.normalized(), tier)
-                    .map_err(|e| Error::InvalidArgument(e.to_string()))?;
-                for i in 0..p {
-                    ctx.check()?;
-                    let row = &mut scores[i * c..(i + 1) * c];
-                    let n = prob.row_norm(i);
-                    if n == 0.0 {
-                        continue; // already 0.0
-                    }
-                    let unit: Vec<f32> = prob.row(i).iter().map(|x| x / n).collect();
-                    panel.scores_into(&unit, row);
-                }
-                SweepScores::Dense(scores)
-            }
-            (ScanKind::DotJoin, tier) => {
-                // One quantized panel pass per unique probe row (the solo
-                // quantized join's call shape), compacted to hits through
-                // a reused row buffer.
-                let pn = prob.normalized();
-                let panel = QuantizedArena::from_arena(&cand.normalized(), tier)
-                    .map_err(|e| Error::InvalidArgument(e.to_string()))?;
-                let mut row = vec![0.0f32; c];
-                let mut hits: Vec<(u32, u32, f32)> = Vec::new();
-                for i in 0..p {
-                    ctx.check()?;
-                    panel.scores_into(pn.row(i), &mut row);
-                    for (j, &score) in row.iter().enumerate() {
-                        if score >= floor {
-                            hits.push((i as u32, j as u32, score));
-                        }
-                    }
-                }
-                SweepScores::Hits(hits)
-            }
-        })
-    }
 }
 
-/// Distinct valid UTF8 values of `column` in `op`'s output,
-/// first-appearance order (NULL rows dropped, matching the semantic
-/// operators' own distinct passes).
-fn distinct_valid_values(op: &Arc<dyn PhysicalOperator>, column: usize) -> Result<Vec<String>> {
+/// The distinct valid UTF8 values of `column` in `op`'s output, owned:
+/// the sweep outcome outlives the subtree's chunks.
+fn subtree_values(op: &Arc<dyn PhysicalOperator>, column: usize) -> Result<Vec<String>> {
     let chunks = op.execute()?.collect::<Result<Vec<_>>>()?;
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut out = Vec::new();
-    for chunk in &chunks {
-        let col = chunk.column(column)?;
-        let values = col.utf8_values()?;
-        for (i, v) in values.iter().enumerate() {
-            if col.is_valid(i) && seen.insert(v.clone()) {
-                out.push(v.clone());
-            }
-        }
-    }
-    Ok(out)
+    let distinct = Distinct::of_chunks(&chunks, column)?;
+    Ok(distinct.values.iter().map(|v| v.to_string()).collect())
 }
 
 impl PhysicalOperator for SharedScanExec {
     fn name(&self) -> String {
-        let quant = match self.quant {
-            QuantTier::F32 => String::new(),
-            tier => format!(", quant={}", tier.label()),
-        };
         format!(
             "SharedScan [kind={}, members={}{}, model={}]",
-            match self.kind {
-                ScanKind::CosineFilter => "cosine-filter",
-                ScanKind::DotJoin => "dot-join",
-            },
+            self.kind.label(),
             self.members.len(),
-            quant,
+            self.quant.explain_suffix(),
             self.cache.model().name(),
         )
     }
@@ -514,7 +366,7 @@ impl PhysicalOperator for SharedScanExec {
             score_col.push(s as f64);
         };
         match &out.scores {
-            SweepScores::Dense(scores) => {
+            Scores::Dense(scores) => {
                 for i in 0..out.probes.len() {
                     for j in 0..c {
                         let s = scores[i * c + j];
@@ -524,7 +376,7 @@ impl PhysicalOperator for SharedScanExec {
                     }
                 }
             }
-            SweepScores::Hits(hits) => {
+            Scores::Hits(hits) => {
                 for &(i, j, s) in hits {
                     emit(i as usize, j as usize, s);
                 }

@@ -102,9 +102,7 @@ pub fn create_physical_plan(
         LogicalPlan::SemanticFilter { input, column, target, model, threshold } => {
             // The filter scores one target against the panel exactly once,
             // so quantizing (a full read + converted write of the panel)
-            // can never amortize — the planner always keeps it exact f32.
-            // `SemanticFilterExec::with_quant_tier` remains for callers
-            // that reuse a panel across probes.
+            // can never amortize — the filter is f32-only.
             let child = create_physical_plan(input, ctx, env)?;
             let cache = ctx
                 .cache_for(model)

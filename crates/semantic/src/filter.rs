@@ -3,13 +3,12 @@
 //! `word = "Clothes" using model "M" with cosine threshold >= 0.9`
 //! (the paper's own syntax sketch, Section IV).
 
+use crate::sweep::{sweep, Distinct, Scores};
 use cx_embed::EmbeddingCache;
 use cx_exec::shared::{ProbeSource, ScanKind, ScanSignature, SharedScanState};
 use cx_exec::{ChunkStream, PhysicalOperator, SemanticTarget};
 use cx_storage::{Bitmap, DataType, Error, Result, Scalar, Schema};
-use cx_vector::block::cosine_block_threshold;
-use cx_vector::kernels::{cosine_with_norms, norm};
-use cx_vector::{QuantTier, QuantizedArena, VectorArena};
+use cx_vector::QuantTier;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,9 +22,6 @@ pub struct SemanticFilterExec {
     column_index: usize,
     target: SemanticTarget,
     threshold: f32,
-    /// Panel storage precision for the per-chunk distinct scan (F32 =
-    /// exact).
-    quant: QuantTier,
     cache: Arc<EmbeddingCache>,
     /// Logical fingerprint of the input subtree, when the planner knows
     /// it — the operator's ticket into multi-query scan sharing.
@@ -65,7 +61,6 @@ impl SemanticFilterExec {
             column_index,
             target: target.into(),
             threshold,
-            quant: QuantTier::F32,
             cache,
             scan_fingerprint: None,
             shared: Mutex::new(None),
@@ -81,19 +76,6 @@ impl SemanticFilterExec {
         self
     }
 
-    /// Sets the panel storage tier for the distinct-value scan. `F16`/
-    /// `Int8` score quantized panels ([`QuantizedArena`]) instead of f32
-    /// rows, trading a bounded score error for bytes-per-row.
-    pub fn with_quant_tier(mut self, tier: QuantTier) -> Self {
-        self.quant = tier;
-        self
-    }
-
-    /// The configured panel storage tier.
-    pub fn quant_tier(&self) -> QuantTier {
-        self.quant
-    }
-
     /// The embedding cache backing this operator (for hit/miss inspection).
     pub fn cache(&self) -> &Arc<EmbeddingCache> {
         &self.cache
@@ -102,15 +84,10 @@ impl SemanticFilterExec {
 
 impl PhysicalOperator for SemanticFilterExec {
     fn name(&self) -> String {
-        let quant = match self.quant {
-            QuantTier::F32 => String::new(),
-            tier => format!(", quant={}", tier.label()),
-        };
         format!(
-            "SemanticFilter [~ {}, cos>={}{}, model={}]",
+            "SemanticFilter [~ {}, cos>={}, model={}]",
             self.target,
             self.threshold,
-            quant,
             self.cache.model().name()
         )
     }
@@ -133,7 +110,8 @@ impl PhysicalOperator for SemanticFilterExec {
             candidate_child: 0,
             candidate_column: self.column_index,
             model: self.cache.model().name().to_string(),
-            quant: self.quant.discriminant(),
+            // One probe can never amortize quantizing a panel: always f32.
+            quant: QuantTier::F32.discriminant(),
             probe: ProbeSource::Literal(target.to_string()),
             threshold: self.threshold,
         })
@@ -150,15 +128,14 @@ impl PhysicalOperator for SemanticFilterExec {
         // That is sound *for the filter*: injected scores are keyed by
         // value string and computed with this member's own probe, so a
         // value from the other binding's panel scores identically to the
-        // solo scan, and values missing from the shared panel re-score
-        // solo per value (see `execute`). The semantic join cannot make
+        // solo scan, and values missing from the shared panel are swept
+        // solo (see `execute`). The semantic join cannot make
         // this argument and drops its tags instead.
         Ok(Some(Arc::new(SemanticFilterExec {
             input: input.unwrap_or_else(|| self.input.clone()),
             column_index: self.column_index,
             target: SemanticTarget::Text(self.target.resolve(params)?),
             threshold: self.threshold,
-            quant: self.quant,
             cache: self.cache.clone(),
             scan_fingerprint: self.scan_fingerprint,
             shared: Mutex::new(None),
@@ -182,20 +159,12 @@ impl PhysicalOperator for SemanticFilterExec {
                 self.target
             ))
         })?;
+        let target = target.to_string();
         let injected = self.shared.lock().take();
-        let target_vec = self.cache.get(target);
-        let target_norm = norm(&target_vec);
-        // Quantized tiers score unit vectors, so normalize the target once.
-        let target_unit: Vec<f32> = if target_norm > 0.0 {
-            target_vec.iter().map(|x| x / target_norm).collect()
-        } else {
-            target_vec.to_vec()
-        };
         let stream = self.input.execute()?;
         let cache = self.cache.clone();
         let column_index = self.column_index;
         let threshold = self.threshold;
-        let quant = self.quant;
         // Lifecycle context, captured once on the installing thread; each
         // chunk is an embed-batch + panel sweep, so checking here bounds a
         // dead query's overshoot to one chunk of semantic work.
@@ -203,96 +172,46 @@ impl PhysicalOperator for SemanticFilterExec {
         Ok(Box::new(stream.map(move |chunk| {
             ctx.check()?;
             let chunk = chunk?;
-            let col = chunk.column(column_index)?;
-            let values = col.utf8_values()?;
+            let distinct = Distinct::of_column(chunk.column(column_index)?)?;
 
-            // Deduplicate the chunk's values, embed the distinct set into a
-            // contiguous arena, then score target-vs-panel with one blocked
-            // threshold scan. At F32 the scores match the pairwise
-            // cosine_with_norms kernel bit-for-bit; at F16/Int8 the panel
-            // is quantized and scores carry the tier's bounded error.
-            let mut value_id: HashMap<&str, usize> = HashMap::new();
-            let mut distinct: Vec<&str> = Vec::new();
-            for (i, v) in values.iter().enumerate() {
-                if col.is_valid(i) {
-                    value_id.entry(v.as_str()).or_insert_with(|| {
-                        distinct.push(v.as_str());
-                        distinct.len() - 1
-                    });
+            // One score per distinct value, out of one function either way:
+            // a shared-sweep slice holds scores the same `sweep` call
+            // computed over the group's stacked probes, so they are
+            // bit-identical to the solo sweep's. Values a slice lacks (only
+            // under a mis-grouped injection) are swept here, solo.
+            let probe = [target.as_str()];
+            let solo = |texts: &[&str]| -> Result<Vec<f32>> {
+                let kind = ScanKind::CosineFilter;
+                match sweep(kind, QuantTier::F32, &cache, texts, &probe, threshold, 1, &ctx)? {
+                    Scores::Dense(row) => Ok(row),
+                    Scores::Hits(_) => unreachable!("cosine-filter sweeps are dense"),
                 }
-            }
-            let mut passes = vec![false; distinct.len()];
-            if let Some(map) = &injected {
-                // Shared-sweep slice: scores were computed by one stacked
-                // panel sweep with exactly this operator's arithmetic, so
-                // each lookup is bit-identical to the solo scan below. A
-                // value missing from the map (only possible under a
-                // mis-grouped injection) is re-scored solo in f32.
-                for (r, v) in distinct.iter().enumerate() {
-                    let score = match map.get(*v) {
-                        Some(&s) => s,
-                        None => {
-                            let vec = cache.get(v);
-                            cosine_with_norms(&target_vec, &vec, target_norm, norm(&vec))
-                        }
-                    };
-                    if score >= threshold {
-                        passes[r] = true;
+            };
+            let values = &distinct.values;
+            let scores: Vec<f32> = match &injected {
+                None => solo(values)?,
+                Some(map) => {
+                    let mut scores = vec![0.0f32; values.len()];
+                    let unscored: Vec<usize> = (0..values.len())
+                        .filter(|&id| match map.get(values[id]) {
+                            Some(&s) => {
+                                scores[id] = s;
+                                false
+                            }
+                            None => true,
+                        })
+                        .collect();
+                    let texts: Vec<&str> = unscored.iter().map(|&id| values[id]).collect();
+                    for (&id, s) in unscored.iter().zip(solo(&texts)?) {
+                        scores[id] = s;
                     }
+                    scores
                 }
-                let mask = Bitmap::from_bools(values.iter().enumerate().map(|(i, v)| {
-                    col.is_valid(i) && passes[value_id[v.as_str()]]
-                }));
-                return chunk.filter(&mask);
-            }
-            let _sweep = cx_obs::span_with("panel_sweep", || {
-                format!(
-                    "kind=cosine-filter tier={} panel_rows={} simd={}",
-                    quant.label(),
-                    distinct.len(),
-                    cx_vector::simd::KernelDispatch::active().report()
-                )
-            });
-            cx_obs::add_pairs(distinct.len() as u64);
-            cx_obs::add_tiles(1);
-            let arena = VectorArena::from_texts(&cache, &distinct);
-            match quant {
-                QuantTier::F32 => {
-                    let view = arena.as_block();
-                    cosine_block_threshold(
-                        &target_vec,
-                        target_norm,
-                        view.data,
-                        view.stride,
-                        view.norms,
-                        threshold,
-                        |r, _| passes[r] = true,
-                    );
-                }
-                tier if target_norm == 0.0 => {
-                    // Zero target: cosine scores every row 0.0, whatever
-                    // the tier.
-                    let _ = tier;
-                    if 0.0 >= threshold {
-                        passes.fill(true);
-                    }
-                }
-                tier => {
-                    let panel = QuantizedArena::from_arena(&arena.normalized(), tier)
-                        .map_err(|e| Error::InvalidArgument(e.to_string()))?;
-                    for (r, &score) in panel.scores(&target_unit).iter().enumerate() {
-                        if score >= threshold {
-                            passes[r] = true;
-                        }
-                    }
-                }
-            }
+            };
 
-            let mask = Bitmap::from_bools(values.iter().enumerate().map(|(i, v)| {
-                // NULL never matches.
-                col.is_valid(i) && passes[value_id[v.as_str()]]
-            }));
-            chunk.filter(&mask)
+            // NULL never matches.
+            let passes = |id: &Option<u32>| id.is_some_and(|id| scores[id as usize] >= threshold);
+            chunk.filter(&Bitmap::from_bools(distinct.row_ids.iter().map(passes)))
         })))
     }
 }
@@ -352,28 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_tiers_agree_on_well_separated_clusters() {
-        let exact = {
-            let f = SemanticFilterExec::new(items_scan(), "name", "clothes", 0.85, model_cache())
-                .unwrap();
-            collect_table(&f).unwrap()
-        };
-        for tier in [QuantTier::F16, QuantTier::Int8] {
-            let filter =
-                SemanticFilterExec::new(items_scan(), "name", "clothes", 0.85, model_cache())
-                    .unwrap()
-                    .with_quant_tier(tier);
-            assert_eq!(filter.quant_tier(), tier);
-            assert!(filter.name().contains(tier.label()), "{}", filter.name());
-            let out = collect_table(&filter).unwrap();
-            let names = |t: &Table| -> Vec<String> {
-                t.column_by_name("name").unwrap().utf8_values().unwrap().to_vec()
-            };
-            assert_eq!(names(&out), names(&exact), "{tier:?}");
-        }
-    }
-
-    #[test]
     fn validates_column_type_and_threshold() {
         assert!(SemanticFilterExec::new(items_scan(), "id", "x", 0.9, model_cache()).is_err());
         assert!(SemanticFilterExec::new(items_scan(), "nope", "x", 0.9, model_cache()).is_err());
@@ -424,12 +321,12 @@ mod tests {
         };
         // Scores computed with the solo arithmetic, keyed by value.
         let target = cache.get("clothes");
-        let tn = norm(&target);
+        let tn = cx_vector::kernels::norm(&target);
         let map: HashMap<String, f32> = ["boots", "dog", "parka", "cat", "coat"]
             .iter()
             .map(|v| {
                 let e = cache.get(v);
-                (v.to_string(), cx_vector::kernels::cosine_with_norms(&target, &e, tn, norm(&e)))
+                (v.to_string(), cx_vector::kernels::cosine_with_norms(&target, &e, tn, cx_vector::kernels::norm(&e)))
             })
             .collect();
         let filter = SemanticFilterExec::new(items_scan(), "name", "clothes", 0.85, cache.clone())

@@ -20,26 +20,25 @@
 //!   an approximate index built on the right side, trading recall for
 //!   candidate pruning.
 //!
-//! Distinct join-key values are deduplicated before embedding and flow
-//! from the embedding cache straight into a contiguous [`VectorArena`]
-//! ([`VectorArena::from_texts`]) — the arena is the single vector currency:
-//! scan strategies tile it, index strategies build from it directly, and a
-//! configured quantization tier ([`SemanticJoinExec::with_quant_tier`])
-//! re-encodes the build side as a [`QuantizedArena`] so the probe scans
-//! f16/int8 panels, trading a bounded score error for bytes-per-row.
+//! Distinct join-key values are deduplicated before embedding
+//! ([`Distinct`]). The default `Blocked` strategy is the one panel sweep
+//! ([`crate::sweep`]) with the left values as probes — a configured
+//! quantization tier ([`SemanticJoinExec::with_quant_tier`]) makes it scan
+//! f16/int8 panels, trading a bounded score error for bytes-per-row; the
+//! other strategies embed both sides into [`VectorArena`]s, which the
+//! baselines scan pairwise and the index builders consume directly.
 
+use crate::sweep::{sweep, Distinct, Hit, Scores};
 use cx_embed::EmbeddingCache;
 use cx_exec::shared::{ProbeSource, ScanKind, ScanSignature, SharedScanState};
 use cx_exec::{parallel::parallel_map_ranges, ChunkStream, PhysicalOperator};
 use cx_storage::{Chunk, Column, DataType, Error, Field, QueryContext, Result, Schema};
-use cx_vector::block::{dot_block_threshold, TILE};
 use cx_vector::ivf::IvfParams;
 use cx_vector::lsh::LshParams;
 use cx_vector::{
     kernels::{cosine_with_norms, dot_unrolled},
-    IvfIndex, LshIndex, QuantTier, QuantizedArena, VectorArena, VectorIndex,
+    IvfIndex, LshIndex, QuantTier, VectorArena, VectorIndex,
 };
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -183,7 +182,7 @@ impl SemanticJoinExec {
     }
 
     /// Sets the build-side storage tier for the blocked scan. `F16`/`Int8`
-    /// score quantized panels ([`QuantizedArena`]) instead of f32 rows —
+    /// score quantized panels (`QuantizedArena`) instead of f32 rows —
     /// 2–4× fewer bytes per candidate at a bounded score error (≲1e-3 /
     /// ≲1.2e-2 on unit vectors) — so callers with recall tolerance trade
     /// exactness for memory bandwidth. Only the `Blocked` strategy
@@ -214,41 +213,13 @@ impl SemanticJoinExec {
     }
 }
 
-/// Distinct values of a UTF8 column with row back-pointers; NULL rows are
-/// dropped (SQL join semantics).
-fn distinct_values(chunk: &Chunk, key: usize) -> Result<(Vec<String>, Vec<Vec<u32>>)> {
-    let col = chunk.column(key)?;
-    let values = col.utf8_values()?;
-    let mut order: Vec<String> = Vec::new();
-    let mut rows: Vec<Vec<u32>> = Vec::new();
-    let mut seen: HashMap<&str, usize> = HashMap::new();
-    for (i, v) in values.iter().enumerate() {
-        if !col.is_valid(i) {
-            continue;
-        }
-        match seen.get(v.as_str()) {
-            Some(&id) => rows[id].push(i as u32),
-            None => {
-                seen.insert(v.as_str(), order.len());
-                order.push(v.clone());
-                rows.push(vec![i as u32]);
-            }
-        }
-    }
-    Ok((order, rows))
-}
-
 impl PhysicalOperator for SemanticJoinExec {
     fn name(&self) -> String {
-        let quant = match self.quant {
-            QuantTier::F32 => String::new(),
-            tier => format!(", quant={}", tier.label()),
-        };
         format!(
             "SemanticJoin [cos>={}, strategy={}{}, model={}]",
             self.threshold,
             self.strategy.label(),
-            quant,
+            self.quant.explain_suffix(),
             self.cache.model().name()
         )
     }
@@ -354,42 +325,26 @@ impl PhysicalOperator for SemanticJoinExec {
         ctx.charge(left.memory_bytes() + right.memory_bytes());
         ctx.check()?;
 
-        let (left_vals, left_rows) = distinct_values(&left, self.left_key)?;
-        let (right_vals, right_rows) = distinct_values(&right, self.right_key)?;
+        let left_vals = Distinct::of_column(left.column(self.left_key)?)?;
+        let right_vals = Distinct::of_column(right.column(self.right_key)?)?;
 
-        let injected = self.shared.lock().take();
-        let matches = match injected {
+        let matches: Vec<Hit> = match self.shared.lock().take() {
             // Shared-sweep slice: the complete value-level match list at
-            // this join's threshold, scored with exactly the solo blocked
-            // arithmetic. Map value strings onto this execution's own
-            // distinct numbering and restore the deterministic order; no
-            // embedding, no panel sweep. Pairs naming values outside this
-            // execution's distinct sets (only possible under a
-            // mis-grouped injection) are dropped.
+            // this join's threshold, out of the same `sweep` call the
+            // solo `Blocked` strategy makes. Map value strings onto this
+            // execution's own distinct numbering and restore the
+            // deterministic order; no embedding, no panel sweep. Pairs
+            // naming values outside this execution's distinct sets (only
+            // possible under a mis-grouped injection) are dropped.
             Some(inj) => {
-                let lid: HashMap<&str, usize> =
-                    left_vals.iter().enumerate().map(|(i, v)| (v.as_str(), i)).collect();
-                let rid: HashMap<&str, usize> =
-                    right_vals.iter().enumerate().map(|(i, v)| (v.as_str(), i)).collect();
-                let mut m: Vec<(usize, usize, f32)> = inj
-                    .into_iter()
-                    .filter_map(|(l, r, s)| {
-                        Some((*lid.get(l.as_str())?, *rid.get(r.as_str())?, s))
-                    })
-                    .collect();
-                m.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+                let ids = |(l, r, s): (String, String, f32)| {
+                    Some((left_vals.id_of(&l)?, right_vals.id_of(&r)?, s))
+                };
+                let mut m: Vec<Hit> = inj.into_iter().filter_map(ids).collect();
+                m.sort_unstable_by_key(|&(l, r, _)| (l, r));
                 m
             }
-            None => {
-                // Embed distinct values through the cache straight into
-                // contiguous arena storage (no per-string Arc
-                // materialization on the batch path). The arena is the one
-                // vector currency: scan strategies tile it and the index
-                // builders consume it directly.
-                let right_arena = VectorArena::from_texts(&self.cache, &right_vals);
-                let left_arena = VectorArena::from_texts(&self.cache, &left_vals);
-                self.match_values(&left_arena, &right_arena)?
-            }
+            None => self.match_values(&left_vals.values, &right_vals.values, &ctx)?,
         };
         self.matches_found
             .fetch_add(matches.len() as u64, Ordering::Relaxed);
@@ -398,9 +353,10 @@ impl PhysicalOperator for SemanticJoinExec {
         let mut left_idx: Vec<usize> = Vec::new();
         let mut right_idx: Vec<usize> = Vec::new();
         let mut scores: Vec<f64> = Vec::new();
+        let (left_rows, right_rows) = (left_vals.rows_per_value(), right_vals.rows_per_value());
         for &(lv, rv, score) in &matches {
-            for &lr in &left_rows[lv] {
-                for &rr in &right_rows[rv] {
+            for &lr in &left_rows[lv as usize] {
+                for &rr in &right_rows[rv as usize] {
                     left_idx.push(lr as usize);
                     right_idx.push(rr as usize);
                     scores.push(score as f64);
@@ -425,183 +381,128 @@ impl PhysicalOperator for SemanticJoinExec {
 }
 
 impl SemanticJoinExec {
-    /// Value-level matching: `(left value id, right value id, score)`.
+    /// Value-level matching: `(left value id, right value id, score)`,
+    /// ordered by ids regardless of parallelism.
     ///
-    /// Probe work is tiled over the left values and fanned out with
-    /// [`parallel_map_ranges`]; each strategy scans (or probes an index
-    /// over) the contiguous right side.
-    fn match_values(
-        &self,
-        left: &VectorArena,
-        right: &VectorArena,
-    ) -> Result<Vec<(usize, usize, f32)>> {
+    /// `Blocked` is the one panel sweep ([`crate::sweep`]) with the left
+    /// values as its probes and this join's threshold as its floor. The
+    /// baselines and index strategies embed both sides into contiguous
+    /// arenas; probe work is tiled over the left values and fanned out
+    /// with [`parallel_map_ranges`], each strategy scanning (or probing an
+    /// index over) the right side.
+    fn match_values(&self, left: &[&str], right: &[&str], ctx: &QueryContext) -> Result<Vec<Hit>> {
         if left.is_empty() || right.is_empty() {
             return Ok(Vec::new());
         }
-        let _sweep = cx_obs::span_with("panel_sweep", || {
-            format!(
-                "kind=dot-join strategy={} tier={} probes={} candidates={} simd={}",
-                self.strategy.label(),
-                self.quant.label(),
-                left.len(),
-                right.len(),
-                cx_vector::simd::KernelDispatch::active().report()
-            )
-        });
-        cx_obs::add_pairs((left.len() * right.len()) as u64);
-        cx_obs::add_tiles(1);
         let threshold = self.threshold;
-        // Captured here so the probe workers can check it: the fan-out
-        // spawns fresh threads whose TLS is empty, so the lifecycle
-        // context must travel into `scan_span` as explicit data.
-        let ctx = QueryContext::current();
-
-        // Strategy state is prepared once, before the probe fan-out.
-        enum Probe<'a> {
-            NestedLoop(&'a VectorArena),
-            PreNorm { left: VectorArena, right: VectorArena },
-            Blocked { left: VectorArena, right: VectorArena },
-            Quantized { left: VectorArena, right: QuantizedArena },
-            Index(Box<dyn VectorIndex>),
-        }
-        let probe = match self.strategy {
-            SemanticJoinStrategy::NestedLoop => Probe::NestedLoop(right),
-            SemanticJoinStrategy::PreNormalized => {
-                Probe::PreNorm { left: left.normalized(), right: right.normalized() }
-            }
-            SemanticJoinStrategy::Blocked => match self.quant {
-                QuantTier::F32 => {
-                    Probe::Blocked { left: left.normalized(), right: right.normalized() }
-                }
-                tier => Probe::Quantized {
-                    left: left.normalized(),
-                    right: QuantizedArena::from_arena(&right.normalized(), tier)
-                        .map_err(|e| Error::InvalidArgument(e.to_string()))?,
-                },
-            },
-            SemanticJoinStrategy::Lsh(params) => {
-                Probe::Index(Box::new(LshIndex::build(right, params)))
-            }
-            SemanticJoinStrategy::Ivf(params) => {
-                Probe::Index(Box::new(IvfIndex::build(right, params)))
-            }
-        };
-
-        // Scans one contiguous span of left values, returning its local
-        // matches and the number of candidate pairs examined. Checks the
-        // lifecycle context between probe rows / build tiles, so a span
-        // overshoots a dead query's sentence by at most one tile.
-        type SpanMatches = (Vec<(usize, usize, f32)>, u64);
-        let scan_span =
-            |span: std::ops::Range<usize>| -> Result<SpanMatches> {
-                let mut local: Vec<(usize, usize, f32)> = Vec::new();
-                let mut seen = 0u64;
-                match &probe {
-                    Probe::NestedLoop(right) => {
-                        for lv in span {
-                            ctx.check()?;
-                            let q = left.row(lv);
-                            let qn = left.row_norm(lv);
-                            for rv in 0..right.len() {
-                                let score =
-                                    cosine_with_norms(q, right.row(rv), qn, right.row_norm(rv));
-                                if score >= threshold {
-                                    local.push((lv, rv, score));
-                                }
-                            }
-                            seen += right.len() as u64;
-                        }
-                    }
-                    Probe::PreNorm { left: ln, right: rn } => {
-                        for lv in span {
-                            ctx.check()?;
-                            let q = ln.row(lv);
-                            for rv in 0..rn.len() {
-                                let score = dot_unrolled(q, rn.row(rv));
-                                if score >= threshold {
-                                    local.push((lv, rv, score));
-                                }
-                            }
-                            seen += rn.len() as u64;
-                        }
-                    }
-                    Probe::Blocked { left: ln, right: rn } => {
-                        // Build-side tiles stay cache-resident while the probe
-                        // span streams over them; the kernel's threshold floor
-                        // skips write-back for sub-threshold candidates.
-                        for t0 in (0..rn.len()).step_by(TILE) {
-                            ctx.check()?;
-                            let tile = rn.block(t0..(t0 + TILE).min(rn.len()));
-                            for lv in span.clone() {
-                                dot_block_threshold(
-                                    ln.row(lv),
-                                    tile.data,
-                                    tile.stride,
-                                    tile.rows,
-                                    threshold,
-                                    |r, score| local.push((lv, t0 + r, score)),
-                                );
-                            }
-                        }
-                        seen += (span.len() * rn.len()) as u64;
-                    }
-                    Probe::Quantized { left: ln, right: rq } => {
-                        // One quantized-panel kernel call per probe; the
-                        // f16/int8 panel moves 2–4× fewer bytes than the f32
-                        // arena at a bounded score error.
-                        let mut scores = vec![0.0f32; rq.len()];
-                        for lv in span {
-                            ctx.check()?;
-                            rq.scores_into(ln.row(lv), &mut scores);
-                            for (rv, &score) in scores.iter().enumerate() {
-                                if score >= threshold {
-                                    local.push((lv, rv, score));
-                                }
-                            }
-                            seen += rq.len() as u64;
-                        }
-                    }
-                    Probe::Index(index) => {
-                        // `seen` stays 0 here: per-span deltas of the shared
-                        // IndexStats counter would race across workers, so the
-                        // caller takes one global delta around the fan-out.
-                        for lv in span {
-                            ctx.check()?;
-                            for r in index.search_threshold(left.row(lv), threshold) {
-                                local.push((lv, r.id, r.score));
-                            }
-                        }
-                    }
-                }
-                Ok((local, seen))
-            };
-
-        let n_left = left.len();
-        let workers = if self.parallelism <= 1 || n_left < 2 * self.parallelism {
+        let workers = if self.parallelism <= 1 || left.len() < 2 * self.parallelism {
             1
         } else {
             self.parallelism
         };
+
+        // Strategy state is prepared once, before the probe fan-out: the
+        // distinct values flow from the embedding cache straight into
+        // contiguous arenas (build side first), which the baselines scan
+        // pairwise and the index builders consume directly.
+        enum Probe {
+            NestedLoop { right: VectorArena, left: VectorArena },
+            PreNorm { right: VectorArena, left: VectorArena },
+            Index { index: Box<dyn VectorIndex>, left: VectorArena },
+        }
+        let embed = |texts: &[&str]| VectorArena::from_texts(&self.cache, texts);
+        let probe = match self.strategy {
+            SemanticJoinStrategy::Blocked => {
+                let (kind, tier) = (ScanKind::DotJoin, self.quant);
+                let Scores::Hits(hits) =
+                    sweep(kind, tier, &self.cache, right, left, threshold, workers, ctx)?
+                else {
+                    unreachable!("dot-join sweeps return hits")
+                };
+                let evaluated = (left.len() * right.len()) as u64;
+                self.pairs_evaluated.fetch_add(evaluated, Ordering::Relaxed);
+                return Ok(hits);
+            }
+            SemanticJoinStrategy::NestedLoop => {
+                Probe::NestedLoop { right: embed(right), left: embed(left) }
+            }
+            SemanticJoinStrategy::PreNormalized => {
+                Probe::PreNorm { right: embed(right).normalized(), left: embed(left).normalized() }
+            }
+            SemanticJoinStrategy::Lsh(params) => Probe::Index {
+                index: Box::new(LshIndex::build(&embed(right), params)),
+                left: embed(left),
+            },
+            SemanticJoinStrategy::Ivf(params) => Probe::Index {
+                index: Box::new(IvfIndex::build(&embed(right), params)),
+                left: embed(left),
+            },
+        };
+
+        // Scans one contiguous span of left values, returning its local
+        // matches and the number of candidate pairs examined. Checks the
+        // lifecycle context between probe rows (the fan-out spawns fresh
+        // threads whose TLS is empty, so it travels as explicit data).
+        let scan_span = |span: std::ops::Range<usize>| -> Result<(Vec<Hit>, u64)> {
+            let mut local: Vec<Hit> = Vec::new();
+            let mut seen = 0u64;
+            for lv in span {
+                ctx.check()?;
+                let mut emit = |rv: usize, score: f32| {
+                    if score >= threshold {
+                        local.push((lv as u32, rv as u32, score));
+                    }
+                };
+                match &probe {
+                    Probe::NestedLoop { right, left } => {
+                        let (q, qn) = (left.row(lv), left.row_norm(lv));
+                        for rv in 0..right.len() {
+                            emit(rv, cosine_with_norms(q, right.row(rv), qn, right.row_norm(rv)));
+                        }
+                        seen += right.len() as u64;
+                    }
+                    Probe::PreNorm { right, left } => {
+                        let q = left.row(lv);
+                        for rv in 0..right.len() {
+                            emit(rv, dot_unrolled(q, right.row(rv)));
+                        }
+                        seen += right.len() as u64;
+                    }
+                    // `seen` stays 0 here: per-span deltas of the shared
+                    // IndexStats counter would race across workers, so the
+                    // caller takes one global delta around the fan-out.
+                    Probe::Index { index, left } => {
+                        for r in index.search_threshold(left.row(lv), threshold) {
+                            emit(r.id, r.score);
+                        }
+                    }
+                }
+            }
+            Ok((local, seen))
+        };
+
         // Index probes meter candidates through the index's shared stats
         // counter; one delta around the whole fan-out is race-free.
-        let index_seen_before = match &probe {
-            Probe::Index(index) => index.stats().candidates_examined(),
+        let index_seen = |probe: &Probe| match probe {
+            Probe::Index { index, .. } => index.stats().candidates_examined(),
             _ => 0,
         };
-        let mut matches: Vec<(usize, usize, f32)> = Vec::new();
+        let index_seen_before = index_seen(&probe);
+        let mut matches: Vec<Hit> = Vec::new();
         let mut evaluated = 0u64;
-        for span_result in parallel_map_ranges(n_left, workers, scan_span) {
+        for span_result in parallel_map_ranges(left.len(), workers, scan_span) {
             let (local, seen) = span_result?;
             matches.extend(local);
             evaluated += seen;
         }
-        if let Probe::Index(index) = &probe {
-            evaluated += index.stats().candidates_examined() - index_seen_before;
-        }
+        evaluated += index_seen(&probe) - index_seen_before;
+        // Credited after the fan-out, when the evaluated count is known:
+        // an index join reports the candidates it examined, not |L|·|R|.
+        cx_obs::add_pairs(evaluated);
         self.pairs_evaluated.fetch_add(evaluated, Ordering::Relaxed);
 
-        // Deterministic order regardless of parallelism or tiling.
-        matches.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        // Deterministic order regardless of parallelism.
+        matches.sort_unstable_by_key(|&(l, r, _)| (l, r));
         Ok(matches)
     }
 }
@@ -609,6 +510,7 @@ impl SemanticJoinExec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use cx_embed::{ClusterGeometry, ClusterSpec, ClusteredTextModel, SemanticSpace};
     use cx_exec::{collect_table, TableScanExec};
     use cx_storage::{Scalar, Table};
@@ -765,6 +667,31 @@ mod tests {
         );
         assert_eq!(lsh.num_rows(), exact.num_rows());
         assert_eq!(ivf.num_rows(), exact.num_rows());
+    }
+
+    #[test]
+    fn index_join_profiles_the_pairs_it_evaluated() {
+        // An index join scores only the candidates its probes surface;
+        // the profile must report that count, not the cross product.
+        let join = SemanticJoinExec::new(
+            products(),
+            catalog(),
+            "name",
+            "label",
+            0.85,
+            "sim",
+            SemanticJoinStrategy::Lsh(LshParams::default()),
+            cache(),
+            1,
+        )
+        .unwrap();
+        let window = cx_obs::ProfileSpan::start();
+        collect_table(&join).unwrap();
+        let profile = window.finish(0);
+        assert_eq!(profile.pairs_scored, join.pairs_evaluated());
+        assert!(join.pairs_evaluated() > 0);
+        // 3 distinct left values × 4 distinct right values.
+        assert!(profile.pairs_scored < 12, "{profile:?}");
     }
 
     #[test]

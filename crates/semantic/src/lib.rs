@@ -7,9 +7,14 @@
 //!   model M WITH cosine >= θ`,
 //! * **Semantic Join** ([`SemanticJoinExec`]) — join keys matched by latent-
 //!   space distance instead of equality, with selectable physical strategy
-//!   (nested-loop / pre-normalized scan / LSH / IVF),
+//!   (nested-loop / pre-normalized scan / blocked sweep / LSH / IVF),
 //! * **Semantic Group-By** ([`SemanticGroupByExec`]) — on-the-fly clustering
 //!   of values by model similarity with per-cluster aggregates.
+//!
+//! The filter and the blocked join — and `cx_mqo`'s shared scan over
+//! either — reach the similarity kernels through one function:
+//! [`sweep`](mod@sweep) owns the distinct pass, the panel build and the
+//! panel sweep, so a solo scan is the one-member case of a shared one.
 //!
 //! On top of the join/group-by machinery, [`consolidate`](mod@consolidate) implements
 //! Figure 3's automated result consolidation (deduplication / entity
@@ -24,6 +29,7 @@ pub mod filter;
 pub mod groupby;
 pub mod join;
 pub mod selectivity;
+pub mod sweep;
 
 pub use consolidate::{consolidate, pairwise_metrics, ConsolidationResult, PairwiseMetrics};
 pub use filter::SemanticFilterExec;

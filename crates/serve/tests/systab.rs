@@ -14,6 +14,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+mod common;
+
 fn build_engine() -> Arc<Engine> {
     let engine = Arc::new(Engine::new(EngineConfig::default()));
     let specs = cx_datagen::table1_clusters();
@@ -200,6 +202,63 @@ fn profiler_populates_cx_queries_and_totals() {
         tier.utf8_values().unwrap().iter().any(|t| !t.is_empty()),
         "panel sweep tier parsed from span detail"
     );
+}
+
+/// `(group_size, quant_tier)` of every `cx.queries` row.
+fn group_and_tier_cells(server: &Arc<Server>) -> Vec<(i64, String)> {
+    let chunk = scan(server, "cx.queries").to_chunk().unwrap();
+    let groups = chunk.column_by_name("group_size").unwrap().i64_values().unwrap().to_vec();
+    let tiers = chunk.column_by_name("quant_tier").unwrap().utf8_values().unwrap().to_vec();
+    groups.into_iter().zip(tiers).collect()
+}
+
+#[test]
+fn shared_sweep_leader_and_solo_run_report_the_same_quant_tier() {
+    let engine = build_engine();
+    let latch = common::Latch::register(&engine);
+    let server = Server::new(
+        engine,
+        ServeConfig {
+            tracing: true,
+            trace_ring_capacity: 256,
+            scan_group_max: 8,
+            scan_linger: Duration::from_millis(200),
+            ..ServeConfig::default()
+        },
+    );
+    // Nothing else is in flight, so this statement sweeps solo.
+    server.execute(&semantic_query(&server, "kitten")).unwrap();
+    let solo = group_and_tier_cells(&server);
+    assert_eq!(solo, vec![(1, "f32".to_string())]);
+
+    // A pinned in-flight statement makes leaders linger (see `common`), so
+    // a barrier storm coalesces; a group's leader hosts the one
+    // `panel_sweep` span, its followers have none.
+    let _held = latch.hold_statement(&server);
+    let threads = 4;
+    let mut leaders: Vec<(i64, String)> = Vec::new();
+    for attempt in 0..5 {
+        let barrier = Arc::new(Barrier::new(threads));
+        std::thread::scope(|s| {
+            for i in 0..threads {
+                let (server, barrier) = (server.clone(), barrier.clone());
+                s.spawn(move || {
+                    barrier.wait();
+                    let target = format!("{} {attempt}", ["boots", "parka", "coat", "puppy"][i]);
+                    server.execute(&semantic_query(&server, &target)).unwrap();
+                });
+            }
+        });
+        leaders = group_and_tier_cells(&server);
+        leaders.retain(|(group, tier)| *group >= 2 && !tier.is_empty());
+        if !leaders.is_empty() {
+            break;
+        }
+    }
+    assert!(!leaders.is_empty(), "storm never coalesced: {:?}", server.scan_sharing_stats());
+    for (group, tier) in leaders {
+        assert_eq!(tier, solo[0].1, "leader of a {group}-member sweep");
+    }
 }
 
 #[test]

@@ -45,6 +45,12 @@ impl fmt::Display for UnsupportedTier {
 
 impl std::error::Error for UnsupportedTier {}
 
+impl From<UnsupportedTier> for cx_storage::Error {
+    fn from(e: UnsupportedTier) -> Self {
+        cx_storage::Error::InvalidArgument(e.to_string())
+    }
+}
+
 /// Tier-specific row storage.
 #[derive(Debug, Clone, PartialEq)]
 enum QuantizedRows {

@@ -517,6 +517,126 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// The one panel sweep: a member's slice of the k-member sweep is its own
+// one-member sweep, whatever the worker count; at f32 both are the pairwise
+// reference.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    #[test]
+    fn shared_sweep_slices_equal_solo_sweeps(
+        n_candidates in 0usize..150,
+        member_sizes in prop::collection::vec(0usize..7, 1..6),
+        seed in any::<u64>(),
+    ) {
+        use cx_embed::{EmbeddingCache, HashNGramModel};
+        use cx_exec::ScanKind;
+        use cx_semantic::sweep::{sweep, Scores};
+        use cx_storage::QueryContext;
+
+        let mut rng = cx_embed::rng::SplitMix64::new(seed);
+        // Short words over a tiny alphabet (duplicates and near-collisions
+        // are common); one string in eight has no token at all, so it
+        // embeds to the zero vector.
+        let mut word = || -> String {
+            match rng.next_range(8) {
+                0 => ["", "?!", " "][rng.next_range(3) as usize].to_string(),
+                _ => (0..2 + rng.next_range(4))
+                    .map(|_| char::from(b'a' + rng.next_range(5) as u8))
+                    .collect(),
+            }
+        };
+        let candidates: Vec<String> = (0..n_candidates).map(|_| word()).collect();
+        let members: Vec<Vec<String>> =
+            member_sizes.iter().map(|&n| (0..n).map(|_| word()).collect()).collect();
+        let thresholds: Vec<f32> = members
+            .iter()
+            .map(|_| match rng.next_range(4) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.next_range(1000) as f32 / 1000.0,
+            })
+            .collect();
+        let stacked: Vec<String> = members.concat();
+        let floor = thresholds.iter().copied().fold(f32::INFINITY, f32::min);
+
+        let cache = EmbeddingCache::new(Arc::new(HashNGramModel::new(3)));
+        let ctx = QueryContext::default();
+        let c = candidates.len();
+        // Scores as `(probe, candidate, score bits)`, probe ids rebased to
+        // the member starting at stacked row `first`.
+        let triples = |scores: &Scores, first: usize, len: usize, at_least: f32| {
+            let all: Vec<(u32, u32, f32)> = match scores {
+                Scores::Dense(d) => d
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &s)| ((k / c) as u32, (k % c) as u32, s))
+                    .collect(),
+                Scores::Hits(h) => h.iter().copied().filter(|&(.., s)| s >= at_least).collect(),
+            };
+            all.into_iter()
+                .filter(|&(i, ..)| (first..first + len).contains(&(i as usize)))
+                .map(|(i, j, s)| (i - first as u32, j, s.to_bits()))
+                .collect::<Vec<_>>()
+        };
+
+        let cand_rows = VectorArena::from_texts(&cache, &candidates);
+        for (kind, tier) in [
+            (ScanKind::CosineFilter, QuantTier::F32),
+            (ScanKind::DotJoin, QuantTier::F32),
+            (ScanKind::DotJoin, QuantTier::F16),
+            (ScanKind::DotJoin, QuantTier::Int8),
+        ] {
+            let run = |probes: &[String], floor: f32, workers: usize| {
+                sweep(kind, tier, &cache, &candidates, probes, floor, workers, &ctx).unwrap()
+            };
+            let shared = run(&stacked, floor, 1);
+            prop_assert_eq!(
+                triples(&shared, 0, stacked.len(), floor),
+                triples(&run(&stacked, floor, 3), 0, stacked.len(), floor),
+                "{:?}/{:?}: 1 vs 3 workers", kind, tier
+            );
+
+            let mut first = 0;
+            for (probes, &threshold) in members.iter().zip(&thresholds) {
+                let solo = triples(&run(probes, threshold, 1), 0, probes.len(), threshold);
+                prop_assert_eq!(
+                    &triples(&shared, first, probes.len(), threshold),
+                    &solo,
+                    "{:?}/{:?}: member at stacked row {}", kind, tier, first
+                );
+                first += probes.len();
+                if tier != QuantTier::F32 {
+                    continue;
+                }
+                let probe_rows = VectorArena::from_texts(&cache, probes);
+                let (pn, cn) = (probe_rows.normalized(), cand_rows.normalized());
+                let mut reference = Vec::new();
+                for i in 0..probes.len() {
+                    for j in 0..c {
+                        let score = match kind {
+                            ScanKind::CosineFilter => cosine_with_norms(
+                                probe_rows.row(i),
+                                cand_rows.row(j),
+                                probe_rows.row_norm(i),
+                                cand_rows.row_norm(j),
+                            ),
+                            ScanKind::DotJoin => dot_unrolled(pn.row(i), cn.row(j)),
+                        };
+                        if kind == ScanKind::CosineFilter || score >= threshold {
+                            reference.push((i as u32, j as u32, score.to_bits()));
+                        }
+                    }
+                }
+                prop_assert_eq!(&solo, &reference, "{:?}: solo vs pairwise", kind);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Expression folding: eval(fold(e)) == eval(e)
 // ---------------------------------------------------------------------------
 
