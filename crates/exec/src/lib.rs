@@ -12,6 +12,12 @@
 //! * [`operators`] — relational physical operators (scan, filter, project,
 //!   hash join, nested-loop join, hash aggregate, sort, limit, distinct,
 //!   union),
+//! * `keys` (crate-private) — the one keying primitive behind the hash
+//!   join, the hash aggregate and DISTINCT: a row's key is hashed and
+//!   compared on its column cells in place, and only a key's first
+//!   occurrence is materialized. Key equality is [`cx_storage::Scalar`]'s
+//!   structural `Eq`: NULL groups with NULL (the join never matches it),
+//!   Float64 compares by bit pattern, and Int64 never equals Float64,
 //! * [`parallel`] — morsel-style parallel chunk processing on std
 //!   scoped threads (the "scale-up" rung of Figure 4),
 //! * [`metrics`] — per-operator row/time counters for EXPLAIN ANALYZE-style
@@ -20,6 +26,7 @@
 //!   mergeable panel sweeps ([`ScanSignature`]) and accept precomputed
 //!   score slices ([`SharedScanState`]) for multi-query execution.
 
+mod keys;
 pub mod logical;
 pub mod metrics;
 pub mod operators;

@@ -5,6 +5,7 @@
 //! eagerly inside `execute` — the engine is in-memory, so eager breakers keep
 //! the code straightforward without changing asymptotics.
 
+use crate::keys::{id, KeyIndex, NONE};
 use crate::logical::{AggFunc, AggSpec, JoinType, LimitCount};
 use crate::physical::{ChunkStream, PhysicalOperator};
 use cx_expr::{eval, eval_predicate, BoundExpr, Expr};
@@ -13,12 +14,11 @@ use cx_storage::{
     Table,
 };
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Total order over scalars used for sorting and deterministic group output:
-/// NULL first, then by type family, numerics cross-compared as f64.
+/// NULL first, then by type family. Two Int64s or two Timestamps compare
+/// exactly; other numeric pairs cross-compare as f64.
 pub fn scalar_cmp(a: &Scalar, b: &Scalar) -> Ordering {
     fn rank(s: &Scalar) -> u8 {
         match s {
@@ -33,6 +33,9 @@ pub fn scalar_cmp(a: &Scalar, b: &Scalar) -> Ordering {
             (Scalar::Null, Scalar::Null) => Ordering::Equal,
             (Scalar::Bool(x), Scalar::Bool(y)) => x.cmp(y),
             (Scalar::Utf8(x), Scalar::Utf8(y)) => x.cmp(y),
+            (Scalar::Int64(x), Scalar::Int64(y)) | (Scalar::Timestamp(x), Scalar::Timestamp(y)) => {
+                x.cmp(y)
+            }
             _ => {
                 let (x, y) = (a.as_f64().unwrap_or(0.0), b.as_f64().unwrap_or(0.0));
                 x.total_cmp(&y)
@@ -329,18 +332,17 @@ impl HashJoinExec {
         });
         Ok(HashJoinExec { left, right, left_keys, right_keys, join_type, schema })
     }
+}
 
-    fn row_key(chunk: &Chunk, keys: &[usize], row: usize) -> Option<Vec<Scalar>> {
-        let mut out = Vec::with_capacity(keys.len());
-        for &k in keys {
-            let v = chunk.columns()[k].get(row);
-            if v.is_null() {
-                return None; // SQL: NULL keys never match.
-            }
-            out.push(v);
-        }
-        Some(out)
-    }
+/// The columns at `keys` of `chunk`.
+fn key_columns<'a>(chunk: &'a Chunk, keys: &[usize]) -> Vec<&'a Column> {
+    keys.iter().map(|&k| &chunk.columns()[k]).collect()
+}
+
+/// Every column of `chunk` gathered at `rows`, ready to be glued into a
+/// join output chunk without another copy.
+fn take_columns(chunk: &Chunk, rows: &[usize]) -> Result<Vec<Column>> {
+    chunk.columns().iter().map(|c| c.take(rows)).collect()
 }
 
 impl PhysicalOperator for HashJoinExec {
@@ -368,10 +370,25 @@ impl PhysicalOperator for HashJoinExec {
         };
         ctx.charge(build.memory_bytes());
         ctx.check()?;
-        let mut map: HashMap<Vec<Scalar>, Vec<usize>> = HashMap::new();
-        for row in 0..build.num_rows() {
-            if let Some(key) = Self::row_key(&build, &self.left_keys, row) {
-                map.entry(key).or_default().push(row);
+        // Each distinct build key heads a chain of its rows through `next`.
+        // Walking the build side backwards and prepending leaves every
+        // chain in ascending row order.
+        id(build.num_rows())?;
+        let build_keys = key_columns(&build, &self.left_keys);
+        let mut index = KeyIndex::new(build_keys.len());
+        let mut first: Vec<u32> = Vec::new();
+        let mut next = vec![NONE; build.num_rows()];
+        for row in (0..build.num_rows()).rev() {
+            // SQL: NULL keys never match, so they never enter the index.
+            if build_keys.iter().any(|c| !c.is_valid(row)) {
+                continue;
+            }
+            match index.insert(&build_keys, row)? {
+                (_, true) => first.push(row as u32),
+                (key, false) => {
+                    next[row] = first[key as usize];
+                    first[key as usize] = row as u32;
+                }
             }
         }
 
@@ -382,23 +399,25 @@ impl PhysicalOperator for HashJoinExec {
         for chunk in self.right.execute()? {
             ctx.check()?;
             let chunk = chunk?;
+            let probe_keys = key_columns(&chunk, &self.right_keys);
             let mut left_idx = Vec::new();
             let mut right_idx = Vec::new();
             for row in 0..chunk.num_rows() {
-                if let Some(key) = Self::row_key(&chunk, &self.right_keys, row) {
-                    if let Some(rows) = map.get(&key) {
-                        for &l in rows {
-                            matched_left[l] = true;
-                            left_idx.push(l);
-                            right_idx.push(row);
-                        }
-                    }
+                let Some(key) = index.find(&probe_keys, row) else {
+                    continue;
+                };
+                let mut l = first[key as usize];
+                while l != NONE {
+                    matched_left[l as usize] = true;
+                    left_idx.push(l as usize);
+                    right_idx.push(row);
+                    l = next[l as usize];
                 }
             }
             if matches!(self.join_type, JoinType::Inner | JoinType::Left) && !left_idx.is_empty() {
-                let l = build.take(&left_idx)?;
-                let r = chunk.take(&right_idx)?;
-                out_chunks.push(reschema(l.zip(&r)?, self.schema.clone())?);
+                let mut columns = take_columns(&build, &left_idx)?;
+                columns.extend(take_columns(&chunk, &right_idx)?);
+                out_chunks.push(Chunk::new(self.schema.clone(), columns)?);
             }
         }
 
@@ -413,15 +432,15 @@ impl PhysicalOperator for HashJoinExec {
                     .map(|(i, _)| i)
                     .collect();
                 if !unmatched.is_empty() {
-                    let l = build.take(&unmatched)?;
-                    let right_schema = self.right.schema();
-                    let null_cols: Vec<Column> = right_schema
-                        .fields()
-                        .iter()
-                        .map(|f| Column::nulls(f.data_type, unmatched.len()))
-                        .collect();
-                    let r = Chunk::new(right_schema.clone(), null_cols)?;
-                    out_chunks.push(reschema(l.zip(&r)?, self.schema.clone())?);
+                    let mut columns = take_columns(&build, &unmatched)?;
+                    columns.extend(
+                        self.right
+                            .schema()
+                            .fields()
+                            .iter()
+                            .map(|f| Column::nulls(f.data_type, unmatched.len())),
+                    );
+                    out_chunks.push(Chunk::new(self.schema.clone(), columns)?);
                 }
             }
             JoinType::LeftSemi | JoinType::LeftAnti => {
@@ -432,7 +451,7 @@ impl PhysicalOperator for HashJoinExec {
                     .filter(|(_, m)| **m == want)
                     .map(|(i, _)| i)
                     .collect();
-                out_chunks.push(reschema(build.take(&keep)?, self.schema.clone())?);
+                out_chunks.push(Chunk::new(self.schema.clone(), take_columns(&build, &keep)?)?);
             }
         }
 
@@ -742,35 +761,30 @@ impl PhysicalOperator for HashAggregateExec {
 
     fn execute(&self) -> Result<ChunkStream> {
         let in_schema = self.input.schema();
-        let make_accs = || -> Vec<Accumulator> {
-            self.aggs
-                .iter()
-                .map(|(spec, idx)| {
-                    Accumulator::new(spec.func, idx.map(|i| in_schema.fields()[i].data_type))
-                })
-                .collect()
-        };
-        let mut groups: HashMap<Vec<Scalar>, Vec<Accumulator>> = HashMap::new();
-        let mut key_order: Vec<Vec<Scalar>> = Vec::new();
+        let fresh: Vec<Accumulator> = self
+            .aggs
+            .iter()
+            .map(|(spec, idx)| {
+                Accumulator::new(spec.func, idx.map(|i| in_schema.fields()[i].data_type))
+            })
+            .collect();
+        let width = fresh.len();
+        let mut groups = KeyIndex::new(self.group_by.len());
+        // Group `g`'s accumulators are `accs[g * width..][..width]`.
+        let mut accs: Vec<Accumulator> = Vec::new();
 
         let ctx = QueryContext::current();
         for chunk in self.input.execute()? {
             ctx.check()?;
             let chunk = chunk?;
+            let keys = key_columns(&chunk, &self.group_by);
             for row in 0..chunk.num_rows() {
-                let key: Vec<Scalar> = self
-                    .group_by
-                    .iter()
-                    .map(|&k| chunk.columns()[k].get(row))
-                    .collect();
-                let accs = match groups.entry(key.clone()) {
-                    Entry::Occupied(e) => e.into_mut(),
-                    Entry::Vacant(e) => {
-                        key_order.push(key);
-                        e.insert(make_accs())
-                    }
-                };
-                for ((spec, idx), acc) in self.aggs.iter().zip(accs.iter_mut()) {
+                let (g, new) = groups.insert(&keys, row)?;
+                if new {
+                    accs.extend_from_slice(&fresh);
+                }
+                let group = &mut accs[g as usize * width..][..width];
+                for ((spec, idx), acc) in self.aggs.iter().zip(group) {
                     match (spec.func, idx) {
                         (AggFunc::CountStar, _) => acc.update(None),
                         (AggFunc::Count, Some(i)) => {
@@ -789,15 +803,19 @@ impl PhysicalOperator for HashAggregateExec {
         }
 
         // Global aggregate over empty input still yields one row.
-        if self.group_by.is_empty() && groups.is_empty() {
-            key_order.push(vec![]);
-            groups.insert(vec![], make_accs());
+        if self.group_by.is_empty() && groups.len() == 0 {
+            groups.insert(&[], 0)?;
+            accs = fresh;
         }
 
-        // Deterministic output order: sorted group keys.
-        key_order.sort_by(|a, b| {
-            a.iter()
-                .zip(b.iter())
+        // Deterministic output order: group keys sorted stably over
+        // first-seen order.
+        let mut order: Vec<u32> = (0..groups.len() as u32).collect();
+        order.sort_by(|&a, &b| {
+            groups
+                .key(a)
+                .iter()
+                .zip(groups.key(b))
                 .map(|(x, y)| scalar_cmp(x, y))
                 .find(|o| *o != Ordering::Equal)
                 .unwrap_or(Ordering::Equal)
@@ -809,12 +827,13 @@ impl PhysicalOperator for HashAggregateExec {
             .iter()
             .map(|f| ColumnBuilder::new(f.data_type))
             .collect();
-        for key in &key_order {
-            let accs = &groups[key];
-            for (b, v) in builders.iter_mut().zip(key.iter()) {
+        for g in order {
+            let key = groups.key(g);
+            for (b, v) in builders.iter_mut().zip(key) {
                 b.push(v.clone())?;
             }
-            for (b, acc) in builders.iter_mut().skip(key.len()).zip(accs.iter()) {
+            let group = &accs[g as usize * width..][..width];
+            for (b, acc) in builders.iter_mut().skip(key.len()).zip(group) {
                 b.push(acc.finish())?;
             }
         }
@@ -1009,15 +1028,15 @@ impl PhysicalOperator for DistinctExec {
 
     fn execute(&self) -> Result<ChunkStream> {
         let ctx = QueryContext::current();
-        let mut seen: HashSet<Vec<Scalar>> = HashSet::new();
+        let mut seen = KeyIndex::new(self.schema().len());
         let mut out = Vec::new();
         for chunk in self.input.execute()? {
             ctx.check()?;
             let chunk = chunk?;
+            let cols: Vec<&Column> = chunk.columns().iter().collect();
             let mut keep = Vec::new();
             for row in 0..chunk.num_rows() {
-                let key = chunk.row(row)?;
-                if seen.insert(key) {
+                if seen.insert(&cols, row)?.1 {
                     keep.push(row);
                 }
             }
@@ -1394,5 +1413,46 @@ mod tests {
         assert_eq!(vals[2], Scalar::Float64(2.5));
         assert_eq!(vals[3], Scalar::Int64(5));
         assert_eq!(vals[4], Scalar::from("a"));
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_order_exactly() {
+        // 2^53 + 1 and 2^53 are one f64; sort and MAX must still tell them apart.
+        let big = 1i64 << 53;
+        let t = Table::from_columns(
+            Schema::new(vec![
+                Field::new("x", DataType::Int64),
+                Field::new("ts", DataType::Timestamp),
+            ]),
+            vec![
+                Column::from_i64(vec![big + 1, big]),
+                Column::from_timestamps(vec![big, big + 1]),
+            ],
+        )
+        .unwrap();
+        let scan: Arc<dyn PhysicalOperator> = Arc::new(TableScanExec::new(Arc::new(t)));
+        let first = |key: &str, asc: bool| {
+            let sort = SortExec::new(scan.clone(), &[(key.to_string(), asc)]).unwrap();
+            collect_table(&sort).unwrap().row(0).unwrap()
+        };
+        assert_eq!(first("x", true)[0], Scalar::Int64(big));
+        assert_eq!(first("ts", false)[1], Scalar::Timestamp(big + 1));
+        let agg = HashAggregateExec::new(
+            scan,
+            &[],
+            &[
+                AggSpec::new(AggFunc::Max, "x", "hi"),
+                AggSpec::new(AggFunc::Min, "x", "lo"),
+                AggSpec::new(AggFunc::Max, "ts", "latest"),
+            ],
+        )
+        .unwrap();
+        assert_eq!(
+            collect_table(&agg).unwrap().row(0).unwrap(),
+            vec![Scalar::Int64(big + 1), Scalar::Int64(big), Scalar::Timestamp(big + 1)]
+        );
+        // Mixed numeric pairs keep the f64 order.
+        let mixed = scalar_cmp(&Scalar::Int64(big + 1), &Scalar::Float64(big as f64));
+        assert_eq!(mixed, Ordering::Equal);
     }
 }

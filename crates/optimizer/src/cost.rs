@@ -84,6 +84,15 @@ pub fn select_quant_tier_with(
     }
 }
 
+/// Whether a semantic join may use an approximate index strategy (LSH):
+/// index selection is on and `recall_tolerance` admits some error — the
+/// same gate the quantized tiers pass. At the default tolerance of `0.0`
+/// every join plans the exact blocked scan, so a statement gets one plan
+/// whether its literals are inlined or lifted into parameter slots.
+pub(crate) fn index_strategy_admitted(config: &OptimizerConfig) -> bool {
+    config.semantic_index_selection && config.recall_tolerance > 0.0
+}
+
 /// Fraction of a shared-scan query's cost that stays per-query no matter
 /// how many queries share the sweep: the probe-side work, threshold
 /// masking / pair expansion, and the plan above the scan. The remaining
@@ -177,7 +186,7 @@ pub fn node_cost(plan: &LogicalPlan, ctx: &OptimizerContext) -> f64 {
             let tier = select_quant_tier_with(&ctx.config, dl * dr, &dispatch);
             let quantize = if tier == QuantTier::F32 { 0.0 } else { dr * QUANT_VALUE };
             let scan_pairs = quantize + dl * dr * sim_pair_cost(tier, &dispatch);
-            if ctx.config.semantic_index_selection {
+            if index_strategy_admitted(&ctx.config) {
                 let index = dr * INDEX_BUILD_VALUE + dl * dr * INDEX_PROBE_FRACTION * SIM_PAIR;
                 embed + scan_pairs.min(index)
             } else {
@@ -304,12 +313,11 @@ mod tests {
     #[test]
     fn index_selection_lowers_join_cost() {
         let mut with_index = ctx();
-        let mut without = ctx();
-        without.config.semantic_index_selection = false;
         let l1 = scan("l3", 100_000, &mut with_index);
         let r1 = scan("r3", 100_000, &mut with_index);
-        scan("l3", 100_000, &mut without);
-        scan("r3", 100_000, &mut without);
+        let mut without = ctx();
+        without.stats = with_index.stats.clone();
+        without.config.semantic_index_selection = false;
         let join = LogicalPlan::SemanticJoin {
             left: Box::new(l1),
             right: Box::new(r1),
@@ -321,6 +329,10 @@ mod tests {
                 score_column: "sim".into(),
             },
         };
+        // The index is approximate: at tolerance 0 it is not costed at all.
+        assert_eq!(node_cost(&join, &with_index), node_cost(&join, &without));
+        with_index.config.recall_tolerance = 5e-2;
+        without.config.recall_tolerance = 5e-2;
         assert!(node_cost(&join, &with_index) < node_cost(&join, &without));
     }
 

@@ -7,7 +7,7 @@
 
 use crate::cardinality::estimate_rows;
 use crate::context::OptimizerContext;
-use crate::cost::select_quant_tier;
+use crate::cost::{index_strategy_admitted, select_quant_tier};
 use cx_exec::logical::LogicalPlan;
 use cx_exec::operators::{
     DistinctExec, FilterExec, HashAggregateExec, HashJoinExec, LimitExec, NestedLoopJoinExec,
@@ -116,10 +116,11 @@ pub fn create_physical_plan(
             )
         }
         LogicalPlan::SemanticJoin { left, right, spec } => {
-            // Strategy selection by estimated distinct-value pair count.
+            // Strategy selection by estimated distinct-value pair count,
+            // among the strategies the recall tolerance admits.
             let dl = (estimate_rows(left, ctx) * 0.5).max(1.0);
             let dr = (estimate_rows(right, ctx) * 0.5).max(1.0);
-            let strategy = if ctx.config.semantic_index_selection
+            let strategy = if index_strategy_admitted(&ctx.config)
                 && dl * dr > INDEX_PAIR_THRESHOLD
                 && dr > INDEX_MIN_BUILD
             {
@@ -280,10 +281,9 @@ mod tests {
         assert!(out.num_rows() >= 4, "got {}", out.num_rows());
     }
 
-    #[test]
-    fn semantic_join_quantizes_when_tolerance_and_scale_admit() {
-        // A wide table (100k rows) whose estimated pair count clears the
-        // quantization floor, with int8-level recall tolerance configured.
+    /// A self semantic join of a 100k-row table: its estimated pair count
+    /// clears both the quantization floor and the index threshold.
+    fn big_self_join() -> (PhysicalPlannerEnv, OptimizerContext, LogicalPlan) {
         let rows = 100_000i64;
         let table = Table::from_columns(
             Schema::new(vec![Field::new("k", DataType::Utf8)]),
@@ -294,8 +294,6 @@ mod tests {
         let registry = Arc::new(ModelRegistry::new());
         registry.register(Arc::new(HashNGramModel::with_params("m", 16, 1, 3, 4, 1024)));
         let mut ctx = OptimizerContext::new(registry, OptimizerConfig::all());
-        ctx.config.recall_tolerance = 5e-2;
-        ctx.config.semantic_index_selection = false; // force the blocked scan
         ctx.stats
             .insert("big".to_string(), TableStats::compute(&table).unwrap());
         env.register_table("big", Arc::new(table));
@@ -314,6 +312,26 @@ mod tests {
                 score_column: "sim".into(),
             },
         };
+        (env, ctx, plan)
+    }
+
+    #[test]
+    fn approximate_join_strategies_need_a_recall_tolerance() {
+        let (env, mut ctx, plan) = big_self_join();
+        // The default config selects indexes but tolerates no error.
+        let op = create_physical_plan(&plan, &mut ctx, &env).unwrap();
+        assert!(op.name().contains("strategy=blocked"), "{}", op.name());
+        ctx.config.recall_tolerance = 5e-2;
+        let op = create_physical_plan(&plan, &mut ctx, &env).unwrap();
+        assert!(op.name().contains("strategy=lsh"), "{}", op.name());
+    }
+
+    #[test]
+    fn semantic_join_quantizes_when_tolerance_and_scale_admit() {
+        // int8-level recall tolerance on a join large enough to quantize.
+        let (env, mut ctx, plan) = big_self_join();
+        ctx.config.recall_tolerance = 5e-2;
+        ctx.config.semantic_index_selection = false; // force the blocked scan
         let op = create_physical_plan(&plan, &mut ctx, &env).unwrap();
         assert!(op.name().contains("quant=int8"), "{}", op.name());
 

@@ -637,6 +637,262 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Hash join, hash aggregate and DISTINCT ≡ nested-loop references over
+// `Column::get` and `Scalar::eq`, bit for bit and in row order, whatever
+// the chunking of their inputs.
+// ---------------------------------------------------------------------------
+
+/// `(i INT64, f FLOAT64, s UTF8)` rows over small domains: NULLs,
+/// duplicates, 0.0 and -0.0, NaNs with two payloads, empty strings, and
+/// Int64/Float64 values that are numerically but not structurally equal.
+fn keyed_rows(n: usize, rng: &mut cx_embed::rng::SplitMix64) -> Vec<Vec<Scalar>> {
+    let floats = [
+        0.0,
+        -0.0,
+        1.0,
+        2.5,
+        f64::from_bits(0x7ff8_0000_0000_0001),
+        f64::from_bits(0x7ff8_0000_0000_0002),
+    ];
+    (0..n)
+        .map(|_| {
+            let row = [
+                Scalar::Int64(rng.next_range(4) as i64 - 1),
+                Scalar::Float64(floats[rng.next_range(6) as usize]),
+                Scalar::from(["", "a", "b"][rng.next_range(3) as usize]),
+            ];
+            row.into_iter()
+                .map(|v| if rng.next_range(5) == 0 { Scalar::Null } else { v })
+                .collect()
+        })
+        .collect()
+}
+
+/// The reference join: for each right row in order, every matching left row
+/// ascending; then the unmatched (Left, LeftAnti) or matched (LeftSemi) left
+/// rows ascending. NULL keys never match.
+fn reference_join(
+    left: &[Vec<Scalar>],
+    right: &[Vec<Scalar>],
+    on: &[(usize, usize)],
+    join_type: cx_exec::JoinType,
+) -> Vec<Vec<Scalar>> {
+    use cx_exec::JoinType;
+    let mut out = Vec::new();
+    let mut matched = vec![false; left.len()];
+    for r in right {
+        for (i, l) in left.iter().enumerate() {
+            if on.iter().all(|&(a, b)| !l[a].is_null() && l[a] == r[b]) {
+                matched[i] = true;
+                if matches!(join_type, JoinType::Inner | JoinType::Left) {
+                    out.push([l.clone(), r.clone()].concat());
+                }
+            }
+        }
+    }
+    for (l, m) in left.iter().zip(matched) {
+        match join_type {
+            JoinType::Inner => {}
+            JoinType::Left if !m => out.push([l.clone(), vec![Scalar::Null; 3]].concat()),
+            JoinType::LeftSemi if m => out.push(l.clone()),
+            JoinType::LeftAnti if !m => out.push(l.clone()),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The reference aggregate: groups in first-seen order (linear search
+/// with `Scalar::eq`), values folded in row order, output sorted stably
+/// by key under `scalar_cmp`.
+fn reference_aggregate(
+    rows: &[Vec<Scalar>],
+    keys: &[usize],
+    aggs: &[(cx_exec::AggFunc, Option<usize>)],
+    types: &[DataType],
+) -> Vec<Vec<Scalar>> {
+    use cx_exec::{scalar_cmp, AggFunc};
+    use std::cmp::Ordering;
+    let mut groups: Vec<(Vec<Scalar>, Vec<&Vec<Scalar>>)> = Vec::new();
+    for row in rows {
+        let key: Vec<Scalar> = keys.iter().map(|&k| row[k].clone()).collect();
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, members)) => members.push(row),
+            None => groups.push((key, vec![row])),
+        }
+    }
+    if keys.is_empty() && groups.is_empty() {
+        groups.push((vec![], vec![]));
+    }
+    groups.sort_by(|(a, _), (b, _)| {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| scalar_cmp(x, y))
+            .find(|o| *o != Ordering::Equal)
+            .unwrap_or(Ordering::Equal)
+    });
+    groups
+        .into_iter()
+        .map(|(mut out, members)| {
+            for &(func, col) in aggs {
+                let values: Vec<&Scalar> = match col {
+                    Some(c) => members.iter().map(|r| &r[c]).filter(|v| !v.is_null()).collect(),
+                    None => Vec::new(),
+                };
+                let sum = values.iter().filter_map(|v| v.as_f64()).fold(0.0, |a, b| a + b);
+                let best = |want: Ordering| {
+                    values
+                        .iter()
+                        .fold(None, |best: Option<&Scalar>, &v| match best {
+                            Some(b) if scalar_cmp(v, b) != want => Some(b),
+                            _ => Some(v),
+                        })
+                        .cloned()
+                        .unwrap_or(Scalar::Null)
+                };
+                out.push(match func {
+                    AggFunc::CountStar => Scalar::Int64(members.len() as i64),
+                    AggFunc::Count => Scalar::Int64(values.len() as i64),
+                    _ if values.is_empty() => Scalar::Null,
+                    AggFunc::Sum if types[col.unwrap()] == DataType::Int64 => {
+                        Scalar::Int64(sum as i64)
+                    }
+                    AggFunc::Sum => Scalar::Float64(sum),
+                    AggFunc::Avg => Scalar::Float64(sum / values.len() as f64),
+                    AggFunc::Min => best(Ordering::Less),
+                    AggFunc::Max => best(Ordering::Greater),
+                });
+            }
+            out
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn hash_operators_equal_nested_loop_references(
+        n_left in 0usize..40,
+        n_right in 0usize..40,
+        seed in any::<u64>(),
+    ) {
+        use cx_exec::{
+            collect_table, AggFunc, AggSpec, DistinctExec, HashAggregateExec, HashJoinExec,
+            JoinType, PhysicalOperator, TableScanExec,
+        };
+        use cx_storage::Table;
+
+        let mut rng = cx_embed::rng::SplitMix64::new(seed);
+        let (left, right) = (keyed_rows(n_left, &mut rng), keyed_rows(n_right, &mut rng));
+        let names = ["i", "f", "s"];
+        let types = [DataType::Int64, DataType::Float64, DataType::Utf8];
+        let schema =
+            || Schema::new(names.iter().zip(types).map(|(n, t)| Field::new(*n, t)).collect());
+        // Rechunked to 1 row, 7 rows and one chunk (no chunk when empty).
+        let scans = |rows: &[Vec<Scalar>]| -> Vec<Arc<dyn PhysicalOperator>> {
+            let table = Table::from_rows(schema(), rows.to_vec()).unwrap();
+            [1, 7, rows.len().max(1)]
+                .into_iter()
+                .map(|n| {
+                    Arc::new(TableScanExec::new(Arc::new(table.rechunk(n).unwrap())))
+                        as Arc<dyn PhysicalOperator>
+                })
+                .collect()
+        };
+        let rows_of = |op: &dyn PhysicalOperator| {
+            let t = collect_table(op).unwrap();
+            (0..t.num_rows()).map(|r| t.row(r).unwrap()).collect::<Vec<_>>()
+        };
+        let pick = |rng: &mut cx_embed::rng::SplitMix64, n: usize| -> Vec<usize> {
+            let mut cols = vec![0, 1, 2];
+            (0..n).map(|_| cols.remove(rng.next_range(cols.len() as u64) as usize)).collect()
+        };
+
+        // One or two key pairs, type-mismatched pairs included.
+        let n_keys = 1 + rng.next_range(2) as usize;
+        let on: Vec<(usize, usize)> = pick(&mut rng, n_keys)
+            .into_iter()
+            .map(|l| (l, rng.next_range(3) as usize))
+            .collect();
+        let on_names: Vec<(String, String)> =
+            on.iter().map(|&(l, r)| (names[l].to_string(), names[r].to_string())).collect();
+        let (left_scans, right_scans) = (scans(&left), scans(&right));
+        for join_type in [JoinType::Inner, JoinType::Left, JoinType::LeftSemi, JoinType::LeftAnti] {
+            let expected = reference_join(&left, &right, &on, join_type);
+            for l in &left_scans {
+                for r in &right_scans {
+                    let join =
+                        HashJoinExec::new(l.clone(), r.clone(), &on_names, join_type).unwrap();
+                    prop_assert_eq!(
+                        rows_of(&join), expected.clone(), "{} on {:?}", join_type, on_names
+                    );
+                }
+            }
+        }
+
+        let n_group_keys = rng.next_range(4) as usize;
+        let group_by = pick(&mut rng, n_group_keys);
+        let group_names: Vec<String> = group_by.iter().map(|&k| names[k].to_string()).collect();
+        let aggs: Vec<(AggFunc, Option<usize>)> = vec![
+            (AggFunc::CountStar, None),
+            (AggFunc::Count, Some(2)),
+            (AggFunc::Sum, Some(0)),
+            (AggFunc::Sum, Some(1)),
+            (AggFunc::Min, Some(1)),
+            (AggFunc::Max, Some(1)),
+            (AggFunc::Min, Some(0)),
+            (AggFunc::Max, Some(2)),
+            (AggFunc::Avg, Some(1)),
+            (AggFunc::Avg, Some(0)),
+        ];
+        let specs: Vec<AggSpec> = aggs
+            .iter()
+            .enumerate()
+            .map(|(i, &(func, col))| match col {
+                Some(c) => AggSpec::new(func, names[c], format!("a{i}")),
+                None => AggSpec::count_star(format!("a{i}")),
+            })
+            .collect();
+        // Rust leaves the payload of a NaN that arithmetic produces
+        // unspecified, so SUM and AVG compare any NaN equal; every other
+        // value, NaNs that are copied included, compares bit for bit.
+        let arithmetic: Vec<usize> = aggs
+            .iter()
+            .enumerate()
+            .filter(|(_, (func, _))| matches!(func, AggFunc::Sum | AggFunc::Avg))
+            .map(|(i, _)| group_by.len() + i)
+            .collect();
+        let canonical = |mut rows: Vec<Vec<Scalar>>| {
+            for row in &mut rows {
+                for &i in &arithmetic {
+                    if let Scalar::Float64(v) = &mut row[i] {
+                        if v.is_nan() {
+                            *v = f64::NAN;
+                        }
+                    }
+                }
+            }
+            rows
+        };
+        let expected = canonical(reference_aggregate(&left, &group_by, &aggs, &types));
+        let mut distinct = Vec::new();
+        for row in &left {
+            if !distinct.contains(row) {
+                distinct.push(row.clone());
+            }
+        }
+        for scan in &left_scans {
+            let agg = HashAggregateExec::new(scan.clone(), &group_names, &specs).unwrap();
+            prop_assert_eq!(
+                canonical(rows_of(&agg)), expected.clone(), "group by {:?}", group_names
+            );
+            prop_assert_eq!(rows_of(&DistinctExec::new(scan.clone())), distinct.clone());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Expression folding: eval(fold(e)) == eval(e)
 // ---------------------------------------------------------------------------
 
