@@ -24,9 +24,9 @@
 //! Entries marked `*` were measured on a subsample and extrapolated by the
 //! exact pair-count ratio (the honest way to report a 10k×10k interpreted
 //! join that would run for hours). The pushdown leg is small enough to
-//! repeat: it runs [`PUSH_SAMPLES`] times per rung through a `cx_obs`
-//! histogram, reporting the median plus p50/p95/p99 sample latency in
-//! `BENCH_fig4.json`.
+//! repeat: it runs [`PUSH_SAMPLES`] times per rung and reports the median.
+//! The table's `ns/pair` column is the no-pushdown time per candidate pair,
+//! and the run ends with the active SIMD kernel dispatch.
 //!
 //! Usage: `cargo run --release -p cx-bench --bin fig4_optimizations`
 //! (env `FIG4_N` overrides the 10_000 default).
@@ -43,35 +43,26 @@ use std::time::Instant;
 
 const THRESHOLD: f32 = 0.9;
 const PUSHDOWN_SELECTIVITY: f64 = 0.01;
-/// Samples per pushdown-sized rung for the latency quantiles.
+/// Samples per pushdown-sized rung; the median is reported.
 const PUSH_SAMPLES: usize = 10;
 
-/// One report row: rung label, no-pushdown and pushdown measurements,
-/// and the pushdown leg's (p50, p95, p99) sample latency in ms.
-type Rung = (&'static str, Measured, Measured, (f64, f64, f64));
+/// One report row: rung label, no-pushdown and pushdown measurements.
+type Rung = (&'static str, Measured, Measured);
 
-/// Runs the pushdown-sized rung `PUSH_SAMPLES` times, recording each
-/// sample into a `cx_obs` log-linear histogram. Returns the median as the
-/// rung's pushdown measurement (non-extrapolated, like before, but now
-/// noise-damped) plus (p50, p95, p99) sample latency in ms — the
-/// histogram-sourced quantile keys every `BENCH_*.json` carries.
-fn sample_push(pushed: usize, f: impl Fn(usize)) -> (Measured, (f64, f64, f64)) {
-    let h = cx_obs::Histogram::new();
-    let mut secs = Vec::with_capacity(PUSH_SAMPLES);
-    for _ in 0..PUSH_SAMPLES {
-        let start = Instant::now();
-        f(pushed);
-        let d = start.elapsed();
-        h.record_duration(d);
-        secs.push(d.as_secs_f64());
-    }
+/// Measures one rung: the full-size join (extrapolated from `sub` rows when
+/// `sub < n`) and the median of [`PUSH_SAMPLES`] pushdown-sized runs.
+fn rung(name: &'static str, n: usize, sub: usize, pushed: usize, f: impl Fn(usize)) -> Rung {
+    let no_push = measure_or_extrapolate(n, sub, &f);
+    let mut secs: Vec<f64> = (0..PUSH_SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            f(pushed);
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
     secs.sort_by(|a, b| a.partial_cmp(b).expect("sample times are finite"));
     let med = secs[secs.len() / 2];
-    let s = h.snapshot();
-    (
-        Measured { measured_secs: med, full_secs: med, extrapolated: false },
-        (s.p50 as f64 / 1e6, s.p95 as f64 / 1e6, s.p99 as f64 / 1e6),
-    )
+    (name, no_push, Measured { measured_secs: med, full_secs: med, extrapolated: false })
 }
 
 fn corpus(n: usize, seed: u64) -> Vec<String> {
@@ -197,10 +188,7 @@ fn join_parallel(left: &VectorStore, right: &VectorStore, threads: usize) -> usi
 }
 
 fn main() {
-    let n: usize = std::env::var("FIG4_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000);
+    let n: usize = std::env::var("FIG4_N").ok().and_then(|v| v.parse().ok()).unwrap_or(10_000);
     let threads = std::thread::available_parallelism().map_or(4, |p| p.get());
     let pushed = ((n as f64 * PUSHDOWN_SELECTIVITY) as usize).max(1);
 
@@ -218,149 +206,80 @@ fn main() {
     let sub_interp = 300.min(n);
     let sub_prefetch = 2_000.min(n);
 
-    let mut rows: Vec<Rung> = Vec::new();
-
     // ---- L0: interpreted -------------------------------------------------
     let interp = InterpretedModel::load(&m, &[left.clone(), right.clone()].concat());
-    let no_push = measure_or_extrapolate(n, sub_interp, |k| {
+    let l0 = rung("L0 interpreted (Python-style)", n, sub_interp, pushed, |k| {
         std::hint::black_box(interp.similarity_join(&left[..k], &right[..k], THRESHOLD as f64));
     });
-    let (push, push_q) = sample_push(pushed, |k| {
-        std::hint::black_box(interp.similarity_join(&left[..k], &right[..k], THRESHOLD as f64));
-    });
-    rows.push(("L0 interpreted (Python-style)", no_push, push, push_q));
 
     // ---- L1: + prefetch ---------------------------------------------------
     let left_vecs: Vec<Vec<f32>> = left.iter().map(|v| m.embed(v)).collect();
     let right_vecs: Vec<Vec<f32>> = right.iter().map(|v| m.embed(v)).collect();
-    let no_push = measure_or_extrapolate(n, sub_prefetch, |k| {
+    let l1 = rung("L1 + prefetch (no dict in loop)", n, sub_prefetch, pushed, |k| {
         std::hint::black_box(join_prefetched(&left_vecs[..k], &right_vecs[..k]));
     });
-    let (push, push_q) = sample_push(pushed, |k| {
-        std::hint::black_box(join_prefetched(&left_vecs[..k], &right_vecs[..k]));
-    });
-    rows.push(("L1 + prefetch (no dict in loop)", no_push, push, push_q));
 
     // ---- L2: + tight loop ("C++") ----------------------------------------
     let left_store = embed_all(&m, &left);
     let right_store = embed_all(&m, &right);
-    let no_push = measure_or_extrapolate(n, n, |k| {
+    let l2 = rung("L2 + tight loop, cached norms", n, n, pushed, |k| {
         let l = slice_store(&left_store, k);
         let r = slice_store(&right_store, k);
         std::hint::black_box(join_tight(&l, &r));
     });
-    let (push, push_q) = sample_push(pushed, |k| {
-        let l = slice_store(&left_store, k);
-        let r = slice_store(&right_store, k);
-        std::hint::black_box(join_tight(&l, &r));
-    });
-    rows.push(("L2 + tight loop, cached norms", no_push, push, push_q));
 
-    // ---- L3: + SIMD-shaped kernel ----------------------------------------
+    // ---- L3..L5: pre-normalized rows ----------------------------------------
     let left_norm = left_store.normalized();
     let right_norm = right_store.normalized();
-    let no_push = measure_or_extrapolate(n, n, |k| {
-        let l = slice_store(&left_norm, k);
-        let r = slice_store(&right_norm, k);
-        std::hint::black_box(join_simd(&l, &r));
-    });
-    let (push, push_q) = sample_push(pushed, |k| {
-        let l = slice_store(&left_norm, k);
-        let r = slice_store(&right_norm, k);
-        std::hint::black_box(join_simd(&l, &r));
-    });
-    rows.push(("L3 + SIMD-shaped unrolled kernel", no_push, push, push_q));
-
-    // ---- L4: + blocked batch kernel ----------------------------------------
-    let no_push = measure_or_extrapolate(n, n, |k| {
-        let l = slice_store(&left_norm, k);
-        let r = slice_store(&right_norm, k);
-        std::hint::black_box(join_blocked(&l, &r));
-    });
-    let (push, push_q) = sample_push(pushed, |k| {
-        let l = slice_store(&left_norm, k);
-        let r = slice_store(&right_norm, k);
-        std::hint::black_box(join_blocked(&l, &r));
-    });
-    rows.push(("L4 + blocked batch kernel", no_push, push, push_q));
-
-    // ---- L5: + scale-up ----------------------------------------------------
-    let no_push = measure_or_extrapolate(n, n, |k| {
-        let l = slice_store(&left_norm, k);
-        let r = slice_store(&right_norm, k);
-        std::hint::black_box(join_parallel(&l, &r, threads));
-    });
-    let (push, push_q) = sample_push(pushed, |k| {
-        let l = slice_store(&left_norm, k);
-        let r = slice_store(&right_norm, k);
-        std::hint::black_box(join_parallel(&l, &r, threads));
-    });
-    rows.push(("L5 + parallel scale-up", no_push, push, push_q));
+    let normalized = |name, join: &dyn Fn(&VectorStore, &VectorStore) -> usize| {
+        rung(name, n, n, pushed, |k| {
+            let l = slice_store(&left_norm, k);
+            let r = slice_store(&right_norm, k);
+            std::hint::black_box(join(&l, &r));
+        })
+    };
+    let l3 = normalized("L3 + SIMD-shaped unrolled kernel", &join_simd);
+    let l4 = normalized("L4 + blocked batch kernel", &join_blocked);
+    let l5 = normalized("L5 + parallel scale-up", &|l, r| join_parallel(l, r, threads));
+    let rows: [Rung; 6] = [l0, l1, l2, l3, l4, l5];
 
     // ---- report ------------------------------------------------------------
+    let pair_count = (n as f64) * (n as f64);
     println!(
-        "{:<34} | {:>13} | {:>13} | {:>8} | {:>8}",
-        "execution optimizations (additive)", "no pushdown s", "pushdown 1% s", "log10", "log10"
+        "{:<34} | {:>13} | {:>13} | {:>8} | {:>8} | {:>10}",
+        "execution optimizations (additive)",
+        "no pushdown s",
+        "pushdown 1% s",
+        "log10",
+        "log10",
+        "ns/pair"
     );
-    println!("{}", "-".repeat(90));
-    for (name, no_push, push, _) in &rows {
+    println!("{}", "-".repeat(103));
+    for (name, no_push, push) in &rows {
         println!(
-            "{:<34} | {} | {} | {:>8.2} | {:>8.2}",
+            "{:<34} | {} | {} | {:>8.2} | {:>8.2} | {:>10.3}",
             name,
             no_push.render(),
             push.render(),
             no_push.log10(),
-            push.log10()
+            push.log10(),
+            no_push.full_secs * 1e9 / pair_count
         );
     }
     println!("\n(* = measured on a subsample, extrapolated by exact pair-count ratio)");
 
-    let first = rows.first().expect("rows");
-    let last = rows.last().expect("rows");
+    let (first, last) = (&rows[0], &rows[rows.len() - 1]);
     println!(
         "\ntotal effect, no-pushdown series: {:.0}x ({:.1} orders of magnitude)",
         first.1.full_secs / last.1.full_secs,
         (first.1.full_secs / last.1.full_secs).log10()
     );
-    println!(
-        "pushdown effect on naive rung:    {:.0}x",
-        first.1.full_secs / first.2.full_secs
-    );
+    println!("pushdown effect on naive rung:    {:.0}x", first.1.full_secs / first.2.full_secs);
     println!(
         "combined (naive no-pushdown -> all optimizations + pushdown): {:.0}x",
         first.1.full_secs / last.2.full_secs
     );
-
-    // Machine-readable trajectory: median ns/pair per rung, tracked across
-    // PRs via BENCH_fig4.json.
-    let pair_count = (n as f64) * (n as f64);
-    let entries: Vec<String> = rows
-        .iter()
-        .map(|(name, no_push, push, push_q)| {
-            format!(
-                "    {{\"rung\": \"{}\", \"ns_per_pair\": {:.4}, \"no_pushdown_secs\": {:.6}, \"pushdown_secs\": {:.6}, \"pushdown_p50_ms\": {:.4}, \"pushdown_p95_ms\": {:.4}, \"pushdown_p99_ms\": {:.4}, \"extrapolated\": {}}}",
-                name,
-                no_push.full_secs * 1e9 / pair_count,
-                no_push.full_secs,
-                push.full_secs,
-                push_q.0,
-                push_q.1,
-                push_q.2,
-                no_push.extrapolated
-            )
-        })
-        .collect();
-    let simd = cx_vector::simd::KernelDispatch::active().report();
-    let json = format!(
-        "{{\n  \"bench\": \"fig4_optimizations\",\n  \"simd\": \"{simd}\",\n  \"n\": {n},\n  \"threads\": {threads},\n  \"threshold\": {THRESHOLD},\n  \"results\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
-    // Anchored to the workspace root regardless of invocation cwd.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fig4.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote BENCH_fig4.json ({} rungs)", rows.len()),
-        Err(e) => eprintln!("could not write BENCH_fig4.json: {e}"),
-    }
+    println!("kernel dispatch: {}", cx_vector::simd::KernelDispatch::active().report());
 }
 
 /// A store view over the first `k` rows (copy; small relative to join cost).

@@ -1,4 +1,6 @@
-//! Experiment harness library.
+//! Shared code for the paper's figure and table reproductions (the
+//! `fig*`/`table1` binaries). Serving and per-layer performance is
+//! measured by the separate `benchmark/` package, not here.
 //!
 //! [`interpreted`] re-creates the *naive analyst pipeline* of Figure 4's
 //! left-most bars — "the first tool at their disposal … Python: load the

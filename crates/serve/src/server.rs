@@ -548,8 +548,8 @@ impl Server {
     /// plan. While installed, the serving hot path consults it at the
     /// [`FaultSite`] boundaries and injects panics, delays, or transient
     /// errors per the plan's seeded schedule — the chaos harness the
-    /// robustness tests and `BENCH_chaos` drive. Takes effect for queries
-    /// entering after the call.
+    /// robustness tests drive, one seed after another on one server. Takes
+    /// effect for queries entering after the call.
     pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
         *self.fault_plan.write() = plan;
     }

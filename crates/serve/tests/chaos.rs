@@ -6,10 +6,10 @@
 //!   queue-full shedding — each observed through the public serving API;
 //! * degradation policy — a deadline-expired member exits its shared-scan
 //!   group alone while survivors get bit-identical-to-solo results;
-//! * the chaos harness — a seeded fault storm (panics, delays, transient
-//!   errors at every [`FaultSite`]) through which every *successful*
-//!   query stays bit-identical to solo execution and the server keeps
-//!   serving afterwards.
+//! * the chaos harness — seeded fault storms (panics, delays, transient
+//!   errors at every [`FaultSite`]) across sixteen seeds, through which
+//!   every *successful* query stays bit-identical to a fault-free solo
+//!   run and the server keeps serving afterwards.
 
 use context_engine::{Engine, EngineConfig, Query};
 use cx_datagen::{generate_corpus, synthetic_clusters, CorpusConfig};
@@ -309,6 +309,14 @@ fn expired_member_exits_group_without_killing_it() {
     assert_eq!(server.lifecycle_stats().deadline_exceeded, 1);
 }
 
+/// Fault-plan seeds the storm sweeps: `0xC0FFEE`, `7` and `99` plus
+/// thirteen more. Faults are a pure function of `(seed, site, n)`, so a
+/// seed that fails here is a reproducer. Each statement strikes admission
+/// (solo) or an epilogue (grouped), and its group a drain and a sweep; every
+/// seed listed faults within 60 statements under any solo/grouped split.
+const STORM_SEEDS: [u64; 16] =
+    [0xC0FFEE, 7, 99, 1, 2, 3, 5, 11, 13, 42, 101, 1234, 0xBEEF, 0x5EED, 0xDEAD_BEEF, 31337];
+
 #[test]
 fn seeded_fault_storm_preserves_correctness_and_service() {
     let engine = build_engine(300);
@@ -316,7 +324,7 @@ fn seeded_fault_storm_preserves_correctness_and_service() {
         engine.clone(),
         ServeConfig {
             cache_results: false, // replays must really execute
-            scan_linger: Duration::from_millis(10),
+            scan_linger: Duration::from_millis(2),
             ..ServeConfig::default()
         },
     );
@@ -339,91 +347,96 @@ fn seeded_fault_storm_preserves_correctness_and_service() {
     let truth: Vec<Arc<Table>> =
         queries.iter().map(|q| Arc::new(engine.execute(q).unwrap().table)).collect();
 
-    // A 5% seeded storm: panics, delays, and transient errors at every
-    // site. Replayable: same seed, same schedule.
-    let plan = Arc::new(FaultPlan::new(0xC0FFEE, 0.05).with_delay(Duration::from_millis(1)));
-    server.set_fault_plan(Some(plan.clone()));
+    const CLIENTS: usize = 3;
+    const ROUNDS: usize = 2;
+    for seed in STORM_SEEDS {
+        // A 5% seeded storm: panics, delays, and transient errors at every
+        // site. Replayable: same seed, same schedule.
+        let plan = Arc::new(FaultPlan::new(seed, 0.05).with_delay(Duration::from_millis(1)));
+        server.set_fault_plan(Some(plan));
+        let retries_before = server.stats().lifecycle.retries;
 
-    const CLIENTS: usize = 4;
-    const ROUNDS: usize = 3;
-    let barrier = Arc::new(Barrier::new(CLIENTS));
-    let mut served = 0usize;
-    let mut failed = 0usize;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|_| {
-                let server = server.clone();
-                let barrier = barrier.clone();
-                let queries = queries.clone();
-                let truth = truth.clone();
-                s.spawn(move || {
-                    barrier.wait();
-                    let mut ok = 0usize;
-                    let mut err = 0usize;
-                    for round in 0..ROUNDS {
-                        for (i, q) in queries.iter().enumerate() {
-                            match server.execute(q) {
+        let barrier = Arc::new(Barrier::new(CLIENTS));
+        let mut served = 0usize;
+        let mut failed = 0usize;
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..CLIENTS)
+                .map(|_| {
+                    let server = server.clone();
+                    let barrier = barrier.clone();
+                    let (queries, truth) = (&queries, &truth);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let mut ok = 0usize;
+                        let mut err = 0usize;
+                        for n in 0..ROUNDS * queries.len() {
+                            let i = n % queries.len();
+                            match server.execute(&queries[i]) {
                                 Ok(result) => {
-                                    // THE contract: a query the storm did
-                                    // not kill is indistinguishable from a
+                                    // THE contract: a query the storm did not
+                                    // kill is indistinguishable from a
                                     // fault-free solo run.
                                     assert_tables_equal(
                                         &result.table,
                                         &truth[i],
-                                        &format!("round {round} query {i}"),
+                                        &format!("seed {seed:#x} statement {n} (query {i})"),
                                     );
                                     ok += 1;
                                 }
                                 Err(e) => {
-                                    // Faulted queries die with *typed*
-                                    // errors, not unwinding threads.
+                                    // Faulted queries die with *typed* errors,
+                                    // not unwinding threads.
                                     assert!(
                                         e.is_transient(),
-                                        "storm produced a non-transient failure: {e}"
+                                        "seed {seed:#x}: non-transient failure: {e}"
                                     );
                                     err += 1;
                                 }
                             }
                         }
-                    }
-                    (ok, err)
+                        (ok, err)
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            let (ok, err) = h.join().expect("client thread must not unwind");
-            served += ok;
-            failed += err;
-        }
-    });
+                .collect();
+            for h in handles {
+                let (ok, err) = h.join().expect("client thread must not unwind");
+                served += ok;
+                failed += err;
+            }
+        });
 
-    let stats = server.stats();
-    let faults = server.fault_stats().unwrap();
-    assert_eq!(served + failed, CLIENTS * ROUNDS * queries.len());
-    assert!(faults.total() > 0, "storm injected nothing; widen it");
-    assert!(served > 0, "storm killed every query");
-    // The retry-once policy recovered at least some transient faults
-    // (first-attempt transients = retries; only double faults fail).
-    assert!(
-        stats.lifecycle.retries as usize >= failed,
-        "every final failure implies a failed retry: {:?}",
-        stats.lifecycle
-    );
+        let faults = server.fault_stats().unwrap();
+        let retries = server.stats().lifecycle.retries - retries_before;
+        assert_eq!(
+            served + failed,
+            CLIENTS * ROUNDS * queries.len(),
+            "seed {seed:#x}: lost statements"
+        );
+        assert!(faults.total() > 0, "seed {seed:#x}: storm injected nothing; widen it");
+        assert!(served > 0, "seed {seed:#x}: storm killed every query");
+        // The retry-once policy recovered at least some transient faults
+        // (first-attempt transients = retries; only double faults fail).
+        assert!(
+            retries as usize >= failed,
+            "seed {seed:#x}: {failed} failures but only {retries} retries"
+        );
 
-    // Determinism: a fresh plan with the same seed replays the exact
-    // same decision stream.
-    let replay = FaultPlan::new(0xC0FFEE, 0.05);
-    let original = FaultPlan::new(0xC0FFEE, 0.05);
-    for site in cx_serve::FaultSite::ALL {
-        for _ in 0..100 {
-            assert_eq!(replay.roll(site), original.roll(site));
+        // Determinism: two fresh plans with the same seed replay the exact
+        // same decision stream.
+        let (replay, original) = (FaultPlan::new(seed, 0.05), FaultPlan::new(seed, 0.05));
+        for site in cx_serve::FaultSite::ALL {
+            for _ in 0..100 {
+                assert_eq!(replay.roll(site), original.roll(site), "seed {seed:#x}: {site:?}");
+            }
         }
+
+        // The server outlives the storm: plan removed, service is clean.
+        server.set_fault_plan(None);
+        let after = server
+            .execute(&queries[0])
+            .unwrap_or_else(|e| panic!("seed {seed:#x}: post-storm query failed: {e}"));
+        assert_tables_equal(&after.table, &truth[0], &format!("seed {seed:#x} post-storm"));
     }
-
-    // The server outlives the storm: plan removed, service is clean.
-    server.set_fault_plan(None);
-    let after = server.execute(&queries[0]).expect("post-storm query must succeed");
-    assert_tables_equal(&after.table, &truth[0], "post-storm");
 }
 
 #[test]
