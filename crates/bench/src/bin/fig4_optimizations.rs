@@ -36,7 +36,7 @@ use cx_datagen::{generate_corpus, synthetic_clusters, CorpusConfig};
 use cx_embed::{ClusteredTextModel, EmbeddingModel};
 use cx_vector::block::dot_block_threshold;
 use cx_vector::kernels::{dot, dot_unrolled};
-use cx_vector::VectorStore;
+use cx_vector::{RowBlock, VectorArena};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -80,16 +80,17 @@ fn model() -> Arc<dyn EmbeddingModel> {
     Arc::new(ClusteredTextModel::new("fasttext-like", space, 7))
 }
 
-/// Embeds `values` into a store (prefetch/materialization step shared by
-/// the compiled rungs; its cost is charged inside each rung's closure).
-fn embed_all(model: &Arc<dyn EmbeddingModel>, values: &[String]) -> VectorStore {
-    let mut store = VectorStore::new(model.dim());
+/// Embeds `values` into an arena once (the prefetch/materialization step
+/// shared by the compiled rungs); each rung's timed closure then joins
+/// zero-copy [`RowBlock`] views of its first `k` rows.
+fn embed_all(model: &Arc<dyn EmbeddingModel>, values: &[String]) -> VectorArena {
+    let mut arena = VectorArena::with_capacity(model.dim(), values.len());
     let mut buf = vec![0.0f32; model.dim()];
     for v in values {
         model.embed_into(v, &mut buf);
-        store.push(&buf);
+        arena.push(&buf);
     }
-    store
+    arena
 }
 
 /// L1: prefetched (no dict in the loop) but unnormalized per-row `Vec`s,
@@ -110,12 +111,12 @@ fn join_prefetched(left: &[Vec<f32>], right: &[Vec<f32>]) -> usize {
 }
 
 /// L2: contiguous rows, cached norms, scalar dot.
-fn join_tight(left: &VectorStore, right: &VectorStore) -> usize {
+fn join_tight(left: RowBlock, right: RowBlock) -> usize {
     let mut matches = 0usize;
-    for (i, l) in left.iter() {
-        let nl = left.row_norm(i);
-        for (j, r) in right.iter() {
-            if cosine_with_norms_scalar(l, r, nl, right.row_norm(j)) >= THRESHOLD {
+    for i in 0..left.rows {
+        let (l, nl) = (left.row(i), left.norms[i]);
+        for j in 0..right.rows {
+            if cosine_with_norms_scalar(l, right.row(j), nl, right.norms[j]) >= THRESHOLD {
                 matches += 1;
             }
         }
@@ -132,11 +133,11 @@ fn cosine_with_norms_scalar(a: &[f32], b: &[f32], na: f32, nb: f32) -> f32 {
 }
 
 /// L3: pre-normalized rows, unrolled (SIMD-shaped) dot.
-fn join_simd(left: &VectorStore, right: &VectorStore) -> usize {
+fn join_simd(left: RowBlock, right: RowBlock) -> usize {
     let mut matches = 0usize;
-    for (_, l) in left.iter() {
-        for (_, r) in right.iter() {
-            if dot_unrolled(l, r) >= THRESHOLD {
+    for i in 0..left.rows {
+        for j in 0..right.rows {
+            if dot_unrolled(left.row(i), right.row(j)) >= THRESHOLD {
                 matches += 1;
             }
         }
@@ -146,11 +147,10 @@ fn join_simd(left: &VectorStore, right: &VectorStore) -> usize {
 
 /// L4: blocked batch kernel — each probe scores the whole pre-normalized
 /// build panel with one threshold-aware kernel call.
-fn join_blocked(left: &VectorStore, right: &VectorStore) -> usize {
-    let view = right.as_block();
+fn join_blocked(left: RowBlock, right: RowBlock) -> usize {
     let mut matches = 0usize;
-    for (_, l) in left.iter() {
-        dot_block_threshold(l, view.data, view.stride, view.rows, THRESHOLD, |_, _| {
+    for i in 0..left.rows {
+        dot_block_threshold(left.row(i), right.data, right.stride, right.rows, THRESHOLD, |_, _| {
             matches += 1
         });
     }
@@ -158,24 +158,23 @@ fn join_blocked(left: &VectorStore, right: &VectorStore) -> usize {
 }
 
 /// L5: L4 parallelized over left rows with scoped threads.
-fn join_parallel(left: &VectorStore, right: &VectorStore, threads: usize) -> usize {
+fn join_parallel(left: RowBlock, right: RowBlock, threads: usize) -> usize {
     let counter = AtomicUsize::new(0);
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| {
-                let view = right.as_block();
                 let mut local = 0usize;
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= left.len() {
+                    if i >= left.rows {
                         break;
                     }
                     dot_block_threshold(
                         left.row(i),
-                        view.data,
-                        view.stride,
-                        view.rows,
+                        right.data,
+                        right.stride,
+                        right.rows,
                         THRESHOLD,
                         |_, _| local += 1,
                     );
@@ -220,22 +219,18 @@ fn main() {
     });
 
     // ---- L2: + tight loop ("C++") ----------------------------------------
-    let left_store = embed_all(&m, &left);
-    let right_store = embed_all(&m, &right);
+    let left_arena = embed_all(&m, &left);
+    let right_arena = embed_all(&m, &right);
     let l2 = rung("L2 + tight loop, cached norms", n, n, pushed, |k| {
-        let l = slice_store(&left_store, k);
-        let r = slice_store(&right_store, k);
-        std::hint::black_box(join_tight(&l, &r));
+        std::hint::black_box(join_tight(left_arena.block(0..k), right_arena.block(0..k)));
     });
 
     // ---- L3..L5: pre-normalized rows ----------------------------------------
-    let left_norm = left_store.normalized();
-    let right_norm = right_store.normalized();
-    let normalized = |name, join: &dyn Fn(&VectorStore, &VectorStore) -> usize| {
+    let left_norm = left_arena.normalized();
+    let right_norm = right_arena.normalized();
+    let normalized = |name, join: &dyn Fn(RowBlock, RowBlock) -> usize| {
         rung(name, n, n, pushed, |k| {
-            let l = slice_store(&left_norm, k);
-            let r = slice_store(&right_norm, k);
-            std::hint::black_box(join(&l, &r));
+            std::hint::black_box(join(left_norm.block(0..k), right_norm.block(0..k)));
         })
     };
     let l3 = normalized("L3 + SIMD-shaped unrolled kernel", &join_simd);
@@ -280,10 +275,4 @@ fn main() {
         first.1.full_secs / last.2.full_secs
     );
     println!("kernel dispatch: {}", cx_vector::simd::KernelDispatch::active().report());
-}
-
-/// A store view over the first `k` rows (copy; small relative to join cost).
-fn slice_store(store: &VectorStore, k: usize) -> VectorStore {
-    let dim = store.dim();
-    VectorStore::from_flat(dim, store.flat()[..k * dim].to_vec())
 }

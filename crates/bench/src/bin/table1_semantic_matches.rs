@@ -7,7 +7,7 @@
 //! Usage: `cargo run --release -p cx-bench --bin table1_semantic_matches`
 
 use cx_embed::{ClusteredTextModel, EmbeddingModel};
-use cx_vector::{BruteForceIndex, VectorArena, VectorIndex};
+use cx_vector::{BruteForceIndex, VectorArena};
 use std::sync::Arc;
 
 fn main() {

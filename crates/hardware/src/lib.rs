@@ -14,20 +14,16 @@
 //! * [`placement`] — dynamic-programming placement of a pipeline onto a
 //!   topology, minimizing compute + transfer + launch cost,
 //! * [`simulate`] — simulated execution of a placement (the "measured"
-//!   column of the Figure 5 experiment),
-//! * [`adaptive`] — runtime micro-sampling to pick an operator variant,
-//!   standing in for just-in-time code specialization.
+//!   column of the Figure 5 experiment).
 //!
 //! All costs are in abstract nanoseconds; constants are calibrated to
 //! publicly known device envelopes and clearly labeled as simulation.
 
-pub mod adaptive;
 pub mod device;
 pub mod placement;
 pub mod profile;
 pub mod simulate;
 
-pub use adaptive::AdaptivePicker;
 pub use device::{Device, DeviceId, DeviceKind, Topology};
 pub use placement::{place_pipeline, PlacementPlan};
 pub use profile::{OperatorClass, OperatorProfile};

@@ -5,57 +5,43 @@
 //! the chosen representation model (Section IV, the "small robot" operator
 //! of Figure 2).
 //!
-//! The physical strategy is selectable — exactly the physical optimization
-//! space the paper says the optimizer must navigate:
+//! The physical strategy is the part of the paper's physical optimization
+//! space the planner navigates — one variant per choice it can make:
 //!
-//! * [`SemanticJoinStrategy::NestedLoop`] — per-pair cosine with cached
-//!   norms over distinct values (the honest quadratic baseline),
-//! * [`SemanticJoinStrategy::PreNormalized`] — normalize once, then the
-//!   inner loop is a bare unrolled dot product (the pairwise rung),
-//! * [`SemanticJoinStrategy::Blocked`] — the default: normalize once, then
-//!   score each probe against cache-sized tiles of the build-side arena
-//!   with the blocked kernels. Scores are bit-identical to
-//!   `PreNormalized`; only the schedule changes,
-//! * [`SemanticJoinStrategy::Lsh`] / [`SemanticJoinStrategy::Ivf`] — probe
-//!   an approximate index built on the right side, trading recall for
-//!   candidate pruning.
+//! * [`SemanticJoinStrategy::Blocked`] — the default, exact: normalize
+//!   once, then score each probe against cache-sized tiles of the
+//!   build-side arena with the blocked kernels. Scores are bit-identical to
+//!   a pairwise unrolled dot over normalized rows; only the schedule
+//!   differs,
+//! * [`SemanticJoinStrategy::Lsh`] — picked when the plan carries a recall
+//!   tolerance: probe an LSH index built on the right side, trading recall
+//!   for candidate pruning.
 //!
 //! Distinct join-key values are deduplicated before embedding
-//! ([`Distinct`]). The default `Blocked` strategy is the one panel sweep
-//! ([`crate::sweep`]) with the left values as probes — a configured
-//! quantization tier ([`SemanticJoinExec::with_quant_tier`]) makes it scan
-//! f16/int8 panels, trading a bounded score error for bytes-per-row; the
-//! other strategies embed both sides into [`VectorArena`]s, which the
-//! baselines scan pairwise and the index builders consume directly.
+//! ([`Distinct`]). `Blocked` is the one panel sweep ([`crate::sweep`])
+//! with the left values as probes — a configured quantization tier
+//! ([`SemanticJoinExec::with_quant_tier`]) makes it scan f16/int8 panels,
+//! trading a bounded score error for bytes-per-row; `Lsh` embeds both
+//! sides into [`VectorArena`]s and builds its index from the right one.
 
 use crate::sweep::{sweep, Distinct, Hit, Scores};
 use cx_embed::EmbeddingCache;
 use cx_exec::shared::{ProbeSource, ScanKind, ScanSignature, SharedScanState};
 use cx_exec::{parallel::parallel_map_ranges, ChunkStream, PhysicalOperator};
 use cx_storage::{Chunk, Column, DataType, Error, Field, QueryContext, Result, Schema};
-use cx_vector::ivf::IvfParams;
 use cx_vector::lsh::LshParams;
-use cx_vector::{
-    kernels::{cosine_with_norms, dot_unrolled},
-    IvfIndex, LshIndex, QuantTier, VectorArena, VectorIndex,
-};
+use cx_vector::{LshIndex, QuantTier, VectorArena};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Physical strategies for the semantic join.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SemanticJoinStrategy {
-    /// Exact: cosine (with cached norms) for every distinct-value pair.
-    NestedLoop,
-    /// Exact: pre-normalize both sides, inner loop is a dot product.
-    PreNormalized,
     /// Exact: pre-normalize both sides, probe tiles scored against build
-    /// blocks with the batched kernels (bit-identical to `PreNormalized`).
+    /// blocks with the batched kernels.
     Blocked,
     /// Approximate: random-hyperplane LSH index on the right side.
     Lsh(LshParams),
-    /// Approximate: IVF-Flat index on the right side.
-    Ivf(IvfParams),
 }
 
 impl Default for SemanticJoinStrategy {
@@ -69,11 +55,8 @@ impl SemanticJoinStrategy {
     /// Short name for EXPLAIN output.
     pub fn label(&self) -> &'static str {
         match self {
-            SemanticJoinStrategy::NestedLoop => "nested-loop",
-            SemanticJoinStrategy::PreNormalized => "pre-normalized",
             SemanticJoinStrategy::Blocked => "blocked",
             SemanticJoinStrategy::Lsh(_) => "lsh",
-            SemanticJoinStrategy::Ivf(_) => "ivf",
         }
     }
 }
@@ -186,7 +169,7 @@ impl SemanticJoinExec {
     /// 2–4× fewer bytes per candidate at a bounded score error (≲1e-3 /
     /// ≲1.2e-2 on unit vectors) — so callers with recall tolerance trade
     /// exactness for memory bandwidth. Only the `Blocked` strategy
-    /// consults the tier; index strategies verify in f32.
+    /// consults the tier; `Lsh` verifies in f32.
     pub fn with_quant_tier(mut self, tier: QuantTier) -> Self {
         self.quant = tier;
         self
@@ -234,10 +217,7 @@ impl PhysicalOperator for SemanticJoinExec {
 
     fn scan_signature(&self) -> Option<ScanSignature> {
         // Only the blocked exact scan sweeps the build panel directly;
-        // index strategies probe candidate lists and cannot share a
-        // sweep. (Pre-normalized and nested-loop could in principle, but
-        // they exist as baselines — sharing the default path is the one
-        // that matters.)
+        // the LSH strategy probes candidate lists and cannot share a sweep.
         if self.strategy != SemanticJoinStrategy::Blocked {
             return None;
         }
@@ -385,11 +365,10 @@ impl SemanticJoinExec {
     /// ordered by ids regardless of parallelism.
     ///
     /// `Blocked` is the one panel sweep ([`crate::sweep`]) with the left
-    /// values as its probes and this join's threshold as its floor. The
-    /// baselines and index strategies embed both sides into contiguous
-    /// arenas; probe work is tiled over the left values and fanned out
-    /// with [`parallel_map_ranges`], each strategy scanning (or probing an
-    /// index over) the right side.
+    /// values as its probes and this join's threshold as its floor. `Lsh`
+    /// builds an [`LshIndex`] over the right values and fans contiguous
+    /// spans of left values out with [`parallel_map_ranges`], each probing
+    /// the index.
     fn match_values(&self, left: &[&str], right: &[&str], ctx: &QueryContext) -> Result<Vec<Hit>> {
         if left.is_empty() || right.is_empty() {
             return Ok(Vec::new());
@@ -401,17 +380,7 @@ impl SemanticJoinExec {
             self.parallelism
         };
 
-        // Strategy state is prepared once, before the probe fan-out: the
-        // distinct values flow from the embedding cache straight into
-        // contiguous arenas (build side first), which the baselines scan
-        // pairwise and the index builders consume directly.
-        enum Probe {
-            NestedLoop { right: VectorArena, left: VectorArena },
-            PreNorm { right: VectorArena, left: VectorArena },
-            Index { index: Box<dyn VectorIndex>, left: VectorArena },
-        }
-        let embed = |texts: &[&str]| VectorArena::from_texts(&self.cache, texts);
-        let probe = match self.strategy {
+        let params = match self.strategy {
             SemanticJoinStrategy::Blocked => {
                 let (kind, tier) = (ScanKind::DotJoin, self.quant);
                 let Scores::Hits(hits) =
@@ -423,81 +392,36 @@ impl SemanticJoinExec {
                 self.pairs_evaluated.fetch_add(evaluated, Ordering::Relaxed);
                 return Ok(hits);
             }
-            SemanticJoinStrategy::NestedLoop => {
-                Probe::NestedLoop { right: embed(right), left: embed(left) }
-            }
-            SemanticJoinStrategy::PreNormalized => {
-                Probe::PreNorm { right: embed(right).normalized(), left: embed(left).normalized() }
-            }
-            SemanticJoinStrategy::Lsh(params) => Probe::Index {
-                index: Box::new(LshIndex::build(&embed(right), params)),
-                left: embed(left),
-            },
-            SemanticJoinStrategy::Ivf(params) => Probe::Index {
-                index: Box::new(IvfIndex::build(&embed(right), params)),
-                left: embed(left),
-            },
+            SemanticJoinStrategy::Lsh(params) => params,
         };
 
-        // Scans one contiguous span of left values, returning its local
-        // matches and the number of candidate pairs examined. Checks the
+        // The distinct values flow from the embedding cache straight into
+        // contiguous arenas (build side first); the index is built once,
+        // before the probe fan-out.
+        let index = LshIndex::build(&VectorArena::from_texts(&self.cache, right), params);
+        let probes = VectorArena::from_texts(&self.cache, left);
+
+        // Probes one contiguous span of left values, checking the
         // lifecycle context between probe rows (the fan-out spawns fresh
         // threads whose TLS is empty, so it travels as explicit data).
-        let scan_span = |span: std::ops::Range<usize>| -> Result<(Vec<Hit>, u64)> {
+        let probe_span = |span: std::ops::Range<usize>| -> Result<Vec<Hit>> {
             let mut local: Vec<Hit> = Vec::new();
-            let mut seen = 0u64;
             for lv in span {
                 ctx.check()?;
-                let mut emit = |rv: usize, score: f32| {
-                    if score >= threshold {
-                        local.push((lv as u32, rv as u32, score));
-                    }
-                };
-                match &probe {
-                    Probe::NestedLoop { right, left } => {
-                        let (q, qn) = (left.row(lv), left.row_norm(lv));
-                        for rv in 0..right.len() {
-                            emit(rv, cosine_with_norms(q, right.row(rv), qn, right.row_norm(rv)));
-                        }
-                        seen += right.len() as u64;
-                    }
-                    Probe::PreNorm { right, left } => {
-                        let q = left.row(lv);
-                        for rv in 0..right.len() {
-                            emit(rv, dot_unrolled(q, right.row(rv)));
-                        }
-                        seen += right.len() as u64;
-                    }
-                    // `seen` stays 0 here: per-span deltas of the shared
-                    // IndexStats counter would race across workers, so the
-                    // caller takes one global delta around the fan-out.
-                    Probe::Index { index, left } => {
-                        for r in index.search_threshold(left.row(lv), threshold) {
-                            emit(r.id, r.score);
-                        }
-                    }
+                for r in index.search_threshold(probes.row(lv), threshold) {
+                    local.push((lv as u32, r.id as u32, r.score));
                 }
             }
-            Ok((local, seen))
+            Ok(local)
         };
-
-        // Index probes meter candidates through the index's shared stats
-        // counter; one delta around the whole fan-out is race-free.
-        let index_seen = |probe: &Probe| match probe {
-            Probe::Index { index, .. } => index.stats().candidates_examined(),
-            _ => 0,
-        };
-        let index_seen_before = index_seen(&probe);
         let mut matches: Vec<Hit> = Vec::new();
-        let mut evaluated = 0u64;
-        for span_result in parallel_map_ranges(left.len(), workers, scan_span) {
-            let (local, seen) = span_result?;
-            matches.extend(local);
-            evaluated += seen;
+        for span_result in parallel_map_ranges(left.len(), workers, probe_span) {
+            matches.extend(span_result?);
         }
-        evaluated += index_seen(&probe) - index_seen_before;
-        // Credited after the fan-out, when the evaluated count is known:
-        // an index join reports the candidates it examined, not |L|·|R|.
+        // The index is this execution's own and every worker has joined,
+        // so its counter is exactly the candidates examined — what the
+        // join reports as evaluated, not |L|·|R|.
+        let evaluated = index.stats().candidates_examined();
         cx_obs::add_pairs(evaluated);
         self.pairs_evaluated.fetch_add(evaluated, Ordering::Relaxed);
 
@@ -581,7 +505,7 @@ mod tests {
 
     #[test]
     fn matches_within_clusters() {
-        let out = join_with(SemanticJoinStrategy::PreNormalized, 1);
+        let out = join_with(SemanticJoinStrategy::Blocked, 1);
         // boots×2 rows match sneakers+oxfords (4 pairs), parka matches coat,
         // mug matches cup.
         assert_eq!(out.num_rows(), 6);
@@ -597,76 +521,79 @@ mod tests {
     }
 
     #[test]
-    fn strategies_agree_on_exact_results() {
-        let base = join_with(SemanticJoinStrategy::NestedLoop, 1);
-        let prenorm = join_with(SemanticJoinStrategy::PreNormalized, 1);
-        let blocked = join_with(SemanticJoinStrategy::Blocked, 1);
-        assert_eq!(base.num_rows(), prenorm.num_rows());
-        assert_eq!(base.num_rows(), blocked.num_rows());
-        // Same (id, label) pairs.
-        let pairs = |t: &Table| {
-            let mut v: Vec<(Scalar, Scalar)> = (0..t.num_rows())
-                .map(|i| {
-                    let row = t.row(i).unwrap();
-                    (row[0].clone(), row[2].clone())
-                })
-                .collect();
-            v.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-            v
-        };
-        assert_eq!(pairs(&base), pairs(&prenorm));
-        assert_eq!(pairs(&base), pairs(&blocked));
-    }
-
-    #[test]
-    fn blocked_is_byte_identical_to_prenormalized() {
-        // The blocked default must reproduce the pairwise prenormalized
-        // rung exactly: same rows in the same order, scores equal to the
-        // bit.
-        for parallelism in [1, 4] {
-            let prenorm = join_with(SemanticJoinStrategy::PreNormalized, parallelism);
-            let blocked = join_with(SemanticJoinStrategy::Blocked, parallelism);
-            assert_eq!(prenorm.num_rows(), blocked.num_rows());
-            for i in 0..prenorm.num_rows() {
-                let (a, b) = (prenorm.row(i).unwrap(), blocked.row(i).unwrap());
-                assert_eq!(a[..4], b[..4], "row {i} keys (parallelism {parallelism})");
-                match (&a[4], &b[4]) {
-                    (Scalar::Float64(x), Scalar::Float64(y)) => {
-                        assert_eq!(x.to_bits(), y.to_bits(), "row {i} score")
-                    }
-                    other => panic!("unexpected score scalars: {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
     fn default_strategy_is_blocked() {
         assert_eq!(SemanticJoinStrategy::default(), SemanticJoinStrategy::Blocked);
         assert_eq!(SemanticJoinStrategy::default().label(), "blocked");
     }
 
-    #[test]
-    fn parallel_matches_serial() {
-        for strategy in [SemanticJoinStrategy::PreNormalized, SemanticJoinStrategy::Blocked] {
-            let serial = join_with(strategy, 1);
-            let parallel = join_with(strategy, 4);
-            assert_eq!(serial.num_rows(), parallel.num_rows());
+    /// Asserts two join outputs are the same rows in the same order, scores
+    /// equal to the bit.
+    fn assert_bit_identical(a: &Table, b: &Table, what: &str) {
+        assert_eq!(a.num_rows(), b.num_rows(), "{what}");
+        for i in 0..a.num_rows() {
+            let (x, y) = (a.row(i).unwrap(), b.row(i).unwrap());
+            assert_eq!(x[..4], y[..4], "{what}: row {i} keys");
+            match (&x[4], &y[4]) {
+                (Scalar::Float64(p), Scalar::Float64(q)) => {
+                    assert_eq!(p.to_bits(), q.to_bits(), "{what}: row {i} score")
+                }
+                other => panic!("unexpected score scalars: {other:?}"),
+            }
         }
     }
 
     #[test]
-    fn lsh_and_ivf_reach_exact_recall_here() {
-        // Small, well-separated clusters: approximate strategies should
+    fn parallel_matches_serial() {
+        // Enough distinct probe values (≥ 2 × parallelism) that 4 workers
+        // really fan out rather than falling back to one span.
+        let names: Vec<String> = ["boots", "parka", "mug", "coat", "cup", "sneakers"]
+            .iter()
+            .flat_map(|w| [w.to_string(), format!("{w}s"), format!("old {w}")])
+            .collect();
+        let wide = || -> Arc<dyn PhysicalOperator> {
+            let table = Table::from_columns(
+                Schema::new(vec![
+                    Field::new("id", DataType::Int64),
+                    Field::new("name", DataType::Utf8),
+                ]),
+                vec![
+                    Column::from_i64((0..names.len() as i64).collect()),
+                    Column::from_strings(names.iter().map(String::as_str)),
+                ],
+            )
+            .unwrap();
+            Arc::new(TableScanExec::new(Arc::new(table)))
+        };
+        let run = |strategy, parallelism| {
+            let join = SemanticJoinExec::new(
+                wide(),
+                catalog(),
+                "name",
+                "label",
+                0.5,
+                "sim",
+                strategy,
+                cache(),
+                parallelism,
+            )
+            .unwrap();
+            collect_table(&join).unwrap()
+        };
+        let lsh = SemanticJoinStrategy::Lsh(LshParams::default());
+        for strategy in [SemanticJoinStrategy::Blocked, lsh] {
+            let serial = run(strategy, 1);
+            assert!(serial.num_rows() > 0, "{strategy:?} found nothing");
+            assert_bit_identical(&serial, &run(strategy, 4), strategy.label());
+        }
+    }
+
+    #[test]
+    fn lsh_reaches_exact_recall_here() {
+        // Small, well-separated clusters: the approximate strategy should
         // find everything the exact scan finds.
-        let exact = join_with(SemanticJoinStrategy::PreNormalized, 1);
+        let exact = join_with(SemanticJoinStrategy::Blocked, 1);
         let lsh = join_with(SemanticJoinStrategy::Lsh(LshParams::default()), 1);
-        let ivf = join_with(
-            SemanticJoinStrategy::Ivf(IvfParams { nlist: 2, nprobe: 2, iterations: 5, seed: 3 }),
-            1,
-        );
-        assert_eq!(lsh.num_rows(), exact.num_rows());
-        assert_eq!(ivf.num_rows(), exact.num_rows());
+        assert_bit_identical(&exact, &lsh, "lsh vs blocked");
     }
 
     #[test]
@@ -781,14 +708,9 @@ mod tests {
             sig.probe,
             cx_exec::ProbeSource::Child { child: 0, column: 1, fingerprint: Some(11) }
         );
-        // Index and baseline strategies never share.
-        for s in [
-            SemanticJoinStrategy::NestedLoop,
-            SemanticJoinStrategy::PreNormalized,
-            SemanticJoinStrategy::Lsh(LshParams::default()),
-        ] {
-            assert!(make(s).with_scan_fingerprint(7).scan_signature().is_none());
-        }
+        // The index strategy never shares.
+        let lsh = make(SemanticJoinStrategy::Lsh(LshParams::default()));
+        assert!(lsh.with_scan_fingerprint(7).scan_signature().is_none());
     }
 
     #[test]
@@ -842,17 +764,7 @@ mod tests {
         let injected = collect_table(&join).unwrap();
         // The injected run embedded nothing new.
         assert_eq!(c.model().stats().invocations(), before);
-        assert_eq!(injected.num_rows(), solo.num_rows());
-        for i in 0..solo.num_rows() {
-            let (a, b) = (solo.row(i).unwrap(), injected.row(i).unwrap());
-            assert_eq!(a[..4], b[..4], "row {i} keys");
-            match (&a[4], &b[4]) {
-                (Scalar::Float64(x), Scalar::Float64(y)) => {
-                    assert_eq!(x.to_bits(), y.to_bits(), "row {i} score")
-                }
-                other => panic!("unexpected score scalars: {other:?}"),
-            }
-        }
+        assert_bit_identical(&solo, &injected, "injected vs solo");
         // One-shot: the next execution scans solo again.
         let again = collect_table(&join).unwrap();
         assert_eq!(again.num_rows(), solo.num_rows());
@@ -868,7 +780,7 @@ mod tests {
             "label",
             0.85,
             "sim",
-            SemanticJoinStrategy::PreNormalized,
+            SemanticJoinStrategy::Blocked,
             c.clone(),
             1,
         )
@@ -889,7 +801,7 @@ mod tests {
             "label",
             0.9,
             "kind",
-            SemanticJoinStrategy::NestedLoop,
+            SemanticJoinStrategy::Blocked,
             cache(),
             1,
         );
@@ -912,7 +824,7 @@ mod tests {
             "label",
             0.9,
             "sim",
-            SemanticJoinStrategy::PreNormalized,
+            SemanticJoinStrategy::Blocked,
             cache(),
             1,
         )
@@ -931,7 +843,7 @@ mod tests {
             "label",
             0.9,
             "sim",
-            SemanticJoinStrategy::NestedLoop,
+            SemanticJoinStrategy::Blocked,
             cache(),
             1,
         );

@@ -6,8 +6,9 @@
 //! * **Semantic Select** ([`SemanticFilterExec`]) — `column ~ 'target' USING
 //!   model M WITH cosine >= θ`,
 //! * **Semantic Join** ([`SemanticJoinExec`]) — join keys matched by latent-
-//!   space distance instead of equality, with selectable physical strategy
-//!   (nested-loop / pre-normalized scan / blocked sweep / LSH / IVF),
+//!   space distance instead of equality, under the physical strategy the
+//!   planner picks (the exact blocked sweep, or LSH given a recall
+//!   tolerance),
 //! * **Semantic Group-By** ([`SemanticGroupByExec`]) — on-the-fly clustering
 //!   of values by model similarity with per-cluster aggregates.
 //!

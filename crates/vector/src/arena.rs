@@ -1,10 +1,10 @@
 //! Contiguous, padded row-major embedding arena for blocked kernels.
 //!
-//! [`VectorArena`] is the batch-friendly sibling of
-//! [`crate::store::VectorStore`]: rows are padded to a multiple of eight
-//! floats ([`ROW_ALIGN_FLOATS`]) so every row starts on a 32-byte-aligned
-//! offset within the buffer and the 8-wide kernels never straddle a row
-//! boundary; padding lanes are zero and never read. Norms are cached per
+//! [`VectorArena`] is the crate's one dense f32 container: rows are padded
+//! to a multiple of eight floats ([`ROW_ALIGN_FLOATS`]) so every row
+//! starts on a 32-byte-aligned offset within the buffer and the 8-wide
+//! kernels never straddle a row boundary; padding lanes are zero and never
+//! read. Norms are cached per
 //! row, and [`VectorArena::block`] hands out zero-copy `(data, stride)`
 //! views the [`crate::block`] kernels consume directly.
 //!
@@ -14,7 +14,6 @@
 //! per-string `Arc<Vec<f32>>`.
 
 use crate::kernels::norm;
-use crate::store::VectorStore;
 use cx_embed::EmbeddingCache;
 use cx_storage::QueryContext;
 
@@ -30,7 +29,7 @@ fn charge_floats(floats: usize) {
 /// natural vector width.
 pub const ROW_ALIGN_FLOATS: usize = 8;
 
-/// A zero-copy view of consecutive arena (or store) rows, the unit the
+/// A zero-copy view of consecutive arena rows, the unit the
 /// blocked kernels operate on.
 #[derive(Debug, Clone, Copy)]
 pub struct RowBlock<'a> {
@@ -92,15 +91,6 @@ impl VectorArena {
         arena.norms = (0..texts.len())
             .map(|r| norm(&arena.data[r * arena.stride..r * arena.stride + dim]))
             .collect();
-        arena
-    }
-
-    /// Copies a [`VectorStore`] into padded arena layout.
-    pub fn from_store(store: &VectorStore) -> Self {
-        let mut arena = Self::with_capacity(store.dim(), store.len());
-        for (_, row) in store.iter() {
-            arena.push(row);
-        }
         arena
     }
 
@@ -207,15 +197,6 @@ impl VectorArena {
         }
     }
 
-    /// Densifies into an unpadded [`VectorStore`] (for the index builders).
-    pub fn to_store(&self) -> VectorStore {
-        let mut flat = Vec::with_capacity(self.len() * self.dim);
-        for i in 0..self.len() {
-            flat.extend_from_slice(self.row(i));
-        }
-        VectorStore::from_flat(self.dim, flat)
-    }
-
     /// Approximate heap footprint in bytes (data + norms).
     pub fn memory_bytes(&self) -> usize {
         (self.data.len() + self.norms.len()) * std::mem::size_of::<f32>()
@@ -254,17 +235,6 @@ mod tests {
         assert_eq!(b.norms, &[2.0, 3.0, 4.0]);
         // Full view covers everything.
         assert_eq!(a.as_block().rows, 6);
-    }
-
-    #[test]
-    fn from_store_round_trips() {
-        let store = VectorStore::from_flat(3, vec![1.0, 0.0, 0.0, 0.0, 3.0, 4.0]);
-        let arena = VectorArena::from_store(&store);
-        assert_eq!(arena.len(), 2);
-        assert_eq!(arena.row(1), store.row(1));
-        assert_eq!(arena.row_norm(1), store.row_norm(1));
-        let back = arena.to_store();
-        assert_eq!(back, store);
     }
 
     #[test]

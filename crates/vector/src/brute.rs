@@ -2,9 +2,8 @@
 
 use crate::arena::VectorArena;
 use crate::block::{dot_block_threshold, TILE};
-use crate::index::{sort_results, IndexStats, SearchResult, VectorIndex};
+use crate::index::{sort_results, IndexStats, SearchResult};
 use crate::kernels::norm;
-use crate::store::VectorStore;
 use crate::topk::TopK;
 
 /// Exact scan over a normalized vector arena.
@@ -15,7 +14,8 @@ use crate::topk::TopK;
 /// blocked kernels: candidates are scored a panel at a time via
 /// [`dot_block_threshold`], and top-k scans pass the current heap floor
 /// so pruned candidates skip write-back. Scores are bit-identical to the
-/// pairwise prenormalized kernel.
+/// pairwise prenormalized kernel. Results are sorted by descending score
+/// with ascending-id tie-breaks.
 pub struct BruteForceIndex {
     arena: VectorArena,
     stats: IndexStats,
@@ -32,12 +32,6 @@ impl BruteForceIndex {
         }
     }
 
-    /// Convenience builder for store-based callers: copies `store` into
-    /// arena layout first.
-    pub fn build_from_store(store: &VectorStore) -> Self {
-        Self::build(&VectorArena::from_store(store))
-    }
-
     fn normalized_query(&self, query: &[f32]) -> Vec<f32> {
         assert_eq!(query.len(), self.arena.dim(), "query dimension mismatch");
         let n = norm(query);
@@ -46,18 +40,19 @@ impl BruteForceIndex {
         }
         query.iter().map(|x| x / n).collect()
     }
-}
 
-impl VectorIndex for BruteForceIndex {
-    fn name(&self) -> &'static str {
-        "brute-force"
-    }
-
-    fn len(&self) -> usize {
+    /// Number of indexed vectors.
+    pub fn len(&self) -> usize {
         self.arena.len()
     }
 
-    fn search_threshold(&self, query: &[f32], threshold: f32) -> Vec<SearchResult> {
+    /// Whether the index is empty.
+    pub fn is_empty(&self) -> bool {
+        self.arena.is_empty()
+    }
+
+    /// All vectors with cosine similarity ≥ `threshold` to `query`.
+    pub fn search_threshold(&self, query: &[f32], threshold: f32) -> Vec<SearchResult> {
         let q = self.normalized_query(query);
         self.stats.record_search(self.arena.len());
         let view = self.arena.as_block();
@@ -69,7 +64,8 @@ impl VectorIndex for BruteForceIndex {
         out
     }
 
-    fn search_topk(&self, query: &[f32], k: usize) -> Vec<SearchResult> {
+    /// The `k` most similar vectors to `query`.
+    pub fn search_topk(&self, query: &[f32], k: usize) -> Vec<SearchResult> {
         let q = self.normalized_query(query);
         self.stats.record_search(self.arena.len());
         let mut topk = TopK::new(k);
@@ -89,16 +85,9 @@ impl VectorIndex for BruteForceIndex {
             .collect()
     }
 
-    fn stats(&self) -> &IndexStats {
+    /// Cumulative probe counters.
+    pub fn stats(&self) -> &IndexStats {
         &self.stats
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.arena.memory_bytes()
-    }
-
-    fn is_exact(&self) -> bool {
-        true
     }
 }
 
@@ -107,45 +96,44 @@ mod tests {
     use super::*;
     use crate::kernels::cosine_prenormalized;
 
-    fn store() -> VectorStore {
+    fn arena(dim: usize, rows: &[&[f32]]) -> VectorArena {
+        let mut a = VectorArena::new(dim);
+        for r in rows {
+            a.push(r);
+        }
+        a
+    }
+
+    fn four_rows() -> VectorArena {
         // Four 4-d vectors: two near e0, one near e1, one diagonal.
-        VectorStore::from_flat(
+        arena(
             4,
-            vec![
-                1.0, 0.0, 0.0, 0.0, //
-                0.9, 0.1, 0.0, 0.0, //
-                0.0, 1.0, 0.0, 0.0, //
-                0.5, 0.5, 0.5, 0.5, //
-            ],
+            &[&[1.0, 0.0, 0.0, 0.0], &[0.9, 0.1, 0.0, 0.0], &[0.0, 1.0, 0.0, 0.0], &[0.5; 4]],
         )
     }
 
     #[test]
     fn threshold_search() {
-        let idx = BruteForceIndex::build_from_store(&store());
+        let idx = BruteForceIndex::build(&four_rows());
         let out = idx.search_threshold(&[1.0, 0.0, 0.0, 0.0], 0.9);
         assert_eq!(out.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 1]);
         assert!(out[0].score >= out[1].score);
-        assert!(idx.is_exact());
     }
 
     #[test]
     fn topk_search() {
-        let idx = BruteForceIndex::build_from_store(&store());
+        let idx = BruteForceIndex::build(&four_rows());
         let out = idx.search_topk(&[1.0, 0.0, 0.0, 0.0], 3);
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].id, 0);
         assert_eq!(out[1].id, 1);
-        // k larger than the store returns everything.
+        // k larger than the index returns everything.
         assert_eq!(idx.search_topk(&[1.0, 0.0, 0.0, 0.0], 10).len(), 4);
     }
 
     #[test]
     fn unnormalized_inputs_handled() {
-        let mut s = VectorStore::new(2);
-        s.push(&[10.0, 0.0]);
-        s.push(&[0.0, 0.2]);
-        let idx = BruteForceIndex::build_from_store(&s);
+        let idx = BruteForceIndex::build(&arena(2, &[&[10.0, 0.0], &[0.0, 0.2]]));
         // Scaled query matches direction, not magnitude.
         let out = idx.search_threshold(&[5.0, 0.0], 0.99);
         assert_eq!(out.len(), 1);
@@ -155,7 +143,7 @@ mod tests {
 
     #[test]
     fn stats_count_full_scans() {
-        let idx = BruteForceIndex::build_from_store(&store());
+        let idx = BruteForceIndex::build(&four_rows());
         idx.search_threshold(&[1.0, 0.0, 0.0, 0.0], 0.5);
         idx.search_topk(&[1.0, 0.0, 0.0, 0.0], 1);
         assert_eq!(idx.stats().searches(), 2);
@@ -164,7 +152,7 @@ mod tests {
 
     #[test]
     fn empty_store() {
-        let idx = BruteForceIndex::build_from_store(&VectorStore::new(3));
+        let idx = BruteForceIndex::build(&VectorArena::new(3));
         assert!(idx.is_empty());
         assert!(idx.search_threshold(&[1.0, 0.0, 0.0], 0.5).is_empty());
     }
@@ -173,12 +161,12 @@ mod tests {
     fn blocked_scan_matches_pairwise_scores_bitwise() {
         use cx_embed::rng::SplitMix64;
         let mut rng = SplitMix64::new(17);
-        let mut s = VectorStore::new(24);
+        let mut s = VectorArena::new(24);
         // Enough rows to cross several scan tiles.
         for _ in 0..(3 * TILE + 5) {
             s.push(&rng.unit_vector(24));
         }
-        let idx = BruteForceIndex::build_from_store(&s);
+        let idx = BruteForceIndex::build(&s);
         let q = rng.unit_vector(24);
         let qn = {
             let n = norm(&q);

@@ -1,4 +1,4 @@
-//! The common interface over exact and approximate similarity indexes.
+//! Search results and probe counters shared by the similarity indexes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -35,55 +35,6 @@ impl IndexStats {
     pub fn candidates_examined(&self) -> u64 {
         self.candidates_examined.load(Ordering::Relaxed)
     }
-
-    /// Mean candidates per search (0 when unused).
-    pub fn mean_candidates(&self) -> f64 {
-        let s = self.searches();
-        if s == 0 {
-            0.0
-        } else {
-            self.candidates_examined() as f64 / s as f64
-        }
-    }
-
-    /// Resets counters (between experiment runs).
-    pub fn reset(&self) {
-        self.searches.store(0, Ordering::Relaxed);
-        self.candidates_examined.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A similarity index over a fixed set of vectors, searched by cosine.
-///
-/// Implementations normalize their stored vectors at build time; queries
-/// are normalized per call. Returned results are sorted by descending
-/// score with ascending-id tie-breaks, so results are deterministic.
-pub trait VectorIndex: Send + Sync {
-    /// Index kind name (for EXPLAIN output).
-    fn name(&self) -> &'static str;
-
-    /// Number of indexed vectors.
-    fn len(&self) -> usize;
-
-    /// Whether the index is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// All vectors with cosine similarity ≥ `threshold` to `query`.
-    fn search_threshold(&self, query: &[f32], threshold: f32) -> Vec<SearchResult>;
-
-    /// The `k` most similar vectors to `query`.
-    fn search_topk(&self, query: &[f32], k: usize) -> Vec<SearchResult>;
-
-    /// Cumulative probe counters.
-    fn stats(&self) -> &IndexStats;
-
-    /// Approximate index memory footprint in bytes.
-    fn memory_bytes(&self) -> usize;
-
-    /// Whether results are exact (brute force) or approximate (LSH/IVF).
-    fn is_exact(&self) -> bool;
 }
 
 /// Sorts results canonically: descending score, ascending id.
@@ -102,15 +53,13 @@ mod tests {
 
     #[test]
     fn stats_accumulate_and_reset() {
+        // A fresh counter starts at zero; searches accumulate from there.
         let s = IndexStats::default();
+        assert_eq!((s.searches(), s.candidates_examined()), (0, 0));
         s.record_search(10);
         s.record_search(20);
         assert_eq!(s.searches(), 2);
         assert_eq!(s.candidates_examined(), 30);
-        assert!((s.mean_candidates() - 15.0).abs() < 1e-9);
-        s.reset();
-        assert_eq!(s.searches(), 0);
-        assert_eq!(s.mean_candidates(), 0.0);
     }
 
     #[test]

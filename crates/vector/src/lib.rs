@@ -20,8 +20,8 @@
 //!                  ▼                ▼
 //!        semantic operators    index builders
 //!     (SemanticJoin/Filter,  (BruteForceIndex scan,
-//!      tier picked by the     IvfIndex k-means + probes,
-//!      optimizer per scan)    LshIndex signatures + verify)
+//!      tier picked by the     LshIndex signatures + verify)
+//!      optimizer per scan)
 //! ```
 //!
 //! Modules:
@@ -32,34 +32,26 @@
 //! * [`block`] — the batched rung above it: one query scored against a
 //!   row-major panel of candidates ([`dot_block`]), panels against panels
 //!   ([`scores_matrix`]), with threshold-aware early-exit variants,
-//! * [`VectorStore`] — a contiguous row-major matrix of embeddings with
-//!   cached norms (the "prefetch/materialize" optimization; kept for
-//!   serialization-friendly storage, convertible to an arena),
-//! * [`VectorArena`] — the padded arena above, fillable straight from an
-//!   embedding cache,
+//! * [`VectorArena`] — the padded arena above, the crate's one dense f32
+//!   container, fillable straight from an embedding cache and handing out
+//!   zero-copy [`RowBlock`] views,
 //! * [`QuantizedArena`] — its f16/int8 sibling (Section VI's
 //!   half-precision opportunity): 2–4× fewer bytes per row at a bounded
 //!   score error, scored by the quantized panel kernels,
 //! * [`topk`] — bounded top-k collection,
 //! * [`BruteForceIndex`] — exact threshold/top-k scan,
 //! * [`LshIndex`] — random-hyperplane locality-sensitive hashing (blocked
-//!   signature build and probe verification),
-//! * [`IvfIndex`] — inverted-file index with a k-means coarse quantizer
-//!   trained by blocked assign steps (the "index-based access for
-//!   similarity search \[20\]" the optimizer must cost, per Section IV).
-//!
-//! All indexes implement [`VectorIndex`] so the physical planner can swap
-//! them per cost model.
+//!   signature build and probe verification), the index-based access path
+//!   the planner picks for a semantic join with a recall tolerance
+//!   (Section IV).
 
 pub mod arena;
 pub mod block;
 pub mod brute;
 pub mod index;
-pub mod ivf;
 pub mod kernels;
 pub mod lsh;
 pub mod qarena;
-pub mod store;
 pub mod topk;
 
 pub use arena::{RowBlock, VectorArena};
@@ -71,9 +63,7 @@ pub use cx_embed::quant::QuantTier;
 pub use qarena::{QuantizedArena, UnsupportedTier};
 pub use block::{cosine_block_threshold, dot_block, dot_block_threshold, scores_matrix};
 pub use brute::BruteForceIndex;
-pub use index::{IndexStats, SearchResult, VectorIndex};
-pub use ivf::IvfIndex;
+pub use index::{IndexStats, SearchResult};
 pub use kernels::{cosine, dot, dot_unrolled, l2_distance, norm};
 pub use lsh::LshIndex;
-pub use store::VectorStore;
 pub use topk::TopK;

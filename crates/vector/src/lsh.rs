@@ -9,20 +9,19 @@
 //! paper says the optimizer must cost (Section IV).
 //!
 //! The index is arena-native end to end. Vectors live in a normalized
-//! [`VectorArena`] (no [`VectorStore`] copy); hyperplanes form one padded
-//! panel, so build-time signatures come from [`scores_matrix`] tiles (row
-//! tile × every plane of every table in one GEMM-shaped call) and a query's
-//! signatures from a single [`dot_block`] over the plane panel. Probe-list
-//! verification gathers the colliding rows into a contiguous scratch panel
-//! and scores them with one [`dot_block`] call per query — never a
-//! per-candidate pairwise loop — with scores bit-identical to the pairwise
-//! prenormalized kernel.
+//! [`VectorArena`]; hyperplanes form one padded panel, so build-time
+//! signatures come from [`scores_matrix`] tiles (row tile × every plane of
+//! every table in one GEMM-shaped call) and a query's signatures from a
+//! single [`dot_block`] over the plane panel. Probe-list verification
+//! gathers the colliding rows into a contiguous scratch panel and scores
+//! them with one [`dot_block`] call per query — never a per-candidate
+//! pairwise loop — with scores bit-identical to the pairwise prenormalized
+//! kernel.
 
 use crate::arena::{VectorArena, ROW_ALIGN_FLOATS};
 use crate::block::{dot_block, scores_matrix, TILE};
-use crate::index::{sort_results, IndexStats, SearchResult, VectorIndex};
+use crate::index::{sort_results, IndexStats, SearchResult};
 use crate::kernels::norm;
-use crate::store::VectorStore;
 use crate::topk::TopK;
 use cx_embed::rng::SplitMix64;
 use std::collections::HashMap;
@@ -44,7 +43,8 @@ impl Default for LshParams {
     }
 }
 
-/// Multi-table random-hyperplane LSH index.
+/// Multi-table random-hyperplane LSH index. Results are sorted by
+/// descending score with ascending-id tie-breaks.
 pub struct LshIndex {
     /// Normalized vectors in padded arena layout.
     arena: VectorArena,
@@ -116,17 +116,6 @@ impl LshIndex {
         Self::build(arena, LshParams::default())
     }
 
-    /// Convenience builder for store-based callers: copies `store` into
-    /// arena layout first.
-    pub fn build_from_store(store: &VectorStore, params: LshParams) -> Self {
-        Self::build(&VectorArena::from_store(store), params)
-    }
-
-    /// The parameters the index was built with.
-    pub fn params(&self) -> LshParams {
-        self.params
-    }
-
     /// Collects unique candidate ids colliding with `query` in any table.
     /// All `tables × bits` hyperplane tests run as one blocked call.
     fn candidates(&self, query: &[f32]) -> Vec<u32> {
@@ -165,31 +154,20 @@ impl LshIndex {
         }
         query.iter().map(|x| x / n).collect()
     }
-}
 
-/// Packs hyperplane dot signs into a signature (bit `b` set iff
-/// `dots[b] >= 0`).
-#[inline]
-fn signature_from_dots(dots: &[f32]) -> u64 {
-    let mut sig = 0u64;
-    for (b, &d) in dots.iter().enumerate() {
-        if d >= 0.0 {
-            sig |= 1 << b;
-        }
-    }
-    sig
-}
-
-impl VectorIndex for LshIndex {
-    fn name(&self) -> &'static str {
-        "lsh"
-    }
-
-    fn len(&self) -> usize {
+    /// Number of indexed vectors.
+    pub fn len(&self) -> usize {
         self.arena.len()
     }
 
-    fn search_threshold(&self, query: &[f32], threshold: f32) -> Vec<SearchResult> {
+    /// Whether the index is empty.
+    pub fn is_empty(&self) -> bool {
+        self.arena.is_empty()
+    }
+
+    /// All vectors with cosine similarity ≥ `threshold` to `query` among
+    /// the candidates colliding with it.
+    pub fn search_threshold(&self, query: &[f32], threshold: f32) -> Vec<SearchResult> {
         let q = self.normalized_query(query);
         let candidates = self.candidates(&q);
         self.stats.record_search(candidates.len());
@@ -204,7 +182,9 @@ impl VectorIndex for LshIndex {
         out
     }
 
-    fn search_topk(&self, query: &[f32], k: usize) -> Vec<SearchResult> {
+    /// The `k` most similar vectors to `query` among the candidates
+    /// colliding with it.
+    pub fn search_topk(&self, query: &[f32], k: usize) -> Vec<SearchResult> {
         let q = self.normalized_query(query);
         let candidates = self.candidates(&q);
         self.stats.record_search(candidates.len());
@@ -219,22 +199,23 @@ impl VectorIndex for LshIndex {
             .collect()
     }
 
-    fn stats(&self) -> &IndexStats {
+    /// Cumulative probe counters.
+    pub fn stats(&self) -> &IndexStats {
         &self.stats
     }
+}
 
-    fn memory_bytes(&self) -> usize {
-        let buckets: usize = self
-            .buckets
-            .iter()
-            .map(|t| t.values().map(|v| v.len() * 4 + 16).sum::<usize>())
-            .sum();
-        self.arena.memory_bytes() + self.planes.len() * 4 + buckets
+/// Packs hyperplane dot signs into a signature (bit `b` set iff
+/// `dots[b] >= 0`).
+#[inline]
+fn signature_from_dots(dots: &[f32]) -> u64 {
+    let mut sig = 0u64;
+    for (b, &d) in dots.iter().enumerate() {
+        if d >= 0.0 {
+            sig |= 1 << b;
+        }
     }
-
-    fn is_exact(&self) -> bool {
-        false
-    }
+    sig
 }
 
 #[cfg(test)]
@@ -285,7 +266,7 @@ mod tests {
         let arena = clustered_arena(1000, 20, 64, 5);
         let lsh = LshIndex::build_default(&arena);
         lsh.search_threshold(arena.row(0), 0.9);
-        // Examined far fewer than the full store.
+        // Examined far fewer than the 1,000 indexed rows.
         assert!(
             lsh.stats().candidates_examined() < 600,
             "examined {}",
@@ -334,18 +315,6 @@ mod tests {
             let exact = cosine_prenormalized(&q, lsh.arena.row(r.id));
             assert_eq!(r.score.to_bits(), exact.to_bits(), "id {}", r.id);
         }
-    }
-
-    #[test]
-    fn store_and_arena_builds_agree() {
-        let arena = clustered_arena(120, 4, 16, 2);
-        let store = arena.to_store();
-        let a = LshIndex::build_default(&arena);
-        let b = LshIndex::build_from_store(&store, LshParams::default());
-        assert_eq!(
-            a.search_threshold(arena.row(3), 0.8),
-            b.search_threshold(arena.row(3), 0.8)
-        );
     }
 
     #[test]

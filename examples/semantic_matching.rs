@@ -6,7 +6,7 @@
 
 use cx_embed::EmbeddingModel;
 use cx_embed::ClusteredTextModel;
-use cx_vector::{BruteForceIndex, VectorArena, VectorIndex};
+use cx_vector::{BruteForceIndex, VectorArena};
 use std::sync::Arc;
 
 fn main() {

@@ -5,7 +5,7 @@ use context_analytics::engine::hardware_bridge::{plan_on_topology, profile_pipel
 use cx_embed::ModelRegistry;
 use cx_exec::logical::{LogicalPlan, SemanticJoinSpec};
 use cx_expr::{col, lit};
-use cx_hardware::{AdaptivePicker, Topology};
+use cx_hardware::Topology;
 use cx_optimizer::{Optimizer, OptimizerConfig, OptimizerContext};
 use cx_storage::{DataType, Field, Schema};
 use std::sync::Arc;
@@ -73,30 +73,3 @@ fn pipeline_profiles_match_plan_shape() {
     assert_eq!(profiles.len(), plan.node_count());
 }
 
-#[test]
-fn adaptive_picker_selects_unrolled_kernel() {
-    // The JIT-style runtime decision: pick the fastest cosine kernel on a
-    // sample morsel. On any hardware the unrolled kernel should beat the
-    // per-pair re-normalizing one.
-    let dim = 100;
-    let a: Vec<f32> = (0..dim * 64).map(|i| (i as f32 * 0.13).sin()).collect();
-    let mut picker: AdaptivePicker<Vec<f32>> = AdaptivePicker::new()
-        .variant("naive-renorm", move |data: &Vec<f32>| {
-            let mut acc = 0.0f32;
-            for pair in data.chunks_exact(2 * dim) {
-                let (x, y) = pair.split_at(dim);
-                acc += cx_vector::kernels::cosine(x, y);
-            }
-            std::hint::black_box(acc);
-        })
-        .variant("prenormalized-unrolled", move |data: &Vec<f32>| {
-            let mut acc = 0.0f32;
-            for pair in data.chunks_exact(2 * dim) {
-                let (x, y) = pair.split_at(dim);
-                acc += cx_vector::kernels::cosine_prenormalized(x, y);
-            }
-            std::hint::black_box(acc);
-        });
-    let winner = picker.calibrate(&a, 5);
-    assert_eq!(winner, 1, "timings: {:?}", picker.timings_ns());
-}

@@ -9,7 +9,7 @@ use cx_expr::{eval, fold_constants, BinOp, Expr};
 use cx_storage::{Bitmap, Chunk, Column, DataType, Field, Scalar, Schema};
 use cx_vector::block::{cosine_block_threshold, dot_block, dot_block_threshold, scores_matrix};
 use cx_vector::kernels::{cosine, cosine_with_norms, dot, dot_unrolled, l2_distance, norm};
-use cx_vector::{BruteForceIndex, LshIndex, QuantizedArena, TopK, VectorArena, VectorIndex};
+use cx_vector::{BruteForceIndex, LshIndex, QuantizedArena, TopK, VectorArena};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -441,7 +441,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// SemanticJoin: pairwise vs blocked scoring identity
+// SemanticJoin: blocked scoring equals a pairwise reference join
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -462,54 +462,91 @@ proptest! {
 
         let mut rng = cx_embed::rng::SplitMix64::new(seed);
         // Short random words over a tiny alphabet: plenty of near-collisions
-        // so thresholds actually separate pairs.
-        let word = |rng: &mut cx_embed::rng::SplitMix64| {
-            let len = 2 + (rng.next_range(5)) as usize;
-            (0..len)
-                .map(|_| char::from(b'a' + rng.next_range(6) as u8))
-                .collect::<String>()
+        // so thresholds actually separate pairs. One key in eight is NULL,
+        // which never joins — though a real word lies under its cell, so a
+        // join that read it would match it.
+        let mut key = || -> (String, bool) {
+            let len = 2 + rng.next_range(5) as usize;
+            let word = (0..len).map(|_| char::from(b'a' + rng.next_range(6) as u8)).collect();
+            (word, rng.next_range(8) != 0)
         };
-        let left_vals: Vec<String> = (0..n_left).map(|_| word(&mut rng)).collect();
-        let right_vals: Vec<String> = (0..n_right).map(|_| word(&mut rng)).collect();
+        let left_keys: Vec<(String, bool)> = (0..n_left).map(|_| key()).collect();
+        let right_keys: Vec<(String, bool)> = (0..n_right).map(|_| key()).collect();
+        let cache = || Arc::new(EmbeddingCache::new(Arc::new(HashNGramModel::new(3))));
 
-        let scan = |vals: &[String], col: &str| -> Arc<dyn PhysicalOperator> {
-            let table = Table::from_columns(
-                Schema::new(vec![Field::new(col, DataType::Utf8)]),
-                vec![Column::from_strings(vals.iter().map(|s| s.as_str()))],
-            )
-            .unwrap();
+        let scan = |keys: &[(String, bool)], col: &str| -> Arc<dyn PhysicalOperator> {
+            let column = Column::Utf8 {
+                values: keys.iter().map(|(word, _)| word.clone()).collect(),
+                validity: Some(Bitmap::from_bools(keys.iter().map(|&(_, valid)| valid))),
+            };
+            let schema = Schema::new(vec![Field::new(col, DataType::Utf8)]);
+            let table = Table::from_columns(schema, vec![column]).unwrap();
             Arc::new(TableScanExec::new(Arc::new(table)))
         };
+        let join = SemanticJoinExec::new(
+            scan(&left_keys, "l"),
+            scan(&right_keys, "r"),
+            "l",
+            "r",
+            threshold,
+            "sim",
+            SemanticJoinStrategy::Blocked,
+            cache(),
+            parallelism,
+        )
+        .unwrap();
+        let blocked = collect_table(&join).unwrap();
 
-        let run = |strategy: SemanticJoinStrategy, parallelism: usize| {
-            let cache = Arc::new(EmbeddingCache::new(Arc::new(HashNGramModel::new(3))));
-            let join = SemanticJoinExec::new(
-                scan(&left_vals, "l"),
-                scan(&right_vals, "r"),
-                "l",
-                "r",
-                threshold,
-                "sim",
-                strategy,
-                cache,
-                parallelism,
-            )
-            .unwrap();
-            collect_table(&join).unwrap()
-        };
+        // Pairwise reference: distinct non-NULL keys in first-appearance
+        // order with their rows, one unrolled dot per distinct pair over
+        // normalized rows, then expansion to row pairs in operator order.
+        fn distinct(keys: &[(String, bool)]) -> (Vec<&str>, Vec<Vec<usize>>) {
+            let mut values: Vec<&str> = Vec::new();
+            let mut rows: Vec<Vec<usize>> = Vec::new();
+            for (row, (k, _)) in keys.iter().enumerate().filter(|(_, (_, valid))| *valid) {
+                match values.iter().position(|v| *v == k) {
+                    Some(id) => rows[id].push(row),
+                    None => {
+                        values.push(k);
+                        rows.push(vec![row]);
+                    }
+                }
+            }
+            (values, rows)
+        }
+        let ((lv, lrows), (rv, rrows)) = (distinct(&left_keys), distinct(&right_keys));
+        let c = cache();
+        let (ln, rn) = (
+            VectorArena::from_texts(&c, &lv).normalized(),
+            VectorArena::from_texts(&c, &rv).normalized(),
+        );
+        let mut expected: Vec<(&str, &str, f64)> = Vec::new();
+        for (l, lr_rows) in lrows.iter().enumerate() {
+            for (r, rr_rows) in rrows.iter().enumerate() {
+                let score = dot_unrolled(ln.row(l), rn.row(r));
+                if score < threshold {
+                    continue;
+                }
+                for &lr in lr_rows {
+                    for &rr in rr_rows {
+                        expected.push((&left_keys[lr].0, &right_keys[rr].0, score as f64));
+                    }
+                }
+            }
+        }
 
-        let pairwise = run(SemanticJoinStrategy::PreNormalized, 1);
-        let blocked = run(SemanticJoinStrategy::Blocked, parallelism);
-        prop_assert_eq!(pairwise.num_rows(), blocked.num_rows());
-        for i in 0..pairwise.num_rows() {
-            let (a, b) = (pairwise.row(i).unwrap(), blocked.row(i).unwrap());
-            prop_assert_eq!(&a[..2], &b[..2], "row {i} keys");
-            match (&a[2], &b[2]) {
-                (Scalar::Float64(x), Scalar::Float64(y)) => {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(), "row {i} score {x} vs {y}");
+        prop_assert_eq!(blocked.num_rows(), expected.len());
+        for (i, (l, r, score)) in expected.into_iter().enumerate() {
+            let row = blocked.row(i).unwrap();
+            prop_assert_eq!(&row[..2], &[Scalar::from(l), Scalar::from(r)][..], "row {} keys", i);
+            match &row[2] {
+                Scalar::Float64(got) => {
+                    prop_assert_eq!(
+                        got.to_bits(), score.to_bits(), "row {} score {} vs {}", i, got, score
+                    );
                 }
                 other => {
-                    return Err(TestCaseError::fail(format!("unexpected score scalars {other:?}")));
+                    return Err(TestCaseError::fail(format!("unexpected score scalar {other:?}")));
                 }
             }
         }

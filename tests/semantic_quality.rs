@@ -4,7 +4,7 @@
 use cx_datagen::{generate_dirty, table1_clusters, DirtyConfig};
 use cx_embed::{ClusteredTextModel, EmbeddingCache, EmbeddingModel};
 use cx_semantic::{consolidate, pairwise_metrics};
-use cx_vector::{BruteForceIndex, VectorArena, VectorIndex};
+use cx_vector::{BruteForceIndex, VectorArena};
 use std::sync::Arc;
 
 fn table1_model() -> (ClusteredTextModel, Vec<String>) {
