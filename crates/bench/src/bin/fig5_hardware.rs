@@ -1,116 +1,47 @@
 //! FIGURE 5 — increasing hardware heterogeneity, as a placement problem.
 //!
 //! The paper's Figure 5 sketches CPUs, GPUs, a TPU-like device, NVMe and
-//! InfiniBand without measurements. This harness makes the implied
-//! experiment concrete on the calibrated simulator: place the Figure 2
-//! pipeline on each topology, report estimated/simulated time, the chosen
-//! device per stage, transfer budget, and speedup over the best
-//! single-device execution.
+//! InfiniBand without measurements. This binary makes the implied
+//! experiment concrete on `cx_bench::placement`'s simulation constants:
+//! place the Figure 2 pipeline on each topology and report the estimated
+//! time, the transfer budget, the speedup over the best single-device
+//! execution and the chosen device per stage. Nothing is measured.
 //!
 //! Usage: `cargo run --release -p cx-bench --bin fig5_hardware`
 
-use context_engine::hardware_bridge::plan_on_topology;
-use cx_embed::ModelRegistry;
-use cx_exec::logical::{LogicalPlan, SemanticJoinSpec};
-use cx_expr::{col, lit};
-use cx_hardware::Topology;
-use cx_optimizer::{Optimizer, OptimizerConfig, OptimizerContext};
-use cx_storage::{DataType, Field, Schema, TableStats, Table, Column};
-use std::sync::Arc;
-
-/// A Figure 2-shaped plan with realistic cardinalities (stats injected).
-fn plan_and_ctx() -> (LogicalPlan, OptimizerContext) {
-    let mut ctx = OptimizerContext::new(Arc::new(ModelRegistry::new()), OptimizerConfig::all());
-    // Register stats for a 1M-row products table and a 100k-row KB.
-    for (name, rows) in [("products", 1_000_000i64), ("kb", 100_000)] {
-        // Compact surrogate tables for statistics (strided values).
-        let sample = Table::from_columns(
-            Schema::new(vec![
-                Field::new("key", DataType::Utf8),
-                Field::new("num", DataType::Float64),
-            ]),
-            vec![
-                Column::from_strings((0..1000).map(|i| format!("v{i}"))),
-                Column::from_f64((0..1000).map(|i| i as f64).collect()),
-            ],
-        )
-        .unwrap();
-        let mut stats = TableStats::compute(&sample).unwrap();
-        stats.row_count = rows as u64;
-        ctx.stats.insert(name.to_string(), stats);
-    }
-
-    let products = LogicalPlan::Scan {
-        source: "products".into(),
-        schema: Arc::new(Schema::new(vec![
-            Field::new("name", DataType::Utf8),
-            Field::new("price", DataType::Float64),
-        ])),
-    };
-    let kb = LogicalPlan::Scan {
-        source: "kb".into(),
-        schema: Arc::new(Schema::new(vec![
-            Field::new("label", DataType::Utf8),
-            Field::new("category", DataType::Utf8),
-        ])),
-    };
-    let plan = LogicalPlan::Filter {
-        predicate: col("price").gt(lit(20.0)).and(col("category").eq(lit("clothes"))),
-        input: Box::new(LogicalPlan::SemanticJoin {
-            left: Box::new(products),
-            right: Box::new(kb),
-            spec: SemanticJoinSpec {
-                left_column: "name".into(),
-                right_column: "label".into(),
-                model: "m".into(),
-                threshold: 0.9,
-                score_column: "sim".into(),
-            },
-        }),
-    };
-    let optimizer = Optimizer::new(&ctx);
-    let (optimized, _) = optimizer.optimize(&plan, &ctx);
-    (optimized, ctx)
-}
+use cx_bench::placement::{
+    figure2_plan, figure5_presets, place_pipeline, place_single_device, profile_pipeline,
+};
 
 fn main() {
-    let (plan, ctx) = plan_and_ctx();
+    let (plan, ctx) = figure2_plan();
     println!("FIGURE 5 — hardware heterogeneity as a placement problem (simulated)\n");
     println!("pipeline:\n{}", plan.display_indent());
 
-    let topologies = [
-        ("2x CPU socket", Topology::cpu_only()),
-        ("+ GPU (PCIe)", Topology::cpu_gpu()),
-        ("+ GPU + TPU (PCIe)", Topology::cpu_gpu_tpu()),
-        ("+ GPU + TPU (fast links)", Topology::cpu_gpu_tpu_fast()),
-    ];
-
+    let pipeline = profile_pipeline(&plan, &ctx);
     println!(
-        "{:<26} | {:>11} | {:>11} | {:>11} | {:>9} | placement",
-        "topology", "est ms", "sim ms", "transfer ms", "vs single"
+        "{:<26} | {:>11} | {:>11} | {:>9} | placement",
+        "topology", "est ms", "transfer ms", "vs single"
     );
     println!("{}", "-".repeat(110));
-    for (name, topology) in &topologies {
-        let report = plan_on_topology(&plan, &ctx, topology, 7).expect("placeable");
-        let transfer: f64 = report.placement.stage_transfer_ns.iter().sum();
-        let devices: Vec<String> = report
-            .placement
-            .assignments
-            .iter()
-            .map(|&d| topology.device(d).name.clone())
-            .collect();
+    for (name, topology) in figure5_presets() {
+        let placement = place_pipeline(&pipeline, &topology).expect("placeable");
+        let speedup = place_single_device(&pipeline, &topology)
+            .map_or(1.0, |single| single.total_ns / placement.total_ns);
+        let transfer: f64 = placement.stage_transfer_ns.iter().sum();
+        let devices: Vec<&str> =
+            placement.assignments.iter().map(|&d| topology.device(d).name.as_str()).collect();
         println!(
-            "{:<26} | {:>11.3} | {:>11.3} | {:>11.3} | {:>8.2}x | {}",
+            "{:<26} | {:>11.3} | {:>11.3} | {:>8.2}x | {}",
             name,
-            report.placement.total_ns / 1e6,
-            report.simulated.total_ns / 1e6,
+            placement.total_ns / 1e6,
             transfer / 1e6,
-            report.speedup_vs_single().unwrap_or(1.0),
+            speedup,
             devices.join(" -> ")
         );
     }
 
     println!("\n(shape check: model-heavy stages migrate to accelerators, relational");
     println!(" stages stay CPU-side, faster interconnects shrink the transfer share;");
-    println!(" device envelopes are simulation constants — see cx-hardware)");
+    println!(" device envelopes are simulation constants — see cx_bench::placement)");
 }

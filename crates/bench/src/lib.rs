@@ -14,9 +14,15 @@
 //! 10k×10k join in benchmark time (that is the paper's point — thousands of
 //! seconds), so they are measured on a subsample and extrapolated by the
 //! exact pair-count ratio, clearly labeled in the output.
+//!
+//! [`placement`] is Figure 5's model: device presets and links, operator
+//! affinities, the plan → pipeline linearization and the exact placement
+//! DP that `fig5_hardware` prints. Its numbers are simulation constants;
+//! no engine decision reads them.
 
 pub mod interpreted;
 pub mod measure;
+pub mod placement;
 
 pub use interpreted::InterpretedModel;
 pub use measure::{measure_or_extrapolate, Measured};

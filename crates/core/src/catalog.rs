@@ -141,13 +141,6 @@ impl Catalog {
         self.system_tables.read().clone()
     }
 
-    /// Registered system-table names, sorted.
-    pub fn system_table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.system_tables.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// Resolves a table.
     pub fn table(&self, name: &str) -> Option<Arc<Table>> {
         self.tables.read().get(name).cloned()
@@ -276,7 +269,6 @@ mod tests {
         assert!(err.to_string().contains("reserved"), "{err}");
         assert!(c.register_system_table(Arc::new(OneRow::new())).is_ok());
         assert!(c.system_table("cx.onerow").is_some());
-        assert_eq!(c.system_table_names(), vec!["cx.onerow".to_string()]);
         // System tables live in their own namespace, not the user one.
         assert!(c.table("cx.onerow").is_none());
         // A source outside the reserved schema is rejected.

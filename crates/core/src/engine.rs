@@ -37,17 +37,6 @@ impl Default for EngineConfig {
     }
 }
 
-impl EngineConfig {
-    /// A configuration with every optimization disabled (the "first tool at
-    /// their disposal" baseline of Section V).
-    pub fn unoptimized() -> Self {
-        EngineConfig {
-            optimizer: OptimizerConfig::none(),
-            ..EngineConfig::default()
-        }
-    }
-}
-
 /// The outcome of executing a query.
 pub struct QueryResult {
     /// Materialized result rows.

@@ -15,9 +15,7 @@
 //!   (`semantic_filter`, `semantic_join`, `semantic_group_by`),
 //! * [`Engine`] — end-to-end processing: statistics, holistic logical
 //!   optimization, cost-based physical planning, vectorized execution,
-//!   and EXPLAIN with the rule trace,
-//! * [`hardware_bridge`] — maps optimized plans onto simulated
-//!   heterogeneous topologies (Section VI / Figure 5).
+//!   and EXPLAIN with the rule trace.
 //!
 //! ```
 //! use context_engine::{Engine, EngineConfig};
@@ -49,10 +47,8 @@
 
 pub mod catalog;
 pub mod engine;
-pub mod hardware_bridge;
 pub mod query;
 
 pub use catalog::Catalog;
 pub use engine::{Engine, EngineConfig, PlannedQuery, QueryResult};
-pub use hardware_bridge::{plan_on_topology, HardwareReport};
 pub use query::Query;

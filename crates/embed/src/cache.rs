@@ -150,13 +150,6 @@ impl EmbeddingCache {
         }
     }
 
-    /// Embeds a batch into a flat row-major matrix through the cache.
-    pub fn get_batch(&self, texts: &[&str]) -> Vec<f32> {
-        let mut out = vec![0.0f32; texts.len() * self.dim()];
-        self.get_batch_into(texts, self.dim(), &mut out);
-        out
-    }
-
     /// Embeds a batch directly into a caller-provided row-major buffer:
     /// text `i` lands at `out[i * stride .. i * stride + dim]`. Padding
     /// lanes (`dim..stride`) are left untouched.
@@ -271,12 +264,12 @@ mod tests {
     #[test]
     fn batch_through_cache() {
         let c = cache();
-        let out = c.get_batch(&["x", "y", "x"]);
-        assert_eq!(out.len(), 3 * c.dim());
+        let dim = c.dim();
+        let mut out = vec![0.0f32; 3 * dim];
+        c.get_batch_into(&["x", "y", "x"], dim, &mut out);
         assert_eq!(c.misses(), 2);
         assert_eq!(c.hits(), 1);
         // Rows 0 and 2 are identical.
-        let dim = c.dim();
         assert_eq!(out[0..dim], out[2 * dim..3 * dim]);
     }
 

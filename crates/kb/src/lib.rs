@@ -7,7 +7,7 @@
 //! the RDBMS values, which is precisely why the semantic join exists.
 //!
 //! This crate provides that source: entities, `(subject, predicate,
-//! object)` triples with secondary indexes, an `is_a` taxonomy with
+//! object)` triples indexed by subject, an `is_a` taxonomy with
 //! transitive queries, and export to relational chunks so the engine can
 //! scan the KB like any table (the polystore angle of Section IV).
 
@@ -23,7 +23,6 @@ pub type EntityId = u32;
 pub enum Object {
     Entity(EntityId),
     Text(String),
-    Number(f64),
 }
 
 impl fmt::Display for Object {
@@ -31,7 +30,6 @@ impl fmt::Display for Object {
         match self {
             Object::Entity(id) => write!(f, "#{id}"),
             Object::Text(s) => write!(f, "{s}"),
-            Object::Number(n) => write!(f, "{n}"),
         }
     }
 }
@@ -49,14 +47,12 @@ pub const IS_A: &str = "is_a";
 /// The well-known label predicate (synonyms / surface forms).
 pub const LABEL: &str = "label";
 
-/// An in-memory triple store with entity dictionary and predicate indexes.
+/// An in-memory triple store with an entity dictionary and a subject index.
 #[derive(Debug, Default, Clone)]
 pub struct KnowledgeBase {
     names: Vec<String>,
     by_name: HashMap<String, EntityId>,
     triples: Vec<Triple>,
-    /// predicate → triple positions.
-    by_predicate: HashMap<String, Vec<usize>>,
     /// (subject) → triple positions.
     by_subject: HashMap<EntityId, Vec<usize>>,
 }
@@ -106,10 +102,6 @@ impl KnowledgeBase {
             predicate: predicate.to_string(),
             object,
         });
-        self.by_predicate
-            .entry(predicate.to_string())
-            .or_default()
-            .push(pos);
         self.by_subject.entry(subject).or_default().push(pos);
     }
 
@@ -124,15 +116,6 @@ impl KnowledgeBase {
     pub fn assert_label(&mut self, subject: &str, label: &str) {
         let s = self.entity(subject);
         self.insert(s, LABEL, Object::Text(label.to_string()));
-    }
-
-    /// All triples with `predicate`.
-    pub fn with_predicate(&self, predicate: &str) -> impl Iterator<Item = &Triple> {
-        self.by_predicate
-            .get(predicate)
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.triples[i])
     }
 
     /// All triples about `subject`.
@@ -187,16 +170,6 @@ impl KnowledgeBase {
         subject == category || self.ancestors(subject).contains(&category)
     }
 
-    /// All entities that are (transitively) instances of `category`.
-    pub fn instances_of(&self, category: &str) -> Vec<EntityId> {
-        let Some(cat) = self.lookup(category) else {
-            return Vec::new();
-        };
-        (0..self.names.len() as EntityId)
-            .filter(|&e| e != cat && self.is_a(e, cat))
-            .collect()
-    }
-
     /// Exports `(label, category)` rows: every surface label of every
     /// entity, paired with every transitive category name. This is the
     /// relation the engine's semantic join consumes in the Figure 2 query.
@@ -223,33 +196,6 @@ impl KnowledgeBase {
                 Field::new("category", cx_storage::DataType::Utf8),
             ]),
             vec![Column::from_strings(labels), Column::from_strings(categories)],
-        )
-    }
-
-    /// Exports all triples as `(subject, predicate, object)` strings.
-    pub fn triples_table(&self) -> Result<Table> {
-        let mut s = Vec::with_capacity(self.triples.len());
-        let mut p = Vec::with_capacity(self.triples.len());
-        let mut o = Vec::with_capacity(self.triples.len());
-        for t in &self.triples {
-            s.push(self.name(t.subject).unwrap_or("?").to_string());
-            p.push(t.predicate.clone());
-            o.push(match &t.object {
-                Object::Entity(id) => self.name(*id).unwrap_or("?").to_string(),
-                other => other.to_string(),
-            });
-        }
-        Table::from_columns(
-            Schema::new(vec![
-                Field::new("subject", cx_storage::DataType::Utf8),
-                Field::new("predicate", cx_storage::DataType::Utf8),
-                Field::new("object", cx_storage::DataType::Utf8),
-            ]),
-            vec![
-                Column::from_strings(s),
-                Column::from_strings(p),
-                Column::from_strings(o),
-            ],
         )
     }
 }
@@ -294,19 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn instances_of_category() {
-        let kb = kb();
-        let mut names: Vec<&str> = kb
-            .instances_of("clothes")
-            .iter()
-            .map(|&e| kb.name(e).unwrap())
-            .collect();
-        names.sort_unstable();
-        assert_eq!(names, vec!["boots", "shoes", "sneakers"]);
-        assert!(kb.instances_of("nonexistent").is_empty());
-    }
-
-    #[test]
     fn labels_include_synonyms() {
         let kb = kb();
         let boots = kb.lookup("boots").unwrap();
@@ -328,14 +261,6 @@ mod tests {
             .zip(cats.utf8_values().unwrap())
             .any(|(l, c)| l == "work boots" && c == "clothes");
         assert!(found);
-    }
-
-    #[test]
-    fn triples_export() {
-        let kb = kb();
-        let t = kb.triples_table().unwrap();
-        assert_eq!(t.num_rows(), kb.num_triples());
-        assert_eq!(t.schema().names(), vec!["subject", "predicate", "object"]);
     }
 
     #[test]

@@ -34,6 +34,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Cap on distinct values warmed per semantic column per query (warming is
+/// best-effort; values past the cap embed inside the operator).
+const WARM_LIMIT: usize = 65_536;
+
 /// Flush policy for an [`EmbedBatcher`].
 #[derive(Debug, Clone, Copy)]
 pub struct BatcherConfig {
@@ -280,14 +284,14 @@ impl Server {
     /// still need to embed. Probing cached-ness here, at collection time
     /// and once, keeps a warm server from re-cloning a table's whole
     /// distinct set on every plan-cache miss just to learn it was all
-    /// cached. `warm_limit` budgets each call separately (`cap` is
+    /// cached. [`WARM_LIMIT`] budgets each call separately (`cap` is
     /// absolute: the `out` length this call may grow to), so one huge
     /// column cannot consume a later column's budget.
     fn column_values(&self, plan: &LogicalPlan, column: &str, model: &str, out: &mut Vec<String>) {
         let Some(batcher) = self.batcher(model) else {
             return;
         };
-        let cap = out.len().saturating_add(self.config.warm_limit);
+        let cap = out.len().saturating_add(WARM_LIMIT);
         self.column_values_capped(plan, column, &batcher, cap, out);
     }
 

@@ -43,7 +43,7 @@
 //! * a **transient failure retries once, solo** — injected faults,
 //!   contained panics, and failed group drains map to
 //!   [`QueryError::Transient`]; the retry skips scan sharing and pays
-//!   full solo admission cost ([`ServeConfig::retry_transient`]);
+//!   full solo admission cost;
 //! * a **panic is contained at the query boundary** — the server
 //!   converts it to `Transient` instead of unwinding the caller's
 //!   thread, and keeps serving.
@@ -89,10 +89,6 @@ pub struct ServeConfig {
     pub batch_max: usize,
     /// Embed-batcher flush deadline.
     pub batch_linger: Duration,
-    /// Cap on distinct values warmed per semantic column per query
-    /// (best-effort warming; columns past the cap embed inside the
-    /// operator as before).
-    pub warm_limit: usize,
     /// Memoize each cached plan's result table and serve replays from it.
     /// Sound under the same invariant as the plan cache itself (the engine
     /// is deterministic; results are pinned to a catalog version and
@@ -131,10 +127,6 @@ pub struct ServeConfig {
     /// would-block query is refused immediately with
     /// [`QueryError::QueueFull`] instead of queueing (0 = unbounded).
     pub max_queued: usize,
-    /// Retry a transiently failed query once, at full solo cost (no scan
-    /// sharing on the retry). Covers [`QueryError::Transient`] from
-    /// injected faults, contained panics, and failed group drains.
-    pub retry_transient: bool,
     /// Record a per-query [`QueryTrace`] of lifecycle spans (plan cache,
     /// embed warm, queue waits, shared sweeps, epilogues) for every
     /// query. Off by default: a span site records only on a thread this
@@ -185,7 +177,6 @@ impl Default for ServeConfig {
             admission_capacity: 1e9,
             batch_max: 256,
             batch_linger: Duration::from_micros(500),
-            warm_limit: 65_536,
             cache_results: true,
             mqo: true,
             scan_group_max: 16,
@@ -193,7 +184,6 @@ impl Default for ServeConfig {
             default_timeout: None,
             default_memory_budget: 0,
             max_queued: 0,
-            retry_transient: true,
             tracing: false,
             trace_ring_capacity: 64,
             slow_query_threshold: None,
@@ -599,20 +589,6 @@ impl Server {
         self.serve_statement(&stmt, &[], options, false)
     }
 
-    /// Serves one query under an explicit optimizer configuration (the
-    /// per-session override path — see [`Session::set_recall_tolerance`]).
-    /// The config fingerprint partitions the plan cache *and* the scan
-    /// queue, so sessions with different configurations never share plans
-    /// or sweeps.
-    pub fn execute_with_config(
-        &self,
-        query: &Query,
-        opt_config: OptimizerConfig,
-    ) -> Result<ServeResult> {
-        let stmt = Statement::adhoc(query, opt_config);
-        self.serve_statement(&stmt, &[], &QueryOptions::default(), false)
-    }
-
     /// The one serving path. Every entry point — [`Server::execute`] and
     /// its variants, [`Session::execute`], [`Session::explain_analyze`],
     /// [`Prepared::execute`], [`Session::sql`] — describes its statement
@@ -794,15 +770,14 @@ impl Server {
 
     /// Runs `attempt(false)` with panics contained at this boundary; on a
     /// transient failure (injected fault, contained panic, failed group
-    /// drain) retries once with `attempt(true)` — the solo path — if
-    /// [`ServeConfig::retry_transient`] is on.
+    /// drain) retries once with `attempt(true)` — the solo path.
     fn run_with_recovery(
         &self,
         attempt: impl Fn(bool) -> Result<ServeResult>,
     ) -> Result<ServeResult> {
         let first = self.contain(|| attempt(false));
         match first {
-            Err(e) if e.is_transient() && self.config.retry_transient => {
+            Err(e) if e.is_transient() => {
                 self.lifecycle.retries.fetch_add(1, Ordering::Relaxed);
                 self.contain(|| attempt(true))
             }

@@ -185,26 +185,6 @@ impl Chunk {
         columns.extend(right.columns.iter().cloned());
         Ok(Chunk { schema, columns, rows: self.rows })
     }
-
-    /// A new chunk with `column` appended under `field`.
-    pub fn with_column(&self, field: crate::schema::Field, column: Column) -> Result<Chunk> {
-        if column.len() != self.rows {
-            return Err(Error::LengthMismatch {
-                expected: self.rows,
-                actual: column.len(),
-            });
-        }
-        if field.data_type != column.data_type() {
-            return Err(Error::TypeMismatch {
-                expected: field.data_type.to_string(),
-                actual: column.data_type().to_string(),
-            });
-        }
-        let schema = Arc::new(self.schema.with_field(field));
-        let mut columns = self.columns.clone();
-        columns.push(column);
-        Ok(Chunk { schema, columns, rows: self.rows })
-    }
 }
 
 impl fmt::Display for Chunk {
@@ -307,16 +287,5 @@ mod tests {
         let z = c.zip(&c).unwrap();
         assert_eq!(z.num_columns(), 4);
         assert_eq!(z.schema().names(), vec!["id", "name", "right.id", "right.name"]);
-    }
-
-    #[test]
-    fn with_column_appends() {
-        let c = chunk()
-            .with_column(Field::new("price", DataType::Float64), Column::from_f64(vec![1.0, 2.0, 3.0]))
-            .unwrap();
-        assert_eq!(c.num_columns(), 3);
-        assert!(chunk()
-            .with_column(Field::new("bad", DataType::Float64), Column::from_f64(vec![1.0]))
-            .is_err());
     }
 }

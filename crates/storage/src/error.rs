@@ -67,7 +67,7 @@ pub enum Error {
     LengthMismatch { expected: usize, actual: usize },
     /// An index was out of bounds.
     IndexOutOfBounds { index: usize, len: usize },
-    /// Malformed input (e.g. CSV parse failure).
+    /// Malformed input (e.g. SQL text that fails to parse or bind).
     Parse(String),
     /// Catch-all for invalid arguments.
     InvalidArgument(String),

@@ -12,8 +12,7 @@
 //! * [`stats`] — per-column statistics (min/max, null count, distinct
 //!   estimate, equi-width histograms) driving optimizer decisions,
 //! * [`qctx`] — the query lifecycle context (deadline, cooperative
-//!   cancellation, memory budget) hot loops check between chunks/tiles,
-//! * [`csv`] — a small CSV import/export used by examples and tests.
+//!   cancellation, memory budget) hot loops check between chunks/tiles.
 //!
 //! Everything is deliberately dependency-light and deterministic so the
 //! engine's experiments are reproducible.
@@ -22,7 +21,6 @@ pub mod bitmap;
 pub mod builder;
 pub mod chunk;
 pub mod column;
-pub mod csv;
 pub mod error;
 pub mod qctx;
 pub mod scalar;

@@ -77,11 +77,6 @@ impl Histogram {
         (below as f64 + self.counts[bucket] as f64 * within_frac.clamp(0.0, 1.0))
             / self.total as f64
     }
-
-    /// Estimated fraction of rows within `[lo, hi]`.
-    pub fn fraction_between(&self, lo: f64, hi: f64) -> f64 {
-        (self.fraction_below(hi) - self.fraction_below(lo)).clamp(0.0, 1.0)
-    }
 }
 
 /// Statistics for a single column.
@@ -242,8 +237,6 @@ mod tests {
         assert!((h.fraction_below(50.0) - 0.5).abs() < 0.05);
         assert_eq!(h.fraction_below(-1.0), 0.0);
         assert_eq!(h.fraction_below(1000.0), 1.0);
-        let mid = h.fraction_between(25.0, 75.0);
-        assert!((mid - 0.5).abs() < 0.05, "got {mid}");
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! | [`sql`] | `cx-sql` | SQL front-end: lexer, parser, binder, semantic grammar |
 //! | [`semantic`] | `cx-semantic` | semantic operators, consolidation |
 //! | [`optimizer`] | `cx-optimizer` | rules, cardinality, cost, planning |
-//! | [`hardware`] | `cx-hardware` | device topologies, placement, simulation |
 //! | [`kb`] | `cx-kb` | knowledge-base substrate |
 //! | [`vision`] | `cx-vision` | image store + simulated detection |
 //! | [`datagen`] | `cx-datagen` | deterministic workload generators |
@@ -26,6 +25,9 @@
 //! | [`mqo`] | `cx-mqo` | multi-query scan sharing: one panel sweep, many queries |
 //! | [`obs`] | `cx-obs` | query traces, latency histograms, metrics export |
 //! | [`serve`] | `cx-serve` | concurrent serving: plan cache, embed batching, admission |
+//!
+//! The paper's figure and table reproductions, with the Figure 5 placement
+//! model, live in `cx-bench`, which this crate does not re-export.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour,
 //! `examples/serving.rs` for the concurrent serving layer, and
@@ -37,7 +39,6 @@ pub use cx_datagen as datagen;
 pub use cx_embed as embed;
 pub use cx_exec as exec;
 pub use cx_expr as expr;
-pub use cx_hardware as hardware;
 pub use cx_kb as kb;
 pub use cx_mqo as mqo;
 pub use cx_obs as obs;
