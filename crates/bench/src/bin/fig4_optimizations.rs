@@ -150,9 +150,8 @@ fn join_simd(left: RowBlock, right: RowBlock) -> usize {
 fn join_blocked(left: RowBlock, right: RowBlock) -> usize {
     let mut matches = 0usize;
     for i in 0..left.rows {
-        dot_block_threshold(left.row(i), right.data, right.stride, right.rows, THRESHOLD, |_, _| {
-            matches += 1
-        });
+        let probe = RowBlock::one(left.row(i), &left.norms[i]);
+        dot_block_threshold(probe, right, THRESHOLD, |_, _, _| matches += 1);
     }
     matches
 }
@@ -170,14 +169,8 @@ fn join_parallel(left: RowBlock, right: RowBlock, threads: usize) -> usize {
                     if i >= left.rows {
                         break;
                     }
-                    dot_block_threshold(
-                        left.row(i),
-                        right.data,
-                        right.stride,
-                        right.rows,
-                        THRESHOLD,
-                        |_, _| local += 1,
-                    );
+                    let probe = RowBlock::one(left.row(i), &left.norms[i]);
+                    dot_block_threshold(probe, right, THRESHOLD, |_, _, _| local += 1);
                 }
                 counter.fetch_add(local, Ordering::Relaxed);
             });

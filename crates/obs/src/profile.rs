@@ -53,9 +53,10 @@ pub fn add_pairs(n: u64) {
     }
 }
 
-/// Credits `n` panel tiles (distinct panel rows / blocks touched) to the
-/// current thread's profile window. One thread-local load when no window
-/// is open.
+/// Credits `n` panel tiles — build tiles of `TILE` (64,
+/// `cx_vector::block::TILE`) panel rows a sweep scores its probes
+/// against — to the current thread's profile window. One thread-local
+/// load when no window is open.
 #[inline]
 pub fn add_tiles(n: u64) {
     if counting() {
@@ -139,7 +140,7 @@ pub struct QueryProfile {
     pub alloc_bytes: u64,
     /// Vector pairs scored by similarity kernels on this thread.
     pub pairs_scored: u64,
-    /// Panel tiles (distinct panel rows / blocks) touched.
+    /// Panel tiles touched: build tiles of `TILE` (64) panel rows.
     pub panel_tiles: u64,
     /// Bytes charged against the query's memory budget.
     pub bytes_charged: u64,

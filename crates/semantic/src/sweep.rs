@@ -19,9 +19,12 @@
 //!   (`cosine_with_norms`); f32 only, since a filter's few probes can
 //!   never amortize quantizing a panel. Returns [`Scores::Dense`].
 //! * `DotJoin` — both sides normalized once, then bare dots
-//!   (`dot_unrolled`); at `F16`/`Int8` the normalized candidate panel is
-//!   re-encoded as a [`QuantizedArena`] and scores carry the tier's
-//!   bounded error. Returns [`Scores::Hits`].
+//!   (`dot_unrolled`): at `F32` one `dot_block_threshold` call per build
+//!   tile scores the whole probe span against it, two probes per register
+//!   tile on x86, and keeps only pairs clearing the floor; at `F16`/`Int8`
+//!   the normalized candidate panel is re-encoded as a
+//!   [`QuantizedArena`], scored one probe row at a time, and scores carry
+//!   the tier's bounded error. Returns [`Scores::Hits`].
 
 use cx_embed::EmbeddingCache;
 use cx_exec::parallel::parallel_map_ranges;
@@ -149,7 +152,7 @@ pub fn sweep<C: AsRef<str>, P: AsRef<str>>(
     // Credited on the calling thread (a shared sweep's group leader),
     // before the fan-out: worker threads carry no profile window.
     cx_obs::add_pairs((p * c) as u64);
-    cx_obs::add_tiles(1);
+    cx_obs::add_tiles(c.div_ceil(TILE) as u64);
     let cand = VectorArena::from_texts(cache, candidates);
     let prob = VectorArena::from_texts(cache, probes);
     ctx.check()?;
@@ -201,19 +204,13 @@ pub fn sweep<C: AsRef<str>, P: AsRef<str>>(
             }
             Panel::Dot(cand) => {
                 let mut hits: Vec<Hit> = Vec::new();
+                let probes = prob.block(span.clone());
                 for t0 in (0..c).step_by(TILE) {
                     ctx.check()?;
                     let tile = cand.block(t0..(t0 + TILE).min(c));
-                    for i in span.clone() {
-                        dot_block_threshold(
-                            prob.row(i),
-                            tile.data,
-                            tile.stride,
-                            tile.rows,
-                            floor,
-                            |r, score| hits.push((i as u32, (t0 + r) as u32, score)),
-                        );
-                    }
+                    dot_block_threshold(probes, tile, floor, |i, r, score| {
+                        hits.push(((span.start + i) as u32, (t0 + r) as u32, score))
+                    });
                 }
                 Scores::Hits(hits)
             }

@@ -401,9 +401,10 @@ cx_obs::metric_family! {
         /// Total candidate×probe pairs scored by similarity kernels.
         pairs_scored: counter "cx_serve_profile_pairs_scored_total"
             "Similarity pairs scored across profiled queries",
-        /// Total panel tiles touched by similarity kernels.
+        /// Total build tiles of `TILE` (64) panel rows touched by panel
+        /// sweeps.
         panel_tiles: counter "cx_serve_profile_panel_tiles_total"
-            "Panel tiles touched across profiled queries",
+            "Build tiles of 64 panel rows touched across profiled queries",
         /// Total bytes charged against per-query memory budgets.
         bytes_charged: counter "cx_serve_profile_bytes_charged_total"
             "Bytes charged against memory budgets across profiled queries",

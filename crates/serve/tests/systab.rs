@@ -204,6 +204,33 @@ fn profiler_populates_cx_queries_and_totals() {
     );
 }
 
+#[test]
+fn profiled_join_counts_build_tiles_of_its_panel() {
+    let engine = build_engine();
+    // The join's panel is its right side: N distinct labels, each twice.
+    let n: usize = 2 * 64 + 5;
+    let labels: Vec<String> = (0..2 * n).map(|i| format!("label {}", i % n)).collect();
+    let labels = Table::from_columns(
+        Schema::new(vec![Field::new("label", DataType::Utf8)]),
+        vec![Column::from_strings(labels)],
+    )
+    .unwrap();
+    engine.register_table("labels", labels).unwrap();
+    let server = Server::new(
+        engine,
+        ServeConfig { tracing: true, profiling: true, ..ServeConfig::default() },
+    );
+    let join = server
+        .table("products")
+        .unwrap()
+        .semantic_join(server.table("labels").unwrap(), "name", "label", "m", 0.9);
+    server.execute(&join).unwrap();
+
+    let profile = server.last_trace().and_then(|t| t.profile()).expect("profiled query");
+    assert_eq!(profile.panel_tiles, n.div_ceil(64) as u64, "{profile:?}");
+    assert_eq!(profile.pairs_scored, (12 * n) as u64, "{profile:?}");
+}
+
 /// `(group_size, quant_tier)` of every `cx.queries` row.
 fn group_and_tier_cells(server: &Arc<Server>) -> Vec<(i64, String)> {
     let chunk = scan(server, "cx.queries").to_chunk().unwrap();

@@ -24,8 +24,8 @@
 //! # Per-ISA bit-identity contract
 //!
 //! * **f32** paths fix their accumulation-tree order *per ISA*: blocked ≡
-//!   pairwise under the same active path, but scores may differ in the
-//!   last bits *across* paths (FMA fuses the multiply-add rounding).
+//!   tiled ≡ pairwise under the same active path, but scores may differ
+//!   in the last bits *across* paths (FMA fuses the multiply-add rounding).
 //! * **f16** paths are bit-identical *across* ISAs: hardware `vcvtph2ps`
 //!   is the same IEEE conversion the software path performs, and every
 //!   path runs the same two-bank 16-lane fused multiply-add order
@@ -39,7 +39,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Active implementation of the f32 kernel family ([`crate::dot`],
-/// [`crate::dot_block`]).
+/// [`crate::dot_block`], [`crate::dot_tile_threshold`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum F32Path {
     /// Portable 8-accumulator ladder (LLVM auto-vectorizes it).

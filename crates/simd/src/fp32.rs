@@ -1,11 +1,11 @@
-//! f32 kernel family: pairwise [`dot`] and panel [`dot_block`].
+//! f32 kernel family: pairwise [`dot`], panel [`dot_block`] and the
+//! probe-tile threshold kernel [`dot_tile_threshold`].
 //!
-//! Per-ISA bit-identity: under one active [`F32Path`], `dot_block` row `r`
-//! equals `dot(query, row_r)` to the bit, because the block micro-kernels
-//! replay the pairwise accumulation order per row and only interleave rows
-//! for instruction-level parallelism. Across paths results may differ in
-//! the last bits (lane width and FMA change rounding); the scalar path is
-//! the historical `dot_unrolled` ladder, bit for bit.
+//! Per-ISA bit-identity: under one active [`F32Path`], every panel score
+//! equals `dot(probe, row)` to the bit (see the crate doc for why the x86
+//! register tiles keep the bits). Across paths results may differ in the
+//! last bits (lane width and FMA change rounding); the scalar path is the
+//! historical `dot_unrolled` ladder, bit for bit.
 
 use crate::dispatch::{F32Path, KernelDispatch};
 use crate::{check_block, reduce8_tree};
@@ -33,7 +33,8 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 
 /// Scores `query` against `out.len()` rows of a row-major `block`
 /// (`stride >= dim` floats per row), `out[r] = dot(query, row_r)` on the
-/// active path.
+/// active path. On x86 this is the one-probe case of the
+/// [`dot_tile_threshold`] micro-kernel, storing every lane.
 ///
 /// # Panics
 /// Panics if `stride < query.len()` or `block` is too short for the rows.
@@ -52,6 +53,62 @@ pub fn dot_block(query: &[f32], block: &[f32], stride: usize, out: &mut [f32]) {
         F32Path::Neon => unsafe { neon::dot_block_neon(query, block, stride, out) },
         #[allow(unreachable_patterns)]
         _ => dot_block_scalar(query, block, stride, out),
+    }
+}
+
+/// Scores every probe row against every panel row (`probe_rows` rows at
+/// `probe_stride`, `panel_rows` at `panel_stride`, both `dim` wide) and
+/// calls `emit(probe, row, score)` for each pair with `score >= floor`,
+/// `score == dot(probe, row)` bit for bit; a NaN score clears no floor.
+///
+/// The x86 paths score two probes against eight (AVX-512) or four (AVX2)
+/// panel rows per register tile, so each panel row is loaded once per
+/// probe pair; scalar and NEON run [`dot_block`] once per probe. For each
+/// probe, rows are emitted in ascending order; probes may interleave.
+///
+/// # Panics
+/// Panics if a stride is shorter than `dim` or a block is too short for
+/// its rows.
+#[allow(clippy::too_many_arguments)]
+pub fn dot_tile_threshold(
+    probes: &[f32],
+    probe_stride: usize,
+    probe_rows: usize,
+    panel: &[f32],
+    panel_stride: usize,
+    panel_rows: usize,
+    dim: usize,
+    floor: f32,
+    mut emit: impl FnMut(usize, usize, f32),
+) {
+    if !check_block(probes, probe_stride, dim, probe_rows)
+        || !check_block(panel, panel_stride, dim, panel_rows)
+    {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    let (p, b) = (
+        x86::Rows { ptr: probes.as_ptr(), stride: probe_stride, rows: probe_rows },
+        x86::Rows { ptr: panel.as_ptr(), stride: panel_stride, rows: panel_rows },
+    );
+    match KernelDispatch::active().f32_path {
+        #[cfg(target_arch = "x86_64")]
+        F32Path::Avx2 => unsafe { x86::tile_threshold_avx2(p, b, dim, floor, &mut emit) },
+        #[cfg(target_arch = "x86_64")]
+        F32Path::Avx512 => unsafe { x86::tile_threshold_avx512(p, b, dim, floor, &mut emit) },
+        _ => {
+            // One dense strip per probe through the dispatched block kernel.
+            let mut scores = [0.0f32; 64];
+            for p in 0..probe_rows {
+                let query = &probes[p * probe_stride..p * probe_stride + dim];
+                for r0 in (0..panel_rows).step_by(64) {
+                    let strip = &mut scores[..64.min(panel_rows - r0)];
+                    dot_block(query, &panel[r0 * panel_stride..], panel_stride, strip);
+                    let hits = strip.iter().enumerate().filter(|(_, &s)| s >= floor);
+                    hits.for_each(|(k, &s)| emit(p, r0 + k, s));
+                }
+            }
+        }
     }
 }
 
@@ -125,10 +182,67 @@ mod x86 {
     use super::super::{reduce8_tree, reduce16_tree};
     use std::arch::x86_64::*;
 
-    /// Rows per vector micro-kernel pass. Four rows × two accumulators keep
-    /// eight independent FMA chains in flight without spilling on AVX2's
-    /// sixteen ymm registers (4 row accum pairs + 2 query chunks + loads).
-    const MICRO: usize = 4;
+    /// Tile rows advanced together through the dim loop: each probe chunk
+    /// is loaded once per four rows and `4 × P × 2` FMA chains are in
+    /// flight (the best group for P = 1 and 2 on both ISAs in the
+    /// `block_kernel_floor` probe).
+    const GROUP: usize = 4;
+
+    /// A row-major block: `rows` rows at `stride` floats from `ptr`.
+    #[derive(Clone, Copy)]
+    pub(super) struct Rows {
+        pub ptr: *const f32,
+        pub stride: usize,
+        pub rows: usize,
+    }
+
+    impl Rows {
+        /// Rows `r..r + R` (rows past the end repeat the last one) and the
+        /// mask of lanes `p * R + k`, `p < P`, whose row `r + k` exists.
+        #[inline(always)]
+        fn tile<const P: usize, const R: usize>(&self, r: usize) -> ([*const f32; R], u32) {
+            let row = |k: usize| self.ptr.wrapping_add((r + k).min(self.rows - 1) * self.stride);
+            let live = (1u32 << (self.rows - r).min(R)) - 1;
+            (std::array::from_fn(row), (0..P).fold(0, |m, p| m | live << (p * R)))
+        }
+    }
+
+    /// Adds the dim tail `from..dim` to every lane sum — lane `j` pairs
+    /// probe `j / R` with row `j % R` — element by element, as the pairwise
+    /// kernels' tail loops do.
+    ///
+    /// # Safety
+    /// Every pointer readable for `dim` floats.
+    #[inline(always)]
+    unsafe fn add_tails<const R: usize>(
+        sums: &mut [f32],
+        q: &[*const f32],
+        x: &[*const f32; R],
+        from: usize,
+        dim: usize,
+    ) {
+        for (j, sum) in sums.iter_mut().enumerate() {
+            for i in from..dim {
+                *sum += *q[j / R].add(i) * *x[j % R].add(i);
+            }
+        }
+    }
+
+    /// Emits `(p0 + j / R, r + j % R, sums[j])` for every lane `j` set in
+    /// `hits`, ascending.
+    #[inline(always)]
+    fn emit_lanes<const R: usize>(
+        mut hits: u32,
+        sums: &[f32],
+        (p0, r): (usize, usize),
+        emit: &mut impl FnMut(usize, usize, f32),
+    ) {
+        while hits != 0 {
+            let j = hits.trailing_zeros() as usize;
+            emit(p0 + j / R, r + j % R, sums[j]);
+            hits &= hits - 1;
+        }
+    }
 
     /// AVX2+FMA dot: two 8-lane FMA accumulators over 16-wide chunks,
     /// lane-wise combine, the 8-lane reduction tree, sequential tail.
@@ -163,6 +277,57 @@ mod x86 {
         sum
     }
 
+    /// The eight pairs of a `P`-probe × `R`-row tile (`P * R == 8`): lane
+    /// `p * R + k` is `dot_avx2(q[p], x[k])` to the bit. Each pair runs
+    /// `dot_avx2`'s two accumulators; the eight combined lane vectors are
+    /// then reduced together — two `hadd` levels (`reduce8_tree`'s first
+    /// two, within 128-bit halves) and one add of the halves (its last).
+    ///
+    /// # Safety
+    /// AVX2+FMA available; every pointer readable for `dim` floats.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn tile8<const P: usize, const R: usize>(
+        q: [*const f32; P],
+        x: [*const f32; R],
+        dim: usize,
+    ) -> [f32; 8] {
+        let chunks = dim / 16;
+        let mut v = [_mm256_setzero_ps(); 8];
+        for k0 in (0..R).step_by(GROUP) {
+            let mut acc = [[[_mm256_setzero_ps(); 2]; GROUP]; P];
+            for base in (0..chunks * 16).step_by(16) {
+                for p in 0..P {
+                    let q0 = _mm256_loadu_ps(q[p].add(base));
+                    let q1 = _mm256_loadu_ps(q[p].add(base + 8));
+                    for (g, [a0, a1]) in acc[p].iter_mut().enumerate() {
+                        let x0 = _mm256_loadu_ps(x[k0 + g].add(base));
+                        let x1 = _mm256_loadu_ps(x[k0 + g].add(base + 8));
+                        *a0 = _mm256_fmadd_ps(q0, x0, *a0);
+                        *a1 = _mm256_fmadd_ps(q1, x1, *a1);
+                    }
+                }
+            }
+            for (p, row) in acc.iter().enumerate() {
+                for (g, [a0, a1]) in row.iter().enumerate() {
+                    v[p * R + k0 + g] = _mm256_add_ps(*a0, *a1);
+                }
+            }
+        }
+        let h: [__m256; 4] = std::array::from_fn(|i| _mm256_hadd_ps(v[2 * i], v[2 * i + 1]));
+        let (g0, g1) = (_mm256_hadd_ps(h[0], h[1]), _mm256_hadd_ps(h[2], h[3]));
+        let mut sums = [0.0f32; 8];
+        _mm256_storeu_ps(
+            sums.as_mut_ptr(),
+            _mm256_add_ps(
+                _mm256_permute2f128_ps::<0x20>(g0, g1),
+                _mm256_permute2f128_ps::<0x31>(g0, g1),
+            ),
+        );
+        add_tails(&mut sums, &q, &x, chunks * 16, dim);
+        sums
+    }
+
     /// # Safety
     /// AVX2+FMA available; `block` holds `out.len()` rows of `dim` floats
     /// at `stride` (checked by the safe caller).
@@ -173,40 +338,50 @@ mod x86 {
         stride: usize,
         out: &mut [f32],
     ) {
-        let dim = query.len();
-        let rows = out.len();
-        let q = query.as_ptr();
-        let b = block.as_ptr();
-        let chunks = dim / 16;
-        let mut r = 0;
-        while r + MICRO <= rows {
-            let rowp: [*const f32; MICRO] = std::array::from_fn(|k| b.add((r + k) * stride));
-            let mut acc = [[_mm256_setzero_ps(); 2]; MICRO];
-            for c in 0..chunks {
-                let base = c * 16;
-                let q0 = _mm256_loadu_ps(q.add(base));
-                let q1 = _mm256_loadu_ps(q.add(base + 8));
-                for k in 0..MICRO {
-                    // Same per-row order as dot_avx2: acc0 fma, then acc1.
-                    acc[k][0] = _mm256_fmadd_ps(q0, _mm256_loadu_ps(rowp[k].add(base)), acc[k][0]);
-                    acc[k][1] =
-                        _mm256_fmadd_ps(q1, _mm256_loadu_ps(rowp[k].add(base + 8)), acc[k][1]);
-                }
-            }
-            for k in 0..MICRO {
-                let mut lanes = [0.0f32; 8];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), _mm256_add_ps(acc[k][0], acc[k][1]));
-                let mut sum = reduce8_tree(&lanes);
-                for i in chunks * 16..dim {
-                    sum += *q.add(i) * *rowp[k].add(i);
-                }
-                out[r + k] = sum;
-            }
-            r += MICRO;
+        let rows = Rows { ptr: block.as_ptr(), stride, rows: out.len() };
+        for r in (0..rows.rows).step_by(8) {
+            let (x, live) = rows.tile::<1, 8>(r);
+            let sums = tile8([query.as_ptr()], x, query.len());
+            let n = live.count_ones() as usize;
+            out[r..r + n].copy_from_slice(&sums[..n]);
         }
-        while r < rows {
-            out[r] = dot_avx2(q, b.add(r * stride), dim);
-            r += 1;
+    }
+
+    /// # Safety
+    /// AVX2+FMA available; layouts checked by the safe caller.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn tile_threshold_avx2(
+        probes: Rows,
+        panel: Rows,
+        dim: usize,
+        floor: f32,
+        emit: &mut impl FnMut(usize, usize, f32),
+    ) {
+        /// One pass of `P` probes from `p0` over the whole panel.
+        #[target_feature(enable = "avx2,fma")]
+        #[inline]
+        unsafe fn pass<const P: usize, const R: usize>(
+            (probes, p0): (Rows, usize),
+            panel: Rows,
+            dim: usize,
+            floor: __m256,
+            emit: &mut impl FnMut(usize, usize, f32),
+        ) {
+            let (q, _) = probes.tile::<1, P>(p0); // probe rows p0..p0 + P
+            for r in (0..panel.rows).step_by(R) {
+                let (x, live) = panel.tile::<P, R>(r);
+                let sums = tile8::<P, R>(q, x, dim);
+                let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_loadu_ps(sums.as_ptr()), floor);
+                emit_lanes::<R>(_mm256_movemask_ps(ge) as u32 & live, &sums, (p0, r), emit);
+            }
+        }
+        let floor = _mm256_set1_ps(floor);
+        let pairs = probes.rows / 2 * 2;
+        for p0 in (0..pairs).step_by(2) {
+            pass::<2, 4>((probes, p0), panel, dim, floor, emit);
+        }
+        if pairs < probes.rows {
+            pass::<1, 8>((probes, pairs), panel, dim, floor, emit);
         }
     }
 
@@ -242,6 +417,61 @@ mod x86 {
         sum
     }
 
+    /// The sixteen pairs of a `P`-probe × `R`-row tile (`P * R == 16`):
+    /// lane `p * R + k` is `dot_avx512(q[p], x[k])` to the bit. Each pair
+    /// runs `dot_avx512`'s two accumulators; the sixteen combined lane
+    /// vectors are then reduced together in four levels of even/odd
+    /// `permutex2var` + add, each adding the adjacent lanes `reduce16_tree`
+    /// adds.
+    ///
+    /// # Safety
+    /// AVX-512F available; every pointer readable for `dim` floats.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn tile16<const P: usize, const R: usize>(
+        q: [*const f32; P],
+        x: [*const f32; R],
+        dim: usize,
+    ) -> [f32; 16] {
+        let chunks = dim / 32;
+        let mut v = [_mm512_setzero_ps(); 16];
+        for k0 in (0..R).step_by(GROUP) {
+            let mut acc = [[[_mm512_setzero_ps(); 2]; GROUP]; P];
+            for base in (0..chunks * 32).step_by(32) {
+                for p in 0..P {
+                    let q0 = _mm512_loadu_ps(q[p].add(base));
+                    let q1 = _mm512_loadu_ps(q[p].add(base + 16));
+                    for (g, [a0, a1]) in acc[p].iter_mut().enumerate() {
+                        let x0 = _mm512_loadu_ps(x[k0 + g].add(base));
+                        *a0 = _mm512_fmadd_ps(q0, x0, *a0);
+                        let x1 = _mm512_loadu_ps(x[k0 + g].add(base + 16));
+                        *a1 = _mm512_fmadd_ps(q1, x1, *a1);
+                    }
+                }
+            }
+            for (p, row) in acc.iter().enumerate() {
+                for (g, [a0, a1]) in row.iter().enumerate() {
+                    v[p * R + k0 + g] = _mm512_add_ps(*a0, *a1);
+                }
+            }
+        }
+        // Each level sums adjacent lanes of (a, b), a's into the low half
+        // and b's into the high half, so lane j ends as vector j's sum.
+        let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+        let odd = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31);
+        for n in [8, 4, 2, 1] {
+            for i in 0..n {
+                let (a, b) = (v[2 * i], v[2 * i + 1]);
+                let lo = _mm512_permutex2var_ps(a, even, b);
+                v[i] = _mm512_add_ps(lo, _mm512_permutex2var_ps(a, odd, b));
+            }
+        }
+        let mut sums = [0.0f32; 16];
+        _mm512_storeu_ps(sums.as_mut_ptr(), v[0]);
+        add_tails(&mut sums, &q, &x, chunks * 32, dim);
+        sums
+    }
+
     /// # Safety
     /// AVX-512F available; block layout checked by the safe caller.
     #[target_feature(enable = "avx512f")]
@@ -251,39 +481,50 @@ mod x86 {
         stride: usize,
         out: &mut [f32],
     ) {
-        let dim = query.len();
-        let rows = out.len();
-        let q = query.as_ptr();
-        let b = block.as_ptr();
-        let chunks = dim / 32;
-        let mut r = 0;
-        while r + MICRO <= rows {
-            let rowp: [*const f32; MICRO] = std::array::from_fn(|k| b.add((r + k) * stride));
-            let mut acc = [[_mm512_setzero_ps(); 2]; MICRO];
-            for c in 0..chunks {
-                let base = c * 32;
-                let q0 = _mm512_loadu_ps(q.add(base));
-                let q1 = _mm512_loadu_ps(q.add(base + 16));
-                for k in 0..MICRO {
-                    acc[k][0] = _mm512_fmadd_ps(q0, _mm512_loadu_ps(rowp[k].add(base)), acc[k][0]);
-                    acc[k][1] =
-                        _mm512_fmadd_ps(q1, _mm512_loadu_ps(rowp[k].add(base + 16)), acc[k][1]);
-                }
-            }
-            for k in 0..MICRO {
-                let mut lanes = [0.0f32; 16];
-                _mm512_storeu_ps(lanes.as_mut_ptr(), _mm512_add_ps(acc[k][0], acc[k][1]));
-                let mut sum = reduce16_tree(&lanes);
-                for i in chunks * 32..dim {
-                    sum += *q.add(i) * *rowp[k].add(i);
-                }
-                out[r + k] = sum;
-            }
-            r += MICRO;
+        let rows = Rows { ptr: block.as_ptr(), stride, rows: out.len() };
+        for r in (0..rows.rows).step_by(16) {
+            let (x, live) = rows.tile::<1, 16>(r);
+            let sums = tile16([query.as_ptr()], x, query.len());
+            let n = live.count_ones() as usize;
+            out[r..r + n].copy_from_slice(&sums[..n]);
         }
-        while r < rows {
-            out[r] = dot_avx512(q, b.add(r * stride), dim);
-            r += 1;
+    }
+
+    /// # Safety
+    /// AVX-512F available; layouts checked by the safe caller.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn tile_threshold_avx512(
+        probes: Rows,
+        panel: Rows,
+        dim: usize,
+        floor: f32,
+        emit: &mut impl FnMut(usize, usize, f32),
+    ) {
+        /// One pass of `P` probes from `p0` over the whole panel.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn pass<const P: usize, const R: usize>(
+            (probes, p0): (Rows, usize),
+            panel: Rows,
+            dim: usize,
+            floor: __m512,
+            emit: &mut impl FnMut(usize, usize, f32),
+        ) {
+            let (q, _) = probes.tile::<1, P>(p0); // probe rows p0..p0 + P
+            for r in (0..panel.rows).step_by(R) {
+                let (x, live) = panel.tile::<P, R>(r);
+                let sums = tile16::<P, R>(q, x, dim);
+                let ge = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(_mm512_loadu_ps(sums.as_ptr()), floor);
+                emit_lanes::<R>(ge as u32 & live, &sums, (p0, r), emit);
+            }
+        }
+        let floor = _mm512_set1_ps(floor);
+        let pairs = probes.rows / 2 * 2;
+        for p0 in (0..pairs).step_by(2) {
+            pass::<2, 8>((probes, p0), panel, dim, floor, emit);
+        }
+        if pairs < probes.rows {
+            pass::<1, 16>((probes, pairs), panel, dim, floor, emit);
         }
     }
 }

@@ -3,8 +3,8 @@
 //! Every semantic sweep, MQO shared scan, prepared-statement execution and
 //! index probe in this engine bottoms out in three panel-kernel families:
 //!
-//! * **f32** — [`dot`], [`dot_block`]: the blocked similarity kernels of
-//!   `cx_vector::block`,
+//! * **f32** — [`dot`], [`dot_block`], [`dot_tile_threshold`]: the blocked
+//!   similarity kernels of `cx_vector::block`,
 //! * **f16** — [`dot_f16`], [`dot_block_f16`], [`convert_f16_slice`]: IEEE
 //!   binary16 rows scored against an f32 query,
 //! * **int8** — [`dot_int8_i32`], [`dot_block_int8`]: symmetric int8 rows
@@ -19,12 +19,18 @@
 //! # Numerical contracts
 //!
 //! * **f32** fixes its accumulation-tree order *per ISA*: under one active
-//!   path, blocked ≡ pairwise to the bit ([`dot_block`] row `r` ==
-//!   [`dot`] on the same row), but scores may differ in the last bits
-//!   *across* paths (wider accumulators and FMA change rounding). The
-//!   scalar path reproduces the historical `dot_unrolled` ladder exactly,
-//!   so `CX_SIMD=off` is bit-compatible with every release before this
-//!   layer existed.
+//!   path, blocked ≡ tiled ≡ pairwise to the bit ([`dot_block`] row `r`
+//!   and every [`dot_tile_threshold`] score equal [`dot`] on the same
+//!   pair). The x86 register tiles run each pair's accumulators in `dot`'s
+//!   order, then reduce sixteen (AVX-512) or eight (AVX2) pairs at once in
+//!   a transposed tree: each level adds, per pair, the same two operands
+//!   `dot`'s reduction tree adds at that level — only in another lane and
+//!   possibly swapped, and IEEE addition is commutative — so every lane
+//!   ends with `dot`'s bits; dim tails follow per lane, in order, as in
+//!   `dot`. Scores may differ in the last bits *across* paths (wider
+//!   accumulators and FMA change rounding). The scalar path reproduces the
+//!   historical `dot_unrolled` ladder exactly, so `CX_SIMD=off` is
+//!   bit-compatible with every release before this layer existed.
 //! * **f16** is bit-identical *across* ISAs for non-NaN data: hardware
 //!   `vcvtph2ps` performs the same IEEE conversion as the software
 //!   bit-twiddling path (including subnormals and infinities — only sNaN
@@ -57,7 +63,7 @@ pub use dispatch::{
     SimdMode, UnsupportedSimdMode,
 };
 pub use fp16::{convert_f16_slice, dot_block_f16, dot_f16, f16_to_f32, f32_to_f16};
-pub use fp32::{dot, dot_block};
+pub use fp32::{dot, dot_block, dot_tile_threshold};
 pub use int8::{dot_block_int8, dot_int8_i32};
 
 /// The fixed 8-lane reduction tree shared by the f32 scalar ladder and the

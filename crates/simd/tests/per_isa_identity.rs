@@ -7,7 +7,8 @@
 
 use cx_simd::{
     available_modes, convert_f16_slice, dot, dot_block, dot_block_f16, dot_block_int8, dot_f16,
-    dot_int8_i32, f16_to_f32, f32_to_f16, force_mode, KernelDispatch, SimdMode,
+    dot_int8_i32, dot_tile_threshold, f16_to_f32, f32_to_f16, force_mode, KernelDispatch,
+    SimdMode,
 };
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -64,6 +65,21 @@ fn dims() -> Vec<usize> {
     d
 }
 
+/// Row counts around the x86 register tiles: none, one, a partial and a
+/// full 8-row (AVX-512 two-probe / AVX2 one-probe) pass, a partial and a
+/// full 16-row pass, one past it, and several passes with a remainder.
+const ROWS: [usize; 8] = [0, 1, 7, 8, 15, 16, 17, 77];
+
+/// `rows` random rows of `dim` floats at `stride`, padding zeroed.
+fn block_of(rng: &mut Rng, rows: usize, dim: usize, stride: usize) -> Vec<f32> {
+    let mut block = vec![0.0f32; rows * stride.max(1)];
+    for r in 0..rows {
+        let row = rng.f32_vec(dim);
+        block[r * stride..r * stride + dim].copy_from_slice(&row);
+    }
+    block
+}
+
 #[test]
 fn blocked_equals_pairwise_bitwise_under_every_mode() {
     let _guard = lock_modes();
@@ -72,23 +88,85 @@ fn blocked_equals_pairwise_bitwise_under_every_mode() {
         let mut rng = Rng(0xC0FFEE ^ mode as u64);
         for dim in dims() {
             let stride = dim + (dim % 5); // padded and exact strides both
-            let rows = 7usize;
             let query = rng.f32_vec(dim);
-            let mut block = vec![0.0f32; rows * stride.max(1)];
-            for r in 0..rows {
-                let row = rng.f32_vec(dim);
-                block[r * stride..r * stride + dim].copy_from_slice(&row);
+            for rows in ROWS {
+                let block = block_of(&mut rng, rows, dim, stride);
+                let mut out = vec![0.0f32; rows];
+                dot_block(&query, &block, stride, &mut out);
+                for r in 0..rows {
+                    let pairwise = dot(&query, &block[r * stride..r * stride + dim]);
+                    assert_eq!(
+                        out[r].to_bits(),
+                        pairwise.to_bits(),
+                        "f32 mode={} dim={dim} rows={rows} row={r}",
+                        mode.label()
+                    );
+                }
             }
-            let mut out = vec![0.0f32; rows];
-            dot_block(&query, &block, stride, &mut out);
-            for r in 0..rows {
-                let pairwise = dot(&query, &block[r * stride..r * stride + dim]);
-                assert_eq!(
-                    out[r].to_bits(),
-                    pairwise.to_bits(),
-                    "f32 mode={} dim={dim} row={r}",
-                    mode.label()
-                );
+        }
+    }
+}
+
+#[test]
+fn threshold_tile_equals_pairwise_under_every_mode() {
+    let _guard = lock_modes();
+    for mode in available_modes() {
+        force_mode(mode).expect("listed mode resolves");
+        let mut rng = Rng(0x711E ^ mode as u64);
+        for dim in dims() {
+            let (ps, bs) = (dim + (dim % 3), dim + (dim % 7)); // padded strides
+            let rows = ROWS[(dim % 7) + 1];
+            let mut panel = block_of(&mut rng, rows, dim, bs);
+            // A NaN lane poisons its row: no floor, not even -inf, admits it.
+            let nan_row = (dim > 0 && rows > 3).then_some(3);
+            if let Some(r) = nan_row {
+                panel[r * bs + dim / 2] = f32::NAN;
+            }
+            for probe_rows in [1usize, 2, 3, 5] {
+                let probes = block_of(&mut rng, probe_rows, dim, ps);
+                let pairwise: Vec<(usize, usize, u32)> = (0..probe_rows)
+                    .flat_map(|p| (0..rows).map(move |r| (p, r)))
+                    .map(|(p, r)| {
+                        let s = dot(&probes[p * ps..p * ps + dim], &panel[r * bs..r * bs + dim]);
+                        (p, r, s.to_bits())
+                    })
+                    .collect();
+                let mut finite: Vec<f32> = pairwise
+                    .iter()
+                    .map(|&(_, _, b)| f32::from_bits(b))
+                    .filter(|s| !s.is_nan())
+                    .collect();
+                finite.sort_by(f32::total_cmp);
+                let mid = finite.get(finite.len() / 2).copied().unwrap_or(0.0);
+                for floor in [f32::NEG_INFINITY, mid, f32::INFINITY] {
+                    let mut want: Vec<(usize, usize, u32)> = pairwise
+                        .iter()
+                        .copied()
+                        .filter(|&(_, _, b)| f32::from_bits(b) >= floor)
+                        .collect();
+                    let mut got = Vec::new();
+                    dot_tile_threshold(
+                        &probes,
+                        ps,
+                        probe_rows,
+                        &panel,
+                        bs,
+                        rows,
+                        dim,
+                        floor,
+                        |p, r, s| got.push((p, r, s.to_bits())),
+                    );
+                    let tag = format!(
+                        "mode={} dim={dim} probes={probe_rows} rows={rows} floor={floor}",
+                        mode.label()
+                    );
+                    if let Some(nan) = nan_row {
+                        assert!(got.iter().all(|&(_, r, _)| r != nan), "NaN row emitted: {tag}");
+                    }
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "{tag}");
+                }
             }
         }
     }

@@ -1,8 +1,9 @@
-//! Manual perf probe (ignored): min-of-N timing for the block kernels,
-//! robust against noisy shared cores. Run with
+//! Manual perf probe (ignored): min-of-N timing for the block kernels and
+//! the probe-tile threshold kernel, robust against noisy shared cores. Run
+//! with
 //! `cargo test -p cx-simd --release --test perf_probe -- --ignored --nocapture`.
 
-use cx_simd::{dot_block, dot_block_f16, dot_block_int8, f32_to_f16};
+use cx_simd::{dot_block, dot_block_f16, dot_block_int8, dot_tile_threshold, f32_to_f16};
 use std::time::Instant;
 
 fn rows_f32(rows: usize, dim: usize, seed: u64) -> Vec<f32> {
@@ -50,5 +51,41 @@ fn block_kernel_floor() {
             f16_ns / f32_ns,
             i8_ns / ROWS as f64,
         );
+    }
+
+    // The join's schedule: a cache-resident 64-row build tile, probes
+    // streaming over it one (P = 1) or two (P = 2) per register tile. The
+    // floor admits nothing, so this is the scoring cost alone.
+    const TILE: usize = 64;
+    const PROBES: usize = 64;
+    for dim in [128usize, 256, 768] {
+        let tile = rows_f32(TILE, dim, 11);
+        let probes = rows_f32(PROBES, dim, 13);
+        let mut hits = 0usize;
+        let mut per_pair = |p: usize| {
+            let ns = min_ns(
+                || {
+                    for p0 in (0..PROBES).step_by(p) {
+                        dot_tile_threshold(
+                            &probes[p0 * dim..],
+                            dim,
+                            p,
+                            &tile,
+                            dim,
+                            TILE,
+                            dim,
+                            f32::INFINITY,
+                            |_, _, _| hits += 1,
+                        );
+                    }
+                },
+                200,
+                5,
+            );
+            ns / (PROBES * TILE) as f64
+        };
+        let (one, two) = (per_pair(1), per_pair(2));
+        assert_eq!(hits, 0);
+        println!("dim {dim}: tile P=1 {one:.2} ns/pair, P=2 {two:.2} ns/pair (64-row L1 panel)");
     }
 }

@@ -46,6 +46,13 @@ pub struct RowBlock<'a> {
 }
 
 impl<'a> RowBlock<'a> {
+    /// A one-row view of `row` (norm `norm`): the probe block of a
+    /// one-query kernel call.
+    pub fn one(row: &'a [f32], norm: &'a f32) -> Self {
+        let dim = row.len();
+        RowBlock { data: row, stride: dim, dim, rows: 1, norms: std::slice::from_ref(norm) }
+    }
+
     /// Row `r` of the view as a `dim`-length slice.
     #[inline]
     pub fn row(&self, r: usize) -> &'a [f32] {

@@ -4,18 +4,22 @@
 //! The pairwise kernels in [`crate::kernels`] score one `(query, candidate)`
 //! pair per call; every hot path that loops over them pays per-pair call
 //! and bookkeeping overhead and reloads the query from memory for each
-//! candidate. The kernels here score one query against a *panel* of
-//! candidates laid out row-major (see [`crate::VectorArena`]), and panels
-//! against panels, in micro-kernel passes that load each query chunk once
-//! and reuse it across candidate rows.
+//! candidate. The kernels here score a query — or a block of probe rows —
+//! against a *panel* of candidates laid out row-major (see
+//! [`crate::VectorArena`]), and panels against panels, in register tiles
+//! that load each operand chunk once and reuse it across the tile.
 //!
-//! The panel arithmetic itself lives in `cx_simd`: [`dot_block`] forwards
-//! to `cx_simd::dot_block`, which picks an AVX-512 / AVX2+FMA / NEON /
-//! scalar implementation at runtime (overridable via `CX_SIMD`). The
-//! numerical contract is *per-ISA* bit-identity: under one active path,
-//! every row's accumulation order is exactly that of the pairwise
-//! [`crate::kernels::dot_unrolled`] on the same path, so blocked scores are
-//! bit-identical to the pairwise rungs. Blocking changes the schedule,
+//! The panel arithmetic itself lives in `cx_simd`, which picks an AVX-512 /
+//! AVX2+FMA / NEON / scalar implementation at runtime (overridable via
+//! `CX_SIMD`): [`dot_block`] forwards to `cx_simd::dot_block`, and
+//! [`dot_block_threshold`] to `cx_simd::dot_tile_threshold`, whose x86
+//! paths score two probes against eight (AVX-512) or four (AVX2) panel
+//! rows per register tile, reduce the tile's pairs in one transposed tree
+//! and select survivors with one vector compare. The numerical contract is
+//! *per-ISA* bit-identity: under one active path every score equals the
+//! pairwise [`crate::kernels::dot_unrolled`] on the same pair, bit for bit,
+//! because each pair keeps its accumulation order and its reduction tree
+//! adds the same operands at every level. Tiling changes the schedule,
 //! never the arithmetic. (Across paths, f32 scores may differ in the last
 //! bits — FMA and lane width change rounding — which is why both pairwise
 //! and blocked rungs share one dispatch.)
@@ -24,15 +28,11 @@
 //! `data[r * stride .. r * stride + dim]` and `stride >= dim`. Padding
 //! lanes (`dim..stride`) are never read.
 
-/// Candidate rows scored per scalar micro-kernel pass. Eight rows keep
-/// eight independent FP chains in flight on the scalar path; the explicit
-/// AVX2/AVX-512/NEON paths in `cx_simd` use four rows × two vector
-/// accumulators, which saturates the FMA units without spilling registers.
-pub const MICRO_ROWS: usize = 8;
+use crate::RowBlock;
 
-/// Default square tile edge for [`scores_matrix`]: 64×64 f32 scores plus a
-/// 64-row panel of dim ≤ 768 stays within L2 on every x86/ARM core that
-/// matters.
+/// Build-side tile edge: [`scores_matrix`] tiles both sides by it, and a
+/// panel sweep streams its probes over `TILE`-row build tiles. 64 rows of
+/// dim ≤ 768 stay within L2 on every x86/ARM core that matters.
 pub const TILE: usize = 64;
 
 /// Scores `query` against `out.len()` candidate rows stored row-major in
@@ -49,44 +49,38 @@ pub fn dot_block(query: &[f32], block: &[f32], stride: usize, out: &mut [f32]) {
     cx_simd::dot_block(query, block, stride, out);
 }
 
-/// Threshold-aware block scan: scores `query` against `rows` candidate rows
-/// and invokes `emit(row, score)` only for rows with `score >= floor` —
-/// pruned candidates skip write-back entirely. Pass the current top-k floor
-/// (or the filter threshold) to avoid touching losers.
+/// Threshold-aware tile scan: scores every row of `probes` against every
+/// row of `panel` and calls `emit(probe, row, score)` only for pairs with
+/// `score >= floor` — pruned pairs never leave registers. Pass the current
+/// top-k floor (or the filter/join threshold) to avoid touching losers; a
+/// one-query caller passes a one-row probe block ([`RowBlock::one`]).
 ///
-/// Scores are bit-identical to [`dot_block`]: rows are scored through the
-/// same dispatched panel kernel in [`TILE`]-row strips (a stack buffer),
-/// then filtered.
+/// Scores are bit-identical to [`dot_block`] and to
+/// [`crate::kernels::dot_unrolled`] per pair; a NaN score never clears the
+/// floor. For each probe, rows are emitted in ascending order; pairs of
+/// different probes may interleave (the x86 paths score two probes per
+/// register tile).
+///
+/// # Panics
+/// Panics if the blocks' dims differ or a block is shorter than its rows.
 pub fn dot_block_threshold(
-    query: &[f32],
-    block: &[f32],
-    stride: usize,
-    rows: usize,
+    probes: RowBlock,
+    panel: RowBlock,
     floor: f32,
-    mut emit: impl FnMut(usize, f32),
+    emit: impl FnMut(usize, usize, f32),
 ) {
-    let dim = query.len();
-    assert!(stride >= dim, "stride {stride} shorter than dim {dim}");
-    if rows == 0 {
-        return;
-    }
-    assert!(
-        block.len() >= (rows - 1) * stride + dim,
-        "block of {} floats too short for {rows} rows at stride {stride}",
-        block.len()
+    assert_eq!(probes.dim, panel.dim, "probe and panel dims differ");
+    cx_simd::dot_tile_threshold(
+        probes.data,
+        probes.stride,
+        probes.rows,
+        panel.data,
+        panel.stride,
+        panel.rows,
+        panel.dim,
+        floor,
+        emit,
     );
-    let mut scores = [0.0f32; TILE];
-    let mut r = 0;
-    while r < rows {
-        let strip = TILE.min(rows - r);
-        cx_simd::dot_block(query, &block[r * stride..], stride, &mut scores[..strip]);
-        for (k, &score) in scores[..strip].iter().enumerate() {
-            if score >= floor {
-                emit(r + k, score);
-            }
-        }
-        r += strip;
-    }
 }
 
 /// Cosine variant of [`dot_block_threshold`] with externally cached norms:
@@ -113,7 +107,8 @@ pub fn cosine_block_threshold(
         }
         return;
     }
-    dot_block_threshold(query, block, stride, rows, f32::NEG_INFINITY, |r, dot| {
+    let panel = RowBlock { data: block, stride, dim: query.len(), rows, norms };
+    dot_block_threshold(RowBlock::one(query, &query_norm), panel, f32::NEG_INFINITY, |_, r, dot| {
         let score = if norms[r] == 0.0 { 0.0 } else { dot / (query_norm * norms[r]) };
         if score >= floor {
             emit(r, score);
@@ -201,26 +196,30 @@ mod tests {
     #[test]
     fn threshold_variant_prunes_and_matches() {
         let dim = 33;
-        let q: Vec<f32> = {
-            let mut rng = SplitMix64::new(5);
-            (0..dim).map(|_| rng.next_f32_symmetric()).collect()
-        };
-        // Cross the TILE strip boundary so the strip loop is exercised.
-        let rows = TILE + 13;
+        // Several register tiles of probes and rows, with remainders.
+        let (probes, rows) = (5, TILE + 13);
+        let probe_block = random_block(probes, dim, 40, 5);
         let block = random_block(rows, dim, dim, 6);
-        let mut full = vec![0.0f32; rows];
-        dot_block(&q, &block, dim, &mut full);
+        let norms = vec![1.0f32; probes.max(rows)];
+        let view = |data, stride, rows| RowBlock { data, stride, dim, rows, norms: &norms[..rows] };
+        let mut full = vec![0.0f32; probes * rows];
+        for p in 0..probes {
+            let q = &probe_block[p * 40..p * 40 + dim];
+            dot_block(q, &block, dim, &mut full[p * rows..(p + 1) * rows]);
+        }
         let floor = full[14];
         let mut emitted = Vec::new();
-        dot_block_threshold(&q, &block, dim, rows, floor, |r, s| emitted.push((r, s)));
-        let expected: Vec<(usize, f32)> = full
+        let (probe_view, panel_view) = (view(&probe_block, 40, probes), view(&block, dim, rows));
+        dot_block_threshold(probe_view, panel_view, floor, |p, r, s| emitted.push((p, r, s)));
+        emitted.sort_by_key(|&(p, r, _)| (p, r));
+        let expected: Vec<(usize, usize, f32)> = full
             .iter()
             .enumerate()
             .filter(|(_, &s)| s >= floor)
-            .map(|(r, &s)| (r, s))
+            .map(|(i, &s)| (i / rows, i % rows, s))
             .collect();
         assert_eq!(emitted, expected);
-        assert!(emitted.len() < rows);
+        assert!(emitted.len() < probes * rows);
     }
 
     #[test]
@@ -278,7 +277,10 @@ mod tests {
     fn empty_inputs_are_fine() {
         let mut out = [0.0f32; 0];
         dot_block(&[1.0, 2.0], &[], 2, &mut out);
-        dot_block_threshold(&[1.0, 2.0], &[], 2, 0, 0.0, |_, _| panic!("no rows"));
+        let empty = RowBlock { data: &[], stride: 2, dim: 2, rows: 0, norms: &[] };
+        dot_block_threshold(RowBlock::one(&[1.0, 2.0], &1.0), empty, 0.0, |_, _, _| {
+            panic!("no rows")
+        });
         scores_matrix(&[], 2, 0, 2, &[], 2, 0, &mut out);
     }
 

@@ -1,6 +1,6 @@
 //! Exact brute-force similarity search.
 
-use crate::arena::VectorArena;
+use crate::arena::{RowBlock, VectorArena};
 use crate::block::{dot_block_threshold, TILE};
 use crate::index::{sort_results, IndexStats, SearchResult};
 use crate::kernels::norm;
@@ -32,13 +32,15 @@ impl BruteForceIndex {
         }
     }
 
-    fn normalized_query(&self, query: &[f32]) -> Vec<f32> {
+    /// `query` scaled to unit norm (a zero query as-is) and its norm after
+    /// scaling, `(row, 1.0 | 0.0)` — the one-row probe of a scan.
+    fn normalized_query(&self, query: &[f32]) -> (Vec<f32>, f32) {
         assert_eq!(query.len(), self.arena.dim(), "query dimension mismatch");
         let n = norm(query);
         if n == 0.0 {
-            return query.to_vec();
+            return (query.to_vec(), 0.0);
         }
-        query.iter().map(|x| x / n).collect()
+        (query.iter().map(|x| x / n).collect(), 1.0)
     }
 
     /// Number of indexed vectors.
@@ -53,11 +55,11 @@ impl BruteForceIndex {
 
     /// All vectors with cosine similarity ≥ `threshold` to `query`.
     pub fn search_threshold(&self, query: &[f32], threshold: f32) -> Vec<SearchResult> {
-        let q = self.normalized_query(query);
+        let (q, qn) = self.normalized_query(query);
         self.stats.record_search(self.arena.len());
-        let view = self.arena.as_block();
         let mut out = Vec::new();
-        dot_block_threshold(&q, view.data, view.stride, view.rows, threshold, |id, score| {
+        let probe = RowBlock::one(&q, &qn);
+        dot_block_threshold(probe, self.arena.as_block(), threshold, |_, id, score| {
             out.push(SearchResult { id, score })
         });
         sort_results(&mut out);
@@ -66,7 +68,7 @@ impl BruteForceIndex {
 
     /// The `k` most similar vectors to `query`.
     pub fn search_topk(&self, query: &[f32], k: usize) -> Vec<SearchResult> {
-        let q = self.normalized_query(query);
+        let (q, qn) = self.normalized_query(query);
         self.stats.record_search(self.arena.len());
         let mut topk = TopK::new(k);
         let n = self.arena.len();
@@ -75,7 +77,7 @@ impl BruteForceIndex {
             // Once the heap is full, its floor skips write-back for the
             // tile's losing candidates.
             let floor = topk.threshold().unwrap_or(f32::NEG_INFINITY);
-            dot_block_threshold(&q, tile.data, tile.stride, tile.rows, floor, |r, score| {
+            dot_block_threshold(RowBlock::one(&q, &qn), tile, floor, |_, r, score| {
                 topk.push(t0 + r, score)
             });
         }

@@ -9,7 +9,7 @@ use cx_expr::{eval, fold_constants, BinOp, Expr};
 use cx_storage::{Bitmap, Chunk, Column, DataType, Field, Scalar, Schema};
 use cx_vector::block::{cosine_block_threshold, dot_block, dot_block_threshold, scores_matrix};
 use cx_vector::kernels::{cosine, cosine_with_norms, dot, dot_unrolled, l2_distance, norm};
-use cx_vector::{BruteForceIndex, LshIndex, QuantizedArena, TopK, VectorArena};
+use cx_vector::{BruteForceIndex, LshIndex, QuantizedArena, RowBlock, TopK, VectorArena};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -180,7 +180,7 @@ proptest! {
         }
         let view = arena.as_block();
         let mut got: Vec<(usize, f32)> = Vec::new();
-        dot_block_threshold(&q, view.data, view.stride, view.rows, floor, |r, s| got.push((r, s)));
+        dot_block_threshold(RowBlock::one(&q, &qn), view, floor, |_, r, s| got.push((r, s)));
         let want: Vec<(usize, f32)> = (0..arena.len())
             .map(|r| (r, dot_unrolled(&q, arena.row(r))))
             .filter(|(_, s)| *s >= floor)
