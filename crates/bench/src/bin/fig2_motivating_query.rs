@@ -93,7 +93,7 @@ fn main() {
             c.filter_pushdown = true;
             c
         }),
-        ("+ pruning, cascades, DIP, index, parallel", OptimizerConfig::all()),
+        ("+ pruning, cascades, DIP, parallel", OptimizerConfig::all()),
     ];
 
     println!(

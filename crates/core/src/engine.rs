@@ -559,7 +559,6 @@ mod tests {
         );
         let mut tolerant = engine.config().optimizer;
         tolerant.recall_tolerance = 5e-2;
-        tolerant.semantic_index_selection = false;
         let mut exact = tolerant;
         exact.recall_tolerance = 0.0;
         let planned = engine.optimize_query_with(&q, tolerant);

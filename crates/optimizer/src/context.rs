@@ -26,17 +26,11 @@ pub struct OptimizerConfig {
     pub data_induced_predicates: bool,
     /// Angular-relaxed semantic filters across semantic joins.
     pub semantic_dip: bool,
-    /// Cost-based semantic join strategy selection (index vs scan).
-    pub semantic_index_selection: bool,
-    /// Quantization tier selection for semantic scans (f32/f16/int8 panels
-    /// per scan, the paper's Section VI half-precision opportunity). The
-    /// tier actually chosen also depends on `recall_tolerance` and the
-    /// estimated pair count — see `cost::select_quant_tier`.
-    pub quantization: bool,
-    /// Maximum tolerated absolute cosine-score error for quantized panels.
-    /// `0.0` (the default) keeps every scan exact (f32) even when
-    /// `quantization` is on; raise it to let large scans drop to f16
-    /// (error ≲ 1e-3) or int8 (≲ 1.2e-2).
+    /// Maximum tolerated absolute cosine-score error for quantized panels
+    /// (the paper's Section VI half-precision opportunity). `0.0` (the
+    /// default) keeps every scan exact (f32); raise it to let large scans
+    /// drop to f16 (error ≲ 1e-3) or int8 (≲ 1.2e-2) — see
+    /// `cost::select_quant_tier`.
     pub recall_tolerance: f64,
     /// Probe-side parallelism for semantic joins (1 = serial).
     pub parallelism: usize,
@@ -53,8 +47,6 @@ impl OptimizerConfig {
             equijoin_extraction: true,
             data_induced_predicates: true,
             semantic_dip: true,
-            semantic_index_selection: true,
-            quantization: true,
             recall_tolerance: 0.0,
             parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
@@ -70,8 +62,6 @@ impl OptimizerConfig {
             equijoin_extraction: false,
             data_induced_predicates: false,
             semantic_dip: false,
-            semantic_index_selection: false,
-            quantization: false,
             recall_tolerance: 0.0,
             parallelism: 1,
         }

@@ -2,7 +2,7 @@
 //!
 //! Units are abstract nanoseconds; the constants encode *relative* operator
 //! weights (model inference ≫ hashing ≫ scanning), which is what rewrite
-//! and strategy decisions need. Per Section V, model-operator costs —
+//! and tier decisions need. Per Section V, model-operator costs —
 //! inference per distinct value, similarity kernels per candidate pair —
 //! are first-class terms, not UDF black boxes.
 
@@ -31,11 +31,6 @@ const SIM_PAIR: f64 = 30.0;
 const AGG_ROW: f64 = 35.0;
 /// Per-comparison sort cost.
 const SORT_CMP: f64 = 12.0;
-
-/// Fraction of distinct values an approximate index examines per probe.
-const INDEX_PROBE_FRACTION: f64 = 0.05;
-/// Per-value index build cost.
-const INDEX_BUILD_VALUE: f64 = 120.0;
 
 /// Absolute cosine-score error bound of f16 panels on unit vectors.
 pub const F16_SCORE_ERROR: f64 = 1e-3;
@@ -72,7 +67,7 @@ pub fn select_quant_tier_with(
     est_pairs: f64,
     dispatch: &KernelDispatch,
 ) -> QuantTier {
-    if !config.quantization || est_pairs < QUANT_MIN_PAIRS {
+    if est_pairs < QUANT_MIN_PAIRS {
         return QuantTier::F32;
     }
     if config.recall_tolerance >= INT8_SCORE_ERROR {
@@ -82,15 +77,6 @@ pub fn select_quant_tier_with(
     } else {
         QuantTier::F32
     }
-}
-
-/// Whether a semantic join may use an approximate index strategy (LSH):
-/// index selection is on and `recall_tolerance` admits some error — the
-/// same gate the quantized tiers pass. At the default tolerance of `0.0`
-/// every join plans the exact blocked scan, so a statement gets one plan
-/// whether its literals are inlined or lifted into parameter slots.
-pub(crate) fn index_strategy_admitted(config: &OptimizerConfig) -> bool {
-    config.semantic_index_selection && config.recall_tolerance > 0.0
 }
 
 /// Fraction of a shared-scan query's cost that stays per-query no matter
@@ -185,13 +171,7 @@ pub fn node_cost(plan: &LogicalPlan, ctx: &OptimizerContext) -> f64 {
             let dispatch = KernelDispatch::active();
             let tier = select_quant_tier_with(&ctx.config, dl * dr, &dispatch);
             let quantize = if tier == QuantTier::F32 { 0.0 } else { dr * QUANT_VALUE };
-            let scan_pairs = quantize + dl * dr * sim_pair_cost(tier, &dispatch);
-            if index_strategy_admitted(&ctx.config) {
-                let index = dr * INDEX_BUILD_VALUE + dl * dr * INDEX_PROBE_FRACTION * SIM_PAIR;
-                embed + scan_pairs.min(index)
-            } else {
-                embed + scan_pairs
-            }
+            embed + quantize + dl * dr * sim_pair_cost(tier, &dispatch)
         }
         LogicalPlan::SemanticGroupBy { input, .. } => {
             let rows = estimate_rows(input, ctx);
@@ -311,32 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn index_selection_lowers_join_cost() {
-        let mut with_index = ctx();
-        let l1 = scan("l3", 100_000, &mut with_index);
-        let r1 = scan("r3", 100_000, &mut with_index);
-        let mut without = ctx();
-        without.stats = with_index.stats.clone();
-        without.config.semantic_index_selection = false;
-        let join = LogicalPlan::SemanticJoin {
-            left: Box::new(l1),
-            right: Box::new(r1),
-            spec: SemanticJoinSpec {
-                left_column: "k".into(),
-                right_column: "k".into(),
-                model: "m".into(),
-                threshold: 0.9,
-                score_column: "sim".into(),
-            },
-        };
-        // The index is approximate: at tolerance 0 it is not costed at all.
-        assert_eq!(node_cost(&join, &with_index), node_cost(&join, &without));
-        with_index.config.recall_tolerance = 5e-2;
-        without.config.recall_tolerance = 5e-2;
-        assert!(node_cost(&join, &with_index) < node_cost(&join, &without));
-    }
-
-    #[test]
     fn cost_is_monotone_in_input_size() {
         let mut c = ctx();
         let small = scan("s", 100, &mut c);
@@ -372,9 +326,6 @@ mod tests {
         assert_eq!(select_quant_tier_with(&config, 1e9, &hw), QuantTier::Int8);
         // Small scans never quantize: build cost dominates.
         assert_eq!(select_quant_tier_with(&config, 1_000.0, &hw), QuantTier::F32);
-        // Feature switch wins over tolerance.
-        config.quantization = false;
-        assert_eq!(select_quant_tier_with(&config, 1e9, &hw), QuantTier::F32);
     }
 
     #[test]
@@ -433,9 +384,7 @@ mod tests {
     #[test]
     fn recall_tolerance_lowers_semantic_join_cost() {
         let mut exact = ctx();
-        exact.config.semantic_index_selection = false;
         let mut quant = ctx();
-        quant.config.semantic_index_selection = false;
         quant.config.recall_tolerance = 5e-2;
         let l1 = scan("lq", 20_000, &mut exact);
         let r1 = scan("rq", 20_000, &mut exact);

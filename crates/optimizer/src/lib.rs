@@ -20,7 +20,7 @@
 //!   triangle inequality,
 //! * [`pruning`] — projection (column) pruning,
 //! * [`physical`] — the physical planner: operator implementation and
-//!   semantic-join strategy selection by cost,
+//!   the storage tier of each semantic scan,
 //! * [`optimizer`] — the driver applying rules to fixpoint with a trace.
 
 pub mod cardinality;

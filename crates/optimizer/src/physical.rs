@@ -1,29 +1,22 @@
 //! The physical planner: logical plan → executable operator tree.
 //!
-//! Implementation selection happens here: hash vs nested-loop joins,
-//! semantic-join strategy by estimated distinct-value cardinalities
-//! (Section V's "index-based access for similarity search should be
-//! accounted for in the cost-based optimization process").
+//! Implementation selection happens here: hash vs nested-loop joins, and
+//! the storage tier of each semantic join's panel sweep by estimated
+//! distinct-value cardinalities and the configured recall tolerance.
 
 use crate::cardinality::estimate_rows;
 use crate::context::OptimizerContext;
-use crate::cost::{index_strategy_admitted, select_quant_tier};
+use crate::cost::select_quant_tier;
 use cx_exec::logical::LogicalPlan;
 use cx_exec::operators::{
     DistinctExec, FilterExec, HashAggregateExec, HashJoinExec, LimitExec, NestedLoopJoinExec,
     ProjectExec, SortExec, SystemTableScanExec, TableScanExec, UnionExec,
 };
 use cx_exec::PhysicalOperator;
-use cx_semantic::{SemanticFilterExec, SemanticGroupByExec, SemanticJoinExec, SemanticJoinStrategy};
+use cx_semantic::{SemanticFilterExec, SemanticGroupByExec, SemanticJoinExec};
 use cx_storage::{Error, Result, SystemTableSource, Table};
-use cx_vector::lsh::LshParams;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Pair-count above which an approximate index pays for its build cost.
-const INDEX_PAIR_THRESHOLD: f64 = 4e6;
-/// Right-side distinct count below which index build is never worthwhile.
-const INDEX_MIN_BUILD: f64 = 2000.0;
 
 /// Tables the planner can scan: materialized user tables plus live
 /// system-table sources (the reserved `cx.*` schema).
@@ -116,29 +109,12 @@ pub fn create_physical_plan(
             )
         }
         LogicalPlan::SemanticJoin { left, right, spec } => {
-            // Strategy selection by estimated distinct-value pair count,
-            // among the strategies the recall tolerance admits.
+            // Storage tier of the panel sweep: quantized panels when the
+            // configured recall tolerance and the estimated distinct-value
+            // pair count admit them, exact f32 otherwise.
             let dl = (estimate_rows(left, ctx) * 0.5).max(1.0);
             let dr = (estimate_rows(right, ctx) * 0.5).max(1.0);
-            let strategy = if index_strategy_admitted(&ctx.config)
-                && dl * dr > INDEX_PAIR_THRESHOLD
-                && dr > INDEX_MIN_BUILD
-            {
-                SemanticJoinStrategy::Lsh(LshParams::default())
-            } else {
-                // Exact path: the blocked scan is the fastest exact rung
-                // and bit-identical to pairwise prenormalized scoring.
-                SemanticJoinStrategy::Blocked
-            };
-            // Storage tier for the blocked scan: quantized panels when the
-            // configured recall tolerance and pair count admit them. Index
-            // strategies verify in f32 and ignore the tier, so only the
-            // Blocked scan gets one (keeps EXPLAIN honest).
-            let tier = if matches!(strategy, SemanticJoinStrategy::Blocked) {
-                select_quant_tier(&ctx.config, dl * dr)
-            } else {
-                cx_embed::QuantTier::F32
-            };
+            let tier = select_quant_tier(&ctx.config, dl * dr);
             let l = create_physical_plan(left, ctx, env)?;
             let r = create_physical_plan(right, ctx, env)?;
             let cache = ctx
@@ -152,7 +128,6 @@ pub fn create_physical_plan(
                     &spec.right_column,
                     spec.threshold,
                     &spec.score_column,
-                    strategy,
                     cache,
                     ctx.config.parallelism,
                 )?
@@ -275,14 +250,14 @@ mod tests {
             },
         };
         let op = create_physical_plan(&plan, &mut ctx, &env).unwrap();
-        assert!(op.name().contains("blocked"), "{}", op.name());
+        assert!(!op.name().contains("quant="), "{}", op.name());
         // Executes and matches at least the identical strings.
         let out = collect_table(op.as_ref()).unwrap();
         assert!(out.num_rows() >= 4, "got {}", out.num_rows());
     }
 
     /// A self semantic join of a 100k-row table: its estimated pair count
-    /// clears both the quantization floor and the index threshold.
+    /// clears the quantization floor.
     fn big_self_join() -> (PhysicalPlannerEnv, OptimizerContext, LogicalPlan) {
         let rows = 100_000i64;
         let table = Table::from_columns(
@@ -316,22 +291,10 @@ mod tests {
     }
 
     #[test]
-    fn approximate_join_strategies_need_a_recall_tolerance() {
-        let (env, mut ctx, plan) = big_self_join();
-        // The default config selects indexes but tolerates no error.
-        let op = create_physical_plan(&plan, &mut ctx, &env).unwrap();
-        assert!(op.name().contains("strategy=blocked"), "{}", op.name());
-        ctx.config.recall_tolerance = 5e-2;
-        let op = create_physical_plan(&plan, &mut ctx, &env).unwrap();
-        assert!(op.name().contains("strategy=lsh"), "{}", op.name());
-    }
-
-    #[test]
     fn semantic_join_quantizes_when_tolerance_and_scale_admit() {
         // int8-level recall tolerance on a join large enough to quantize.
         let (env, mut ctx, plan) = big_self_join();
         ctx.config.recall_tolerance = 5e-2;
-        ctx.config.semantic_index_selection = false; // force the blocked scan
         let op = create_physical_plan(&plan, &mut ctx, &env).unwrap();
         assert!(op.name().contains("quant=int8"), "{}", op.name());
 
@@ -344,7 +307,6 @@ mod tests {
             }),
             OptimizerConfig::all(),
         );
-        exact_ctx.config.semantic_index_selection = false;
         exact_ctx.stats = ctx.stats.clone();
         let op = create_physical_plan(&plan, &mut exact_ctx, &env).unwrap();
         assert!(!op.name().contains("quant="), "{}", op.name());

@@ -5,61 +5,23 @@
 //! the chosen representation model (Section IV, the "small robot" operator
 //! of Figure 2).
 //!
-//! The physical strategy is the part of the paper's physical optimization
-//! space the planner navigates — one variant per choice it can make:
-//!
-//! * [`SemanticJoinStrategy::Blocked`] — the default, exact: normalize
-//!   once, then score each probe against cache-sized tiles of the
-//!   build-side arena with the blocked kernels. Scores are bit-identical to
-//!   a pairwise unrolled dot over normalized rows; only the schedule
-//!   differs,
-//! * [`SemanticJoinStrategy::Lsh`] — picked when the plan carries a recall
-//!   tolerance: probe an LSH index built on the right side, trading recall
-//!   for candidate pruning.
-//!
 //! Distinct join-key values are deduplicated before embedding
-//! ([`Distinct`]). `Blocked` is the one panel sweep ([`crate::sweep`])
-//! with the left values as probes — a configured quantization tier
-//! ([`SemanticJoinExec::with_quant_tier`]) makes it scan f16/int8 panels,
-//! trading a bounded score error for bytes-per-row; `Lsh` embeds both
-//! sides into [`VectorArena`]s and builds its index from the right one.
+//! ([`Distinct`]); the value-level match list is then one panel sweep
+//! ([`crate::sweep`]) with the left values as probes and the right values
+//! as the build panel: normalize once, score each probe span against
+//! cache-sized tiles of the panel with the blocked kernels. Scores are
+//! bit-identical to a pairwise unrolled dot over normalized rows; only the
+//! schedule differs. A configured quantization tier
+//! ([`SemanticJoinExec::with_quant_tier`]) makes the sweep scan f16/int8
+//! panels, trading a bounded score error for bytes-per-row.
 
 use crate::sweep::{sweep, Distinct, Hit, Scores};
 use cx_embed::EmbeddingCache;
 use cx_exec::shared::{ProbeSource, ScanKind, ScanSignature, SharedScanState};
-use cx_exec::{parallel::parallel_map_ranges, ChunkStream, PhysicalOperator};
+use cx_exec::{ChunkStream, PhysicalOperator};
 use cx_storage::{Chunk, Column, DataType, Error, Field, QueryContext, Result, Schema};
-use cx_vector::lsh::LshParams;
-use cx_vector::{LshIndex, QuantTier, VectorArena};
-use std::sync::atomic::{AtomicU64, Ordering};
+use cx_vector::QuantTier;
 use std::sync::Arc;
-
-/// Physical strategies for the semantic join.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SemanticJoinStrategy {
-    /// Exact: pre-normalize both sides, probe tiles scored against build
-    /// blocks with the batched kernels.
-    Blocked,
-    /// Approximate: random-hyperplane LSH index on the right side.
-    Lsh(LshParams),
-}
-
-impl Default for SemanticJoinStrategy {
-    /// The blocked exact scan: fastest exact rung, identical results.
-    fn default() -> Self {
-        SemanticJoinStrategy::Blocked
-    }
-}
-
-impl SemanticJoinStrategy {
-    /// Short name for EXPLAIN output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SemanticJoinStrategy::Blocked => "blocked",
-            SemanticJoinStrategy::Lsh(_) => "lsh",
-        }
-    }
-}
 
 /// The semantic join physical operator.
 pub struct SemanticJoinExec {
@@ -68,8 +30,7 @@ pub struct SemanticJoinExec {
     left_key: usize,
     right_key: usize,
     threshold: f32,
-    strategy: SemanticJoinStrategy,
-    /// Build-side storage precision for the blocked scan (F32 = exact).
+    /// Build-side storage precision of the sweep (F32 = exact).
     quant: QuantTier,
     cache: Arc<EmbeddingCache>,
     /// Worker threads for the probe phase (1 = serial).
@@ -86,8 +47,6 @@ pub struct SemanticJoinExec {
     /// value-level match list at this join's threshold; consumed by the
     /// next `execute()`.
     shared: parking_lot::Mutex<Option<Vec<(String, String, f32)>>>,
-    pairs_evaluated: AtomicU64,
-    matches_found: AtomicU64,
 }
 
 impl SemanticJoinExec {
@@ -100,7 +59,6 @@ impl SemanticJoinExec {
         right_column: &str,
         threshold: f32,
         score_column: &str,
-        strategy: SemanticJoinStrategy,
         cache: Arc<EmbeddingCache>,
         parallelism: usize,
     ) -> Result<Self> {
@@ -134,7 +92,6 @@ impl SemanticJoinExec {
             left_key,
             right_key,
             threshold,
-            strategy,
             quant: QuantTier::F32,
             cache,
             parallelism: parallelism.max(1),
@@ -142,8 +99,6 @@ impl SemanticJoinExec {
             scan_fingerprint: None,
             probe_fingerprint: None,
             shared: parking_lot::Mutex::new(None),
-            pairs_evaluated: AtomicU64::new(0),
-            matches_found: AtomicU64::new(0),
         })
     }
 
@@ -164,12 +119,11 @@ impl SemanticJoinExec {
         self
     }
 
-    /// Sets the build-side storage tier for the blocked scan. `F16`/`Int8`
-    /// score quantized panels (`QuantizedArena`) instead of f32 rows —
-    /// 2–4× fewer bytes per candidate at a bounded score error (≲1e-3 /
+    /// Sets the build-side storage tier of the sweep. `F16`/`Int8` score
+    /// quantized panels (`QuantizedArena`) instead of f32 rows — 2–4×
+    /// fewer bytes per candidate at a bounded score error (≲1e-3 /
     /// ≲1.2e-2 on unit vectors) — so callers with recall tolerance trade
-    /// exactness for memory bandwidth. Only the `Blocked` strategy
-    /// consults the tier; `Lsh` verifies in f32.
+    /// exactness for memory bandwidth.
     pub fn with_quant_tier(mut self, tier: QuantTier) -> Self {
         self.quant = tier;
         self
@@ -179,29 +133,13 @@ impl SemanticJoinExec {
     pub fn quant_tier(&self) -> QuantTier {
         self.quant
     }
-
-    /// Exact similarity evaluations performed so far (across executions).
-    pub fn pairs_evaluated(&self) -> u64 {
-        self.pairs_evaluated.load(Ordering::Relaxed)
-    }
-
-    /// Matches produced so far (distinct-value level).
-    pub fn matches_found(&self) -> u64 {
-        self.matches_found.load(Ordering::Relaxed)
-    }
-
-    /// The strategy this operator runs.
-    pub fn strategy(&self) -> SemanticJoinStrategy {
-        self.strategy
-    }
 }
 
 impl PhysicalOperator for SemanticJoinExec {
     fn name(&self) -> String {
         format!(
-            "SemanticJoin [cos>={}, strategy={}{}, model={}]",
+            "SemanticJoin [cos>={}{}, model={}]",
             self.threshold,
-            self.strategy.label(),
             self.quant.explain_suffix(),
             self.cache.model().name()
         )
@@ -216,11 +154,6 @@ impl PhysicalOperator for SemanticJoinExec {
     }
 
     fn scan_signature(&self) -> Option<ScanSignature> {
-        // Only the blocked exact scan sweeps the build panel directly;
-        // the LSH strategy probes candidate lists and cannot share a sweep.
-        if self.strategy != SemanticJoinStrategy::Blocked {
-            return None;
-        }
         Some(ScanSignature {
             kind: ScanKind::DotJoin,
             candidate_fingerprint: self.scan_fingerprint?,
@@ -274,7 +207,6 @@ impl PhysicalOperator for SemanticJoinExec {
             left_key: self.left_key,
             right_key: self.right_key,
             threshold: self.threshold,
-            strategy: self.strategy,
             quant: self.quant,
             cache: self.cache.clone(),
             parallelism: self.parallelism,
@@ -282,8 +214,6 @@ impl PhysicalOperator for SemanticJoinExec {
             scan_fingerprint,
             probe_fingerprint,
             shared: parking_lot::Mutex::new(None),
-            pairs_evaluated: AtomicU64::new(0),
-            matches_found: AtomicU64::new(0),
         })))
     }
 
@@ -310,8 +240,8 @@ impl PhysicalOperator for SemanticJoinExec {
 
         let matches: Vec<Hit> = match self.shared.lock().take() {
             // Shared-sweep slice: the complete value-level match list at
-            // this join's threshold, out of the same `sweep` call the
-            // solo `Blocked` strategy makes. Map value strings onto this
+            // this join's threshold, out of the same `sweep` call a solo
+            // execution makes. Map value strings onto this
             // execution's own distinct numbering and restore the
             // deterministic order; no embedding, no panel sweep. Pairs
             // naming values outside this execution's distinct sets (only
@@ -326,8 +256,6 @@ impl PhysicalOperator for SemanticJoinExec {
             }
             None => self.match_values(&left_vals.values, &right_vals.values, &ctx)?,
         };
-        self.matches_found
-            .fetch_add(matches.len() as u64, Ordering::Relaxed);
 
         // Expand value matches to row pairs.
         let mut left_idx: Vec<usize> = Vec::new();
@@ -362,72 +290,32 @@ impl PhysicalOperator for SemanticJoinExec {
 
 impl SemanticJoinExec {
     /// Value-level matching: `(left value id, right value id, score)`,
-    /// ordered by ids regardless of parallelism.
-    ///
-    /// `Blocked` is the one panel sweep ([`crate::sweep`]) with the left
-    /// values as its probes and this join's threshold as its floor. `Lsh`
-    /// builds an [`LshIndex`] over the right values and fans contiguous
-    /// spans of left values out with [`parallel_map_ranges`], each probing
-    /// the index.
+    /// ordered by ids regardless of parallelism — the one panel sweep
+    /// ([`crate::sweep`]) with the left values as its probes and this
+    /// join's threshold as its floor.
     fn match_values(&self, left: &[&str], right: &[&str], ctx: &QueryContext) -> Result<Vec<Hit>> {
         if left.is_empty() || right.is_empty() {
             return Ok(Vec::new());
         }
-        let threshold = self.threshold;
         let workers = if self.parallelism <= 1 || left.len() < 2 * self.parallelism {
             1
         } else {
             self.parallelism
         };
-
-        let params = match self.strategy {
-            SemanticJoinStrategy::Blocked => {
-                let (kind, tier) = (ScanKind::DotJoin, self.quant);
-                let Scores::Hits(hits) =
-                    sweep(kind, tier, &self.cache, right, left, threshold, workers, ctx)?
-                else {
-                    unreachable!("dot-join sweeps return hits")
-                };
-                let evaluated = (left.len() * right.len()) as u64;
-                self.pairs_evaluated.fetch_add(evaluated, Ordering::Relaxed);
-                return Ok(hits);
-            }
-            SemanticJoinStrategy::Lsh(params) => params,
+        let Scores::Hits(hits) = sweep(
+            ScanKind::DotJoin,
+            self.quant,
+            &self.cache,
+            right,
+            left,
+            self.threshold,
+            workers,
+            ctx,
+        )?
+        else {
+            unreachable!("dot-join sweeps return hits")
         };
-
-        // The distinct values flow from the embedding cache straight into
-        // contiguous arenas (build side first); the index is built once,
-        // before the probe fan-out.
-        let index = LshIndex::build(&VectorArena::from_texts(&self.cache, right), params);
-        let probes = VectorArena::from_texts(&self.cache, left);
-
-        // Probes one contiguous span of left values, checking the
-        // lifecycle context between probe rows (the fan-out spawns fresh
-        // threads whose TLS is empty, so it travels as explicit data).
-        let probe_span = |span: std::ops::Range<usize>| -> Result<Vec<Hit>> {
-            let mut local: Vec<Hit> = Vec::new();
-            for lv in span {
-                ctx.check()?;
-                for r in index.search_threshold(probes.row(lv), threshold) {
-                    local.push((lv as u32, r.id as u32, r.score));
-                }
-            }
-            Ok(local)
-        };
-        let mut matches: Vec<Hit> = Vec::new();
-        for span_result in parallel_map_ranges(left.len(), workers, probe_span) {
-            matches.extend(span_result?);
-        }
-        // The index is this execution's own and every worker has joined,
-        // so its counter is exactly the candidates examined — what the
-        // join reports as evaluated, not |L|·|R|.
-        let evaluated = index.stats().candidates_examined();
-        cx_obs::add_pairs(evaluated);
-        self.pairs_evaluated.fetch_add(evaluated, Ordering::Relaxed);
-
-        // Deterministic order regardless of parallelism.
-        matches.sort_unstable_by_key(|&(l, r, _)| (l, r));
-        Ok(matches)
+        Ok(hits)
     }
 }
 
@@ -487,7 +375,7 @@ mod tests {
         Arc::new(TableScanExec::new(Arc::new(table)))
     }
 
-    fn join_with(strategy: SemanticJoinStrategy, parallelism: usize) -> Table {
+    fn join_with(parallelism: usize) -> Table {
         let join = SemanticJoinExec::new(
             products(),
             catalog(),
@@ -495,7 +383,6 @@ mod tests {
             "label",
             0.85,
             "sim",
-            strategy,
             cache(),
             parallelism,
         )
@@ -505,7 +392,7 @@ mod tests {
 
     #[test]
     fn matches_within_clusters() {
-        let out = join_with(SemanticJoinStrategy::Blocked, 1);
+        let out = join_with(1);
         // boots×2 rows match sneakers+oxfords (4 pairs), parka matches coat,
         // mug matches cup.
         assert_eq!(out.num_rows(), 6);
@@ -518,12 +405,6 @@ mod tests {
         for s in sims.f64_values().unwrap() {
             assert!(*s >= 0.85);
         }
-    }
-
-    #[test]
-    fn default_strategy_is_blocked() {
-        assert_eq!(SemanticJoinStrategy::default(), SemanticJoinStrategy::Blocked);
-        assert_eq!(SemanticJoinStrategy::default().label(), "blocked");
     }
 
     /// Asserts two join outputs are the same rows in the same order, scores
@@ -564,7 +445,7 @@ mod tests {
             .unwrap();
             Arc::new(TableScanExec::new(Arc::new(table)))
         };
-        let run = |strategy, parallelism| {
+        let run = |parallelism| {
             let join = SemanticJoinExec::new(
                 wide(),
                 catalog(),
@@ -572,53 +453,15 @@ mod tests {
                 "label",
                 0.5,
                 "sim",
-                strategy,
                 cache(),
                 parallelism,
             )
             .unwrap();
             collect_table(&join).unwrap()
         };
-        let lsh = SemanticJoinStrategy::Lsh(LshParams::default());
-        for strategy in [SemanticJoinStrategy::Blocked, lsh] {
-            let serial = run(strategy, 1);
-            assert!(serial.num_rows() > 0, "{strategy:?} found nothing");
-            assert_bit_identical(&serial, &run(strategy, 4), strategy.label());
-        }
-    }
-
-    #[test]
-    fn lsh_reaches_exact_recall_here() {
-        // Small, well-separated clusters: the approximate strategy should
-        // find everything the exact scan finds.
-        let exact = join_with(SemanticJoinStrategy::Blocked, 1);
-        let lsh = join_with(SemanticJoinStrategy::Lsh(LshParams::default()), 1);
-        assert_bit_identical(&exact, &lsh, "lsh vs blocked");
-    }
-
-    #[test]
-    fn index_join_profiles_the_pairs_it_evaluated() {
-        // An index join scores only the candidates its probes surface;
-        // the profile must report that count, not the cross product.
-        let join = SemanticJoinExec::new(
-            products(),
-            catalog(),
-            "name",
-            "label",
-            0.85,
-            "sim",
-            SemanticJoinStrategy::Lsh(LshParams::default()),
-            cache(),
-            1,
-        )
-        .unwrap();
-        let window = cx_obs::ProfileSpan::start();
-        collect_table(&join).unwrap();
-        let profile = window.finish(0);
-        assert_eq!(profile.pairs_scored, join.pairs_evaluated());
-        assert!(join.pairs_evaluated() > 0);
-        // 3 distinct left values × 4 distinct right values.
-        assert!(profile.pairs_scored < 12, "{profile:?}");
+        let serial = run(1);
+        assert!(serial.num_rows() > 0, "found nothing");
+        assert_bit_identical(&serial, &run(4), "parallel vs serial");
     }
 
     #[test]
@@ -626,7 +469,7 @@ mod tests {
         // Cluster separation is far wider than the f16/int8 score error
         // bounds, so the quantized blocked scans must find exactly the
         // exact scan's pairs (with scores within the tier bound).
-        let exact = join_with(SemanticJoinStrategy::Blocked, 1);
+        let exact = join_with(1);
         for (tier, bound) in [(QuantTier::F16, 1e-3f64), (QuantTier::Int8, 1.5e-2)] {
             let join = SemanticJoinExec::new(
                 products(),
@@ -635,7 +478,6 @@ mod tests {
                 "label",
                 0.85,
                 "sim",
-                SemanticJoinStrategy::Blocked,
                 cache(),
                 1,
             )
@@ -664,7 +506,6 @@ mod tests {
             "label",
             0.85,
             "sim",
-            SemanticJoinStrategy::Blocked,
             cache(),
             1,
         )
@@ -675,7 +516,7 @@ mod tests {
 
     #[test]
     fn scan_signature_blocked_only_and_requires_fingerprint() {
-        let make = |strategy| {
+        let make = || {
             SemanticJoinExec::new(
                 products(),
                 catalog(),
@@ -683,14 +524,13 @@ mod tests {
                 "label",
                 0.85,
                 "sim",
-                strategy,
                 cache(),
                 1,
             )
             .unwrap()
         };
-        assert!(make(SemanticJoinStrategy::Blocked).scan_signature().is_none());
-        let tagged = make(SemanticJoinStrategy::Blocked).with_scan_fingerprint(7);
+        assert!(make().scan_signature().is_none());
+        let tagged = make().with_scan_fingerprint(7);
         let sig = tagged.scan_signature().unwrap();
         assert_eq!(sig.kind, cx_exec::ScanKind::DotJoin);
         assert_eq!(sig.candidate_child, 1);
@@ -699,7 +539,7 @@ mod tests {
             sig.probe,
             cx_exec::ProbeSource::Child { child: 0, column: 1, fingerprint: None }
         );
-        let sig = make(SemanticJoinStrategy::Blocked)
+        let sig = make()
             .with_scan_fingerprint(7)
             .with_probe_fingerprint(11)
             .scan_signature()
@@ -708,14 +548,11 @@ mod tests {
             sig.probe,
             cx_exec::ProbeSource::Child { child: 0, column: 1, fingerprint: Some(11) }
         );
-        // The index strategy never shares.
-        let lsh = make(SemanticJoinStrategy::Lsh(LshParams::default()));
-        assert!(lsh.with_scan_fingerprint(7).scan_signature().is_none());
     }
 
     #[test]
     fn injected_matches_reproduce_solo_join_bit_for_bit() {
-        let solo = join_with(SemanticJoinStrategy::Blocked, 1);
+        let solo = join_with(1);
         // Compute the value-level matches once with a solo run, then feed
         // them back as an injected shared slice.
         let c = cache();
@@ -726,7 +563,6 @@ mod tests {
             "label",
             0.85,
             "sim",
-            SemanticJoinStrategy::Blocked,
             c.clone(),
             1,
         )
@@ -752,7 +588,6 @@ mod tests {
             "label",
             0.85,
             "sim",
-            SemanticJoinStrategy::Blocked,
             c.clone(),
             1,
         )
@@ -780,16 +615,17 @@ mod tests {
             "label",
             0.85,
             "sim",
-            SemanticJoinStrategy::Blocked,
             c.clone(),
             1,
         )
         .unwrap();
+        let window = cx_obs::ProfileSpan::start();
         collect_table(&join).unwrap();
+        let profile = window.finish(0);
         // 3 distinct left + 4 distinct right = 7 embeddings, despite 4 left rows.
         assert_eq!(c.model().stats().invocations(), 7);
-        // Exact scan evaluated 3×4 pairs.
-        assert_eq!(join.pairs_evaluated(), 12);
+        // The sweep scored 3×4 distinct-value pairs.
+        assert_eq!(profile.pairs_scored, 12);
     }
 
     #[test]
@@ -801,7 +637,6 @@ mod tests {
             "label",
             0.9,
             "kind",
-            SemanticJoinStrategy::Blocked,
             cache(),
             1,
         );
@@ -824,7 +659,6 @@ mod tests {
             "label",
             0.9,
             "sim",
-            SemanticJoinStrategy::Blocked,
             cache(),
             1,
         )
@@ -843,7 +677,6 @@ mod tests {
             "label",
             0.9,
             "sim",
-            SemanticJoinStrategy::Blocked,
             cache(),
             1,
         );
@@ -871,7 +704,6 @@ mod tests {
                 "label",
                 0.9,
                 "sim",
-                SemanticJoinStrategy::Blocked,
                 cache(),
                 1,
             )

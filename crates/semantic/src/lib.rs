@@ -6,13 +6,13 @@
 //! * **Semantic Select** ([`SemanticFilterExec`]) — `column ~ 'target' USING
 //!   model M WITH cosine >= θ`,
 //! * **Semantic Join** ([`SemanticJoinExec`]) — join keys matched by latent-
-//!   space distance instead of equality, under the physical strategy the
-//!   planner picks (the exact blocked sweep, or LSH given a recall
+//!   space distance instead of equality, by one panel sweep at the storage
+//!   tier the planner picks (exact f32, or f16/int8 given a recall
 //!   tolerance),
 //! * **Semantic Group-By** ([`SemanticGroupByExec`]) — on-the-fly clustering
 //!   of values by model similarity with per-cluster aggregates.
 //!
-//! The filter and the blocked join — and `cx_mqo`'s shared scan over
+//! The filter and the join — and `cx_mqo`'s shared scan over
 //! either — reach the similarity kernels through one function:
 //! [`sweep`](mod@sweep) owns the distinct pass, the panel build and the
 //! panel sweep, so a solo scan is the one-member case of a shared one.
@@ -35,5 +35,5 @@ pub mod sweep;
 pub use consolidate::{consolidate, pairwise_metrics, ConsolidationResult, PairwiseMetrics};
 pub use filter::SemanticFilterExec;
 pub use groupby::SemanticGroupByExec;
-pub use join::{SemanticJoinExec, SemanticJoinStrategy};
+pub use join::SemanticJoinExec;
 pub use selectivity::{semantic_filter_selectivity, semantic_join_selectivity};

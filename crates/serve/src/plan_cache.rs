@@ -323,8 +323,6 @@ pub fn config_fingerprint(config: &OptimizerConfig) -> u64 {
         config.equijoin_extraction,
         config.data_induced_predicates,
         config.semantic_dip,
-        config.semantic_index_selection,
-        config.quantization,
     ];
     let mut packed = 0u64;
     for (i, f) in flags.iter().enumerate() {

@@ -164,26 +164,6 @@ impl VectorArena {
         self.block(0..self.len())
     }
 
-    /// Gathers `rows` (by id, repeats allowed) into a new contiguous
-    /// arena — the gather step that turns an id list (an index probe's
-    /// candidates, a shared scan's per-query probe rows) into a
-    /// kernel-ready panel. Norms are copied, not recomputed.
-    ///
-    /// # Panics
-    /// Panics if any id is out of bounds.
-    pub fn gather_rows(&self, rows: &[u32]) -> VectorArena {
-        charge_floats(rows.len() * (self.stride + 1));
-        let mut data = vec![0.0f32; rows.len() * self.stride];
-        let mut norms = Vec::with_capacity(rows.len());
-        for (k, &id) in rows.iter().enumerate() {
-            let id = id as usize;
-            data[k * self.stride..(k + 1) * self.stride]
-                .copy_from_slice(&self.data[id * self.stride..(id + 1) * self.stride]);
-            norms.push(self.norms[id]);
-        }
-        VectorArena { dim: self.dim, stride: self.stride, data, norms }
-    }
-
     /// A copy with every row scaled to unit norm (zero rows left as-is),
     /// enabling prenormalized blocked scoring.
     pub fn normalized(&self) -> VectorArena {
@@ -269,25 +249,6 @@ mod tests {
         for (i, got) in out.iter().enumerate() {
             assert_eq!(got.to_bits(), dot_unrolled(&q, arena.row(i)).to_bits());
         }
-    }
-
-    #[test]
-    fn gather_rows_copies_rows_and_norms() {
-        let mut a = VectorArena::new(3);
-        for i in 0..5 {
-            a.push(&[i as f32, 0.0, 0.0]);
-        }
-        let g = a.gather_rows(&[4, 1, 1]);
-        assert_eq!(g.len(), 3);
-        assert_eq!(g.dim(), 3);
-        assert_eq!(g.row(0), &[4.0, 0.0, 0.0]);
-        assert_eq!(g.row(1), &[1.0, 0.0, 0.0]);
-        assert_eq!(g.row(2), &[1.0, 0.0, 0.0]);
-        assert_eq!(g.norms(), &[4.0, 1.0, 1.0]);
-        // Padding lanes stay zero so blocked kernels can run over it.
-        let view = g.as_block();
-        assert_eq!(view.stride, a.stride());
-        assert_eq!(a.gather_rows(&[]).len(), 0);
     }
 
     #[test]

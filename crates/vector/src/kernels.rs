@@ -7,8 +7,8 @@
 //!    instructions"): dispatches to `cx_simd::dot`, AVX-512/AVX2/NEON
 //!    with a scalar fallback that is the historical 8-wide unrolled
 //!    ladder bit-for-bit,
-//! 3. [`cosine_prenormalized`] — cosine as a bare dot product once inputs
-//!    are unit vectors (norms hoisted out of the O(n²) join loop),
+//! 3. [`cosine_with_norms`] — norms hoisted out of the O(n²) join loop;
+//!    once inputs are unit vectors cosine is the bare [`dot_unrolled`],
 //! 4. [`crate::block`] — the batched rung: one query against a contiguous
 //!    panel of candidates ([`crate::block::dot_block`]), panels against
 //!    panels ([`crate::block::scores_matrix`]), same per-pair arithmetic
@@ -63,12 +63,6 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
     dot_unrolled(a, b) / (na * nb)
 }
 
-/// Cosine similarity for pre-normalized inputs: just the unrolled dot.
-#[inline]
-pub fn cosine_prenormalized(a: &[f32], b: &[f32]) -> f32 {
-    dot_unrolled(a, b)
-}
-
 /// Cosine similarity with externally cached norms (one pass per pair).
 #[inline]
 pub fn cosine_with_norms(a: &[f32], b: &[f32], norm_a: f32, norm_b: f32) -> f32 {
@@ -76,34 +70,6 @@ pub fn cosine_with_norms(a: &[f32], b: &[f32], norm_a: f32, norm_b: f32) -> f32 
         return 0.0;
     }
     dot_unrolled(a, b) / (norm_a * norm_b)
-}
-
-/// Squared L2 distance.
-#[inline]
-pub fn l2_squared(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f32; 8];
-    let chunks = a.len() / 8;
-    let (a_main, a_rest) = a.split_at(chunks * 8);
-    let (b_main, b_rest) = b.split_at(chunks * 8);
-    for (ca, cb) in a_main.chunks_exact(8).zip(b_main.chunks_exact(8)) {
-        for i in 0..8 {
-            let d = ca[i] - cb[i];
-            acc[i] += d * d;
-        }
-    }
-    let mut sum = (acc[0] + acc[1]) + (acc[2] + acc[3]) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-    for (x, y) in a_rest.iter().zip(b_rest) {
-        let d = x - y;
-        sum += d * d;
-    }
-    sum
-}
-
-/// L2 distance.
-#[inline]
-pub fn l2_distance(a: &[f32], b: &[f32]) -> f32 {
-    l2_squared(a, b).sqrt()
 }
 
 #[cfg(test)]
@@ -157,18 +123,7 @@ mod tests {
         for x in &mut b {
             *x /= nb;
         }
-        assert!((cosine_prenormalized(&a, &b) - expected).abs() < 1e-5);
-    }
-
-    #[test]
-    fn l2_properties() {
-        let (a, b) = vecs(64);
-        assert_eq!(l2_distance(&a, &a), 0.0);
-        let d = l2_distance(&a, &b);
-        assert!(d > 0.0);
-        assert!((l2_squared(&a, &b) - d * d).abs() < 1e-3);
-        // Symmetry.
-        assert!((l2_distance(&b, &a) - d).abs() < 1e-6);
+        assert!((dot_unrolled(&a, &b) - expected).abs() < 1e-5);
     }
 
     #[test]

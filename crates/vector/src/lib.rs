@@ -3,8 +3,8 @@
 //! The paper's semantic select/join/group-by reduce to distance computations
 //! in a latent vector space (Section IV). [`VectorArena`] is the universal
 //! vector currency of that path: strings embed straight into padded,
-//! kernel-aligned rows, every scorer consumes arena panels, and every
-//! index builder builds from `&VectorArena` — no pairwise round-trips:
+//! kernel-aligned rows and every scorer consumes arena panels — no
+//! pairwise round-trips:
 //!
 //! ```text
 //!   EmbeddingCache::get_batch_into          (strings → padded rows, 1 copy)
@@ -16,12 +16,11 @@
 //!     dot_block / dot_block_threshold /     (cx_embed::quant::dot_block_f16,
 //!     cosine_block_threshold / scores_matrix          dot_block_int8)
 //!                  │                                 │
-//!                  ├────────────────┬────────────────┘
-//!                  ▼                ▼
-//!        semantic operators    index builders
-//!     (SemanticJoin/Filter,  (BruteForceIndex scan,
-//!      tier picked by the     LshIndex signatures + verify)
-//!      optimizer per scan)
+//!                  └────────────────┬────────────────┘
+//!                                   ▼
+//!                        the panel sweep (cx_semantic)
+//!                   semantic filter / join / shared scans,
+//!                   tier picked by the optimizer per scan
 //! ```
 //!
 //! Modules:
@@ -37,22 +36,12 @@
 //!   zero-copy [`RowBlock`] views,
 //! * [`QuantizedArena`] — its f16/int8 sibling (Section VI's
 //!   half-precision opportunity): 2–4× fewer bytes per row at a bounded
-//!   score error, scored by the quantized panel kernels,
-//! * [`topk`] — bounded top-k collection,
-//! * [`BruteForceIndex`] — exact threshold/top-k scan,
-//! * [`LshIndex`] — random-hyperplane locality-sensitive hashing (blocked
-//!   signature build and probe verification), the index-based access path
-//!   the planner picks for a semantic join with a recall tolerance
-//!   (Section IV).
+//!   score error, scored by the quantized panel kernels.
 
 pub mod arena;
 pub mod block;
-pub mod brute;
-pub mod index;
 pub mod kernels;
-pub mod lsh;
 pub mod qarena;
-pub mod topk;
 
 pub use arena::{RowBlock, VectorArena};
 /// The explicit-SIMD kernel layer the blocked and pairwise kernels
@@ -62,8 +51,4 @@ pub use cx_simd as simd;
 pub use cx_embed::quant::QuantTier;
 pub use qarena::{QuantizedArena, UnsupportedTier};
 pub use block::{cosine_block_threshold, dot_block, dot_block_threshold, scores_matrix};
-pub use brute::BruteForceIndex;
-pub use index::{IndexStats, SearchResult};
-pub use kernels::{cosine, dot, dot_unrolled, l2_distance, norm};
-pub use lsh::LshIndex;
-pub use topk::TopK;
+pub use kernels::{cosine, dot, dot_unrolled, norm};

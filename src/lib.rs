@@ -13,7 +13,7 @@
 //! | [`storage`] | `cx-storage` | columns, chunks, tables, statistics |
 //! | [`expr`] | `cx-expr` | expressions, folding, selectivity |
 //! | [`embed`] | `cx-embed` | representation models, caches, quantization |
-//! | [`vector`] | `cx-vector` | similarity kernels, LSH index |
+//! | [`vector`] | `cx-vector` | similarity kernels, f32 / quantized arenas |
 //! | [`exec`] | `cx-exec` | logical plans, relational operators |
 //! | [`sql`] | `cx-sql` | SQL front-end: lexer, parser, binder, semantic grammar |
 //! | [`semantic`] | `cx-semantic` | semantic operators, consolidation |

@@ -1,5 +1,5 @@
 //! Property-based tests on core data-structure invariants: bitmaps,
-//! columns, kernels, top-k, quantization, indexes, and expression folding.
+//! columns, kernels, SQL top-k, quantization, and expression folding.
 
 use cx_embed::{
     dot_block_int8, dot_int8, f16_to_f32, f32_to_f16, quantize_query_int8, QuantTier,
@@ -8,8 +8,8 @@ use cx_embed::{
 use cx_expr::{eval, fold_constants, BinOp, Expr};
 use cx_storage::{Bitmap, Chunk, Column, DataType, Field, Scalar, Schema};
 use cx_vector::block::{cosine_block_threshold, dot_block, dot_block_threshold, scores_matrix};
-use cx_vector::kernels::{cosine, cosine_with_norms, dot, dot_unrolled, l2_distance, norm};
-use cx_vector::{BruteForceIndex, LshIndex, QuantizedArena, RowBlock, TopK, VectorArena};
+use cx_vector::kernels::{cosine, cosine_with_norms, dot, dot_unrolled, norm};
+use cx_vector::{QuantizedArena, RowBlock, VectorArena};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -104,14 +104,6 @@ proptest! {
         prop_assert!((-1.0 - 1e-4..=1.0 + 1e-4).contains(&c), "cosine {c}");
         // Symmetry.
         prop_assert!((c - cosine(&b, &a)).abs() < 1e-5);
-    }
-
-    #[test]
-    fn triangle_inequality_l2(a in f32vec(32), b in f32vec(32), c in f32vec(32)) {
-        let ab = l2_distance(&a, &b);
-        let bc = l2_distance(&b, &c);
-        let ac = l2_distance(&a, &c);
-        prop_assert!(ac <= ab + bc + 1e-2, "{ac} > {ab} + {bc}");
     }
 
     #[test]
@@ -229,24 +221,97 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// TopK vs full sort
+// SQL top-k: `ORDER BY similarity DESC, id LIMIT k` over a semantic join is
+// the sorted prefix of a pairwise reference join
 // ---------------------------------------------------------------------------
 
 proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
     #[test]
-    fn topk_matches_sorted_prefix(
-        scores in prop::collection::vec(0.0f32..1.0, 1..80),
-        k in 1usize..20,
+    fn sql_topk_equals_sorted_semantic_join(
+        n_probes in 1usize..4,
+        n_labels in 1usize..30,
+        seed in any::<u64>(),
     ) {
-        let mut tk = TopK::new(k);
-        for (i, &s) in scores.iter().enumerate() {
-            tk.push(i, s);
+        use context_analytics::{Engine, EngineConfig, ServeConfig, Server, SqlResponse};
+        use cx_embed::{EmbeddingCache, HashNGramModel};
+        use cx_storage::Table;
+
+        let mut rng = cx_embed::rng::SplitMix64::new(seed);
+        // Labels drawn from a pool of six words repeat, so scores tie and
+        // only the id breaks them.
+        let pool = ["boot", "boots", "coat", "cot", "mug", "mugs"];
+        let mut word = || pool[rng.next_range(pool.len() as u64) as usize];
+        let probes: Vec<&str> = (0..n_probes).map(|_| word()).collect();
+        let labels: Vec<&str> = (0..n_labels).map(|_| word()).collect();
+
+        let engine = Arc::new(Engine::new(EngineConfig::default()));
+        engine.register_model(Arc::new(HashNGramModel::new(3)));
+        let probe_table = Table::from_columns(
+            Schema::new(vec![Field::new("probe", DataType::Utf8)]),
+            vec![Column::from_strings(probes.iter().copied())],
+        )
+        .unwrap();
+        engine.register_table("probes", probe_table).unwrap();
+        let label_table = Table::from_columns(
+            Schema::new(vec![
+                Field::new("id", DataType::Int64),
+                Field::new("label", DataType::Utf8),
+            ]),
+            vec![
+                Column::from_i64((0..n_labels as i64).collect()),
+                Column::from_strings(labels.iter().copied()),
+            ],
+        )
+        .unwrap();
+        engine.register_table("labels", label_table).unwrap();
+        let session = Server::new(engine, ServeConfig::default()).session();
+
+        // Pairwise reference: one unrolled dot per (probe row, label row)
+        // over normalized rows, kept at the join's threshold, sorted by
+        // (score desc, id asc).
+        let cache = EmbeddingCache::new(Arc::new(HashNGramModel::new(3)));
+        let (pn, ln) = (
+            VectorArena::from_texts(&cache, &probes).normalized(),
+            VectorArena::from_texts(&cache, &labels).normalized(),
+        );
+        let mut expected: Vec<(i64, f64)> = Vec::new();
+        for p in 0..n_probes {
+            for l in 0..n_labels {
+                let score = dot_unrolled(pn.row(p), ln.row(l));
+                if score >= 0.0 {
+                    expected.push((l as i64, score as f64));
+                }
+            }
         }
-        let got: Vec<f32> = tk.into_sorted().into_iter().map(|(_, s)| s).collect();
-        let mut all = scores.clone();
-        all.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        let want: Vec<f32> = all.into_iter().take(k).collect();
-        prop_assert_eq!(got, want);
+        expected.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+
+        let n = expected.len();
+        for k in [0, 1, n.saturating_sub(1), n, n + 1] {
+            let SqlResponse::Rows(r) = session
+                .sql(&format!(
+                    "SELECT id, similarity FROM probes \
+                     SEMANTIC JOIN labels ON SIM(probe, label) >= 0.0 \
+                     ORDER BY similarity DESC, id LIMIT {k}"
+                ))
+                .unwrap()
+            else {
+                return Err(TestCaseError::fail("a SELECT returns rows"));
+            };
+            let ids = r.table.column_by_name("id").unwrap();
+            let scores = r.table.column_by_name("similarity").unwrap();
+            let got: Vec<(i64, u64)> = ids
+                .i64_values()
+                .unwrap()
+                .iter()
+                .zip(scores.f64_values().unwrap())
+                .map(|(&id, s)| (id, s.to_bits()))
+                .collect();
+            let want: Vec<(i64, u64)> =
+                expected.iter().take(k).map(|&(id, s)| (id, s.to_bits())).collect();
+            prop_assert_eq!(got, want, "k = {}", k);
+        }
     }
 }
 
@@ -414,33 +479,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Index correctness: approximate ⊆ exact, no false positives
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    #[test]
-    fn lsh_results_are_subset_of_brute_force(seed in any::<u64>()) {
-        let mut rng = cx_embed::rng::SplitMix64::new(seed);
-        let mut arena = VectorArena::new(16);
-        for _ in 0..120 {
-            arena.push(&rng.unit_vector(16));
-        }
-        let brute = BruteForceIndex::build(&arena);
-        let lsh = LshIndex::build_default(&arena);
-        let q = rng.unit_vector(16);
-        let exact: std::collections::HashSet<usize> =
-            brute.search_threshold(&q, 0.8).iter().map(|r| r.id).collect();
-        for r in lsh.search_threshold(&q, 0.8) {
-            // Every LSH hit is a true hit (scores verified exactly).
-            prop_assert!(exact.contains(&r.id), "false positive id {}", r.id);
-            prop_assert!(r.score >= 0.8);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // SemanticJoin: blocked scoring equals a pairwise reference join
 // ---------------------------------------------------------------------------
 
@@ -457,7 +495,7 @@ proptest! {
     ) {
         use cx_embed::{EmbeddingCache, HashNGramModel};
         use cx_exec::{collect_table, PhysicalOperator, TableScanExec};
-        use cx_semantic::{SemanticJoinExec, SemanticJoinStrategy};
+        use cx_semantic::SemanticJoinExec;
         use cx_storage::Table;
 
         let mut rng = cx_embed::rng::SplitMix64::new(seed);
@@ -490,7 +528,6 @@ proptest! {
             "r",
             threshold,
             "sim",
-            SemanticJoinStrategy::Blocked,
             cache(),
             parallelism,
         )

@@ -1,43 +1,75 @@
 //! Integration tests for semantic-match quality: Table I reproduction and
 //! Figure 3 consolidation, validated against ground truth.
 
+use context_analytics::{Engine, EngineConfig, ServeConfig, Server, Session, SqlResponse};
 use cx_datagen::{generate_dirty, table1_clusters, DirtyConfig};
-use cx_embed::{ClusteredTextModel, EmbeddingCache, EmbeddingModel};
+use cx_embed::{ClusteredTextModel, EmbeddingCache, SemanticSpace};
 use cx_semantic::{consolidate, pairwise_metrics};
-use cx_vector::{BruteForceIndex, VectorArena};
+use cx_storage::{Column, DataType, Field, Schema, Table};
 use std::sync::Arc;
 
-fn table1_model() -> (ClusteredTextModel, Vec<String>) {
+/// The Table I vocabulary as a `labels(label_id, label)` table beside a
+/// `categories(category)` table, served by one SQL session.
+fn table1_session() -> (Session, Arc<SemanticSpace>, Vec<String>) {
     let specs = table1_clusters();
     let words = cx_datagen::vocab::all_words(&specs);
     let space = Arc::new(cx_datagen::build_space(&specs, 100, 42));
-    (ClusteredTextModel::new("t1", space, 7), words)
+    let engine = Arc::new(Engine::new(EngineConfig::default()));
+    engine.register_model(Arc::new(ClusteredTextModel::new("t1", space.clone(), 7)));
+    let labels = Table::from_columns(
+        Schema::new(vec![
+            Field::new("label_id", DataType::Int64),
+            Field::new("label", DataType::Utf8),
+        ]),
+        vec![
+            Column::from_i64((0..words.len() as i64).collect()),
+            Column::from_strings(words.iter().map(String::as_str)),
+        ],
+    )
+    .unwrap();
+    engine.register_table("labels", labels).unwrap();
+    let categories = Table::from_columns(
+        Schema::new(vec![Field::new("category", DataType::Utf8)]),
+        vec![Column::from_strings(["dog", "cat", "animal", "shoes", "jacket", "clothes"])],
+    )
+    .unwrap();
+    engine.register_table("categories", categories).unwrap();
+    (Server::new(engine, ServeConfig::default()).session(), space, words)
+}
+
+/// The `k` vocabulary words nearest `category`, best first.
+fn top_k<'w>(session: &Session, words: &'w [String], category: &str, k: usize) -> Vec<&'w String> {
+    let SqlResponse::Rows(r) = session
+        .sql(&format!(
+            "SELECT label_id, similarity FROM categories \
+             SEMANTIC JOIN labels ON SIM(category, label) >= 0.0 \
+             WHERE category = '{category}' ORDER BY similarity DESC, label_id LIMIT {k}"
+        ))
+        .unwrap()
+    else {
+        panic!("a SELECT returns rows")
+    };
+    let ids = r.table.column_by_name("label_id").unwrap();
+    ids.i64_values().unwrap().iter().map(|&id| &words[id as usize]).collect()
 }
 
 /// Table I: for each category word, the nearest vocabulary words must be
 /// exactly the category's cluster members (paper's "semantic matches").
 #[test]
 fn table1_semantic_matches_have_full_precision() {
-    let (model, words) = table1_model();
-    let space = model.space();
-    let mut arena = VectorArena::new(model.dim());
-    for w in &words {
-        arena.push(&model.embed(w));
-    }
-    let index = BruteForceIndex::build(&arena);
+    let (session, space, words) = table1_session();
 
     for category in ["dog", "cat", "shoes", "jacket"] {
-        let query = model.embed(category);
         let expected: Vec<&String> = words
             .iter()
             .filter(|w| w.as_str() != category && space.in_cluster_tree(w, category))
             .collect();
         let k = expected.len();
         // +1 for the category word itself (always rank 0).
-        let got = index.search_topk(&query, k + 1);
-        assert_eq!(words[got[0].id], category, "self-match first for {category}");
-        let got_words: Vec<&String> = got[1..].iter().map(|r| &words[r.id]).collect();
-        for w in &got_words {
+        let got = top_k(&session, &words, category, k + 1);
+        assert_eq!(got[0], category, "self-match first for {category}");
+        let got_words = &got[1..];
+        for w in got_words {
             assert!(
                 space.in_cluster_tree(w, category),
                 "{category}: unexpected match {w} (got {got_words:?})"
@@ -50,19 +82,13 @@ fn table1_semantic_matches_have_full_precision() {
 /// cat clusters; "clothes" matches members of shoes AND jacket.
 #[test]
 fn table1_parent_categories_span_children() {
-    let (model, words) = table1_model();
-    let space = model.space();
-    let mut arena = VectorArena::new(model.dim());
-    for w in &words {
-        arena.push(&model.embed(w));
-    }
-    let index = BruteForceIndex::build(&arena);
+    let (session, space, words) = table1_session();
 
     for (parent, children) in [("animal", ["dog", "cat"]), ("clothes", ["shoes", "jacket"])] {
-        let got = index.search_topk(&model.embed(parent), 5);
-        let got_words: Vec<&String> = got[1..].iter().map(|r| &words[r.id]).collect();
+        let got = top_k(&session, &words, parent, 5);
+        let got_words = &got[1..];
         // Every near neighbour belongs to the parent's tree.
-        for w in &got_words {
+        for w in got_words {
             assert!(
                 space.in_cluster_tree(w, parent),
                 "{parent}: match {w} outside tree"
