@@ -72,19 +72,28 @@ pub struct Engine {
     /// Embedding caches shared across queries (model name → cache), so the
     /// "prefetch/warm" state persists like a buffer pool would.
     caches: RwLock<HashMap<String, Arc<EmbeddingCache>>>,
-    /// Memoized optimizer contexts for [`Self::estimate_plan_cost`],
-    /// keyed by (catalog version, config). Building a context clones the
-    /// stats and sample snapshots — fine once per optimization, wasteful
-    /// for the prepared-statement path that re-costs a bound plan on
-    /// every execute. A small set (not a single slot) so sessions running
-    /// different optimizer configs concurrently don't evict each other;
-    /// each context's interior selectivity memo is shared across calls,
-    /// so repeated probes (same target, same threshold) are free.
-    estimate_ctxs: RwLock<Vec<Arc<(u64, OptimizerConfig, OptimizerContext)>>>,
+    /// Planning snapshots, one per (catalog version, config) — see
+    /// [`PlanningSnapshot`]. A small set (not a single slot) so sessions
+    /// running different optimizer configs concurrently don't evict each
+    /// other; stale versions are dropped when a newer one is built.
+    snapshots: RwLock<Vec<Arc<PlanningSnapshot>>>,
 }
 
-/// Most (catalog version, config) cost-estimation contexts kept resident.
-const ESTIMATE_CTX_CAPACITY: usize = 8;
+/// Everything planning reads, captured once per (catalog version,
+/// optimizer config): the optimizer context (stats, samples, the shared
+/// embedding caches, the selectivity memo) and the tables lowering binds
+/// scans to. Building one clones the catalog's stats and samples — fine
+/// once per catalog version, wasteful per statement — so optimization,
+/// re-costing and lowering all read the resident snapshot, and a
+/// statement lowered on every execution pays only the tree walk.
+struct PlanningSnapshot {
+    version: u64,
+    ctx: OptimizerContext,
+    env: PhysicalPlannerEnv,
+}
+
+/// Most (catalog version, config) planning snapshots kept resident.
+const SNAPSHOT_CAPACITY: usize = 8;
 
 impl Engine {
     /// An engine with `config`.
@@ -93,7 +102,7 @@ impl Engine {
             catalog: Catalog::new(),
             config,
             caches: RwLock::new(HashMap::new()),
-            estimate_ctxs: RwLock::new(Vec::new()),
+            snapshots: RwLock::new(Vec::new()),
         }
     }
 
@@ -178,11 +187,20 @@ impl Engine {
         self.catalog.version()
     }
 
-    fn optimizer_context(&self) -> OptimizerContext {
-        self.optimizer_context_with(self.config.optimizer)
-    }
-
-    fn optimizer_context_with(&self, config: OptimizerConfig) -> OptimizerContext {
+    /// The planning snapshot for the current catalog version under
+    /// `config`, built on first use.
+    fn snapshot(&self, config: OptimizerConfig) -> Arc<PlanningSnapshot> {
+        // Read the version before building: a registration racing the
+        // build leaves a snapshot at least as new as its label, never older.
+        let version = self.catalog_version();
+        if let Some(s) = self
+            .snapshots
+            .read()
+            .iter()
+            .find(|s| s.version == version && s.ctx.config == config)
+        {
+            return s.clone();
+        }
         let mut ctx = OptimizerContext::new(self.catalog.models().clone(), config);
         ctx.stats = self.catalog.stats_snapshot();
         ctx.samples = self.catalog.samples_snapshot();
@@ -193,10 +211,6 @@ impl Engine {
                 ctx.caches.insert(name, cache);
             }
         }
-        ctx
-    }
-
-    fn planner_env(&self) -> PhysicalPlannerEnv {
         let mut env = PhysicalPlannerEnv::new();
         for (name, table) in self.catalog.tables_snapshot() {
             env.register_table(name, table);
@@ -204,21 +218,18 @@ impl Engine {
         for (_, source) in self.catalog.system_tables_snapshot() {
             env.register_system_table(source);
         }
-        env
-    }
-
-    /// Runs logical optimization (not lowering or execution) in `ctx`.
-    fn optimize_in(&self, ctx: &OptimizerContext, query: &Query) -> PlannedQuery {
-        let optimizer = Optimizer::new(ctx);
-        let (plan, rules_fired) = optimizer.optimize(query.plan(), ctx);
-        let estimated_rows = estimate_rows(&plan, ctx);
-        let estimated_cost = estimate_cost(&plan, ctx);
-        PlannedQuery { plan, rules_fired, estimated_rows, estimated_cost }
+        let snapshot = Arc::new(PlanningSnapshot { version, ctx, env });
+        let mut snapshots = self.snapshots.write();
+        // Stale-version entries can never hit again; newest first.
+        snapshots.retain(|s| s.version == version);
+        snapshots.insert(0, snapshot.clone());
+        snapshots.truncate(SNAPSHOT_CAPACITY);
+        snapshot
     }
 
     /// Optimizes `query` without lowering or executing it. The returned
     /// [`PlannedQuery`] can be lowered with [`Self::lower_plan`] — a
-    /// serving layer caches the pair and skips both steps on repeats.
+    /// serving layer caches it and lowers it once per execution.
     pub fn optimize_query(&self, query: &Query) -> PlannedQuery {
         self.optimize_query_with(query, self.config.optimizer)
     }
@@ -228,8 +239,12 @@ impl Engine {
     /// own `recall_tolerance`) use without forking the engine.
     pub fn optimize_query_with(&self, query: &Query, config: OptimizerConfig) -> PlannedQuery {
         let _span = cx_obs::span("optimize");
-        let ctx = self.optimizer_context_with(config);
-        self.optimize_in(&ctx, query)
+        let snapshot = self.snapshot(config);
+        let ctx = &snapshot.ctx;
+        let (plan, rules_fired) = Optimizer::new(ctx).optimize(query.plan(), ctx);
+        let estimated_rows = estimate_rows(&plan, ctx);
+        let estimated_cost = estimate_cost(&plan, ctx);
+        PlannedQuery { plan, rules_fired, estimated_rows, estimated_cost }
     }
 
     /// Estimates the execution cost (abstract ns) of an already-optimized
@@ -243,30 +258,13 @@ impl Engine {
         plan: &cx_exec::logical::LogicalPlan,
         config: OptimizerConfig,
     ) -> f64 {
-        let version = self.catalog_version();
-        if let Some(cached) = self
-            .estimate_ctxs
-            .read()
-            .iter()
-            .find(|c| c.0 == version && c.1 == config)
-            .cloned()
-        {
-            return estimate_cost(plan, &cached.2);
-        }
-        let snapshot = Arc::new((version, config, self.optimizer_context_with(config)));
-        {
-            let mut ctxs = self.estimate_ctxs.write();
-            // Stale-version entries can never hit again; newest first.
-            ctxs.retain(|c| c.0 == version);
-            ctxs.insert(0, snapshot.clone());
-            ctxs.truncate(ESTIMATE_CTX_CAPACITY);
-        }
-        estimate_cost(plan, &snapshot.2)
+        estimate_cost(plan, &self.snapshot(config).ctx)
     }
 
-    /// Lowers an (optimized) logical plan into an executable operator
-    /// tree. The tree is `Send + Sync` and re-executable: every
-    /// `execute()` call re-runs it against the tables captured here.
+    /// Lowers an (optimized, parameter-free) logical plan into an
+    /// executable operator tree. The tree is `Send + Sync` and
+    /// re-executable: every `execute()` call re-runs it against the
+    /// tables captured here.
     pub fn lower_plan(
         &self,
         plan: &cx_exec::logical::LogicalPlan,
@@ -276,36 +274,29 @@ impl Engine {
 
     /// Like [`Self::lower_plan`], but under an explicit optimizer
     /// configuration (must match the one the plan was optimized with for
-    /// the lowered strategies to agree with the plan's estimates).
+    /// the lowered tiers to agree with the plan's estimates).
     pub fn lower_plan_with(
         &self,
         plan: &cx_exec::logical::LogicalPlan,
         config: OptimizerConfig,
     ) -> Result<Arc<dyn PhysicalOperator>> {
         let _span = cx_obs::span("lower");
-        let mut ctx = self.optimizer_context_with(config);
-        let env = self.planner_env();
-        create_physical_plan(plan, &mut ctx, &env)
+        let snapshot = self.snapshot(config);
+        create_physical_plan(plan, &snapshot.ctx, &snapshot.env)
     }
 
     /// Optimizes and builds the physical plan without executing (returns
     /// the operator tree plus the rule trace).
     pub fn plan(&self, query: &Query) -> Result<(Arc<dyn PhysicalOperator>, Vec<String>)> {
-        let mut ctx = self.optimizer_context();
-        let optimizer = Optimizer::new(&ctx);
-        let (optimized, trace) = optimizer.optimize(query.plan(), &ctx);
-        let env = self.planner_env();
-        let physical = create_physical_plan(&optimized, &mut ctx, &env)?;
-        Ok((physical, trace))
+        let planned = self.optimize_query(query);
+        Ok((self.lower_plan(&planned.plan)?, planned.rules_fired))
     }
 
     /// Executes `query` end to end.
     pub fn execute(&self, query: &Query) -> Result<QueryResult> {
         let start = Instant::now();
-        let mut ctx = self.optimizer_context();
-        let planned = self.optimize_in(&ctx, query);
-        let env = self.planner_env();
-        let physical = create_physical_plan(&planned.plan, &mut ctx, &env)?;
+        let planned = self.optimize_query(query);
+        let physical = self.lower_plan(&planned.plan)?;
         let table = collect_table(physical.as_ref())?;
         Ok(QueryResult {
             table,
@@ -319,21 +310,16 @@ impl Engine {
     /// EXPLAIN: the logical plan, the optimized plan with the rule trace,
     /// estimates, and the physical operator tree.
     pub fn explain(&self, query: &Query) -> Result<String> {
-        let mut ctx = self.optimizer_context();
-        let optimizer = Optimizer::new(&ctx);
-        let (optimized, trace) = optimizer.optimize(query.plan(), &ctx);
-        let rows = estimate_rows(&optimized, &ctx);
-        let cost = estimate_cost(&optimized, &ctx);
-        let env = self.planner_env();
-        let physical = create_physical_plan(&optimized, &mut ctx, &env)?;
+        let planned = self.optimize_query(query);
+        let physical = self.lower_plan(&planned.plan)?;
         let mut out = String::new();
         out.push_str("== logical plan ==\n");
         out.push_str(&query.plan().display_indent());
         out.push_str("== optimized plan ==\n");
-        out.push_str(&optimized.display_indent());
-        out.push_str(&format!("rules fired: {}\n", trace.join(", ")));
-        out.push_str(&format!("estimated rows: {rows:.0}\n"));
-        out.push_str(&format!("estimated cost: {cost:.0}\n"));
+        out.push_str(&planned.plan.display_indent());
+        out.push_str(&format!("rules fired: {}\n", planned.rules_fired.join(", ")));
+        out.push_str(&format!("estimated rows: {:.0}\n", planned.estimated_rows));
+        out.push_str(&format!("estimated cost: {:.0}\n", planned.estimated_cost));
         out.push_str(&format!(
             "kernel dispatch: {}\n",
             cx_vector::simd::KernelDispatch::active().report()
@@ -533,6 +519,28 @@ mod tests {
         // Lowered plans are re-executable: run it again.
         let again = cx_exec::collect_table(physical.as_ref()).unwrap();
         assert_eq!(again.num_rows(), direct.table.num_rows());
+    }
+
+    #[test]
+    fn unbound_parameters_fail_at_lowering_naming_their_slot() {
+        // Parameters bind in the logical plan only: a placeholder that
+        // reaches lowering is an error naming its slot, whichever operator
+        // holds it.
+        let engine = engine_with_data();
+        let products = || engine.table("products").unwrap();
+        for (query, slot) in [
+            (products().filter(col("price").gt(cx_expr::param(0))), "$0"),
+            (products().semantic_filter_param("name", 1, "m", 0.8), "$1"),
+            (products().limit_param(2), "$2"),
+        ] {
+            let planned = engine.optimize_query(&query);
+            let err = engine.lower_plan(&planned.plan).err().expect("lowering must fail");
+            assert!(matches!(err, cx_storage::Error::InvalidArgument(_)), "{err:?}");
+            let msg = err.to_string();
+            assert!(msg.contains(slot) && msg.contains("unbound"), "{msg}");
+            let executed = engine.execute(&query).err().expect("execution must fail");
+            assert_eq!(executed.to_string(), msg);
+        }
     }
 
     #[test]

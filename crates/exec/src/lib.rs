@@ -44,5 +44,5 @@ pub use operators::{
     ProjectExec, SortExec, SystemTableScanExec, TableScanExec, UnionExec,
 };
 pub use parallel::parallel_map_chunks;
-pub use physical::{bind_physical, collect, collect_table, ChunkStream, PhysicalOperator};
+pub use physical::{collect, collect_table, ChunkStream, PhysicalOperator};
 pub use shared::{find_shared_scan, ProbeSource, ScanKind, ScanSignature, SharedScanState};

@@ -31,14 +31,6 @@ impl SemanticTarget {
         }
     }
 
-    /// The parameter slot, when parameterized.
-    pub fn slot(&self) -> Option<usize> {
-        match self {
-            SemanticTarget::Text(_) => None,
-            SemanticTarget::Param(slot) => Some(*slot),
-        }
-    }
-
     /// Resolves the probe text against a binding vector. A `Text` target
     /// resolves to itself; a `Param` requires a UTF8 scalar at its slot.
     pub fn resolve(&self, params: &[Scalar]) -> Result<String> {

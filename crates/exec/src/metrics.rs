@@ -181,18 +181,6 @@ impl PhysicalOperator for InstrumentedExec {
         self.inner.inject_shared_scan(state)
     }
 
-    fn bind_params(
-        &self,
-        params: &[cx_storage::Scalar],
-    ) -> Result<Option<Arc<dyn PhysicalOperator>>> {
-        // The bound tree shares this wrapper's metrics handle: prepared
-        // executions of one template aggregate under one label.
-        Ok(self.inner.bind_params(params)?.map(|inner| {
-            Arc::new(InstrumentedExec { inner, metrics: self.metrics.clone() })
-                as Arc<dyn PhysicalOperator>
-        }))
-    }
-
     fn execute(&self) -> Result<ChunkStream> {
         self.metrics.executions.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();

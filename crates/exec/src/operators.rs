@@ -6,7 +6,7 @@
 //! the code straightforward without changing asymptotics.
 
 use crate::keys::{id, KeyIndex, NONE};
-use crate::logical::{AggFunc, AggSpec, JoinType, LimitCount};
+use crate::logical::{AggFunc, AggSpec, JoinType};
 use crate::physical::{ChunkStream, PhysicalOperator};
 use cx_expr::{eval, eval_predicate, BoundExpr, Expr};
 use cx_storage::{
@@ -182,18 +182,6 @@ impl PhysicalOperator for FilterExec {
             chunk.filter(&mask)
         })))
     }
-
-    fn bind_params(&self, params: &[Scalar]) -> Result<Option<Arc<dyn PhysicalOperator>>> {
-        let input = self.input.bind_params(params)?;
-        if input.is_none() && !self.predicate.has_params() {
-            return Ok(None);
-        }
-        Ok(Some(Arc::new(FilterExec {
-            input: input.unwrap_or_else(|| self.input.clone()),
-            predicate: self.predicate.bind_params(params)?,
-            display: self.display.clone(),
-        })))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -255,41 +243,6 @@ impl PhysicalOperator for ProjectExec {
                 .map(|e| eval(e, &chunk))
                 .collect::<Result<Vec<_>>>()?;
             Chunk::new(schema.clone(), columns)
-        })))
-    }
-
-    fn bind_params(&self, params: &[Scalar]) -> Result<Option<Arc<dyn PhysicalOperator>>> {
-        let input = self.input.bind_params(params)?;
-        let exprs_have_params = self.exprs.iter().any(|e| e.has_params());
-        if input.is_none() && !exprs_have_params {
-            return Ok(None);
-        }
-        let exprs = self
-            .exprs
-            .iter()
-            .map(|e| e.bind_params(params))
-            .collect::<Result<Vec<_>>>()?;
-        // Binding re-infers expression types (an Int64-column × Float64
-        // binding widens to Float64), so the template's frozen output
-        // schema may be stale: re-derive field types from the bound
-        // expressions — exactly the types the equivalent literal query's
-        // projection would have been built with.
-        let schema = if exprs_have_params {
-            Arc::new(Schema::new(
-                self.schema
-                    .fields()
-                    .iter()
-                    .zip(&exprs)
-                    .map(|(f, e)| Field::new(f.name.clone(), e.data_type().unwrap_or(DataType::Bool)))
-                    .collect(),
-            ))
-        } else {
-            self.schema.clone()
-        };
-        Ok(Some(Arc::new(ProjectExec {
-            input: input.unwrap_or_else(|| self.input.clone()),
-            exprs,
-            schema,
         })))
     }
 }
@@ -460,22 +413,6 @@ impl PhysicalOperator for HashJoinExec {
         }
         Ok(Box::new(out_chunks.into_iter().map(Ok)))
     }
-
-    fn bind_params(&self, params: &[Scalar]) -> Result<Option<Arc<dyn PhysicalOperator>>> {
-        let left = self.left.bind_params(params)?;
-        let right = self.right.bind_params(params)?;
-        if left.is_none() && right.is_none() {
-            return Ok(None);
-        }
-        Ok(Some(Arc::new(HashJoinExec {
-            left: left.unwrap_or_else(|| self.left.clone()),
-            right: right.unwrap_or_else(|| self.right.clone()),
-            left_keys: self.left_keys.clone(),
-            right_keys: self.right_keys.clone(),
-            join_type: self.join_type,
-            schema: self.schema.clone(),
-        })))
-    }
 }
 
 /// Rebuilds `chunk` under `schema` (same arity/types, possibly renamed
@@ -576,25 +513,6 @@ impl PhysicalOperator for NestedLoopJoinExec {
             out_chunks.push(Chunk::empty(self.schema.clone()));
         }
         Ok(Box::new(out_chunks.into_iter().map(Ok)))
-    }
-
-    fn bind_params(&self, params: &[Scalar]) -> Result<Option<Arc<dyn PhysicalOperator>>> {
-        let left = self.left.bind_params(params)?;
-        let right = self.right.bind_params(params)?;
-        let pred_has_params = self.predicate.as_ref().is_some_and(|p| p.has_params());
-        if left.is_none() && right.is_none() && !pred_has_params {
-            return Ok(None);
-        }
-        Ok(Some(Arc::new(NestedLoopJoinExec {
-            left: left.unwrap_or_else(|| self.left.clone()),
-            right: right.unwrap_or_else(|| self.right.clone()),
-            predicate: self
-                .predicate
-                .as_ref()
-                .map(|p| p.bind_params(params))
-                .transpose()?,
-            schema: self.schema.clone(),
-        })))
     }
 }
 
@@ -841,17 +759,6 @@ impl PhysicalOperator for HashAggregateExec {
         let chunk = Chunk::new(self.schema.clone(), columns)?;
         Ok(Box::new(std::iter::once(Ok(chunk))))
     }
-
-    fn bind_params(&self, params: &[Scalar]) -> Result<Option<Arc<dyn PhysicalOperator>>> {
-        Ok(self.input.bind_params(params)?.map(|input| {
-            Arc::new(HashAggregateExec {
-                input,
-                group_by: self.group_by.clone(),
-                aggs: self.aggs.clone(),
-                schema: self.schema.clone(),
-            }) as Arc<dyn PhysicalOperator>
-        }))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -920,37 +827,24 @@ impl PhysicalOperator for SortExec {
         let sorted = all.take(&indices)?;
         Ok(Box::new(std::iter::once(Ok(sorted))))
     }
-
-    fn bind_params(&self, params: &[Scalar]) -> Result<Option<Arc<dyn PhysicalOperator>>> {
-        Ok(self.input.bind_params(params)?.map(|input| {
-            Arc::new(SortExec { input, keys: self.keys.clone() }) as Arc<dyn PhysicalOperator>
-        }))
-    }
 }
 
-/// Emits the first `n` rows. The count may be a prepared-statement
-/// parameter ([`LimitCount::Param`]), in which case the operator only
-/// executes after [`PhysicalOperator::bind_params`] resolves it.
+/// Emits the first `n` rows.
 pub struct LimitExec {
     input: Arc<dyn PhysicalOperator>,
-    count: LimitCount,
+    n: usize,
 }
 
 impl LimitExec {
     /// A limit of `n` rows.
     pub fn new(input: Arc<dyn PhysicalOperator>, n: usize) -> Self {
-        LimitExec { input, count: LimitCount::Fixed(n) }
-    }
-
-    /// A limit whose count is fixed or parameterized.
-    pub fn with_count(input: Arc<dyn PhysicalOperator>, count: LimitCount) -> Self {
-        LimitExec { input, count }
+        LimitExec { input, n }
     }
 }
 
 impl PhysicalOperator for LimitExec {
     fn name(&self) -> String {
-        format!("Limit [{}]", self.count)
+        format!("Limit [{}]", self.n)
     }
 
     fn schema(&self) -> Arc<Schema> {
@@ -962,14 +856,8 @@ impl PhysicalOperator for LimitExec {
     }
 
     fn execute(&self) -> Result<ChunkStream> {
-        let LimitCount::Fixed(n) = self.count else {
-            return Err(Error::InvalidArgument(format!(
-                "cannot execute limit with unbound parameter {}; bind it first",
-                self.count
-            )));
-        };
         let stream = self.input.execute()?;
-        let mut remaining = n;
+        let mut remaining = self.n;
         Ok(Box::new(stream.map_while(move |chunk| {
             if remaining == 0 {
                 return None;
@@ -986,17 +874,6 @@ impl PhysicalOperator for LimitExec {
                 remaining = 0;
                 Some(sliced)
             }
-        })))
-    }
-
-    fn bind_params(&self, params: &[Scalar]) -> Result<Option<Arc<dyn PhysicalOperator>>> {
-        let input = self.input.bind_params(params)?;
-        if input.is_none() && matches!(self.count, LimitCount::Fixed(_)) {
-            return Ok(None);
-        }
-        Ok(Some(Arc::new(LimitExec {
-            input: input.unwrap_or_else(|| self.input.clone()),
-            count: LimitCount::Fixed(self.count.resolve(params)?),
         })))
     }
 }
@@ -1049,13 +926,6 @@ impl PhysicalOperator for DistinctExec {
         }
         Ok(Box::new(out.into_iter().map(Ok)))
     }
-
-    fn bind_params(&self, params: &[Scalar]) -> Result<Option<Arc<dyn PhysicalOperator>>> {
-        Ok(self
-            .input
-            .bind_params(params)?
-            .map(|input| Arc::new(DistinctExec { input }) as Arc<dyn PhysicalOperator>))
-    }
 }
 
 /// Concatenates same-schema inputs.
@@ -1097,24 +967,6 @@ impl PhysicalOperator for UnionExec {
             streams.push(input.execute()?);
         }
         Ok(Box::new(streams.into_iter().flatten()))
-    }
-
-    fn bind_params(&self, params: &[Scalar]) -> Result<Option<Arc<dyn PhysicalOperator>>> {
-        let bound: Vec<Option<Arc<dyn PhysicalOperator>>> = self
-            .inputs
-            .iter()
-            .map(|i| i.bind_params(params))
-            .collect::<Result<Vec<_>>>()?;
-        if bound.iter().all(|b| b.is_none()) {
-            return Ok(None);
-        }
-        Ok(Some(Arc::new(UnionExec {
-            inputs: bound
-                .into_iter()
-                .zip(self.inputs.iter())
-                .map(|(b, orig)| b.unwrap_or_else(|| orig.clone()))
-                .collect(),
-        })))
     }
 }
 

@@ -1,7 +1,7 @@
 //! The physical operator trait and execution helpers.
 
 use crate::shared::{ScanSignature, SharedScanState};
-use cx_storage::{Chunk, Error, QueryContext, Result, Scalar, Schema, Table};
+use cx_storage::{Chunk, QueryContext, Result, Schema, Table};
 use std::sync::Arc;
 
 /// A stream of chunks produced by one operator execution.
@@ -44,39 +44,6 @@ pub trait PhysicalOperator: Send + Sync {
         drop(state);
         false
     }
-
-    /// Returns a copy of this operator tree with every prepared-statement
-    /// parameter bound to its value from `params` (slot `i` takes
-    /// `params[i]`), or `None` when the subtree holds no parameters — the
-    /// caller keeps executing the original tree. Subtrees without
-    /// parameters are shared, not cloned, so rebinding a mostly-static
-    /// plan is cheap.
-    ///
-    /// The default implementation handles parameter-free operators only:
-    /// it errors if any child *does* rebind, because the parent cannot be
-    /// reconstructed generically. Every operator that can appear above a
-    /// parameterized node overrides this with a clone-with-children
-    /// rebuild.
-    fn bind_params(&self, params: &[Scalar]) -> Result<Option<Arc<dyn PhysicalOperator>>> {
-        for child in self.children() {
-            if child.bind_params(params)?.is_some() {
-                return Err(Error::InvalidArgument(format!(
-                    "operator {} does not support parameter rebinding",
-                    self.name()
-                )));
-            }
-        }
-        Ok(None)
-    }
-}
-
-/// Binds `params` into `op`'s tree via [`PhysicalOperator::bind_params`],
-/// returning the (possibly shared) executable root.
-pub fn bind_physical(
-    op: &Arc<dyn PhysicalOperator>,
-    params: &[Scalar],
-) -> Result<Arc<dyn PhysicalOperator>> {
-    Ok(op.bind_params(params)?.unwrap_or_else(|| op.clone()))
 }
 
 /// Runs `op` to completion, returning all chunks.

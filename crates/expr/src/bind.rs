@@ -10,10 +10,6 @@ pub enum BoundExpr {
     /// Column at position `index` with type `data_type`.
     Column { index: usize, data_type: DataType },
     Literal(Scalar),
-    /// A prepared-statement placeholder surviving into the bound tree.
-    /// Its type is unknown until a value is bound (like an untyped NULL);
-    /// evaluation fails until [`BoundExpr::bind_params`] replaces it.
-    Parameter { slot: usize },
     Binary {
         op: BinOp,
         left: Box<BoundExpr>,
@@ -33,58 +29,16 @@ impl BoundExpr {
         match self {
             BoundExpr::Column { data_type, .. } => Some(*data_type),
             BoundExpr::Literal(s) => s.data_type(),
-            BoundExpr::Parameter { .. } => None,
             BoundExpr::Binary { data_type, .. } => Some(*data_type),
             BoundExpr::Not(_) | BoundExpr::IsNull(_) => Some(DataType::Bool),
         }
-    }
-
-    /// Whether the bound tree still contains unbound parameters.
-    pub fn has_params(&self) -> bool {
-        match self {
-            BoundExpr::Parameter { .. } => true,
-            BoundExpr::Column { .. } | BoundExpr::Literal(_) => false,
-            BoundExpr::Binary { left, right, .. } => left.has_params() || right.has_params(),
-            BoundExpr::Not(inner) | BoundExpr::IsNull(inner) => inner.has_params(),
-        }
-    }
-
-    /// Substitutes every parameter with its value from `params` (slot `i`
-    /// takes `params[i]`). Binary result types are **re-inferred** from
-    /// the now-concrete operand types — at bind time a parameter is
-    /// untyped (like an untyped NULL), so e.g. `int_col * $0` was typed
-    /// by `int_col` alone; binding `$0 = 0.5` must widen the multiply to
-    /// Float64, exactly as the equivalent literal expression would have
-    /// been typed. Errors on out-of-range slots and on bindings that make
-    /// the expression ill-typed (a string in an arithmetic position).
-    pub fn bind_params(&self, params: &[Scalar]) -> Result<BoundExpr> {
-        Ok(match self {
-            BoundExpr::Parameter { slot } => BoundExpr::Literal(
-                params
-                    .get(*slot)
-                    .cloned()
-                    .ok_or_else(|| crate::expr::missing_param(*slot, params.len()))?,
-            ),
-            BoundExpr::Column { .. } | BoundExpr::Literal(_) => self.clone(),
-            BoundExpr::Binary { op, left, right, .. } => {
-                let left = left.bind_params(params)?;
-                let right = right.bind_params(params)?;
-                let data_type = infer_binary_type(*op, &left, &right)?;
-                BoundExpr::Binary {
-                    op: *op,
-                    left: Box::new(left),
-                    right: Box::new(right),
-                    data_type,
-                }
-            }
-            BoundExpr::Not(inner) => BoundExpr::Not(Box::new(inner.bind_params(params)?)),
-            BoundExpr::IsNull(inner) => BoundExpr::IsNull(Box::new(inner.bind_params(params)?)),
-        })
     }
 }
 
 impl Expr {
     /// Resolves column names against `schema` and type-checks the tree.
+    /// Parameters must already be substituted ([`Expr::bind_params`]):
+    /// an [`Expr::Parameter`] has no type to check, so it is an error.
     pub fn bind(&self, schema: &Schema) -> Result<BoundExpr> {
         match self {
             Expr::Column(name) => {
@@ -93,7 +47,9 @@ impl Expr {
                 Ok(BoundExpr::Column { index, data_type })
             }
             Expr::Literal(v) => Ok(BoundExpr::Literal(v.clone())),
-            Expr::Parameter(slot) => Ok(BoundExpr::Parameter { slot: *slot }),
+            Expr::Parameter(slot) => Err(Error::InvalidArgument(format!(
+                "parameter ${slot} is unbound; bind the plan's parameters before lowering it"
+            ))),
             Expr::Binary { op, left, right } => {
                 let left = left.bind(schema)?;
                 let right = right.bind(schema)?;
@@ -220,23 +176,28 @@ mod tests {
     #[test]
     fn binding_reinfers_binary_types() {
         use crate::expr::param;
-        // At bind time the parameter is untyped, so `id * $0` adopts the
-        // column's Int64; binding a Float64 must widen the multiply to
-        // Float64 — exactly the type the equivalent literal expression
-        // gets — or prepared results would truncate where ad-hoc ones
-        // don't.
-        let template = col("id").mul(param(0)).bind(&schema()).unwrap();
-        assert!(template.has_params());
-        assert_eq!(template.data_type(), Some(DataType::Int64));
-        let bound = template.bind_params(&[Scalar::Float64(0.5)]).unwrap();
+        // Parameters are substituted before type inference, so `id * $0`
+        // bound to 0.5 types exactly like the literal `id * 0.5`: the
+        // multiply widens to Float64 instead of keeping the column's Int64
+        // (which would truncate prepared results where ad-hoc ones don't).
+        let template = col("id").mul(param(0));
+        let bound = template.bind_params(&[Scalar::Float64(0.5)]).unwrap().bind(&schema()).unwrap();
         assert_eq!(bound.data_type(), Some(DataType::Float64));
         let adhoc = col("id").mul(crate::expr::lit(0.5)).bind(&schema()).unwrap();
         assert_eq!(bound, adhoc);
         // Int binding keeps the integer type.
-        let bound = template.bind_params(&[Scalar::Int64(2)]).unwrap();
+        let bound = template.bind_params(&[Scalar::Int64(2)]).unwrap().bind(&schema()).unwrap();
         assert_eq!(bound.data_type(), Some(DataType::Int64));
         // A binding that makes the expression ill-typed errors instead of
         // evaluating garbage.
-        assert!(template.bind_params(&[Scalar::from("nope")]).is_err());
+        let bad = template.bind_params(&[Scalar::from("nope")]).unwrap();
+        assert!(bad.bind(&schema()).is_err());
+    }
+
+    #[test]
+    fn unbound_parameter_fails_to_bind_naming_its_slot() {
+        let err = col("id").gt(crate::expr::param(3)).bind(&schema()).unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument(_)), "{err:?}");
+        assert!(err.to_string().contains("$3"), "{err}");
     }
 }

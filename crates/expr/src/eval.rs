@@ -18,9 +18,6 @@ pub fn eval(expr: &BoundExpr, chunk: &Chunk) -> Result<Column> {
             chunk.num_rows(),
             v.data_type().unwrap_or(DataType::Bool),
         )),
-        BoundExpr::Parameter { slot } => Err(Error::InvalidArgument(format!(
-            "cannot evaluate unbound parameter ${slot}; bind it first"
-        ))),
         BoundExpr::Binary { op, left, right, data_type } => {
             let l = eval(left, chunk)?;
             let r = eval(right, chunk)?;

@@ -66,9 +66,8 @@ pub enum Expr {
     /// A constant.
     Literal(Scalar),
     /// A prepared-statement placeholder (`$slot`), bound to a concrete
-    /// [`Scalar`] at execute time via [`Expr::bind_params`] (or the
-    /// physical-plan rebinding path). An unbound parameter cannot be
-    /// evaluated.
+    /// [`Scalar`] at execute time via [`Expr::bind_params`]. An unbound
+    /// parameter cannot be bound against a schema (see [`Expr::bind`]).
     Parameter(usize),
     /// Binary operation.
     Binary {
@@ -217,12 +216,12 @@ impl Expr {
     /// `params` (slot `i` takes `params[i]`). Errors on out-of-range slots.
     pub fn bind_params(&self, params: &[Scalar]) -> cx_storage::Result<Expr> {
         Ok(match self {
-            Expr::Parameter(slot) => Expr::Literal(
-                params
-                    .get(*slot)
-                    .cloned()
-                    .ok_or_else(|| missing_param(*slot, params.len()))?,
-            ),
+            Expr::Parameter(slot) => Expr::Literal(params.get(*slot).cloned().ok_or_else(|| {
+                cx_storage::Error::InvalidArgument(format!(
+                    "parameter ${slot} has no bound value ({} provided)",
+                    params.len()
+                ))
+            })?),
             Expr::Column(_) | Expr::Literal(_) => self.clone(),
             Expr::Binary { op, left, right } => Expr::Binary {
                 op: *op,
@@ -306,13 +305,6 @@ impl Expr {
         };
         Some(exprs.into_iter().fold(first, |acc, e| acc.and(e)))
     }
-}
-
-/// The error for a parameter slot with no bound value.
-pub(crate) fn missing_param(slot: usize, provided: usize) -> cx_storage::Error {
-    cx_storage::Error::InvalidArgument(format!(
-        "parameter ${slot} has no bound value ({provided} provided)"
-    ))
 }
 
 impl fmt::Display for Expr {

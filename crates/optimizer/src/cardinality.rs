@@ -58,14 +58,18 @@ fn source_of_column<'a>(plan: &'a LogicalPlan, column: &str) -> Option<(&'a str,
     }
 }
 
-/// Sampled values for `column` as produced by the scan beneath `plan`.
-fn samples_for<'a>(
-    plan: &LogicalPlan,
+/// Sampled values for `column` as produced by the scan beneath `plan`,
+/// with the `(source, column)` they were sampled from. Selectivity memo
+/// keys name the sample's source: one planning snapshot's memo serves
+/// every plan, and two tables may share a column name.
+fn samples_for<'p, 'a>(
+    plan: &'p LogicalPlan,
     column: &str,
     ctx: &'a OptimizerContext,
-) -> Option<&'a [String]> {
+) -> Option<(&'p str, String, &'a [String])> {
     let (source, col) = source_of_column(plan, column)?;
-    ctx.sample(source, &col)
+    let sample = ctx.sample(source, &col)?;
+    Some((source, col, sample))
 }
 
 /// Estimates the number of output rows of `plan`.
@@ -122,8 +126,8 @@ pub fn estimate_rows(plan: &LogicalPlan, ctx: &OptimizerContext) -> f64 {
             // literal at execute time, so admission sees the real cost.
             let sel = match (target.text(), samples_for(input, column, ctx), ctx.caches.get(model))
             {
-                (Some(target), Some(sample), Some(cache)) => {
-                    let key = probe_key(&["sf", model, column, target], *threshold);
+                (Some(target), Some((source, col, sample)), Some(cache)) => {
+                    let key = probe_key(&["sf", model, source, &col, target], *threshold);
                     ctx.memoized_selectivity(key, || {
                         semantic_filter_selectivity(cache, target, sample, *threshold, SAMPLE_CAP)
                     })
@@ -139,11 +143,9 @@ pub fn estimate_rows(plan: &LogicalPlan, ctx: &OptimizerContext) -> f64 {
                 samples_for(right, &spec.right_column, ctx),
                 ctx.caches.get(&spec.model),
             ) {
-                (Some(ls), Some(rs), Some(cache)) => {
-                    let key = probe_key(
-                        &["sj", &spec.model, &spec.left_column, &spec.right_column],
-                        spec.threshold,
-                    );
+                (Some((lsrc, lcol, ls)), Some((rsrc, rcol, rs)), Some(cache)) => {
+                    let key =
+                        probe_key(&["sj", &spec.model, lsrc, &lcol, rsrc, &rcol], spec.threshold);
                     ctx.memoized_selectivity(key, || {
                         semantic_join_selectivity(cache, ls, rs, spec.threshold, 64)
                     })

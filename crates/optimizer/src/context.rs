@@ -99,13 +99,23 @@ pub struct OptimizerContext {
 }
 
 impl OptimizerContext {
-    /// A context with no statistics and the given config.
+    /// A context with no statistics and the given config, holding a fresh
+    /// embedding cache for every model registered in `models` (callers
+    /// with shared caches replace them in [`Self::caches`]).
     pub fn new(models: Arc<ModelRegistry>, config: OptimizerConfig) -> Self {
+        let caches = models
+            .names()
+            .into_iter()
+            .filter_map(|name| {
+                let model = models.get(&name)?;
+                Some((name, Arc::new(EmbeddingCache::new(model))))
+            })
+            .collect();
         OptimizerContext {
             stats: HashMap::new(),
             samples: HashMap::new(),
             models,
-            caches: HashMap::new(),
+            caches,
             config,
             selectivity_memo: Mutex::new(HashMap::new()),
         }
@@ -117,7 +127,7 @@ impl OptimizerContext {
     /// The memo is bounded: past [`SELECTIVITY_MEMO_CAP`] entries new keys
     /// are computed but not stored. One optimization pass never gets near
     /// the cap; the bound exists for long-lived contexts (the engine's
-    /// per-catalog-version cost-estimation snapshot), where a prepared
+    /// per-catalog-version planning snapshot), where a prepared
     /// storm of millions of distinct probe literals would otherwise grow
     /// the map without limit.
     pub fn memoized_selectivity(&self, key: u64, compute: impl FnOnce() -> f64) -> f64 {
@@ -144,15 +154,10 @@ impl OptimizerContext {
             .map(|v| v.as_slice())
     }
 
-    /// The shared cache for `model`, creating it on first use.
-    pub fn cache_for(&mut self, model: &str) -> Option<Arc<EmbeddingCache>> {
-        if let Some(c) = self.caches.get(model) {
-            return Some(c.clone());
-        }
-        let m = self.models.get(model)?;
-        let cache = Arc::new(EmbeddingCache::new(m));
-        self.caches.insert(model.to_string(), cache.clone());
-        Some(cache)
+    /// The shared cache for `model` (`None` for a model unknown when the
+    /// context was built).
+    pub fn cache_for(&self, model: &str) -> Option<Arc<EmbeddingCache>> {
+        self.caches.get(model).cloned()
     }
 }
 
@@ -188,7 +193,7 @@ mod tests {
     fn cache_for_resolves_and_memoizes() {
         let registry = Arc::new(ModelRegistry::new());
         registry.register(Arc::new(HashNGramModel::with_params("m", 8, 1, 3, 3, 64)));
-        let mut ctx = OptimizerContext::new(registry, OptimizerConfig::all());
+        let ctx = OptimizerContext::new(registry, OptimizerConfig::all());
         let a = ctx.cache_for("m").unwrap();
         let b = ctx.cache_for("m").unwrap();
         assert!(Arc::ptr_eq(&a, &b));

@@ -53,10 +53,12 @@ impl PhysicalPlannerEnv {
     }
 }
 
-/// Lowers `plan` into a physical operator tree.
+/// Lowers `plan` into a physical operator tree. The plan must be bound
+/// ([`LogicalPlan::bind_params`]): a parameter placeholder anywhere in it
+/// fails lowering with an error naming its slot.
 pub fn create_physical_plan(
     plan: &LogicalPlan,
-    ctx: &mut OptimizerContext,
+    ctx: &OptimizerContext,
     env: &PhysicalPlannerEnv,
 ) -> Result<Arc<dyn PhysicalOperator>> {
     Ok(match plan {
@@ -96,6 +98,7 @@ pub fn create_physical_plan(
             // The filter scores one target against the panel exactly once,
             // so quantizing (a full read + converted write of the panel)
             // can never amortize — the filter is f32-only.
+            let target = target.text().ok_or_else(|| unbound(target))?;
             let child = create_physical_plan(input, ctx, env)?;
             let cache = ctx
                 .cache_for(model)
@@ -104,7 +107,7 @@ pub fn create_physical_plan(
             // shareable: concurrent filters whose inputs fingerprint equal
             // sweep the same candidate panel (see `cx_exec::shared`).
             Arc::new(
-                SemanticFilterExec::new(child, column, target.clone(), *threshold, cache)?
+                SemanticFilterExec::new(child, column, target, *threshold, cache)?
                     .with_scan_fingerprint(input.fingerprint()),
             )
         }
@@ -160,8 +163,9 @@ pub fn create_physical_plan(
             Arc::new(SortExec::new(child, &keys)?)
         }
         LogicalPlan::Limit { input, n } => {
+            let n = n.fixed().ok_or_else(|| unbound(n))?;
             let child = create_physical_plan(input, ctx, env)?;
-            Arc::new(LimitExec::with_count(child, *n))
+            Arc::new(LimitExec::new(child, n))
         }
         LogicalPlan::Distinct { input } => {
             let child = create_physical_plan(input, ctx, env)?;
@@ -175,6 +179,13 @@ pub fn create_physical_plan(
             Arc::new(UnionExec::new(children)?)
         }
     })
+}
+
+/// The lowering error for a parameter placeholder (`$slot`) left unbound.
+fn unbound(placeholder: &impl std::fmt::Display) -> Error {
+    Error::InvalidArgument(format!(
+        "parameter {placeholder} is unbound; bind the plan's parameters before lowering it"
+    ))
 }
 
 #[cfg(test)]
@@ -222,7 +233,7 @@ mod tests {
 
     #[test]
     fn lowers_relational_pipeline() {
-        let (env, mut ctx) = env_and_ctx();
+        let (env, ctx) = env_and_ctx();
         let plan = LogicalPlan::Limit {
             n: LimitCount::Fixed(2),
             input: Box::new(LogicalPlan::Filter {
@@ -230,14 +241,14 @@ mod tests {
                 input: Box::new(scan()),
             }),
         };
-        let op = create_physical_plan(&plan, &mut ctx, &env).unwrap();
+        let op = create_physical_plan(&plan, &ctx, &env).unwrap();
         let out = collect_table(op.as_ref()).unwrap();
         assert_eq!(out.num_rows(), 2);
     }
 
     #[test]
     fn semantic_join_small_input_uses_blocked_exact_scan() {
-        let (env, mut ctx) = env_and_ctx();
+        let (env, ctx) = env_and_ctx();
         let plan = LogicalPlan::SemanticJoin {
             left: Box::new(scan()),
             right: Box::new(scan()),
@@ -249,7 +260,7 @@ mod tests {
                 score_column: "sim".into(),
             },
         };
-        let op = create_physical_plan(&plan, &mut ctx, &env).unwrap();
+        let op = create_physical_plan(&plan, &ctx, &env).unwrap();
         assert!(!op.name().contains("quant="), "{}", op.name());
         // Executes and matches at least the identical strings.
         let out = collect_table(op.as_ref()).unwrap();
@@ -295,7 +306,7 @@ mod tests {
         // int8-level recall tolerance on a join large enough to quantize.
         let (env, mut ctx, plan) = big_self_join();
         ctx.config.recall_tolerance = 5e-2;
-        let op = create_physical_plan(&plan, &mut ctx, &env).unwrap();
+        let op = create_physical_plan(&plan, &ctx, &env).unwrap();
         assert!(op.name().contains("quant=int8"), "{}", op.name());
 
         // Without tolerance the same plan stays exact.
@@ -308,7 +319,7 @@ mod tests {
             OptimizerConfig::all(),
         );
         exact_ctx.stats = ctx.stats.clone();
-        let op = create_physical_plan(&plan, &mut exact_ctx, &env).unwrap();
+        let op = create_physical_plan(&plan, &exact_ctx, &env).unwrap();
         assert!(!op.name().contains("quant="), "{}", op.name());
     }
 
@@ -323,19 +334,19 @@ mod tests {
             model: "m".into(),
             threshold: 0.9,
         };
-        let op = create_physical_plan(&plan, &mut ctx, &env).unwrap();
+        let op = create_physical_plan(&plan, &ctx, &env).unwrap();
         // 4-row input: far below the quantization floor.
         assert!(!op.name().contains("quant="), "{}", op.name());
     }
 
     #[test]
     fn unknown_table_and_model_error() {
-        let (env, mut ctx) = env_and_ctx();
+        let (env, ctx) = env_and_ctx();
         let bad = LogicalPlan::Scan {
             source: "missing".into(),
             schema: Arc::new(Schema::new(vec![Field::new("k", DataType::Utf8)])),
         };
-        assert!(create_physical_plan(&bad, &mut ctx, &env).is_err());
+        assert!(create_physical_plan(&bad, &ctx, &env).is_err());
         let bad_model = LogicalPlan::SemanticFilter {
             input: Box::new(scan()),
             column: "k".into(),
@@ -343,6 +354,6 @@ mod tests {
             model: "missing".into(),
             threshold: 0.9,
         };
-        assert!(create_physical_plan(&bad_model, &mut ctx, &env).is_err());
+        assert!(create_physical_plan(&bad_model, &ctx, &env).is_err());
     }
 }

@@ -6,21 +6,19 @@
 use crate::sweep::{sweep, Distinct, Scores};
 use cx_embed::EmbeddingCache;
 use cx_exec::shared::{ProbeSource, ScanKind, ScanSignature, SharedScanState};
-use cx_exec::{ChunkStream, PhysicalOperator, SemanticTarget};
-use cx_storage::{Bitmap, DataType, Error, Result, Scalar, Schema};
+use cx_exec::{ChunkStream, PhysicalOperator};
+use cx_storage::{Bitmap, DataType, Error, Result, Schema};
 use cx_vector::QuantTier;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Filters rows whose `column` value embeds within `threshold` cosine
-/// similarity of the target string's embedding. The target may be a
-/// prepared-statement parameter ([`SemanticTarget::Param`]); the operator
-/// then executes only after `bind_params` resolves it.
+/// similarity of the target string's embedding.
 pub struct SemanticFilterExec {
     input: Arc<dyn PhysicalOperator>,
     column_index: usize,
-    target: SemanticTarget,
+    target: String,
     threshold: f32,
     cache: Arc<EmbeddingCache>,
     /// Logical fingerprint of the input subtree, when the planner knows
@@ -33,12 +31,10 @@ pub struct SemanticFilterExec {
 
 impl SemanticFilterExec {
     /// Creates the filter. `column` must be a UTF8 column of the input.
-    /// The target accepts a plain string or a [`SemanticTarget`] (so
-    /// prepared statements can pass a parameter slot).
     pub fn new(
         input: Arc<dyn PhysicalOperator>,
         column: &str,
-        target: impl Into<SemanticTarget>,
+        target: impl Into<String>,
         threshold: f32,
         cache: Arc<EmbeddingCache>,
     ) -> Result<Self> {
@@ -85,7 +81,7 @@ impl SemanticFilterExec {
 impl PhysicalOperator for SemanticFilterExec {
     fn name(&self) -> String {
         format!(
-            "SemanticFilter [~ {}, cos>={}, model={}]",
+            "SemanticFilter [~ '{}', cos>={}, model={}]",
             self.target,
             self.threshold,
             self.cache.model().name()
@@ -101,9 +97,6 @@ impl PhysicalOperator for SemanticFilterExec {
     }
 
     fn scan_signature(&self) -> Option<ScanSignature> {
-        // An unbound parameterized probe has no vectors to stack into a
-        // shared sweep: only bound (or fixed-text) filters are shareable.
-        let target = self.target.text()?;
         Some(ScanSignature {
             kind: ScanKind::CosineFilter,
             candidate_fingerprint: self.scan_fingerprint?,
@@ -112,34 +105,9 @@ impl PhysicalOperator for SemanticFilterExec {
             model: self.cache.model().name().to_string(),
             // One probe can never amortize quantizing a panel: always f32.
             quant: QuantTier::F32.discriminant(),
-            probe: ProbeSource::Literal(target.to_string()),
+            probe: ProbeSource::Literal(self.target.clone()),
             threshold: self.threshold,
         })
-    }
-
-    fn bind_params(&self, params: &[Scalar]) -> Result<Option<Arc<dyn PhysicalOperator>>> {
-        let input = self.input.bind_params(params)?;
-        if input.is_none() && self.target.text().is_some() {
-            return Ok(None);
-        }
-        // The scan fingerprint is kept even when the input subtree was
-        // rebound (two bindings of one template fingerprint alike, so
-        // their sweeps may merge over one binding's candidate panel).
-        // That is sound *for the filter*: injected scores are keyed by
-        // value string and computed with this member's own probe, so a
-        // value from the other binding's panel scores identically to the
-        // solo scan, and values missing from the shared panel are swept
-        // solo (see `execute`). The semantic join cannot make
-        // this argument and drops its tags instead.
-        Ok(Some(Arc::new(SemanticFilterExec {
-            input: input.unwrap_or_else(|| self.input.clone()),
-            column_index: self.column_index,
-            target: SemanticTarget::Text(self.target.resolve(params)?),
-            threshold: self.threshold,
-            cache: self.cache.clone(),
-            scan_fingerprint: self.scan_fingerprint,
-            shared: Mutex::new(None),
-        })))
     }
 
     fn inject_shared_scan(&self, state: SharedScanState) -> bool {
@@ -153,13 +121,7 @@ impl PhysicalOperator for SemanticFilterExec {
     }
 
     fn execute(&self) -> Result<ChunkStream> {
-        let target = self.target.text().ok_or_else(|| {
-            Error::InvalidArgument(format!(
-                "cannot execute semantic filter with unbound probe parameter {}; bind it first",
-                self.target
-            ))
-        })?;
-        let target = target.to_string();
+        let target = self.target.clone();
         let injected = self.shared.lock().take();
         let stream = self.input.execute()?;
         let cache = self.cache.clone();

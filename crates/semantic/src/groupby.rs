@@ -95,22 +95,6 @@ impl PhysicalOperator for SemanticGroupByExec {
         vec![self.input.clone()]
     }
 
-    fn bind_params(
-        &self,
-        params: &[cx_storage::Scalar],
-    ) -> Result<Option<Arc<dyn PhysicalOperator>>> {
-        Ok(self.input.bind_params(params)?.map(|input| {
-            Arc::new(SemanticGroupByExec {
-                input,
-                column_index: self.column_index,
-                threshold: self.threshold,
-                aggs: self.aggs.clone(),
-                cache: self.cache.clone(),
-                schema: self.schema.clone(),
-            }) as Arc<dyn PhysicalOperator>
-        }))
-    }
-
     fn execute(&self) -> Result<ChunkStream> {
         let in_schema = self.input.schema();
         let make_accs = || -> Vec<Accumulator> {

@@ -180,43 +180,6 @@ impl PhysicalOperator for SemanticJoinExec {
         }
     }
 
-    fn bind_params(
-        &self,
-        params: &[cx_storage::Scalar],
-    ) -> Result<Option<Arc<dyn PhysicalOperator>>> {
-        let left = self.left.bind_params(params)?;
-        let right = self.right.bind_params(params)?;
-        if left.is_none() && right.is_none() {
-            return Ok(None);
-        }
-        // A rebound subtree no longer matches the fingerprint the planner
-        // tagged from the *template* (parameters hash by slot, so every
-        // binding of one template fingerprints alike) — keeping the tags
-        // would let two different bindings merge into one sweep over one
-        // binding's panel. The join consumes an injected match list as
-        // *complete*, so unlike the semantic filter (whose value-keyed
-        // scores self-heal via per-value fallback) a mis-grouped join
-        // silently drops matches. Drop the affected tag: a rebound build
-        // side makes the sweep unshareable, a rebound probe side just
-        // stops advertising probe-subtree reuse.
-        let scan_fingerprint = if right.is_none() { self.scan_fingerprint } else { None };
-        let probe_fingerprint = if left.is_none() { self.probe_fingerprint } else { None };
-        Ok(Some(Arc::new(SemanticJoinExec {
-            left: left.unwrap_or_else(|| self.left.clone()),
-            right: right.unwrap_or_else(|| self.right.clone()),
-            left_key: self.left_key,
-            right_key: self.right_key,
-            threshold: self.threshold,
-            quant: self.quant,
-            cache: self.cache.clone(),
-            parallelism: self.parallelism,
-            schema: self.schema.clone(),
-            scan_fingerprint,
-            probe_fingerprint,
-            shared: parking_lot::Mutex::new(None),
-        })))
-    }
-
     fn execute(&self) -> Result<ChunkStream> {
         let ctx = QueryContext::current();
         // Materialize both sides.
@@ -681,70 +644,5 @@ mod tests {
             1,
         );
         assert!(bad.is_err());
-    }
-
-    #[test]
-    fn binding_a_parameterized_subtree_drops_its_sharing_tags() {
-        use cx_exec::operators::FilterExec;
-        use cx_expr::{col, param};
-
-        // Two different bindings of one template fingerprint alike (the
-        // planner's tags come from the template, where parameters hash by
-        // slot), so a bound join must not advertise a sweep over a subtree
-        // the binding changed — a mis-grouped join drops matches silently.
-        let parameterized =
-            |side: Arc<dyn PhysicalOperator>| -> Arc<dyn PhysicalOperator> {
-                Arc::new(FilterExec::new(side, &col("id").gt(param(0))).unwrap())
-            };
-        let template = |left: Arc<dyn PhysicalOperator>, right: Arc<dyn PhysicalOperator>| {
-            SemanticJoinExec::new(
-                left,
-                right,
-                "name",
-                "label",
-                0.9,
-                "sim",
-                cache(),
-                1,
-            )
-            .unwrap()
-            .with_scan_fingerprint(0xbeef)
-            .with_probe_fingerprint(0xfeed)
-        };
-
-        // Parameter below the build (right) side: the bound join is not
-        // shareable at all.
-        let catalog_with_id: Arc<dyn PhysicalOperator> = {
-            let table = Table::from_columns(
-                Schema::new(vec![
-                    Field::new("id", DataType::Int64),
-                    Field::new("label", DataType::Utf8),
-                ]),
-                vec![
-                    Column::from_i64(vec![1, 2, 3, 4]),
-                    Column::from_strings(["sneakers", "coat", "cup", "oxfords"]),
-                ],
-            )
-            .unwrap();
-            Arc::new(TableScanExec::new(Arc::new(table)))
-        };
-        let join = template(products(), parameterized(catalog_with_id.clone()));
-        assert!(join.scan_signature().is_some());
-        let bound = join.bind_params(&[Scalar::Int64(2)]).unwrap().unwrap();
-        assert!(bound.scan_signature().is_none(), "bound build side must not share");
-
-        // Parameter below the probe (left) side: still shareable, but the
-        // probe-subtree reuse hint is gone.
-        let join = template(parameterized(products()), catalog());
-        let bound = join.bind_params(&[Scalar::Int64(2)]).unwrap().unwrap();
-        let sig = bound.scan_signature().expect("build side unchanged");
-        assert_eq!(
-            sig.probe,
-            cx_exec::ProbeSource::Child { child: 0, column: 1, fingerprint: None }
-        );
-
-        // No parameters below either side: tags survive binding untouched.
-        let join = template(products(), catalog());
-        assert!(join.bind_params(&[Scalar::Int64(2)]).unwrap().is_none());
     }
 }

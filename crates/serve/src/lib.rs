@@ -8,7 +8,8 @@
 //! adds the mechanisms one-shot execution lacks:
 //!
 //! * **[`PlanCache`]** — repeated and parameterized-identical queries skip
-//!   logical optimization *and* physical planning. Keyed by
+//!   logical optimization; each execution lowers the cached plan from the
+//!   engine's planning snapshot (a tree walk). Keyed by
 //!   [`LogicalPlan::fingerprint`] ⊕ [`config_fingerprint`], invalidated by
 //!   catalog version, LRU-bounded. Each cached plan also memoizes its
 //!   result table ([`ServeConfig::cache_results`]): the engine is
@@ -38,12 +39,12 @@
 //! * **[`Prepared`]** — prepared statements with parameter binding: a
 //!   template with placeholder slots ([`cx_expr::param`],
 //!   `Query::semantic_filter_param`, `Query::limit_param`) is optimized
-//!   and lowered once per template ⊕ config ⊕ catalog version (an ad-hoc
-//!   query is the zero-parameter case of the same serving path);
-//!   [`Prepared::execute`] binds values into a copy of the cached
-//!   physical tree, re-costs admission with the bound literals, memoizes
-//!   results per binding vector, and still participates in multi-query
-//!   scan sharing.
+//!   once per template ⊕ config ⊕ catalog version (an ad-hoc query is
+//!   the zero-parameter case of the same serving path);
+//!   [`Prepared::execute`] binds values into the cached logical plan,
+//!   re-costs admission with the bound literals, lowers the bound plan,
+//!   memoizes results per binding vector, and still participates in
+//!   multi-query scan sharing.
 //! * **SQL** ([`Session::sql`]) — a text front-end (`cx_sql`: SELECT
 //!   plus the semantic extensions `SEMANTIC LIKE`, `SEMANTIC JOIN ... ON
 //!   SIM(..)`, `GROUP BY SEMANTIC`, and `PREPARE`/`EXECUTE`/`EXPLAIN`)
@@ -82,7 +83,7 @@
 //! let server = Server::new(engine, ServeConfig::default());
 //! let query = server.table("products").unwrap()
 //!     .semantic_filter("name", "boots", "hash-ngram", 0.99);
-//! // First execution optimizes, lowers, caches; the repeat is a plan hit.
+//! // First execution optimizes and caches; the repeat is a plan hit.
 //! let cold = server.execute(&query).unwrap();
 //! let warm = server.execute(&query).unwrap();
 //! assert_eq!(cold.table.num_rows(), 2);
@@ -538,6 +539,88 @@ mod tests {
                 assert_eq!(served.table.row(r).unwrap(), solo.table.row(r).unwrap());
             }
         }
+    }
+
+    #[test]
+    fn bound_joins_share_a_sweep_iff_their_build_bindings_match() {
+        use crate::coalesce::testing::{spin_until, ManualClock};
+        use cx_expr::{param, Expr};
+        use cx_storage::Scalar;
+        // One template, parameterized on both sides: `$0` filters the
+        // probe (left) side, `$1` the build (right) side.
+        let join = |server: &Server, price: Expr, category: Expr| {
+            let kb = server.table("kb").unwrap().filter(col("category").eq(category));
+            server
+                .table("products")
+                .unwrap()
+                .filter(col("price").gt(price))
+                .semantic_join(kb, "name", "label", "m", 0.9)
+                .sort(&[("product_id", true), ("label", true)])
+        };
+        // Releases every clock wait even when a spin below gives up, so a
+        // failure reports instead of hanging the scope's joins.
+        struct Release(Arc<ManualClock>, std::time::Duration);
+        impl Drop for Release {
+            fn drop(&mut self) {
+                self.0.advance(self.1);
+            }
+        }
+        // Queues two bound executions of the template on a fresh server,
+        // checks each against the bare engine, and returns whether each
+        // was served by a shared sweep plus the server's sharing stats.
+        let run_pair = |bindings: [(f64, &str); 2]| {
+            let clock = ManualClock::new();
+            let engine = engine_with_data();
+            engine.register_model(Arc::new(cx_embed::HashNGramModel::new(3)));
+            let config = ServeConfig { cache_results: false, ..ServeConfig::default() };
+            let server = Server::with_clock(engine.clone(), config, clock.clone());
+            // Model "m" starts warm, so only the pin below ever parks in a
+            // batcher.
+            engine.embedding_cache("m").unwrap().prefetch([
+                "boots", "parka", "kitten", "sneakers", "coat", "oxfords", "windbreaker", "shoes",
+                "jacket", "clothes",
+            ]);
+            let prepared = server.session().prepare(&join(&server, param(0), param(1))).unwrap();
+            // Pins the contention signal, as in the test above.
+            let pin = server.table("products").unwrap().semantic_group_by(
+                "name",
+                "hash-ngram",
+                0.9,
+                vec![cx_exec::logical::AggSpec::count_star("n")],
+            );
+            let params = bindings.map(|(price, category)| {
+                vec![Scalar::Float64(price), Scalar::from(category)]
+            });
+            let shared = std::thread::scope(|s| {
+                let release = Release(clock.clone(), config.scan_linger.max(config.batch_linger));
+                let pinned = s.spawn(|| server.execute(&pin).unwrap());
+                let cold = server.batcher("hash-ngram").unwrap();
+                spin_until("the pin parks", || cold.groups.parked() == 1);
+                let first = s.spawn(|| prepared.execute(&params[0]).unwrap());
+                spin_until("the first join queues", || server.scan_queue.groups.parked() == 1);
+                let second = s.spawn(|| prepared.execute(&params[1]).unwrap());
+                spin_until("the second join queues", || server.scan_queue.groups.parked() == 2);
+                drop(release);
+                pinned.join().unwrap();
+                [first.join().unwrap(), second.join().unwrap()]
+            });
+            for (served, (price, category)) in shared.iter().zip(bindings) {
+                let solo = engine.execute(&join(&server, lit(price), lit(category))).unwrap();
+                assert!(solo.table.num_rows() > 0, "{category}: empty join");
+                assert_eq!(served.table.num_rows(), solo.table.num_rows());
+                for r in 0..solo.table.num_rows() {
+                    assert_eq!(served.table.row(r).unwrap(), solo.table.row(r).unwrap());
+                }
+            }
+            let stats = server.scan_sharing_stats();
+            (shared.map(|r| r.shared_scan), (stats.groups, stats.shared_groups))
+        };
+
+        // Equal build-side bindings (the probe sides differ): one sweep.
+        assert_eq!(run_pair([(20.0, "clothes"), (50.0, "clothes")]), ([true, true], (1, 1)));
+        // Different build-side bindings sweep different panels: two
+        // singleton groups, each run solo.
+        assert_eq!(run_pair([(20.0, "shoes"), (20.0, "jacket")]), ([false, false], (2, 0)));
     }
 
     #[test]

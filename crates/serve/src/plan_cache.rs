@@ -1,4 +1,4 @@
-//! The plan cache: optimized + lowered plans keyed by query fingerprint.
+//! The plan cache: optimized logical plans keyed by query fingerprint.
 //!
 //! Optimization is real work for context-rich queries — rule rewrites to
 //! fixpoint plus sampling-based selectivity probes that *embed sample
@@ -10,14 +10,15 @@
 //! the version and lazily invalidates every older entry on its next
 //! lookup.
 //!
-//! The cached unit is the *lowered* physical operator tree (re-executable,
-//! `Send + Sync`) plus the optimizer by-products, so a hit skips both
-//! optimization and physical planning.
+//! The cached unit is the optimized *logical* plan plus the optimizer
+//! by-products, so a hit skips optimization. Every execution binds its
+//! parameters into that plan and lowers the bound plan into an operator
+//! tree of its own — cheap, because lowering reads the engine's planning
+//! snapshot — so nothing executable is ever shared between executions.
 //!
 //! [`LogicalPlan::fingerprint`]: cx_exec::logical::LogicalPlan::fingerprint
 
 use cx_exec::logical::LogicalPlan;
-use cx_exec::PhysicalOperator;
 use cx_optimizer::OptimizerConfig;
 use cx_storage::{Scalar, Table};
 use parking_lot::Mutex;
@@ -78,16 +79,11 @@ impl BindingKey {
     }
 }
 
-/// One cached, ready-to-execute plan.
+/// One cached, optimized plan.
 pub struct CachedPlan {
-    /// The lowered operator tree (re-executable; every `execute()` re-runs
-    /// it against the tables captured at lowering time). Prepared
-    /// executions bind their parameters into a copy of this tree
-    /// (`PhysicalOperator::bind_params`) — the cached tree itself is never
-    /// mutated.
-    pub physical: Arc<dyn PhysicalOperator>,
-    /// The optimized logical plan (EXPLAIN / debugging; also the tree the
-    /// prepared path re-costs with bound literals for admission).
+    /// The optimized logical plan — a template when the statement has
+    /// parameters. Each execution binds it (`LogicalPlan::bind_params`),
+    /// re-costs the bound plan for admission, and lowers it.
     pub optimized: LogicalPlan,
     /// Optimizer rule trace.
     pub rules_fired: Vec<String>,
@@ -102,13 +98,6 @@ pub struct CachedPlan {
     /// fingerprint, so two (template, config) pairs can collide on a key;
     /// a hit is validated against this field before reuse.
     pub exact_fingerprint: u64,
-    /// The plan's shareable scan, discovered at build time
-    /// (`cx_exec::find_shared_scan`): the operator node inside
-    /// `physical` plus its signature. `None` for plans with no mergeable
-    /// sweep (including templates whose probe is an unbound parameter —
-    /// a bound execution re-discovers the scan on its bound tree); such
-    /// plans execute solo.
-    pub shared_scan: Option<(Arc<dyn PhysicalOperator>, cx_exec::ScanSignature)>,
     /// Memoized result of executing this plan. Sound because the engine is
     /// deterministic and the plan is pinned to one catalog version: the
     /// same fingerprint over the same catalog produces the same table, so
@@ -193,8 +182,6 @@ pub struct PlanEntryInfo {
     pub estimated_cost: f64,
     /// Number of optimizer rules that fired.
     pub rules_fired: usize,
-    /// Whether the plan advertises a mergeable shared scan.
-    pub shared_scan: bool,
     /// Whether the plan scans live `cx.*` state (result memo disabled).
     pub volatile: bool,
     /// Whether a memoized result is pinned.
@@ -288,7 +275,6 @@ impl PlanCache {
                 estimated_rows: plan.estimated_rows,
                 estimated_cost: plan.estimated_cost,
                 rules_fired: plan.rules_fired.len(),
-                shared_scan: plan.shared_scan.is_some(),
                 volatile: plan.volatile,
                 has_result: plan.result.lock().is_some(),
                 bound_results: plan.bound_results.lock().len(),
@@ -337,17 +323,10 @@ pub fn config_fingerprint(config: &OptimizerConfig) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cx_exec::TableScanExec;
     use cx_storage::{Column, DataType, Field, Schema, Table};
 
     fn plan(version: u64) -> Arc<CachedPlan> {
-        let table = Table::from_columns(
-            Schema::new(vec![Field::new("x", DataType::Int64)]),
-            vec![Column::from_i64(vec![1])],
-        )
-        .unwrap();
         Arc::new(CachedPlan {
-            physical: Arc::new(TableScanExec::new(Arc::new(table))),
             optimized: LogicalPlan::Scan {
                 source: "t".into(),
                 schema: Arc::new(Schema::new(vec![Field::new("x", DataType::Int64)])),
@@ -357,7 +336,6 @@ mod tests {
             estimated_cost: 2.0,
             catalog_version: version,
             exact_fingerprint: 0,
-            shared_scan: None,
             result: Mutex::new(None),
             bound_results: Mutex::new(HashMap::new()),
             volatile: false,

@@ -1,31 +1,35 @@
-//! Prepared statements: optimize and lower a parameterized template once,
-//! bind values at execute time.
+//! Prepared statements: optimize a parameterized template once, bind
+//! values and lower per execution.
 //!
 //! The common shape of heavy traffic is *one query template, many
 //! literals*: `name ~ $0` for a million different users' search strings.
 //! The plain plan cache cannot help — every distinct literal is a distinct
 //! [`LogicalPlan::fingerprint`], so every request re-optimizes (including
-//! sampling-based selectivity probes), re-lowers, and re-warms. A
-//! [`Prepared`] handle moves all of that to `prepare` time:
+//! sampling-based selectivity probes) and re-warms. A [`Prepared`] handle
+//! moves that to `prepare` time:
 //!
 //! 1. **Prepare** — the template (built with [`cx_expr::param`],
 //!    `Query::semantic_filter_param`, `Query::limit_param`) is optimized
-//!    and lowered once; the entry lands in the server's shared plan cache
+//!    once; the optimized plan lands in the server's shared plan cache
 //!    under the template's [`LogicalPlan::fingerprint`] — parameter slots
 //!    hash by slot, so the hash is the same for every binding, while
 //!    same-shape templates that differ in an unparameterized literal stay
 //!    apart — ⊕ the session's config fingerprint, pinned to the catalog
 //!    version. Every binding of one template — and every re-prepare of an
 //!    equivalent template — resolves to this one entry.
-//! 2. **Execute** — the binding vector is substituted into a *copy* of the
-//!    cached physical tree (`PhysicalOperator::bind_params`; unaffected
-//!    subtrees stay shared), admission is weighted with a cost estimate
-//!    over the *bound* logical plan (the template was costed with
-//!    placeholder defaults), and the result is memoized per binding
-//!    vector. Bound executions expose their scan signature like any other
-//!    query, so they coalesce into multi-query shared sweeps.
+//! 2. **Execute** — the binding vector is substituted into the optimized
+//!    plan (`LogicalPlan::bind_params`), admission is weighted with a cost
+//!    estimate over that *bound* plan (the template was costed with
+//!    placeholder defaults), and the bound plan is lowered from the
+//!    engine's planning snapshot into a tree this execution alone runs —
+//!    so each physical choice (a semantic join's panel tier, say) is made
+//!    for the bound literals, exactly as ad-hoc execution makes it. The
+//!    result is memoized per binding vector. Bound executions expose the
+//!    scan signature of the subtree they actually scan, so they coalesce
+//!    into multi-query shared sweeps with any query that scans the same
+//!    panel.
 //! 3. **Invalidation** — entries are pinned to the catalog version;
-//!    executing a stale handle transparently re-optimizes and re-lowers.
+//!    executing a stale handle transparently re-optimizes.
 //!    Nothing is ever served from a plan (or memo) built against an older
 //!    catalog.
 //!
@@ -84,8 +88,9 @@ impl<'a> Statement<'a> {
     }
 }
 
-/// A prepared statement: a query template optimized and lowered once,
-/// executable any number of times with different parameter bindings.
+/// A prepared statement: a query template optimized once, executable any
+/// number of times with different parameter bindings (each execution
+/// binds the optimized plan and lowers it from the planning snapshot).
 ///
 /// Obtain one from [`crate::Session::prepare`]; see the [module
 /// docs](self) for the lifecycle. Handles are `Send + Sync` and cheap to
@@ -139,8 +144,8 @@ pub struct Prepared {
 
 impl Prepared {
     /// Validates the template (parameter slots must be contiguous from
-    /// `$0`), optimizes and lowers it eagerly so the first `execute`
-    /// already hits the cached plan, and returns the handle.
+    /// `$0`), optimizes it eagerly so the first `execute` already hits the
+    /// cached plan, and returns the handle.
     pub(crate) fn new(
         server: Arc<Server>,
         template: Query,
@@ -167,8 +172,8 @@ impl Prepared {
 
     /// Whether prepare time resolved an already-cached plan for this
     /// template (an equivalent template was prepared — or an equivalent
-    /// statement auto-parameterized — before), rather than optimizing and
-    /// lowering fresh.
+    /// statement auto-parameterized — before), rather than optimizing
+    /// fresh.
     pub fn shape_cache_hit(&self) -> bool {
         self.shape_cache_hit
     }

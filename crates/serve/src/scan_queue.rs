@@ -42,9 +42,8 @@ pub struct ScanQueueConfig {
 
 /// One query waiting for (or leading) a shared sweep.
 pub struct GroupEntry {
-    /// The query's execution unit: resolved plan, the tree to run (the
-    /// cached tree for ad-hoc queries, a parameter-bound copy for
-    /// prepared executions), memo slot, and admission weight.
+    /// The query's execution unit: resolved plan, the tree to run (lowered
+    /// for this execution alone), memo slot, and admission weight.
     pub unit: ExecUnit,
     /// The shareable scan node inside the unit's executable tree.
     pub node: Arc<dyn PhysicalOperator>,
@@ -179,16 +178,12 @@ impl Server {
         // Multi-query scan sharing: plans with a shareable sweep queue up
         // by group key — the scan signature's key ⊕ the config fingerprint
         // (configs change how subtrees lower) ⊕ the catalog version (never
-        // group across registrations). Bound executions re-discover the
-        // scan on their *bound* tree; the signature's group key excludes
-        // per-query probes, so bound sweeps join ad-hoc groups freely.
+        // group across registrations). Every execution lowers its own
+        // bound tree, so the candidate fingerprint is that of the subtree
+        // actually scanned; the group key excludes per-query probes, so
+        // bound sweeps join ad-hoc groups freely.
         if self.config.mqo {
-            let shared = if unit.binding.is_empty() {
-                unit.cached.shared_scan.clone()
-            } else {
-                find_shared_scan(&unit.root)
-            };
-            if let Some((node, sig)) = shared {
+            if let Some((node, sig)) = find_shared_scan(&unit.root) {
                 let group_key = sig.group_key()
                     ^ cfg_fp
                     ^ unit.cached.catalog_version.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -369,7 +364,10 @@ impl Server {
                 // A member whose result got memoized since it queued (an
                 // identical query in this very group, say) skips
                 // execution — memo hits never re-execute.
-                if let Some(result) = self.try_result_memo(&e.unit) {
+                let u = &e.unit;
+                if let Some(result) =
+                    self.try_result_memo(&u.cached, &u.binding, u.cost, u.plan_cache_hit, u.started)
+                {
                     return Ok(result);
                 }
                 if i > 0 {

@@ -15,15 +15,17 @@
 //!    sampling probes hit the cache too),
 //! 2. **resolves the plan** — a [`PlanCache`] lookup on the template's
 //!    `LogicalPlan::fingerprint() ⊕ config_fingerprint(...)`, validated
-//!    against the catalog version; a miss optimizes + lowers once and
-//!    caches the re-executable operator tree; a replayed (template,
-//!    binding vector) is then served from the entry's result memo, and
-//!    anything else binds its parameters into a copy of the cached tree,
+//!    against the catalog version; a miss optimizes once and caches the
+//!    optimized logical plan; a replayed (template, binding vector) is
+//!    then served from the entry's result memo, and anything else binds
+//!    its parameters into the optimized plan and lowers the bound plan
+//!    into an operator tree of its own (from the engine's planning
+//!    snapshot, so lowering is a tree walk),
 //! 3. **admits** — [`CostGate::acquire_ctx`] on the optimizer's cost
 //!    estimate bounds the total estimated cost executing at once, sheds
 //!    with [`QueryError::QueueFull`] past [`ServeConfig::max_queued`]
 //!    waiters, and lets queued queries honor their deadlines,
-//! 4. **executes** — the cached physical tree runs wrapped in
+//! 4. **executes** — the execution's own physical tree runs wrapped in
 //!    [`InstrumentedExec`] under the query's [`QueryContext`] scope, so
 //!    deadline/cancellation/budget checks reach every chunk and kernel
 //!    tile, and per-operator rows/time accumulate into the server-level
@@ -61,7 +63,7 @@ use crate::scan_queue::{ScanQueue, ScanQueueConfig, ScanQueueStats};
 use context_engine::{Engine, Query};
 use cx_exec::logical::LogicalPlan;
 use cx_exec::metrics::InstrumentedExec;
-use cx_exec::{bind_physical, collect_table, find_shared_scan, ExecMetrics, PhysicalOperator};
+use cx_exec::{collect_table, ExecMetrics, PhysicalOperator};
 use crate::watchdog::{WatchdogConfig, WatchdogHandle};
 use cx_obs::{Histogram, IncidentLog, ProfileSpan, QueryProfile, QueryTrace, TraceRing};
 use cx_optimizer::OptimizerConfig;
@@ -238,17 +240,16 @@ pub struct ServeResult {
     pub trace: Option<QueryTrace>,
 }
 
-/// One statement's execution state as it flows through result
-/// memoization, scan grouping, admission and execution. With no
-/// parameters (an ad-hoc query) it executes the cached tree itself and
-/// memoizes at the plan level; with parameters it runs a bound copy and
-/// memoizes per binding vector.
+/// One statement's execution state as it flows through scan grouping,
+/// admission and execution. With no parameters (an ad-hoc query) it
+/// memoizes at the plan level; with parameters it memoizes per binding
+/// vector.
 #[derive(Clone)]
 pub struct ExecUnit {
     /// The resolved plan-cache entry.
     pub cached: Arc<CachedPlan>,
-    /// The tree to execute: the cached tree itself, or its
-    /// parameter-bound copy when the statement has parameters.
+    /// The tree to execute, lowered from the cached plan (bound to the
+    /// statement's parameters) for this execution alone.
     pub root: Arc<dyn PhysicalOperator>,
     /// The binding vector's memo key (empty = no parameters; the
     /// plan-level result memo applies instead of the per-binding one).
@@ -598,8 +599,8 @@ impl Server {
     /// context, trace + profile window, then per attempt (panics
     /// contained, one solo retry on a transient failure) plan resolution
     /// through the shared plan cache, the result-memo probe, parameter
-    /// binding into a copy of the cached tree with admission re-weighed
-    /// over the *bound* plan, and dispatch (scan sharing → solo); finally
+    /// binding into the optimized plan with admission re-weighed over the
+    /// *bound* plan, lowering, and dispatch (scan sharing → solo); finally
     /// the outcome lands in the lifecycle counters and the trace is
     /// sealed.
     ///
@@ -648,37 +649,42 @@ impl Server {
             pc_span.set_detail(if hit { "hit" } else { "miss" });
             drop(pc_span);
 
-            // Memo first: a replay skips parameter rebinding, cost
+            // Memo first: a replay skips binding, lowering, cost
             // estimation, grouping and admission outright (memoized
             // replays must never re-enter the cost gate) — on the solo
             // retry too, where a result memoized since the first attempt
             // still counts.
-            let mut unit = ExecUnit {
-                root: cached.physical.clone(),
-                binding: BindingKey::new(params),
-                cost: cached.estimated_cost,
+            let binding = BindingKey::new(params);
+            if let Some(result) =
+                self.try_result_memo(&cached, &binding, cached.estimated_cost, hit, start)
+            {
+                return Ok(result);
+            }
+
+            // Bind the optimized plan and lower it into this execution's
+            // own tree. With parameters, re-cost the bound plan too — the
+            // template was optimized with placeholder slots and default
+            // selectivities, but admission should weigh the real query.
+            let bind_span = cx_obs::span("bind_params");
+            let (root, cost) = if params.is_empty() {
+                let root = self.engine.lower_plan_with(&cached.optimized, stmt.config)?;
+                (root, cached.estimated_cost)
+            } else {
+                let bound = cached.optimized.bind_params(params)?;
+                let root = self.engine.lower_plan_with(&bound, stmt.config)?;
+                (root, self.engine.estimate_plan_cost(&bound, stmt.config))
+            };
+            drop(bind_span);
+            let unit = ExecUnit {
                 cached,
+                root,
+                binding,
+                cost,
                 plan_cache_hit: hit,
                 started: start,
                 ctx: ctx.clone(),
                 trace: trace.clone(),
             };
-            if let Some(result) = self.try_result_memo(&unit) {
-                return Ok(result);
-            }
-
-            if !params.is_empty() {
-                // Bind the physical tree (subtrees without parameters
-                // stay shared) and re-cost the plan with the bound
-                // literals — the template was optimized with placeholder
-                // slots and default selectivities, but admission should
-                // weigh the real query.
-                let _bind_span = cx_obs::span("bind_params");
-                unit.root = bind_physical(&unit.cached.physical, params)?;
-                unit.cost = self
-                    .engine
-                    .estimate_plan_cost(&unit.cached.optimized.bind_params(params)?, stmt.config);
-            }
             if solo {
                 self.execute_solo(&unit)
             } else {
@@ -839,8 +845,8 @@ impl Server {
     /// First sight of a plan: warms its embedding working set through the
     /// batcher *before* optimizing, so the optimizer's sampling probes
     /// and the execution both hit the cache — and so concurrent
-    /// first-timers coalesce into shared batches — then optimizes and
-    /// lowers. Plan-cache hits skip all of this: their working set was
+    /// first-timers coalesce into shared batches — then optimizes.
+    /// Plan-cache hits skip all of this: their working set was
     /// warmed when the plan was first built, and execution re-embeds
     /// strays through the cache anyway.
     fn build_plan(
@@ -852,10 +858,7 @@ impl Server {
     ) -> Result<Arc<CachedPlan>> {
         self.warm_embeddings(query.plan())?;
         let planned = self.engine.optimize_query_with(query, opt_config);
-        let physical = self.engine.lower_plan_with(&planned.plan, opt_config)?;
         Ok(Arc::new(CachedPlan {
-            shared_scan: find_shared_scan(&physical),
-            physical,
             volatile: plan_scans_system_table(&planned.plan),
             optimized: planned.plan,
             rules_fired: planned.rules_fired,
@@ -868,30 +871,38 @@ impl Server {
         }))
     }
 
-    /// Serves `unit` from its result memo if enabled and populated — the
-    /// plan-level memo with no parameters, the per-binding memo
-    /// otherwise.
-    pub(crate) fn try_result_memo(&self, unit: &ExecUnit) -> Option<ServeResult> {
+    /// Serves `binding` of `cached` from the result memo if enabled and
+    /// populated — the plan-level memo with no parameters, the
+    /// per-binding memo otherwise. `cost`, `plan_cache_hit` and `started`
+    /// describe the serving statement for its [`ServeResult`].
+    pub(crate) fn try_result_memo(
+        &self,
+        cached: &CachedPlan,
+        binding: &BindingKey,
+        cost: f64,
+        plan_cache_hit: bool,
+        started: Instant,
+    ) -> Option<ServeResult> {
         // Volatile plans scan live `cx.*` state: the *plan* stays cached
         // (lowering is as deterministic as ever) but the data is a
         // point-in-time snapshot, so the memo is never read or written.
-        if !self.config.cache_results || unit.cached.volatile {
+        if !self.config.cache_results || cached.volatile {
             return None;
         }
-        let table = if unit.binding.is_empty() {
-            unit.cached.result.lock().clone()?
+        let table = if binding.is_empty() {
+            cached.result.lock().clone()?
         } else {
-            unit.cached.bound_results.lock().get(&unit.binding).cloned()?
+            cached.bound_results.lock().get(binding).cloned()?
         };
         self.serving.queries.fetch_add(1, Ordering::Relaxed);
         self.serving.result_cache_hits.fetch_add(1, Ordering::Relaxed);
         Some(ServeResult {
             table,
-            elapsed: unit.started.elapsed(),
-            rules_fired: unit.cached.rules_fired.clone(),
-            estimated_rows: unit.cached.estimated_rows,
-            estimated_cost: unit.cost,
-            plan_cache_hit: unit.plan_cache_hit,
+            elapsed: started.elapsed(),
+            rules_fired: cached.rules_fired.clone(),
+            estimated_rows: cached.estimated_rows,
+            estimated_cost: cost,
+            plan_cache_hit,
             result_cache_hit: true,
             shared_scan: false,
             trace: None,
@@ -1179,11 +1190,11 @@ impl Session {
     }
 
     /// Prepares a query template for repeated execution with different
-    /// parameter bindings: optimizes and lowers it once (the plan enters
+    /// parameter bindings: optimizes it once (the optimized plan enters
     /// the server's plan cache keyed by the template's *shape*), and
     /// returns a handle whose [`Prepared::execute`] binds values into the
-    /// cached physical plan — no re-optimization, no re-lowering, results
-    /// memoized per binding vector.
+    /// cached plan and lowers the bound plan from the engine's planning
+    /// snapshot — no re-optimization, results memoized per binding vector.
     ///
     /// The handle snapshots this session's optimizer configuration;
     /// re-prepare after [`Session::set_optimizer_config`] to pick up a

@@ -70,7 +70,7 @@ cx_obs::metric_family! {
         auto_param: counter "cx_serve_sql_auto_param_total"
             "Ad-hoc SQL statements auto-parameterized into prepared shapes",
         /// Auto-parameterized statements whose shape was already cached
-        /// (no re-optimization, no re-lowering).
+        /// (no re-optimization).
         auto_param_shape_hits: counter "cx_serve_sql_auto_param_shape_hits_total"
             "Auto-parameterized statements resolved by a cached shape",
         /// Ad-hoc statements with no liftable literal, planned exactly.

@@ -429,7 +429,6 @@ impl PlanCacheTable {
                 Field::required("estimated_rows", DataType::Float64),
                 Field::required("estimated_cost", DataType::Float64),
                 Field::required("rules_fired", DataType::Int64),
-                Field::required("shared_scan", DataType::Bool),
                 Field::required("volatile", DataType::Bool),
                 Field::required("has_result", DataType::Bool),
                 Field::required("bound_results", DataType::Int64),
@@ -462,7 +461,6 @@ impl SystemTableSource for PlanCacheTable {
                 Column::from_f64(entries.iter().map(|e| e.estimated_rows).collect()),
                 Column::from_f64(entries.iter().map(|e| e.estimated_cost).collect()),
                 Column::from_i64(entries.iter().map(|e| e.rules_fired as i64).collect()),
-                Column::from_bools(entries.iter().map(|e| e.shared_scan).collect()),
                 Column::from_bools(entries.iter().map(|e| e.volatile).collect()),
                 Column::from_bools(entries.iter().map(|e| e.has_result).collect()),
                 Column::from_i64(entries.iter().map(|e| e.bound_results as i64).collect()),

@@ -13,7 +13,8 @@
 use context_analytics::exec::logical::{AggFunc, AggSpec, JoinType};
 use context_analytics::expr::{col, lit};
 use context_analytics::{Engine, EngineConfig, Query, ServeConfig, Server, SqlResponse};
-use cx_embed::ClusteredTextModel;
+use context_analytics::sql::{Bound, SchemaProvider};
+use cx_embed::{ClusteredTextModel, HashNGramModel};
 use cx_storage::{Column, DataType, Field, Scalar, Schema, Table};
 use std::sync::Arc;
 use std::time::Duration;
@@ -432,4 +433,57 @@ fn storm_of_eight_clients_stays_bit_identical() {
         stats.sql.shape_hit_rate(),
         stats.sql
     );
+}
+
+/// The binder's view of a bare engine, so a test can run SQL text
+/// through `Engine::execute`.
+struct EngineSchemas<'a>(&'a Engine);
+
+impl SchemaProvider for EngineSchemas<'_> {
+    fn table_schema(&self, name: &str) -> Option<Schema> {
+        self.0.table(name).ok().and_then(|q| q.plan().schema().ok())
+    }
+
+    fn model_names(&self) -> Vec<String> {
+        self.0.catalog().models().names()
+    }
+}
+
+#[test]
+fn tolerant_semantic_join_serves_its_literals_tier() {
+    // Under an int8-admitting recall tolerance the panel tier follows the
+    // estimated pair count. The auto-parameterized template costs
+    // `a_id >= $0` at a default selectivity whose estimate clears the
+    // quantization floor; the literal's histogram keeps the bare engine
+    // on f32. Served and bare execution must agree bit for bit: the tier
+    // is chosen when the *bound* plan is lowered.
+    let mut config = EngineConfig::default();
+    config.optimizer.recall_tolerance = 5e-2;
+    let engine = Arc::new(Engine::new(config));
+    engine.register_model(Arc::new(HashNGramModel::new(42)));
+    let rows = 2_000i64;
+    for (table, prefix, modulus) in [("a", "a", 40), ("b", "b", 50)] {
+        let t = Table::from_columns(
+            Schema::new(vec![
+                Field::new(format!("{prefix}_id"), DataType::Int64),
+                Field::new(format!("{prefix}_name"), DataType::Utf8),
+            ]),
+            vec![
+                Column::from_i64((0..rows).collect()),
+                Column::from_strings((0..rows).map(|i| format!("item {}", i % modulus))),
+            ],
+        )
+        .unwrap();
+        engine.register_table(table, t).unwrap();
+    }
+    let sql = "SELECT a_id, b_id, similarity FROM a SEMANTIC JOIN b \
+               ON SIM(a_name, b_name) >= 0.8 WHERE a_id >= 1990 ORDER BY a_id, b_id";
+    let parsed = context_analytics::sql::parse(sql).unwrap();
+    let bound = context_analytics::sql::bind(&parsed, &EngineSchemas(&engine)).unwrap();
+    let Bound::Query(bound) = bound else { panic!("not a query: {sql}") };
+    let expected = engine.execute(&Query::from_plan(bound.plan)).unwrap().table;
+    assert!(expected.num_rows() > 0);
+    let server = Server::new(engine, ServeConfig::default());
+    let got = sql_rows(&server.session(), sql);
+    assert_tables_bit_identical(&got, &expected, sql);
 }
