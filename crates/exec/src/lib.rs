@@ -11,7 +11,8 @@
 //! * [`physical`] — the operator trait and chunk-at-a-time executor,
 //! * [`operators`] — relational physical operators (scan, filter, project,
 //!   hash join, nested-loop join, hash aggregate, sort, limit, distinct,
-//!   union),
+//!   union); `ORDER BY … LIMIT k` is a sort bounded to k rows, selected
+//!   by [`top_n_by`] on column cells compared in place ([`cell_cmp`]),
 //! * `keys` (crate-private) — the one keying primitive behind the hash
 //!   join, the hash aggregate and DISTINCT: a row's key is hashed and
 //!   compared on its column cells in place, and only a key's first
@@ -39,9 +40,9 @@ pub use logical::{
 };
 pub use metrics::{ExecMetrics, OperatorMetrics};
 pub use operators::{
-    scalar_cmp, Accumulator,
-    DistinctExec, FilterExec, HashAggregateExec, HashJoinExec, LimitExec, NestedLoopJoinExec,
-    ProjectExec, SortExec, SystemTableScanExec, TableScanExec, UnionExec,
+    cell_cmp, keys_cmp, scalar_cmp, top_n_by, Accumulator, DistinctExec, FilterExec,
+    HashAggregateExec, HashJoinExec, LimitExec, NestedLoopJoinExec, ProjectExec, SortExec,
+    SystemTableScanExec, TableScanExec, UnionExec,
 };
 pub use parallel::parallel_map_chunks;
 pub use physical::{collect, collect_table, ChunkStream, PhysicalOperator};

@@ -45,6 +45,54 @@ pub fn scalar_cmp(a: &Scalar, b: &Scalar) -> Ordering {
     }
 }
 
+/// [`scalar_cmp`] of two cells of one column, read in place:
+/// `cell_cmp(col, a, b) == scalar_cmp(&col.get(a), &col.get(b))`.
+pub fn cell_cmp(col: &Column, a: usize, b: usize) -> Ordering {
+    match (col.is_valid(a), col.is_valid(b)) {
+        (true, true) => {}
+        (va, vb) => return va.cmp(&vb),
+    }
+    match col {
+        Column::Bool { values, .. } => values[a].cmp(&values[b]),
+        Column::Int64 { values, .. } | Column::Timestamp { values, .. } => {
+            values[a].cmp(&values[b])
+        }
+        Column::Float64 { values, .. } => values[a].total_cmp(&values[b]),
+        Column::Utf8 { values, .. } => values[a].cmp(&values[b]),
+    }
+}
+
+/// Rows `a` and `b` in the lexicographic order of `keys`: a column, the
+/// row ids it is read through (`None`: the rows themselves), ascending.
+pub fn keys_cmp(keys: &[(&Column, Option<&[usize]>, bool)], a: usize, b: usize) -> Ordering {
+    for &(col, rows, asc) in keys {
+        let (x, y) = rows.map_or((a, b), |r| (r[a], r[b]));
+        match cell_cmp(col, x, y) {
+            Ordering::Equal => {}
+            ord if asc => return ord,
+            ord => return ord.reverse(),
+        }
+    }
+    Ordering::Equal
+}
+
+/// The positions of the first `k` of `0..n` in the order `cmp` gives,
+/// ties broken by position — the first `k` rows of a stable sort. One
+/// selection pass, then a sort of the `k` survivors.
+pub fn top_n_by(n: usize, k: usize, cmp: impl Fn(usize, usize) -> Ordering) -> Vec<usize> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let total = |a: &usize, b: &usize| cmp(*a, *b).then(a.cmp(b));
+    let mut rows: Vec<usize> = (0..n).collect();
+    if k < n {
+        rows.select_nth_unstable_by(k - 1, total);
+        rows.truncate(k);
+    }
+    rows.sort_unstable_by(total);
+    rows
+}
+
 // ---------------------------------------------------------------------------
 // TableScan
 // ---------------------------------------------------------------------------
@@ -765,11 +813,13 @@ impl PhysicalOperator for HashAggregateExec {
 // Sort / Limit / Distinct / Union
 // ---------------------------------------------------------------------------
 
-/// Total sort by one or more keys.
+/// Total sort by one or more keys, optionally bounded to its first `k`
+/// rows (`ORDER BY … LIMIT k`).
 pub struct SortExec {
     input: Arc<dyn PhysicalOperator>,
     /// `(column index, ascending)`.
     keys: Vec<(usize, bool)>,
+    limit: Option<usize>,
 }
 
 impl SortExec {
@@ -783,13 +833,20 @@ impl SortExec {
         if keys.is_empty() {
             return Err(Error::InvalidArgument("sort requires keys".into()));
         }
-        Ok(SortExec { input, keys })
+        Ok(SortExec { input, keys, limit: None })
+    }
+
+    /// Keeps only the first `k` rows of the sorted order.
+    pub fn with_limit(mut self, k: usize) -> Self {
+        self.limit = Some(k);
+        self
     }
 }
 
 impl PhysicalOperator for SortExec {
     fn name(&self) -> String {
-        format!("Sort [{} keys]", self.keys.len())
+        let limit = self.limit.map_or(String::new(), |k| format!(", limit {k}"));
+        format!("Sort [{} keys{limit}]", self.keys.len())
     }
 
     fn schema(&self) -> Arc<Schema> {
@@ -802,29 +859,22 @@ impl PhysicalOperator for SortExec {
 
     fn execute(&self) -> Result<ChunkStream> {
         let ctx = QueryContext::current();
-        let chunks = self.input.execute()?.collect::<Result<Vec<_>>>()?;
-        let all = if chunks.is_empty() {
-            Chunk::empty(self.schema())
-        } else {
-            Chunk::concat(&chunks)?
+        let mut chunks = self.input.execute()?.collect::<Result<Vec<_>>>()?;
+        let all = match chunks.len() {
+            0 => Chunk::empty(self.schema()),
+            1 => chunks.pop().expect("one chunk"),
+            _ => Chunk::concat(&chunks)?,
         };
         ctx.charge(all.memory_bytes());
         // The comparison sort itself is not interruptible; one check
         // before it bounds overshoot to the sort of already-admitted rows.
         ctx.check()?;
-        let mut indices: Vec<usize> = (0..all.num_rows()).collect();
-        indices.sort_by(|&a, &b| {
-            for &(k, asc) in &self.keys {
-                let col = &all.columns()[k];
-                let ord = scalar_cmp(&col.get(a), &col.get(b));
-                let ord = if asc { ord } else { ord.reverse() };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            a.cmp(&b) // stable tie-break
-        });
-        let sorted = all.take(&indices)?;
+        let n = all.num_rows();
+        let k = self.limit.map_or(n, |k| k.min(n));
+        let _span = cx_obs::span_with("sort", || format!("rows={n} k={k}"));
+        let keys: Vec<_> =
+            self.keys.iter().map(|&(c, asc)| (&all.columns()[c], None, asc)).collect();
+        let sorted = all.take(&top_n_by(n, k, |a, b| keys_cmp(&keys, a, b)))?;
         Ok(Box::new(std::iter::once(Ok(sorted))))
     }
 }
@@ -1265,6 +1315,39 @@ mod tests {
         assert_eq!(vals[2], Scalar::Float64(2.5));
         assert_eq!(vals[3], Scalar::Int64(5));
         assert_eq!(vals[4], Scalar::from("a"));
+    }
+
+    #[test]
+    fn cell_cmp_is_scalar_cmp_in_every_column_type() {
+        let nan = f64::from_bits(0x7ff8_0000_0000_0001);
+        let columns: Vec<Vec<Scalar>> = vec![
+            vec![Scalar::Bool(true), Scalar::Null, Scalar::Bool(false)],
+            vec![
+                Scalar::Int64(1 << 53),
+                Scalar::Int64((1 << 53) + 1),
+                Scalar::Null,
+                Scalar::Int64(-3),
+            ],
+            vec![
+                Scalar::Float64(0.0),
+                Scalar::Float64(-0.0),
+                Scalar::Float64(f64::NAN),
+                Scalar::Float64(nan),
+                Scalar::Float64(f64::INFINITY),
+                Scalar::Null,
+            ],
+            vec![Scalar::from("b"), Scalar::from(""), Scalar::Null, Scalar::from("a")],
+            vec![Scalar::Timestamp(5), Scalar::Null, Scalar::Timestamp(-5)],
+        ];
+        for values in columns {
+            let col = Column::from_scalars(&values, None).unwrap();
+            for a in 0..values.len() {
+                for b in 0..values.len() {
+                    let want = scalar_cmp(&values[a], &values[b]);
+                    assert_eq!(cell_cmp(&col, a, b), want, "{:?} vs {:?}", values[a], values[b]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! The physical planner: logical plan → executable operator tree.
 //!
-//! Implementation selection happens here: hash vs nested-loop joins, and
-//! the storage tier of each semantic join's panel sweep by estimated
-//! distinct-value cardinalities and the configured recall tolerance.
+//! Implementation selection happens here: hash vs nested-loop joins, the
+//! storage tier of each semantic join's panel sweep by estimated
+//! distinct-value cardinalities and the configured recall tolerance, and
+//! `Limit(Sort)` as one bounded sort — or, over a semantic join, as the
+//! join's own bound, so only the kept pairs are materialized.
 
 use crate::cardinality::estimate_rows;
 use crate::context::OptimizerContext;
 use crate::cost::select_quant_tier;
-use cx_exec::logical::LogicalPlan;
+use cx_exec::logical::{LogicalPlan, SemanticJoinSpec, SortKey};
 use cx_exec::operators::{
     DistinctExec, FilterExec, HashAggregateExec, HashJoinExec, LimitExec, NestedLoopJoinExec,
     ProjectExec, SortExec, SystemTableScanExec, TableScanExec, UnionExec,
@@ -112,36 +114,7 @@ pub fn create_physical_plan(
             )
         }
         LogicalPlan::SemanticJoin { left, right, spec } => {
-            // Storage tier of the panel sweep: quantized panels when the
-            // configured recall tolerance and the estimated distinct-value
-            // pair count admit them, exact f32 otherwise.
-            let dl = (estimate_rows(left, ctx) * 0.5).max(1.0);
-            let dr = (estimate_rows(right, ctx) * 0.5).max(1.0);
-            let tier = select_quant_tier(&ctx.config, dl * dr);
-            let l = create_physical_plan(left, ctx, env)?;
-            let r = create_physical_plan(right, ctx, env)?;
-            let cache = ctx
-                .cache_for(&spec.model)
-                .ok_or_else(|| Error::InvalidArgument(format!("unknown model: {}", spec.model)))?;
-            Arc::new(
-                SemanticJoinExec::new(
-                    l,
-                    r,
-                    &spec.left_column,
-                    &spec.right_column,
-                    spec.threshold,
-                    &spec.score_column,
-                    cache,
-                    ctx.config.parallelism,
-                )?
-                .with_quant_tier(tier)
-                // Build-side fingerprint: joins whose right subtrees
-                // fingerprint equal sweep the same build panel. The probe
-                // fingerprint additionally lets a group materialize
-                // identical left sides once.
-                .with_scan_fingerprint(right.fingerprint())
-                .with_probe_fingerprint(left.fingerprint()),
-            )
+            Arc::new(semantic_join(left, right, spec, ctx, env)?)
         }
         LogicalPlan::SemanticGroupBy { input, column, model, threshold, aggs } => {
             let child = create_physical_plan(input, ctx, env)?;
@@ -156,16 +129,25 @@ pub fn create_physical_plan(
         }
         LogicalPlan::Sort { input, keys } => {
             let child = create_physical_plan(input, ctx, env)?;
-            let keys: Vec<(String, bool)> = keys
-                .iter()
-                .map(|k| (k.column.clone(), k.ascending))
-                .collect();
-            Arc::new(SortExec::new(child, &keys)?)
+            Arc::new(SortExec::new(child, &sort_keys(keys))?)
         }
         LogicalPlan::Limit { input, n } => {
             let n = n.fixed().ok_or_else(|| unbound(n))?;
-            let child = create_physical_plan(input, ctx, env)?;
-            Arc::new(LimitExec::new(child, n))
+            // `ORDER BY … LIMIT n` keeps n rows: a bounded sort, or a
+            // semantic join that materializes only its first n pairs.
+            match input.as_ref() {
+                LogicalPlan::Sort { input: sorted, keys } => match sorted.as_ref() {
+                    LogicalPlan::SemanticJoin { left, right, spec } => {
+                        let join = semantic_join(left, right, spec, ctx, env)?;
+                        Arc::new(join.with_limit(&sort_keys(keys), n)?)
+                    }
+                    _ => {
+                        let child = create_physical_plan(sorted, ctx, env)?;
+                        Arc::new(SortExec::new(child, &sort_keys(keys))?.with_limit(n))
+                    }
+                },
+                _ => Arc::new(LimitExec::new(create_physical_plan(input, ctx, env)?, n)),
+            }
         }
         LogicalPlan::Distinct { input } => {
             let child = create_physical_plan(input, ctx, env)?;
@@ -179,6 +161,40 @@ pub fn create_physical_plan(
             Arc::new(UnionExec::new(children)?)
         }
     })
+}
+
+/// `(column, ascending)` pairs of sort keys.
+fn sort_keys(keys: &[SortKey]) -> Vec<(String, bool)> {
+    keys.iter().map(|k| (k.column.clone(), k.ascending)).collect()
+}
+
+/// Lowers a semantic join. Storage tier of the panel sweep: quantized
+/// panels when the configured recall tolerance and the estimated
+/// distinct-value pair count admit them, exact f32 otherwise.
+fn semantic_join(
+    left: &LogicalPlan,
+    right: &LogicalPlan,
+    spec: &SemanticJoinSpec,
+    ctx: &OptimizerContext,
+    env: &PhysicalPlannerEnv,
+) -> Result<SemanticJoinExec> {
+    let dl = (estimate_rows(left, ctx) * 0.5).max(1.0);
+    let dr = (estimate_rows(right, ctx) * 0.5).max(1.0);
+    let tier = select_quant_tier(&ctx.config, dl * dr);
+    let l = create_physical_plan(left, ctx, env)?;
+    let r = create_physical_plan(right, ctx, env)?;
+    let cache = ctx
+        .cache_for(&spec.model)
+        .ok_or_else(|| Error::InvalidArgument(format!("unknown model: {}", spec.model)))?;
+    let (lc, rc, score) = (&spec.left_column, &spec.right_column, &spec.score_column);
+    let parallelism = ctx.config.parallelism;
+    Ok(SemanticJoinExec::new(l, r, lc, rc, spec.threshold, score, cache, parallelism)?
+        .with_quant_tier(tier)
+        // Build-side fingerprint: joins whose right subtrees fingerprint
+        // equal sweep the same build panel. The probe fingerprint
+        // additionally lets a group materialize identical left sides once.
+        .with_scan_fingerprint(right.fingerprint())
+        .with_probe_fingerprint(left.fingerprint()))
 }
 
 /// The lowering error for a parameter placeholder (`$slot`) left unbound.
@@ -195,7 +211,7 @@ mod tests {
     use crate::context::OptimizerConfig;
     use cx_embed::{HashNGramModel, ModelRegistry};
     use cx_exec::collect_table;
-    use cx_exec::logical::SemanticJoinSpec;
+    use cx_exec::physical::display_physical;
     use cx_expr::{col, lit};
     use cx_storage::{Column, DataType, Field, Schema, TableStats};
 
@@ -265,6 +281,38 @@ mod tests {
         // Executes and matches at least the identical strings.
         let out = collect_table(op.as_ref()).unwrap();
         assert!(out.num_rows() >= 4, "got {}", out.num_rows());
+    }
+
+    #[test]
+    fn limit_over_sort_lowers_to_one_bound() {
+        let (env, ctx) = env_and_ctx();
+        let top = |input: LogicalPlan| LogicalPlan::Limit {
+            n: LimitCount::Fixed(2),
+            input: Box::new(LogicalPlan::Sort {
+                input: Box::new(input),
+                keys: vec![SortKey { column: "v".into(), ascending: false }],
+            }),
+        };
+        let op = create_physical_plan(&top(scan()), &ctx, &env).unwrap();
+        let tree = display_physical(op.as_ref());
+        assert_eq!(tree, "Sort [1 keys, limit 2]\n  TableScan [4 rows]\n");
+        let out = collect_table(op.as_ref()).unwrap();
+        assert_eq!(out.column_by_name("v").unwrap().i64_values().unwrap(), [4, 3]);
+
+        let join = LogicalPlan::SemanticJoin {
+            left: Box::new(scan()),
+            right: Box::new(scan()),
+            spec: SemanticJoinSpec {
+                left_column: "k".into(),
+                right_column: "k".into(),
+                model: "m".into(),
+                threshold: 0.95,
+                score_column: "sim".into(),
+            },
+        };
+        let op = create_physical_plan(&top(join), &ctx, &env).unwrap();
+        assert!(op.name().starts_with("SemanticJoin") && op.name().ends_with("limit 2]"));
+        assert_eq!(collect_table(op.as_ref()).unwrap().num_rows(), 2);
     }
 
     /// A self semantic join of a 100k-row table: its estimated pair count

@@ -4,9 +4,9 @@
 //! top-down to fixpoint. Correctness notes live on each rule.
 
 use crate::context::OptimizerContext;
-use cx_exec::logical::{JoinType, LogicalPlan};
+use cx_exec::logical::{JoinType, LogicalPlan, SortKey};
 use cx_expr::{estimate_selectivity, fold_constants, Expr};
-use cx_storage::Scalar;
+use cx_storage::{DataType, Scalar};
 use std::collections::HashMap;
 
 /// A local rewrite rule.
@@ -32,6 +32,9 @@ pub fn standard_rules(config: &crate::context::OptimizerConfig) -> Vec<Box<dyn R
         rules.push(Box::new(PushFilterBelowSemanticFilterRule));
         rules.push(Box::new(PushFilterBelowSortDistinctRule));
         rules.push(Box::new(PushFilterIntoUnionRule));
+    }
+    if config.projection_pruning {
+        rules.push(Box::new(ProjectAboveLimitRule));
     }
     if config.equijoin_extraction {
         rules.push(Box::new(ExtractEquiJoinRule));
@@ -406,11 +409,53 @@ impl Rule for PushFilterIntoUnionRule {
     }
 }
 
+/// `Limit(Sort(Project))` → `Project(Limit(Sort))`, the sort keys renamed
+/// to the projected columns: the projection copies `n` rows, and a sort
+/// over a semantic join lowers into the join's own bound. Fires only when
+/// every projected expression is a plain column (no expression error can
+/// be skipped), and not over a scan: that narrowing projection is pruning's.
+pub struct ProjectAboveLimitRule;
+
+impl Rule for ProjectAboveLimitRule {
+    fn name(&self) -> &'static str {
+        "project_above_limit"
+    }
+
+    fn apply(&self, plan: &LogicalPlan, _ctx: &OptimizerContext) -> Option<LogicalPlan> {
+        let LogicalPlan::Limit { input, n } = plan else { return None };
+        let LogicalPlan::Sort { input, keys } = input.as_ref() else { return None };
+        let LogicalPlan::Project { exprs, input } = input.as_ref() else { return None };
+        if matches!(input.as_ref(), LogicalPlan::Scan { .. }) {
+            return None;
+        }
+        let source: HashMap<&str, &str> = exprs
+            .iter()
+            .map(|(e, name)| match e {
+                Expr::Column(c) => Some((name.as_str(), c.as_str())),
+                _ => None,
+            })
+            .collect::<Option<_>>()?;
+        let keys = keys
+            .iter()
+            .map(|k| {
+                let column = source.get(k.column.as_str())?.to_string();
+                Some(SortKey { column, ascending: k.ascending })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let sort = LogicalPlan::Sort { input: input.clone(), keys };
+        let limit = LogicalPlan::Limit { input: Box::new(sort), n: *n };
+        Some(LogicalPlan::Project { exprs: exprs.clone(), input: Box::new(limit) })
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Equi-join extraction
 // ---------------------------------------------------------------------------
 
-/// `Filter(CrossJoin)` with `l = r` factors across sides → equi `Join`.
+/// `Filter(CrossJoin)` with `l = r` factors across sides → equi `Join`,
+/// for factors whose structural key equality is SQL `=`: both columns of
+/// one type among Bool, Int64 and Utf8 (`1 = 1.0`, `-0.0 = 0.0`, NaN and
+/// Timestamps, which `=` compares as f64, stay in the filter).
 pub struct ExtractEquiJoinRule;
 
 impl Rule for ExtractEquiJoinRule {
@@ -431,16 +476,20 @@ impl Rule for ExtractEquiJoinRule {
         for factor in predicate.split_conjunction() {
             if let Expr::Binary { op: cx_expr::BinOp::Eq, left: a, right: b } = &factor {
                 if let (Expr::Column(ca), Expr::Column(cb)) = (a.as_ref(), b.as_ref()) {
-                    match (classify_column(ca, &ls, &rs), classify_column(cb, &ls, &rs)) {
-                        (Some((0, la)), Some((1, rb))) => {
-                            on.push((la, rb));
-                            continue;
+                    let key = match (classify_column(ca, &ls, &rs), classify_column(cb, &ls, &rs)) {
+                        (Some((0, l)), Some((1, r))) | (Some((1, r)), Some((0, l))) => Some((l, r)),
+                        _ => None,
+                    };
+                    let exact = [DataType::Bool, DataType::Int64, DataType::Utf8];
+                    let structural = |(l, r): &(String, String)| match (ls.field(l), rs.field(r)) {
+                        (Ok(a), Ok(b)) => {
+                            a.data_type == b.data_type && exact.contains(&a.data_type)
                         }
-                        (Some((1, ra)), Some((0, lb))) => {
-                            on.push((lb, ra));
-                            continue;
-                        }
-                        _ => {}
+                        _ => false,
+                    };
+                    if let Some(key) = key.filter(structural) {
+                        on.push(key);
+                        continue;
                     }
                 }
             }
@@ -907,6 +956,88 @@ mod tests {
         };
         assert_eq!(on, &vec![("name".to_string(), "label".to_string())]);
         assert_eq!(*join_type, JoinType::Inner);
+    }
+
+    #[test]
+    fn equi_join_extraction_keeps_inexact_keys_in_the_filter() {
+        let other = scan(
+            "other",
+            &[("i", DataType::Int64), ("f", DataType::Float64), ("s", DataType::Utf8)],
+        );
+        let cross = |predicate: Expr| LogicalPlan::Filter {
+            predicate,
+            input: Box::new(LogicalPlan::CrossJoin {
+                left: Box::new(products()),
+                right: Box::new(other.clone()),
+            }),
+        };
+        // Int64 = Float64 and Float64 = Float64 answer by SQL `=`, not by
+        // structural key equality: no hash key.
+        for factor in [col("id").eq(col("f")), col("price").eq(col("f"))] {
+            assert!(ExtractEquiJoinRule.apply(&cross(factor), &ctx()).is_none());
+        }
+        let out = ExtractEquiJoinRule
+            .apply(&cross(col("id").eq(col("i")).and(col("price").eq(col("f")))), &ctx())
+            .unwrap();
+        let LogicalPlan::Filter { predicate, input } = &out else {
+            panic!("residual filter expected");
+        };
+        assert_eq!(predicate.to_string(), "(price = f)");
+        let LogicalPlan::Join { on, .. } = input.as_ref() else {
+            panic!("equi join expected");
+        };
+        assert_eq!(on, &vec![("id".to_string(), "i".to_string())]);
+    }
+
+    /// `Limit 2 (Sort keys (Project exprs (input)))`.
+    fn top_over_project(
+        exprs: Vec<(Expr, String)>,
+        keys: &[&str],
+        input: LogicalPlan,
+    ) -> LogicalPlan {
+        LogicalPlan::Limit {
+            n: 2.into(),
+            input: Box::new(LogicalPlan::Sort {
+                keys: keys
+                    .iter()
+                    .map(|k| SortKey { column: k.to_string(), ascending: false })
+                    .collect(),
+                input: Box::new(LogicalPlan::Project { exprs, input: Box::new(input) }),
+            }),
+        }
+    }
+
+    #[test]
+    fn projection_lifts_above_limit_with_renamed_keys() {
+        let filtered = LogicalPlan::Filter {
+            predicate: col("price").gt(lit(1.0)),
+            input: Box::new(products()),
+        };
+        let exprs = vec![(col("name"), "n".to_string()), (col("price"), "p".to_string())];
+        let plan = top_over_project(exprs.clone(), &["p", "n"], filtered.clone());
+        let out = ProjectAboveLimitRule.apply(&plan, &ctx()).unwrap();
+        let LogicalPlan::Project { exprs: lifted, input } = &out else {
+            panic!("projection on top: {out:?}");
+        };
+        assert_eq!(lifted, &exprs);
+        let LogicalPlan::Limit { input, .. } = input.as_ref() else {
+            panic!("limit below the projection");
+        };
+        let LogicalPlan::Sort { keys, input } = input.as_ref() else {
+            panic!("sort below the limit");
+        };
+        let names: Vec<&str> = keys.iter().map(|k| k.column.as_str()).collect();
+        assert_eq!(names, ["price", "name"]);
+        assert_eq!(input.as_ref(), &filtered);
+        assert_eq!(out.schema().unwrap(), plan.schema().unwrap());
+
+        // A computed expression, or a projection straight over a scan,
+        // stays where it is.
+        let computed = vec![(col("price").add(lit(1.0)), "p".to_string())];
+        let computed = top_over_project(computed, &["p"], filtered);
+        assert!(ProjectAboveLimitRule.apply(&computed, &ctx()).is_none());
+        let narrowing = top_over_project(exprs, &["p"], products());
+        assert!(ProjectAboveLimitRule.apply(&narrowing, &ctx()).is_none());
     }
 
     #[test]

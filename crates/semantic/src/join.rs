@@ -18,7 +18,7 @@
 use crate::sweep::{sweep, Distinct, Hit, Scores};
 use cx_embed::EmbeddingCache;
 use cx_exec::shared::{ProbeSource, ScanKind, ScanSignature, SharedScanState};
-use cx_exec::{ChunkStream, PhysicalOperator};
+use cx_exec::{keys_cmp, top_n_by, ChunkStream, PhysicalOperator};
 use cx_storage::{Chunk, Column, DataType, Error, Field, QueryContext, Result, Schema};
 use cx_vector::QuantTier;
 use std::sync::Arc;
@@ -47,6 +47,9 @@ pub struct SemanticJoinExec {
     /// value-level match list at this join's threshold; consumed by the
     /// next `execute()`.
     shared: parking_lot::Mutex<Option<Vec<(String, String, f32)>>>,
+    /// `ORDER BY … LIMIT k` folded into the join: `(output column,
+    /// ascending)` keys and `k` ([`SemanticJoinExec::with_limit`]).
+    limit: Option<(Vec<(usize, bool)>, usize)>,
 }
 
 impl SemanticJoinExec {
@@ -99,7 +102,17 @@ impl SemanticJoinExec {
             scan_fingerprint: None,
             probe_fingerprint: None,
             shared: parking_lot::Mutex::new(None),
+            limit: None,
         })
+    }
+
+    /// Emits only the first `k` rows of the output stably sorted by
+    /// `(output column, ascending)` keys — the lowering of
+    /// `Limit(Sort(SemanticJoin))` — materializing only those `k` rows.
+    pub fn with_limit(mut self, keys: &[(String, bool)], k: usize) -> Result<Self> {
+        let keys = keys.iter().map(|(name, asc)| Ok((self.schema.index_of(name)?, *asc)));
+        self.limit = Some((keys.collect::<Result<_>>()?, k));
+        Ok(self)
     }
 
     /// Tags this join with the logical fingerprint of its right (build
@@ -137,8 +150,11 @@ impl SemanticJoinExec {
 
 impl PhysicalOperator for SemanticJoinExec {
     fn name(&self) -> String {
+        let limit = self.limit.as_ref().map_or(String::new(), |(keys, k)| {
+            format!(", sort {} keys, limit {k}", keys.len())
+        });
         format!(
-            "SemanticJoin [cos>={}{}, model={}]",
+            "SemanticJoin [cos>={}{}, model={}{limit}]",
             self.threshold,
             self.quant.explain_suffix(),
             self.cache.model().name()
@@ -220,7 +236,9 @@ impl PhysicalOperator for SemanticJoinExec {
             None => self.match_values(&left_vals.values, &right_vals.values, &ctx)?,
         };
 
-        // Expand value matches to row pairs.
+        // Expand value matches to row pairs, in (left value, right value,
+        // left row, right row) order.
+        let mut span = cx_obs::span("join_epilogue");
         let mut left_idx: Vec<usize> = Vec::new();
         let mut right_idx: Vec<usize> = Vec::new();
         let mut scores: Vec<f64> = Vec::new();
@@ -234,18 +252,36 @@ impl PhysicalOperator for SemanticJoinExec {
                 }
             }
         }
-
-        if left_idx.is_empty() {
-            return Ok(Box::new(std::iter::once(Ok(Chunk::empty(
-                self.schema.clone(),
-            )))));
+        let pairs = scores.len();
+        let mut scores = Column::from_f64(scores);
+        if let Some((keys, k)) = &self.limit {
+            // Late materialization: order the pairs on cells read through
+            // their row ids, and build rows for the first k only.
+            let width = left.num_columns();
+            let winners = {
+                let cells: Vec<_> = keys
+                    .iter()
+                    .map(|&(key, asc)| match key.checked_sub(width) {
+                        None => (&left.columns()[key], Some(&left_idx[..]), asc),
+                        Some(r) if r < right.num_columns() => {
+                            (&right.columns()[r], Some(&right_idx[..]), asc)
+                        }
+                        Some(_) => (&scores, None, asc),
+                    })
+                    .collect();
+                top_n_by(pairs, *k, |a, b| keys_cmp(&cells, a, b))
+            };
+            left_idx = winners.iter().map(|&p| left_idx[p]).collect();
+            right_idx = winners.iter().map(|&p| right_idx[p]).collect();
+            scores = scores.take(&winners)?;
+        }
+        if span.is_recording() {
+            span.set_detail(format!("pairs={pairs} emitted={}", left_idx.len()));
         }
 
-        let l = left.take(&left_idx)?;
-        let r = right.take(&right_idx)?;
-        let zipped = l.zip(&r)?;
+        let zipped = left.take(&left_idx)?.zip(&right.take(&right_idx)?)?;
         let mut columns = zipped.columns().to_vec();
-        columns.push(Column::from_f64(scores));
+        columns.push(scores);
         let out = Chunk::new(self.schema.clone(), columns)?;
         Ok(Box::new(std::iter::once(Ok(out))))
     }

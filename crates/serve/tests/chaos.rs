@@ -75,6 +75,16 @@ fn heavy_join(engine: &Engine, threshold: f32) -> Query {
         .limit(50)
 }
 
+/// The heavy query with nothing bounded: every matching pair is
+/// materialized and sorted, so the statement is heavy by construction.
+fn full_sorted_join(engine: &Engine, threshold: f32) -> Query {
+    engine
+        .table("products")
+        .unwrap()
+        .semantic_join(engine.table("labels").unwrap(), "name", "label", "m", threshold)
+        .sort(&[("product_id", true)])
+}
+
 fn as_query_error(e: &Error) -> Option<&QueryError> {
     e.as_query()
 }
@@ -88,15 +98,16 @@ fn assert_tables_equal(got: &Table, want: &Table, tag: &str) {
 
 #[test]
 fn deadline_expires_solo_query_with_bounded_overshoot() {
-    let engine = build_engine(600);
+    let engine = build_engine(2000);
     let server = Server::new(engine.clone(), ServeConfig::default());
     // Warm the plan so the deadline budget is spent in execution, not
     // optimization.
-    let q = heavy_join(&engine, 0.93);
+    let q = full_sorted_join(&engine, 0.93);
     server.execute(&q).unwrap();
 
-    let q2 = heavy_join(&engine, 0.931); // distinct literal: no memo replay
-    let options = QueryOptions { timeout: Some(Duration::from_millis(5)), ..Default::default() };
+    let q2 = full_sorted_join(&engine, 0.931); // distinct literal: no memo replay
+    let deadline = Duration::from_millis(5);
+    let options = QueryOptions { timeout: Some(deadline), ..Default::default() };
     let started = Instant::now();
     let err = server.execute_with_options(&q2, &options).unwrap_err();
     assert_eq!(as_query_error(&err), Some(&QueryError::DeadlineExceeded), "{err}");
@@ -104,6 +115,12 @@ fn deadline_expires_solo_query_with_bounded_overshoot() {
     // before a full sweep would finish, not at some unbounded point.
     assert!(started.elapsed() < Duration::from_secs(5), "query outlived its deadline");
     assert_eq!(server.lifecycle_stats().deadline_exceeded, 1);
+    // The premise, checked: without a deadline the same statement runs
+    // for at least four deadlines.
+    let started = Instant::now();
+    server.execute(&q2).unwrap();
+    let full = started.elapsed();
+    assert!(full >= 4 * deadline, "the heavy query ran in {full:?}");
     // The server keeps serving.
     assert!(server.execute(&q).is_ok());
 }

@@ -117,10 +117,15 @@ fn main() -> cx_storage::Result<()> {
         println!("probe {probe:<7}: {} rows", r.table.num_rows());
     }
 
-    // 6. EXPLAIN shows the optimized plan the cache stores.
+    // 6. EXPLAIN shows the optimized plan the cache stores — here the
+    //    paper's Figure 2 shape, a semantic join ranked by similarity.
+    //    `ORDER BY … LIMIT k` lowers into the join itself: only the k
+    //    best pairs are materialized, and no Limit or Sort sits above it.
     println!("\n== EXPLAIN ==");
     match session.sql(
-        "EXPLAIN SELECT name FROM products WHERE name SEMANTIC LIKE 'shoes' USING m (0.7)",
+        "EXPLAIN SELECT name, price, label, similarity FROM products \
+         SEMANTIC JOIN labels USING m ON SIM(name, label) >= 0.6 WHERE price > 30.0 \
+         ORDER BY similarity DESC, name, label LIMIT 3",
     )? {
         SqlResponse::Explain(text) => println!("{text}"),
         other => panic!("expected explain, got {other:?}"),

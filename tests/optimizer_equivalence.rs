@@ -163,3 +163,90 @@ proptest! {
         prop_assert_eq!(fingerprint(&optimized.table), fingerprint(&naive.table));
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// `ORDER BY … LIMIT k` over a projected semantic join — the shape the
+    /// optimizer lifts the projection out of — answers row for row, bit
+    /// for bit, with the optimizer on and off, keys projected or not.
+    #[test]
+    fn optimizer_preserves_ranked_projections(
+        items in prop::collection::vec((0..50i64, 0..10usize, 0.0..100.0f64), 1..30),
+        labels in prop::collection::vec((0..10usize, 0..100i64), 1..15),
+        threshold in 0.5..0.95f32,
+        k in 0..12usize,
+    ) {
+        let mut engine = engine_for(&items, &labels);
+        let joined = |engine: &Engine| {
+            engine.table("items").unwrap()
+                .semantic_join(engine.table("labels").unwrap(), "name", "label", "m", threshold)
+        };
+        let projection =
+            || vec![(col("id"), "item"), (col("label"), "tag"), (col("similarity"), "sim")];
+        let shapes = |engine: &Engine| {
+            [
+                joined(engine)
+                    .select(projection())
+                    .sort(&[("sim", false), ("tag", true), ("item", true)])
+                    .limit(k),
+                joined(engine)
+                    .sort(&[("weight", false), ("price", true)])
+                    .select(projection())
+                    .limit(k),
+            ]
+        };
+        let optimized: Vec<Table> =
+            shapes(&engine).iter().map(|q| engine.execute(q).unwrap().table).collect();
+        engine.set_optimizer_config(OptimizerConfig::none());
+        for (query, want) in shapes(&engine).iter().zip(&optimized) {
+            let naive = engine.execute(query).unwrap().table;
+            prop_assert_eq!(naive.num_rows(), want.num_rows());
+            for r in 0..naive.num_rows() {
+                prop_assert_eq!(naive.row(r).unwrap(), want.row(r).unwrap(), "row {}", r);
+            }
+        }
+    }
+}
+
+/// A filter's `=` over a cross join is SQL equality (`1 = 1.0`,
+/// `-0.0 = 0.0`, NaN equals nothing) whether or not equi-join extraction
+/// turns it into a hash join.
+#[test]
+fn cross_join_equality_answers_as_sql_with_extraction_on_and_off() {
+    use context_analytics::{ServeConfig, Server, SqlResponse};
+
+    let engine = Engine::new(EngineConfig::default());
+    let a = Table::from_columns(
+        Schema::new(vec![Field::new("i", DataType::Int64), Field::new("x", DataType::Float64)]),
+        vec![Column::from_i64(vec![1, 2]), Column::from_f64(vec![-0.0, f64::NAN])],
+    )
+    .unwrap();
+    let b = Table::from_columns(
+        Schema::new(vec![Field::new("f", DataType::Float64)]),
+        vec![Column::from_f64(vec![1.0, 0.0, f64::NAN])],
+    )
+    .unwrap();
+    engine.register_table("a", a).unwrap();
+    engine.register_table("b", b).unwrap();
+    let session = Server::new(Arc::new(engine), ServeConfig::default()).session();
+    for (predicate, want) in [("i = f", vec![(1, 1.0)]), ("x = f", vec![(1, 0.0)])] {
+        for extraction in [true, false] {
+            session.set_optimizer_config(OptimizerConfig {
+                equijoin_extraction: extraction,
+                ..OptimizerConfig::all()
+            });
+            let sql = format!("SELECT i, f FROM a CROSS JOIN b WHERE {predicate} ORDER BY i, f");
+            let SqlResponse::Rows(r) = session.sql(&sql).unwrap() else {
+                panic!("a SELECT returns rows");
+            };
+            let got: Vec<(i64, f64)> = (0..r.table.num_rows())
+                .map(|row| match r.table.row(row).unwrap()[..] {
+                    [Scalar::Int64(i), Scalar::Float64(f)] => (i, f),
+                    ref other => panic!("unexpected row {other:?}"),
+                })
+                .collect();
+            assert_eq!(got, want, "{predicate}, extraction {extraction}");
+        }
+    }
+}

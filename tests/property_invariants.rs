@@ -967,6 +967,182 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// ORDER BY … LIMIT k: the bounded sort and the bounded semantic join keep
+// exactly the first k rows of the stable sort, bit for bit.
+// ---------------------------------------------------------------------------
+
+/// Every row of `op`'s output, in order.
+fn output_rows(op: &dyn cx_exec::PhysicalOperator) -> Vec<Vec<Scalar>> {
+    let t = cx_exec::collect_table(op).unwrap();
+    (0..t.num_rows()).map(|r| t.row(r).unwrap()).collect()
+}
+
+/// One to three distinct columns of `names`, each ascending or not.
+fn sort_keys(names: &[&str], rng: &mut cx_embed::rng::SplitMix64) -> Vec<(String, bool)> {
+    let mut cols: Vec<&str> = names.to_vec();
+    let n = 1 + rng.next_range(3.min(cols.len()) as u64) as usize;
+    (0..n)
+        .map(|_| {
+            let name = cols.remove(rng.next_range(cols.len() as u64) as usize);
+            (name.to_string(), rng.next_range(2) == 0)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    #[test]
+    fn bounded_sort_equals_sort_then_limit(n in 0usize..40, seed in any::<u64>()) {
+        use cx_exec::{scalar_cmp, LimitExec, PhysicalOperator, SortExec, TableScanExec};
+        use cx_storage::Table;
+
+        let mut rng = cx_embed::rng::SplitMix64::new(seed);
+        // Integers shifted just past 2^53, where distinct values share an
+        // f64; floats with ±0.0 and two NaN payloads; NULLs; duplicates.
+        let rows: Vec<Vec<Scalar>> = keyed_rows(n, &mut rng)
+            .into_iter()
+            .map(|mut row| {
+                if let Scalar::Int64(v) = row[0] {
+                    row[0] = Scalar::Int64((1 << 53) + v);
+                }
+                row
+            })
+            .collect();
+        let names = ["i", "f", "s"];
+        let schema = Schema::new(vec![
+            Field::new("i", DataType::Int64),
+            Field::new("f", DataType::Float64),
+            Field::new("s", DataType::Utf8),
+        ]);
+        let keys = sort_keys(&names, &mut rng);
+        // Reference: a stable sort of the rows under `scalar_cmp`.
+        let mut expected = rows.clone();
+        expected.sort_by(|a, b| {
+            keys.iter()
+                .map(|(name, asc)| {
+                    let c = names.iter().position(|n| n == name).unwrap();
+                    let ord = scalar_cmp(&a[c], &b[c]);
+                    if *asc { ord } else { ord.reverse() }
+                })
+                .find(|ord| ord.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+
+        let table = Table::from_rows(schema, rows).unwrap();
+        for chunk_rows in [1, 7, n.max(1)] {
+            let scan: Arc<dyn PhysicalOperator> =
+                Arc::new(TableScanExec::new(Arc::new(table.rechunk(chunk_rows).unwrap())));
+            for k in [0, 1, n.saturating_sub(1), n, n + 1] {
+                let want = &expected[..k.min(n)];
+                let bounded = SortExec::new(scan.clone(), &keys).unwrap().with_limit(k);
+                prop_assert_eq!(&output_rows(&bounded)[..], want, "{:?} k={}", keys, k);
+                let sort = Arc::new(SortExec::new(scan.clone(), &keys).unwrap());
+                let limited = LimitExec::new(sort, k);
+                prop_assert_eq!(&output_rows(&limited)[..], want, "{:?} k={}", keys, k);
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_semantic_join_equals_sort_then_limit(
+        n_left in 0usize..20,
+        n_right in 0usize..20,
+        threshold in 0.1f32..0.9,
+        seed in any::<u64>(),
+    ) {
+        use cx_embed::{EmbeddingCache, HashNGramModel};
+        use cx_exec::{
+            LimitExec, PhysicalOperator, ScanKind, SharedScanState, SortExec, TableScanExec,
+        };
+        use cx_semantic::sweep::{sweep, Distinct, Scores};
+        use cx_semantic::SemanticJoinExec;
+        use cx_storage::{QueryContext, Table};
+
+        let mut rng = cx_embed::rng::SplitMix64::new(seed);
+        // Words over a tiny alphabet: repeated keys and tied scores are
+        // common. One key in eight is NULL.
+        let mut key = || -> (String, bool) {
+            let len = 2 + rng.next_range(3) as usize;
+            let word = (0..len).map(|_| char::from(b'a' + rng.next_range(4) as u8)).collect();
+            (word, rng.next_range(8) != 0)
+        };
+        let keys_of = |n: usize, key: &mut dyn FnMut() -> (String, bool)| -> Column {
+            let keys: Vec<(String, bool)> = (0..n).map(|_| key()).collect();
+            Column::Utf8 {
+                values: keys.iter().map(|(w, _)| w.clone()).collect(),
+                validity: Some(Bitmap::from_bools(keys.iter().map(|&(_, valid)| valid))),
+            }
+        };
+        let (left_keys, right_keys) = (keys_of(n_left, &mut key), keys_of(n_right, &mut key));
+        let left = Table::from_columns(
+            Schema::new(vec![Field::new("id", DataType::Int64), Field::new("l", DataType::Utf8)]),
+            vec![Column::from_i64((0..n_left as i64).map(|i| i % 3).collect()), left_keys.clone()],
+        )
+        .unwrap();
+        let tags = (0..n_right).map(|i| ["x", "y", ""][i % 3]);
+        let right = Table::from_columns(
+            Schema::new(vec![Field::new("r", DataType::Utf8), Field::new("tag", DataType::Utf8)]),
+            vec![right_keys.clone(), Column::from_strings(tags)],
+        )
+        .unwrap();
+        let scan = |t: &Table| -> Arc<dyn PhysicalOperator> {
+            Arc::new(TableScanExec::new(Arc::new(t.clone())))
+        };
+        let cache = Arc::new(EmbeddingCache::new(Arc::new(HashNGramModel::new(3))));
+        let sort_keys = sort_keys(&["id", "l", "r", "tag", "sim"], &mut rng);
+
+        // A shared sweep's slice for this join: the value-level match list
+        // at its threshold, in an order the join must not depend on.
+        let (lv, rv) = (
+            Distinct::of_column(&left_keys).unwrap(),
+            Distinct::of_column(&right_keys).unwrap(),
+        );
+        let mut slice: Vec<(String, String, f32)> = Vec::new();
+        if !lv.values.is_empty() && !rv.values.is_empty() {
+            let ctx = QueryContext::default();
+            let (tier, kind) = (QuantTier::F32, ScanKind::DotJoin);
+            let scores = sweep(kind, tier, &cache, &rv.values, &lv.values, threshold, 1, &ctx);
+            let Scores::Hits(hits) = scores.unwrap() else {
+                return Err(TestCaseError::fail("a dot-join sweep returns hits"));
+            };
+            slice = hits
+                .into_iter()
+                .rev()
+                .map(|(l, r, s)| {
+                    (lv.values[l as usize].to_string(), rv.values[r as usize].to_string(), s)
+                })
+                .collect();
+        }
+
+        for workers in [1, 2, 3] {
+            let join = || {
+                SemanticJoinExec::new(
+                    scan(&left), scan(&right), "l", "r", threshold, "sim", cache.clone(), workers,
+                )
+                .unwrap()
+            };
+            let n = cx_exec::collect_table(&join()).unwrap().num_rows();
+            for k in [0, 1, n.saturating_sub(1), n, n + 1] {
+                let sorted = Arc::new(SortExec::new(Arc::new(join()), &sort_keys).unwrap());
+                let want = output_rows(&LimitExec::new(sorted, k));
+                prop_assert_eq!(want.len(), k.min(n));
+                let bounded = join().with_limit(&sort_keys, k).unwrap();
+                prop_assert_eq!(
+                    &output_rows(&bounded), &want, "{:?} k={} workers={}", sort_keys, k, workers
+                );
+                let injected = join().with_scan_fingerprint(1).with_limit(&sort_keys, k).unwrap();
+                let state = SharedScanState::JoinMatches(slice.clone());
+                prop_assert!(injected.inject_shared_scan(state));
+                prop_assert_eq!(
+                    &output_rows(&injected), &want, "injected {:?} k={}", sort_keys, k
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Expression folding: eval(fold(e)) == eval(e)
 // ---------------------------------------------------------------------------
 
