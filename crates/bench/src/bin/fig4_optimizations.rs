@@ -35,7 +35,7 @@ use cx_bench::{measure_or_extrapolate, InterpretedModel, Measured};
 use cx_datagen::{generate_corpus, synthetic_clusters, CorpusConfig};
 use cx_embed::{ClusteredTextModel, EmbeddingModel};
 use cx_vector::block::dot_block_threshold;
-use cx_vector::kernels::{dot, dot_unrolled};
+use cx_vector::kernels::{dot, dot_unrolled, norm};
 use cx_vector::{RowBlock, VectorArena};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -110,13 +110,19 @@ fn join_prefetched(left: &[Vec<f32>], right: &[Vec<f32>]) -> usize {
     matches
 }
 
-/// L2: contiguous rows, cached norms, scalar dot.
-fn join_tight(left: RowBlock, right: RowBlock) -> usize {
+/// Per-row L2 norms of an arena, cached once for the L2 rung.
+fn row_norms(arena: &VectorArena) -> Vec<f32> {
+    (0..arena.len()).map(|r| norm(arena.row(r))).collect()
+}
+
+/// L2: contiguous rows, cached norms (`left_norms[i]`, `right_norms[j]`),
+/// scalar dot.
+fn join_tight(left: RowBlock, left_norms: &[f32], right: RowBlock, right_norms: &[f32]) -> usize {
     let mut matches = 0usize;
-    for i in 0..left.rows {
-        let (l, nl) = (left.row(i), left.norms[i]);
-        for j in 0..right.rows {
-            if cosine_with_norms_scalar(l, right.row(j), nl, right.norms[j]) >= THRESHOLD {
+    for (i, &nl) in left_norms.iter().enumerate().take(left.rows) {
+        let l = left.row(i);
+        for (j, &nr) in right_norms.iter().enumerate().take(right.rows) {
+            if cosine_with_norms_scalar(l, right.row(j), nl, nr) >= THRESHOLD {
                 matches += 1;
             }
         }
@@ -150,7 +156,7 @@ fn join_simd(left: RowBlock, right: RowBlock) -> usize {
 fn join_blocked(left: RowBlock, right: RowBlock) -> usize {
     let mut matches = 0usize;
     for i in 0..left.rows {
-        let probe = RowBlock::one(left.row(i), &left.norms[i]);
+        let probe = RowBlock::one(left.row(i));
         dot_block_threshold(probe, right, THRESHOLD, |_, _, _| matches += 1);
     }
     matches
@@ -169,7 +175,7 @@ fn join_parallel(left: RowBlock, right: RowBlock, threads: usize) -> usize {
                     if i >= left.rows {
                         break;
                     }
-                    let probe = RowBlock::one(left.row(i), &left.norms[i]);
+                    let probe = RowBlock::one(left.row(i));
                     dot_block_threshold(probe, right, THRESHOLD, |_, _, _| local += 1);
                 }
                 counter.fetch_add(local, Ordering::Relaxed);
@@ -212,18 +218,24 @@ fn main() {
     });
 
     // ---- L2: + tight loop ("C++") ----------------------------------------
-    let left_arena = embed_all(&m, &left);
-    let right_arena = embed_all(&m, &right);
+    let mut left_arena = embed_all(&m, &left);
+    let mut right_arena = embed_all(&m, &right);
+    let (left_norms, right_norms) = (row_norms(&left_arena), row_norms(&right_arena));
     let l2 = rung("L2 + tight loop, cached norms", n, n, pushed, |k| {
-        std::hint::black_box(join_tight(left_arena.block(0..k), right_arena.block(0..k)));
+        std::hint::black_box(join_tight(
+            left_arena.block(0..k),
+            &left_norms,
+            right_arena.block(0..k),
+            &right_norms,
+        ));
     });
 
     // ---- L3..L5: pre-normalized rows ----------------------------------------
-    let left_norm = left_arena.normalized();
-    let right_norm = right_arena.normalized();
+    left_arena.normalize();
+    right_arena.normalize();
     let normalized = |name, join: &dyn Fn(RowBlock, RowBlock) -> usize| {
         rung(name, n, n, pushed, |k| {
-            std::hint::black_box(join(left_norm.block(0..k), right_norm.block(0..k)));
+            std::hint::black_box(join(left_arena.block(0..k), right_arena.block(0..k)));
         })
     };
     let l3 = normalized("L3 + SIMD-shaped unrolled kernel", &join_simd);

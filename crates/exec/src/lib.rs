@@ -25,7 +25,7 @@
 //!   reporting,
 //! * [`shared`] — the shared-scan contract: how operators advertise
 //!   mergeable panel sweeps ([`ScanSignature`]) and accept precomputed
-//!   score slices ([`SharedScanState`]) for multi-query execution.
+//!   match lists ([`SharedScanState`]) for multi-query execution.
 
 mod keys;
 pub mod logical;
@@ -46,4 +46,4 @@ pub use operators::{
 };
 pub use parallel::parallel_map_chunks;
 pub use physical::{collect, collect_table, ChunkStream, PhysicalOperator};
-pub use shared::{find_shared_scan, ProbeSource, ScanKind, ScanSignature, SharedScanState};
+pub use shared::{find_shared_scan, ProbeSource, ScanSignature, SharedScanState};

@@ -63,7 +63,11 @@ impl OperatorMetrics {
     }
 }
 
-/// A registry of operator metrics keyed by operator label.
+/// A registry of operator metrics keyed by operator kind: the label up to
+/// its first ` [` (`Filter [(price > 41.5)]` and `Filter [(price > 7)]`
+/// share the `Filter` entry). Labels carry bound literals, so keying by
+/// the whole label would add a histogram, an exported series and report
+/// rows per distinct literal, without bound.
 #[derive(Debug, Default)]
 pub struct ExecMetrics {
     operators: RwLock<BTreeMap<String, Arc<OperatorMetrics>>>,
@@ -79,14 +83,16 @@ impl ExecMetrics {
         Self::default()
     }
 
-    /// The metrics handle for `label`, created on first use.
+    /// The metrics handle for `label`'s operator kind, created on first
+    /// use.
     pub fn handle(&self, label: &str) -> Arc<OperatorMetrics> {
-        if let Some(m) = self.operators.read().get(label) {
+        let kind = label.split_once(" [").map_or(label, |(kind, _)| kind);
+        if let Some(m) = self.operators.read().get(kind) {
             return m.clone();
         }
         self.operators
             .write()
-            .entry(label.to_string())
+            .entry(kind.to_string())
             .or_default()
             .clone()
     }
@@ -103,7 +109,7 @@ impl ExecMetrics {
         self.environment.read().clone()
     }
 
-    /// Snapshot of `(label, rows_out, elapsed_ns)` sorted by label.
+    /// Snapshot of `(kind, rows_out, elapsed_ns)` sorted by kind.
     pub fn snapshot(&self) -> Vec<(String, u64, u64)> {
         self.operators
             .read()
@@ -112,7 +118,7 @@ impl ExecMetrics {
             .collect()
     }
 
-    /// All `(label, metrics)` handles sorted by label — for exporters
+    /// All `(kind, metrics)` handles sorted by kind — for exporters
     /// that need the full counters and latency histograms.
     pub fn handles(&self) -> Vec<(String, Arc<OperatorMetrics>)> {
         self.operators
@@ -153,7 +159,8 @@ pub struct InstrumentedExec {
 }
 
 impl InstrumentedExec {
-    /// Instruments `inner`, registering under its `name()` in `registry`.
+    /// Instruments `inner`, registering under its `name()`'s kind in
+    /// `registry`.
     pub fn new(inner: Arc<dyn PhysicalOperator>, registry: &ExecMetrics) -> Self {
         let metrics = registry.handle(&inner.name());
         InstrumentedExec { inner, metrics }
@@ -293,5 +300,17 @@ mod tests {
         let b = registry.handle("op");
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(registry.snapshot().len(), 1);
+    }
+
+    #[test]
+    fn labels_differing_only_in_literals_share_one_kind() {
+        let registry = ExecMetrics::new();
+        let a = registry.handle("Filter [(price > 41.5)]");
+        let b = registry.handle("Filter [(price > 7)]");
+        assert!(Arc::ptr_eq(&a, &b));
+        registry.handle("Limit [7]");
+        registry.handle("Distinct");
+        let kinds: Vec<String> = registry.snapshot().into_iter().map(|(k, ..)| k).collect();
+        assert_eq!(kinds, ["Distinct", "Filter", "Limit"]);
     }
 }

@@ -5,7 +5,7 @@
 //! that all build against the same right side. The `cx_mqo` subsystem
 //! merges such queries into one panel sweep — but to merge scans it must
 //! be able to (a) recognize that two physical plans scan the same panel
-//! and (b) hand each plan its precomputed slice of the shared score tile.
+//! and (b) hand each plan its precomputed slice of the shared match list.
 //! This module is that contract. It deliberately lives in `cx_exec`, next
 //! to [`PhysicalOperator`], so any operator crate can opt in without
 //! depending on the sharing machinery.
@@ -19,9 +19,10 @@
 //!   describing its sweep: which child subtree produces the candidate
 //!   panel (identified *semantically* by the logical fingerprint of that
 //!   subtree, not by operator identity), which UTF8 column feeds the
-//!   panel, the embedding model, the storage tier, the score arithmetic
-//!   family ([`ScanKind`]), and the per-query epilogue inputs (probe
-//!   source and threshold).
+//!   panel, the embedding model, the storage tier, and the per-query
+//!   epilogue inputs (probe source and threshold). There is one score
+//!   arithmetic — a bare dot over unit-normalized rows, the cosine — so it
+//!   is not part of the signature.
 //! * [`PhysicalOperator::inject_shared_scan`] accepts a one-shot
 //!   [`SharedScanState`] — the operator's slice of a shared sweep — which
 //!   the **next** `execute()` call consumes instead of scanning. The
@@ -30,10 +31,18 @@
 //!   the ordinary solo scan.
 //!
 //! Two signatures may merge iff their [`ScanSignature::group_key`]s are
-//! equal: same kind, same candidate subtree fingerprint, same candidate
-//! column, same model, same storage tier. Probe and threshold are
-//! *excluded* from the key — they are per-query epilogue, applied to each
-//! query's row slice of the shared score tile.
+//! equal: same candidate subtree fingerprint, same candidate child index,
+//! same candidate column, same model, same storage tier. Probe and
+//! threshold are *excluded* from the key — they are per-query epilogue,
+//! applied to each query's slice of the shared match list. The candidate
+//! child index keeps filters (child 0) and joins (child 1) in separate
+//! groups.
+//!
+//! A [`SharedScanState`] is the **complete** value-level match list of
+//! one query at its own threshold: a consumer treats a value absent from
+//! it as a non-match and never re-scores it. A semantic filter is the
+//! one-probe case (its target is the only probe value); a semantic join
+//! has one probe value per distinct left key.
 //!
 //! ## Soundness
 //!
@@ -56,38 +65,12 @@
 //!    sweep's blocked kernels equal the pairwise ones is a separate
 //!    guarantee of `cx_vector::block`.)
 //!
-//! Operators must preserve invariant 2 when consuming an injected state:
-//! whatever an injected state lacks must come from that same sweep, so
-//! injected and solo scores stay indistinguishable to the bit.
+//! Because the slice is complete by construction, consuming it never
+//! touches the kernels: injected and solo executions see the same pairs,
+//! with the same score bits.
 
 use crate::physical::PhysicalOperator;
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// The score-arithmetic family of a shareable scan. Scans of different
-/// kinds never merge, even over the same panel: their sweeps apply
-/// different (if mathematically equivalent) floating-point expressions,
-/// and bit-identity is part of the contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanKind {
-    /// Cosine of a raw probe against raw candidate rows with cached
-    /// norms: `dot / (probe_norm * candidate_norm)`, zero norms scoring
-    /// 0.0 (the semantic filter's arithmetic).
-    CosineFilter,
-    /// Raw dot products over prenormalized probe and candidate panels
-    /// (the blocked semantic join's arithmetic).
-    DotJoin,
-}
-
-impl ScanKind {
-    /// Short name for EXPLAIN output and span details.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ScanKind::CosineFilter => "cosine-filter",
-            ScanKind::DotJoin => "dot-join",
-        }
-    }
-}
 
 /// Where a query's probe vectors come from.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,8 +95,6 @@ pub enum ProbeSource {
 /// and do not.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanSignature {
-    /// Score arithmetic family.
-    pub kind: ScanKind,
     /// Logical fingerprint ([`crate::logical::LogicalPlan::fingerprint`])
     /// of the subtree producing the candidate panel.
     pub candidate_fingerprint: u64,
@@ -147,13 +128,7 @@ impl ScanSignature {
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
-        eat(&[
-            match self.kind {
-                ScanKind::CosineFilter => 1,
-                ScanKind::DotJoin => 2,
-            },
-            self.quant,
-        ]);
+        eat(&[self.quant]);
         eat(&self.candidate_fingerprint.to_le_bytes());
         eat(&(self.candidate_child as u64).to_le_bytes());
         eat(&(self.candidate_column as u64).to_le_bytes());
@@ -162,21 +137,17 @@ impl ScanSignature {
     }
 }
 
-/// One query's slice of a shared sweep, ready for injection.
+/// One query's slice of a shared sweep, ready for injection: every
+/// `(probe value, candidate value, score)` pair at or above the query's
+/// threshold, and no other — a value absent from `matches` does not match.
 ///
 /// Values are keyed by *string* (the embedded text), not by row id: the
 /// consuming operator re-derives its own distinct-value numbering at
 /// execute time, so injection survives any chunking of the input.
 #[derive(Debug, Clone)]
-pub enum SharedScanState {
-    /// For [`ScanKind::CosineFilter`]: candidate value → score against
-    /// this query's probe. Values absent from the map (impossible when
-    /// the candidate subtrees really were identical; possible only under
-    /// a mis-grouped injection) must be re-scored solo by the consumer.
-    FilterScores(HashMap<String, f32>),
-    /// For [`ScanKind::DotJoin`]: the complete value-level match list
-    /// `(probe value, candidate value, score)` at this query's threshold.
-    JoinMatches(Vec<(String, String, f32)>),
+pub struct SharedScanState {
+    /// The complete value-level match list, in no particular order.
+    pub matches: Vec<(String, String, f32)>,
 }
 
 /// Finds the first (pre-order) shareable scan in `op`'s tree, returning
@@ -203,7 +174,6 @@ mod tests {
 
     fn sig(threshold: f32, probe: ProbeSource) -> ScanSignature {
         ScanSignature {
-            kind: ScanKind::CosineFilter,
             candidate_fingerprint: 0xfeed,
             candidate_child: 0,
             candidate_column: 1,
@@ -228,8 +198,10 @@ mod tests {
         other_panel.candidate_fingerprint ^= 1;
         let mut other_model = base.clone();
         other_model.model = "m2".into();
+        // Operator kinds differ by candidate child: a filter's panel is
+        // child 0, a join's child 1.
         let mut other_kind = base.clone();
-        other_kind.kind = ScanKind::DotJoin;
+        other_kind.candidate_child = 1;
         let mut other_tier = base.clone();
         other_tier.quant = 2;
         let mut other_column = base.clone();

@@ -9,9 +9,8 @@
 //! once per query, and a storm of semantic joins re-embeds and re-sweeps
 //! the same build side. This crate closes that gap: queries whose scans
 //! carry equal [`ScanSignature::group_key`]s (same candidate subtree,
-//! column, model, storage tier, score arithmetic — see
-//! [`cx_exec::shared`] for the contract) merge into one
-//! [`SharedScanExec`], which
+//! column, model, storage tier — see [`cx_exec::shared`] for the
+//! contract) merge into one [`SharedScanExec`], which
 //!
 //! 1. executes the candidate subtree **once** and embeds its distinct
 //!    values into one panel,
@@ -22,9 +21,16 @@
 //! 3. runs **one** panel sweep ([`cx_semantic::sweep::sweep`]) of the
 //!    stacked probes over the panel, floored at the group's lowest
 //!    threshold, and
-//! 4. slices the scores per member into a [`SharedScanState`] that each
-//!    query's own operator consumes as its epilogue (threshold masks,
-//!    pair expansion, and everything above the scan stay per-query).
+//! 4. slices the hits per member into a [`SharedScanState`] — the
+//!    member's complete `(probe, candidate, score)` match list at its own
+//!    threshold — that each query's own operator consumes as its epilogue
+//!    (row masks, pair expansion, and everything above the scan stay
+//!    per-query).
+//!
+//! Filters and joins share one arithmetic (the sweep's normalized dot)
+//! and one slice shape; a filter is the one-probe member. They still
+//! never share a sweep with each other: their candidate panels come from
+//! different children, which the group key tells apart.
 //!
 //! **Bit-identity.** Results equal solo execution to the bit because
 //! solo and shared execution call one function: the member operators'
@@ -38,10 +44,10 @@
 //! long to form a group); this crate owns the shared plan itself.
 
 use cx_embed::{EmbeddingCache, QuantTier};
-use cx_exec::shared::{ProbeSource, ScanKind, ScanSignature, SharedScanState};
-use cx_exec::{ChunkStream, PhysicalOperator};
-use cx_semantic::sweep::{sweep, Distinct, Scores};
-use cx_storage::{Chunk, Column, DataType, Error, Field, QueryContext, Result, Schema};
+use cx_exec::shared::{ProbeSource, ScanSignature, SharedScanState};
+use cx_exec::PhysicalOperator;
+use cx_semantic::sweep::{sweep, Distinct, Hit};
+use cx_storage::{Error, QueryContext, Result};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -50,8 +56,8 @@ use std::sync::Arc;
 pub struct MemberSpec {
     /// Where this member's probe vectors come from.
     pub probe: MemberProbe,
-    /// This member's match threshold (its epilogue applies it to its
-    /// slice of the shared score tile).
+    /// This member's match threshold (its slice keeps the shared hits at
+    /// or above it).
     pub threshold: f32,
 }
 
@@ -92,41 +98,24 @@ pub struct SweepOutcome {
     pub probes: Vec<String>,
     /// Per member: its probe rows as indices into `probes`.
     pub member_probe_rows: Vec<Vec<u32>>,
-    /// Scores, dense or hit-compacted per kind.
-    scores: Scores,
+    /// Every `(probe, candidate, score)` pair at or above the group's
+    /// lowest threshold, ordered by `(probe, candidate)`.
+    pub hits: Vec<Hit>,
     /// Sweep counters.
     pub stats: SweepStats,
 }
 
-/// The shared-scan physical plan: one panel sweep answering a whole group
-/// of queries. See the [module docs](self) for semantics.
-///
-/// As a [`PhysicalOperator`] it streams the value-level pairs that clear
-/// at least one member's threshold — `(probe, candidate, score)` — which
-/// is what EXPLAIN/metrics instrumentation sees; group drivers call
-/// [`SharedScanExec::member_states`] for the per-query slices instead.
+/// The shared-scan plan: one panel sweep answering a whole group of
+/// queries. See the [module docs](self) for semantics. The serving
+/// layer's scan queue calls [`SharedScanExec::sweep`] once and hands each
+/// member its slice from [`SharedScanExec::member_states`].
 pub struct SharedScanExec {
-    kind: ScanKind,
     candidate: Arc<dyn PhysicalOperator>,
     candidate_column: usize,
     quant: QuantTier,
     cache: Arc<EmbeddingCache>,
     members: Vec<MemberSpec>,
     outcome: Mutex<Option<Arc<SweepOutcome>>>,
-    schema: Arc<Schema>,
-}
-
-impl SweepOutcome {
-    /// Pairs at or above `floor` — what [`SharedScanExec::execute`]
-    /// would stream for that floor.
-    pub fn emitted_pairs(&self, floor: f32) -> u64 {
-        match &self.scores {
-            Scores::Dense(scores) => {
-                scores.iter().filter(|s| **s >= floor).count() as u64
-            }
-            Scores::Hits(hits) => hits.len() as u64,
-        }
-    }
 }
 
 impl SharedScanExec {
@@ -172,24 +161,13 @@ impl SharedScanExec {
             specs.push(MemberSpec { probe, threshold: sig.threshold });
         }
         Ok(SharedScanExec {
-            kind: first_sig.kind,
             candidate,
             candidate_column: first_sig.candidate_column,
             quant,
             cache,
             members: specs,
             outcome: Mutex::new(None),
-            schema: Arc::new(Schema::new(vec![
-                Field::new("probe", DataType::Utf8),
-                Field::new("candidate", DataType::Utf8),
-                Field::new("score", DataType::Float64),
-            ])),
         })
-    }
-
-    /// Queries merged into this plan.
-    pub fn member_count(&self) -> usize {
-        self.members.len()
     }
 
     /// The lowest member threshold — the floor below which no member's
@@ -253,7 +231,7 @@ impl SharedScanExec {
         }
 
         drop(probe_span);
-        // Joins keep only pairs some member can use. The sweep runs under
+        // The sweep keeps only pairs some member can use. It runs under
         // the *group* context installed by the server (deadline = max
         // member deadline), so one slow member cannot be killed by
         // another's tighter deadline mid-sweep; per-member deadlines are
@@ -261,8 +239,7 @@ impl SharedScanExec {
         // leader's thread, so its pairs land in the leader's profile —
         // the same convention shared spans use.
         let (floor, ctx) = (self.min_threshold(), QueryContext::current());
-        let scores =
-            sweep(self.kind, self.quant, &self.cache, &candidates, &probes, floor, 1, &ctx)?;
+        let hits = sweep(self.quant, &self.cache, &candidates, &probes, floor, 1, &ctx)?;
         let stats = SweepStats {
             members: self.members.len(),
             candidate_rows: candidates.len(),
@@ -275,46 +252,33 @@ impl SharedScanExec {
             candidates,
             probes,
             member_probe_rows,
-            scores,
+            hits,
             stats,
         });
         *self.outcome.lock() = Some(out.clone());
         Ok(out)
     }
 
-    /// Each member's slice of the shared tile, in member order, ready for
-    /// [`PhysicalOperator::inject_shared_scan`].
+    /// Each member's slice of the shared hits, in member order, ready for
+    /// [`PhysicalOperator::inject_shared_scan`]: the pairs on the member's
+    /// own probe rows that clear its own threshold.
     pub fn member_states(&self) -> Result<Vec<SharedScanState>> {
         let out = self.sweep()?;
-        let c = out.candidates.len();
         Ok(self
             .members
             .iter()
             .zip(&out.member_probe_rows)
-            .map(|(spec, rows)| match &out.scores {
-                Scores::Dense(scores) => {
-                    let map = match rows.first() {
-                        Some(&r) => out
-                            .candidates
-                            .iter()
-                            .enumerate()
-                            .map(|(j, v)| (v.clone(), scores[r as usize * c + j]))
-                            .collect(),
-                        None => HashMap::new(),
-                    };
-                    SharedScanState::FilterScores(map)
-                }
-                Scores::Hits(hits) => {
-                    let mine: HashSet<u32> = rows.iter().copied().collect();
-                    let matches = hits
-                        .iter()
-                        .filter(|(p, _, s)| *s >= spec.threshold && mine.contains(p))
-                        .map(|&(p, j, s)| {
-                            (out.probes[p as usize].clone(), out.candidates[j as usize].clone(), s)
-                        })
-                        .collect();
-                    SharedScanState::JoinMatches(matches)
-                }
+            .map(|(spec, rows)| {
+                let mine: HashSet<u32> = rows.iter().copied().collect();
+                let matches = out
+                    .hits
+                    .iter()
+                    .filter(|(p, _, s)| *s >= spec.threshold && mine.contains(p))
+                    .map(|&(p, j, s)| {
+                        (out.probes[p as usize].clone(), out.candidates[j as usize].clone(), s)
+                    })
+                    .collect();
+                SharedScanState { matches }
             })
             .collect())
     }
@@ -328,83 +292,13 @@ fn subtree_values(op: &Arc<dyn PhysicalOperator>, column: usize) -> Result<Vec<S
     Ok(distinct.values.iter().map(|v| v.to_string()).collect())
 }
 
-impl PhysicalOperator for SharedScanExec {
-    fn name(&self) -> String {
-        format!(
-            "SharedScan [kind={}, members={}{}, model={}]",
-            self.kind.label(),
-            self.members.len(),
-            self.quant.explain_suffix(),
-            self.cache.model().name(),
-        )
-    }
-
-    fn schema(&self) -> Arc<Schema> {
-        self.schema.clone()
-    }
-
-    fn children(&self) -> Vec<Arc<dyn PhysicalOperator>> {
-        let mut out = vec![self.candidate.clone()];
-        for spec in &self.members {
-            if let MemberProbe::Subtree { op, .. } = &spec.probe {
-                out.push(op.clone());
-            }
-        }
-        out
-    }
-
-    fn execute(&self) -> Result<ChunkStream> {
-        let out = self.sweep()?;
-        let floor = self.min_threshold();
-        let c = out.candidates.len();
-        let mut probe_col: Vec<String> = Vec::new();
-        let mut cand_col: Vec<String> = Vec::new();
-        let mut score_col: Vec<f64> = Vec::new();
-        let mut emit = |i: usize, j: usize, s: f32| {
-            probe_col.push(out.probes[i].clone());
-            cand_col.push(out.candidates[j].clone());
-            score_col.push(s as f64);
-        };
-        match &out.scores {
-            Scores::Dense(scores) => {
-                for i in 0..out.probes.len() {
-                    for j in 0..c {
-                        let s = scores[i * c + j];
-                        if s >= floor {
-                            emit(i, j, s);
-                        }
-                    }
-                }
-            }
-            Scores::Hits(hits) => {
-                for &(i, j, s) in hits {
-                    emit(i as usize, j as usize, s);
-                }
-            }
-        }
-        let chunk = if probe_col.is_empty() {
-            Chunk::empty(self.schema.clone())
-        } else {
-            Chunk::new(
-                self.schema.clone(),
-                vec![
-                    Column::from_strings(probe_col),
-                    Column::from_strings(cand_col),
-                    Column::from_f64(score_col),
-                ],
-            )?
-        };
-        Ok(Box::new(std::iter::once(Ok(chunk))))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cx_embed::HashNGramModel;
-    use cx_exec::TableScanExec;
-    use cx_storage::Table;
-    use cx_vector::kernels::{cosine_with_norms, norm};
+    use cx_exec::{ChunkStream, TableScanExec};
+    use cx_storage::{Column, DataType, Field, Schema, Table};
+    use cx_vector::kernels::{dot_unrolled, norm};
 
     fn cache() -> Arc<EmbeddingCache> {
         Arc::new(EmbeddingCache::new(Arc::new(HashNGramModel::new(7))))
@@ -441,7 +335,6 @@ mod tests {
         }
         fn scan_signature(&self) -> Option<ScanSignature> {
             Some(ScanSignature {
-                kind: ScanKind::CosineFilter,
                 candidate_fingerprint: 0xc0ffee,
                 candidate_child: 0,
                 candidate_column: 0,
@@ -468,25 +361,35 @@ mod tests {
             .collect()
     }
 
+    /// Unit-norm copy of `v` (a zero vector stays zero).
+    fn unit(v: &[f32]) -> Vec<f32> {
+        let n = norm(v);
+        v.iter().map(|&x| if n > 0.0 { x / n } else { x }).collect()
+    }
+
     #[test]
     fn filter_sweep_matches_pairwise_cosine_bit_for_bit() {
         let c = cache();
         let shared = SharedScanExec::from_group(&group(&["shoe", "coat"]), c.clone()).unwrap();
         let states = shared.member_states().unwrap();
         assert_eq!(states.len(), 2);
+        let mut matched = 0;
         for (state, target) in states.iter().zip(["shoe", "coat"]) {
-            let SharedScanState::FilterScores(map) = state else {
-                panic!("expected filter scores");
-            };
-            assert_eq!(map.len(), 3); // distinct candidates
-            let t = c.get(target);
-            let tn = norm(&t);
-            for v in ["boots", "parka", "mug"] {
-                let e = c.get(v);
-                let exact = cosine_with_norms(&t, &e, tn, norm(&e));
-                assert_eq!(map[v].to_bits(), exact.to_bits(), "{target} vs {v}");
-            }
+            // Each member's complete match list at its threshold, scored as
+            // the bare dot of unit-normalized embeddings, in candidate order.
+            let t = unit(&c.get(target));
+            let want: Vec<(String, String, u32)> = ["boots", "parka", "mug"]
+                .iter()
+                .map(|v| (target.to_string(), v.to_string(), dot_unrolled(&t, &unit(&c.get(v)))))
+                .filter(|&(.., s)| s >= 0.1)
+                .map(|(p, v, s)| (p, v, s.to_bits()))
+                .collect();
+            let got: Vec<(String, String, u32)> =
+                state.matches.iter().map(|(p, v, s)| (p.clone(), v.clone(), s.to_bits())).collect();
+            assert_eq!(got, want, "{target}");
+            matched += got.len();
         }
+        assert!(matched > 0, "the threshold keeps some pair");
         let stats = shared.sweep().unwrap().stats;
         assert_eq!(stats.members, 2);
         assert_eq!(stats.candidate_rows, 3);
@@ -506,17 +409,6 @@ mod tests {
         assert_eq!(out.stats.pairs_saved, 2 * 3);
         // Every member slices the same row.
         assert_eq!(out.member_probe_rows, vec![vec![0], vec![0], vec![0]]);
-    }
-
-    #[test]
-    fn execute_streams_pairs_above_min_threshold() {
-        let shared = SharedScanExec::from_group(&group(&["boots"]), cache()).unwrap();
-        let table = cx_exec::collect_table(&shared).unwrap();
-        assert_eq!(table.schema().names(), vec!["probe", "candidate", "score"]);
-        // "boots" matches itself with cosine 1.0 at least.
-        assert!(table.num_rows() >= 1);
-        assert!(shared.name().contains("cosine-filter"));
-        assert!(shared.member_count() == 1);
     }
 
     #[test]

@@ -2,15 +2,20 @@
 //!
 //! `word = "Clothes" using model "M" with cosine threshold >= 0.9`
 //! (the paper's own syntax sketch, Section IV).
+//!
+//! The filter is the one-probe case of the semantic join's panel sweep
+//! ([`crate::sweep`]): its target is the only probe row, its threshold the
+//! floor, and a row passes iff its value is among the sweep's hits. Scores
+//! are the join's normalized dot, bit for bit.
 
-use crate::sweep::{sweep, Distinct, Scores};
+use crate::sweep::{sweep, Distinct};
 use cx_embed::EmbeddingCache;
-use cx_exec::shared::{ProbeSource, ScanKind, ScanSignature, SharedScanState};
+use cx_exec::shared::{ProbeSource, ScanSignature, SharedScanState};
 use cx_exec::{ChunkStream, PhysicalOperator};
 use cx_storage::{Bitmap, DataType, Error, Result, Schema};
 use cx_vector::QuantTier;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Filters rows whose `column` value embeds within `threshold` cosine
@@ -24,9 +29,9 @@ pub struct SemanticFilterExec {
     /// Logical fingerprint of the input subtree, when the planner knows
     /// it — the operator's ticket into multi-query scan sharing.
     scan_fingerprint: Option<u64>,
-    /// One-shot injected slice of a shared sweep (value → score against
-    /// this filter's target); consumed by the next `execute()`.
-    shared: Mutex<Option<HashMap<String, f32>>>,
+    /// One-shot injected slice of a shared sweep: this filter's complete
+    /// match list at its threshold; consumed by the next `execute()`.
+    shared: Mutex<Option<SharedScanState>>,
 }
 
 impl SemanticFilterExec {
@@ -98,7 +103,6 @@ impl PhysicalOperator for SemanticFilterExec {
 
     fn scan_signature(&self) -> Option<ScanSignature> {
         Some(ScanSignature {
-            kind: ScanKind::CosineFilter,
             candidate_fingerprint: self.scan_fingerprint?,
             candidate_child: 0,
             candidate_column: self.column_index,
@@ -111,18 +115,19 @@ impl PhysicalOperator for SemanticFilterExec {
     }
 
     fn inject_shared_scan(&self, state: SharedScanState) -> bool {
-        match state {
-            SharedScanState::FilterScores(map) => {
-                *self.shared.lock() = Some(map);
-                true
-            }
-            SharedScanState::JoinMatches(_) => false,
-        }
+        *self.shared.lock() = Some(state);
+        true
     }
 
     fn execute(&self) -> Result<ChunkStream> {
         let target = self.target.clone();
-        let injected = self.shared.lock().take();
+        // An injected slice is the complete match list (see
+        // `cx_exec::shared`): a value it does not name does not match.
+        let injected: Option<HashSet<String>> = self
+            .shared
+            .lock()
+            .take()
+            .map(|state| state.matches.into_iter().map(|(_, value, _)| value).collect());
         let stream = self.input.execute()?;
         let cache = self.cache.clone();
         let column_index = self.column_index;
@@ -136,43 +141,25 @@ impl PhysicalOperator for SemanticFilterExec {
             let chunk = chunk?;
             let distinct = Distinct::of_column(chunk.column(column_index)?)?;
 
-            // One score per distinct value, out of one function either way:
-            // a shared-sweep slice holds scores the same `sweep` call
-            // computed over the group's stacked probes, so they are
-            // bit-identical to the solo sweep's. Values a slice lacks (only
-            // under a mis-grouped injection) are swept here, solo.
-            let probe = [target.as_str()];
-            let solo = |texts: &[&str]| -> Result<Vec<f32>> {
-                let kind = ScanKind::CosineFilter;
-                match sweep(kind, QuantTier::F32, &cache, texts, &probe, threshold, 1, &ctx)? {
-                    Scores::Dense(row) => Ok(row),
-                    Scores::Hits(_) => unreachable!("cosine-filter sweeps are dense"),
-                }
-            };
-            let values = &distinct.values;
-            let scores: Vec<f32> = match &injected {
-                None => solo(values)?,
-                Some(map) => {
-                    let mut scores = vec![0.0f32; values.len()];
-                    let unscored: Vec<usize> = (0..values.len())
-                        .filter(|&id| match map.get(values[id]) {
-                            Some(&s) => {
-                                scores[id] = s;
-                                false
-                            }
-                            None => true,
-                        })
-                        .collect();
-                    let texts: Vec<&str> = unscored.iter().map(|&id| values[id]).collect();
-                    for (&id, s) in unscored.iter().zip(solo(&texts)?) {
-                        scores[id] = s;
+            // Matches per distinct value, out of one function either way: a
+            // shared-sweep slice holds the hits the same `sweep` call found
+            // for this target among the group's stacked probes.
+            let matched: Vec<bool> = match &injected {
+                Some(matches) => distinct.values.iter().map(|v| matches.contains(*v)).collect(),
+                None => {
+                    let probe = [target.as_str()];
+                    let hits =
+                        sweep(QuantTier::F32, &cache, &distinct.values, &probe, threshold, 1, &ctx)?;
+                    let mut matched = vec![false; distinct.values.len()];
+                    for (_, id, _) in hits {
+                        matched[id as usize] = true;
                     }
-                    scores
+                    matched
                 }
             };
 
             // NULL never matches.
-            let passes = |id: &Option<u32>| id.is_some_and(|id| scores[id as usize] >= threshold);
+            let passes = |id: &Option<u32>| id.is_some_and(|id| matched[id as usize]);
             chunk.filter(&Bitmap::from_bools(distinct.row_ids.iter().map(passes)))
         })))
     }
@@ -264,13 +251,35 @@ mod tests {
             .unwrap()
             .with_scan_fingerprint(0xabc);
         let sig = tagged.scan_signature().unwrap();
-        assert_eq!(sig.kind, cx_exec::ScanKind::CosineFilter);
+        assert_eq!(sig.candidate_child, 0);
         assert_eq!(sig.candidate_fingerprint, 0xabc);
         assert_eq!(sig.candidate_column, 1);
         assert_eq!(sig.model, "m");
         assert_eq!(sig.quant, 0);
         assert_eq!(sig.threshold, 0.85);
         assert_eq!(sig.probe, cx_exec::ProbeSource::Literal("clothes".into()));
+    }
+
+    /// The filter's arithmetic, pairwise: the bare dot of the target's and
+    /// the value's embeddings, each scaled to unit norm (zero vectors stay
+    /// zero and score 0.0).
+    fn reference_score(cache: &EmbeddingCache, target: &str, value: &str) -> f32 {
+        let unit = |text: &str| -> Vec<f32> {
+            let mut v = cache.get(text).to_vec();
+            let n = cx_vector::kernels::norm(&v);
+            if n > 0.0 {
+                for x in &mut v {
+                    *x /= n;
+                }
+            }
+            v
+        };
+        cx_vector::kernels::dot_unrolled(&unit(target), &unit(value))
+    }
+
+    fn names(filter: &SemanticFilterExec) -> Vec<String> {
+        let out = collect_table(filter).unwrap();
+        out.column_by_name("name").unwrap().utf8_values().unwrap().to_vec()
     }
 
     #[test]
@@ -281,21 +290,18 @@ mod tests {
                 .unwrap();
             collect_table(&f).unwrap()
         };
-        // Scores computed with the solo arithmetic, keyed by value.
-        let target = cache.get("clothes");
-        let tn = cx_vector::kernels::norm(&target);
-        let map: HashMap<String, f32> = ["boots", "dog", "parka", "cat", "coat"]
+        // The complete match list at the threshold, scored with the
+        // reference arithmetic.
+        let matches: Vec<(String, String, f32)> = ["boots", "dog", "parka", "cat", "coat"]
             .iter()
-            .map(|v| {
-                let e = cache.get(v);
-                (v.to_string(), cx_vector::kernels::cosine_with_norms(&target, &e, tn, cx_vector::kernels::norm(&e)))
-            })
+            .map(|v| ("clothes".to_string(), v.to_string(), reference_score(&cache, "clothes", v)))
+            .filter(|&(.., s)| s >= 0.85)
             .collect();
+        assert_eq!(matches.len(), 3);
         let filter = SemanticFilterExec::new(items_scan(), "name", "clothes", 0.85, cache.clone())
             .unwrap()
             .with_scan_fingerprint(1);
-        assert!(filter.inject_shared_scan(SharedScanState::FilterScores(map)));
-        assert!(!filter.inject_shared_scan(SharedScanState::JoinMatches(vec![])));
+        assert!(filter.inject_shared_scan(SharedScanState { matches: matches.clone() }));
         let injected = collect_table(&filter).unwrap();
         assert_eq!(injected.num_rows(), solo.num_rows());
         for r in 0..solo.num_rows() {
@@ -304,11 +310,45 @@ mod tests {
         // The state was consumed: the next execution scans solo again.
         let again = collect_table(&filter).unwrap();
         assert_eq!(again.num_rows(), solo.num_rows());
-        // A partial (mis-grouped) injection falls back per value and still
-        // matches the solo scan.
-        assert!(filter.inject_shared_scan(SharedScanState::FilterScores(HashMap::new())));
-        let fallback = collect_table(&filter).unwrap();
-        assert_eq!(fallback.num_rows(), solo.num_rows());
+        // The slice is the complete match list: a value it lacks does not
+        // match, even though the solo sweep would keep it.
+        let without_parka = matches.into_iter().filter(|(_, v, _)| v != "parka").collect();
+        assert!(filter.inject_shared_scan(SharedScanState { matches: without_parka }));
+        assert_eq!(names(&filter), ["boots", "coat"]);
+        assert_eq!(names(&filter), ["boots", "parka", "coat"]);
+    }
+
+    #[test]
+    fn solo_scores_are_the_normalized_dot_at_the_threshold() {
+        let cache = model_cache();
+        // "?!" has no n-gram token: it embeds to the zero vector, which
+        // scores exactly 0.0 against any target.
+        assert!(cache.get("?!").iter().all(|&x| x == 0.0));
+        assert_eq!(reference_score(&cache, "clothes", "?!").to_bits(), 0.0f32.to_bits());
+        let table = Table::from_columns(
+            Schema::new(vec![Field::new("name", DataType::Utf8)]),
+            vec![Column::from_strings(["boots", "?!", "parka", "dog", "coat"])],
+        )
+        .unwrap();
+        let filter_at = |threshold: f32| {
+            let scan = Arc::new(TableScanExec::new(Arc::new(table.clone())));
+            SemanticFilterExec::new(scan, "name", "clothes", threshold, model_cache()).unwrap()
+        };
+        // θ = 0 keeps the zero vector (0.0 >= 0.0); any positive θ drops it.
+        assert!(names(&filter_at(0.0)).contains(&"?!".to_string()));
+        assert!(!names(&filter_at(f32::MIN_POSITIVE)).contains(&"?!".to_string()));
+        // A value scoring exactly θ passes; one ulp above θ it does not.
+        for value in ["boots", "parka", "dog", "coat"] {
+            let theta = reference_score(&cache, "clothes", value);
+            if !(0.0..=1.0).contains(&theta) {
+                continue;
+            }
+            assert!(names(&filter_at(theta)).contains(&value.to_string()), "{value} at {theta}");
+            let above = f32::from_bits(theta.to_bits() + 1);
+            if above <= 1.0 {
+                assert!(!names(&filter_at(above)).contains(&value.to_string()), "{value}");
+            }
+        }
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! ([`SemanticJoinExec::with_quant_tier`]) makes the sweep scan f16/int8
 //! panels, trading a bounded score error for bytes-per-row.
 
-use crate::sweep::{sweep, Distinct, Hit, Scores};
+use crate::sweep::{sweep, Distinct, Hit};
 use cx_embed::EmbeddingCache;
-use cx_exec::shared::{ProbeSource, ScanKind, ScanSignature, SharedScanState};
+use cx_exec::shared::{ProbeSource, ScanSignature, SharedScanState};
 use cx_exec::{keys_cmp, top_n_by, ChunkStream, PhysicalOperator};
 use cx_storage::{Chunk, Column, DataType, Error, Field, QueryContext, Result, Schema};
 use cx_vector::QuantTier;
@@ -171,7 +171,6 @@ impl PhysicalOperator for SemanticJoinExec {
 
     fn scan_signature(&self) -> Option<ScanSignature> {
         Some(ScanSignature {
-            kind: ScanKind::DotJoin,
             candidate_fingerprint: self.scan_fingerprint?,
             candidate_child: 1,
             candidate_column: self.right_key,
@@ -187,13 +186,8 @@ impl PhysicalOperator for SemanticJoinExec {
     }
 
     fn inject_shared_scan(&self, state: SharedScanState) -> bool {
-        match state {
-            SharedScanState::JoinMatches(matches) => {
-                *self.shared.lock() = Some(matches);
-                true
-            }
-            SharedScanState::FilterScores(_) => false,
-        }
+        *self.shared.lock() = Some(state.matches);
+        true
     }
 
     fn execute(&self) -> Result<ChunkStream> {
@@ -301,27 +295,13 @@ impl SemanticJoinExec {
         } else {
             self.parallelism
         };
-        let Scores::Hits(hits) = sweep(
-            ScanKind::DotJoin,
-            self.quant,
-            &self.cache,
-            right,
-            left,
-            self.threshold,
-            workers,
-            ctx,
-        )?
-        else {
-            unreachable!("dot-join sweeps return hits")
-        };
-        Ok(hits)
+        sweep(self.quant, &self.cache, right, left, self.threshold, workers, ctx)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
     use cx_embed::{ClusterGeometry, ClusterSpec, ClusteredTextModel, SemanticSpace};
     use cx_exec::{collect_table, TableScanExec};
     use cx_storage::{Scalar, Table};
@@ -531,7 +511,6 @@ mod tests {
         assert!(make().scan_signature().is_none());
         let tagged = make().with_scan_fingerprint(7);
         let sig = tagged.scan_signature().unwrap();
-        assert_eq!(sig.kind, cx_exec::ScanKind::DotJoin);
         assert_eq!(sig.candidate_child, 1);
         assert_eq!(sig.candidate_column, 0);
         assert_eq!(
@@ -593,8 +572,7 @@ mod tests {
         .unwrap()
         .with_scan_fingerprint(9);
         let before = c.model().stats().invocations();
-        assert!(join.inject_shared_scan(SharedScanState::JoinMatches(matches)));
-        assert!(!join.inject_shared_scan(SharedScanState::FilterScores(HashMap::new())));
+        assert!(join.inject_shared_scan(SharedScanState { matches }));
         let injected = collect_table(&join).unwrap();
         // The injected run embedded nothing new.
         assert_eq!(c.model().stats().invocations(), before);

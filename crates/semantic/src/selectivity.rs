@@ -7,7 +7,8 @@
 //! engines (Sanca & Ailamaki, DaMoN'22, cited as \[28\]).
 
 use cx_embed::EmbeddingCache;
-use cx_vector::kernels::{cosine_with_norms, norm};
+use cx_vector::kernels::dot_unrolled;
+use cx_vector::VectorArena;
 use std::sync::Arc;
 
 /// Default cap on sampled values.
@@ -29,6 +30,17 @@ fn stride_sample(values: &[String], cap: usize) -> Vec<&str> {
         .collect()
 }
 
+/// `texts`' embeddings as unit rows, so that a bare dot of two rows is
+/// their cosine — the arithmetic execution scores with.
+fn unit_rows(cache: &EmbeddingCache, texts: &[&str]) -> VectorArena {
+    let mut rows = VectorArena::with_capacity(cache.dim(), texts.len());
+    for text in texts {
+        rows.push(&cache.get(text));
+    }
+    rows.normalize();
+    rows
+}
+
 /// Estimated fraction of `values` whose embedding is within `threshold`
 /// cosine of `target`'s embedding. Returns a value in `[0, 1]`.
 pub fn semantic_filter_selectivity(
@@ -42,14 +54,10 @@ pub fn semantic_filter_selectivity(
     if sample.is_empty() {
         return 0.0;
     }
-    let t = cache.get(target);
-    let tn = norm(&t);
-    let matches = sample
-        .iter()
-        .filter(|v| {
-            let e = cache.get(v);
-            cosine_with_norms(&t, &e, tn, norm(&e)) >= threshold
-        })
+    let target = unit_rows(cache, &[target]);
+    let rows = unit_rows(cache, &sample);
+    let matches = (0..rows.len())
+        .filter(|&r| dot_unrolled(target.row(0), rows.row(r)) >= threshold)
         .count();
     matches as f64 / sample.len() as f64
 }
@@ -69,14 +77,11 @@ pub fn semantic_join_selectivity(
     if left.is_empty() || right.is_empty() {
         return 0.0;
     }
-    let left_embs: Vec<_> = left.iter().map(|v| cache.get(v)).collect();
-    let right_embs: Vec<_> = right.iter().map(|v| cache.get(v)).collect();
-    let left_norms: Vec<f32> = left_embs.iter().map(|e| norm(e)).collect();
-    let right_norms: Vec<f32> = right_embs.iter().map(|e| norm(e)).collect();
+    let (left_rows, right_rows) = (unit_rows(cache, &left), unit_rows(cache, &right));
     let mut matches = 0usize;
-    for (le, ln) in left_embs.iter().zip(&left_norms) {
-        for (re, rn) in right_embs.iter().zip(&right_norms) {
-            if cosine_with_norms(le, re, *ln, *rn) >= threshold {
+    for l in 0..left_rows.len() {
+        for r in 0..right_rows.len() {
+            if dot_unrolled(left_rows.row(l), right_rows.row(r)) >= threshold {
                 matches += 1;
             }
         }

@@ -11,26 +11,23 @@
 //! probes of every member — so shared ≡ solo holds because both call this
 //! function, not because two copies agree.
 //!
-//! Arithmetic per [`ScanKind`] (see [`cx_exec::shared`]), at f32
-//! bit-identical to the pairwise kernels under one active SIMD path:
-//!
-//! * `CosineFilter` — raw rows with cached norms,
-//!   `dot / (probe_norm * candidate_norm)`, zero norms scoring 0.0
-//!   (`cosine_with_norms`); f32 only, since a filter's few probes can
-//!   never amortize quantizing a panel. Returns [`Scores::Dense`].
-//! * `DotJoin` — both sides normalized once, then bare dots
-//!   (`dot_unrolled`): at `F32` one `dot_block_threshold` call per build
-//!   tile scores the whole probe span against it, two probes per register
-//!   tile on x86, and keeps only pairs clearing the floor; at `F16`/`Int8`
-//!   the normalized candidate panel is re-encoded as a
-//!   [`QuantizedArena`], scored one probe row at a time, and scores carry
-//!   the tier's bounded error. Returns [`Scores::Hits`].
+//! One arithmetic, at f32 bit-identical to the pairwise kernels under
+//! one active SIMD path: both sides are normalized once, in place
+//! ([`VectorArena::normalize`]; zero rows stay zero and score 0.0), then
+//! every score is a bare dot (`dot_unrolled`) — the cosine. A filter's
+//! scores therefore equal a join's on the same pair, bit for bit. At
+//! `F32` one `dot_block_threshold` call per build tile scores the whole
+//! probe span against it, two probes per register tile on x86, and keeps
+//! only pairs clearing the floor; at `F16`/`Int8` the normalized candidate
+//! panel is re-encoded as a [`QuantizedArena`], scored one probe row at a
+//! time, and scores carry the tier's bounded error. Either way the result
+//! is the [`Hit`] list at the floor: a filter's or join's epilogue, and a
+//! shared scan's per-member slices, consume only pairs that clear it.
 
 use cx_embed::EmbeddingCache;
 use cx_exec::parallel::parallel_map_ranges;
-use cx_exec::shared::ScanKind;
-use cx_storage::{Chunk, Column, Error, QueryContext, Result};
-use cx_vector::block::{cosine_block_threshold, dot_block_threshold, TILE};
+use cx_storage::{Chunk, Column, QueryContext, Result};
+use cx_vector::block::{dot_block_threshold, TILE};
 use cx_vector::{QuantTier, QuantizedArena, VectorArena};
 use std::collections::HashMap;
 
@@ -94,37 +91,20 @@ impl<'a> Distinct<'a> {
     }
 }
 
-/// One `(probe id, candidate id, score)` pair of a [`Scores::Hits`] sweep.
+/// One `(probe id, candidate id, score)` pair of a [`sweep`].
 pub type Hit = (u32, u32, f32);
 
-/// What a [`sweep`] returns, shaped per scan kind.
+/// Scores every probe against every candidate at storage tier `tier` and
+/// returns each pair scoring at or above `floor` (a filter's or join's
+/// threshold, or a shared group's lowest), ordered by `(probe id,
+/// candidate id)` whatever the tiling or worker count: embeds both sides
+/// through `cache`, normalizes them in place, and streams probe rows over
+/// cache-sized tiles of the candidate panel.
 ///
-/// Filters bring one probe row per query and every query needs its whole
-/// row, so the `probes × candidates` tile is small — dense is right.
-/// Joins stack *many* probe rows and their epilogues consume only
-/// above-threshold pairs; a dense tile would turn a compute-bound sweep
-/// into a memory-bound one, so only pairs clearing the floor are kept.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Scores {
-    /// `CosineFilter`: row-major `probes × candidates` scores.
-    Dense(Vec<f32>),
-    /// `DotJoin`: every pair scoring at or above the floor, ordered by
-    /// `(probe id, candidate id)` whatever the tiling or worker count.
-    Hits(Vec<Hit>),
-}
-
-/// Scores every probe against every candidate with `kind`'s arithmetic at
-/// storage tier `tier`: embeds both sides through `cache`, builds the
-/// panel once, and streams probe rows over cache-sized tiles of it.
-///
-/// `floor` compacts [`Scores::Hits`] (a join's threshold, or a group's
-/// lowest); dense scores are returned whole. `workers > 1` fans contiguous
-/// probe spans out to scoped threads. `ctx` is checked once per build tile
-/// (per probe row on quantized panels), so a dead query overshoots by at
-/// most one tile.
-#[allow(clippy::too_many_arguments)]
+/// `workers > 1` fans contiguous probe spans out to scoped threads. `ctx`
+/// is checked once per build tile (per probe row on quantized panels), so
+/// a dead query overshoots by at most one tile.
 pub fn sweep<C: AsRef<str>, P: AsRef<str>>(
-    kind: ScanKind,
     tier: QuantTier,
     cache: &EmbeddingCache,
     candidates: &[C],
@@ -132,19 +112,14 @@ pub fn sweep<C: AsRef<str>, P: AsRef<str>>(
     floor: f32,
     workers: usize,
     ctx: &QueryContext,
-) -> Result<Scores> {
+) -> Result<Vec<Hit>> {
     let (p, c) = (probes.len(), candidates.len());
-    let mut out = match kind {
-        ScanKind::CosineFilter => Scores::Dense(Vec::new()),
-        ScanKind::DotJoin => Scores::Hits(Vec::new()),
-    };
     if p == 0 || c == 0 {
-        return Ok(out);
+        return Ok(Vec::new());
     }
     let _span = cx_obs::span_with("panel_sweep", || {
         format!(
-            "kind={} tier={} probes={p} candidates={c} simd={}",
-            kind.label(),
+            "tier={} probes={p} candidates={c} simd={}",
             tier.label(),
             cx_vector::simd::KernelDispatch::active().report()
         )
@@ -153,57 +128,25 @@ pub fn sweep<C: AsRef<str>, P: AsRef<str>>(
     // before the fan-out: worker threads carry no profile window.
     cx_obs::add_pairs((p * c) as u64);
     cx_obs::add_tiles(c.div_ceil(TILE) as u64);
-    let cand = VectorArena::from_texts(cache, candidates);
-    let prob = VectorArena::from_texts(cache, probes);
+    let mut cand = VectorArena::from_texts(cache, candidates);
+    let mut prob = VectorArena::from_texts(cache, probes);
     ctx.check()?;
-
-    enum Panel {
-        Cosine(VectorArena),
-        Dot(VectorArena),
-        Quantized(QuantizedArena),
-    }
-    let (prob, panel) = match (kind, tier) {
-        (ScanKind::CosineFilter, QuantTier::F32) => (prob, Panel::Cosine(cand)),
-        (ScanKind::CosineFilter, tier) => {
-            return Err(Error::InvalidArgument(format!(
-                "cosine-filter sweeps are f32-only, got tier {}",
-                tier.label()
-            )))
-        }
-        (ScanKind::DotJoin, QuantTier::F32) => (prob.normalized(), Panel::Dot(cand.normalized())),
-        (ScanKind::DotJoin, tier) => (
-            prob.normalized(),
-            Panel::Quantized(QuantizedArena::from_arena(&cand.normalized(), tier)?),
-        ),
+    cand.normalize();
+    prob.normalize();
+    let quantized = match tier {
+        QuantTier::F32 => None,
+        tier => Some(QuantizedArena::from_arena(&cand, tier)?),
     };
 
-    // The f32 arms keep one schedule: build-side tiles stay cache-resident
-    // while the probe span streams over them, and the kernels emit
-    // straight from registers.
-    let scan_span = |span: std::ops::Range<usize>| -> Result<Scores> {
-        Ok(match &panel {
-            Panel::Cosine(cand) => {
-                let mut dense = vec![0.0f32; span.len() * c];
-                for t0 in (0..c).step_by(TILE) {
-                    ctx.check()?;
-                    let tile = cand.block(t0..(t0 + TILE).min(c));
-                    for i in span.clone() {
-                        let row = &mut dense[(i - span.start) * c + t0..];
-                        cosine_block_threshold(
-                            prob.row(i),
-                            prob.row_norm(i),
-                            tile.data,
-                            tile.stride,
-                            tile.norms,
-                            f32::NEG_INFINITY,
-                            |r, score| row[r] = score,
-                        );
-                    }
-                }
-                Scores::Dense(dense)
-            }
-            Panel::Dot(cand) => {
-                let mut hits: Vec<Hit> = Vec::new();
+    // The f32 schedule: build-side tiles stay cache-resident while the
+    // probe span streams over them, and the kernel emits straight from
+    // registers. Quantized panels take one kernel call per probe row
+    // through a reused row buffer; the f16/int8 panel moves 2–4× fewer
+    // bytes than the f32 arena.
+    let scan_span = |span: std::ops::Range<usize>| -> Result<Vec<Hit>> {
+        let mut hits: Vec<Hit> = Vec::new();
+        match &quantized {
+            None => {
                 let probes = prob.block(span.clone());
                 for t0 in (0..c).step_by(TILE) {
                     ctx.check()?;
@@ -212,13 +155,8 @@ pub fn sweep<C: AsRef<str>, P: AsRef<str>>(
                         hits.push(((span.start + i) as u32, (t0 + r) as u32, score))
                     });
                 }
-                Scores::Hits(hits)
             }
-            // One quantized-panel kernel call per probe row through a
-            // reused row buffer; the f16/int8 panel moves 2–4× fewer
-            // bytes than the f32 arena.
-            Panel::Quantized(cand) => {
-                let mut hits: Vec<Hit> = Vec::new();
+            Some(cand) => {
                 let mut row = vec![0.0f32; c];
                 for i in span {
                     ctx.check()?;
@@ -226,20 +164,15 @@ pub fn sweep<C: AsRef<str>, P: AsRef<str>>(
                     let above = row.iter().enumerate().filter(|(_, s)| **s >= floor);
                     hits.extend(above.map(|(j, &s)| (i as u32, j as u32, s)));
                 }
-                Scores::Hits(hits)
             }
-        })
+        }
+        Ok(hits)
     };
 
+    let mut hits = Vec::new();
     for part in parallel_map_ranges(p, workers, scan_span) {
-        match (&mut out, part?) {
-            (Scores::Dense(all), Scores::Dense(rows)) => all.extend(rows),
-            (Scores::Hits(all), Scores::Hits(hits)) => all.extend(hits),
-            _ => unreachable!("a sweep's spans all score one kind"),
-        }
+        hits.extend(part?);
     }
-    if let Scores::Hits(hits) = &mut out {
-        hits.sort_unstable_by_key(|&(i, j, _)| (i, j));
-    }
-    Ok(out)
+    hits.sort_unstable_by_key(|&(i, j, _)| (i, j));
+    Ok(hits)
 }

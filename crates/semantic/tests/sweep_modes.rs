@@ -1,5 +1,5 @@
 //! The f32 join sweep under every SIMD mode the host runs: for each
-//! `available_modes()` entry, `sweep(DotJoin, F32)` at 1, 2 and 3 workers
+//! `available_modes()` entry, `sweep(F32)` at 1, 2 and 3 workers
 //! returns exactly the pairwise `cx_simd::dot >= floor` pairs over the
 //! normalized rows, bit for bit and ordered by (probe, candidate).
 //!
@@ -7,8 +7,7 @@
 //! every test serializes on one mutex, restoring `Native` when done.
 
 use cx_embed::{ClusterGeometry, ClusterSpec, ClusteredTextModel, EmbeddingCache, SemanticSpace};
-use cx_exec::shared::ScanKind;
-use cx_semantic::sweep::{sweep, Scores};
+use cx_semantic::sweep::sweep;
 use cx_storage::QueryContext;
 use cx_vector::simd::{available_modes, dot, force_mode, SimdMode};
 use cx_vector::{QuantTier, VectorArena};
@@ -60,8 +59,10 @@ fn pairwise(
     probes: &[String],
     floor: f32,
 ) -> Vec<(u32, u32, u32)> {
-    let cand = VectorArena::from_texts(cache, candidates).normalized();
-    let prob = VectorArena::from_texts(cache, probes).normalized();
+    let mut cand = VectorArena::from_texts(cache, candidates);
+    let mut prob = VectorArena::from_texts(cache, probes);
+    cand.normalize();
+    prob.normalize();
     let mut want = Vec::new();
     for i in 0..probes.len() {
         for j in 0..candidates.len() {
@@ -101,8 +102,7 @@ fn f32_join_sweep_equals_pairwise_under_every_mode() {
                             );
                         }
                         for workers in [1usize, 2, 3] {
-                            let scores = sweep(
-                                ScanKind::DotJoin,
+                            let hits = sweep(
                                 QuantTier::F32,
                                 &cache,
                                 &candidates,
@@ -112,9 +112,6 @@ fn f32_join_sweep_equals_pairwise_under_every_mode() {
                                 &ctx,
                             )
                             .unwrap();
-                            let Scores::Hits(hits) = scores else {
-                                panic!("dot-join sweeps return hits")
-                            };
                             let got: Vec<(u32, u32, u32)> =
                                 hits.iter().map(|&(i, j, s)| (i, j, s.to_bits())).collect();
                             assert_eq!(

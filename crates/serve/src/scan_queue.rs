@@ -303,10 +303,9 @@ impl Server {
                     return Err(e);
                 }
             }
-            // The sweep is consumed through its outcome, not its chunk
-            // stream (materializing the pair table just to discard it
-            // would cost O(hits) clones); record it into the operator
-            // metrics by hand so reports still show SharedScan rows/time.
+            // The sweep is no operator in any member's tree; record it
+            // into the operator metrics by hand so reports show SharedScan
+            // rows (its hits) and time.
             // It runs under the *group* context: member deadlines are
             // enforced at the epilogues, not mid-sweep.
             let sweep_started = clock.now();
@@ -328,11 +327,7 @@ impl Server {
                 let detail = format!("follower k={k}");
                 trace.add_span("shared_sweep", detail, sweep_started, sweep_dur, 0, true);
             }
-            self.metrics.handle(&shared.name()).record(
-                outcome.emitted_pairs(shared.min_threshold()),
-                1,
-                sweep_dur,
-            );
+            self.metrics.handle("SharedScan").record(outcome.hits.len() as u64, 1, sweep_dur);
             let saved = &self.scan_queue.counters;
             saved.panel_rows_saved.fetch_add(outcome.stats.panel_rows_saved, Ordering::Relaxed);
             saved.pairs_saved.fetch_add(outcome.stats.pairs_saved, Ordering::Relaxed);

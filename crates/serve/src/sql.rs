@@ -436,6 +436,28 @@ mod tests {
     }
 
     #[test]
+    fn operator_metrics_do_not_grow_with_literals() {
+        let server = server_with_data(ServeConfig::default());
+        let session = server.session();
+        let targets = ["boots", "parka", "kitten", "coat", "clothes", "pets"];
+        for i in 0..30 {
+            let t = targets[i % targets.len()];
+            for text in [
+                format!("SELECT * FROM products WHERE price > {i}.5"),
+                format!("SELECT * FROM products LIMIT {}", i + 1),
+                format!("SELECT * FROM products WHERE name SEMANTIC LIKE '{t}' (0.{})", 50 + i),
+            ] {
+                rows(session.sql(&text).unwrap());
+            }
+        }
+        // Thirty literals per shape, one registry entry per operator kind.
+        let kinds: Vec<String> =
+            server.exec_metrics().snapshot().into_iter().map(|(kind, ..)| kind).collect();
+        assert!(kinds.len() <= 3, "{kinds:?}");
+        assert!(kinds.iter().all(|k| !k.contains('[')), "{kinds:?}");
+    }
+
+    #[test]
     fn explain_and_analyze_render() {
         let server = server_with_data(ServeConfig::default());
         let session = server.session();

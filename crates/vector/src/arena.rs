@@ -4,9 +4,12 @@
 //! to a multiple of eight floats ([`ROW_ALIGN_FLOATS`]) so every row
 //! starts on a 32-byte-aligned offset within the buffer and the 8-wide
 //! kernels never straddle a row boundary; padding lanes are zero and never
-//! read. Norms are cached per
-//! row, and [`VectorArena::block`] hands out zero-copy `(data, stride)`
-//! views the [`crate::block`] kernels consume directly.
+//! read. [`VectorArena::block`] hands out zero-copy `(data, stride)` views
+//! the [`crate::block`] kernels consume directly.
+//!
+//! The arena caches no norms: every similarity the engine computes is a
+//! bare dot over unit rows, so a panel is scaled once, in place, by
+//! [`VectorArena::normalize`] and never copied for it.
 //!
 //! [`VectorArena::from_texts`] fills the arena straight from an
 //! [`EmbeddingCache`] via [`EmbeddingCache::get_batch_into`], so the
@@ -17,10 +20,10 @@ use crate::kernels::norm;
 use cx_embed::EmbeddingCache;
 use cx_storage::QueryContext;
 
-/// Charges `floats` f32s (plus per-row norm floats) to the ambient
-/// query's memory budget. Panel construction is the dominant allocator
-/// on the semantic hot path, so arenas account for themselves rather
-/// than relying on every caller to remember.
+/// Charges `floats` f32s to the ambient query's memory budget. Panel
+/// construction is the dominant allocator on the semantic hot path, so
+/// arenas account for themselves rather than relying on every caller to
+/// remember.
 fn charge_floats(floats: usize) {
     QueryContext::current().charge(floats * std::mem::size_of::<f32>());
 }
@@ -41,16 +44,14 @@ pub struct RowBlock<'a> {
     pub dim: usize,
     /// Number of rows in the view.
     pub rows: usize,
-    /// Cached L2 norm per row.
-    pub norms: &'a [f32],
 }
 
 impl<'a> RowBlock<'a> {
-    /// A one-row view of `row` (norm `norm`): the probe block of a
-    /// one-query kernel call.
-    pub fn one(row: &'a [f32], norm: &'a f32) -> Self {
+    /// A one-row view of `row`: the probe block of a one-query kernel
+    /// call.
+    pub fn one(row: &'a [f32]) -> Self {
         let dim = row.len();
-        RowBlock { data: row, stride: dim, dim, rows: 1, norms: std::slice::from_ref(norm) }
+        RowBlock { data: row, stride: dim, dim, rows: 1 }
     }
 
     /// Row `r` of the view as a `dim`-length slice.
@@ -60,13 +61,12 @@ impl<'a> RowBlock<'a> {
     }
 }
 
-/// A row-major `len × dim` matrix with padded rows and cached norms.
+/// A row-major `len × dim` matrix with padded rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VectorArena {
     dim: usize,
     stride: usize,
     data: Vec<f32>,
-    norms: Vec<f32>,
 }
 
 impl VectorArena {
@@ -74,15 +74,14 @@ impl VectorArena {
     pub fn new(dim: usize) -> Self {
         assert!(dim > 0, "dimension must be positive");
         let stride = dim.next_multiple_of(ROW_ALIGN_FLOATS);
-        VectorArena { dim, stride, data: Vec::new(), norms: Vec::new() }
+        VectorArena { dim, stride, data: Vec::new() }
     }
 
     /// An empty arena with room for `rows` vectors.
     pub fn with_capacity(dim: usize, rows: usize) -> Self {
         let mut arena = Self::new(dim);
-        charge_floats(rows * (arena.stride + 1));
+        charge_floats(rows * arena.stride);
         arena.data.reserve(rows * arena.stride);
-        arena.norms.reserve(rows);
         arena
     }
 
@@ -90,14 +89,10 @@ impl VectorArena {
     /// the padded row-major buffer — one copy per string, no intermediate
     /// per-string allocation on the batch path.
     pub fn from_texts<S: AsRef<str>>(cache: &EmbeddingCache, texts: &[S]) -> Self {
-        let dim = cache.dim();
-        let mut arena = Self::new(dim);
-        charge_floats(texts.len() * (arena.stride + 1));
+        let mut arena = Self::new(cache.dim());
+        charge_floats(texts.len() * arena.stride);
         arena.data = vec![0.0f32; texts.len() * arena.stride];
         cache.get_batch_into(texts, arena.stride, &mut arena.data);
-        arena.norms = (0..texts.len())
-            .map(|r| norm(&arena.data[r * arena.stride..r * arena.stride + dim]))
-            .collect();
         arena
     }
 
@@ -106,18 +101,17 @@ impl VectorArena {
         assert_eq!(v.len(), self.dim, "vector has wrong dimension");
         self.data.extend_from_slice(v);
         self.data.extend(std::iter::repeat_n(0.0, self.stride - self.dim));
-        self.norms.push(norm(v));
-        self.norms.len() - 1
+        self.len() - 1
     }
 
     /// Number of vectors.
     pub fn len(&self) -> usize {
-        self.norms.len()
+        self.data.len() / self.stride
     }
 
     /// Whether the arena is empty.
     pub fn is_empty(&self) -> bool {
-        self.norms.is_empty()
+        self.data.is_empty()
     }
 
     /// Logical dimensionality.
@@ -136,17 +130,6 @@ impl VectorArena {
         &self.data[i * self.stride..i * self.stride + self.dim]
     }
 
-    /// Cached L2 norm of row `i`.
-    #[inline]
-    pub fn row_norm(&self, i: usize) -> f32 {
-        self.norms[i]
-    }
-
-    /// All cached norms.
-    pub fn norms(&self) -> &[f32] {
-        &self.norms
-    }
-
     /// Zero-copy view of rows `range.start..range.end`.
     pub fn block(&self, range: std::ops::Range<usize>) -> RowBlock<'_> {
         assert!(range.end <= self.len(), "block range out of bounds");
@@ -155,7 +138,6 @@ impl VectorArena {
             stride: self.stride,
             dim: self.dim,
             rows: range.len(),
-            norms: &self.norms[range.clone()],
         }
     }
 
@@ -164,29 +146,24 @@ impl VectorArena {
         self.block(0..self.len())
     }
 
-    /// A copy with every row scaled to unit norm (zero rows left as-is),
-    /// enabling prenormalized blocked scoring.
-    pub fn normalized(&self) -> VectorArena {
-        charge_floats(self.data.len() + self.norms.len());
-        let mut data = self.data.clone();
-        for (row, &n) in data.chunks_exact_mut(self.stride).zip(&self.norms) {
+    /// Scales every row to unit L2 norm in place (zero rows stay zero and
+    /// so score 0.0 against anything): after this, a bare dot of two rows
+    /// is their cosine.
+    pub fn normalize(&mut self) {
+        for row in self.data.chunks_exact_mut(self.stride) {
+            let row = &mut row[..self.dim];
+            let n = norm(row);
             if n > 0.0 {
-                for x in &mut row[..self.dim] {
+                for x in row {
                     *x /= n;
                 }
             }
         }
-        VectorArena {
-            dim: self.dim,
-            stride: self.stride,
-            data,
-            norms: self.norms.iter().map(|&n| if n > 0.0 { 1.0 } else { 0.0 }).collect(),
-        }
     }
 
-    /// Approximate heap footprint in bytes (data + norms).
+    /// Approximate heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
-        (self.data.len() + self.norms.len()) * std::mem::size_of::<f32>()
+        self.data.len() * std::mem::size_of::<f32>()
     }
 }
 
@@ -219,7 +196,7 @@ mod tests {
         let b = a.block(2..5);
         assert_eq!(b.rows, 3);
         assert_eq!(b.row(0), &[2.0, 0.0, 0.0]);
-        assert_eq!(b.norms, &[2.0, 3.0, 4.0]);
+        assert_eq!(b.row(2), &[4.0, 0.0, 0.0]);
         // Full view covers everything.
         assert_eq!(a.as_block().rows, 6);
     }
@@ -256,17 +233,16 @@ mod tests {
         let mut a = VectorArena::new(2);
         a.push(&[3.0, 4.0]);
         a.push(&[0.0, 0.0]);
-        let n = a.normalized();
-        assert!((norm(n.row(0)) - 1.0).abs() < 1e-6);
-        assert_eq!(n.row(1), &[0.0, 0.0]);
-        assert_eq!(n.row_norm(0), 1.0);
-        assert_eq!(n.row_norm(1), 0.0);
+        a.normalize();
+        assert_eq!(a.row(0), &[3.0 / 5.0, 4.0 / 5.0]);
+        assert!((norm(a.row(0)) - 1.0).abs() < 1e-6);
+        assert_eq!(a.row(1), &[0.0, 0.0]);
     }
 
     #[test]
     fn memory_accounts_for_padding() {
         let mut a = VectorArena::new(5);
         a.push(&[0.0; 5]);
-        assert_eq!(a.memory_bytes(), (8 + 1) * 4);
+        assert_eq!(a.memory_bytes(), 8 * 4);
     }
 }

@@ -27,6 +27,11 @@
 //! Layout contract: a block is `(data, stride)` where row `r` occupies
 //! `data[r * stride .. r * stride + dim]` and `stride >= dim`. Padding
 //! lanes (`dim..stride`) are never read.
+//!
+//! There is no cosine kernel here: callers normalize both sides once
+//! ([`crate::VectorArena::normalize`]), after which cosine is the bare dot
+//! these kernels compute — the one similarity arithmetic of the engine's
+//! semantic filter, join and shared scans.
 
 use crate::RowBlock;
 
@@ -83,39 +88,6 @@ pub fn dot_block_threshold(
     );
 }
 
-/// Cosine variant of [`dot_block_threshold`] with externally cached norms:
-/// `score = dot / (query_norm * norms[r])`, the exact expression of
-/// [`crate::kernels::cosine_with_norms`] (zero-norm rows score 0.0).
-/// `emit(row, score)` fires only for rows at or above `floor`.
-#[allow(clippy::too_many_arguments)]
-pub fn cosine_block_threshold(
-    query: &[f32],
-    query_norm: f32,
-    block: &[f32],
-    stride: usize,
-    norms: &[f32],
-    floor: f32,
-    mut emit: impl FnMut(usize, f32),
-) {
-    let rows = norms.len();
-    if query_norm == 0.0 {
-        // cosine_with_norms returns 0.0 for a zero query against anything.
-        if 0.0 >= floor {
-            for r in 0..rows {
-                emit(r, 0.0);
-            }
-        }
-        return;
-    }
-    let panel = RowBlock { data: block, stride, dim: query.len(), rows, norms };
-    dot_block_threshold(RowBlock::one(query, &query_norm), panel, f32::NEG_INFINITY, |_, r, dot| {
-        let score = if norms[r] == 0.0 { 0.0 } else { dot / (query_norm * norms[r]) };
-        if score >= floor {
-            emit(r, score);
-        }
-    });
-}
-
 /// A GEMM-shaped score matrix: `out[i * build_rows + j] = dot(probe_i,
 /// build_j)`, computed in [`TILE`]×[`TILE`] tiles so the build panel stays
 /// cache-resident while a tile of probes streams over it.
@@ -164,7 +136,7 @@ pub fn scores_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{cosine_with_norms, dot_unrolled, norm};
+    use crate::kernels::dot_unrolled;
     use cx_embed::rng::SplitMix64;
 
     fn random_block(rows: usize, dim: usize, stride: usize, seed: u64) -> Vec<f32> {
@@ -200,8 +172,7 @@ mod tests {
         let (probes, rows) = (5, TILE + 13);
         let probe_block = random_block(probes, dim, 40, 5);
         let block = random_block(rows, dim, dim, 6);
-        let norms = vec![1.0f32; probes.max(rows)];
-        let view = |data, stride, rows| RowBlock { data, stride, dim, rows, norms: &norms[..rows] };
+        let view = |data, stride, rows| RowBlock { data, stride, dim, rows };
         let mut full = vec![0.0f32; probes * rows];
         for p in 0..probes {
             let q = &probe_block[p * 40..p * 40 + dim];
@@ -220,38 +191,6 @@ mod tests {
             .collect();
         assert_eq!(emitted, expected);
         assert!(emitted.len() < probes * rows);
-    }
-
-    #[test]
-    fn cosine_threshold_matches_pairwise_kernel() {
-        let dim = 20;
-        let mut rng = SplitMix64::new(9);
-        let q: Vec<f32> = (0..dim).map(|_| rng.next_f32_symmetric()).collect();
-        let qn = norm(&q);
-        let mut block = random_block(10, dim, dim, 10);
-        // Row 3 is a zero vector: cosine_with_norms scores it 0.0.
-        block[3 * dim..4 * dim].fill(0.0);
-        let norms: Vec<f32> = (0..10).map(|r| norm(&block[r * dim..(r + 1) * dim])).collect();
-        let mut got = [f32::NAN; 10];
-        cosine_block_threshold(&q, qn, &block, dim, &norms, f32::NEG_INFINITY, |r, s| got[r] = s);
-        for r in 0..10 {
-            let exact = cosine_with_norms(&q, &block[r * dim..(r + 1) * dim], qn, norms[r]);
-            assert_eq!(got[r].to_bits(), exact.to_bits(), "row {r}");
-        }
-    }
-
-    #[test]
-    fn cosine_threshold_zero_query_scores_zero() {
-        let block = random_block(4, 8, 8, 11);
-        let norms: Vec<f32> = (0..4).map(|r| norm(&block[r * 8..(r + 1) * 8])).collect();
-        let mut got = Vec::new();
-        cosine_block_threshold(&[0.0; 8], 0.0, &block, 8, &norms, f32::NEG_INFINITY, |r, s| {
-            got.push((r, s));
-        });
-        assert_eq!(got, vec![(0, 0.0), (1, 0.0), (2, 0.0), (3, 0.0)]);
-        got.clear();
-        cosine_block_threshold(&[0.0; 8], 0.0, &block, 8, &norms, 0.5, |r, s| got.push((r, s)));
-        assert!(got.is_empty());
     }
 
     #[test]
@@ -277,8 +216,8 @@ mod tests {
     fn empty_inputs_are_fine() {
         let mut out = [0.0f32; 0];
         dot_block(&[1.0, 2.0], &[], 2, &mut out);
-        let empty = RowBlock { data: &[], stride: 2, dim: 2, rows: 0, norms: &[] };
-        dot_block_threshold(RowBlock::one(&[1.0, 2.0], &1.0), empty, 0.0, |_, _, _| {
+        let empty = RowBlock { data: &[], stride: 2, dim: 2, rows: 0 };
+        dot_block_threshold(RowBlock::one(&[1.0, 2.0]), empty, 0.0, |_, _, _| {
             panic!("no rows")
         });
         scores_matrix(&[], 2, 0, 2, &[], 2, 0, &mut out);

@@ -7,8 +7,10 @@
 //!    instructions"): dispatches to `cx_simd::dot`, AVX-512/AVX2/NEON
 //!    with a scalar fallback that is the historical 8-wide unrolled
 //!    ladder bit-for-bit,
-//! 3. [`cosine_with_norms`] — norms hoisted out of the O(n²) join loop;
-//!    once inputs are unit vectors cosine is the bare [`dot_unrolled`],
+//! 3. norms hoisted out of the O(n²) join loop (the Figure 4 binary keeps
+//!    them per row for its cached-norms rung); once inputs are unit
+//!    vectors ([`crate::VectorArena::normalize`]) cosine is the bare
+//!    [`dot_unrolled`] — the engine's one similarity arithmetic,
 //! 4. [`crate::block`] — the batched rung: one query against a contiguous
 //!    panel of candidates ([`crate::block::dot_block`]), panels against
 //!    panels ([`crate::block::scores_matrix`]), same per-pair arithmetic
@@ -63,15 +65,6 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
     dot_unrolled(a, b) / (na * nb)
 }
 
-/// Cosine similarity with externally cached norms (one pass per pair).
-#[inline]
-pub fn cosine_with_norms(a: &[f32], b: &[f32], norm_a: f32, norm_b: f32) -> f32 {
-    if norm_a == 0.0 || norm_b == 0.0 {
-        return 0.0;
-    }
-    dot_unrolled(a, b) / (norm_a * norm_b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,7 +101,6 @@ mod tests {
         let z = vec![0.0; 10];
         let (a, _) = vecs(10);
         assert_eq!(cosine(&z, &a), 0.0);
-        assert_eq!(cosine_with_norms(&z, &a, 0.0, norm(&a)), 0.0);
     }
 
     #[test]
@@ -116,7 +108,6 @@ mod tests {
         let (mut a, mut b) = vecs(100);
         let (na, nb) = (norm(&a), norm(&b));
         let expected = cosine(&a, &b);
-        assert!((cosine_with_norms(&a, &b, na, nb) - expected).abs() < 1e-5);
         for x in &mut a {
             *x /= na;
         }

@@ -14,7 +14,7 @@
 //!                  │                                 │
 //!        blocked kernels (crate::block)      quantized panel kernels
 //!     dot_block / dot_block_threshold /     (cx_embed::quant::dot_block_f16,
-//!     cosine_block_threshold / scores_matrix          dot_block_int8)
+//!             scores_matrix                        dot_block_int8)
 //!                  │                                 │
 //!                  └────────────────┬────────────────┘
 //!                                   ▼
@@ -26,7 +26,7 @@
 //! Modules:
 //!
 //! * [`kernels`] — the pairwise distance-kernel ladder (scalar, unrolled,
-//!   norm-precomputed) whose rungs correspond to the "tight code /
+//!   cosine) whose rungs correspond to the "tight code /
 //!   CPU-specific instructions" optimizations of Figure 4,
 //! * [`block`] — the batched rung above it: one query scored against a
 //!   row-major panel of candidates ([`dot_block`]), panels against panels
@@ -50,5 +50,5 @@ pub use arena::{RowBlock, VectorArena};
 pub use cx_simd as simd;
 pub use cx_embed::quant::QuantTier;
 pub use qarena::{QuantizedArena, UnsupportedTier};
-pub use block::{cosine_block_threshold, dot_block, dot_block_threshold, scores_matrix};
+pub use block::{dot_block, dot_block_threshold, scores_matrix};
 pub use kernels::{cosine, dot, dot_unrolled, norm};

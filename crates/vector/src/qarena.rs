@@ -252,7 +252,8 @@ mod tests {
 
     #[test]
     fn scores_close_to_f32_blocked_kernel() {
-        let arena = random_arena(37, 29, 11).normalized();
+        let mut arena = random_arena(37, 29, 11);
+        arena.normalize();
         let mut rng = SplitMix64::new(99);
         let q = rng.unit_vector(29);
         let view = arena.as_block();

@@ -7,8 +7,8 @@ use cx_embed::{
 };
 use cx_expr::{eval, fold_constants, BinOp, Expr};
 use cx_storage::{Bitmap, Chunk, Column, DataType, Field, Scalar, Schema};
-use cx_vector::block::{cosine_block_threshold, dot_block, dot_block_threshold, scores_matrix};
-use cx_vector::kernels::{cosine, cosine_with_norms, dot, dot_unrolled, norm};
+use cx_vector::block::{dot_block, dot_block_threshold, scores_matrix};
+use cx_vector::kernels::{cosine, dot, dot_unrolled, norm};
 use cx_vector::{QuantizedArena, RowBlock, VectorArena};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -117,6 +117,14 @@ proptest! {
 // Blocked kernels vs pairwise kernels
 // ---------------------------------------------------------------------------
 
+/// `v` scaled to unit L2 norm by per-element division (a zero vector stays
+/// zero): with the bare dot, the pairwise reference for the one similarity
+/// every semantic operator scores with.
+fn unit(v: &[f32]) -> Vec<f32> {
+    let n = norm(v);
+    v.iter().map(|&x| if n > 0.0 { x / n } else { x }).collect()
+}
+
 proptest! {
     #[test]
     fn dot_block_matches_pairwise(
@@ -161,7 +169,6 @@ proptest! {
     ) {
         let mut rng = cx_embed::rng::SplitMix64::new(seed);
         let q: Vec<f32> = (0..dim).map(|_| rng.next_f32_symmetric()).collect();
-        let qn = norm(&q);
         let mut arena = VectorArena::new(dim);
         for r in 0..rows.max(1) {
             if r == rows / 2 {
@@ -172,23 +179,34 @@ proptest! {
         }
         let view = arena.as_block();
         let mut got: Vec<(usize, f32)> = Vec::new();
-        dot_block_threshold(RowBlock::one(&q, &qn), view, floor, |_, r, s| got.push((r, s)));
+        dot_block_threshold(RowBlock::one(&q), view, floor, |_, r, s| got.push((r, s)));
         let want: Vec<(usize, f32)> = (0..arena.len())
             .map(|r| (r, dot_unrolled(&q, arena.row(r))))
             .filter(|(_, s)| *s >= floor)
             .collect();
         prop_assert_eq!(got, want);
 
-        // Cosine variant agrees with the pairwise cosine_with_norms kernel.
-        let mut cos_got: Vec<(usize, f32)> = Vec::new();
-        cosine_block_threshold(&q, qn, view.data, view.stride, view.norms, floor, |r, s| {
-            cos_got.push((r, s))
+        // The semantic filter's arithmetic: both sides normalized, then the
+        // bare dot — equal to the pairwise normalized dot, the zero row
+        // scoring exactly 0.0.
+        let raw: Vec<Vec<f32>> = (0..arena.len()).map(|r| arena.row(r).to_vec()).collect();
+        let unit_q = unit(&q);
+        arena.normalize();
+        let mut unit_got: Vec<(usize, u32)> = Vec::new();
+        dot_block_threshold(RowBlock::one(&unit_q), arena.as_block(), floor, |_, r, s| {
+            unit_got.push((r, s.to_bits()))
         });
-        let cos_want: Vec<(usize, f32)> = (0..arena.len())
-            .map(|r| (r, cosine_with_norms(&q, arena.row(r), qn, arena.row_norm(r))))
+        let unit_want: Vec<(usize, u32)> = raw
+            .iter()
+            .map(|row| dot_unrolled(&unit_q, &unit(row)))
+            .enumerate()
             .filter(|(_, s)| *s >= floor)
+            .map(|(r, s)| (r, s.to_bits()))
             .collect();
-        prop_assert_eq!(cos_got, cos_want);
+        prop_assert_eq!(&unit_got, &unit_want);
+        if floor <= 0.0 {
+            prop_assert!(unit_got.contains(&(rows / 2, 0.0f32.to_bits())), "zero row scores 0.0");
+        }
     }
 
     #[test]
@@ -272,10 +290,10 @@ proptest! {
         // over normalized rows, kept at the join's threshold, sorted by
         // (score desc, id asc).
         let cache = EmbeddingCache::new(Arc::new(HashNGramModel::new(3)));
-        let (pn, ln) = (
-            VectorArena::from_texts(&cache, &probes).normalized(),
-            VectorArena::from_texts(&cache, &labels).normalized(),
-        );
+        let (mut pn, mut ln) =
+            (VectorArena::from_texts(&cache, &probes), VectorArena::from_texts(&cache, &labels));
+        pn.normalize();
+        ln.normalize();
         let mut expected: Vec<(i64, f64)> = Vec::new();
         for p in 0..n_probes {
             for l in 0..n_labels {
@@ -553,10 +571,9 @@ proptest! {
         }
         let ((lv, lrows), (rv, rrows)) = (distinct(&left_keys), distinct(&right_keys));
         let c = cache();
-        let (ln, rn) = (
-            VectorArena::from_texts(&c, &lv).normalized(),
-            VectorArena::from_texts(&c, &rv).normalized(),
-        );
+        let (mut ln, mut rn) = (VectorArena::from_texts(&c, &lv), VectorArena::from_texts(&c, &rv));
+        ln.normalize();
+        rn.normalize();
         let mut expected: Vec<(&str, &str, f64)> = Vec::new();
         for (l, lr_rows) in lrows.iter().enumerate() {
             for (r, rr_rows) in rrows.iter().enumerate() {
@@ -606,8 +623,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         use cx_embed::{EmbeddingCache, HashNGramModel};
-        use cx_exec::ScanKind;
-        use cx_semantic::sweep::{sweep, Scores};
+        use cx_semantic::sweep::{sweep, Hit};
         use cx_storage::QueryContext;
 
         let mut rng = cx_embed::rng::SplitMix64::new(seed);
@@ -638,39 +654,25 @@ proptest! {
 
         let cache = EmbeddingCache::new(Arc::new(HashNGramModel::new(3)));
         let ctx = QueryContext::default();
-        let c = candidates.len();
-        // Scores as `(probe, candidate, score bits)`, probe ids rebased to
-        // the member starting at stacked row `first`.
-        let triples = |scores: &Scores, first: usize, len: usize, at_least: f32| {
-            let all: Vec<(u32, u32, f32)> = match scores {
-                Scores::Dense(d) => d
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &s)| ((k / c) as u32, (k % c) as u32, s))
-                    .collect(),
-                Scores::Hits(h) => h.iter().copied().filter(|&(.., s)| s >= at_least).collect(),
-            };
-            all.into_iter()
-                .filter(|&(i, ..)| (first..first + len).contains(&(i as usize)))
-                .map(|(i, j, s)| (i - first as u32, j, s.to_bits()))
+        // Hits at or above `at_least` as `(probe, candidate, score bits)`,
+        // probe ids rebased to the member starting at stacked row `first`.
+        let triples = |hits: &[Hit], first: usize, len: usize, at_least: f32| {
+            hits.iter()
+                .filter(|&&(i, _, s)| s >= at_least && (first..first + len).contains(&(i as usize)))
+                .map(|&(i, j, s)| (i - first as u32, j, s.to_bits()))
                 .collect::<Vec<_>>()
         };
 
-        let cand_rows = VectorArena::from_texts(&cache, &candidates);
-        for (kind, tier) in [
-            (ScanKind::CosineFilter, QuantTier::F32),
-            (ScanKind::DotJoin, QuantTier::F32),
-            (ScanKind::DotJoin, QuantTier::F16),
-            (ScanKind::DotJoin, QuantTier::Int8),
-        ] {
+        let cand_rows: Vec<Vec<f32>> = candidates.iter().map(|t| unit(&cache.get(t))).collect();
+        for tier in [QuantTier::F32, QuantTier::F16, QuantTier::Int8] {
             let run = |probes: &[String], floor: f32, workers: usize| {
-                sweep(kind, tier, &cache, &candidates, probes, floor, workers, &ctx).unwrap()
+                sweep(tier, &cache, &candidates, probes, floor, workers, &ctx).unwrap()
             };
             let shared = run(&stacked, floor, 1);
             prop_assert_eq!(
                 triples(&shared, 0, stacked.len(), floor),
                 triples(&run(&stacked, floor, 3), 0, stacked.len(), floor),
-                "{:?}/{:?}: 1 vs 3 workers", kind, tier
+                "{:?}: 1 vs 3 workers", tier
             );
 
             let mut first = 0;
@@ -679,32 +681,32 @@ proptest! {
                 prop_assert_eq!(
                     &triples(&shared, first, probes.len(), threshold),
                     &solo,
-                    "{:?}/{:?}: member at stacked row {}", kind, tier, first
+                    "{:?}: member at stacked row {}", tier, first
                 );
                 first += probes.len();
+                // The filter case: one probe at the member's threshold — a
+                // semantic filter's sweep — returns that probe's rows of the
+                // member's slice.
+                for (i, probe) in probes.iter().enumerate() {
+                    let filter = run(std::slice::from_ref(probe), threshold, 1);
+                    let rows: Vec<_> =
+                        solo.iter().filter(|t| t.0 == i as u32).map(|&(_, j, s)| (0, j, s)).collect();
+                    prop_assert_eq!(triples(&filter, 0, 1, threshold), rows, "{:?}: filter", tier);
+                }
                 if tier != QuantTier::F32 {
                     continue;
                 }
-                let probe_rows = VectorArena::from_texts(&cache, probes);
-                let (pn, cn) = (probe_rows.normalized(), cand_rows.normalized());
                 let mut reference = Vec::new();
-                for i in 0..probes.len() {
-                    for j in 0..c {
-                        let score = match kind {
-                            ScanKind::CosineFilter => cosine_with_norms(
-                                probe_rows.row(i),
-                                cand_rows.row(j),
-                                probe_rows.row_norm(i),
-                                cand_rows.row_norm(j),
-                            ),
-                            ScanKind::DotJoin => dot_unrolled(pn.row(i), cn.row(j)),
-                        };
-                        if kind == ScanKind::CosineFilter || score >= threshold {
+                for (i, probe) in probes.iter().enumerate() {
+                    let probe = unit(&cache.get(probe));
+                    for (j, cand) in cand_rows.iter().enumerate() {
+                        let score = dot_unrolled(&probe, cand);
+                        if score >= threshold {
                             reference.push((i as u32, j as u32, score.to_bits()));
                         }
                     }
                 }
-                prop_assert_eq!(&solo, &reference, "{:?}: solo vs pairwise", kind);
+                prop_assert_eq!(&solo, &reference, "solo vs pairwise normalized dot");
             }
         }
     }
@@ -1052,10 +1054,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         use cx_embed::{EmbeddingCache, HashNGramModel};
-        use cx_exec::{
-            LimitExec, PhysicalOperator, ScanKind, SharedScanState, SortExec, TableScanExec,
-        };
-        use cx_semantic::sweep::{sweep, Distinct, Scores};
+        use cx_exec::{LimitExec, PhysicalOperator, SharedScanState, SortExec, TableScanExec};
+        use cx_semantic::sweep::{sweep, Distinct};
         use cx_semantic::SemanticJoinExec;
         use cx_storage::{QueryContext, Table};
 
@@ -1101,12 +1101,9 @@ proptest! {
         let mut slice: Vec<(String, String, f32)> = Vec::new();
         if !lv.values.is_empty() && !rv.values.is_empty() {
             let ctx = QueryContext::default();
-            let (tier, kind) = (QuantTier::F32, ScanKind::DotJoin);
-            let scores = sweep(kind, tier, &cache, &rv.values, &lv.values, threshold, 1, &ctx);
-            let Scores::Hits(hits) = scores.unwrap() else {
-                return Err(TestCaseError::fail("a dot-join sweep returns hits"));
-            };
+            let hits = sweep(QuantTier::F32, &cache, &rv.values, &lv.values, threshold, 1, &ctx);
             slice = hits
+                .unwrap()
                 .into_iter()
                 .rev()
                 .map(|(l, r, s)| {
@@ -1132,7 +1129,7 @@ proptest! {
                     &output_rows(&bounded), &want, "{:?} k={} workers={}", sort_keys, k, workers
                 );
                 let injected = join().with_scan_fingerprint(1).with_limit(&sort_keys, k).unwrap();
-                let state = SharedScanState::JoinMatches(slice.clone());
+                let state = SharedScanState { matches: slice.clone() };
                 prop_assert!(injected.inject_shared_scan(state));
                 prop_assert_eq!(
                     &output_rows(&injected), &want, "injected {:?} k={}", sort_keys, k
