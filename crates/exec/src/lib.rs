@@ -22,10 +22,7 @@
 //! * [`parallel`] — morsel-style parallel chunk processing on std
 //!   scoped threads (the "scale-up" rung of Figure 4),
 //! * [`metrics`] — per-operator row/time counters for EXPLAIN ANALYZE-style
-//!   reporting,
-//! * [`shared`] — the shared-scan contract: how operators advertise
-//!   mergeable panel sweeps ([`ScanSignature`]) and accept precomputed
-//!   match lists ([`SharedScanState`]) for multi-query execution.
+//!   reporting.
 
 mod keys;
 pub mod logical;
@@ -33,7 +30,6 @@ pub mod metrics;
 pub mod operators;
 pub mod parallel;
 pub mod physical;
-pub mod shared;
 
 pub use logical::{
     AggFunc, AggSpec, JoinType, LimitCount, LogicalPlan, SemanticJoinSpec, SemanticTarget,
@@ -46,4 +42,3 @@ pub use operators::{
 };
 pub use parallel::parallel_map_chunks;
 pub use physical::{collect, collect_table, ChunkStream, PhysicalOperator};
-pub use shared::{find_shared_scan, ProbeSource, ScanSignature, SharedScanState};

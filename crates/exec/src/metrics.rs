@@ -47,20 +47,6 @@ impl OperatorMetrics {
     pub fn latency(&self) -> &Histogram {
         &self.latency
     }
-
-    /// Folds one externally driven execution into the counters — for
-    /// operators whose work is consumed outside the chunk-stream path
-    /// (e.g. a shared sweep read through its outcome rather than its
-    /// stream), so they still show up in reports without materializing
-    /// a throwaway stream.
-    pub fn record(&self, rows: u64, chunks: u64, elapsed: std::time::Duration) {
-        self.executions.fetch_add(1, Ordering::Relaxed);
-        self.rows_out.fetch_add(rows, Ordering::Relaxed);
-        self.chunks_out.fetch_add(chunks, Ordering::Relaxed);
-        self.elapsed_ns
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        self.latency.record_duration(elapsed);
-    }
 }
 
 /// A registry of operator metrics keyed by operator kind: the label up to
@@ -180,14 +166,6 @@ impl PhysicalOperator for InstrumentedExec {
         self.inner.children()
     }
 
-    fn scan_signature(&self) -> Option<crate::shared::ScanSignature> {
-        self.inner.scan_signature()
-    }
-
-    fn inject_shared_scan(&self, state: crate::shared::SharedScanState) -> bool {
-        self.inner.inject_shared_scan(state)
-    }
-
     fn execute(&self) -> Result<ChunkStream> {
         self.metrics.executions.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
@@ -286,9 +264,6 @@ mod tests {
         let m = registry.handle(&op.name());
         assert_eq!(m.latency().count(), 2);
         assert!(m.latency().max() > 0);
-        // External record() feeds the same histogram.
-        m.record(10, 1, std::time::Duration::from_micros(50));
-        assert_eq!(m.latency().count(), 3);
         let report = registry.report();
         assert!(report.contains("p99_ms"), "{report}");
     }

@@ -1,6 +1,5 @@
 //! The physical operator trait and execution helpers.
 
-use crate::shared::{ScanSignature, SharedScanState};
 use cx_storage::{Chunk, QueryContext, Result, Schema, Table};
 use std::sync::Arc;
 
@@ -26,24 +25,6 @@ pub trait PhysicalOperator: Send + Sync {
 
     /// Starts execution, returning the output chunk stream.
     fn execute(&self) -> Result<ChunkStream>;
-
-    /// The shared-scan surface of this operator, if it can merge its
-    /// panel sweep with other queries' (see [`crate::shared`] for the
-    /// contract). Wrappers that delegate `execute` must delegate this
-    /// too. Default: not shareable.
-    fn scan_signature(&self) -> Option<ScanSignature> {
-        None
-    }
-
-    /// Installs one query's slice of a shared sweep, to be consumed by
-    /// the **next** `execute()` call instead of scanning (one-shot).
-    /// Returns `false` when this operator does not support injection
-    /// (the caller should fall back to plain execution — which is always
-    /// correct, injection being purely a work-avoidance channel).
-    fn inject_shared_scan(&self, state: SharedScanState) -> bool {
-        drop(state);
-        false
-    }
 }
 
 /// Runs `op` to completion, returning all chunks.

@@ -7,8 +7,8 @@
 //! const-initialised thread-local: a server that profiles never arms the
 //! hooks under another server's (or another test's) threads. Counters are
 //! plain thread-locals, so a window measures the thread it was opened on:
-//! work an MQO leader performs on behalf of its followers is attributed
-//! to the *leader's* profile, mirroring how shared spans credit wall time.
+//! a sweep's worker threads carry no window, so the sweep credits its
+//! pairs and tiles on the calling thread before fanning out.
 //!
 //! Allocation counting needs the embedding binary to opt in by
 //! installing [`CountingAlloc`] as its `#[global_allocator]`; without it

@@ -3,10 +3,9 @@
 //! Ownership model: the server creates one [`QueryTrace`] per traced
 //! query, installs it on the executing thread with [`install_trace`], and
 //! instrumentation sites anywhere in the engine attach spans with
-//! [`span`] / [`span_with`] without knowing about the server. Cross-thread
-//! work done on a query's behalf (an MQO leader sweeping for its
-//! followers) is attributed explicitly with [`QueryTrace::add_span`] and
-//! a `shared = true` tag.
+//! [`span`] / [`span_with`] without knowing about the server. An interval
+//! timed outside any span guard (the SQL front-end's parse and bind) is
+//! recorded explicitly with [`QueryTrace::add_span`].
 //!
 //! Recording is a property of the installed handle, not of the process:
 //! a site records iff a trace is installed on the thread it runs on.
@@ -34,9 +33,9 @@ pub fn span_allocations() -> u64 {
 /// One recorded span: a named interval relative to the trace start.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
-    /// Site name, e.g. `plan_cache`, `shared_sweep`.
+    /// Site name, e.g. `plan_cache`, `panel_sweep`.
     pub name: &'static str,
-    /// Free-form detail, e.g. `hit`, `leader k=4`.
+    /// Free-form detail, e.g. `hit`, `tier=f32`.
     pub detail: String,
     /// Start offset from the trace's start, in nanoseconds.
     pub start_ns: u64,
@@ -44,9 +43,6 @@ pub struct SpanRecord {
     pub dur_ns: u64,
     /// Nesting depth (0 = top-level lifecycle stage).
     pub depth: u16,
-    /// True when the interval covers work shared across an MQO group and
-    /// is attributed to every member (so per-member sums include it).
-    pub shared: bool,
 }
 
 /// One point-in-time event (retry, injected fault, containment).
@@ -113,8 +109,7 @@ impl QueryTrace {
         at.saturating_duration_since(self.started).as_nanos() as u64
     }
 
-    /// Explicitly records a span (used for cross-thread attribution, e.g.
-    /// an MQO leader crediting a shared sweep to every member's trace).
+    /// Explicitly records a span over an interval timed by the caller.
     pub fn add_span(
         &self,
         name: &'static str,
@@ -122,7 +117,6 @@ impl QueryTrace {
         start: Instant,
         dur: Duration,
         depth: u16,
-        shared: bool,
     ) {
         SPAN_ALLOCS.fetch_add(1, Ordering::Relaxed);
         let rec = SpanRecord {
@@ -131,7 +125,6 @@ impl QueryTrace {
             start_ns: self.offset_ns(start),
             dur_ns: dur.as_nanos() as u64,
             depth,
-            shared,
         };
         self.lock().spans.push(rec);
     }
@@ -190,7 +183,7 @@ impl QueryTrace {
 
     /// Renders the span tree EXPLAIN-ANALYZE-style: one line per span,
     /// indented by depth, ordered by start offset, with durations in
-    /// milliseconds, `[shared]` tags, and trailing events.
+    /// milliseconds, and trailing events.
     pub fn render(&self) -> String {
         let inner = self.lock();
         let mut out = format!(
@@ -211,9 +204,6 @@ impl QueryTrace {
             );
             if !s.detail.is_empty() {
                 line.push_str(&format!("  [{}]", s.detail));
-            }
-            if s.shared {
-                line.push_str("  [shared]");
             }
             out.push_str(&line);
             out.push('\n');
@@ -272,8 +262,7 @@ fn swap_current(trace: Option<QueryTrace>) -> Option<QueryTrace> {
 
 /// Installs `trace` as the current thread's ambient trace until the
 /// returned guard drops (`None` clears it, isolating callees). Nested
-/// installs restore the previous trace — an MQO leader temporarily
-/// installs each follower's trace around that follower's epilogue.
+/// installs restore the previous trace.
 pub fn install_trace(trace: Option<&QueryTrace>) -> TraceScope {
     let prev = swap_current(trace.cloned());
     let prev_depth = DEPTH.with(|d| d.replace(0));
@@ -300,18 +289,9 @@ struct ActiveSpan {
     detail: String,
     start: Instant,
     depth: u16,
-    shared: bool,
 }
 
 impl Span {
-    /// Tags this span as shared work attributed to multiple traces.
-    pub fn shared(mut self) -> Self {
-        if let Some(a) = self.0.as_mut() {
-            a.shared = true;
-        }
-        self
-    }
-
     /// Replaces the span's detail (e.g. once a cache hit/miss is known).
     pub fn set_detail(&mut self, detail: impl Into<String>) {
         if let Some(a) = self.0.as_mut() {
@@ -336,7 +316,6 @@ impl Drop for Span {
                 start_ns: a.trace.offset_ns(a.start),
                 dur_ns: dur.as_nanos() as u64,
                 depth: a.depth,
-                shared: a.shared,
             };
             a.trace.lock().spans.push(rec);
         }
@@ -369,7 +348,6 @@ pub fn span_with(name: &'static str, detail: impl FnOnce() -> String) -> Span {
         detail: detail(),
         start: Instant::now(),
         depth,
-        shared: false,
     }))
 }
 
@@ -463,19 +441,20 @@ mod tests {
     }
 
     #[test]
-    fn explicit_shared_span_and_events() {
-        let t = QueryTrace::new("member");
+    fn explicit_span_and_events() {
+        let t = QueryTrace::new("statement");
         let start = Instant::now();
         std::thread::sleep(Duration::from_millis(1));
-        t.add_span("shared_sweep", "k=3", start, start.elapsed(), 0, true);
-        t.add_event("fault", "sweep");
+        t.add_span("sql_parse", "select", start, start.elapsed(), 0);
+        t.add_event("fault", "admission");
         t.finish("transient");
         let spans = t.spans();
-        assert!(spans[0].shared);
+        assert_eq!(spans[0].name, "sql_parse");
+        assert!(spans[0].dur_ns >= 1_000_000);
         assert_eq!(t.events()[0].name, "fault");
         let r = t.render();
-        assert!(r.contains("shared_sweep"), "{r}");
-        assert!(r.contains("[shared]"), "{r}");
+        assert!(r.contains("sql_parse"), "{r}");
+        assert!(r.contains("[select]"), "{r}");
         assert!(r.contains("fault"), "{r}");
         assert!(r.contains("transient"), "{r}");
     }
@@ -484,9 +463,9 @@ mod tests {
     fn attributed_sums_top_level_only() {
         let t = QueryTrace::new("sum");
         let now = Instant::now();
-        t.add_span("a", "", now, Duration::from_nanos(100), 0, false);
-        t.add_span("b", "", now, Duration::from_nanos(50), 1, false);
-        t.add_span("c", "", now, Duration::from_nanos(25), 0, true);
+        t.add_span("a", "", now, Duration::from_nanos(100), 0);
+        t.add_span("b", "", now, Duration::from_nanos(50), 1);
+        t.add_span("c", "", now, Duration::from_nanos(25), 0);
         assert_eq!(t.attributed_ns(), 125);
     }
 }

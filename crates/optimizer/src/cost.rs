@@ -79,24 +79,6 @@ pub fn select_quant_tier_with(
     }
 }
 
-/// Fraction of a shared-scan query's cost that stays per-query no matter
-/// how many queries share the sweep: the probe-side work, threshold
-/// masking / pair expansion, and the plan above the scan. The remaining
-/// `1 - SHARED_EPILOGUE_FRACTION` is the sweep itself (embedding the
-/// candidate panel and scoring it), which one group pays once.
-pub const SHARED_EPILOGUE_FRACTION: f64 = 0.25;
-
-/// Admission weight of one query whose panel sweep is shared by
-/// `sharers` queries (multi-query scan sharing, `cx_mqo`): the fixed
-/// sweep term splits across the group while the per-query epilogue stays
-/// whole. `sharers = 1` is the solo cost; weights decrease monotonically
-/// toward the epilogue floor as groups grow, so admission control charges
-/// coalesced queries for the work they actually add.
-pub fn shared_scan_cost(cost: f64, sharers: usize) -> f64 {
-    let k = sharers.max(1) as f64;
-    cost * (SHARED_EPILOGUE_FRACTION + (1.0 - SHARED_EPILOGUE_FRACTION) / k)
-}
-
 /// Per-pair cost factor of the f16 tier when no F16C path is active: the
 /// measured ratio of software-conversion `dot_block_f16` to f32
 /// `dot_block` (346 vs 22 ns/pair at dim 256). [`select_quant_tier_with`]
@@ -363,22 +345,6 @@ mod tests {
                 assert!(f16_cost > SIM_PAIR, "mode {}", mode.label());
             }
         }
-    }
-
-    #[test]
-    fn shared_scan_cost_splits_sweep_keeps_epilogue() {
-        let solo = 1000.0;
-        assert_eq!(shared_scan_cost(solo, 1), solo);
-        assert_eq!(shared_scan_cost(solo, 0), solo); // clamped
-        let mut prev = solo;
-        for k in 2..=16 {
-            let c = shared_scan_cost(solo, k);
-            assert!(c < prev, "k={k}: {c} !< {prev}");
-            assert!(c >= solo * SHARED_EPILOGUE_FRACTION);
-            prev = c;
-        }
-        // A full group of 8 admits well under half the solo weight.
-        assert!(shared_scan_cost(solo, 8) < 0.45 * solo);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod rules;
 
 pub use cardinality::estimate_rows;
 pub use context::{OptimizerConfig, OptimizerContext};
-pub use cost::{estimate_cost, shared_scan_cost};
+pub use cost::estimate_cost;
 pub use optimizer::Optimizer;
 pub use physical::{create_physical_plan, PhysicalPlannerEnv};
 pub use pruning::prune_columns;

@@ -105,13 +105,9 @@ pub fn create_physical_plan(
             let cache = ctx
                 .cache_for(model)
                 .ok_or_else(|| Error::InvalidArgument(format!("unknown model: {model}")))?;
-            // The input subtree's logical fingerprint makes the scan
-            // shareable: concurrent filters whose inputs fingerprint equal
-            // sweep the same candidate panel (see `cx_exec::shared`).
-            Arc::new(
-                SemanticFilterExec::new(child, column, target, *threshold, cache)?
-                    .with_scan_fingerprint(input.fingerprint()),
-            )
+            Arc::new(SemanticFilterExec::new(
+                child, column, target, *threshold, cache,
+            )?)
         }
         LogicalPlan::SemanticJoin { left, right, spec } => {
             Arc::new(semantic_join(left, right, spec, ctx, env)?)
@@ -189,12 +185,7 @@ fn semantic_join(
     let (lc, rc, score) = (&spec.left_column, &spec.right_column, &spec.score_column);
     let parallelism = ctx.config.parallelism;
     Ok(SemanticJoinExec::new(l, r, lc, rc, spec.threshold, score, cache, parallelism)?
-        .with_quant_tier(tier)
-        // Build-side fingerprint: joins whose right subtrees fingerprint
-        // equal sweep the same build panel. The probe fingerprint
-        // additionally lets a group materialize identical left sides once.
-        .with_scan_fingerprint(right.fingerprint())
-        .with_probe_fingerprint(left.fingerprint()))
+        .with_quant_tier(tier))
 }
 
 /// The lowering error for a parameter placeholder (`$slot`) left unbound.

@@ -10,12 +10,9 @@
 
 use crate::sweep::{sweep, Distinct};
 use cx_embed::EmbeddingCache;
-use cx_exec::shared::{ProbeSource, ScanSignature, SharedScanState};
 use cx_exec::{ChunkStream, PhysicalOperator};
 use cx_storage::{Bitmap, DataType, Error, Result, Schema};
 use cx_vector::QuantTier;
-use parking_lot::Mutex;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Filters rows whose `column` value embeds within `threshold` cosine
@@ -26,12 +23,6 @@ pub struct SemanticFilterExec {
     target: String,
     threshold: f32,
     cache: Arc<EmbeddingCache>,
-    /// Logical fingerprint of the input subtree, when the planner knows
-    /// it — the operator's ticket into multi-query scan sharing.
-    scan_fingerprint: Option<u64>,
-    /// One-shot injected slice of a shared sweep: this filter's complete
-    /// match list at its threshold; consumed by the next `execute()`.
-    shared: Mutex<Option<SharedScanState>>,
 }
 
 impl SemanticFilterExec {
@@ -63,18 +54,7 @@ impl SemanticFilterExec {
             target: target.into(),
             threshold,
             cache,
-            scan_fingerprint: None,
-            shared: Mutex::new(None),
         })
-    }
-
-    /// Tags this filter with the logical fingerprint of its input
-    /// subtree, making its sweep shareable (see [`cx_exec::shared`]).
-    /// The planner calls this; hand-built operators may skip it and stay
-    /// solo.
-    pub fn with_scan_fingerprint(mut self, fingerprint: u64) -> Self {
-        self.scan_fingerprint = Some(fingerprint);
-        self
     }
 
     /// The embedding cache backing this operator (for hit/miss inspection).
@@ -101,33 +81,8 @@ impl PhysicalOperator for SemanticFilterExec {
         vec![self.input.clone()]
     }
 
-    fn scan_signature(&self) -> Option<ScanSignature> {
-        Some(ScanSignature {
-            candidate_fingerprint: self.scan_fingerprint?,
-            candidate_child: 0,
-            candidate_column: self.column_index,
-            model: self.cache.model().name().to_string(),
-            // One probe can never amortize quantizing a panel: always f32.
-            quant: QuantTier::F32.discriminant(),
-            probe: ProbeSource::Literal(self.target.clone()),
-            threshold: self.threshold,
-        })
-    }
-
-    fn inject_shared_scan(&self, state: SharedScanState) -> bool {
-        *self.shared.lock() = Some(state);
-        true
-    }
-
     fn execute(&self) -> Result<ChunkStream> {
         let target = self.target.clone();
-        // An injected slice is the complete match list (see
-        // `cx_exec::shared`): a value it does not name does not match.
-        let injected: Option<HashSet<String>> = self
-            .shared
-            .lock()
-            .take()
-            .map(|state| state.matches.into_iter().map(|(_, value, _)| value).collect());
         let stream = self.input.execute()?;
         let cache = self.cache.clone();
         let column_index = self.column_index;
@@ -141,22 +96,14 @@ impl PhysicalOperator for SemanticFilterExec {
             let chunk = chunk?;
             let distinct = Distinct::of_column(chunk.column(column_index)?)?;
 
-            // Matches per distinct value, out of one function either way: a
-            // shared-sweep slice holds the hits the same `sweep` call found
-            // for this target among the group's stacked probes.
-            let matched: Vec<bool> = match &injected {
-                Some(matches) => distinct.values.iter().map(|v| matches.contains(*v)).collect(),
-                None => {
-                    let probe = [target.as_str()];
-                    let hits =
-                        sweep(QuantTier::F32, &cache, &distinct.values, &probe, threshold, 1, &ctx)?;
-                    let mut matched = vec![false; distinct.values.len()];
-                    for (_, id, _) in hits {
-                        matched[id as usize] = true;
-                    }
-                    matched
-                }
-            };
+            // Matches per distinct value: the one-probe panel sweep, f32
+            // always (one probe can never amortize quantizing a panel).
+            let probe = [target.as_str()];
+            let hits = sweep(QuantTier::F32, &cache, &distinct.values, &probe, threshold, 1, &ctx)?;
+            let mut matched = vec![false; distinct.values.len()];
+            for (_, id, _) in hits {
+                matched[id as usize] = true;
+            }
 
             // NULL never matches.
             let passes = |id: &Option<u32>| id.is_some_and(|id| matched[id as usize]);
@@ -242,24 +189,6 @@ mod tests {
         assert_eq!(out.num_rows(), 1);
     }
 
-    #[test]
-    fn scan_signature_requires_fingerprint() {
-        let plain =
-            SemanticFilterExec::new(items_scan(), "name", "clothes", 0.85, model_cache()).unwrap();
-        assert!(plain.scan_signature().is_none());
-        let tagged = SemanticFilterExec::new(items_scan(), "name", "clothes", 0.85, model_cache())
-            .unwrap()
-            .with_scan_fingerprint(0xabc);
-        let sig = tagged.scan_signature().unwrap();
-        assert_eq!(sig.candidate_child, 0);
-        assert_eq!(sig.candidate_fingerprint, 0xabc);
-        assert_eq!(sig.candidate_column, 1);
-        assert_eq!(sig.model, "m");
-        assert_eq!(sig.quant, 0);
-        assert_eq!(sig.threshold, 0.85);
-        assert_eq!(sig.probe, cx_exec::ProbeSource::Literal("clothes".into()));
-    }
-
     /// The filter's arithmetic, pairwise: the bare dot of the target's and
     /// the value's embeddings, each scaled to unit norm (zero vectors stay
     /// zero and score 0.0).
@@ -280,42 +209,6 @@ mod tests {
     fn names(filter: &SemanticFilterExec) -> Vec<String> {
         let out = collect_table(filter).unwrap();
         out.column_by_name("name").unwrap().utf8_values().unwrap().to_vec()
-    }
-
-    #[test]
-    fn injected_scores_match_solo_scan_and_are_one_shot() {
-        let cache = model_cache();
-        let solo = {
-            let f = SemanticFilterExec::new(items_scan(), "name", "clothes", 0.85, cache.clone())
-                .unwrap();
-            collect_table(&f).unwrap()
-        };
-        // The complete match list at the threshold, scored with the
-        // reference arithmetic.
-        let matches: Vec<(String, String, f32)> = ["boots", "dog", "parka", "cat", "coat"]
-            .iter()
-            .map(|v| ("clothes".to_string(), v.to_string(), reference_score(&cache, "clothes", v)))
-            .filter(|&(.., s)| s >= 0.85)
-            .collect();
-        assert_eq!(matches.len(), 3);
-        let filter = SemanticFilterExec::new(items_scan(), "name", "clothes", 0.85, cache.clone())
-            .unwrap()
-            .with_scan_fingerprint(1);
-        assert!(filter.inject_shared_scan(SharedScanState { matches: matches.clone() }));
-        let injected = collect_table(&filter).unwrap();
-        assert_eq!(injected.num_rows(), solo.num_rows());
-        for r in 0..solo.num_rows() {
-            assert_eq!(injected.row(r).unwrap(), solo.row(r).unwrap());
-        }
-        // The state was consumed: the next execution scans solo again.
-        let again = collect_table(&filter).unwrap();
-        assert_eq!(again.num_rows(), solo.num_rows());
-        // The slice is the complete match list: a value it lacks does not
-        // match, even though the solo sweep would keep it.
-        let without_parka = matches.into_iter().filter(|(_, v, _)| v != "parka").collect();
-        assert!(filter.inject_shared_scan(SharedScanState { matches: without_parka }));
-        assert_eq!(names(&filter), ["boots", "coat"]);
-        assert_eq!(names(&filter), ["boots", "parka", "coat"]);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 
 use crate::sweep::{sweep, Distinct, Hit};
 use cx_embed::EmbeddingCache;
-use cx_exec::shared::{ProbeSource, ScanSignature, SharedScanState};
 use cx_exec::{keys_cmp, top_n_by, ChunkStream, PhysicalOperator};
 use cx_storage::{Chunk, Column, DataType, Error, Field, QueryContext, Result, Schema};
 use cx_vector::QuantTier;
@@ -36,17 +35,6 @@ pub struct SemanticJoinExec {
     /// Worker threads for the probe phase (1 = serial).
     parallelism: usize,
     schema: Arc<Schema>,
-    /// Logical fingerprint of the right (build-side) subtree, when the
-    /// planner knows it — the operator's ticket into multi-query scan
-    /// sharing.
-    scan_fingerprint: Option<u64>,
-    /// Logical fingerprint of the left (probe-side) subtree, letting a
-    /// shared-scan group materialize identical probe sides once.
-    probe_fingerprint: Option<u64>,
-    /// One-shot injected slice of a shared sweep: the complete
-    /// value-level match list at this join's threshold; consumed by the
-    /// next `execute()`.
-    shared: parking_lot::Mutex<Option<Vec<(String, String, f32)>>>,
     /// `ORDER BY … LIMIT k` folded into the join: `(output column,
     /// ascending)` keys and `k` ([`SemanticJoinExec::with_limit`]).
     limit: Option<(Vec<(usize, bool)>, usize)>,
@@ -99,9 +87,6 @@ impl SemanticJoinExec {
             cache,
             parallelism: parallelism.max(1),
             schema,
-            scan_fingerprint: None,
-            probe_fingerprint: None,
-            shared: parking_lot::Mutex::new(None),
             limit: None,
         })
     }
@@ -113,23 +98,6 @@ impl SemanticJoinExec {
         let keys = keys.iter().map(|(name, asc)| Ok((self.schema.index_of(name)?, *asc)));
         self.limit = Some((keys.collect::<Result<_>>()?, k));
         Ok(self)
-    }
-
-    /// Tags this join with the logical fingerprint of its right (build
-    /// side) subtree, making its sweep shareable (see
-    /// [`cx_exec::shared`]). The planner calls this; hand-built
-    /// operators may skip it and stay solo.
-    pub fn with_scan_fingerprint(mut self, fingerprint: u64) -> Self {
-        self.scan_fingerprint = Some(fingerprint);
-        self
-    }
-
-    /// Tags this join with the logical fingerprint of its left (probe
-    /// side) subtree, so a shared-scan group can materialize identical
-    /// probe sides once instead of once per member.
-    pub fn with_probe_fingerprint(mut self, fingerprint: u64) -> Self {
-        self.probe_fingerprint = Some(fingerprint);
-        self
     }
 
     /// Sets the build-side storage tier of the sweep. `F16`/`Int8` score
@@ -169,27 +137,6 @@ impl PhysicalOperator for SemanticJoinExec {
         vec![self.left.clone(), self.right.clone()]
     }
 
-    fn scan_signature(&self) -> Option<ScanSignature> {
-        Some(ScanSignature {
-            candidate_fingerprint: self.scan_fingerprint?,
-            candidate_child: 1,
-            candidate_column: self.right_key,
-            model: self.cache.model().name().to_string(),
-            quant: self.quant.discriminant(),
-            probe: ProbeSource::Child {
-                child: 0,
-                column: self.left_key,
-                fingerprint: self.probe_fingerprint,
-            },
-            threshold: self.threshold,
-        })
-    }
-
-    fn inject_shared_scan(&self, state: SharedScanState) -> bool {
-        *self.shared.lock() = Some(state.matches);
-        true
-    }
-
     fn execute(&self) -> Result<ChunkStream> {
         let ctx = QueryContext::current();
         // Materialize both sides.
@@ -211,24 +158,7 @@ impl PhysicalOperator for SemanticJoinExec {
         let left_vals = Distinct::of_column(left.column(self.left_key)?)?;
         let right_vals = Distinct::of_column(right.column(self.right_key)?)?;
 
-        let matches: Vec<Hit> = match self.shared.lock().take() {
-            // Shared-sweep slice: the complete value-level match list at
-            // this join's threshold, out of the same `sweep` call a solo
-            // execution makes. Map value strings onto this
-            // execution's own distinct numbering and restore the
-            // deterministic order; no embedding, no panel sweep. Pairs
-            // naming values outside this execution's distinct sets (only
-            // possible under a mis-grouped injection) are dropped.
-            Some(inj) => {
-                let ids = |(l, r, s): (String, String, f32)| {
-                    Some((left_vals.id_of(&l)?, right_vals.id_of(&r)?, s))
-                };
-                let mut m: Vec<Hit> = inj.into_iter().filter_map(ids).collect();
-                m.sort_unstable_by_key(|&(l, r, _)| (l, r));
-                m
-            }
-            None => self.match_values(&left_vals.values, &right_vals.values, &ctx)?,
-        };
+        let matches = self.match_values(&left_vals.values, &right_vals.values, &ctx)?;
 
         // Expand value matches to row pairs, in (left value, right value,
         // left row, right row) order.
@@ -491,95 +421,6 @@ mod tests {
         .unwrap();
         assert_eq!(join.quant_tier(), QuantTier::F32);
         assert!(!join.name().contains("quant="), "{}", join.name());
-    }
-
-    #[test]
-    fn scan_signature_blocked_only_and_requires_fingerprint() {
-        let make = || {
-            SemanticJoinExec::new(
-                products(),
-                catalog(),
-                "name",
-                "label",
-                0.85,
-                "sim",
-                cache(),
-                1,
-            )
-            .unwrap()
-        };
-        assert!(make().scan_signature().is_none());
-        let tagged = make().with_scan_fingerprint(7);
-        let sig = tagged.scan_signature().unwrap();
-        assert_eq!(sig.candidate_child, 1);
-        assert_eq!(sig.candidate_column, 0);
-        assert_eq!(
-            sig.probe,
-            cx_exec::ProbeSource::Child { child: 0, column: 1, fingerprint: None }
-        );
-        let sig = make()
-            .with_scan_fingerprint(7)
-            .with_probe_fingerprint(11)
-            .scan_signature()
-            .unwrap();
-        assert_eq!(
-            sig.probe,
-            cx_exec::ProbeSource::Child { child: 0, column: 1, fingerprint: Some(11) }
-        );
-    }
-
-    #[test]
-    fn injected_matches_reproduce_solo_join_bit_for_bit() {
-        let solo = join_with(1);
-        // Compute the value-level matches once with a solo run, then feed
-        // them back as an injected shared slice.
-        let c = cache();
-        let probe = SemanticJoinExec::new(
-            products(),
-            catalog(),
-            "name",
-            "label",
-            0.85,
-            "sim",
-            c.clone(),
-            1,
-        )
-        .unwrap();
-        let solo_table = collect_table(&probe).unwrap();
-        let mut matches: Vec<(String, String, f32)> = (0..solo_table.num_rows())
-            .map(|i| {
-                let row = solo_table.row(i).unwrap();
-                let (l, r, s) = (&row[1], &row[2], &row[4]);
-                match (l, r, s) {
-                    (Scalar::Utf8(l), Scalar::Utf8(r), Scalar::Float64(s)) => {
-                        (l.clone(), r.clone(), *s as f32)
-                    }
-                    other => panic!("unexpected row: {other:?}"),
-                }
-            })
-            .collect();
-        matches.dedup();
-        let join = SemanticJoinExec::new(
-            products(),
-            catalog(),
-            "name",
-            "label",
-            0.85,
-            "sim",
-            c.clone(),
-            1,
-        )
-        .unwrap()
-        .with_scan_fingerprint(9);
-        let before = c.model().stats().invocations();
-        assert!(join.inject_shared_scan(SharedScanState { matches }));
-        let injected = collect_table(&join).unwrap();
-        // The injected run embedded nothing new.
-        assert_eq!(c.model().stats().invocations(), before);
-        assert_bit_identical(&solo, &injected, "injected vs solo");
-        // One-shot: the next execution scans solo again.
-        let again = collect_table(&join).unwrap();
-        assert_eq!(again.num_rows(), solo.num_rows());
     }
 
     #[test]

@@ -3,13 +3,12 @@
 //!
 //! "Dedup a UTF8 column, embed the distinct values into a panel, score a
 //! stack of probe rows against it, keep what clears a floor" is the whole
-//! computation behind the semantic filter, the blocked semantic join and
-//! `cx_mqo`'s shared scan. It lives here once: [`Distinct`] is the dedup,
-//! [`sweep`] is the panel build plus the scan. A solo operator is the
-//! one-member case of the shared sweep — the filter passes one probe (its
-//! target), the join its left distinct values, a shared scan the stacked
-//! probes of every member — so shared ≡ solo holds because both call this
-//! function, not because two copies agree.
+//! computation behind the semantic filter and the semantic join. It lives
+//! here once: [`Distinct`] is the dedup, [`sweep`] is the panel build plus
+//! the scan. The filter passes one probe (its target), the join its left
+//! distinct values; each probe row is scored independently of the rows
+//! stacked beside it, so a stacked sweep's hits on a probe equal that
+//! probe's own one-probe sweep, bit for bit.
 //!
 //! One arithmetic, at f32 bit-identical to the pairwise kernels under
 //! one active SIMD path: both sides are normalized once, in place
@@ -21,8 +20,8 @@
 //! only pairs clearing the floor; at `F16`/`Int8` the normalized candidate
 //! panel is re-encoded as a [`QuantizedArena`], scored one probe row at a
 //! time, and scores carry the tier's bounded error. Either way the result
-//! is the [`Hit`] list at the floor: a filter's or join's epilogue, and a
-//! shared scan's per-member slices, consume only pairs that clear it.
+//! is the [`Hit`] list at the floor: a filter's or join's epilogue
+//! consumes only pairs that clear it.
 
 use cx_embed::EmbeddingCache;
 use cx_exec::parallel::parallel_map_ranges;
@@ -74,11 +73,6 @@ impl<'a> Distinct<'a> {
         Ok(())
     }
 
-    /// The id of `value`, if some valid row held it.
-    pub fn id_of(&self, value: &str) -> Option<u32> {
-        self.ids.get(value).copied()
-    }
-
     /// Row numbers per value id, ascending (the join's pair expansion).
     pub fn rows_per_value(&self) -> Vec<Vec<u32>> {
         let mut rows = vec![Vec::new(); self.values.len()];
@@ -96,7 +90,7 @@ pub type Hit = (u32, u32, f32);
 
 /// Scores every probe against every candidate at storage tier `tier` and
 /// returns each pair scoring at or above `floor` (a filter's or join's
-/// threshold, or a shared group's lowest), ordered by `(probe id,
+/// threshold), ordered by `(probe id,
 /// candidate id)` whatever the tiling or worker count: embeds both sides
 /// through `cache`, normalizes them in place, and streams probe rows over
 /// cache-sized tiles of the candidate panel.
@@ -124,8 +118,8 @@ pub fn sweep<C: AsRef<str>, P: AsRef<str>>(
             cx_vector::simd::KernelDispatch::active().report()
         )
     });
-    // Credited on the calling thread (a shared sweep's group leader),
-    // before the fan-out: worker threads carry no profile window.
+    // Credited on the calling thread, before the fan-out: worker threads
+    // carry no profile window.
     cx_obs::add_pairs((p * c) as u64);
     cx_obs::add_tiles(c.div_ceil(TILE) as u64);
     let mut cand = VectorArena::from_texts(cache, candidates);

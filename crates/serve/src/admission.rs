@@ -66,8 +66,7 @@ cx_obs::metric_family! {
     supplied {
         /// Cost currently executing.
         in_use: f64 => gauge "cx_serve_admission_in_use" "Admitted cost currently executing",
-        /// Permits currently held (a shared-scan group holds one for all
-        /// its members).
+        /// Permits currently held.
         active: u64 => gauge "cx_serve_admission_active" "Queries currently holding permits",
         /// The gate's configured capacity (infinite = admission disabled).
         capacity: f64 => gauge "cx_serve_admission_capacity" "Total admission capacity",
@@ -250,8 +249,14 @@ impl CostGate {
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
         let mut gate = self.gate.gate.lock();
-        gate.in_use = (gate.in_use - self.cost).max(0.0);
         gate.active = gate.active.saturating_sub(1);
+        // Adding and subtracting unequal f64 costs leaves rounding
+        // residue; a gate with no permits out holds exactly nothing.
+        gate.in_use = if gate.active == 0 {
+            0.0
+        } else {
+            (gate.in_use - self.cost).max(0.0)
+        };
         drop(gate);
         self.gate.cv.notify_all();
     }

@@ -98,8 +98,8 @@ cx_obs::metric_family! {
 pub struct EmbedBatcher {
     cache: Arc<EmbeddingCache>,
     max_batch: usize,
-    /// Each member is one `warm` call's uncached texts; the single key
-    /// means one group collects at a time.
+    /// Each member is one `warm` call's uncached texts; one group
+    /// collects at a time.
     pub(crate) groups: Coalescer<Vec<String>, ()>,
     /// Held across a drain: the next group's drain starts only after this
     /// one has published its embeddings to the cache.
@@ -167,9 +167,9 @@ impl EmbedBatcher {
         self.counters.texts_requested.fetch_add(requested as u64, Ordering::Relaxed);
         let waited = uncached.len();
         if waited > 0 {
-            // Always "contended": a lone warm-up waits out the linger, in
-            // case a concurrent query's warm-up is a moment behind.
-            self.groups.submit(0, uncached, waited, true, |members| self.drain(members));
+            // A lone warm-up waits out the linger, in case a concurrent
+            // query's warm-up is a moment behind.
+            self.groups.submit(uncached, waited, |members| self.drain(members));
         }
         waited
     }

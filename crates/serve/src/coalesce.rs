@@ -1,37 +1,34 @@
-//! The one coalescing primitive of the serving layer.
+//! The coalescing primitive of the serving layer.
 //!
 //! Amortizing work across concurrent queries — one model pass for many
-//! embed requests, one panel sweep for many scans — is always the same
-//! protocol, implemented here once as the crate-internal `Coalescer`:
+//! embed requests — is a leader/follower protocol, implemented here as
+//! the crate-internal `Coalescer`:
 //!
-//! 1. **Join or lead.** The first request to arrive under a key opens a
-//!    group and becomes its leader; later arrivals join as followers.
+//! 1. **Join or lead.** The first request to arrive when no group is open
+//!    opens one and becomes its leader; later arrivals join as followers.
 //!    Each request carries a weight; a group that has reached the weight
 //!    limit takes no more members, so a late arrival opens the next
 //!    group (the limit binds at join time, not only at seal time).
 //! 2. **Seal** (`seal_due`, a pure function of the group and the
-//!    time): on **size** (weight limit reached), at once when the leader
-//!    is **uncontended** (nobody exists who could join), or when the
-//!    **linger** window after the leader's arrival has passed.
+//!    time): on **size** (weight limit reached) or when the **linger**
+//!    window after the leader's arrival has passed.
 //! 3. **Drain.** The leader runs the caller's drain over the whole group
 //!    on its own thread — no background thread, nothing to shut down —
 //!    and hands every member the result at its index.
 //! 4. **Contain.** A drain that panics or under-delivers costs its group,
 //!    not the server: every member without a result gets the coalescer's
-//!    failure value, no follower stays parked, and the next group under
-//!    the key starts clean.
+//!    failure value, no follower stays parked, and the next group starts
+//!    clean.
 //!
-//! Two locks, never held together: the key → open-group map and each
-//! group's state. Both recover from poisoning. Drains run outside both.
+//! Two locks, never held together: the open-group slot and each group's
+//! state. Both recover from poisoning. Drains run outside both.
 //!
 //! The only time source is the `Clock` handed to the constructor, so
 //! every rule above is tested on a manual clock without sleeping.
-//! [`crate::ScanQueue`] and [`crate::EmbedBatcher`] are the two clients;
-//! [`crate::CostGate`] admits rather than coalesces, so it only shares
-//! the clock.
+//! [`crate::EmbedBatcher`] is the client; [`crate::CostGate`] admits
+//! rather than coalesces, so it only shares the clock.
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 #[cfg(test)]
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,18 +58,11 @@ impl Clock for SystemClock {
     }
 }
 
-/// The seal policy: whether a group of `weight` (limit `max_weight`),
-/// whose leader is `contended` or not and lingers until `deadline`, seals
-/// at `now` — on size, because an uncontended leader cannot gain a member
-/// by lingering, or because the linger window has passed.
-pub(crate) fn seal_due(
-    weight: usize,
-    max_weight: usize,
-    contended: bool,
-    deadline: Instant,
-    now: Instant,
-) -> bool {
-    weight >= max_weight || !contended || now >= deadline
+/// The seal policy: whether a group of `weight` (limit `max_weight`)
+/// whose leader lingers until `deadline` seals at `now` — on size, or
+/// because the linger window has passed.
+pub(crate) fn seal_due(weight: usize, max_weight: usize, deadline: Instant, now: Instant) -> bool {
+    weight >= max_weight || now >= deadline
 }
 
 struct GroupState<Req, Resp> {
@@ -105,15 +95,15 @@ impl<Req, Resp> Default for Group<Req, Resp> {
     }
 }
 
-/// Keyed leader/follower group former (see the module docs).
+/// Leader/follower group former (see the module docs).
 pub(crate) struct Coalescer<Req, Resp> {
     max_weight: usize,
     linger: Duration,
     clock: Arc<dyn Clock>,
     /// What a member gets when its group's drain produced nothing for it.
     failed: fn() -> Resp,
-    /// The open (joinable) group per key.
-    groups: Mutex<HashMap<u64, Arc<Group<Req, Resp>>>>,
+    /// The open (joinable) group, if any.
+    open: Mutex<Option<Arc<Group<Req, Resp>>>>,
 }
 
 impl<Req, Resp> Coalescer<Req, Resp> {
@@ -130,31 +120,28 @@ impl<Req, Resp> Coalescer<Req, Resp> {
             linger,
             clock,
             failed,
-            groups: Mutex::new(HashMap::new()),
+            open: Mutex::new(None),
         }
     }
 
-    /// Joins (or opens) the group under `key` and blocks until this
-    /// request's result is ready. The leader alone runs `drain`, over the
-    /// whole group in arrival order (its own request first); the results
-    /// must be index-aligned with the requests. `contended` matters for
-    /// the leader only: `false` seals at once instead of lingering.
+    /// Joins (or opens) the open group and blocks until this request's
+    /// result is ready. The leader alone runs `drain`, over the whole
+    /// group in arrival order (its own request first); the results must
+    /// be index-aligned with the requests.
     pub(crate) fn submit(
         &self,
-        key: u64,
         req: Req,
         weight: usize,
-        contended: bool,
         drain: impl FnOnce(Vec<Req>) -> Vec<Resp>,
     ) -> Resp {
         loop {
-            let group = self.groups.lock().entry(key).or_default().clone();
+            let group = self.open.lock().get_or_insert_with(Default::default).clone();
             let mut state = group.state.lock();
             if state.sealed || state.weight >= self.max_weight {
-                // Sealed since the map lookup, or full with its leader
+                // Sealed since the slot was read, or full with its leader
                 // yet to wake and seal: either way not ours to join.
                 drop(state);
-                self.detach(key, &group);
+                self.detach(&group);
                 continue;
             }
             let index = state.reqs.len();
@@ -162,7 +149,7 @@ impl<Req, Resp> Coalescer<Req, Resp> {
             state.results.push(None);
             state.weight += weight;
             if index == 0 {
-                return self.lead(key, &group, state, contended, drain);
+                return self.lead(&group, state, drain);
             }
             if state.weight >= self.max_weight {
                 group.cv.notify_all();
@@ -179,20 +166,18 @@ impl<Req, Resp> Coalescer<Req, Resp> {
     /// Leader path: linger, seal, drain, distribute.
     fn lead(
         &self,
-        key: u64,
         group: &Arc<Group<Req, Resp>>,
         mut state: MutexGuard<'_, GroupState<Req, Resp>>,
-        contended: bool,
         drain: impl FnOnce(Vec<Req>) -> Vec<Resp>,
     ) -> Resp {
         let deadline = self.clock.now() + self.linger;
-        while !seal_due(state.weight, self.max_weight, contended, deadline, self.clock.now()) {
+        while !seal_due(state.weight, self.max_weight, deadline, self.clock.now()) {
             state = group.cv.wait_timeout(state, self.clock.park(deadline)).0;
         }
         state.sealed = true;
         let reqs = std::mem::take(&mut state.reqs);
         drop(state);
-        self.detach(key, group);
+        self.detach(group);
 
         let members = reqs.len();
         let mut results =
@@ -211,20 +196,19 @@ impl<Req, Resp> Coalescer<Req, Resp> {
         mine
     }
 
-    /// Removes `group` from the map if it is still the open group under
-    /// `key`.
-    fn detach(&self, key: u64, group: &Arc<Group<Req, Resp>>) {
-        let mut groups = self.groups.lock();
-        if groups.get(&key).is_some_and(|open| Arc::ptr_eq(open, group)) {
-            groups.remove(&key);
+    /// Empties the open-group slot if it still holds `group`.
+    fn detach(&self, group: &Arc<Group<Req, Resp>>) {
+        let mut open = self.open.lock();
+        if open.as_ref().is_some_and(|g| Arc::ptr_eq(g, group)) {
+            *open = None;
         }
     }
 
-    /// Members currently parked in open groups.
+    /// Members currently parked in the open group.
     #[cfg(test)]
     pub(crate) fn parked(&self) -> usize {
-        let open: Vec<_> = self.groups.lock().values().cloned().collect();
-        open.iter().map(|g| g.state.lock().reqs.len()).sum()
+        let open = self.open.lock().clone();
+        open.map_or(0, |g| g.state.lock().reqs.len())
     }
 }
 
@@ -317,11 +301,10 @@ mod tests {
     fn seal_policy_is_a_pure_function_of_group_and_time() {
         let t0 = SystemClock.now();
         let deadline = t0 + LINGER;
-        assert!(!seal_due(1, 4, true, deadline, t0), "contended, under size, inside the window");
-        assert!(seal_due(4, 4, true, deadline, t0), "size");
-        assert!(seal_due(1, 4, false, deadline, t0), "uncontended");
-        assert!(seal_due(1, 4, true, deadline, deadline), "linger");
-        assert!(!seal_due(1, 4, true, deadline, deadline - Duration::from_nanos(1)));
+        assert!(!seal_due(1, 4, deadline, t0), "under size, inside the window");
+        assert!(seal_due(4, 4, deadline, t0), "size");
+        assert!(seal_due(1, 4, deadline, deadline), "linger");
+        assert!(!seal_due(1, 4, deadline, deadline - Duration::from_nanos(1)));
     }
 
     #[test]
@@ -331,7 +314,7 @@ mod tests {
         let (c, seen) = (&c, &groups);
         let answers: Vec<u32> = std::thread::scope(|s| {
             let handles: Vec<_> =
-                (1..=3).map(|r| s.spawn(move || c.submit(7, r, 1, true, tenfold(seen)))).collect();
+                (1..=3).map(|r| s.spawn(move || c.submit(r, 1, tenfold(seen)))).collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         // Time never passed, so only the third arrival can have sealed.
@@ -346,9 +329,9 @@ mod tests {
         let (c, clock) = coalescer(8);
         let groups = Mutex::new(Vec::new());
         std::thread::scope(|s| {
-            let leader = s.spawn(|| c.submit(7, 1, 1, true, tenfold(&groups)));
+            let leader = s.spawn(|| c.submit(1, 1, tenfold(&groups)));
             spin_until("the leader parks", || c.parked() == 1);
-            let follower = s.spawn(|| c.submit(7, 2, 1, true, tenfold(&groups)));
+            let follower = s.spawn(|| c.submit(2, 1, tenfold(&groups)));
             spin_until("the follower joins", || c.parked() == 2);
             clock.advance(LINGER - Duration::from_nanos(1));
             assert!(groups.lock().is_empty(), "sealed before the linger passed");
@@ -361,13 +344,21 @@ mod tests {
     }
 
     #[test]
-    fn uncontended_leader_seals_at_once() {
-        // On a clock that never moves, lingering would never end.
-        let (c, _clock) = coalescer(8);
+    fn a_lone_leader_waits_out_the_linger() {
+        // Nobody else is coming, but a leader cannot know that: under its
+        // size limit it seals only when the window passes.
+        let (c, clock) = coalescer(8);
         let groups = Mutex::new(Vec::new());
-        assert_eq!(c.submit(7, 5, 1, false, tenfold(&groups)), 50);
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| c.submit(5, 1, tenfold(&groups)));
+            spin_until("the leader parks", || c.parked() == 1);
+            clock.advance(LINGER - Duration::from_nanos(1));
+            assert!(groups.lock().is_empty(), "sealed before the linger passed");
+            clock.advance(Duration::from_nanos(1));
+            assert_eq!(leader.join().unwrap(), 50);
+        });
         assert_eq!(groups.into_inner(), [vec![5]]);
-        assert_eq!(c.parked(), 0, "the drained group left the map");
+        assert_eq!(c.parked(), 0, "the drained group left the slot");
     }
 
     #[test]
@@ -375,38 +366,38 @@ mod tests {
         // A group that reached its limit but whose leader has not woken
         // to seal it yet: a late arrival must open a fresh group instead
         // of growing this one past the limit.
-        let (c, _clock) = coalescer(2);
+        let (c, _clock) = coalescer(1);
         let full = Arc::new(Group::default());
         {
             let mut state = full.state.lock();
-            state.reqs = vec![1, 2];
-            state.weight = 2;
+            state.reqs = vec![1];
+            state.weight = 1;
         }
-        c.groups.lock().insert(7, full.clone());
+        *c.open.lock() = Some(full.clone());
         let groups = Mutex::new(Vec::new());
-        assert_eq!(c.submit(7, 3, 1, false, tenfold(&groups)), 30);
+        assert_eq!(c.submit(3, 1, tenfold(&groups)), 30);
         assert_eq!(groups.into_inner(), [vec![3]]);
-        assert_eq!(full.state.lock().reqs, [1, 2]);
+        assert_eq!(full.state.lock().reqs, [1]);
     }
 
     #[test]
     fn arrival_after_seal_opens_the_next_group() {
-        let (c, _clock) = coalescer(8);
+        let (c, _clock) = coalescer(1);
         let groups = Mutex::new(Vec::new());
         let (entered, release) = (Barrier::new(2), Barrier::new(2));
         std::thread::scope(|s| {
-            // The first group seals (uncontended) and its drain stays
-            // open until released.
+            // The first group seals (full at one member) and its drain
+            // stays open until released.
             let first = s.spawn(|| {
-                c.submit(7, 1, 1, false, |reqs| {
+                c.submit(1, 1, |reqs| {
                     entered.wait();
                     release.wait();
                     tenfold(&groups)(reqs)
                 })
             });
             entered.wait();
-            // Same key, while that drain runs: a group of its own.
-            assert_eq!(c.submit(7, 2, 1, false, tenfold(&groups)), 20);
+            // While that drain runs: a group of its own.
+            assert_eq!(c.submit(2, 1, tenfold(&groups)), 20);
             release.wait();
             assert_eq!(first.join().unwrap(), 10);
         });
@@ -422,7 +413,7 @@ mod tests {
             let handles: Vec<_> = (1..=2)
                 .map(|r| {
                     s.spawn(move || {
-                        c.submit(7, r, 1, true, |_| {
+                        c.submit(r, 1, |_| {
                             drains.fetch_add(1, Ordering::SeqCst);
                             panic!("drain blew up")
                         })
@@ -434,9 +425,9 @@ mod tests {
         // Leader and follower both got the failure value; nobody wedged.
         assert_eq!(answers, [FAILED, FAILED]);
         assert_eq!(drains.load(Ordering::SeqCst), 1);
-        // The next group under the same key is unaffected.
+        // The next group is unaffected.
         let groups = Mutex::new(Vec::new());
-        assert_eq!(c.submit(7, 4, 1, false, tenfold(&groups)), 40);
+        assert_eq!(c.submit(4, 2, tenfold(&groups)), 40);
     }
 
     #[test]
@@ -445,7 +436,7 @@ mod tests {
         let c = &c;
         let mut answers: Vec<u32> = std::thread::scope(|s| {
             let handles: Vec<_> =
-                (1..=2).map(|r| s.spawn(move || c.submit(7, r, 1, true, |_| vec![99]))).collect();
+                (1..=2).map(|r| s.spawn(move || c.submit(r, 1, |_| vec![99]))).collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         answers.sort_unstable();
@@ -454,13 +445,13 @@ mod tests {
 
     #[test]
     fn poisoned_group_map_recovers() {
-        // A peer panicking while holding the map must not brick
-        // grouping for every later request.
+        // A peer panicking while holding the open-group slot must not
+        // brick grouping for every later request.
         let (c, _clock) = coalescer(4);
-        poison(&c.groups);
+        poison(&c.open);
         let groups = Mutex::new(Vec::new());
-        assert_eq!(c.submit(7, 1, 1, false, tenfold(&groups)), 10);
-        assert!(c.groups.lock().is_empty());
+        assert_eq!(c.submit(1, 4, tenfold(&groups)), 10);
+        assert!(c.open.lock().is_none());
     }
 
     #[test]
@@ -469,8 +460,8 @@ mod tests {
         let (c, _clock) = coalescer(4);
         let open = Arc::new(Group::default());
         poison(&open.state);
-        c.groups.lock().insert(7, open);
+        *c.open.lock() = Some(open);
         let groups = Mutex::new(Vec::new());
-        assert_eq!(c.submit(7, 1, 1, false, tenfold(&groups)), 10);
+        assert_eq!(c.submit(1, 4, tenfold(&groups)), 10);
     }
 }

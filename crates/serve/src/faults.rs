@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] is an *optional, runtime-installed* chaos schedule:
 //! when a server carries one ([`crate::Server::set_fault_plan`]), the
-//! serving hot path consults it at five named boundaries
+//! serving hot path consults it at two named boundaries
 //! ([`FaultSite`]) and — per the plan's seeded dice — raises a panic,
 //! injects a delay, or returns a transient error right there. With no
 //! plan installed the hooks cost one relaxed atomic load.
@@ -27,7 +27,7 @@ use std::time::Duration;
 use cx_storage::{Error, QueryError, Result};
 
 /// Number of injection sites (array sizing for per-site counters).
-const SITES: usize = 5;
+const SITES: usize = 2;
 
 /// The serving-stack boundaries a [`FaultPlan`] can strike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,31 +37,16 @@ pub enum FaultSite {
     Embed,
     /// Before admission (the cost gate) on the query thread.
     Admission,
-    /// Around the shared panel sweep inside a group drain.
-    Sweep,
-    /// At the top of a group drain, on the leader thread.
-    Drain,
-    /// Before one member's epilogue inside a group drain.
-    Epilogue,
 }
 
 impl FaultSite {
     /// All sites, for test matrices.
-    pub const ALL: [FaultSite; SITES] = [
-        FaultSite::Embed,
-        FaultSite::Admission,
-        FaultSite::Sweep,
-        FaultSite::Drain,
-        FaultSite::Epilogue,
-    ];
+    pub const ALL: [FaultSite; SITES] = [FaultSite::Embed, FaultSite::Admission];
 
     fn index(self) -> usize {
         match self {
             FaultSite::Embed => 0,
             FaultSite::Admission => 1,
-            FaultSite::Sweep => 2,
-            FaultSite::Drain => 3,
-            FaultSite::Epilogue => 4,
         }
     }
 
@@ -70,9 +55,6 @@ impl FaultSite {
         match self {
             FaultSite::Embed => "embed",
             FaultSite::Admission => "admission",
-            FaultSite::Sweep => "sweep",
-            FaultSite::Drain => "drain",
-            FaultSite::Epilogue => "epilogue",
         }
     }
 }
@@ -87,7 +69,7 @@ impl fmt::Display for FaultSite {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// `panic!` at the site — exercises the containment boundaries
-    /// (batcher/drain `catch_unwind`, the server's top-level guard).
+    /// (the batcher's `catch_unwind`, the server's top-level guard).
     Panic,
     /// Sleep at the site — exercises deadlines and linger bounds.
     Delay,
@@ -221,7 +203,7 @@ mod tests {
     fn full_rate_always_faults() {
         let plan = FaultPlan::new(42, 1.0);
         for _ in 0..100 {
-            assert!(plan.roll(FaultSite::Sweep).is_some());
+            assert!(plan.roll(FaultSite::Embed).is_some());
         }
         assert_eq!(plan.stats().total(), 100);
     }
@@ -243,9 +225,9 @@ mod tests {
     fn rate_is_roughly_honored() {
         let plan = FaultPlan::new(3, 0.05);
         for _ in 0..10_000 {
-            plan.roll(FaultSite::Drain);
+            plan.roll(FaultSite::Admission);
         }
-        let hit = plan.stats().per_site[FaultSite::Drain.index()];
+        let hit = plan.stats().per_site[FaultSite::Admission.index()];
         assert!((300..=700).contains(&hit), "5% of 10k draws ≈ 500, got {hit}");
     }
 
@@ -254,7 +236,7 @@ mod tests {
         let plan = FaultPlan::new(11, 0.5);
         let a: Vec<_> = (0..100).map(|_| plan.roll(FaultSite::Embed)).collect();
         let plan2 = FaultPlan::new(11, 0.5);
-        let b: Vec<_> = (0..100).map(|_| plan2.roll(FaultSite::Epilogue)).collect();
+        let b: Vec<_> = (0..100).map(|_| plan2.roll(FaultSite::Admission)).collect();
         assert_ne!(a, b, "per-site streams should not be identical");
     }
 

@@ -24,18 +24,12 @@
 //! * **[`CostGate`]** — admission control: a cost-weighted semaphore on
 //!   `cx_optimizer::estimate_cost`, bounding the total estimated work
 //!   executing at once.
-//! * **[`ScanQueue`]** — multi-query scan sharing: queries whose plans
-//!   sweep the same candidate panel (equal `cx_exec::shared` group keys)
-//!   linger briefly, merge into one `cx_mqo::SharedScanExec`, and are
-//!   answered by a single stacked-probe panel sweep plus per-query
-//!   epilogues — bit-identical to solo execution, admission-weighted at
-//!   `cx_optimizer::shared_scan_cost`.
-//! * **[`coalesce`]** — the one leader/follower primitive both of the
-//!   above are clients of: first arrival leads, the group seals on size,
-//!   linger or an uncontended leader, one drain on the leader's thread
-//!   serves every member, a drain panic costs its group only. No
-//!   background threads; its only time source is a clock passed at
-//!   construction, so the protocol is tested without sleeping.
+//! * **[`coalesce`]** — the leader/follower primitive behind the embed
+//!   batcher: first arrival leads, the group seals on size or linger,
+//!   one drain on the leader's thread serves every member, a drain panic
+//!   costs its group only. No background threads; its only time source
+//!   is a clock passed at construction, so the protocol is tested
+//!   without sleeping.
 //! * **[`Prepared`]** — prepared statements with parameter binding: a
 //!   template with placeholder slots ([`cx_expr::param`],
 //!   `Query::semantic_filter_param`, `Query::limit_param`) is optimized
@@ -43,8 +37,7 @@
 //!   the zero-parameter case of the same serving path);
 //!   [`Prepared::execute`] binds values into the cached logical plan,
 //!   re-costs admission with the bound literals, lowers the bound plan,
-//!   memoizes results per binding vector, and still participates in
-//!   multi-query scan sharing.
+//!   and memoizes results per binding vector.
 //! * **SQL** ([`Session::sql`]) — a text front-end (`cx_sql`: SELECT
 //!   plus the semantic extensions `SEMANTIC LIKE`, `SEMANTIC JOIN ... ON
 //!   SIM(..)`, `GROUP BY SEMANTIC`, and `PREPARE`/`EXECUTE`/`EXPLAIN`)
@@ -57,7 +50,7 @@
 //! * **Observability** (`cx_obs`) — per-query lifecycle traces
 //!   ([`ServeConfig::tracing`], rendered EXPLAIN-ANALYZE-style and kept
 //!   in a bounded ring plus an optional slow-query log), always-on
-//!   latency/queue-wait/sweep histograms with p50/p95/p99, and a full
+//!   latency and queue-wait histograms with p50/p95/p99, and a full
 //!   counter registry exportable as Prometheus text or JSON
 //!   ([`Server::metrics_snapshot`], [`Server::prometheus`]). Every metric
 //!   is declared once: each counter family is a `cx_obs::metric_family!`
@@ -108,7 +101,6 @@ pub mod faults;
 pub mod metrics;
 pub mod plan_cache;
 pub mod prepared;
-pub mod scan_queue;
 pub mod server;
 pub mod sql;
 pub mod systab;
@@ -122,7 +114,6 @@ pub use plan_cache::{
     config_fingerprint, BindingKey, CachedPlan, PlanCache, PlanCacheStats, PlanEntryInfo,
 };
 pub use prepared::Prepared;
-pub use scan_queue::{ScanQueue, ScanQueueConfig, ScanQueueStats};
 pub use server::{
     ExecUnit, LifecycleStats, ProfileTotalsStats, QueryOptions, ServeConfig, ServeResult, Server,
     ServerStats, Session,
@@ -488,75 +479,8 @@ mod tests {
     }
 
     #[test]
-    fn lingering_leader_shares_one_sweep_with_a_late_joiner() {
+    fn semantic_statement_runs_at_once_while_another_is_in_flight() {
         use crate::coalesce::testing::{spin_until, ManualClock};
-        // Every wait in this server is on a clock that moves only below.
-        let clock = ManualClock::new();
-        let engine = engine_with_data();
-        engine.register_model(Arc::new(cx_embed::HashNGramModel::new(3)));
-        let config = ServeConfig { cache_results: false, ..ServeConfig::default() };
-        let server = Server::with_clock(engine.clone(), config, clock.clone());
-        // Model "m" starts warm, so only the pin below ever parks in a
-        // batcher.
-        let names = ["boots", "parka", "kitten", "sneakers", "coat", "clothes"];
-        engine.embedding_cache("m").unwrap().prefetch(names);
-        let sweep = |threshold: f32| {
-            server
-                .table("products")
-                .unwrap()
-                .semantic_filter("name", "clothes", "m", threshold)
-                .sort(&[("product_id", true)])
-        };
-        let (first, second) = (sweep(0.75), sweep(0.8));
-        // Pins the contention signal: a statement whose warm-up lingers in
-        // the other model's (cold) batcher until the clock moves.
-        let pin = server.table("products").unwrap().semantic_group_by(
-            "name",
-            "hash-ngram",
-            0.9,
-            vec![cx_exec::logical::AggSpec::count_star("n")],
-        );
-        let (shared_a, shared_b) = std::thread::scope(|s| {
-            let pinned = s.spawn(|| server.execute(&pin).unwrap());
-            let cold = server.batcher("hash-ngram").unwrap();
-            spin_until("the pin parks", || cold.groups.parked() == 1);
-            let a = s.spawn(|| server.execute(&first).unwrap());
-            spin_until("the leader lingers", || server.scan_queue.groups.parked() == 1);
-            let b = s.spawn(|| server.execute(&second).unwrap());
-            spin_until("the follower joins", || server.scan_queue.groups.parked() == 2);
-            assert_eq!(server.scan_sharing_stats().groups, 0, "sealed before the linger passed");
-            clock.advance(config.scan_linger.max(config.batch_linger));
-            pinned.join().unwrap();
-            (a.join().unwrap(), b.join().unwrap())
-        });
-        assert!(shared_a.shared_scan && shared_b.shared_scan);
-        let sharing = server.scan_sharing_stats();
-        assert_eq!((sharing.groups, sharing.shared_groups, sharing.shared_queries), (1, 1, 2));
-        for (served, q) in [(shared_a, first), (shared_b, second)] {
-            let solo = engine.execute(&q).unwrap();
-            assert_eq!(served.table.num_rows(), solo.table.num_rows());
-            for r in 0..solo.table.num_rows() {
-                assert_eq!(served.table.row(r).unwrap(), solo.table.row(r).unwrap());
-            }
-        }
-    }
-
-    #[test]
-    fn bound_joins_share_a_sweep_iff_their_build_bindings_match() {
-        use crate::coalesce::testing::{spin_until, ManualClock};
-        use cx_expr::{param, Expr};
-        use cx_storage::Scalar;
-        // One template, parameterized on both sides: `$0` filters the
-        // probe (left) side, `$1` the build (right) side.
-        let join = |server: &Server, price: Expr, category: Expr| {
-            let kb = server.table("kb").unwrap().filter(col("category").eq(category));
-            server
-                .table("products")
-                .unwrap()
-                .filter(col("price").gt(price))
-                .semantic_join(kb, "name", "label", "m", 0.9)
-                .sort(&[("product_id", true), ("label", true)])
-        };
         // Releases every clock wait even when a spin below gives up, so a
         // failure reports instead of hanging the scope's joins.
         struct Release(Arc<ManualClock>, std::time::Duration);
@@ -565,62 +489,48 @@ mod tests {
                 self.0.advance(self.1);
             }
         }
-        // Queues two bound executions of the template on a fresh server,
-        // checks each against the bare engine, and returns whether each
-        // was served by a shared sweep plus the server's sharing stats.
-        let run_pair = |bindings: [(f64, &str); 2]| {
-            let clock = ManualClock::new();
-            let engine = engine_with_data();
-            engine.register_model(Arc::new(cx_embed::HashNGramModel::new(3)));
-            let config = ServeConfig { cache_results: false, ..ServeConfig::default() };
-            let server = Server::with_clock(engine.clone(), config, clock.clone());
-            // Model "m" starts warm, so only the pin below ever parks in a
-            // batcher.
-            engine.embedding_cache("m").unwrap().prefetch([
-                "boots", "parka", "kitten", "sneakers", "coat", "oxfords", "windbreaker", "shoes",
-                "jacket", "clothes",
-            ]);
-            let prepared = server.session().prepare(&join(&server, param(0), param(1))).unwrap();
-            // Pins the contention signal, as in the test above.
-            let pin = server.table("products").unwrap().semantic_group_by(
-                "name",
-                "hash-ngram",
-                0.9,
-                vec![cx_exec::logical::AggSpec::count_star("n")],
-            );
-            let params = bindings.map(|(price, category)| {
-                vec![Scalar::Float64(price), Scalar::from(category)]
-            });
-            let shared = std::thread::scope(|s| {
-                let release = Release(clock.clone(), config.scan_linger.max(config.batch_linger));
-                let pinned = s.spawn(|| server.execute(&pin).unwrap());
-                let cold = server.batcher("hash-ngram").unwrap();
-                spin_until("the pin parks", || cold.groups.parked() == 1);
-                let first = s.spawn(|| prepared.execute(&params[0]).unwrap());
-                spin_until("the first join queues", || server.scan_queue.groups.parked() == 1);
-                let second = s.spawn(|| prepared.execute(&params[1]).unwrap());
-                spin_until("the second join queues", || server.scan_queue.groups.parked() == 2);
-                drop(release);
-                pinned.join().unwrap();
-                [first.join().unwrap(), second.join().unwrap()]
-            });
-            for (served, (price, category)) in shared.iter().zip(bindings) {
-                let solo = engine.execute(&join(&server, lit(price), lit(category))).unwrap();
-                assert!(solo.table.num_rows() > 0, "{category}: empty join");
-                assert_eq!(served.table.num_rows(), solo.table.num_rows());
-                for r in 0..solo.table.num_rows() {
-                    assert_eq!(served.table.row(r).unwrap(), solo.table.row(r).unwrap());
-                }
-            }
-            let stats = server.scan_sharing_stats();
-            (shared.map(|r| r.shared_scan), (stats.groups, stats.shared_groups))
-        };
-
-        // Equal build-side bindings (the probe sides differ): one sweep.
-        assert_eq!(run_pair([(20.0, "clothes"), (50.0, "clothes")]), ([true, true], (1, 1)));
-        // Different build-side bindings sweep different panels: two
-        // singleton groups, each run solo.
-        assert_eq!(run_pair([(20.0, "shoes"), (20.0, "jacket")]), ([false, false], (2, 0)));
+        // Every wait in this server is on a clock that moves only when
+        // `Release` drops, and then past any linger.
+        let clock = ManualClock::new();
+        let engine = engine_with_data();
+        engine.register_model(Arc::new(cx_embed::HashNGramModel::new(3)));
+        let server = Server::with_clock(engine.clone(), ServeConfig::default(), clock.clone());
+        // Model "m" starts warm, so only the pin below ever parks in a
+        // batcher.
+        let names = ["boots", "parka", "kitten", "sneakers", "coat", "clothes"];
+        engine.embedding_cache("m").unwrap().prefetch(names);
+        let filter = server
+            .table("products")
+            .unwrap()
+            .semantic_filter("name", "clothes", "m", 0.75)
+            .sort(&[("product_id", true)]);
+        // A statement held in flight: its warm-up lingers in the other
+        // model's (cold) batcher until the clock moves.
+        let pin = server.table("products").unwrap().semantic_group_by(
+            "name",
+            "hash-ngram",
+            0.9,
+            vec![cx_exec::logical::AggSpec::count_star("n")],
+        );
+        let served = std::thread::scope(|s| {
+            let release = Release(clock.clone(), std::time::Duration::from_secs(1));
+            let pinned = s.spawn(|| server.execute(&pin).unwrap());
+            let cold = server.batcher("hash-ngram").unwrap();
+            spin_until("the pin parks", || cold.groups.parked() == 1);
+            // The filter waits for nobody: it returns with the clock
+            // still frozen.
+            let filtered = s.spawn(|| server.execute(&filter).unwrap());
+            spin_until("the filter returns", || filtered.is_finished());
+            drop(release);
+            pinned.join().unwrap();
+            filtered.join().unwrap()
+        });
+        let solo = engine.execute(&filter).unwrap();
+        assert!(solo.table.num_rows() > 0);
+        assert_eq!(served.table.num_rows(), solo.table.num_rows());
+        for r in 0..solo.table.num_rows() {
+            assert_eq!(served.table.row(r).unwrap(), solo.table.row(r).unwrap());
+        }
     }
 
     #[test]

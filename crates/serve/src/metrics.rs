@@ -19,7 +19,6 @@ use crate::admission::AdmissionStats;
 use crate::batcher::BatcherStats;
 use crate::faults::FaultSite;
 use crate::plan_cache::PlanCacheStats;
-use crate::scan_queue::ScanQueueStats;
 use crate::server::{LifecycleStats, ProfileTotalsStats, Server, ServerStats};
 use crate::sql::SqlStats;
 use cx_obs::{HistSnapshot, Histogram, MetricDesc, MetricFamily, MetricsSnapshot};
@@ -30,7 +29,6 @@ cx_obs::metric_descs! {
         "Faults injected by the installed plan, by site",
     LATENCY: summary "cx_serve_query_latency_ns" "End-to-end serve latency (ns)",
     QUEUE_WAIT: summary "cx_serve_queue_wait_ns" "Admission queue wait (ns)",
-    SWEEP: summary "cx_serve_sweep_ns" "Shared-sweep duration (ns)",
     OPERATOR_ROWS: counter "cx_exec_operator_rows_total" "Rows emitted per operator",
     OPERATOR_LATENCY: summary "cx_exec_operator_latency_ns"
         "Per-execution operator latency (ns)",
@@ -67,12 +65,11 @@ pub fn metric_inventory() -> Vec<MetricGroup> {
         group("serving", &[], ServerStats::DESCRIPTORS),
         group("plan cache", &[], PlanCacheStats::DESCRIPTORS),
         group("admission", &[], AdmissionStats::DESCRIPTORS),
-        group("scan sharing", &[], ScanQueueStats::DESCRIPTORS),
         group("lifecycle", &[], LifecycleStats::DESCRIPTORS),
         group("sql", &[], SqlStats::DESCRIPTORS),
         group("faults (plan installed)", &["site"], &[FAULTS]),
         group("embed batcher", &["model"], BatcherStats::DESCRIPTORS),
-        group("latency summaries", &[], &[LATENCY, QUEUE_WAIT, SWEEP]),
+        group("latency summaries", &[], &[LATENCY, QUEUE_WAIT]),
         group("per-operator", &["operator"], &[OPERATOR_ROWS, OPERATOR_LATENCY]),
         group("trace ring", &[], &[TRACE_RING_LEN]),
         group("profiler", &[], ProfileTotalsStats::DESCRIPTORS),
@@ -125,7 +122,6 @@ impl Server {
         s.export(&[], &mut m);
         s.plan_cache.export(&[], &mut m);
         s.admission.export(&[], &mut m);
-        s.scan_sharing.export(&[], &mut m);
         s.lifecycle.export(&[], &mut m);
         s.sql.export(&[], &mut m);
         if let Some(f) = self.fault_stats() {
@@ -138,7 +134,6 @@ impl Server {
         }
         m.summary_from_hist(LATENCY.name, LATENCY.help, &[], self.latency_histogram());
         m.summary_from_hist(QUEUE_WAIT.name, QUEUE_WAIT.help, &[], self.queue_wait_histogram());
-        m.summary_from_hist(SWEEP.name, SWEEP.help, &[], self.sweep_histogram());
         for (op, h) in self.exec_metrics().handles() {
             let labels = [("operator", op.as_str())];
             m.counter(OPERATOR_ROWS.name, OPERATOR_ROWS.help, &labels, h.rows_out());
@@ -186,10 +181,6 @@ impl Server {
         }
         quantile_line(&mut out, "latency", &self.latency_histogram().snapshot(), "samples");
         quantile_line(&mut out, "queue wait", &self.queue_wait_histogram().snapshot(), "samples");
-        let sweeps = self.sweep_histogram().snapshot();
-        if sweeps.count > 0 {
-            quantile_line(&mut out, "shared sweeps", &sweeps, "samples");
-        }
         let config = self.config();
         if config.tracing {
             out.push_str(&format!(
@@ -222,7 +213,6 @@ impl Server {
             ));
         }
         out.push_str(&format!("simd kernels: {}\n", s.simd));
-        family_line(&mut out, "scan sharing", "cx_serve_scan_", &s.scan_sharing);
         if let Some(plan) = self.fault_plan() {
             let f = plan.stats();
             let sites: Vec<String> = FaultSite::ALL

@@ -24,10 +24,7 @@
 //!    engine's planning snapshot into a tree this execution alone runs —
 //!    so each physical choice (a semantic join's panel tier, say) is made
 //!    for the bound literals, exactly as ad-hoc execution makes it. The
-//!    result is memoized per binding vector. Bound executions expose the
-//!    scan signature of the subtree they actually scan, so they coalesce
-//!    into multi-query shared sweeps with any query that scans the same
-//!    panel.
+//!    result is memoized per binding vector.
 //! 3. **Invalidation** — entries are pinned to the catalog version;
 //!    executing a stale handle transparently re-optimizes.
 //!    Nothing is ever served from a plan (or memo) built against an older
@@ -58,7 +55,7 @@ pub(crate) struct Statement<'a> {
     pub(crate) param_count: usize,
     /// [`LogicalPlan::fingerprint`] of the template; validates cache hits.
     pub(crate) exact_fingerprint: u64,
-    /// [`config_fingerprint`] of `config`; also partitions scan groups.
+    /// [`config_fingerprint`] of `config`.
     pub(crate) config_fingerprint: u64,
 }
 

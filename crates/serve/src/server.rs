@@ -38,14 +38,9 @@
 //! query) over [`ServeConfig`] defaults. Failures surface as typed
 //! [`QueryError`]s. Policy on top of the mechanism:
 //!
-//! * a **deadline-expired member of a shared-scan group exits alone** —
-//!   its epilogue is skipped and it gets [`QueryError::DeadlineExceeded`];
-//!   the sweep and the surviving members are untouched (their results
-//!   stay bit-identical to solo execution);
-//! * a **transient failure retries once, solo** — injected faults,
-//!   contained panics, and failed group drains map to
-//!   [`QueryError::Transient`]; the retry skips scan sharing and pays
-//!   full solo admission cost;
+//! * a **transient failure retries once** — injected faults and
+//!   contained panics map to [`QueryError::Transient`]; the retry runs
+//!   the whole statement again, admission included;
 //! * a **panic is contained at the query boundary** — the server
 //!   converts it to `Transient` instead of unwinding the caller's
 //!   thread, and keeps serving.
@@ -59,7 +54,6 @@ use crate::coalesce::{Clock, SystemClock};
 use crate::faults::{FaultPlan, FaultSite, FaultStats};
 use crate::plan_cache::{BindingKey, CachedPlan, PlanCache, PlanCacheStats};
 use crate::prepared::{Prepared, Statement};
-use crate::scan_queue::{ScanQueue, ScanQueueConfig, ScanQueueStats};
 use context_engine::{Engine, Query};
 use cx_exec::logical::LogicalPlan;
 use cx_exec::metrics::InstrumentedExec;
@@ -98,22 +92,6 @@ pub struct ServeConfig {
     /// tables are too large to keep `plan_cache_capacity` of them
     /// resident.
     pub cache_results: bool,
-    /// Multi-query scan sharing (`cx_mqo`): queue queries whose plans
-    /// sweep the same candidate panel and answer each group with one
-    /// shared sweep. Results are bit-identical to solo execution; only
-    /// the schedule changes.
-    pub mqo: bool,
-    /// Most queries merged into one shared sweep.
-    pub scan_group_max: usize,
-    /// How long a group's first query lingers for co-runners before
-    /// sweeping alone. Bounds the latency cost of sharing: a query with
-    /// no co-runners is delayed at most this long — and not at all when
-    /// no other query is in flight server-wide. On a busy server the
-    /// signal is deliberately coarse (another in-flight query *might*
-    /// merge; its group key is unknowable before it finishes planning),
-    /// so shareable first-sight queries pay up to one linger; size this
-    /// accordingly (adaptive linger is a roadmap rung).
-    pub scan_linger: Duration,
     /// Default per-query deadline, applied when [`QueryOptions::timeout`]
     /// is unset (`None` = no deadline). A query past its deadline stops
     /// at the next chunk/tile boundary with
@@ -130,11 +108,12 @@ pub struct ServeConfig {
     /// [`QueryError::QueueFull`] instead of queueing (0 = unbounded).
     pub max_queued: usize,
     /// Record a per-query [`QueryTrace`] of lifecycle spans (plan cache,
-    /// embed warm, queue waits, shared sweeps, epilogues) for every
-    /// query. Off by default: a span site records only on a thread this
-    /// server installed a trace on, and costs one thread-local load
-    /// everywhere else — other servers in the process included. Latency
-    /// histograms are always on regardless (they are counter-cheap).
+    /// embed warm, admission wait, execution and the operator spans
+    /// beneath it) for every query. Off by default: a span site records
+    /// only on a thread this server installed a trace on, and costs one
+    /// thread-local load everywhere else — other servers in the process
+    /// included. Latency histograms are always on regardless (they are
+    /// counter-cheap).
     pub tracing: bool,
     /// Finished traces retained in the in-memory ring
     /// ([`Server::traces`] / [`Server::last_trace`]); 0 disables
@@ -180,9 +159,6 @@ impl Default for ServeConfig {
             batch_max: 256,
             batch_linger: Duration::from_micros(500),
             cache_results: true,
-            mqo: true,
-            scan_group_max: 16,
-            scan_linger: Duration::from_millis(2),
             default_timeout: None,
             default_memory_budget: 0,
             max_queued: 0,
@@ -231,19 +207,15 @@ pub struct ServeResult {
     /// Whether the result came from the plan's result memo (execution and
     /// admission were skipped entirely).
     pub result_cache_hit: bool,
-    /// Whether this query's panel sweep was answered by a shared
-    /// multi-query scan (`cx_mqo`) rather than a solo sweep.
-    pub shared_scan: bool,
     /// The query's lifecycle trace, when [`ServeConfig::tracing`] is on
     /// (`None` otherwise). The same trace is pushed into the server's
     /// trace ring; render it with [`QueryTrace::render`].
     pub trace: Option<QueryTrace>,
 }
 
-/// One statement's execution state as it flows through scan grouping,
-/// admission and execution. With no parameters (an ad-hoc query) it
-/// memoizes at the plan level; with parameters it memoizes per binding
-/// vector.
+/// One statement's execution state as it flows through admission and
+/// execution. With no parameters (an ad-hoc query) it memoizes at the
+/// plan level; with parameters it memoizes per binding vector.
 #[derive(Clone)]
 pub struct ExecUnit {
     /// The resolved plan-cache entry.
@@ -262,13 +234,8 @@ pub struct ExecUnit {
     /// When the server started serving this query.
     pub started: Instant,
     /// The query's lifecycle context (deadline, cancellation, budget) —
-    /// installed around its execution, consulted at admission, and
-    /// checked per member inside shared-scan groups.
+    /// installed around its execution and consulted at admission.
     pub ctx: QueryContext,
-    /// The query's trace, when it is traced. Carried inside the unit so
-    /// the group leader's thread can attribute shared-sweep and epilogue
-    /// spans to *every* member's trace, not just its own.
-    pub trace: Option<QueryTrace>,
 }
 
 cx_obs::metric_family! {
@@ -286,8 +253,8 @@ cx_obs::metric_family! {
         /// Queries that (after any retry) returned [`QueryError::Transient`].
         transient_failures: counter "cx_serve_transient_failures_total"
             "Queries that failed transiently (after any retry)",
-        /// Solo retries taken after a transient first attempt.
-        retries: counter "cx_serve_retries_total" "Solo retries after transient failures",
+        /// Retries taken after a transient first attempt.
+        retries: counter "cx_serve_retries_total" "Retries after transient failures",
         /// Panics contained at the query boundary (converted to
         /// [`QueryError::Transient`] instead of unwinding the caller).
         contained_panics: counter "cx_serve_contained_panics_total"
@@ -318,8 +285,9 @@ cx_obs::metric_family! {
         plan_cache: PlanCacheStats,
         /// Admission counters.
         admission: AdmissionStats,
-        /// Multi-query scan-sharing counters.
-        scan_sharing: ScanQueueStats,
+        /// Multi-query scan-sharing counters: always zero, since every
+        /// statement runs solo, and not exported.
+        scan_sharing: ScanSharingStats,
         /// Lifecycle-policy counters (deadlines, cancels, budgets, retries,
         /// contained panics).
         lifecycle: LifecycleStats,
@@ -333,25 +301,32 @@ cx_obs::metric_family! {
     }
 }
 
+/// The fields multi-query scan sharing used to count. Statements never
+/// share a sweep, so a snapshot's fields are all zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanSharingStats {
+    /// Groups drained.
+    pub groups: u64,
+    /// Queries drained through groups.
+    pub grouped_queries: u64,
+    /// Queries answered by a shared sweep.
+    pub shared_queries: u64,
+}
+
 /// A concurrent query-serving layer over one shared [`Engine`].
 pub struct Server {
     pub(crate) engine: Arc<Engine>,
     pub(crate) config: ServeConfig,
     plan_cache: PlanCache,
     pub(crate) gate: CostGate,
-    pub(crate) scan_queue: ScanQueue,
     batchers: RwLock<HashMap<String, Arc<EmbedBatcher>>>,
-    /// What every coalescing linger and admission wait is timed on.
+    /// What every batcher linger and admission wait is timed on.
     clock: Arc<dyn Clock>,
     pub(crate) metrics: ExecMetrics,
     serving: ServingCounters,
     pub(crate) lifecycle: LifecycleCounters,
     /// The installed chaos schedule, if any (see [`crate::faults`]).
     fault_plan: RwLock<Option<Arc<FaultPlan>>>,
-    /// Queries currently inside the server — the scan queue's
-    /// contention signal: a query that is provably alone skips the
-    /// group-forming linger (nobody exists who could join it).
-    pub(crate) in_flight: AtomicU64,
     /// Finished traces, newest last (tracing on; capacity from config).
     pub(crate) trace_ring: TraceRing,
     /// Rendered span trees of queries past the slow-query threshold,
@@ -359,11 +334,8 @@ pub struct Server {
     pub(crate) slow_log: Mutex<VecDeque<String>>,
     /// End-to-end serve latency (memo hits included). Always on.
     latency_hist: Histogram,
-    /// Time spent waiting at the admission gate (solo and group
-    /// acquisitions). Always on.
+    /// Time spent waiting at the admission gate. Always on.
     pub(crate) queue_wait_hist: Histogram,
-    /// Shared-sweep duration per drained group. Always on.
-    pub(crate) sweep_hist: Histogram,
     /// Structured incidents appended by the watchdog, queryable as
     /// `cx.incidents`. Present even without a watchdog so the table
     /// always resolves (empty).
@@ -442,15 +414,6 @@ impl Drop for Server {
     }
 }
 
-/// RAII decrement for [`Server::in_flight`].
-struct InFlightGuard<'a>(&'a AtomicU64);
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 impl Server {
     /// Wraps `engine` for concurrent serving under `config`.
     pub fn new(engine: Arc<Engine>, config: ServeConfig) -> Arc<Self> {
@@ -481,10 +444,6 @@ impl Server {
         let server = Arc::new(Server {
             plan_cache: PlanCache::new(config.plan_cache_capacity),
             gate: CostGate::with_clock(config.admission_capacity, clock.clone()),
-            scan_queue: ScanQueue::with_clock(
-                ScanQueueConfig { group_max: config.scan_group_max, linger: config.scan_linger },
-                clock.clone(),
-            ),
             engine,
             config,
             batchers: RwLock::new(HashMap::new()),
@@ -493,7 +452,6 @@ impl Server {
             serving: ServingCounters::default(),
             lifecycle: LifecycleCounters::default(),
             fault_plan: RwLock::new(None),
-            in_flight: AtomicU64::new(0),
             trace_ring: TraceRing::new(if config.tracing {
                 config.trace_ring_capacity
             } else {
@@ -502,7 +460,6 @@ impl Server {
             slow_log: Mutex::new(VecDeque::new()),
             latency_hist: Histogram::new(),
             queue_wait_hist: Histogram::new(),
-            sweep_hist: Histogram::new(),
             incidents: Arc::new(IncidentLog::new(
                 config.watchdog.map_or(DEFAULT_INCIDENT_CAPACITY, |w| w.incident_capacity),
             )),
@@ -595,14 +552,13 @@ impl Server {
     /// its variants, [`Session::execute`], [`Session::explain_analyze`],
     /// [`Prepared::execute`], [`Session::sql`] — describes its statement
     /// as a [`Statement`] plus a binding vector (empty for an ad-hoc
-    /// query) and calls this. In order: in-flight accounting, lifecycle
-    /// context, trace + profile window, then per attempt (panics
-    /// contained, one solo retry on a transient failure) plan resolution
-    /// through the shared plan cache, the result-memo probe, parameter
-    /// binding into the optimized plan with admission re-weighed over the
-    /// *bound* plan, lowering, and dispatch (scan sharing → solo); finally
-    /// the outcome lands in the lifecycle counters and the trace is
-    /// sealed.
+    /// query) and calls this. In order: lifecycle context, trace +
+    /// profile window, then per attempt (panics contained, one retry on a
+    /// transient failure) plan resolution through the shared plan cache,
+    /// the result-memo probe, parameter binding into the optimized plan
+    /// with admission re-weighed over the *bound* plan, lowering,
+    /// admission and execution; finally the outcome lands in the
+    /// lifecycle counters and the trace is sealed.
     ///
     /// `trace_this` records a [`QueryTrace`] for this statement even when
     /// [`ServeConfig::tracing`] is off (`EXPLAIN ANALYZE`). The trace is
@@ -625,8 +581,6 @@ impl Server {
             )));
         }
         let start = Instant::now();
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-        let _in_flight = InFlightGuard(&self.in_flight);
         let ctx = self.make_ctx(options);
         let trace = (self.config.tracing || trace_this).then(|| {
             let exact = stmt.exact_fingerprint;
@@ -638,11 +592,8 @@ impl Server {
         });
         let profile_span = self.config.profiling.then(ProfileSpan::start);
 
-        let attempt = |solo: bool| -> Result<ServeResult> {
+        let attempt = || -> Result<ServeResult> {
             let _scope = cx_obs::install_trace(trace.as_ref());
-            if solo {
-                cx_obs::event("retry", || "solo (no scan sharing)".into());
-            }
             let version = self.engine.catalog_version();
             let mut pc_span = cx_obs::span("plan_cache");
             let (cached, hit) = self.resolve_plan(stmt, version)?;
@@ -650,10 +601,9 @@ impl Server {
             drop(pc_span);
 
             // Memo first: a replay skips binding, lowering, cost
-            // estimation, grouping and admission outright (memoized
-            // replays must never re-enter the cost gate) — on the solo
-            // retry too, where a result memoized since the first attempt
-            // still counts.
+            // estimation and admission outright (memoized replays must
+            // never re-enter the cost gate) — on the retry too, where a
+            // result memoized since the first attempt still counts.
             let binding = BindingKey::new(params);
             if let Some(result) =
                 self.try_result_memo(&cached, &binding, cached.estimated_cost, hit, start)
@@ -683,16 +633,11 @@ impl Server {
                 plan_cache_hit: hit,
                 started: start,
                 ctx: ctx.clone(),
-                trace: trace.clone(),
             };
-            if solo {
-                self.execute_solo(&unit)
-            } else {
-                self.dispatch(unit, stmt.config_fingerprint)
-            }
+            self.execute_solo(&unit)
         };
 
-        let mut result = self.run_with_recovery(attempt);
+        let mut result = self.run_with_recovery(trace.as_ref(), attempt);
         if result.is_ok() && !params.is_empty() {
             self.serving.prepared_queries.fetch_add(1, Ordering::Relaxed);
         }
@@ -726,15 +671,8 @@ impl Server {
         }
         let Some(trace) = trace else { return };
         let outcome = match &*result {
-            Ok(r) => {
-                if r.result_cache_hit {
-                    "ok (result memo)".to_string()
-                } else if r.shared_scan {
-                    "ok (shared scan)".to_string()
-                } else {
-                    "ok".to_string()
-                }
-            }
+            Ok(r) if r.result_cache_hit => "ok (result memo)".to_string(),
+            Ok(_) => "ok".to_string(),
             Err(e) => format!("error: {e}"),
         };
         trace.finish(outcome);
@@ -775,18 +713,21 @@ impl Server {
         ctx
     }
 
-    /// Runs `attempt(false)` with panics contained at this boundary; on a
-    /// transient failure (injected fault, contained panic, failed group
-    /// drain) retries once with `attempt(true)` — the solo path.
+    /// Runs `attempt` with panics contained at this boundary; on a
+    /// transient failure (injected fault, contained panic) records a
+    /// `retry` event on `trace` and runs it once more.
     fn run_with_recovery(
         &self,
-        attempt: impl Fn(bool) -> Result<ServeResult>,
+        trace: Option<&QueryTrace>,
+        attempt: impl Fn() -> Result<ServeResult>,
     ) -> Result<ServeResult> {
-        let first = self.contain(|| attempt(false));
-        match first {
+        match self.contain(&attempt) {
             Err(e) if e.is_transient() => {
                 self.lifecycle.retries.fetch_add(1, Ordering::Relaxed);
-                self.contain(|| attempt(true))
+                if let Some(trace) = trace {
+                    trace.add_event("retry", format!("after {e}"));
+                }
+                self.contain(&attempt)
             }
             other => other,
         }
@@ -904,18 +845,16 @@ impl Server {
             estimated_cost: cost,
             plan_cache_hit,
             result_cache_hit: true,
-            shared_scan: false,
             trace: None,
         })
     }
 
-    /// Solo path: full-cost lifecycle-aware admission (deadline-aware
-    /// waiting, `max_queued` shedding), then execution.
+    /// Runs a statement whose result memo missed: lifecycle-aware
+    /// admission (deadline-aware waiting, `max_queued` shedding), then its
+    /// own tree (instrumented) under its lifecycle context; memoizes the
+    /// result and assembles the [`ServeResult`]. Spans record into the
+    /// trace the caller installed on this thread.
     pub(crate) fn execute_solo(&self, unit: &ExecUnit) -> Result<ServeResult> {
-        // Installed explicitly (not inherited from the caller's thread):
-        // a group leader running a solo fallback for a *foreign* member
-        // must attribute this wait to that member's trace, not its own.
-        let _scope = cx_obs::install_trace(unit.trace.as_ref());
         if let Some(plan) = self.fault_plan() {
             if let Err(e) = plan.strike(FaultSite::Admission) {
                 cx_obs::event("fault", || "admission".into());
@@ -927,18 +866,6 @@ impl Server {
         let _permit = self.gate.acquire_ctx(unit.cost, &unit.ctx, self.config.max_queued)?;
         drop(_span);
         self.queue_wait_hist.record_duration(wait_started.elapsed());
-        self.run_unit(unit, false)
-    }
-
-    /// Executes the unit's tree (instrumented) under its lifecycle
-    /// context, memoizes, and assembles the result. Admission is the
-    /// caller's business: solo queries acquire their own permit, shared
-    /// groups hold one group permit across all members.
-    /// Tracing: callers install the unit's trace before calling (the
-    /// solo path installs it at [`Server::execute_solo`], the group path
-    /// around each epilogue), so the `execute` span here nests under
-    /// whatever stage span the caller holds open.
-    pub(crate) fn run_unit(&self, unit: &ExecUnit, shared_scan: bool) -> Result<ServeResult> {
         let root = InstrumentedExec::new(unit.root.clone(), &self.metrics);
         let exec_span = cx_obs::span("execute");
         let table = Arc::new(unit.ctx.scope(|| collect_table(&root))?);
@@ -959,7 +886,6 @@ impl Server {
             estimated_cost: unit.cost,
             plan_cache_hit: unit.plan_cache_hit,
             result_cache_hit: false,
-            shared_scan,
             trace: None,
         })
     }
@@ -995,11 +921,6 @@ impl Server {
         self.gate.stats()
     }
 
-    /// Multi-query scan-sharing counters.
-    pub fn scan_sharing_stats(&self) -> ScanQueueStats {
-        self.scan_queue.stats()
-    }
-
     /// Lifecycle-policy counters.
     pub fn lifecycle_stats(&self) -> LifecycleStats {
         self.lifecycle.snapshot()
@@ -1017,7 +938,7 @@ impl Server {
         self.serving.snapshot(
             self.plan_cache.stats(),
             self.gate.stats(),
-            self.scan_queue.stats(),
+            ScanSharingStats::default(),
             self.lifecycle.snapshot(),
             self.sql.snapshot(),
             batchers,
@@ -1050,11 +971,6 @@ impl Server {
     /// Admission queue-wait distribution (always recorded).
     pub fn queue_wait_histogram(&self) -> &Histogram {
         &self.queue_wait_hist
-    }
-
-    /// Shared-sweep duration distribution (always recorded).
-    pub fn sweep_histogram(&self) -> &Histogram {
-        &self.sweep_hist
     }
 
     /// The structured incident log the watchdog appends to (queryable as
@@ -1152,8 +1068,7 @@ impl Session {
     /// session's quantization `recall_tolerance`. The override flows
     /// into the plan-cache key through the config fingerprint, so
     /// sessions at different tolerances partition the cache naturally —
-    /// no forking, no cross-talk — and likewise never share a scan
-    /// group with sessions at other configurations.
+    /// no forking, no cross-talk.
     pub fn set_recall_tolerance(&self, tolerance: f64) {
         let mut config = self.optimizer_config();
         config.recall_tolerance = tolerance;

@@ -292,8 +292,8 @@ fn attach_sql_spans(
 ) {
     if let Some(trace) = &result.trace {
         let detail: String = text.chars().take(80).collect();
-        trace.add_span("sql_parse", detail.clone(), parse_start, parse_dur, 0, false);
-        trace.add_span("sql_bind", detail, bind_start, bind_dur, 0, false);
+        trace.add_span("sql_parse", detail.clone(), parse_start, parse_dur, 0);
+        trace.add_span("sql_bind", detail, bind_start, bind_dur, 0);
     }
 }
 

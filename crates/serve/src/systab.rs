@@ -8,7 +8,7 @@
 //!
 //! | table           | contents                                          |
 //! |-----------------|---------------------------------------------------|
-//! | `cx.queries`    | one row per retained trace: outcome, latency, queue wait, plan-cache verdict, MQO group size, quant tier, SIMD path, resource profile |
+//! | `cx.queries`    | one row per retained trace: outcome, latency, queue wait, plan-cache verdict, quant tier, SIMD path, resource profile |
 //! | `cx.spans`      | every span of every retained trace, flattened      |
 //! | `cx.histograms` | nonzero buckets of every server histogram          |
 //! | `cx.metrics`    | the full metrics snapshot as rows                  |
@@ -60,12 +60,6 @@ fn detail_token<'a>(detail: &'a str, key: &str) -> Option<&'a str> {
     detail.split_whitespace().find_map(|tok| tok.strip_prefix(key))
 }
 
-/// The `k=<n>` group size carried by `shared_sweep` / `scan_queue_wait`
-/// details.
-fn parse_group_size(detail: &str) -> Option<i64> {
-    detail_token(detail, "k=").and_then(|v| v.parse().ok())
-}
-
 /// `cx.queries`: one row per trace retained in the ring.
 #[derive(Debug)]
 struct QueriesTable {
@@ -83,7 +77,6 @@ impl QueriesTable {
                 Field::required("total_ms", DataType::Float64),
                 Field::required("queue_wait_ms", DataType::Float64),
                 Field::required("plan_cache", DataType::Utf8),
-                Field::required("group_size", DataType::Int64),
                 Field::required("quant_tier", DataType::Utf8),
                 Field::required("simd", DataType::Utf8),
                 Field::required("cpu_ms", DataType::Float64),
@@ -114,7 +107,6 @@ impl SystemTableSource for QueriesTable {
         let mut total_ms = Vec::new();
         let mut queue_wait_ms = Vec::new();
         let mut plan_cache = Vec::new();
-        let mut group_size = Vec::new();
         let mut quant_tier = Vec::new();
         let mut simd = Vec::new();
         let mut cpu_ms = Vec::new();
@@ -128,27 +120,14 @@ impl SystemTableSource for QueriesTable {
             outcome.push(t.outcome().unwrap_or_default());
             total_ms.push(t.total_ns() as f64 / 1e6);
             let spans = t.spans();
-            queue_wait_ms.push(
-                spans
-                    .iter()
-                    .filter(|s| s.name == "admission" || s.name == "scan_queue_wait")
-                    .map(|s| s.dur_ns)
-                    .sum::<u64>() as f64
-                    / 1e6,
-            );
+            let admission = spans.iter().filter(|s| s.name == "admission");
+            queue_wait_ms.push(admission.map(|s| s.dur_ns).sum::<u64>() as f64 / 1e6);
             plan_cache.push(
                 spans
                     .iter()
                     .find(|s| s.name == "plan_cache")
                     .map(|s| s.detail.clone())
                     .unwrap_or_default(),
-            );
-            group_size.push(
-                spans
-                    .iter()
-                    .filter(|s| s.name == "shared_sweep" || s.name == "scan_queue_wait")
-                    .find_map(|s| parse_group_size(&s.detail))
-                    .unwrap_or(1),
             );
             let panel = spans.iter().find(|s| s.name == "panel_sweep");
             quant_tier.push(
@@ -179,7 +158,6 @@ impl SystemTableSource for QueriesTable {
                 Column::from_f64(total_ms),
                 Column::from_f64(queue_wait_ms),
                 Column::from_strings(plan_cache),
-                Column::from_i64(group_size),
                 Column::from_strings(quant_tier),
                 Column::from_strings(simd),
                 Column::from_f64(cpu_ms),
@@ -211,7 +189,6 @@ impl SpansTable {
                 Field::required("start_ms", DataType::Float64),
                 Field::required("dur_ms", DataType::Float64),
                 Field::required("depth", DataType::Int64),
-                Field::required("shared", DataType::Bool),
             ])),
         }
     }
@@ -234,7 +211,6 @@ impl SystemTableSource for SpansTable {
         let mut start_ms = Vec::new();
         let mut dur_ms = Vec::new();
         let mut depth = Vec::new();
-        let mut shared = Vec::new();
         for t in server.traces() {
             let label = t.label();
             for s in t.spans() {
@@ -244,7 +220,6 @@ impl SystemTableSource for SpansTable {
                 start_ms.push(s.start_ns as f64 / 1e6);
                 dur_ms.push(s.dur_ns as f64 / 1e6);
                 depth.push(s.depth as i64);
-                shared.push(s.shared);
             }
         }
         chunk_from(
@@ -256,13 +231,12 @@ impl SystemTableSource for SpansTable {
                 Column::from_f64(start_ms),
                 Column::from_f64(dur_ms),
                 Column::from_i64(depth),
-                Column::from_bools(shared),
             ],
         )
     }
 }
 
-/// `cx.histograms`: nonzero buckets of every server histogram (the three
+/// `cx.histograms`: nonzero buckets of every server histogram (the two
 /// always-on serving histograms plus one per instrumented operator).
 #[derive(Debug)]
 struct HistogramsTable {
@@ -309,7 +283,6 @@ impl SystemTableSource for HistogramsTable {
         };
         push("latency", server.latency_histogram().nonzero_buckets());
         push("queue_wait", server.queue_wait_histogram().nonzero_buckets());
-        push("sweep", server.sweep_histogram().nonzero_buckets());
         for (op, h) in server.exec_metrics().handles() {
             push(&format!("operator:{op}"), h.latency().nonzero_buckets());
         }

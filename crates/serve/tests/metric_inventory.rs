@@ -113,7 +113,6 @@ fn exposition_carries_every_declared_metric_once_and_nothing_else() {
     stats.export(&[], &mut expected);
     stats.plan_cache.export(&[], &mut expected);
     stats.admission.export(&[], &mut expected);
-    stats.scan_sharing.export(&[], &mut expected);
     stats.lifecycle.export(&[], &mut expected);
     stats.sql.export(&[], &mut expected);
     profile.export(&[], &mut expected);

@@ -4,8 +4,8 @@
 //! here ever installs a trace, so the process-wide
 //! `cx_obs::span_allocations()` observing zero growth proves every
 //! instrumentation site on the serving path — plan cache, embed warm,
-//! admission, scan-queue drain, shared sweep, epilogue, execute, the
-//! `cx_mqo` / `cx_semantic` kernel sites — really does reduce to one
+//! bind, admission, execute, the `cx_semantic` panel-sweep sites — really
+//! does reduce to one
 //! thread-local flag load when the query is not traced. Do not add
 //! traced queries to this file; they belong in `obs_trace.rs`.
 
@@ -14,7 +14,6 @@ use cx_embed::ClusteredTextModel;
 use cx_serve::{ServeConfig, Server};
 use cx_storage::{Column, DataType, Field, Scalar, Schema, Table};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 fn build_engine() -> Arc<Engine> {
     let engine = Arc::new(Engine::new(EngineConfig::default()));
@@ -43,16 +42,10 @@ fn build_engine() -> Arc<Engine> {
 fn tracing_off_allocates_no_spans() {
     let before = cx_obs::span_allocations();
 
-    // Default config: tracing off. Exercise the solo path, the plan
-    // cache (hit and miss), prepared statements, and a coalescing storm
+    // Default config: tracing off. Exercise the plan cache (hit and
+    // miss), the result memo, prepared statements, and a concurrent storm
     // so every span site on the serving path actually executes.
-    let server = Server::new(
-        build_engine(),
-        ServeConfig {
-            scan_linger: Duration::from_millis(100),
-            ..ServeConfig::default()
-        },
-    );
+    let server = Server::new(build_engine(), ServeConfig::default());
     let q = server
         .table("products")
         .unwrap()
@@ -70,8 +63,8 @@ fn tracing_off_allocates_no_spans() {
     let prepared = session.prepare(&template).unwrap();
     prepared.execute(&[Scalar::from("parka")]).unwrap();
 
-    // Coalescing storm: distinct literals per thread so the group path
-    // (drain, shared sweep, epilogues) runs for real.
+    // Concurrent storm: distinct literals per thread, so every statement
+    // really executes while the others are in flight.
     let threads = 4;
     let barrier = Arc::new(Barrier::new(threads));
     let targets = ["boots", "parka", "kitten", "sneakers"];

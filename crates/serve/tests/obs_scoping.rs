@@ -51,8 +51,7 @@ fn server(config: ServeConfig) -> Arc<Server> {
 
 /// One client: `ROUNDS` semantic filters with literals of its own, each
 /// released by the barrier all four clients share, so both servers have
-/// queries in flight at once (and each server's pair can coalesce into a
-/// shared sweep). Returns the traces its results carried.
+/// queries in flight at once. Returns the traces its results carried.
 fn client(server: &Server, id: usize, round_start: &Barrier) -> Vec<Option<QueryTrace>> {
     (0..ROUNDS)
         .map(|round| {

@@ -1,17 +1,17 @@
-//! Tracing-on integration tests: span nesting and ordering across the
-//! MQO group-drain path, shared-span attribution to every member, fault
-//! events in victim traces under a seeded storm, and the Prometheus
-//! export surface round-tripping through the in-tree parser.
+//! Tracing-on integration tests: lifecycle span coverage, nesting and
+//! ordering under a concurrent prepared storm, fault events in victim
+//! traces under a seeded storm, and the Prometheus export surface
+//! round-tripping through the in-tree parser.
 
 use context_engine::{Engine, EngineConfig};
+use cx_datagen::{generate_corpus, CorpusConfig};
 use cx_embed::ClusteredTextModel;
+use cx_expr::{col, param};
 use cx_obs::{promparse, QueryTrace, SpanRecord};
 use cx_serve::{FaultPlan, ServeConfig, Server};
 use cx_storage::{Column, DataType, Field, Scalar, Schema, Table};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
-
-mod common;
 
 fn build_engine() -> Arc<Engine> {
     let engine = Arc::new(Engine::new(EngineConfig::default()));
@@ -46,82 +46,77 @@ fn span_names(spans: &[SpanRecord]) -> Vec<&'static str> {
     names
 }
 
-/// Runs a storm of prepared executions with distinct bindings through a
-/// tracing server sized so the leader lingers a real window and the
-/// whole storm coalesces into shared groups; returns the traces of the
-/// results that were answered by a shared sweep.
-fn coalesced_prepared_traces(threads: usize) -> Vec<QueryTrace> {
+/// Registers `items` (1,500 generated names with prices) and `labels`
+/// (1,500 generated labels) beside `products`: a semantic join between
+/// them sweeps enough pairs that execution dominates a statement's wall
+/// time.
+fn register_join_tables(engine: &Engine) {
+    let vocab = cx_datagen::vocab::all_words(&cx_datagen::table1_clusters());
+    let corpus = |size, seed| {
+        generate_corpus(&vocab, CorpusConfig { size, zipf_s: 0.6, max_words: 2, seed })
+    };
+    let items = Table::from_columns(
+        Schema::new(vec![Field::new("name", DataType::Utf8), Field::new("price", DataType::Float64)]),
+        vec![
+            Column::from_strings(corpus(1500, 11)),
+            Column::from_f64((0..1500).map(|i| (i % 200) as f64).collect()),
+        ],
+    )
+    .unwrap();
+    engine.register_table("items", items).unwrap();
+    let labels = Table::from_columns(
+        Schema::new(vec![Field::new("label", DataType::Utf8)]),
+        vec![Column::from_strings(corpus(1500, 23))],
+    )
+    .unwrap();
+    engine.register_table("labels", labels).unwrap();
+}
+
+/// Runs `threads` clients through a tracing server, each executing one
+/// prepared semantic join with its own price bindings for a few rounds;
+/// returns every execution's trace.
+fn prepared_storm_traces(threads: usize) -> Vec<QueryTrace> {
     let engine = build_engine();
-    let latch = common::Latch::register(&engine);
-    let server = Server::new(
-        engine,
-        ServeConfig {
-            tracing: true,
-            // group_max above the thread count: the group seals on
-            // linger expiry, so queue waits dominate the timeline and
-            // the span sum vs. total assertion is timing-robust.
-            scan_group_max: threads * 2,
-            scan_linger: Duration::from_millis(200),
-            ..ServeConfig::default()
-        },
-    );
-    let targets = ["boots", "parka", "kitten", "sneakers", "coat", "puppy"];
-    assert!(threads <= targets.len());
-    // Contention is pinned (see `common`), so the first leader lingers
-    // and pulls every concurrent sibling into its group; each thread
-    // also runs a *sequence* of executions with fresh bindings, so a
-    // sibling that wakes late still finds a later round to join.
-    let _held = latch.hold_statement(&server);
-    let mut traces: Vec<QueryTrace> = Vec::new();
-    for attempt in 0..5 {
-        let rounds = 4;
-        let barrier = Arc::new(Barrier::new(threads));
-        let storm_traces: Vec<QueryTrace> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|i| {
-                    let server = server.clone();
-                    let barrier = barrier.clone();
-                    let target = targets[i];
-                    s.spawn(move || {
-                        let session = server.session();
-                        let template = session
-                            .table("products")
-                            .unwrap()
-                            .semantic_filter_param("name", 0, "m", 0.75)
-                            .sort(&[("product_id", true)]);
-                        let prepared = session.prepare(&template).unwrap();
-                        barrier.wait();
-                        (0..rounds)
-                            .filter_map(|round| {
-                                let binding = format!("{target} {attempt} {round}");
-                                let r = prepared
-                                    .execute(&[Scalar::from(binding.as_str())])
-                                    .unwrap();
-                                r.shared_scan.then(|| r.trace.expect("tracing is on"))
-                            })
-                            .collect::<Vec<_>>()
-                    })
+    register_join_tables(&engine);
+    let server = Server::new(engine, ServeConfig { tracing: true, ..ServeConfig::default() });
+    let rounds = 3;
+    let barrier = Arc::new(Barrier::new(threads));
+    let traces: Vec<QueryTrace> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|i| {
+                let server = server.clone();
+                let barrier = barrier.clone();
+                s.spawn(move || {
+                    let session = server.session();
+                    let labels = session.table("labels").unwrap();
+                    let template = session
+                        .table("items")
+                        .unwrap()
+                        .filter(col("price").gt(param(0)))
+                        .semantic_join(labels, "name", "label", "m", 0.9)
+                        .sort(&[("price", true), ("label", true)])
+                        .limit(20);
+                    let prepared = session.prepare(&template).unwrap();
+                    barrier.wait();
+                    (0..rounds)
+                        .map(|round| {
+                            let price = (i * rounds + round) as f64;
+                            let r = prepared.execute(&[Scalar::Float64(price)]).unwrap();
+                            r.trace.expect("tracing is on")
+                        })
+                        .collect::<Vec<_>>()
                 })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
-        });
-        traces.extend(storm_traces);
-        if traces.len() >= 2 {
-            break;
-        }
-    }
-    assert!(
-        traces.len() >= 2,
-        "storm failed to coalesce in 5 attempts: {:?}",
-        server.scan_sharing_stats()
-    );
-    assert!(server.sweep_histogram().snapshot().count >= 1);
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(traces.len(), threads * rounds);
     traces
 }
 
 #[test]
-fn coalesced_prepared_trace_covers_the_lifecycle() {
-    for trace in coalesced_prepared_traces(6) {
+fn concurrent_prepared_trace_covers_the_lifecycle() {
+    for trace in prepared_storm_traces(4) {
         let spans = trace.spans();
         let names = span_names(&spans);
         // The acceptance bar: at least six distinct lifecycle spans.
@@ -130,7 +125,7 @@ fn coalesced_prepared_trace_covers_the_lifecycle() {
             "expected >= 6 distinct spans, got {names:?}\n{}",
             trace.render()
         );
-        for required in ["plan_cache", "scan_queue_wait", "admission", "shared_sweep", "execute"] {
+        for required in ["plan_cache", "bind_params", "admission", "execute", "panel_sweep"] {
             assert!(names.contains(&required), "missing {required}: {names:?}");
         }
         // Top-level spans are built non-overlapping, so their sum must
@@ -144,58 +139,31 @@ fn coalesced_prepared_trace_covers_the_lifecycle() {
             "attributed {attributed} ns vs total {total} ns (gap {gap})\n{}",
             trace.render()
         );
-        assert!(trace.outcome().as_deref() == Some("ok (shared scan)"), "{:?}", trace.outcome());
+        assert_eq!(trace.outcome().as_deref(), Some("ok"));
     }
 }
 
 #[test]
-fn drain_spans_nest_order_and_tag_shared_work() {
-    let traces = coalesced_prepared_traces(6);
-    let mut saw_follower = false;
-    for trace in &traces {
+fn lifecycle_spans_nest_and_order() {
+    for trace in prepared_storm_traces(4) {
         let spans = trace.spans();
-        let find = |name: &str| spans.iter().find(|s| s.name == name);
+        let find = |name: &str| spans.iter().find(|s| s.name == name).expect(name);
 
-        // The shared sweep is attributed to *every* member, tagged.
-        let sweep = find("shared_sweep").expect("every member gets the sweep span");
-        assert!(sweep.shared, "shared_sweep must carry shared=true");
-        assert_eq!(sweep.depth, 0);
-        if sweep.detail.starts_with("follower") {
-            saw_follower = true;
+        // Ordering: plan resolution, then binding and lowering, then
+        // admission, then execution — each a top-level stage.
+        let stages = ["plan_cache", "bind_params", "admission", "execute"].map(find);
+        for pair in stages.windows(2) {
+            assert!(pair[0].start_ns + pair[0].dur_ns <= pair[1].start_ns, "{}", trace.render());
         }
+        assert!(stages.iter().all(|s| s.depth == 0), "{}", trace.render());
 
-        // The group admission permit is shared work too.
-        let admission = find("admission").expect("admission span");
-        assert!(admission.shared);
-        assert_eq!(admission.detail, "group");
-
-        // Ordering: plan resolution, then the scan-queue linger, then
-        // admission, then the sweep, then this member's epilogue.
-        let pc = find("plan_cache").unwrap();
-        let wait = find("scan_queue_wait").unwrap();
-        let epi = find("epilogue").expect("group members run epilogues");
-        assert!(pc.start_ns <= wait.start_ns);
-        assert!(wait.start_ns <= admission.start_ns);
-        assert!(admission.start_ns <= sweep.start_ns);
-        assert!(sweep.start_ns + sweep.dur_ns <= epi.start_ns + epi.dur_ns);
-
-        // Nesting: the member's execute runs inside its epilogue.
-        let exec = find("execute").unwrap();
-        assert_eq!(epi.depth, 0);
-        assert_eq!(exec.depth, 1);
-        assert!(exec.start_ns >= epi.start_ns);
-        assert!(exec.start_ns + exec.dur_ns <= epi.start_ns + epi.dur_ns + 1_000_000);
+        // Nesting: the join's panel sweep runs inside `execute`.
+        let exec = stages[3];
+        let sweep = find("panel_sweep");
+        assert!(sweep.depth >= 1);
+        assert!(sweep.start_ns >= exec.start_ns);
+        assert!(sweep.start_ns + sweep.dur_ns <= exec.start_ns + exec.dur_ns);
     }
-    assert!(saw_follower, "no follower-attributed sweep span seen");
-
-    // The leader's trace additionally hosts the sweep's internal spans,
-    // nested one level down (panel sweep instrumentation in cx_mqo).
-    let nested_panel = traces.iter().any(|t| {
-        t.spans()
-            .iter()
-            .any(|s| s.name == "panel_sweep" && s.depth >= 1)
-    });
-    assert!(nested_panel, "leader trace missing nested panel_sweep span");
 }
 
 #[test]
@@ -206,7 +174,6 @@ fn fault_storm_victims_record_fault_events() {
             tracing: true,
             trace_ring_capacity: 256,
             cache_results: false,
-            mqo: false,
             ..ServeConfig::default()
         },
     );
@@ -235,8 +202,8 @@ fn fault_storm_victims_record_fault_events() {
         .filter(|t| t.events().iter().any(|e| e.name == "fault"))
         .collect();
     assert!(!fault_traces.is_empty(), "no trace recorded a fault event");
-    // Transient strikes trigger the solo retry policy; the retry is an
-    // event on the same trace.
+    // Transient strikes trigger the retry policy; the retry is an event
+    // on the same trace.
     assert!(
         traces
             .iter()
@@ -296,15 +263,6 @@ fn prometheus_snapshot_roundtrips_with_every_counter() {
         "cx_serve_admission_in_use",
         "cx_serve_admission_active",
         "cx_serve_admission_capacity",
-        "cx_serve_scan_submitted_total",
-        "cx_serve_scan_groups_total",
-        "cx_serve_scan_grouped_queries_total",
-        "cx_serve_scan_shared_groups_total",
-        "cx_serve_scan_shared_queries_total",
-        "cx_serve_scan_max_group",
-        "cx_serve_scan_panel_rows_saved_total",
-        "cx_serve_scan_pairs_saved_total",
-        "cx_serve_scan_sweep_fallbacks_total",
         "cx_serve_deadline_exceeded_total",
         "cx_serve_cancelled_total",
         "cx_serve_budget_exceeded_total",
@@ -332,7 +290,6 @@ fn prometheus_snapshot_roundtrips_with_every_counter() {
         "cx_serve_query_latency_ns",
         "cx_serve_query_latency_ns_max",
         "cx_serve_queue_wait_ns",
-        "cx_serve_sweep_ns",
         "cx_exec_operator_rows_total",
         "cx_exec_operator_latency_ns",
         "cx_obs_trace_ring_len",
@@ -361,7 +318,7 @@ fn prometheus_snapshot_roundtrips_with_every_counter() {
         Some(stats.prepared_queries as f64)
     );
     // One fault site counter per site label.
-    for site in ["embed", "admission", "sweep", "drain", "epilogue"] {
+    for site in ["embed", "admission"] {
         assert_eq!(
             parsed.value("cx_serve_faults_injected_total", &[("site", site)]),
             Some(0.0),

@@ -14,8 +14,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-mod common;
-
 fn build_engine() -> Arc<Engine> {
     let engine = Arc::new(Engine::new(EngineConfig::default()));
     let specs = cx_datagen::table1_clusters();
@@ -231,61 +229,38 @@ fn profiled_join_counts_build_tiles_of_its_panel() {
     assert_eq!(profile.pairs_scored, (12 * n) as u64, "{profile:?}");
 }
 
-/// `(group_size, quant_tier)` of every `cx.queries` row.
-fn group_and_tier_cells(server: &Arc<Server>) -> Vec<(i64, String)> {
+/// The `quant_tier` cell of every `cx.queries` row.
+fn tier_cells(server: &Arc<Server>) -> Vec<String> {
     let chunk = scan(server, "cx.queries").to_chunk().unwrap();
-    let groups = chunk.column_by_name("group_size").unwrap().i64_values().unwrap().to_vec();
-    let tiers = chunk.column_by_name("quant_tier").unwrap().utf8_values().unwrap().to_vec();
-    groups.into_iter().zip(tiers).collect()
+    chunk.column_by_name("quant_tier").unwrap().utf8_values().unwrap().to_vec()
 }
 
 #[test]
-fn shared_sweep_leader_and_solo_run_report_the_same_quant_tier() {
-    let engine = build_engine();
-    let latch = common::Latch::register(&engine);
+fn concurrent_runs_report_their_quant_tier() {
     let server = Server::new(
-        engine,
-        ServeConfig {
-            tracing: true,
-            trace_ring_capacity: 256,
-            scan_group_max: 8,
-            scan_linger: Duration::from_millis(200),
-            ..ServeConfig::default()
-        },
+        build_engine(),
+        ServeConfig { tracing: true, trace_ring_capacity: 256, ..ServeConfig::default() },
     );
-    // Nothing else is in flight, so this statement sweeps solo.
     server.execute(&semantic_query(&server, "kitten")).unwrap();
-    let solo = group_and_tier_cells(&server);
-    assert_eq!(solo, vec![(1, "f32".to_string())]);
+    assert_eq!(tier_cells(&server), ["f32"]);
 
-    // A pinned in-flight statement makes leaders linger (see `common`), so
-    // a barrier storm coalesces; a group's leader hosts the one
-    // `panel_sweep` span, its followers have none.
-    let _held = latch.hold_statement(&server);
+    // A barrier storm: every statement sweeps its own panel, so every
+    // trace hosts a `panel_sweep` span naming the same tier.
     let threads = 4;
-    let mut leaders: Vec<(i64, String)> = Vec::new();
-    for attempt in 0..5 {
-        let barrier = Arc::new(Barrier::new(threads));
-        std::thread::scope(|s| {
-            for i in 0..threads {
-                let (server, barrier) = (server.clone(), barrier.clone());
-                s.spawn(move || {
-                    barrier.wait();
-                    let target = format!("{} {attempt}", ["boots", "parka", "coat", "puppy"][i]);
-                    server.execute(&semantic_query(&server, &target)).unwrap();
-                });
-            }
-        });
-        leaders = group_and_tier_cells(&server);
-        leaders.retain(|(group, tier)| *group >= 2 && !tier.is_empty());
-        if !leaders.is_empty() {
-            break;
+    let barrier = Arc::new(Barrier::new(threads));
+    std::thread::scope(|s| {
+        for target in ["boots", "parka", "coat", "puppy"] {
+            let (server, barrier) = (server.clone(), barrier.clone());
+            s.spawn(move || {
+                barrier.wait();
+                server.execute(&semantic_query(&server, target)).unwrap();
+            });
         }
-    }
-    assert!(!leaders.is_empty(), "storm never coalesced: {:?}", server.scan_sharing_stats());
-    for (group, tier) in leaders {
-        assert_eq!(tier, solo[0].1, "leader of a {group}-member sweep");
-    }
+    });
+    // The row of the earlier `cx.queries` scan sweeps nothing: no tier.
+    let tiers = tier_cells(&server);
+    assert_eq!(tiers.iter().filter(|t| *t == "f32").count(), 5, "{tiers:?}");
+    assert!(tiers.iter().all(|t| t == "f32" || t.is_empty()), "{tiers:?}");
 }
 
 #[test]

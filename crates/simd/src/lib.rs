@@ -1,7 +1,7 @@
 //! Explicit-SIMD kernel layer with runtime dispatch (ROADMAP #3).
 //!
-//! Every semantic sweep, MQO shared scan, prepared-statement execution and
-//! index probe in this engine bottoms out in three panel-kernel families:
+//! Every semantic sweep, prepared-statement execution and index probe in
+//! this engine bottoms out in three panel-kernel families:
 //!
 //! * **f32** — [`dot`], [`dot_block`], [`dot_tile_threshold`]: the blocked
 //!   similarity kernels of `cx_vector::block`,

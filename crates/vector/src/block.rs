@@ -31,7 +31,7 @@
 //! There is no cosine kernel here: callers normalize both sides once
 //! ([`crate::VectorArena::normalize`]), after which cosine is the bare dot
 //! these kernels compute — the one similarity arithmetic of the engine's
-//! semantic filter, join and shared scans.
+//! semantic filter and join.
 
 use crate::RowBlock;
 

@@ -19,7 +19,7 @@
 //!                  └────────────────┬────────────────┘
 //!                                   ▼
 //!                        the panel sweep (cx_semantic)
-//!                   semantic filter / join / shared scans,
+//!                      semantic filter / join,
 //!                   tier picked by the optimizer per scan
 //! ```
 //!

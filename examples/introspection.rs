@@ -52,7 +52,6 @@ fn main() -> cx_storage::Result<()> {
                 fault_burst: 1,
                 ..WatchdogConfig::default()
             }),
-            scan_linger: Duration::from_millis(20),
             ..ServeConfig::default()
         },
     );

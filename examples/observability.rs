@@ -1,11 +1,11 @@
 //! Observability: query traces, latency histograms, metrics export.
 //!
 //! With `ServeConfig::tracing` on, every query records a span tree —
-//! plan-cache lookup, embedding warm-up, admission wait, MQO linger and
-//! shared sweep, epilogue, execution — into a bounded trace ring, and
-//! anything slower than `slow_query_threshold` is rendered
-//! EXPLAIN-ANALYZE-style into the slow-query log. Latency histograms
-//! (end-to-end, queue wait, sweep time, per-operator) are always on, and
+//! plan-cache lookup, embedding warm-up, admission wait, execution and
+//! the panel sweep beneath it — into a bounded trace ring, and anything
+//! slower than `slow_query_threshold` is rendered EXPLAIN-ANALYZE-style
+//! into the slow-query log. Latency histograms (end-to-end, queue wait,
+//! per-operator) are always on, and
 //! `Server::prometheus()` exports every counter the server owns.
 //!
 //! Run with: `cargo run --release --example observability`
@@ -44,13 +44,12 @@ fn main() -> cx_storage::Result<()> {
         ServeConfig {
             tracing: true,
             slow_query_threshold: Some(Duration::ZERO),
-            scan_linger: Duration::from_millis(50),
             ..ServeConfig::default()
         },
     );
 
-    // 3. A small concurrent storm so the MQO path (linger, shared sweep,
-    //    epilogues) shows up in the traces.
+    // 3. A small concurrent storm: four sessions' statements in flight
+    //    at once, each traced on its own.
     let targets = ["boots", "parka", "kitten", "sneakers"];
     let barrier = Arc::new(Barrier::new(targets.len()));
     std::thread::scope(|s| {
@@ -72,8 +71,7 @@ fn main() -> cx_storage::Result<()> {
     });
 
     // 4. The last trace, rendered EXPLAIN-ANALYZE-style. Every query in
-    //    the ring carries the same span tree; shared work (the group's
-    //    one panel sweep) is attributed to every member with [shared].
+    //    the ring carries the same span tree.
     if let Some(trace) = server.last_trace() {
         println!("== last query trace ==\n{}", trace.render());
     }

@@ -22,7 +22,6 @@
 //! | [`vision`] | `cx-vision` | image store + simulated detection |
 //! | [`datagen`] | `cx-datagen` | deterministic workload generators |
 //! | [`engine`] | `context-engine` | the end-to-end engine |
-//! | [`mqo`] | `cx-mqo` | multi-query scan sharing: one panel sweep, many queries |
 //! | [`obs`] | `cx-obs` | query traces, latency histograms, metrics export |
 //! | [`serve`] | `cx-serve` | concurrent serving: plan cache, embed batching, admission |
 //!
@@ -40,7 +39,6 @@ pub use cx_embed as embed;
 pub use cx_exec as exec;
 pub use cx_expr as expr;
 pub use cx_kb as kb;
-pub use cx_mqo as mqo;
 pub use cx_obs as obs;
 pub use cx_optimizer as optimizer;
 pub use cx_semantic as semantic;

@@ -6,19 +6,14 @@
 //! * catalog registrations with outstanding `Prepared` handles must make
 //!   the next execute re-optimize — never a stale plan, never a stale
 //!   per-binding memo,
-//! * a concurrent prepared storm with distinct bindings must coalesce
-//!   into shared sweeps (MQO) and stay bit-identical.
+//! * a concurrent prepared storm with distinct bindings must stay
+//!   bit-identical to serial literal execution.
 
 use context_analytics::expr::{col, param};
 use context_analytics::{Engine, EngineConfig, ServeConfig, Server};
 use cx_embed::ClusteredTextModel;
 use cx_storage::{Column, DataType, Field, Scalar, Schema, Table};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
-
-#[path = "../crates/serve/tests/common/mod.rs"]
-mod common;
 
 const NAMES: [&str; 12] = [
     "boots", "parka", "kitten", "sneakers", "coat", "puppy", "oxfords", "windbreaker", "blazer",
@@ -179,13 +174,10 @@ fn catalog_bump_with_outstanding_handle_reoptimizes_and_never_serves_stale_memo(
 }
 
 #[test]
-fn prepared_storm_coalesces_into_shared_sweeps_bit_identically() {
+fn prepared_storm_is_bit_identical_to_serial_execution() {
     let threads = 8;
-    // Several rounds per client: the prepared execute path has no
-    // blocking points, so on a single core one round per client can
-    // serialize into 8 provably-uncontended (hence solo) executions.
-    // Across rounds the threads genuinely overlap, a leader observes the
-    // contention and lingers, and the group fills.
+    // Several rounds per client, so the threads' executions of the one
+    // shared handle genuinely overlap.
     let rounds = 6;
     let binding = |client: usize, round: usize| {
         (TARGETS[client], 10.0 + 10.0 * round as f64)
@@ -214,22 +206,7 @@ fn prepared_storm_coalesces_into_shared_sweeps_bit_identically() {
         })
         .collect();
 
-    // On a single core the barrier storm of tiny queries can fully
-    // serialize, so no scan-queue leader ever observes a second
-    // in-flight query and nobody lingers; a held statement pins the
-    // contention signal (see `common`), every leader lingers and the
-    // runnable siblings pile into its group.
-    let engine = fresh_engine();
-    let latch = common::Latch::register(&engine);
-
-    let server = Server::new(
-        engine,
-        ServeConfig {
-            scan_linger: Duration::from_millis(50),
-            scan_group_max: threads,
-            ..ServeConfig::default()
-        },
-    );
+    let server = Server::new(fresh_engine(), ServeConfig::default());
     // One shared handle: prepared handles are Send + Sync.
     let prepared = Arc::new(
         server
@@ -245,27 +222,21 @@ fn prepared_storm_coalesces_into_shared_sweeps_bit_identically() {
             .unwrap(),
     );
 
-    let held = latch.hold_statement(&server);
     let barrier = Arc::new(Barrier::new(threads));
-    let shared_answers = Arc::new(AtomicU64::new(0));
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|c| {
                 let prepared = prepared.clone();
                 let barrier = barrier.clone();
-                let shared_answers = shared_answers.clone();
                 s.spawn(move || {
                     barrier.wait();
                     (0..rounds)
                         .map(|r| {
                             let (target, price) = binding(c, r);
-                            let res = prepared
+                            prepared
                                 .execute(&[Scalar::from(target), Scalar::Float64(price)])
-                                .unwrap();
-                            if res.shared_scan {
-                                shared_answers.fetch_add(1, Ordering::Relaxed);
-                            }
-                            res.table
+                                .unwrap()
+                                .table
                         })
                         .collect::<Vec<_>>()
                 })
@@ -279,19 +250,6 @@ fn prepared_storm_coalesces_into_shared_sweeps_bit_identically() {
         }
     });
 
-    drop(held);
-
     let stats = server.stats();
     assert_eq!(stats.prepared_queries, (threads * rounds) as u64);
-    // Every bound execution carried a shareable scan into the queue, and
-    // at least one group genuinely coalesced.
-    assert_eq!(
-        stats.scan_sharing.grouped_queries,
-        (threads * rounds) as u64,
-        "{:?}",
-        stats.scan_sharing
-    );
-    assert!(stats.scan_sharing.shared_groups >= 1, "{:?}", stats.scan_sharing);
-    assert!(stats.scan_sharing.shared_queries >= 2, "{:?}", stats.scan_sharing);
-    assert!(shared_answers.load(Ordering::Relaxed) >= 2);
 }

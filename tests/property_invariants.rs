@@ -608,18 +608,19 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// The one panel sweep: a member's slice of the k-member sweep is its own
-// one-member sweep, whatever the worker count; at f32 both are the pairwise
-// reference.
+// The one panel sweep: each probe row is scored on its own, so a span of a
+// stacked sweep is that span's own sweep and a single probe's rows are the
+// one-probe (filter) sweep, whatever the worker count; at f32 all of them
+// are the pairwise reference.
 // ---------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
-    fn shared_sweep_slices_equal_solo_sweeps(
+    fn stacked_probe_sweep_equals_per_probe_sweeps(
         n_candidates in 0usize..150,
-        member_sizes in prop::collection::vec(0usize..7, 1..6),
+        span_sizes in prop::collection::vec(0usize..7, 1..6),
         seed in any::<u64>(),
     ) {
         use cx_embed::{EmbeddingCache, HashNGramModel};
@@ -639,9 +640,9 @@ proptest! {
             }
         };
         let candidates: Vec<String> = (0..n_candidates).map(|_| word()).collect();
-        let members: Vec<Vec<String>> =
-            member_sizes.iter().map(|&n| (0..n).map(|_| word()).collect()).collect();
-        let thresholds: Vec<f32> = members
+        let spans: Vec<Vec<String>> =
+            span_sizes.iter().map(|&n| (0..n).map(|_| word()).collect()).collect();
+        let thresholds: Vec<f32> = spans
             .iter()
             .map(|_| match rng.next_range(4) {
                 0 => 0.0,
@@ -649,13 +650,13 @@ proptest! {
                 _ => rng.next_range(1000) as f32 / 1000.0,
             })
             .collect();
-        let stacked: Vec<String> = members.concat();
+        let stacked: Vec<String> = spans.concat();
         let floor = thresholds.iter().copied().fold(f32::INFINITY, f32::min);
 
         let cache = EmbeddingCache::new(Arc::new(HashNGramModel::new(3)));
         let ctx = QueryContext::default();
         // Hits at or above `at_least` as `(probe, candidate, score bits)`,
-        // probe ids rebased to the member starting at stacked row `first`.
+        // probe ids rebased to the span starting at stacked row `first`.
         let triples = |hits: &[Hit], first: usize, len: usize, at_least: f32| {
             hits.iter()
                 .filter(|&&(i, _, s)| s >= at_least && (first..first + len).contains(&(i as usize)))
@@ -668,25 +669,25 @@ proptest! {
             let run = |probes: &[String], floor: f32, workers: usize| {
                 sweep(tier, &cache, &candidates, probes, floor, workers, &ctx).unwrap()
             };
-            let shared = run(&stacked, floor, 1);
+            let whole = run(&stacked, floor, 1);
             prop_assert_eq!(
-                triples(&shared, 0, stacked.len(), floor),
+                triples(&whole, 0, stacked.len(), floor),
                 triples(&run(&stacked, floor, 3), 0, stacked.len(), floor),
                 "{:?}: 1 vs 3 workers", tier
             );
 
             let mut first = 0;
-            for (probes, &threshold) in members.iter().zip(&thresholds) {
+            for (probes, &threshold) in spans.iter().zip(&thresholds) {
                 let solo = triples(&run(probes, threshold, 1), 0, probes.len(), threshold);
                 prop_assert_eq!(
-                    &triples(&shared, first, probes.len(), threshold),
+                    &triples(&whole, first, probes.len(), threshold),
                     &solo,
-                    "{:?}: member at stacked row {}", tier, first
+                    "{:?}: span at stacked row {}", tier, first
                 );
                 first += probes.len();
-                // The filter case: one probe at the member's threshold — a
+                // The filter case: one probe at the span's threshold — a
                 // semantic filter's sweep — returns that probe's rows of the
-                // member's slice.
+                // span's sweep.
                 for (i, probe) in probes.iter().enumerate() {
                     let filter = run(std::slice::from_ref(probe), threshold, 1);
                     let rows: Vec<_> =
@@ -1054,10 +1055,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         use cx_embed::{EmbeddingCache, HashNGramModel};
-        use cx_exec::{LimitExec, PhysicalOperator, SharedScanState, SortExec, TableScanExec};
-        use cx_semantic::sweep::{sweep, Distinct};
+        use cx_exec::{LimitExec, PhysicalOperator, SortExec, TableScanExec};
         use cx_semantic::SemanticJoinExec;
-        use cx_storage::{QueryContext, Table};
+        use cx_storage::Table;
 
         let mut rng = cx_embed::rng::SplitMix64::new(seed);
         // Words over a tiny alphabet: repeated keys and tied scores are
@@ -1077,13 +1077,13 @@ proptest! {
         let (left_keys, right_keys) = (keys_of(n_left, &mut key), keys_of(n_right, &mut key));
         let left = Table::from_columns(
             Schema::new(vec![Field::new("id", DataType::Int64), Field::new("l", DataType::Utf8)]),
-            vec![Column::from_i64((0..n_left as i64).map(|i| i % 3).collect()), left_keys.clone()],
+            vec![Column::from_i64((0..n_left as i64).map(|i| i % 3).collect()), left_keys],
         )
         .unwrap();
         let tags = (0..n_right).map(|i| ["x", "y", ""][i % 3]);
         let right = Table::from_columns(
             Schema::new(vec![Field::new("r", DataType::Utf8), Field::new("tag", DataType::Utf8)]),
-            vec![right_keys.clone(), Column::from_strings(tags)],
+            vec![right_keys, Column::from_strings(tags)],
         )
         .unwrap();
         let scan = |t: &Table| -> Arc<dyn PhysicalOperator> {
@@ -1091,26 +1091,6 @@ proptest! {
         };
         let cache = Arc::new(EmbeddingCache::new(Arc::new(HashNGramModel::new(3))));
         let sort_keys = sort_keys(&["id", "l", "r", "tag", "sim"], &mut rng);
-
-        // A shared sweep's slice for this join: the value-level match list
-        // at its threshold, in an order the join must not depend on.
-        let (lv, rv) = (
-            Distinct::of_column(&left_keys).unwrap(),
-            Distinct::of_column(&right_keys).unwrap(),
-        );
-        let mut slice: Vec<(String, String, f32)> = Vec::new();
-        if !lv.values.is_empty() && !rv.values.is_empty() {
-            let ctx = QueryContext::default();
-            let hits = sweep(QuantTier::F32, &cache, &rv.values, &lv.values, threshold, 1, &ctx);
-            slice = hits
-                .unwrap()
-                .into_iter()
-                .rev()
-                .map(|(l, r, s)| {
-                    (lv.values[l as usize].to_string(), rv.values[r as usize].to_string(), s)
-                })
-                .collect();
-        }
 
         for workers in [1, 2, 3] {
             let join = || {
@@ -1127,12 +1107,6 @@ proptest! {
                 let bounded = join().with_limit(&sort_keys, k).unwrap();
                 prop_assert_eq!(
                     &output_rows(&bounded), &want, "{:?} k={} workers={}", sort_keys, k, workers
-                );
-                let injected = join().with_scan_fingerprint(1).with_limit(&sort_keys, k).unwrap();
-                let state = SharedScanState { matches: slice.clone() };
-                prop_assert!(injected.inject_shared_scan(state));
-                prop_assert_eq!(
-                    &output_rows(&injected), &want, "injected {:?} k={}", sort_keys, k
                 );
             }
         }

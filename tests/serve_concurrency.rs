@@ -1,14 +1,23 @@
-//! Concurrency stress test for `cx_serve`: N threads replaying the same
-//! query mix through one shared [`Server`] must produce results
-//! bit-identical to a serial [`Engine::execute`] loop, while the plan
-//! cache reports hits and the embed batcher coalesces concurrent
-//! requests.
+//! Concurrency stress tests for `cx_serve`:
+//!
+//! * N threads replaying the same query mix through one shared
+//!   [`Server`] must produce results bit-identical to a serial
+//!   [`Engine::execute`] loop, while the plan cache reports hits and the
+//!   embed batcher coalesces concurrent requests,
+//! * an 8-client same-table storm with **distinct literals per query**
+//!   (the plan cache cannot help) must be bit-identical to a serial loop,
+//! * memoized replays must never re-enter the admission gate,
+//! * catalog registrations racing plan-cache lookups must never serve a
+//!   stale plan,
+//! * per-session `recall_tolerance` overrides must partition the plan
+//!   cache without cross-talk.
 
 use context_analytics::expr::{col, lit};
 use context_analytics::{Engine, EngineConfig, Query, ServeConfig, Server};
 use cx_embed::ClusteredTextModel;
 use cx_exec::logical::{AggFunc, AggSpec};
-use cx_storage::{Column, DataType, Field, Schema, Table};
+use cx_storage::{Column, DataType, Field, Scalar, Schema, Table};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -189,10 +198,6 @@ fn admission_control_survives_a_thundering_herd() {
             // The result memo would skip the gate on replays; this test is
             // about the gate, so every query must execute.
             cache_results: false,
-            // Scan sharing admits whole groups on one shared-cost permit
-            // (covered by tests/mqo_shared_scan.rs); this test pins the
-            // one-permit-per-query discipline, so it runs unshared.
-            mqo: false,
             ..ServeConfig::default()
         },
     );
@@ -224,4 +229,242 @@ fn admission_control_survives_a_thundering_herd() {
     assert_eq!(stats.admitted, 20 * threads as u64);
     assert_eq!(stats.active, 0);
     assert_eq!(stats.in_use, 0.0);
+}
+
+const TARGETS: [&str; 8] = [
+    "boots", "parka", "kitten", "sneakers", "coat", "puppy", "shoes", "jacket",
+];
+
+/// Client `i`'s storm: same shapes as every other client, literals all
+/// its own — so fingerprints (and the result memo) never collapse the
+/// work.
+fn storm(engine: &Engine, i: usize) -> Vec<Query> {
+    let filter = |target: &str, threshold: f32| {
+        engine
+            .table("products")
+            .unwrap()
+            .semantic_filter("name", target, "m", threshold)
+            .sort(&[("product_id", true)])
+    };
+    let join = |threshold: f32| {
+        let kb = engine
+            .table("kb")
+            .unwrap()
+            .filter(col("category").eq(lit("clothes")));
+        engine
+            .table("products")
+            .unwrap()
+            .semantic_join(kb, "name", "label", "m", threshold)
+            .sort(&[("product_id", true), ("label", true)])
+    };
+    vec![
+        filter(TARGETS[i], 0.8),
+        join(0.85 + 0.01 * i as f32),
+        filter(TARGETS[i], 0.75),
+    ]
+}
+
+/// Bit-strict table comparison: scalar equality everywhere, f64 compared
+/// by bits (similarity scores must match to the bit, not just ≈).
+fn assert_tables_bit_identical(got: &Table, expected: &Table, context: &str) {
+    assert_eq!(got.num_rows(), expected.num_rows(), "{context}: row count");
+    assert_eq!(got.schema().names(), expected.schema().names(), "{context}: schema");
+    for r in 0..expected.num_rows() {
+        let (g, e) = (got.row(r).unwrap(), expected.row(r).unwrap());
+        for (c, (gs, es)) in g.iter().zip(&e).enumerate() {
+            match (gs, es) {
+                (Scalar::Float64(x), Scalar::Float64(y)) => {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{context}: row {r} col {c}")
+                }
+                _ => assert_eq!(gs, es, "{context}: row {r} col {c}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn distinct_literal_storm_is_bit_identical_to_serial_execution() {
+    let threads = 8;
+
+    // Reference: every client's storm through a serial engine, cold.
+    let serial = fresh_engine();
+    let expected: Vec<Vec<Table>> = (0..threads)
+        .map(|i| {
+            storm(&serial, i)
+                .iter()
+                .map(|q| serial.execute(q).unwrap().table)
+                .collect()
+        })
+        .collect();
+
+    // Storm: a second cold engine behind a server, every client released
+    // at once by a barrier.
+    let engine = fresh_engine();
+    let server = Server::new(engine, ServeConfig::default());
+    let barrier = Arc::new(Barrier::new(threads));
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|i| {
+                let server = server.clone();
+                let barrier = barrier.clone();
+                s.spawn(move || {
+                    let session = server.session();
+                    let mine = storm(server.engine(), i);
+                    barrier.wait();
+                    mine.iter().map(|q| session.execute(q).unwrap().table).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for (i, handle) in handles.into_iter().enumerate() {
+            let got = handle.join().unwrap();
+            for (round, (g, e)) in got.iter().zip(&expected[i]).enumerate() {
+                assert_tables_bit_identical(g, e, &format!("client {i} round {round}"));
+            }
+        }
+    });
+
+    let stats = server.stats();
+    assert_eq!(stats.queries, (threads * 3) as u64);
+    assert_eq!(stats.admission.active, 0);
+    assert_eq!(stats.admission.in_use, 0.0);
+}
+
+#[test]
+fn memoized_replays_never_touch_the_admission_gate() {
+    let server = Server::new(fresh_engine(), ServeConfig::default());
+    let q = server
+        .table("products")
+        .unwrap()
+        .semantic_filter("name", "clothes", "m", 0.8)
+        .sort(&[("product_id", true)]);
+
+    let first = server.execute(&q).unwrap();
+    assert!(!first.result_cache_hit);
+    let admitted_after_first = server.admission_stats().admitted;
+    assert!(admitted_after_first >= 1);
+
+    // Replays — serial and concurrent — are served from the result memo
+    // without re-estimating, re-weighing, or re-entering the gate.
+    for _ in 0..3 {
+        let replay = server.execute(&q).unwrap();
+        assert!(replay.result_cache_hit);
+    }
+    std::thread::scope(|s| {
+        for _ in 0..8 {
+            let server = server.clone();
+            let q = q.clone();
+            s.spawn(move || {
+                assert!(server.execute(&q).unwrap().result_cache_hit);
+            });
+        }
+    });
+    let stats = server.stats();
+    assert_eq!(stats.admission.admitted, admitted_after_first, "memo replay hit the gate");
+    assert_eq!(stats.result_cache_hits, 11);
+}
+
+#[test]
+fn catalog_registration_racing_lookups_never_serves_stale_plans() {
+    let engine = fresh_engine();
+    let schema = || {
+        Schema::new(vec![Field::new("marker", DataType::Int64)])
+    };
+    let hot = |marker: i64| {
+        Table::from_columns(schema(), vec![Column::from_i64(vec![marker])]).unwrap()
+    };
+    engine.register_table("hot", hot(0)).unwrap();
+    let server = Server::new(engine, ServeConfig::default());
+    let q = server.table("hot").unwrap();
+
+    // A writer re-registers `hot` with a monotone marker; `published`
+    // trails completed registrations. Readers snapshot `published`
+    // *before* executing: serving any marker older than that snapshot
+    // would mean a version bump raced a fingerprint lookup into serving
+    // a stale plan (or stale memo).
+    let published = Arc::new(AtomicU64::new(0));
+    let done = Arc::new(AtomicBool::new(false));
+    let registrations = 300u64;
+    let readers = 4;
+    let start = Arc::new(Barrier::new(readers + 1));
+    std::thread::scope(|s| {
+        {
+            let server = server.clone();
+            let published = published.clone();
+            let done = done.clone();
+            let start = start.clone();
+            s.spawn(move || {
+                start.wait();
+                for i in 1..=registrations {
+                    server.engine().register_table("hot", hot(i as i64)).unwrap();
+                    published.store(i, Ordering::Release);
+                    // Pace the writer so lookups genuinely interleave with
+                    // version bumps (an unpaced writer finishes before the
+                    // first reader wakes).
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                done.store(true, Ordering::Release);
+            });
+        }
+        for _ in 0..readers {
+            let server = server.clone();
+            let published = published.clone();
+            let done = done.clone();
+            let start = start.clone();
+            let q = q.clone();
+            s.spawn(move || {
+                start.wait();
+                loop {
+                    let floor = published.load(Ordering::Acquire);
+                    let finished = done.load(Ordering::Acquire);
+                    let result = server.execute(&q).unwrap();
+                    let marker = match result.table.row(0).unwrap()[0] {
+                        Scalar::Int64(m) => m as u64,
+                        ref other => panic!("unexpected marker {other:?}"),
+                    };
+                    assert!(
+                        marker >= floor,
+                        "stale plan served: marker {marker} after registration {floor} completed"
+                    );
+                    if finished {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    assert!(server.plan_cache_stats().invalidations > 0);
+}
+
+#[test]
+fn per_session_recall_tolerance_partitions_the_plan_cache() {
+    let server = Server::new(fresh_engine(), ServeConfig::default());
+    let exact = server.session();
+    let tolerant = server.session();
+    tolerant.set_recall_tolerance(5e-2);
+    assert_eq!(tolerant.optimizer_config().recall_tolerance, 5e-2);
+    assert_eq!(exact.optimizer_config().recall_tolerance, 0.0);
+
+    let q = server
+        .table("products")
+        .unwrap()
+        .semantic_filter("name", "clothes", "m", 0.8)
+        .sort(&[("product_id", true)]);
+
+    // Same query text, different session configs: two distinct plan-cache
+    // entries (the config fingerprint partitions the cache), each with
+    // its own hit stream — and identical results here, since this scan is
+    // far below the quantization floor either way.
+    let a = exact.execute(&q).unwrap();
+    let b = tolerant.execute(&q).unwrap();
+    assert!(!a.plan_cache_hit && !b.plan_cache_hit);
+    assert_eq!(server.plan_cache_stats().len, 2);
+    assert_tables_bit_identical(&b.table, &a.table, "tolerant session");
+    assert!(exact.execute(&q).unwrap().plan_cache_hit || exact.execute(&q).unwrap().result_cache_hit);
+    assert!(tolerant.execute(&q).unwrap().plan_cache_hit || tolerant.execute(&q).unwrap().result_cache_hit);
+
+    // Clearing the override rejoins the default partition.
+    tolerant.reset_optimizer_config();
+    let back = tolerant.execute(&q).unwrap();
+    assert!(back.plan_cache_hit || back.result_cache_hit);
+    assert_eq!(server.plan_cache_stats().len, 2);
 }

@@ -5,7 +5,7 @@
 //! * ad hoc with auto-parameterization on (literals lifted, served
 //!   through the prepared machinery),
 //! * replayed (second run of the same text: plan cache + result memo),
-//! * an 8-client storm with MQO scan sharing on.
+//! * an 8-client concurrent storm.
 //!
 //! The reference for every twin is literal execution through a plain
 //! serial engine. `Float64` cells are compared by bit pattern.
@@ -17,7 +17,6 @@ use context_analytics::sql::{Bound, SchemaProvider};
 use cx_embed::{ClusteredTextModel, HashNGramModel};
 use cx_storage::{Column, DataType, Field, Scalar, Schema, Table};
 use std::sync::Arc;
-use std::time::Duration;
 
 const NAMES: [&str; 12] = [
     "boots", "parka", "kitten", "sneakers", "coat", "puppy", "oxfords", "windbreaker", "blazer",
@@ -387,13 +386,7 @@ fn storm_of_eight_clients_stays_bit_identical() {
     let engine = fresh_engine();
     let pairs = Arc::new(twins(&engine));
     let expected = Arc::new(reference(&pairs));
-    let server = Server::new(
-        fresh_engine(),
-        ServeConfig {
-            scan_linger: Duration::from_millis(10),
-            ..ServeConfig::default()
-        },
-    );
+    let server = Server::new(fresh_engine(), ServeConfig::default());
     let threads = 8;
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
