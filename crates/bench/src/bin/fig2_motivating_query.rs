@@ -28,13 +28,20 @@ fn build_engine(data: &ShopDataset, config: EngineConfig) -> Engine {
     let engine = Engine::new(config);
     let space = Arc::new(cx_datagen::build_space(&data.clusters, 100, 42));
     engine.register_model(Arc::new(ClusteredTextModel::new("shop-model", space, 7)));
-    engine.register_table("products", data.products.clone()).unwrap();
-    engine.register_table("transactions", data.transactions.clone()).unwrap();
+    engine
+        .register_table("products", data.products.clone())
+        .unwrap();
+    engine
+        .register_table("transactions", data.transactions.clone())
+        .unwrap();
     engine.register_kb("kb", data.kb.clone()).unwrap();
     let detector = ObjectDetector::with_noise(
         "detector",
         5,
-        DetectorNoise { miss_rate: 0.02, spurious_rate: 0.05 },
+        DetectorNoise {
+            miss_rate: 0.02,
+            spurious_rate: 0.05,
+        },
     );
     engine
         .register_images("images", data.images.clone(), &detector)
@@ -104,7 +111,13 @@ fn main() {
 
     let mut reference_rows = None;
     for (name, config) in levels {
-        let engine = build_engine(&data, EngineConfig { optimizer: config, ..EngineConfig::default() });
+        let engine = build_engine(
+            &data,
+            EngineConfig {
+                optimizer: config,
+                ..EngineConfig::default()
+            },
+        );
         let cache = engine.embedding_cache("shop-model").unwrap();
         cache.clear();
         cache.model().stats().reset();

@@ -28,7 +28,12 @@ fn main() {
         specs.extend(synthetic_clusters(30, 8, 0xF133));
         let dirty = generate_dirty(
             &specs,
-            DirtyConfig { size, typo_rate: 0.2, case_rate: 0.2, seed: 3 },
+            DirtyConfig {
+                size,
+                typo_rate: 0.2,
+                case_rate: 0.2,
+                seed: 3,
+            },
         );
         let space = Arc::new(cx_datagen::build_space(&dirty.augmented_specs, 100, 42));
         let cache = Arc::new(EmbeddingCache::new(Arc::new(ClusteredTextModel::new(

@@ -62,7 +62,15 @@ fn rung(name: &'static str, n: usize, sub: usize, pushed: usize, f: impl Fn(usiz
         .collect();
     secs.sort_by(|a, b| a.partial_cmp(b).expect("sample times are finite"));
     let med = secs[secs.len() / 2];
-    (name, no_push, Measured { measured_secs: med, full_secs: med, extrapolated: false })
+    (
+        name,
+        no_push,
+        Measured {
+            measured_secs: med,
+            full_secs: med,
+            extrapolated: false,
+        },
+    )
 }
 
 fn corpus(n: usize, seed: u64) -> Vec<String> {
@@ -70,7 +78,12 @@ fn corpus(n: usize, seed: u64) -> Vec<String> {
     let vocab = cx_datagen::vocab::all_words(&clusters);
     generate_corpus(
         &vocab,
-        CorpusConfig { size: n, zipf_s: 1.0, max_words: 2, seed },
+        CorpusConfig {
+            size: n,
+            zipf_s: 1.0,
+            max_words: 2,
+            seed,
+        },
     )
 }
 
@@ -101,7 +114,11 @@ fn join_prefetched(left: &[Vec<f32>], right: &[Vec<f32>]) -> usize {
         for r in right {
             let nl = dot(l, l).sqrt();
             let nr = dot(r, r).sqrt();
-            let c = if nl == 0.0 || nr == 0.0 { 0.0 } else { dot(l, r) / (nl * nr) };
+            let c = if nl == 0.0 || nr == 0.0 {
+                0.0
+            } else {
+                dot(l, r) / (nl * nr)
+            };
             if c >= THRESHOLD {
                 matches += 1;
             }
@@ -186,7 +203,10 @@ fn join_parallel(left: RowBlock, right: RowBlock, threads: usize) -> usize {
 }
 
 fn main() {
-    let n: usize = std::env::var("FIG4_N").ok().and_then(|v| v.parse().ok()).unwrap_or(10_000);
+    let n: usize = std::env::var("FIG4_N")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(10_000);
     let threads = std::thread::available_parallelism().map_or(4, |p| p.get());
     let pushed = ((n as f64 * PUSHDOWN_SELECTIVITY) as usize).max(1);
 
@@ -206,16 +226,28 @@ fn main() {
 
     // ---- L0: interpreted -------------------------------------------------
     let interp = InterpretedModel::load(&m, &[left.clone(), right.clone()].concat());
-    let l0 = rung("L0 interpreted (Python-style)", n, sub_interp, pushed, |k| {
-        std::hint::black_box(interp.similarity_join(&left[..k], &right[..k], THRESHOLD as f64));
-    });
+    let l0 = rung(
+        "L0 interpreted (Python-style)",
+        n,
+        sub_interp,
+        pushed,
+        |k| {
+            std::hint::black_box(interp.similarity_join(&left[..k], &right[..k], THRESHOLD as f64));
+        },
+    );
 
     // ---- L1: + prefetch ---------------------------------------------------
     let left_vecs: Vec<Vec<f32>> = left.iter().map(|v| m.embed(v)).collect();
     let right_vecs: Vec<Vec<f32>> = right.iter().map(|v| m.embed(v)).collect();
-    let l1 = rung("L1 + prefetch (no dict in loop)", n, sub_prefetch, pushed, |k| {
-        std::hint::black_box(join_prefetched(&left_vecs[..k], &right_vecs[..k]));
-    });
+    let l1 = rung(
+        "L1 + prefetch (no dict in loop)",
+        n,
+        sub_prefetch,
+        pushed,
+        |k| {
+            std::hint::black_box(join_prefetched(&left_vecs[..k], &right_vecs[..k]));
+        },
+    );
 
     // ---- L2: + tight loop ("C++") ----------------------------------------
     let mut left_arena = embed_all(&m, &left);
@@ -240,7 +272,9 @@ fn main() {
     };
     let l3 = normalized("L3 + SIMD-shaped unrolled kernel", &join_simd);
     let l4 = normalized("L4 + blocked batch kernel", &join_blocked);
-    let l5 = normalized("L5 + parallel scale-up", &|l, r| join_parallel(l, r, threads));
+    let l5 = normalized("L5 + parallel scale-up", &|l, r| {
+        join_parallel(l, r, threads)
+    });
     let rows: [Rung; 6] = [l0, l1, l2, l3, l4, l5];
 
     // ---- report ------------------------------------------------------------
@@ -274,10 +308,16 @@ fn main() {
         first.1.full_secs / last.1.full_secs,
         (first.1.full_secs / last.1.full_secs).log10()
     );
-    println!("pushdown effect on naive rung:    {:.0}x", first.1.full_secs / first.2.full_secs);
+    println!(
+        "pushdown effect on naive rung:    {:.0}x",
+        first.1.full_secs / first.2.full_secs
+    );
     println!(
         "combined (naive no-pushdown -> all optimizations + pushdown): {:.0}x",
         first.1.full_secs / last.2.full_secs
     );
-    println!("kernel dispatch: {}", cx_vector::simd::KernelDispatch::active().report());
+    println!(
+        "kernel dispatch: {}",
+        cx_vector::simd::KernelDispatch::active().report()
+    );
 }

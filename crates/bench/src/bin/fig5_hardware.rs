@@ -29,8 +29,11 @@ fn main() {
         let speedup = place_single_device(&pipeline, &topology)
             .map_or(1.0, |single| single.total_ns / placement.total_ns);
         let transfer: f64 = placement.stage_transfer_ns.iter().sum();
-        let devices: Vec<&str> =
-            placement.assignments.iter().map(|&d| topology.device(d).name.as_str()).collect();
+        let devices: Vec<&str> = placement
+            .assignments
+            .iter()
+            .map(|&d| topology.device(d).name.as_str())
+            .collect();
         println!(
             "{:<26} | {:>11.3} | {:>11.3} | {:>8.2}x | {}",
             name,

@@ -64,7 +64,10 @@ fn main() -> cx_storage::Result<()> {
 
     println!("TABLE I — context-rich text labels the representation model matches");
     println!("(top-4 nearest labels per category, cosine in parentheses)\n");
-    println!("{:<10} | {:<58} | prec@4 | recall", "category", "semantic matches");
+    println!(
+        "{:<10} | {:<58} | prec@4 | recall",
+        "category", "semantic matches"
+    );
     println!("{}", "-".repeat(95));
 
     let mut total_correct = 0usize;

@@ -65,8 +65,16 @@ impl InterpretedModel {
             .map(|(x, y)| x.as_f64() * y.as_f64())
             .collect();
         let dot: f64 = products.iter().sum();
-        let na: f64 = va.iter().map(|x| x.as_f64() * x.as_f64()).sum::<f64>().sqrt();
-        let nb: f64 = vb.iter().map(|x| x.as_f64() * x.as_f64()).sum::<f64>().sqrt();
+        let na: f64 = va
+            .iter()
+            .map(|x| x.as_f64() * x.as_f64())
+            .sum::<f64>()
+            .sqrt();
+        let nb: f64 = vb
+            .iter()
+            .map(|x| x.as_f64() * x.as_f64())
+            .sum::<f64>()
+            .sqrt();
         if na == 0.0 || nb == 0.0 {
             0.0
         } else {

@@ -71,7 +71,11 @@ mod tests {
 
     #[test]
     fn log_axis() {
-        let m = Measured { measured_secs: 10.0, full_secs: 1000.0, extrapolated: false };
+        let m = Measured {
+            measured_secs: 10.0,
+            full_secs: 1000.0,
+            extrapolated: false,
+        };
         assert!((m.log10() - 3.0).abs() < 1e-9);
     }
 }

@@ -92,9 +92,15 @@ pub struct Link {
 }
 
 /// PCIe 4.0 x16-class link; also every pair no [`Topology::connect`] named.
-pub const PCIE: Link = Link { bandwidth_gbps: 25.0, latency_ns: 1_500.0 };
+pub const PCIE: Link = Link {
+    bandwidth_gbps: 25.0,
+    latency_ns: 1_500.0,
+};
 /// NVLink-class fast link.
-pub const FAST_LINK: Link = Link { bandwidth_gbps: 300.0, latency_ns: 600.0 };
+pub const FAST_LINK: Link = Link {
+    bandwidth_gbps: 300.0,
+    latency_ns: 600.0,
+};
 
 /// A set of devices with pairwise links.
 #[derive(Debug, Clone, Default)]
@@ -136,7 +142,11 @@ impl Topology {
         if a == b || bytes == 0 {
             return 0.0;
         }
-        let link = self.links.get(&(a.min(b), a.max(b))).copied().unwrap_or(PCIE);
+        let link = self
+            .links
+            .get(&(a.min(b), a.max(b)))
+            .copied()
+            .unwrap_or(PCIE);
         link.latency_ns + bytes as f64 / (link.bandwidth_gbps * 1e9) * 1e9
     }
 
@@ -146,7 +156,14 @@ impl Topology {
         let a = t.add_device(Device::cpu_socket("cpu0"));
         let b = t.add_device(Device::cpu_socket("cpu1"));
         // UPI-class socket interconnect.
-        t.connect(a, b, Link { bandwidth_gbps: 60.0, latency_ns: 400.0 });
+        t.connect(
+            a,
+            b,
+            Link {
+                bandwidth_gbps: 60.0,
+                latency_ns: 400.0,
+            },
+        );
         t
     }
 
@@ -253,7 +270,11 @@ pub struct OperatorProfile {
 impl OperatorProfile {
     /// A profile with explicit numbers.
     pub fn new(class: OperatorClass, flops: f64, output_bytes: u64) -> Self {
-        OperatorProfile { class, flops, output_bytes }
+        OperatorProfile {
+            class,
+            flops,
+            output_bytes,
+        }
     }
 
     /// Estimated compute time of this stage on `device`, in ns; `None` if
@@ -308,7 +329,12 @@ fn walk(plan: &LogicalPlan, ctx: &OptimizerContext, out: &mut Vec<OperatorProfil
         walk(child, ctx, out);
     }
     let rows_out = estimate_rows(plan, ctx).max(1.0);
-    let rows_in: f64 = plan.children().iter().map(|c| estimate_rows(c, ctx)).sum::<f64>().max(1.0);
+    let rows_in: f64 = plan
+        .children()
+        .iter()
+        .map(|c| estimate_rows(c, ctx))
+        .sum::<f64>()
+        .max(1.0);
     let (class, flops_per_row) = classify(plan);
     out.push(OperatorProfile::new(
         class,
@@ -346,7 +372,11 @@ pub fn place_pipeline(pipeline: &[OperatorProfile], topology: &Topology) -> Opti
     // compute[i][d]: compute time of stage i on device d (None = cannot).
     let compute: Vec<Vec<Option<f64>>> = pipeline
         .iter()
-        .map(|p| (0..n_dev).map(|d| p.compute_ns(topology.device(d))).collect())
+        .map(|p| {
+            (0..n_dev)
+                .map(|d| p.compute_ns(topology.device(d)))
+                .collect()
+        })
         .collect();
 
     const INF: f64 = f64::INFINITY;
@@ -398,11 +428,20 @@ pub fn place_pipeline(pipeline: &[OperatorProfile], topology: &Topology) -> Opti
         stage_transfer_ns.push(if i == 0 {
             0.0
         } else {
-            topology.transfer_ns(pipeline[i - 1].output_bytes, assignments[i - 1], assignments[i])
+            topology.transfer_ns(
+                pipeline[i - 1].output_bytes,
+                assignments[i - 1],
+                assignments[i],
+            )
         });
     }
 
-    Some(PlacementPlan { assignments, stage_compute_ns, stage_transfer_ns, total_ns: best })
+    Some(PlacementPlan {
+        assignments,
+        stage_compute_ns,
+        stage_transfer_ns,
+        total_ns: best,
+    })
 }
 
 /// The best plan that runs all of `pipeline` on one device (the baseline
@@ -414,8 +453,10 @@ pub fn place_single_device(
 ) -> Option<PlacementPlan> {
     let mut best: Option<PlacementPlan> = None;
     for d in 0..topology.len() {
-        let Some(stage_compute_ns) =
-            pipeline.iter().map(|p| p.compute_ns(topology.device(d))).collect::<Option<Vec<f64>>>()
+        let Some(stage_compute_ns) = pipeline
+            .iter()
+            .map(|p| p.compute_ns(topology.device(d)))
+            .collect::<Option<Vec<f64>>>()
         else {
             continue;
         };
@@ -475,7 +516,9 @@ fn figure2_query() -> LogicalPlan {
         ])),
     };
     LogicalPlan::Filter {
-        predicate: col("price").gt(lit(20.0)).and(col("category").eq(lit("clothes"))),
+        predicate: col("price")
+            .gt(lit(20.0))
+            .and(col("category").eq(lit("clothes"))),
         input: Box::new(LogicalPlan::SemanticJoin {
             left: Box::new(products),
             right: Box::new(kb),
@@ -534,7 +577,11 @@ mod tests {
             }
             // Successively richer topologies never slow the optimal placement,
             // which never loses to the best single device.
-            assert!(placed.total_ns <= last_total, "{name}: {} > {last_total}", placed.total_ns);
+            assert!(
+                placed.total_ns <= last_total,
+                "{name}: {} > {last_total}",
+                placed.total_ns
+            );
             last_total = placed.total_ns;
             let single = place_single_device(&pipeline, &t).unwrap();
             assert!(placed.total_ns <= single.total_ns, "{name}");
@@ -547,7 +594,10 @@ mod tests {
         let pipeline = profile_pipeline(&plan, &ctx);
         assert_eq!(pipeline.len(), plan.node_count());
         // The semantic join stage dominates flops.
-        let max = pipeline.iter().max_by(|a, b| a.flops.partial_cmp(&b.flops).unwrap()).unwrap();
+        let max = pipeline
+            .iter()
+            .max_by(|a, b| a.flops.partial_cmp(&b.flops).unwrap())
+            .unwrap();
         assert_eq!(max.class, SimilaritySearch);
     }
 
@@ -558,7 +608,10 @@ mod tests {
     #[test]
     fn pipeline_profiles_match_plan_shape() {
         let plan = figure2_query();
-        let classes: Vec<_> = profile_pipeline(&plan, &bare_ctx()).iter().map(|p| p.class).collect();
+        let classes: Vec<_> = profile_pipeline(&plan, &bare_ctx())
+            .iter()
+            .map(|p| p.class)
+            .collect();
         assert_eq!(classes.len(), plan.node_count());
         assert_eq!(classes, [Scan, Scan, SimilaritySearch, Filter]); // post-order
     }
@@ -572,7 +625,11 @@ mod tests {
         // Successively richer topologies never slow the optimal placement.
         for (name, t) in figure5_presets() {
             let placed = place_pipeline(&pipeline, &t).unwrap();
-            assert!(placed.total_ns <= last_total * 1.0001, "{name}: {}", placed.total_ns);
+            assert!(
+                placed.total_ns <= last_total * 1.0001,
+                "{name}: {}",
+                placed.total_ns
+            );
             last_total = placed.total_ns;
         }
     }
@@ -582,7 +639,12 @@ mod tests {
         let pipeline = profile_pipeline(&figure2_query(), &bare_ctx());
         let cpu = place_pipeline(&pipeline, &Topology::cpu_only()).unwrap();
         let het = place_pipeline(&pipeline, &Topology::cpu_gpu_tpu()).unwrap();
-        assert!(het.total_ns < cpu.total_ns, "het {} vs cpu {}", het.total_ns, cpu.total_ns);
+        assert!(
+            het.total_ns < cpu.total_ns,
+            "het {} vs cpu {}",
+            het.total_ns,
+            cpu.total_ns
+        );
     }
 
     #[test]
@@ -622,7 +684,11 @@ mod tests {
         let slow_ns = slow.transfer_ns(bytes, 0, 2);
         assert!(slow_ns > 5.0 * fast_ns, "slow {slow_ns} vs fast {fast_ns}");
         // 1 GiB over 25 GB/s ≈ 43 ms.
-        assert!((slow_ns / 1e6 - 43.0).abs() < 5.0, "got {} ms", slow_ns / 1e6);
+        assert!(
+            (slow_ns / 1e6 - 43.0).abs() < 5.0,
+            "got {} ms",
+            slow_ns / 1e6
+        );
     }
 
     #[test]
@@ -639,7 +705,10 @@ mod tests {
         let mut linked = t.clone();
         linked.connect(a, b, PCIE);
         assert!(t.transfer_ns(1 << 20, a, b) > 0.0);
-        assert_eq!(t.transfer_ns(1 << 20, a, b), linked.transfer_ns(1 << 20, a, b));
+        assert_eq!(
+            t.transfer_ns(1 << 20, a, b),
+            linked.transfer_ns(1 << 20, a, b)
+        );
     }
 
     #[test]
@@ -704,7 +773,12 @@ mod tests {
         ];
         let plan = place_pipeline(&tiny, &t).unwrap();
         for &d in &plan.assignments {
-            assert_eq!(t.device(d).kind, DeviceKind::Cpu, "plan {:?}", plan.assignments);
+            assert_eq!(
+                t.device(d).kind,
+                DeviceKind::Cpu,
+                "plan {:?}",
+                plan.assignments
+            );
         }
     }
 
@@ -731,8 +805,16 @@ mod tests {
     fn total_is_sum_of_parts() {
         let t = Topology::cpu_gpu_tpu();
         let plan = place_pipeline(&pipeline(), &t).unwrap();
-        let sum: f64 = plan.stage_compute_ns.iter().chain(plan.stage_transfer_ns.iter()).sum();
-        assert!((sum - plan.total_ns).abs() < 1.0, "{sum} vs {}", plan.total_ns);
+        let sum: f64 = plan
+            .stage_compute_ns
+            .iter()
+            .chain(plan.stage_transfer_ns.iter())
+            .sum();
+        assert!(
+            (sum - plan.total_ns).abs() < 1.0,
+            "{sum} vs {}",
+            plan.total_ns
+        );
     }
 
     #[test]

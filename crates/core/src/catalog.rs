@@ -58,8 +58,12 @@ impl Catalog {
                 let col = table.column_by_name(&field.name)?;
                 let values = col.utf8_values()?;
                 let stride = ((values.len() / SAMPLE_CAP).max(1)) | 1;
-                let sample: Vec<String> =
-                    values.iter().step_by(stride).take(SAMPLE_CAP).cloned().collect();
+                let sample: Vec<String> = values
+                    .iter()
+                    .step_by(stride)
+                    .take(SAMPLE_CAP)
+                    .cloned()
+                    .collect();
                 samples.push(((name.clone(), field.name.clone()), sample));
             }
         }
@@ -105,7 +109,9 @@ impl Catalog {
         let name = name.into();
         let meta = store.metadata_table()?;
         let detections = detector.detections_table(store.images())?;
-        self.image_stores.write().insert(name.clone(), Arc::new(store));
+        self.image_stores
+            .write()
+            .insert(name.clone(), Arc::new(store));
         self.register_table(format!("{name}.meta"), meta)?;
         self.register_table(format!("{name}.detections"), detections)
     }
@@ -243,7 +249,9 @@ mod tests {
 
     impl OneRow {
         fn new() -> Self {
-            OneRow { schema: Arc::new(Schema::new(vec![Field::required("v", DataType::Int64)])) }
+            OneRow {
+                schema: Arc::new(Schema::new(vec![Field::required("v", DataType::Int64)])),
+            }
         }
     }
 
@@ -285,7 +293,10 @@ mod tests {
                 Ok(vec![])
             }
         }
-        let bad = BadName(Arc::new(Schema::new(vec![Field::required("v", DataType::Int64)])));
+        let bad = BadName(Arc::new(Schema::new(vec![Field::required(
+            "v",
+            DataType::Int64,
+        )])));
         assert!(c.register_system_table(Arc::new(bad)).is_err());
     }
 
@@ -318,7 +329,14 @@ mod tests {
             source: "review".into(),
             latent_objects: vec!["boots".into()],
         });
-        let det = ObjectDetector::with_noise("d", 1, DetectorNoise { miss_rate: 0.0, spurious_rate: 0.0 });
+        let det = ObjectDetector::with_noise(
+            "d",
+            1,
+            DetectorNoise {
+                miss_rate: 0.0,
+                spurious_rate: 0.0,
+            },
+        );
         c.register_images("imgs", store, &det).unwrap();
         assert!(c.table("imgs.meta").is_some());
         let d = c.table("imgs.detections").unwrap();

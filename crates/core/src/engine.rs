@@ -244,7 +244,12 @@ impl Engine {
         let (plan, rules_fired) = Optimizer::new(ctx).optimize(query.plan(), ctx);
         let estimated_rows = estimate_rows(&plan, ctx);
         let estimated_cost = estimate_cost(&plan, ctx);
-        PlannedQuery { plan, rules_fired, estimated_rows, estimated_cost }
+        PlannedQuery {
+            plan,
+            rules_fired,
+            estimated_rows,
+            estimated_cost,
+        }
     }
 
     /// Estimates the execution cost (abstract ns) of an already-optimized
@@ -317,7 +322,10 @@ impl Engine {
         out.push_str(&query.plan().display_indent());
         out.push_str("== optimized plan ==\n");
         out.push_str(&planned.plan.display_indent());
-        out.push_str(&format!("rules fired: {}\n", planned.rules_fired.join(", ")));
+        out.push_str(&format!(
+            "rules fired: {}\n",
+            planned.rules_fired.join(", ")
+        ));
         out.push_str(&format!("estimated rows: {:.0}\n", planned.estimated_rows));
         out.push_str(&format!("estimated cost: {:.0}\n", planned.estimated_cost));
         out.push_str(&format!(
@@ -438,7 +446,10 @@ mod tests {
         let opt_section = s.split("== optimized plan ==").nth(1).unwrap();
         let filter_pos = opt_section.find("Filter: (price > 20)").unwrap();
         let sem_pos = opt_section.find("SemanticFilter").unwrap();
-        assert!(sem_pos < filter_pos, "semantic filter should be above:\n{s}");
+        assert!(
+            sem_pos < filter_pos,
+            "semantic filter should be above:\n{s}"
+        );
     }
 
     #[test]
@@ -459,7 +470,10 @@ mod tests {
             .sort(&[("category", true)]);
         let result = engine.execute(&q).unwrap();
         assert!(result.table.num_rows() >= 2);
-        assert_eq!(result.table.schema().names(), vec!["category", "n", "avg_price"]);
+        assert_eq!(
+            result.table.schema().names(),
+            vec!["category", "n", "avg_price"]
+        );
     }
 
     #[test]
@@ -534,8 +548,14 @@ mod tests {
             (products().limit_param(2), "$2"),
         ] {
             let planned = engine.optimize_query(&query);
-            let err = engine.lower_plan(&planned.plan).err().expect("lowering must fail");
-            assert!(matches!(err, cx_storage::Error::InvalidArgument(_)), "{err:?}");
+            let err = engine
+                .lower_plan(&planned.plan)
+                .err()
+                .expect("lowering must fail");
+            assert!(
+                matches!(err, cx_storage::Error::InvalidArgument(_)),
+                "{err:?}"
+            );
             let msg = err.to_string();
             assert!(msg.contains(slot) && msg.contains("unbound"), "{msg}");
             let executed = engine.execute(&query).err().expect("execution must fail");
@@ -625,7 +645,10 @@ mod tests {
             });
             let resident = engine.embedding_cache("hash-ngram").unwrap();
             for c in &caches {
-                assert!(Arc::ptr_eq(c, &resident), "round {round}: caller holds an orphaned cache");
+                assert!(
+                    Arc::ptr_eq(c, &resident),
+                    "round {round}: caller holds an orphaned cache"
+                );
             }
         }
     }

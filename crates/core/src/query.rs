@@ -45,7 +45,10 @@ impl Query {
     /// Keeps rows satisfying `predicate`.
     pub fn filter(self, predicate: Expr) -> Self {
         Query {
-            plan: LogicalPlan::Filter { predicate, input: Box::new(self.plan) },
+            plan: LogicalPlan::Filter {
+                predicate,
+                input: Box::new(self.plan),
+            },
         }
     }
 
@@ -66,7 +69,10 @@ impl Query {
             .map(|n| (Expr::Column(n.to_string()), n.to_string()))
             .collect();
         Query {
-            plan: LogicalPlan::Project { exprs, input: Box::new(self.plan) },
+            plan: LogicalPlan::Project {
+                exprs,
+                input: Box::new(self.plan),
+            },
         }
     }
 
@@ -214,7 +220,10 @@ impl Query {
                 input: Box::new(self.plan),
                 keys: keys
                     .iter()
-                    .map(|(c, asc)| SortKey { column: c.to_string(), ascending: *asc })
+                    .map(|(c, asc)| SortKey {
+                        column: c.to_string(),
+                        ascending: *asc,
+                    })
                     .collect(),
             },
         }
@@ -244,14 +253,18 @@ impl Query {
     /// Duplicate elimination over all columns.
     pub fn distinct(self) -> Self {
         Query {
-            plan: LogicalPlan::Distinct { input: Box::new(self.plan) },
+            plan: LogicalPlan::Distinct {
+                input: Box::new(self.plan),
+            },
         }
     }
 
     /// Concatenates with `other` (schemas must match).
     pub fn union(self, other: Query) -> Self {
         Query {
-            plan: LogicalPlan::Union { inputs: vec![self.plan, other.plan] },
+            plan: LogicalPlan::Union {
+                inputs: vec![self.plan, other.plan],
+            },
         }
     }
 }
@@ -288,10 +301,7 @@ mod tests {
 
     #[test]
     fn semantic_join_appends_default_score() {
-        let kb = Query::scan(
-            "kb",
-            Schema::new(vec![Field::new("label", DataType::Utf8)]),
-        );
+        let kb = Query::scan("kb", Schema::new(vec![Field::new("label", DataType::Utf8)]));
         let query = q().semantic_join(kb, "name", "label", "m", 0.85);
         let schema = query.plan().schema().unwrap();
         assert!(schema.contains(DEFAULT_SCORE_COLUMN));
@@ -300,7 +310,10 @@ mod tests {
     #[test]
     fn aggregate_and_select() {
         let query = q()
-            .aggregate(&["name"], vec![AggSpec::new(AggFunc::Avg, "price", "avg_price")])
+            .aggregate(
+                &["name"],
+                vec![AggSpec::new(AggFunc::Avg, "price", "avg_price")],
+            )
             .select(vec![(col("avg_price").mul(lit(2.0)), "double")]);
         assert_eq!(query.plan().schema().unwrap().names(), vec!["double"]);
     }

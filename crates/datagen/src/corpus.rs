@@ -24,7 +24,12 @@ pub struct CorpusConfig {
 
 impl Default for CorpusConfig {
     fn default() -> Self {
-        CorpusConfig { size: 10_000, zipf_s: 1.0, max_words: 2, seed: 0xC0FFEE }
+        CorpusConfig {
+            size: 10_000,
+            zipf_s: 1.0,
+            max_words: 2,
+            seed: 0xC0FFEE,
+        }
     }
 }
 
@@ -87,14 +92,22 @@ mod tests {
     #[test]
     fn deterministic() {
         let v = vocab(100);
-        let cfg = CorpusConfig { size: 50, ..Default::default() };
+        let cfg = CorpusConfig {
+            size: 50,
+            ..Default::default()
+        };
         assert_eq!(generate_corpus(&v, cfg), generate_corpus(&v, cfg));
     }
 
     #[test]
     fn zipf_skew_favors_low_ranks() {
         let v = vocab(1000);
-        let cfg = CorpusConfig { size: 20_000, zipf_s: 1.0, max_words: 1, seed: 3 };
+        let cfg = CorpusConfig {
+            size: 20_000,
+            zipf_s: 1.0,
+            max_words: 1,
+            seed: 3,
+        };
         let corpus = generate_corpus(&v, cfg);
         let count = |w: &str| corpus.iter().filter(|s| s.as_str() == w).count();
         let top = count("word0");
@@ -105,7 +118,12 @@ mod tests {
     #[test]
     fn zipf_zero_is_uniform() {
         let v = vocab(10);
-        let cfg = CorpusConfig { size: 10_000, zipf_s: 0.0, max_words: 1, seed: 9 };
+        let cfg = CorpusConfig {
+            size: 10_000,
+            zipf_s: 0.0,
+            max_words: 1,
+            seed: 9,
+        };
         let corpus = generate_corpus(&v, cfg);
         let count0 = corpus.iter().filter(|s| s.as_str() == "word0").count();
         assert!((count0 as f64 - 1000.0).abs() < 150.0, "count0 = {count0}");
@@ -114,7 +132,12 @@ mod tests {
     #[test]
     fn phrase_lengths_respected() {
         let v = vocab(10);
-        let cfg = CorpusConfig { size: 500, zipf_s: 1.0, max_words: 3, seed: 5 };
+        let cfg = CorpusConfig {
+            size: 500,
+            zipf_s: 1.0,
+            max_words: 3,
+            seed: 5,
+        };
         let corpus = generate_corpus(&v, cfg);
         let mut seen = [false; 3];
         for s in &corpus {

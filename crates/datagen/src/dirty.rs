@@ -30,7 +30,12 @@ pub struct DirtyConfig {
 
 impl Default for DirtyConfig {
     fn default() -> Self {
-        DirtyConfig { size: 10_000, typo_rate: 0.15, case_rate: 0.15, seed: 0xD1137 }
+        DirtyConfig {
+            size: 10_000,
+            typo_rate: 0.15,
+            case_rate: 0.15,
+            seed: 0xD1137,
+        }
     }
 }
 
@@ -103,7 +108,10 @@ pub fn generate_dirty(specs: &[ClusterSpec], config: DirtyConfig) -> DirtyDatase
         let (cluster, member) = &members[rng.next_range(members.len() as u64) as usize];
         let roll = rng.next_f64();
         let value = if roll < config.typo_rate {
-            typo_of.get(member).cloned().unwrap_or_else(|| member.clone())
+            typo_of
+                .get(member)
+                .cloned()
+                .unwrap_or_else(|| member.clone())
         } else if roll < config.typo_rate + config.case_rate {
             title_case(member)
         } else {
@@ -112,7 +120,10 @@ pub fn generate_dirty(specs: &[ClusterSpec], config: DirtyConfig) -> DirtyDatase
         records.push((value, cluster.clone()));
     }
 
-    DirtyDataset { records, augmented_specs: augmented }
+    DirtyDataset {
+        records,
+        augmented_specs: augmented,
+    }
 }
 
 #[cfg(test)]
@@ -123,7 +134,10 @@ mod tests {
     #[test]
     fn deterministic() {
         let specs = table1_clusters();
-        let cfg = DirtyConfig { size: 100, ..Default::default() };
+        let cfg = DirtyConfig {
+            size: 100,
+            ..Default::default()
+        };
         let a = generate_dirty(&specs, cfg);
         let b = generate_dirty(&specs, cfg);
         assert_eq!(a.records, b.records);
@@ -132,7 +146,13 @@ mod tests {
     #[test]
     fn truth_labels_are_cluster_names() {
         let specs = table1_clusters();
-        let data = generate_dirty(&specs, DirtyConfig { size: 500, ..Default::default() });
+        let data = generate_dirty(
+            &specs,
+            DirtyConfig {
+                size: 500,
+                ..Default::default()
+            },
+        );
         let names: std::collections::HashSet<&str> =
             specs.iter().map(|s| s.name.as_str()).collect();
         for (_, truth) in &data.records {
@@ -145,7 +165,12 @@ mod tests {
         let specs = table1_clusters();
         let data = generate_dirty(
             &specs,
-            DirtyConfig { size: 5_000, typo_rate: 0.3, case_rate: 0.3, seed: 5 },
+            DirtyConfig {
+                size: 5_000,
+                typo_rate: 0.3,
+                case_rate: 0.3,
+                seed: 5,
+            },
         );
         let title = data
             .records
@@ -161,7 +186,12 @@ mod tests {
         let specs = table1_clusters();
         let data = generate_dirty(
             &specs,
-            DirtyConfig { size: 2_000, typo_rate: 1.0, case_rate: 0.0, seed: 5 },
+            DirtyConfig {
+                size: 2_000,
+                typo_rate: 1.0,
+                case_rate: 0.0,
+                seed: 5,
+            },
         );
         // Every generated typo value must be a member of its truth cluster
         // in the augmented specs (so the space can resolve it).

@@ -183,8 +183,8 @@ impl ShopDataset {
                 if rng.next_f64() < 0.2 {
                     latent.push("person".to_string());
                 } else {
-                    let c = &product_clusters
-                        [rng.next_range(product_clusters.len() as u64) as usize];
+                    let c =
+                        &product_clusters[rng.next_range(product_clusters.len() as u64) as usize];
                     latent.push(c.members[rng.next_range(c.members.len() as u64) as usize].clone());
                 }
             }
@@ -299,7 +299,10 @@ mod tests {
         let d = small();
         let names = d.products.column_by_name("name").unwrap();
         for n in names.utf8_values().unwrap() {
-            assert!(d.truth.cluster_of(n).is_some(), "name {n} not in any cluster");
+            assert!(
+                d.truth.cluster_of(n).is_some(),
+                "name {n} not in any cluster"
+            );
         }
     }
 

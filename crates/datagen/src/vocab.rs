@@ -12,7 +12,11 @@ pub fn table1_clusters() -> Vec<ClusterSpec> {
         ClusterSpec::child_of("dog", "animal", &["canine", "golden retriever", "puppy"]),
         ClusterSpec::child_of("cat", "animal", &["maine coon", "feline", "kitten"]),
         ClusterSpec::new("clothes", &[]),
-        ClusterSpec::child_of("shoes", "clothes", &["boots", "sneakers", "oxfords", "lace-ups"]),
+        ClusterSpec::child_of(
+            "shoes",
+            "clothes",
+            &["boots", "sneakers", "oxfords", "lace-ups"],
+        ),
         ClusterSpec::child_of(
             "jacket",
             "clothes",
@@ -21,7 +25,9 @@ pub fn table1_clusters() -> Vec<ClusterSpec> {
     ]
 }
 
-const CONSONANTS: &[char] = &['b', 'd', 'f', 'g', 'k', 'l', 'm', 'n', 'p', 'r', 's', 't', 'v', 'z'];
+const CONSONANTS: &[char] = &[
+    'b', 'd', 'f', 'g', 'k', 'l', 'm', 'n', 'p', 'r', 's', 't', 'v', 'z',
+];
 const VOWELS: &[char] = &['a', 'e', 'i', 'o', 'u'];
 
 /// A pronounceable random word of 2–4 syllables.
@@ -37,7 +43,11 @@ fn random_word(rng: &mut SplitMix64) -> String {
 
 /// Generates `n_clusters` synthetic root clusters with `members_per_cluster`
 /// members each. Words are globally unique.
-pub fn synthetic_clusters(n_clusters: usize, members_per_cluster: usize, seed: u64) -> Vec<ClusterSpec> {
+pub fn synthetic_clusters(
+    n_clusters: usize,
+    members_per_cluster: usize,
+    seed: u64,
+) -> Vec<ClusterSpec> {
     let mut rng = SplitMix64::new(seed);
     let mut used: std::collections::HashSet<String> = std::collections::HashSet::new();
     let mut fresh_word = |rng: &mut SplitMix64| loop {
@@ -54,7 +64,9 @@ pub fn synthetic_clusters(n_clusters: usize, members_per_cluster: usize, seed: u
     (0..n_clusters)
         .map(|_| {
             let name = fresh_word(&mut rng);
-            let members: Vec<String> = (0..members_per_cluster).map(|_| fresh_word(&mut rng)).collect();
+            let members: Vec<String> = (0..members_per_cluster)
+                .map(|_| fresh_word(&mut rng))
+                .collect();
             ClusterSpec {
                 name,
                 members,
@@ -136,9 +148,26 @@ mod tests {
         let specs = table1_clusters();
         let words = all_words(&specs);
         for expected in [
-            "dog", "canine", "golden retriever", "puppy", "cat", "maine coon", "feline",
-            "kitten", "boots", "sneakers", "oxfords", "lace-ups", "blazer", "coat", "parka",
-            "windbreaker", "animal", "clothes", "shoes", "jacket",
+            "dog",
+            "canine",
+            "golden retriever",
+            "puppy",
+            "cat",
+            "maine coon",
+            "feline",
+            "kitten",
+            "boots",
+            "sneakers",
+            "oxfords",
+            "lace-ups",
+            "blazer",
+            "coat",
+            "parka",
+            "windbreaker",
+            "animal",
+            "clothes",
+            "shoes",
+            "jacket",
         ] {
             assert!(words.iter().any(|w| w == expected), "missing {expected}");
         }
@@ -162,10 +191,7 @@ mod tests {
         let a = synthetic_clusters(10, 5, 42);
         let b = synthetic_clusters(10, 5, 42);
         assert_eq!(a.len(), 10);
-        assert_eq!(
-            a.iter().map(|c| c.members.len()).sum::<usize>(),
-            50
-        );
+        assert_eq!(a.iter().map(|c| c.members.len()).sum::<usize>(), 50);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.name, y.name);
             assert_eq!(x.members, y.members);

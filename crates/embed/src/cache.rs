@@ -105,7 +105,10 @@ impl EmbeddingCache {
         let len_before = entries.len();
         let out = entries
             .entry(text.to_string())
-            .or_insert_with(|| CacheEntry { vec, referenced: AtomicBool::new(false) })
+            .or_insert_with(|| CacheEntry {
+                vec,
+                referenced: AtomicBool::new(false),
+            })
             .vec
             .clone();
         // A losing racer (entry already present) must NOT add a ring slot:
@@ -285,7 +288,9 @@ mod tests {
         for (i, t) in ["x", "y", "x"].iter().enumerate() {
             assert_eq!(out[i * stride..i * stride + dim], c.get(t)[..], "row {i}");
             // Padding lanes untouched.
-            assert!(out[i * stride + dim..(i + 1) * stride].iter().all(|x| x.is_nan()));
+            assert!(out[i * stride + dim..(i + 1) * stride]
+                .iter()
+                .all(|x| x.is_nan()));
         }
     }
 

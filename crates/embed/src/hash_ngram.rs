@@ -217,7 +217,10 @@ mod tests {
         let sim_suffix = cosine(&base, &m.embed("retrievers"));
         let sim_typo = cosine(&base, &m.embed("retreiver"));
         let sim_unrelated = cosine(&base, &m.embed("quartz"));
-        assert!(sim_unrelated < 0.1, "unrelated too similar: {sim_unrelated}");
+        assert!(
+            sim_unrelated < 0.1,
+            "unrelated too similar: {sim_unrelated}"
+        );
         assert!(
             sim_typo > sim_unrelated + 0.15,
             "typo {sim_typo} vs unrelated {sim_unrelated}"
@@ -251,7 +254,11 @@ mod tests {
         let dog = m.word_vector("dog");
         let park = m.word_vector("park");
         let both = m.embed("dog park");
-        let mut avg: Vec<f32> = dog.iter().zip(park.iter()).map(|(a, b)| (a + b) / 2.0).collect();
+        let mut avg: Vec<f32> = dog
+            .iter()
+            .zip(park.iter())
+            .map(|(a, b)| (a + b) / 2.0)
+            .collect();
         normalize(&mut avg);
         assert!(cosine(&both, &avg) > 0.999);
     }

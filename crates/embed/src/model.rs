@@ -18,7 +18,8 @@ impl ModelStats {
     /// Records one inference over `chars` characters of input.
     pub fn record(&self, chars: usize) {
         self.invocations.fetch_add(1, Ordering::Relaxed);
-        self.chars_processed.fetch_add(chars as u64, Ordering::Relaxed);
+        self.chars_processed
+            .fetch_add(chars as u64, Ordering::Relaxed);
     }
 
     /// Number of `embed` calls so far.
@@ -119,7 +120,9 @@ mod tests {
 
     #[test]
     fn default_embed_and_batch() {
-        let m = ConstModel { stats: ModelStats::default() };
+        let m = ConstModel {
+            stats: ModelStats::default(),
+        };
         assert_eq!(m.embed("xy"), vec![0.5; 4]);
         let batch = m.embed_batch(&["a", "bc"]);
         assert_eq!(batch.len(), 8);
@@ -142,7 +145,9 @@ mod tests {
 
     #[test]
     fn cost_model_monotone_in_length() {
-        let m = ConstModel { stats: ModelStats::default() };
+        let m = ConstModel {
+            stats: ModelStats::default(),
+        };
         assert!(m.cost_per_embedding(10) < m.cost_per_embedding(100));
     }
 }

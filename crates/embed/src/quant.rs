@@ -10,7 +10,6 @@
 //! `QuantizedArena`. The kernel ladder bench measures the speed/recall
 //! trade-off per tier.
 
-
 /// A storage/scoring precision tier for embedding panels.
 ///
 /// The optimizer picks a tier per semantic scan: lower tiers shrink
@@ -293,8 +292,12 @@ mod tests {
 
     #[test]
     fn quantized_dot_close_to_exact() {
-        let a: Vec<f32> = (0..100).map(|i| ((i * 7 % 13) as f32 - 6.0) / 20.0).collect();
-        let b: Vec<f32> = (0..100).map(|i| ((i * 5 % 11) as f32 - 5.0) / 20.0).collect();
+        let a: Vec<f32> = (0..100)
+            .map(|i| ((i * 7 % 13) as f32 - 6.0) / 20.0)
+            .collect();
+        let b: Vec<f32> = (0..100)
+            .map(|i| ((i * 5 % 11) as f32 - 5.0) / 20.0)
+            .collect();
         let exact: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
         let f16 = QuantizedVector::to_f16(&a).dot(&b);
         let i8v = QuantizedVector::to_int8(&a).dot(&b);
@@ -307,8 +310,16 @@ mod tests {
         let a: Vec<f32> = vec![0.1, -0.2, 0.3];
         let b: Vec<f32> = vec![0.3, 0.2, -0.1];
         let (qa, qb) = (QuantizedVector::to_int8(&a), QuantizedVector::to_int8(&b));
-        let (QuantizedVector::Int8 { data: da, scale: sa }, QuantizedVector::Int8 { data: db, scale: sb }) =
-            (&qa, &qb)
+        let (
+            QuantizedVector::Int8 {
+                data: da,
+                scale: sa,
+            },
+            QuantizedVector::Int8 {
+                data: db,
+                scale: sb,
+            },
+        ) = (&qa, &qb)
         else {
             panic!("expected int8");
         };

@@ -64,7 +64,10 @@ pub struct ClusterGeometry {
 
 impl Default for ClusterGeometry {
     fn default() -> Self {
-        ClusterGeometry { member_sigma: 0.35, child_beta: 0.55 }
+        ClusterGeometry {
+            member_sigma: 0.35,
+            child_beta: 0.55,
+        }
     }
 }
 
@@ -96,11 +99,15 @@ impl SemanticSpace {
         let mut pass = 0;
         while !remaining.is_empty() {
             pass += 1;
-            assert!(pass <= specs.len() + 1, "cluster parent cycle or unknown parent");
+            assert!(
+                pass <= specs.len() + 1,
+                "cluster parent cycle or unknown parent"
+            );
             remaining.retain(|spec| {
                 let centroid = match &spec.parent {
                     None => {
-                        let mut rng = SplitMix64::new(seed ^ crate::rng::fnv1a(spec.name.as_bytes()));
+                        let mut rng =
+                            SplitMix64::new(seed ^ crate::rng::fnv1a(spec.name.as_bytes()));
                         rng.unit_vector(dim)
                     }
                     Some(parent) => match centroids.get(parent) {
@@ -136,7 +143,9 @@ impl SemanticSpace {
             // The cluster name itself sits at the centroid.
             vectors.insert(spec.name.clone(), Arc::new(centroid.clone()));
             assert!(
-                cluster_of.insert(spec.name.clone(), spec.name.clone()).is_none(),
+                cluster_of
+                    .insert(spec.name.clone(), spec.name.clone())
+                    .is_none(),
                 "cluster name {} defined twice",
                 spec.name
             );
@@ -157,13 +166,21 @@ impl SemanticSpace {
                 normalize(&mut v);
                 vectors.insert(member.clone(), Arc::new(v));
                 assert!(
-                    cluster_of.insert(member.clone(), spec.name.clone()).is_none(),
+                    cluster_of
+                        .insert(member.clone(), spec.name.clone())
+                        .is_none(),
                     "word {member} assigned to two clusters"
                 );
             }
         }
 
-        SemanticSpace { dim, vectors, cluster_of, parents, cluster_names }
+        SemanticSpace {
+            dim,
+            vectors,
+            cluster_of,
+            parents,
+            cluster_names,
+        }
     }
 
     /// Dimensionality of the space.

@@ -175,7 +175,11 @@ impl KeyIndex {
         let mut e = *self.heads.get(&hash).ok_or(None)?;
         loop {
             let key = self.key(e);
-            if key.iter().zip(cols).all(|(k, c)| Cell::from(k) == Cell::of(c, row)) {
+            if key
+                .iter()
+                .zip(cols)
+                .all(|(k, c)| Cell::from(k) == Cell::of(c, row))
+            {
                 return Ok(e);
             }
             match self.next[e as usize] {
@@ -229,7 +233,12 @@ mod tests {
             }
         }
         // A NULL cell of any column type is the NULL key.
-        for dt in [DataType::Bool, DataType::Float64, DataType::Utf8, DataType::Timestamp] {
+        for dt in [
+            DataType::Bool,
+            DataType::Float64,
+            DataType::Utf8,
+            DataType::Timestamp,
+        ] {
             assert_eq!(Cell::of(&Column::nulls(dt, 1), 0), Cell::Null);
         }
     }
@@ -246,7 +255,14 @@ mod tests {
         let ids: Vec<(u32, bool)> = (0..6).map(|r| index.insert(&cols, r).unwrap()).collect();
         assert_eq!(
             ids,
-            [(0, true), (1, true), (0, false), (2, true), (3, true), (4, true)]
+            [
+                (0, true),
+                (1, true),
+                (0, false),
+                (2, true),
+                (3, true),
+                (4, true)
+            ]
         );
         assert_eq!(index.key(4), [Scalar::Null, Scalar::Int64(1)]);
         assert_eq!(index.find(&cols, 2), Some(0));
@@ -271,7 +287,10 @@ mod tests {
         }
         // A key absent from a full chain reports the chain's last entry.
         let absent = Column::from_i64(vec![42]);
-        assert_eq!(index.probe(7, &[&absent], 0), Err(Some(vals.len() as u32 - 1)));
+        assert_eq!(
+            index.probe(7, &[&absent], 0),
+            Err(Some(vals.len() as u32 - 1))
+        );
         assert_eq!(index.probe(8, &[&col], 0), Err(None));
     }
 

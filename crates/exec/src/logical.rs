@@ -188,12 +188,20 @@ pub struct AggSpec {
 impl AggSpec {
     /// `COUNT(*) AS alias`.
     pub fn count_star(alias: impl Into<String>) -> Self {
-        AggSpec { func: AggFunc::CountStar, column: None, alias: alias.into() }
+        AggSpec {
+            func: AggFunc::CountStar,
+            column: None,
+            alias: alias.into(),
+        }
     }
 
     /// `func(column) AS alias`.
     pub fn new(func: AggFunc, column: impl Into<String>, alias: impl Into<String>) -> Self {
-        AggSpec { func, column: Some(column.into()), alias: alias.into() }
+        AggSpec {
+            func,
+            column: Some(column.into()),
+            alias: alias.into(),
+        }
     }
 
     /// The output field this aggregate produces given the input schema.
@@ -258,7 +266,10 @@ pub enum LogicalPlan {
     /// the catalog.
     Scan { source: String, schema: Arc<Schema> },
     /// Row filter.
-    Filter { predicate: Expr, input: Box<LogicalPlan> },
+    Filter {
+        predicate: Expr,
+        input: Box<LogicalPlan>,
+    },
     /// Projection / computed columns.
     Project {
         exprs: Vec<(Expr, String)>,
@@ -309,9 +320,15 @@ pub enum LogicalPlan {
         aggs: Vec<AggSpec>,
     },
     /// Total sort.
-    Sort { input: Box<LogicalPlan>, keys: Vec<SortKey> },
+    Sort {
+        input: Box<LogicalPlan>,
+        keys: Vec<SortKey>,
+    },
     /// First `n` rows ([`LimitCount`]: fixed or parameterized).
-    Limit { input: Box<LogicalPlan>, n: LimitCount },
+    Limit {
+        input: Box<LogicalPlan>,
+        n: LimitCount,
+    },
     /// Duplicate elimination over all columns.
     Distinct { input: Box<LogicalPlan> },
     /// Concatenation of same-schema inputs.
@@ -337,7 +354,12 @@ impl LogicalPlan {
                 }
                 Ok(Schema::new(fields))
             }
-            LogicalPlan::Join { left, right, join_type, .. } => {
+            LogicalPlan::Join {
+                left,
+                right,
+                join_type,
+                ..
+            } => {
                 let l = left.schema()?;
                 match join_type {
                     JoinType::LeftSemi | JoinType::LeftAnti => Ok(l),
@@ -359,10 +381,16 @@ impl LogicalPlan {
             LogicalPlan::SemanticFilter { input, .. } => input.schema(),
             LogicalPlan::SemanticJoin { left, right, spec } => {
                 let mut joined = left.schema()?.join(&right.schema()?);
-                joined = joined.with_field(Field::new(spec.score_column.clone(), DataType::Float64));
+                joined =
+                    joined.with_field(Field::new(spec.score_column.clone(), DataType::Float64));
                 Ok(joined)
             }
-            LogicalPlan::SemanticGroupBy { input, column, aggs, .. } => {
+            LogicalPlan::SemanticGroupBy {
+                input,
+                column,
+                aggs,
+                ..
+            } => {
                 let in_schema = input.schema()?;
                 let key_type = in_schema.field(column)?.data_type;
                 let mut fields = vec![
@@ -374,7 +402,11 @@ impl LogicalPlan {
                 }
                 Ok(Schema::new(fields))
             }
-            LogicalPlan::Aggregate { input, group_by, aggs } => {
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                aggs,
+            } => {
                 let in_schema = input.schema()?;
                 let mut fields = Vec::with_capacity(group_by.len() + aggs.len());
                 for name in group_by {
@@ -437,37 +469,54 @@ impl LogicalPlan {
                 on: on.clone(),
                 join_type: *join_type,
             },
-            LogicalPlan::CrossJoin { .. } => LogicalPlan::CrossJoin { left: next(), right: next() },
-            LogicalPlan::SemanticFilter { column, target, model, threshold, .. } => {
-                LogicalPlan::SemanticFilter {
-                    input: next(),
-                    column: column.clone(),
-                    target: target.clone(),
-                    model: model.clone(),
-                    threshold: *threshold,
-                }
-            }
+            LogicalPlan::CrossJoin { .. } => LogicalPlan::CrossJoin {
+                left: next(),
+                right: next(),
+            },
+            LogicalPlan::SemanticFilter {
+                column,
+                target,
+                model,
+                threshold,
+                ..
+            } => LogicalPlan::SemanticFilter {
+                input: next(),
+                column: column.clone(),
+                target: target.clone(),
+                model: model.clone(),
+                threshold: *threshold,
+            },
             LogicalPlan::SemanticJoin { spec, .. } => LogicalPlan::SemanticJoin {
                 left: next(),
                 right: next(),
                 spec: spec.clone(),
             },
-            LogicalPlan::SemanticGroupBy { column, model, threshold, aggs, .. } => {
-                LogicalPlan::SemanticGroupBy {
-                    input: next(),
-                    column: column.clone(),
-                    model: model.clone(),
-                    threshold: *threshold,
-                    aggs: aggs.clone(),
-                }
-            }
+            LogicalPlan::SemanticGroupBy {
+                column,
+                model,
+                threshold,
+                aggs,
+                ..
+            } => LogicalPlan::SemanticGroupBy {
+                input: next(),
+                column: column.clone(),
+                model: model.clone(),
+                threshold: *threshold,
+                aggs: aggs.clone(),
+            },
             LogicalPlan::Aggregate { group_by, aggs, .. } => LogicalPlan::Aggregate {
                 input: next(),
                 group_by: group_by.clone(),
                 aggs: aggs.clone(),
             },
-            LogicalPlan::Sort { keys, .. } => LogicalPlan::Sort { input: next(), keys: keys.clone() },
-            LogicalPlan::Limit { n, .. } => LogicalPlan::Limit { input: next(), n: *n },
+            LogicalPlan::Sort { keys, .. } => LogicalPlan::Sort {
+                input: next(),
+                keys: keys.clone(),
+            },
+            LogicalPlan::Limit { n, .. } => LogicalPlan::Limit {
+                input: next(),
+                n: *n,
+            },
             LogicalPlan::Distinct { .. } => LogicalPlan::Distinct { input: next() },
             LogicalPlan::Union { .. } => LogicalPlan::Union {
                 inputs: std::mem::take(&mut children),
@@ -501,14 +550,24 @@ impl LogicalPlan {
                 format!("{join_type} Join: {}", keys.join(" AND "))
             }
             LogicalPlan::CrossJoin { .. } => "CrossJoin".to_string(),
-            LogicalPlan::SemanticFilter { column, target, model, threshold, .. } => format!(
-                "SemanticFilter: {column} ~ {target} (model={model}, cos>={threshold})"
-            ),
+            LogicalPlan::SemanticFilter {
+                column,
+                target,
+                model,
+                threshold,
+                ..
+            } => format!("SemanticFilter: {column} ~ {target} (model={model}, cos>={threshold})"),
             LogicalPlan::SemanticJoin { spec, .. } => format!(
                 "SemanticJoin: {} ~ {} (model={}, cos>={})",
                 spec.left_column, spec.right_column, spec.model, spec.threshold
             ),
-            LogicalPlan::SemanticGroupBy { column, model, threshold, aggs, .. } => {
+            LogicalPlan::SemanticGroupBy {
+                column,
+                model,
+                threshold,
+                aggs,
+                ..
+            } => {
                 let aggs: Vec<String> = aggs.iter().map(|a| a.to_string()).collect();
                 format!(
                     "SemanticGroupBy: {column} (model={model}, cos>={threshold}) [{}]",
@@ -517,7 +576,11 @@ impl LogicalPlan {
             }
             LogicalPlan::Aggregate { group_by, aggs, .. } => {
                 let aggs: Vec<String> = aggs.iter().map(|a| a.to_string()).collect();
-                format!("Aggregate: group by [{}] [{}]", group_by.join(", "), aggs.join(", "))
+                format!(
+                    "Aggregate: group by [{}] [{}]",
+                    group_by.join(", "),
+                    aggs.join(", ")
+                )
             }
             LogicalPlan::Sort { keys, .. } => {
                 let keys: Vec<String> = keys
@@ -552,7 +615,11 @@ impl LogicalPlan {
 
     /// Number of nodes in the plan tree.
     pub fn node_count(&self) -> usize {
-        1 + self.children().iter().map(|c| c.node_count()).sum::<usize>()
+        1 + self
+            .children()
+            .iter()
+            .map(|c| c.node_count())
+            .sum::<usize>()
     }
 
     /// A stable structural fingerprint of this plan.
@@ -623,7 +690,13 @@ impl LogicalPlan {
                 }
             }
             LogicalPlan::CrossJoin { .. } => h.tag(5),
-            LogicalPlan::SemanticFilter { column, target, model, threshold, .. } => {
+            LogicalPlan::SemanticFilter {
+                column,
+                target,
+                model,
+                threshold,
+                ..
+            } => {
                 h.tag(6);
                 h.str(column);
                 match target {
@@ -649,7 +722,13 @@ impl LogicalPlan {
                 h.u64(spec.threshold.to_bits() as u64);
                 h.str(&spec.score_column);
             }
-            LogicalPlan::SemanticGroupBy { column, model, threshold, aggs, .. } => {
+            LogicalPlan::SemanticGroupBy {
+                column,
+                model,
+                threshold,
+                aggs,
+                ..
+            } => {
                 h.tag(8);
                 h.str(column);
                 h.str(model);
@@ -714,10 +793,16 @@ impl LogicalPlan {
                     e.collect_params(out);
                 }
             }
-            LogicalPlan::SemanticFilter { target: SemanticTarget::Param(slot), .. } => {
+            LogicalPlan::SemanticFilter {
+                target: SemanticTarget::Param(slot),
+                ..
+            } => {
                 out.insert(*slot);
             }
-            LogicalPlan::Limit { n: LimitCount::Param(slot), .. } => {
+            LogicalPlan::Limit {
+                n: LimitCount::Param(slot),
+                ..
+            } => {
                 out.insert(*slot);
             }
             _ => {}
@@ -784,7 +869,13 @@ impl LogicalPlan {
                     .collect(),
                 input: input.clone(),
             },
-            LogicalPlan::SemanticFilter { input, column, target, model, threshold } => {
+            LogicalPlan::SemanticFilter {
+                input,
+                column,
+                target,
+                model,
+                threshold,
+            } => {
                 let target = match target {
                     SemanticTarget::Text(s) => {
                         let slot = out.len();
@@ -810,7 +901,10 @@ impl LogicalPlan {
                     }
                     LimitCount::Param(slot) => LimitCount::Param(*slot),
                 };
-                LogicalPlan::Limit { input: input.clone(), n }
+                LogicalPlan::Limit {
+                    input: input.clone(),
+                    n,
+                }
             }
             other => other.clone(),
         };
@@ -842,15 +936,19 @@ impl LogicalPlan {
                     .collect::<Result<Vec<_>>>()?,
                 input: input.clone(),
             },
-            LogicalPlan::SemanticFilter { input, column, target, model, threshold } => {
-                LogicalPlan::SemanticFilter {
-                    input: input.clone(),
-                    column: column.clone(),
-                    target: SemanticTarget::Text(target.resolve(params)?),
-                    model: model.clone(),
-                    threshold: *threshold,
-                }
-            }
+            LogicalPlan::SemanticFilter {
+                input,
+                column,
+                target,
+                model,
+                threshold,
+            } => LogicalPlan::SemanticFilter {
+                input: input.clone(),
+                column: column.clone(),
+                target: SemanticTarget::Text(target.resolve(params)?),
+                model: model.clone(),
+                threshold: *threshold,
+            },
             LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
                 input: input.clone(),
                 n: LimitCount::Fixed(n.resolve(params)?),
@@ -1056,7 +1154,10 @@ mod tests {
             input: Box::new(products()),
         };
         let schema = plan.schema().unwrap();
-        assert_eq!(schema.field("double_price").unwrap().data_type, DataType::Float64);
+        assert_eq!(
+            schema.field("double_price").unwrap().data_type,
+            DataType::Float64
+        );
         assert_eq!(schema.field("name").unwrap().data_type, DataType::Utf8);
     }
 
@@ -1071,7 +1172,10 @@ mod tests {
         assert_eq!(join(JoinType::Inner).schema().unwrap().len(), 5);
         assert_eq!(join(JoinType::Left).schema().unwrap().len(), 5);
         assert_eq!(join(JoinType::LeftSemi).schema().unwrap().len(), 3);
-        assert_eq!(join(JoinType::LeftAnti).schema().unwrap().names(), vec!["id", "name", "price"]);
+        assert_eq!(
+            join(JoinType::LeftAnti).schema().unwrap().names(),
+            vec!["id", "name", "price"]
+        );
     }
 
     #[test]
@@ -1105,7 +1209,10 @@ mod tests {
             ],
         };
         let schema = plan.schema().unwrap();
-        assert_eq!(schema.names(), vec!["name", "n", "total", "avg_price", "max_id"]);
+        assert_eq!(
+            schema.names(),
+            vec!["name", "n", "total", "avg_price", "max_id"]
+        );
         assert_eq!(schema.field("n").unwrap().data_type, DataType::Int64);
         assert_eq!(schema.field("total").unwrap().data_type, DataType::Float64);
         assert_eq!(schema.field("max_id").unwrap().data_type, DataType::Int64);
@@ -1155,7 +1262,11 @@ mod tests {
 
     #[test]
     fn agg_spec_validation() {
-        let bad = AggSpec { func: AggFunc::Sum, column: None, alias: "x".into() };
+        let bad = AggSpec {
+            func: AggFunc::Sum,
+            column: None,
+            alias: "x".into(),
+        };
         assert!(bad.output_field(&products().schema().unwrap()).is_err());
         let missing = AggSpec::new(AggFunc::Sum, "nope", "x");
         assert!(missing.output_field(&products().schema().unwrap()).is_err());
@@ -1216,9 +1327,15 @@ mod tests {
         };
         let limit_then_filter = LogicalPlan::Filter {
             predicate: filter,
-            input: Box::new(LogicalPlan::Limit { n: LimitCount::Fixed(3), input: Box::new(products()) }),
+            input: Box::new(LogicalPlan::Limit {
+                n: LimitCount::Fixed(3),
+                input: Box::new(products()),
+            }),
         };
-        assert_ne!(filter_then_limit.fingerprint(), limit_then_filter.fingerprint());
+        assert_ne!(
+            filter_then_limit.fingerprint(),
+            limit_then_filter.fingerprint()
+        );
         // Join operand order matters.
         let ab = LogicalPlan::CrossJoin {
             left: Box::new(products()),
@@ -1252,7 +1369,11 @@ mod tests {
         // probe, which lifts before the filter literal.
         assert_eq!(
             values,
-            vec![Scalar::Int64(5), Scalar::Utf8("clothes".into()), Scalar::Float64(20.0)]
+            vec![
+                Scalar::Int64(5),
+                Scalar::Utf8("clothes".into()),
+                Scalar::Float64(20.0)
+            ]
         );
         assert_eq!(template.required_params().unwrap(), 3);
         // Lift ∘ bind is the identity.
@@ -1286,16 +1407,27 @@ mod tests {
         );
         // Int64 and Float64 literals lift to one template (type
         // re-inference at bind time is the prepared layer's job).
-        let by = |e: Expr| LogicalPlan::Filter { predicate: e, input: Box::new(products()) };
+        let by = |e: Expr| LogicalPlan::Filter {
+            predicate: e,
+            input: Box::new(products()),
+        };
         assert_eq!(
-            by(col("price").gt(lit(2i64))).lift_literals().0.fingerprint(),
-            by(col("price").gt(lit(2.0))).lift_literals().0.fingerprint()
+            by(col("price").gt(lit(2i64)))
+                .lift_literals()
+                .0
+                .fingerprint(),
+            by(col("price").gt(lit(2.0)))
+                .lift_literals()
+                .0
+                .fingerprint()
         );
     }
 
     #[test]
     fn union_schema() {
-        let u = LogicalPlan::Union { inputs: vec![products(), products()] };
+        let u = LogicalPlan::Union {
+            inputs: vec![products(), products()],
+        };
         assert_eq!(u.schema().unwrap().len(), 3);
         let empty = LogicalPlan::Union { inputs: vec![] };
         assert!(empty.schema().is_err());

@@ -172,7 +172,9 @@ impl PhysicalOperator for InstrumentedExec {
         let stream = self.inner.execute()?;
         // Setup cost (eager operators do all work here) is charged upfront.
         let setup_ns = start.elapsed().as_nanos() as u64;
-        self.metrics.elapsed_ns.fetch_add(setup_ns, Ordering::Relaxed);
+        self.metrics
+            .elapsed_ns
+            .fetch_add(setup_ns, Ordering::Relaxed);
         Ok(Box::new(InstrumentedStream {
             inner: stream,
             metrics: self.metrics.clone(),
@@ -201,7 +203,9 @@ impl Iterator for InstrumentedStream {
         self.execution_ns += ns;
         self.metrics.elapsed_ns.fetch_add(ns, Ordering::Relaxed);
         if let Ok(chunk) = &item {
-            self.metrics.rows_out.fetch_add(chunk.num_rows() as u64, Ordering::Relaxed);
+            self.metrics
+                .rows_out
+                .fetch_add(chunk.num_rows() as u64, Ordering::Relaxed);
             self.metrics.chunks_out.fetch_add(1, Ordering::Relaxed);
         }
         Some(item)

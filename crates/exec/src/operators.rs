@@ -331,7 +331,14 @@ impl HashJoinExec {
             JoinType::LeftSemi | JoinType::LeftAnti => (*ls).clone(),
             _ => ls.join(&rs),
         });
-        Ok(HashJoinExec { left, right, left_keys, right_keys, join_type, schema })
+        Ok(HashJoinExec {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            join_type,
+            schema,
+        })
     }
 }
 
@@ -452,7 +459,10 @@ impl PhysicalOperator for HashJoinExec {
                     .filter(|(_, m)| **m == want)
                     .map(|(i, _)| i)
                     .collect();
-                out_chunks.push(Chunk::new(self.schema.clone(), take_columns(&build, &keep)?)?);
+                out_chunks.push(Chunk::new(
+                    self.schema.clone(),
+                    take_columns(&build, &keep)?,
+                )?);
             }
         }
 
@@ -493,7 +503,12 @@ impl NestedLoopJoinExec {
         if let Some(p) = &predicate {
             p.bind(&schema)?; // validate early
         }
-        Ok(NestedLoopJoinExec { left, right, predicate, schema })
+        Ok(NestedLoopJoinExec {
+            left,
+            right,
+            predicate,
+            schema,
+        })
     }
 }
 
@@ -588,8 +603,14 @@ impl Accumulator {
                 any: false,
                 int: input_type == Some(DataType::Int64),
             },
-            AggFunc::Min => Accumulator::MinMax { best: None, is_min: true },
-            AggFunc::Max => Accumulator::MinMax { best: None, is_min: false },
+            AggFunc::Min => Accumulator::MinMax {
+                best: None,
+                is_min: true,
+            },
+            AggFunc::Max => Accumulator::MinMax {
+                best: None,
+                is_min: false,
+            },
             AggFunc::Avg => Accumulator::Avg { sum: 0.0, n: 0 },
         }
     }
@@ -689,7 +710,11 @@ impl HashAggregateExec {
         }
         let mut agg_cols = Vec::with_capacity(aggs.len());
         for agg in aggs {
-            let idx = agg.column.as_deref().map(|c| in_schema.index_of(c)).transpose()?;
+            let idx = agg
+                .column
+                .as_deref()
+                .map(|c| in_schema.index_of(c))
+                .transpose()?;
             if idx.is_none() && agg.func != AggFunc::CountStar {
                 return Err(Error::InvalidArgument(format!(
                     "{} requires an input column",
@@ -833,7 +858,11 @@ impl SortExec {
         if keys.is_empty() {
             return Err(Error::InvalidArgument("sort requires keys".into()));
         }
-        Ok(SortExec { input, keys, limit: None })
+        Ok(SortExec {
+            input,
+            keys,
+            limit: None,
+        })
     }
 
     /// Keeps only the first `k` rows of the sorted order.
@@ -872,8 +901,11 @@ impl PhysicalOperator for SortExec {
         let n = all.num_rows();
         let k = self.limit.map_or(n, |k| k.min(n));
         let _span = cx_obs::span_with("sort", || format!("rows={n} k={k}"));
-        let keys: Vec<_> =
-            self.keys.iter().map(|&(c, asc)| (&all.columns()[c], None, asc)).collect();
+        let keys: Vec<_> = self
+            .keys
+            .iter()
+            .map(|&(c, asc)| (&all.columns()[c], None, asc))
+            .collect();
         let sorted = all.take(&top_n_by(n, k, |a, b| keys_cmp(&keys, a, b)))?;
         Ok(Box::new(std::iter::once(Ok(sorted))))
     }
@@ -1023,9 +1055,9 @@ impl PhysicalOperator for UnionExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cx_storage::Bitmap;
     use crate::physical::collect_table;
     use cx_expr::{col, lit};
+    use cx_storage::Bitmap;
 
     fn products() -> Arc<dyn PhysicalOperator> {
         let table = Table::from_columns(
@@ -1205,11 +1237,16 @@ mod tests {
 
     #[test]
     fn aggregate_global_on_empty_input() {
-        let empty = Arc::new(FilterExec::new(products(), &lit(false).or(col("price").lt(lit(0.0)))).unwrap());
+        let empty = Arc::new(
+            FilterExec::new(products(), &lit(false).or(col("price").lt(lit(0.0)))).unwrap(),
+        );
         let agg = HashAggregateExec::new(
             empty,
             &[],
-            &[AggSpec::count_star("n"), AggSpec::new(AggFunc::Sum, "price", "s")],
+            &[
+                AggSpec::count_star("n"),
+                AggSpec::new(AggFunc::Sum, "price", "s"),
+            ],
         )
         .unwrap();
         let out = collect_table(&agg).unwrap();
@@ -1239,7 +1276,10 @@ mod tests {
         )
         .unwrap();
         let out = collect_table(&agg).unwrap();
-        assert_eq!(out.row(0).unwrap(), vec![Scalar::Int64(3), Scalar::Int64(2)]);
+        assert_eq!(
+            out.row(0).unwrap(),
+            vec![Scalar::Int64(3), Scalar::Int64(2)]
+        );
     }
 
     #[test]
@@ -1336,7 +1376,12 @@ mod tests {
                 Scalar::Float64(f64::INFINITY),
                 Scalar::Null,
             ],
-            vec![Scalar::from("b"), Scalar::from(""), Scalar::Null, Scalar::from("a")],
+            vec![
+                Scalar::from("b"),
+                Scalar::from(""),
+                Scalar::Null,
+                Scalar::from("a"),
+            ],
             vec![Scalar::Timestamp(5), Scalar::Null, Scalar::Timestamp(-5)],
         ];
         for values in columns {
@@ -1344,7 +1389,13 @@ mod tests {
             for a in 0..values.len() {
                 for b in 0..values.len() {
                     let want = scalar_cmp(&values[a], &values[b]);
-                    assert_eq!(cell_cmp(&col, a, b), want, "{:?} vs {:?}", values[a], values[b]);
+                    assert_eq!(
+                        cell_cmp(&col, a, b),
+                        want,
+                        "{:?} vs {:?}",
+                        values[a],
+                        values[b]
+                    );
                 }
             }
         }
@@ -1384,7 +1435,11 @@ mod tests {
         .unwrap();
         assert_eq!(
             collect_table(&agg).unwrap().row(0).unwrap(),
-            vec![Scalar::Int64(big + 1), Scalar::Int64(big), Scalar::Timestamp(big + 1)]
+            vec![
+                Scalar::Int64(big + 1),
+                Scalar::Int64(big),
+                Scalar::Timestamp(big + 1)
+            ]
         );
         // Mixed numeric pairs keep the f64 order.
         let mixed = scalar_cmp(&Scalar::Int64(big + 1), &Scalar::Float64(big as f64));

@@ -8,7 +8,10 @@ use cx_storage::{DataType, Error, Result, Scalar, Schema};
 #[derive(Debug, Clone, PartialEq)]
 pub enum BoundExpr {
     /// Column at position `index` with type `data_type`.
-    Column { index: usize, data_type: DataType },
+    Column {
+        index: usize,
+        data_type: DataType,
+    },
     Literal(Scalar),
     Binary {
         op: BinOp,
@@ -107,9 +110,8 @@ fn infer_binary_type(op: BinOp, left: &BoundExpr, right: &BoundExpr) -> Result<D
     // Arithmetic.
     let (lt, rt) = match (lt, rt) {
         (None, other) | (other, None) => {
-            let t = other.ok_or_else(|| {
-                Error::InvalidArgument("arithmetic on two untyped NULLs".into())
-            })?;
+            let t = other
+                .ok_or_else(|| Error::InvalidArgument("arithmetic on two untyped NULLs".into()))?;
             (t, t)
         }
         (Some(l), Some(r)) => (l, r),
@@ -138,7 +140,13 @@ mod tests {
     #[test]
     fn binds_columns_to_indices() {
         let b = col("price").bind(&schema()).unwrap();
-        assert_eq!(b, BoundExpr::Column { index: 1, data_type: DataType::Float64 });
+        assert_eq!(
+            b,
+            BoundExpr::Column {
+                index: 1,
+                data_type: DataType::Float64
+            }
+        );
         assert!(col("missing").bind(&schema()).is_err());
     }
 
@@ -149,7 +157,10 @@ mod tests {
         // String vs number comparison is rejected at bind time.
         assert!(col("name").gt(lit(1i64)).bind(&schema()).is_err());
         // NULL compares with anything.
-        assert!(col("name").eq(Expr::Literal(Scalar::Null)).bind(&schema()).is_ok());
+        assert!(col("name")
+            .eq(Expr::Literal(Scalar::Null))
+            .bind(&schema())
+            .is_ok());
     }
 
     #[test]
@@ -181,12 +192,23 @@ mod tests {
         // multiply widens to Float64 instead of keeping the column's Int64
         // (which would truncate prepared results where ad-hoc ones don't).
         let template = col("id").mul(param(0));
-        let bound = template.bind_params(&[Scalar::Float64(0.5)]).unwrap().bind(&schema()).unwrap();
+        let bound = template
+            .bind_params(&[Scalar::Float64(0.5)])
+            .unwrap()
+            .bind(&schema())
+            .unwrap();
         assert_eq!(bound.data_type(), Some(DataType::Float64));
-        let adhoc = col("id").mul(crate::expr::lit(0.5)).bind(&schema()).unwrap();
+        let adhoc = col("id")
+            .mul(crate::expr::lit(0.5))
+            .bind(&schema())
+            .unwrap();
         assert_eq!(bound, adhoc);
         // Int binding keeps the integer type.
-        let bound = template.bind_params(&[Scalar::Int64(2)]).unwrap().bind(&schema()).unwrap();
+        let bound = template
+            .bind_params(&[Scalar::Int64(2)])
+            .unwrap()
+            .bind(&schema())
+            .unwrap();
         assert_eq!(bound.data_type(), Some(DataType::Int64));
         // A binding that makes the expression ill-typed errors instead of
         // evaluating garbage.
@@ -196,7 +218,10 @@ mod tests {
 
     #[test]
     fn unbound_parameter_fails_to_bind_naming_its_slot() {
-        let err = col("id").gt(crate::expr::param(3)).bind(&schema()).unwrap_err();
+        let err = col("id")
+            .gt(crate::expr::param(3))
+            .bind(&schema())
+            .unwrap_err();
         assert!(matches!(err, Error::InvalidArgument(_)), "{err:?}");
         assert!(err.to_string().contains("$3"), "{err}");
     }

@@ -18,7 +18,12 @@ pub fn eval(expr: &BoundExpr, chunk: &Chunk) -> Result<Column> {
             chunk.num_rows(),
             v.data_type().unwrap_or(DataType::Bool),
         )),
-        BoundExpr::Binary { op, left, right, data_type } => {
+        BoundExpr::Binary {
+            op,
+            left,
+            right,
+            data_type,
+        } => {
             let l = eval(left, chunk)?;
             let r = eval(right, chunk)?;
             eval_binary(*op, &l, &r, *data_type)
@@ -34,7 +39,10 @@ pub fn eval(expr: &BoundExpr, chunk: &Chunk) -> Result<Column> {
         BoundExpr::IsNull(inner) => {
             let v = eval(inner, chunk)?;
             let values = (0..v.len()).map(|i| !v.is_valid(i)).collect();
-            Ok(Column::Bool { values, validity: None })
+            Ok(Column::Bool {
+                values,
+                validity: None,
+            })
         }
     }
 }
@@ -146,7 +154,8 @@ fn eval_comparison(op: BinOp, left: &Column, right: &Column) -> Result<Column> {
     match (left, right) {
         (Column::Int64 { values: lv, .. }, Column::Int64 { values: rv, .. }) => {
             for i in 0..n {
-                let out = (left.is_valid(i) && right.is_valid(i)).then(|| cmp_ok(lv[i].cmp(&rv[i])));
+                let out =
+                    (left.is_valid(i) && right.is_valid(i)).then(|| cmp_ok(lv[i].cmp(&rv[i])));
                 push(out, &mut values);
             }
         }
@@ -162,7 +171,8 @@ fn eval_comparison(op: BinOp, left: &Column, right: &Column) -> Result<Column> {
         }
         (Column::Utf8 { values: lv, .. }, Column::Utf8 { values: rv, .. }) => {
             for i in 0..n {
-                let out = (left.is_valid(i) && right.is_valid(i)).then(|| cmp_ok(lv[i].cmp(&rv[i])));
+                let out =
+                    (left.is_valid(i) && right.is_valid(i)).then(|| cmp_ok(lv[i].cmp(&rv[i])));
                 push(out, &mut values);
             }
         }
@@ -227,7 +237,10 @@ fn eval_arithmetic(op: BinOp, left: &Column, right: &Column, out_type: DataType)
     }
     let validity = if has_null { Some(validity) } else { None };
     Ok(match out_type {
-        DataType::Float64 => Column::Float64 { values: out_f, validity },
+        DataType::Float64 => Column::Float64 {
+            values: out_f,
+            validity,
+        },
         DataType::Int64 => Column::Int64 {
             values: out_f.iter().map(|v| *v as i64).collect(),
             validity,
@@ -263,8 +276,8 @@ fn numeric_as_f64(col: &Column) -> Result<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cx_storage::Scalar;
     use crate::expr::{col, lit, Expr};
+    use cx_storage::Scalar;
     use cx_storage::{Field, Schema};
     use std::sync::Arc;
 
@@ -343,7 +356,10 @@ mod tests {
         .unwrap();
         let b = col("x").gt(lit(0i64)).bind(&schema).unwrap();
         // NULL row is excluded from the mask.
-        assert_eq!(eval_predicate(&b, &chunk).unwrap().set_indices(), vec![0, 2]);
+        assert_eq!(
+            eval_predicate(&b, &chunk).unwrap().set_indices(),
+            vec![0, 2]
+        );
         // But IS NULL sees it.
         let b = col("x").is_null().bind(&schema).unwrap();
         assert_eq!(eval_predicate(&b, &chunk).unwrap().set_indices(), vec![1]);

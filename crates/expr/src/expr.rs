@@ -216,12 +216,14 @@ impl Expr {
     /// `params` (slot `i` takes `params[i]`). Errors on out-of-range slots.
     pub fn bind_params(&self, params: &[Scalar]) -> cx_storage::Result<Expr> {
         Ok(match self {
-            Expr::Parameter(slot) => Expr::Literal(params.get(*slot).cloned().ok_or_else(|| {
-                cx_storage::Error::InvalidArgument(format!(
-                    "parameter ${slot} has no bound value ({} provided)",
-                    params.len()
-                ))
-            })?),
+            Expr::Parameter(slot) => {
+                Expr::Literal(params.get(*slot).cloned().ok_or_else(|| {
+                    cx_storage::Error::InvalidArgument(format!(
+                        "parameter ${slot} has no bound value ({} provided)",
+                        params.len()
+                    ))
+                })?)
+            }
             Expr::Column(_) | Expr::Literal(_) => self.clone(),
             Expr::Binary { op, left, right } => Expr::Binary {
                 op: *op,
@@ -287,7 +289,11 @@ impl Expr {
     /// (`a AND (b AND c)` → `[a, b, c]`).
     pub fn split_conjunction(&self) -> Vec<Expr> {
         match self {
-            Expr::Binary { op: BinOp::And, left, right } => {
+            Expr::Binary {
+                op: BinOp::And,
+                left,
+                right,
+            } => {
                 let mut out = left.split_conjunction();
                 out.extend(right.split_conjunction());
                 out
@@ -340,7 +346,10 @@ mod tests {
 
     #[test]
     fn split_and_rebuild_conjunction() {
-        let e = col("a").gt(lit(1i64)).and(col("b").lt(lit(2i64))).and(col("c").eq(lit(3i64)));
+        let e = col("a")
+            .gt(lit(1i64))
+            .and(col("b").lt(lit(2i64)))
+            .and(col("c").eq(lit(3i64)));
         let parts = e.split_conjunction();
         assert_eq!(parts.len(), 3);
         let rebuilt = Expr::conjunction(parts).unwrap();
@@ -356,7 +365,9 @@ mod tests {
         let mut slots = BTreeSet::new();
         e.collect_params(&mut slots);
         assert_eq!(slots.into_iter().collect::<Vec<_>>(), vec![0, 1]);
-        let bound = e.bind_params(&[Scalar::from("boots"), Scalar::Float64(9.5)]).unwrap();
+        let bound = e
+            .bind_params(&[Scalar::from("boots"), Scalar::Float64(9.5)])
+            .unwrap();
         assert_eq!(
             bound,
             col("price").gt(lit(9.5)).and(col("name").eq(lit("boots")))
@@ -376,7 +387,11 @@ mod tests {
         let template = e.lift_literals(&mut lifted);
         assert_eq!(
             lifted,
-            vec![Scalar::Float64(20.0), Scalar::from("boots"), Scalar::Int64(2)]
+            vec![
+                Scalar::Float64(20.0),
+                Scalar::from("boots"),
+                Scalar::Int64(2)
+            ]
         );
         // Every literal became a slot, in encounter order.
         assert_eq!(

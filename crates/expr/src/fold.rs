@@ -84,7 +84,11 @@ fn eval_literal_binary(op: BinOp, l: &Scalar, r: &Scalar) -> Option<Scalar> {
     if l.is_null() || r.is_null() {
         // NULL propagation for comparison/arithmetic; Kleene cases are left
         // to runtime for simplicity (they are rare in folded positions).
-        return if op.is_logical() { None } else { Some(Scalar::Null) };
+        return if op.is_logical() {
+            None
+        } else {
+            Some(Scalar::Null)
+        };
     }
     if op.is_comparison() {
         let ord = l.partial_cmp_sql(r)?;

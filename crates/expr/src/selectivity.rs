@@ -24,11 +24,19 @@ fn est(expr: &Expr, stats: Option<&TableStats>) -> f64 {
     match expr {
         Expr::Literal(Scalar::Bool(true)) => 1.0,
         Expr::Literal(Scalar::Bool(false)) => 0.0,
-        Expr::Binary { op: BinOp::And, left, right } => {
+        Expr::Binary {
+            op: BinOp::And,
+            left,
+            right,
+        } => {
             // Independence assumption.
             est(left, stats) * est(right, stats)
         }
-        Expr::Binary { op: BinOp::Or, left, right } => {
+        Expr::Binary {
+            op: BinOp::Or,
+            left,
+            right,
+        } => {
             let (l, r) = (est(left, stats), est(right, stats));
             // Inclusion-exclusion under independence.
             l + r - l * r

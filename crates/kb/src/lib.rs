@@ -195,7 +195,10 @@ impl KnowledgeBase {
                 Field::new("label", cx_storage::DataType::Utf8),
                 Field::new("category", cx_storage::DataType::Utf8),
             ]),
-            vec![Column::from_strings(labels), Column::from_strings(categories)],
+            vec![
+                Column::from_strings(labels),
+                Column::from_strings(categories),
+            ],
         )
     }
 }
@@ -235,7 +238,11 @@ mod tests {
         let animal = kb.lookup("animal").unwrap();
         assert!(kb.is_a(boots, clothes));
         assert!(!kb.is_a(boots, animal));
-        let names: Vec<&str> = kb.ancestors(boots).iter().map(|&e| kb.name(e).unwrap()).collect();
+        let names: Vec<&str> = kb
+            .ancestors(boots)
+            .iter()
+            .map(|&e| kb.name(e).unwrap())
+            .collect();
         assert_eq!(names, vec!["shoes", "clothes"]);
     }
 

@@ -125,10 +125,19 @@ impl MetricsSnapshot {
             name,
             help,
             labels,
-            MetricValue::Summary { quantiles, count: snap.count, sum: snap.sum as f64 },
+            MetricValue::Summary {
+                quantiles,
+                count: snap.count,
+                sum: snap.sum as f64,
+            },
         );
         let max_name = format!("{name}_max");
-        self.push(&max_name, &format!("{help} (exact maximum)"), labels, MetricValue::Gauge(snap.max as f64))
+        self.push(
+            &max_name,
+            &format!("{help} (exact maximum)"),
+            labels,
+            MetricValue::Gauge(snap.max as f64),
+        )
     }
 
     fn push(
@@ -141,7 +150,10 @@ impl MetricsSnapshot {
         self.metrics.push(Metric {
             name: name.to_string(),
             help: help.to_string(),
-            labels: labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+            labels: labels
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
             value,
         });
         self
@@ -149,11 +161,14 @@ impl MetricsSnapshot {
 
     /// The first sample matching `name` (any labels), as `f64`.
     pub fn value(&self, name: &str) -> Option<f64> {
-        self.metrics.iter().find(|m| m.name == name).map(|m| match &m.value {
-            MetricValue::Counter(v) => *v as f64,
-            MetricValue::Gauge(v) => *v,
-            MetricValue::Summary { sum, .. } => *sum,
-        })
+        self.metrics
+            .iter()
+            .find(|m| m.name == name)
+            .map(|m| match &m.value {
+                MetricValue::Counter(v) => *v as f64,
+                MetricValue::Gauge(v) => *v,
+                MetricValue::Summary { sum, .. } => *sum,
+            })
     }
 
     /// True when a sample named `name` exists.
@@ -168,7 +183,11 @@ impl MetricsSnapshot {
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         let header = |name: &str, help: &str, kind: MetricKind| {
-            format!("# HELP {name} {}\n# TYPE {name} {}\n", escape_help(help), kind.as_str())
+            format!(
+                "# HELP {name} {}\n# TYPE {name} {}\n",
+                escape_help(help),
+                kind.as_str()
+            )
         };
         if let Some((ts, seq)) = self.stamp {
             for (d, v) in [(STAMP_MS, ts), (STAMP_SEQUENCE, seq)] {
@@ -189,7 +208,12 @@ impl MetricsSnapshot {
             }
             match &m.value {
                 MetricValue::Counter(v) => {
-                    out.push_str(&format!("{}{} {}\n", m.name, fmt_labels(&m.labels, None), v));
+                    out.push_str(&format!(
+                        "{}{} {}\n",
+                        m.name,
+                        fmt_labels(&m.labels, None),
+                        v
+                    ));
                 }
                 MetricValue::Gauge(v) => {
                     out.push_str(&format!(
@@ -199,7 +223,11 @@ impl MetricsSnapshot {
                         fmt_f64(*v)
                     ));
                 }
-                MetricValue::Summary { quantiles, count, sum } => {
+                MetricValue::Summary {
+                    quantiles,
+                    count,
+                    sum,
+                } => {
                     for (q, v) in quantiles {
                         out.push_str(&format!(
                             "{}{} {}\n",
@@ -231,7 +259,9 @@ impl MetricsSnapshot {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         if let Some((ts, seq)) = self.stamp {
-            out.push_str(&format!("  \"timestamp_ms\": {ts},\n  \"sequence\": {seq},\n"));
+            out.push_str(&format!(
+                "  \"timestamp_ms\": {ts},\n  \"sequence\": {seq},\n"
+            ));
         }
         out.push_str("  \"metrics\": [\n");
         for (i, m) in self.metrics.iter().enumerate() {
@@ -246,7 +276,11 @@ impl MetricsSnapshot {
                 MetricValue::Gauge(v) => {
                     format!("\"type\": \"gauge\", \"value\": {}", fmt_json_f64(*v))
                 }
-                MetricValue::Summary { quantiles, count, sum } => {
+                MetricValue::Summary {
+                    quantiles,
+                    count,
+                    sum,
+                } => {
                     let qs = quantiles
                         .iter()
                         .map(|(q, v)| format!("\"p{}\": {}", (q * 100.0) as u32, fmt_json_f64(*v)))
@@ -287,7 +321,11 @@ fn fmt_f64(v: f64) -> String {
     if v.is_nan() {
         "NaN".into()
     } else if v.is_infinite() {
-        if v > 0.0 { "+Inf".into() } else { "-Inf".into() }
+        if v > 0.0 {
+            "+Inf".into()
+        } else {
+            "-Inf".into()
+        }
     } else if v == v.trunc() && v.abs() < 1e15 {
         format!("{v:.0}")
     } else {
@@ -304,7 +342,9 @@ fn fmt_json_f64(v: f64) -> String {
 }
 
 fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 fn escape_help(v: &str) -> String {
@@ -312,7 +352,9 @@ fn escape_help(v: &str) -> String {
 }
 
 fn escape_json(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 #[cfg(test)]
@@ -333,7 +375,12 @@ mod tests {
             &[("site", "embed")],
             3,
         );
-        s.gauge("cx_serve_plan_cache_hit_rate", "Plan cache hit rate", &[], 0.875);
+        s.gauge(
+            "cx_serve_plan_cache_hit_rate",
+            "Plan cache hit rate",
+            &[],
+            0.875,
+        );
         s.summary_from_hist("cx_serve_query_latency_ns", "End-to-end latency", &[], &h);
         s
     }
@@ -361,7 +408,10 @@ mod tests {
             parsed.value("cx_serve_faults_injected_total", &[("site", "embed")]),
             Some(3.0)
         );
-        assert_eq!(parsed.value("cx_serve_query_latency_ns_count", &[]), Some(4.0));
+        assert_eq!(
+            parsed.value("cx_serve_query_latency_ns_count", &[]),
+            Some(4.0)
+        );
         assert!(parsed
             .value("cx_serve_query_latency_ns", &[("quantile", "0.99")])
             .is_some());
@@ -384,7 +434,10 @@ mod tests {
         assert_eq!(s.sequence(), Some(9));
         let text = s.to_prometheus();
         let parsed = promparse::parse(&text).expect("stamped exposition parses");
-        assert_eq!(parsed.value("cx_obs_snapshot_timestamp_ms", &[]), Some(1_234_567.0));
+        assert_eq!(
+            parsed.value("cx_obs_snapshot_timestamp_ms", &[]),
+            Some(1_234_567.0)
+        );
         assert_eq!(parsed.value("cx_obs_snapshot_sequence", &[]), Some(9.0));
         let json = s.to_json();
         assert!(json.contains("\"timestamp_ms\": 1234567"));

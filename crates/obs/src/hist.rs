@@ -169,9 +169,12 @@ impl Histogram {
             return;
         }
         self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min.fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max.fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.sum
+            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.min
+            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.max
+            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// The non-empty buckets as `(low, mid, count)` rows, lowest value
@@ -325,7 +328,10 @@ mod tests {
             let exact = samples[rank - 1] as f64;
             let approx = h.quantile(q) as f64;
             let rel = (approx - exact).abs() / exact;
-            assert!(rel < 0.05, "q={q}: approx {approx} vs exact {exact} (rel {rel:.4})");
+            assert!(
+                rel < 0.05,
+                "q={q}: approx {approx} vs exact {exact} (rel {rel:.4})"
+            );
         }
         // p100 is the exact max.
         assert_eq!(h.quantile(1.0), *samples.last().unwrap());
@@ -363,7 +369,10 @@ mod tests {
         }
         let buckets = h.nonzero_buckets();
         assert_eq!(buckets.iter().map(|b| b.count).sum::<u64>(), 4);
-        assert!(buckets.windows(2).all(|w| w[0].low < w[1].low), "sorted by low");
+        assert!(
+            buckets.windows(2).all(|w| w[0].low < w[1].low),
+            "sorted by low"
+        );
         assert_eq!(buckets[0].low, 3);
         assert_eq!(buckets[0].count, 2);
         for b in &buckets {

@@ -225,7 +225,10 @@ pub fn thread_cpu_ns() -> u64 {
         fn clock_gettime(clockid: i32, tp: *mut Timespec) -> i32;
     }
     const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
-    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
     // SAFETY: clock_gettime writes a timespec through a valid pointer.
     let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
     if rc == 0 {
@@ -321,9 +324,16 @@ mod tests {
         let span = ProfileSpan::start();
         add_pairs(7);
         let p = span.finish(0);
-        assert_eq!(p.pairs_scored, 7, "baseline pairs must not leak into the window");
+        assert_eq!(
+            p.pairs_scored, 7,
+            "baseline pairs must not leak into the window"
+        );
         add_pairs(1);
-        assert_eq!(outer.finish(0).pairs_scored, 58, "an inner close keeps the outer armed");
+        assert_eq!(
+            outer.finish(0).pairs_scored,
+            58,
+            "an inner close keeps the outer armed"
+        );
     }
 
     #[test]

@@ -34,9 +34,9 @@ impl Exposition {
             .iter()
             .find(|s| {
                 s.name == name
-                    && labels.iter().all(|(k, v)| {
-                        s.labels.iter().any(|(sk, sv)| sk == k && sv == v)
-                    })
+                    && labels
+                        .iter()
+                        .all(|(k, v)| s.labels.iter().any(|(sk, sv)| sk == k && sv == v))
             })
             .map(|s| s.value)
     }
@@ -188,7 +188,10 @@ pub fn parse(text: &str) -> Result<Exposition, String> {
             let close = rest
                 .rfind('}')
                 .ok_or_else(|| format!("line {line_no}: unterminated label set"))?;
-            (parse_labels(&rest[..close], line_no)?, rest[close + 1..].trim())
+            (
+                parse_labels(&rest[..close], line_no)?,
+                rest[close + 1..].trim(),
+            )
         } else {
             (Vec::new(), after.trim())
         };
@@ -205,7 +208,11 @@ pub fn parse(text: &str) -> Result<Exposition, String> {
         if fields.next().is_some() {
             return Err(format!("line {line_no}: trailing garbage after sample"));
         }
-        exp.samples.push(Sample { name: name_part.to_string(), labels, value });
+        exp.samples.push(Sample {
+            name: name_part.to_string(),
+            labels,
+            value,
+        });
     }
     // Lint: every declared TYPE must have at least one sample in its
     // family (name, or name_sum/name_count/name{quantile} for summaries).
@@ -240,7 +247,10 @@ reqs{method=\"post\"} 3
         let exp = parse(text).unwrap();
         assert_eq!(exp.samples.len(), 3);
         assert_eq!(exp.value("up", &[]), Some(1.0));
-        assert_eq!(exp.value("reqs", &[("method", "get"), ("code", "200")]), Some(1027.0));
+        assert_eq!(
+            exp.value("reqs", &[("method", "get"), ("code", "200")]),
+            Some(1027.0)
+        );
         assert_eq!(exp.types.len(), 2);
     }
 

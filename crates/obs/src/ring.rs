@@ -15,7 +15,10 @@ pub struct TraceRing {
 impl TraceRing {
     /// A ring retaining up to `capacity` traces.
     pub fn new(capacity: usize) -> Self {
-        TraceRing { capacity, ring: Mutex::new(VecDeque::new()) }
+        TraceRing {
+            capacity,
+            ring: Mutex::new(VecDeque::new()),
+        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<QueryTrace>> {

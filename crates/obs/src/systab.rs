@@ -55,7 +55,11 @@ pub struct IncidentLog {
 impl IncidentLog {
     /// A log retaining up to `capacity` incidents.
     pub fn new(capacity: usize) -> Self {
-        IncidentLog { capacity, total: AtomicU64::new(0), log: Mutex::new(VecDeque::new()) }
+        IncidentLog {
+            capacity,
+            total: AtomicU64::new(0),
+            log: Mutex::new(VecDeque::new()),
+        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<IncidentRecord>> {
@@ -78,7 +82,14 @@ impl IncidentLog {
             if log.len() == self.capacity {
                 log.pop_front();
             }
-            log.push_back(IncidentRecord { seq, at_ms, kind, detail, value, threshold });
+            log.push_back(IncidentRecord {
+                seq,
+                at_ms,
+                kind,
+                detail,
+                value,
+                threshold,
+            });
         }
         seq
     }

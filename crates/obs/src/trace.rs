@@ -132,7 +132,11 @@ impl QueryTrace {
     /// Records a point event on this trace.
     pub fn add_event(&self, name: &'static str, detail: impl Into<String>) {
         let at_ns = self.offset_ns(Instant::now());
-        self.lock().events.push(EventRecord { name, detail: detail.into(), at_ns });
+        self.lock().events.push(EventRecord {
+            name,
+            detail: detail.into(),
+            at_ns,
+        });
     }
 
     /// Marks the trace complete with an outcome (`ok` or an error label)
@@ -225,7 +229,12 @@ impl QueryTrace {
     /// Sum of top-level (`depth == 0`) span durations — the attributed
     /// portion of the query's wall time.
     pub fn attributed_ns(&self) -> u64 {
-        self.lock().spans.iter().filter(|s| s.depth == 0).map(|s| s.dur_ns).sum()
+        self.lock()
+            .spans
+            .iter()
+            .filter(|s| s.depth == 0)
+            .map(|s| s.dur_ns)
+            .sum()
     }
 }
 
@@ -393,7 +402,10 @@ mod tests {
         });
         drop(scope);
         assert!(!span("after").is_recording());
-        assert_eq!(t.spans().iter().map(|s| s.name).collect::<Vec<_>>(), ["stage"]);
+        assert_eq!(
+            t.spans().iter().map(|s| s.name).collect::<Vec<_>>(),
+            ["stage"]
+        );
         assert!(t.events().is_empty());
     }
 

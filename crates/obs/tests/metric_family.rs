@@ -46,7 +46,16 @@ fn one_table_generates_atomics_snapshot_export_and_descriptors() {
     live.misses.fetch_add(1, Ordering::Relaxed);
     live.max_batch.fetch_max(7, Ordering::Relaxed);
     let stats = live.snapshot(4, "a");
-    assert_eq!(stats, CacheStats { hits: 3, misses: 1, max_batch: 7, len: 4, owner: "a" });
+    assert_eq!(
+        stats,
+        CacheStats {
+            hits: 3,
+            misses: 1,
+            max_batch: 7,
+            len: 4,
+            owner: "a"
+        }
+    );
 
     // Descriptors: first block, exported supplied fields, derived gauges.
     let names: Vec<&str> = CacheStats::DESCRIPTORS.iter().map(|d| d.name).collect();
@@ -79,7 +88,10 @@ fn one_table_generates_atomics_snapshot_export_and_descriptors() {
     assert_eq!(m.value("cache_hit_rate"), Some(0.75));
     let text = m.to_prometheus();
     let parsed = cx_obs::promparse::parse(&text).expect("generated exposition parses");
-    assert_eq!(parsed.value("cache_max_batch", &[("shard", "0")]), Some(7.0));
+    assert_eq!(
+        parsed.value("cache_max_batch", &[("shard", "0")]),
+        Some(7.0)
+    );
     assert!(text.contains("# TYPE cache_hits_total counter"), "{text}");
     assert!(text.contains("# TYPE cache_len gauge"), "{text}");
 }

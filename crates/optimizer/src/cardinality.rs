@@ -91,7 +91,12 @@ pub fn estimate_rows(plan: &LogicalPlan, ctx: &OptimizerContext) -> f64 {
             rows * estimate_selectivity(predicate, stats)
         }
         LogicalPlan::Project { input, .. } => estimate_rows(input, ctx),
-        LogicalPlan::Join { left, right, on, join_type } => {
+        LogicalPlan::Join {
+            left,
+            right,
+            on,
+            join_type,
+        } => {
             use cx_exec::logical::JoinType::*;
             let (l, r) = (estimate_rows(left, ctx), estimate_rows(right, ctx));
             // Classic equi-join estimate: |L||R| / max NDV over key pairs.
@@ -100,7 +105,8 @@ pub fn estimate_rows(plan: &LogicalPlan, ctx: &OptimizerContext) -> f64 {
                 let ndv = |side: &LogicalPlan, col: &str| -> f64 {
                     source_of_column(side, col)
                         .and_then(|(s, c)| {
-                            ctx.table_stats(s).and_then(|st| st.column(&c).map(|cs| cs.distinct_count as f64))
+                            ctx.table_stats(s)
+                                .and_then(|st| st.column(&c).map(|cs| cs.distinct_count as f64))
                         })
                         .unwrap_or(10.0)
                         .max(1.0)
@@ -118,14 +124,23 @@ pub fn estimate_rows(plan: &LogicalPlan, ctx: &OptimizerContext) -> f64 {
         LogicalPlan::CrossJoin { left, right } => {
             estimate_rows(left, ctx) * estimate_rows(right, ctx)
         }
-        LogicalPlan::SemanticFilter { input, column, target, model, threshold } => {
+        LogicalPlan::SemanticFilter {
+            input,
+            column,
+            target,
+            model,
+            threshold,
+        } => {
             let rows = estimate_rows(input, ctx);
             // A parameterized probe has no text to sample against at
             // prepare time: fall back to the default selectivity. The
             // prepared-statement layer re-estimates with the *bound*
             // literal at execute time, so admission sees the real cost.
-            let sel = match (target.text(), samples_for(input, column, ctx), ctx.caches.get(model))
-            {
+            let sel = match (
+                target.text(),
+                samples_for(input, column, ctx),
+                ctx.caches.get(model),
+            ) {
                 (Some(target), Some((source, col, sample)), Some(cache)) => {
                     let key = probe_key(&["sf", model, source, &col, target], *threshold);
                     ctx.memoized_selectivity(key, || {
@@ -144,8 +159,10 @@ pub fn estimate_rows(plan: &LogicalPlan, ctx: &OptimizerContext) -> f64 {
                 ctx.caches.get(&spec.model),
             ) {
                 (Some((lsrc, lcol, ls)), Some((rsrc, rcol, rs)), Some(cache)) => {
-                    let key =
-                        probe_key(&["sj", &spec.model, lsrc, &lcol, rsrc, &rcol], spec.threshold);
+                    let key = probe_key(
+                        &["sj", &spec.model, lsrc, &lcol, rsrc, &rcol],
+                        spec.threshold,
+                    );
                     ctx.memoized_selectivity(key, || {
                         semantic_join_selectivity(cache, ls, rs, spec.threshold, 64)
                     })
@@ -158,7 +175,9 @@ pub fn estimate_rows(plan: &LogicalPlan, ctx: &OptimizerContext) -> f64 {
             // Clusters ≈ distinct values / mean synonyms per concept.
             (estimate_rows(input, ctx) * 0.05).max(1.0)
         }
-        LogicalPlan::Aggregate { input, group_by, .. } => {
+        LogicalPlan::Aggregate {
+            input, group_by, ..
+        } => {
             let rows = estimate_rows(input, ctx);
             if group_by.is_empty() {
                 1.0
@@ -191,9 +210,9 @@ pub fn estimate_rows(plan: &LogicalPlan, ctx: &OptimizerContext) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cx_exec::logical::LimitCount;
     use crate::context::OptimizerConfig;
     use cx_embed::ModelRegistry;
+    use cx_exec::logical::LimitCount;
     use cx_expr::{col, lit};
     use cx_storage::{Column, DataType, Field, Schema, Table, TableStats};
     use std::sync::Arc;
@@ -224,7 +243,8 @@ mod tests {
             ],
         )
         .unwrap();
-        ctx.stats.insert("t".into(), TableStats::compute(&table).unwrap());
+        ctx.stats
+            .insert("t".into(), TableStats::compute(&table).unwrap());
         ctx
     }
 
@@ -263,7 +283,10 @@ mod tests {
     #[test]
     fn limit_caps() {
         let ctx = ctx_with_stats();
-        let plan = LogicalPlan::Limit { input: Box::new(scan("t")), n: LimitCount::Fixed(10) };
+        let plan = LogicalPlan::Limit {
+            input: Box::new(scan("t")),
+            n: LimitCount::Fixed(10),
+        };
         assert_eq!(estimate_rows(&plan, &ctx), 10.0);
     }
 

@@ -152,7 +152,11 @@ pub fn node_cost(plan: &LogicalPlan, ctx: &OptimizerContext) -> f64 {
             let embed = (dl + dr) * EMBED_VALUE;
             let dispatch = KernelDispatch::active();
             let tier = select_quant_tier_with(&ctx.config, dl * dr, &dispatch);
-            let quantize = if tier == QuantTier::F32 { 0.0 } else { dr * QUANT_VALUE };
+            let quantize = if tier == QuantTier::F32 {
+                0.0
+            } else {
+                dr * QUANT_VALUE
+            };
             embed + quantize + dl * dr * sim_pair_cost(tier, &dispatch)
         }
         LogicalPlan::SemanticGroupBy { input, .. } => {
@@ -238,7 +242,10 @@ mod tests {
             right: Box::new(big_r),
             spec,
         };
-        let (above, below) = (estimate_cost(&filter_above, &c), estimate_cost(&filter_below, &c));
+        let (above, below) = (
+            estimate_cost(&filter_above, &c),
+            estimate_cost(&filter_below, &c),
+        );
         assert!(
             below < above / 5.0,
             "below {below} should be far cheaper than above {above}"
@@ -307,19 +314,31 @@ mod tests {
         config.recall_tolerance = 5e-2;
         assert_eq!(select_quant_tier_with(&config, 1e9, &hw), QuantTier::Int8);
         // Small scans never quantize: build cost dominates.
-        assert_eq!(select_quant_tier_with(&config, 1_000.0, &hw), QuantTier::F32);
+        assert_eq!(
+            select_quant_tier_with(&config, 1_000.0, &hw),
+            QuantTier::F32
+        );
     }
 
     #[test]
     fn f16_tier_requires_hardware_conversion() {
         let mut config = OptimizerConfig::all();
         config.recall_tolerance = 2e-3; // admits f16, not int8
-        assert_eq!(select_quant_tier_with(&config, 1e9, &hw_dispatch()), QuantTier::F16);
+        assert_eq!(
+            select_quant_tier_with(&config, 1e9, &hw_dispatch()),
+            QuantTier::F16
+        );
         // Without F16C the f16 tier is a measured 15× loss: never chosen.
-        assert_eq!(select_quant_tier_with(&config, 1e9, &scalar_dispatch()), QuantTier::F32);
+        assert_eq!(
+            select_quant_tier_with(&config, 1e9, &scalar_dispatch()),
+            QuantTier::F32
+        );
         // int8's exact integer kernels stay admissible on every path.
         config.recall_tolerance = 5e-2;
-        assert_eq!(select_quant_tier_with(&config, 1e9, &scalar_dispatch()), QuantTier::Int8);
+        assert_eq!(
+            select_quant_tier_with(&config, 1e9, &scalar_dispatch()),
+            QuantTier::Int8
+        );
     }
 
     #[test]

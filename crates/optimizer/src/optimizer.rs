@@ -17,12 +17,18 @@ pub struct Optimizer {
 impl Optimizer {
     /// An optimizer honouring `ctx.config`.
     pub fn new(ctx: &OptimizerContext) -> Self {
-        Optimizer { rules: standard_rules(&ctx.config) }
+        Optimizer {
+            rules: standard_rules(&ctx.config),
+        }
     }
 
     /// Optimizes `plan`, returning the rewritten plan and the names of
     /// rules that fired (in application order, deduplicated).
-    pub fn optimize(&self, plan: &LogicalPlan, ctx: &OptimizerContext) -> (LogicalPlan, Vec<String>) {
+    pub fn optimize(
+        &self,
+        plan: &LogicalPlan,
+        ctx: &OptimizerContext,
+    ) -> (LogicalPlan, Vec<String>) {
         let mut current = plan.clone();
         let mut trace: Vec<String> = Vec::new();
 
@@ -134,7 +140,10 @@ mod tests {
                 ("price", DataType::Float64),
             ],
         );
-        let kb = scan("kb", &[("label", DataType::Utf8), ("category", DataType::Utf8)]);
+        let kb = scan(
+            "kb",
+            &[("label", DataType::Utf8), ("category", DataType::Utf8)],
+        );
         let join = LogicalPlan::SemanticJoin {
             left: Box::new(products),
             right: Box::new(kb),
@@ -169,9 +178,14 @@ mod tests {
         assert!(s.starts_with("SemanticJoin"), "{s}");
         // Filters sit directly on the scans.
         let lines: Vec<&str> = s.lines().collect();
-        assert!(lines.iter().any(|l| l.contains("Filter: (price > 20)")), "{s}");
         assert!(
-            lines.iter().any(|l| l.contains("Filter: (category = 'clothes')")),
+            lines.iter().any(|l| l.contains("Filter: (price > 20)")),
+            "{s}"
+        );
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.contains("Filter: (category = 'clothes')")),
             "{s}"
         );
     }
@@ -227,9 +241,15 @@ mod tests {
         let opt = Optimizer::new(&c);
         let (out, _) = opt.optimize(&plan, &c);
         // Schema preserved, DIP propagated the key equality across joins.
-        assert_eq!(out.schema().unwrap().names(), plan.schema().unwrap().names());
+        assert_eq!(
+            out.schema().unwrap().names(),
+            plan.schema().unwrap().names()
+        );
         let s = out.display_indent();
         assert!(s.contains("Filter: (k = 'boots')"), "{s}");
-        assert!(s.contains("(k2 = 'boots')") || s.contains("(k3 = 'boots')"), "DIP expected: {s}");
+        assert!(
+            s.contains("(k2 = 'boots')") || s.contains("(k3 = 'boots')"),
+            "DIP expected: {s}"
+        );
     }
 }

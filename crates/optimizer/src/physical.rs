@@ -82,7 +82,12 @@ pub fn create_physical_plan(
             let child = create_physical_plan(input, ctx, env)?;
             Arc::new(ProjectExec::new(child, exprs)?)
         }
-        LogicalPlan::Join { left, right, on, join_type } => {
+        LogicalPlan::Join {
+            left,
+            right,
+            on,
+            join_type,
+        } => {
             let l = create_physical_plan(left, ctx, env)?;
             let r = create_physical_plan(right, ctx, env)?;
             if on.is_empty() {
@@ -96,7 +101,13 @@ pub fn create_physical_plan(
             let r = create_physical_plan(right, ctx, env)?;
             Arc::new(NestedLoopJoinExec::new(l, r, None)?)
         }
-        LogicalPlan::SemanticFilter { input, column, target, model, threshold } => {
+        LogicalPlan::SemanticFilter {
+            input,
+            column,
+            target,
+            model,
+            threshold,
+        } => {
             // The filter scores one target against the panel exactly once,
             // so quantizing (a full read + converted write of the panel)
             // can never amortize — the filter is f32-only.
@@ -112,14 +123,26 @@ pub fn create_physical_plan(
         LogicalPlan::SemanticJoin { left, right, spec } => {
             Arc::new(semantic_join(left, right, spec, ctx, env)?)
         }
-        LogicalPlan::SemanticGroupBy { input, column, model, threshold, aggs } => {
+        LogicalPlan::SemanticGroupBy {
+            input,
+            column,
+            model,
+            threshold,
+            aggs,
+        } => {
             let child = create_physical_plan(input, ctx, env)?;
             let cache = ctx
                 .cache_for(model)
                 .ok_or_else(|| Error::InvalidArgument(format!("unknown model: {model}")))?;
-            Arc::new(SemanticGroupByExec::new(child, column, *threshold, aggs, cache)?)
+            Arc::new(SemanticGroupByExec::new(
+                child, column, *threshold, aggs, cache,
+            )?)
         }
-        LogicalPlan::Aggregate { input, group_by, aggs } => {
+        LogicalPlan::Aggregate {
+            input,
+            group_by,
+            aggs,
+        } => {
             let child = create_physical_plan(input, ctx, env)?;
             Arc::new(HashAggregateExec::new(child, group_by, aggs)?)
         }
@@ -132,7 +155,10 @@ pub fn create_physical_plan(
             // `ORDER BY … LIMIT n` keeps n rows: a bounded sort, or a
             // semantic join that materializes only its first n pairs.
             match input.as_ref() {
-                LogicalPlan::Sort { input: sorted, keys } => match sorted.as_ref() {
+                LogicalPlan::Sort {
+                    input: sorted,
+                    keys,
+                } => match sorted.as_ref() {
                     LogicalPlan::SemanticJoin { left, right, spec } => {
                         let join = semantic_join(left, right, spec, ctx, env)?;
                         Arc::new(join.with_limit(&sort_keys(keys), n)?)
@@ -161,7 +187,9 @@ pub fn create_physical_plan(
 
 /// `(column, ascending)` pairs of sort keys.
 fn sort_keys(keys: &[SortKey]) -> Vec<(String, bool)> {
-    keys.iter().map(|k| (k.column.clone(), k.ascending)).collect()
+    keys.iter()
+        .map(|k| (k.column.clone(), k.ascending))
+        .collect()
 }
 
 /// Lowers a semantic join. Storage tier of the panel sweep: quantized
@@ -184,8 +212,10 @@ fn semantic_join(
         .ok_or_else(|| Error::InvalidArgument(format!("unknown model: {}", spec.model)))?;
     let (lc, rc, score) = (&spec.left_column, &spec.right_column, &spec.score_column);
     let parallelism = ctx.config.parallelism;
-    Ok(SemanticJoinExec::new(l, r, lc, rc, spec.threshold, score, cache, parallelism)?
-        .with_quant_tier(tier))
+    Ok(
+        SemanticJoinExec::new(l, r, lc, rc, spec.threshold, score, cache, parallelism)?
+            .with_quant_tier(tier),
+    )
 }
 
 /// The lowering error for a parameter placeholder (`$slot`) left unbound.
@@ -198,10 +228,10 @@ fn unbound(placeholder: &impl std::fmt::Display) -> Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cx_exec::logical::LimitCount;
     use crate::context::OptimizerConfig;
     use cx_embed::{HashNGramModel, ModelRegistry};
     use cx_exec::collect_table;
+    use cx_exec::logical::LimitCount;
     use cx_exec::physical::display_physical;
     use cx_expr::{col, lit};
     use cx_storage::{Column, DataType, Field, Schema, TableStats};
@@ -220,7 +250,9 @@ mod tests {
         .unwrap();
         let mut env = PhysicalPlannerEnv::new();
         let registry = Arc::new(ModelRegistry::new());
-        registry.register(Arc::new(HashNGramModel::with_params("m", 16, 1, 3, 4, 1024)));
+        registry.register(Arc::new(HashNGramModel::with_params(
+            "m", 16, 1, 3, 4, 1024,
+        )));
         let mut ctx = OptimizerContext::new(registry, OptimizerConfig::all());
         ctx.stats
             .insert("t".to_string(), TableStats::compute(&table).unwrap());
@@ -281,14 +313,20 @@ mod tests {
             n: LimitCount::Fixed(2),
             input: Box::new(LogicalPlan::Sort {
                 input: Box::new(input),
-                keys: vec![SortKey { column: "v".into(), ascending: false }],
+                keys: vec![SortKey {
+                    column: "v".into(),
+                    ascending: false,
+                }],
             }),
         };
         let op = create_physical_plan(&top(scan()), &ctx, &env).unwrap();
         let tree = display_physical(op.as_ref());
         assert_eq!(tree, "Sort [1 keys, limit 2]\n  TableScan [4 rows]\n");
         let out = collect_table(op.as_ref()).unwrap();
-        assert_eq!(out.column_by_name("v").unwrap().i64_values().unwrap(), [4, 3]);
+        assert_eq!(
+            out.column_by_name("v").unwrap().i64_values().unwrap(),
+            [4, 3]
+        );
 
         let join = LogicalPlan::SemanticJoin {
             left: Box::new(scan()),
@@ -317,7 +355,9 @@ mod tests {
         .unwrap();
         let mut env = PhysicalPlannerEnv::new();
         let registry = Arc::new(ModelRegistry::new());
-        registry.register(Arc::new(HashNGramModel::with_params("m", 16, 1, 3, 4, 1024)));
+        registry.register(Arc::new(HashNGramModel::with_params(
+            "m", 16, 1, 3, 4, 1024,
+        )));
         let mut ctx = OptimizerContext::new(registry, OptimizerConfig::all());
         ctx.stats
             .insert("big".to_string(), TableStats::compute(&table).unwrap());
@@ -352,7 +392,9 @@ mod tests {
         let mut exact_ctx = OptimizerContext::new(
             Arc::new({
                 let r = ModelRegistry::new();
-                r.register(Arc::new(HashNGramModel::with_params("m", 16, 1, 3, 4, 1024)));
+                r.register(Arc::new(HashNGramModel::with_params(
+                    "m", 16, 1, 3, 4, 1024,
+                )));
                 r
             }),
             OptimizerConfig::all(),

@@ -89,7 +89,12 @@ fn prune(plan: &LogicalPlan, needed: &BTreeSet<String>) -> Result<LogicalPlan> {
                 input: Box::new(prune(input, &child_needed)?),
             }
         }
-        LogicalPlan::Join { left, right, on, join_type } => {
+        LogicalPlan::Join {
+            left,
+            right,
+            on,
+            join_type,
+        } => {
             let (ls, rs) = (left.schema()?, right.schema()?);
             let mut left_needed: BTreeSet<String> = BTreeSet::new();
             let mut right_needed: BTreeSet<String> = BTreeSet::new();
@@ -171,7 +176,13 @@ fn prune(plan: &LogicalPlan, needed: &BTreeSet<String>) -> Result<LogicalPlan> {
                 spec: spec.clone(),
             }
         }
-        LogicalPlan::SemanticFilter { input, column, target, model, threshold } => {
+        LogicalPlan::SemanticFilter {
+            input,
+            column,
+            target,
+            model,
+            threshold,
+        } => {
             let mut child_needed = needed.clone();
             child_needed.insert(column.clone());
             LogicalPlan::SemanticFilter {
@@ -182,7 +193,11 @@ fn prune(plan: &LogicalPlan, needed: &BTreeSet<String>) -> Result<LogicalPlan> {
                 threshold: *threshold,
             }
         }
-        LogicalPlan::Aggregate { input, group_by, aggs } => {
+        LogicalPlan::Aggregate {
+            input,
+            group_by,
+            aggs,
+        } => {
             let mut child_needed: BTreeSet<String> = group_by.iter().cloned().collect();
             for a in aggs {
                 if let Some(c) = &a.column {
@@ -203,7 +218,13 @@ fn prune(plan: &LogicalPlan, needed: &BTreeSet<String>) -> Result<LogicalPlan> {
                 aggs: aggs.clone(),
             }
         }
-        LogicalPlan::SemanticGroupBy { input, column, model, threshold, aggs } => {
+        LogicalPlan::SemanticGroupBy {
+            input,
+            column,
+            model,
+            threshold,
+            aggs,
+        } => {
             let mut child_needed: BTreeSet<String> = BTreeSet::new();
             child_needed.insert(column.clone());
             for a in aggs {
@@ -282,7 +303,10 @@ mod tests {
         let pruned = prune_columns(&plan);
         // Scan now produces only {a, c}.
         let s = pruned.display_indent();
-        assert!(s.contains("Project: a, c") || s.contains("Project: c, a"), "{s}");
+        assert!(
+            s.contains("Project: a, c") || s.contains("Project: c, a"),
+            "{s}"
+        );
         // Output schema unchanged.
         assert_eq!(pruned.schema().unwrap().names(), vec!["a"]);
     }
@@ -315,12 +339,17 @@ mod tests {
         };
         let pruned = prune_columns(&plan);
         let s = pruned.display_indent();
-        assert!(s.contains("Project: b, c") || s.contains("Project: c, b"), "{s}");
+        assert!(
+            s.contains("Project: b, c") || s.contains("Project: c, b"),
+            "{s}"
+        );
     }
 
     #[test]
     fn no_pruning_below_distinct() {
-        let plan = LogicalPlan::Distinct { input: Box::new(wide_scan("t")) };
+        let plan = LogicalPlan::Distinct {
+            input: Box::new(wide_scan("t")),
+        };
         assert_eq!(prune_columns(&plan), plan);
     }
 

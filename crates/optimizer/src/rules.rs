@@ -71,7 +71,10 @@ impl Rule for ConstantFoldRule {
                 if folded == Expr::Literal(Scalar::Bool(true)) {
                     return Some((**input).clone());
                 }
-                Some(LogicalPlan::Filter { predicate: folded, input: input.clone() })
+                Some(LogicalPlan::Filter {
+                    predicate: folded,
+                    input: input.clone(),
+                })
             }
             LogicalPlan::Project { exprs, input } => {
                 let folded: Vec<(Expr, String)> = exprs
@@ -81,7 +84,10 @@ impl Rule for ConstantFoldRule {
                 if folded == *exprs {
                     return None;
                 }
-                Some(LogicalPlan::Project { exprs: folded, input: input.clone() })
+                Some(LogicalPlan::Project {
+                    exprs: folded,
+                    input: input.clone(),
+                })
             }
             _ => None,
         }
@@ -102,7 +108,11 @@ impl Rule for MergeFiltersRule {
 
     fn apply(&self, plan: &LogicalPlan, _ctx: &OptimizerContext) -> Option<LogicalPlan> {
         if let LogicalPlan::Filter { predicate, input } = plan {
-            if let LogicalPlan::Filter { predicate: inner, input: grand } = input.as_ref() {
+            if let LogicalPlan::Filter {
+                predicate: inner,
+                input: grand,
+            } = input.as_ref()
+            {
                 return Some(LogicalPlan::Filter {
                     predicate: inner.clone().and(predicate.clone()),
                     input: grand.clone(),
@@ -126,7 +136,11 @@ impl Rule for PushFilterThroughProjectRule {
         let LogicalPlan::Filter { predicate, input } = plan else {
             return None;
         };
-        let LogicalPlan::Project { exprs, input: grand } = input.as_ref() else {
+        let LogicalPlan::Project {
+            exprs,
+            input: grand,
+        } = input.as_ref()
+        else {
             return None;
         };
         // Output name → underlying column name for passthrough expressions.
@@ -213,7 +227,10 @@ fn split_by_side(
 
 fn wrap_filter(plan: LogicalPlan, factors: Vec<Expr>) -> LogicalPlan {
     match Expr::conjunction(factors) {
-        Some(p) => LogicalPlan::Filter { predicate: p, input: Box::new(plan) },
+        Some(p) => LogicalPlan::Filter {
+            predicate: p,
+            input: Box::new(plan),
+        },
         None => plan,
     }
 }
@@ -236,7 +253,12 @@ impl Rule for PushFilterIntoJoinRule {
             return None;
         };
         match input.as_ref() {
-            LogicalPlan::Join { left, right, on, join_type } => {
+            LogicalPlan::Join {
+                left,
+                right,
+                on,
+                join_type,
+            } => {
                 let (to_left, mut to_right, mut keep) = split_by_side(predicate, left, right)?;
                 if *join_type != JoinType::Inner {
                     // Right-side pushdown is only valid for inner joins.
@@ -333,8 +355,13 @@ impl Rule for PushFilterBelowSemanticFilterRule {
         let LogicalPlan::Filter { predicate, input } = plan else {
             return None;
         };
-        let LogicalPlan::SemanticFilter { input: grand, column, target, model, threshold } =
-            input.as_ref()
+        let LogicalPlan::SemanticFilter {
+            input: grand,
+            column,
+            target,
+            model,
+            threshold,
+        } = input.as_ref()
         else {
             return None;
         };
@@ -422,9 +449,15 @@ impl Rule for ProjectAboveLimitRule {
     }
 
     fn apply(&self, plan: &LogicalPlan, _ctx: &OptimizerContext) -> Option<LogicalPlan> {
-        let LogicalPlan::Limit { input, n } = plan else { return None };
-        let LogicalPlan::Sort { input, keys } = input.as_ref() else { return None };
-        let LogicalPlan::Project { exprs, input } = input.as_ref() else { return None };
+        let LogicalPlan::Limit { input, n } = plan else {
+            return None;
+        };
+        let LogicalPlan::Sort { input, keys } = input.as_ref() else {
+            return None;
+        };
+        let LogicalPlan::Project { exprs, input } = input.as_ref() else {
+            return None;
+        };
         if matches!(input.as_ref(), LogicalPlan::Scan { .. }) {
             return None;
         }
@@ -439,12 +472,24 @@ impl Rule for ProjectAboveLimitRule {
             .iter()
             .map(|k| {
                 let column = source.get(k.column.as_str())?.to_string();
-                Some(SortKey { column, ascending: k.ascending })
+                Some(SortKey {
+                    column,
+                    ascending: k.ascending,
+                })
             })
             .collect::<Option<Vec<_>>>()?;
-        let sort = LogicalPlan::Sort { input: input.clone(), keys };
-        let limit = LogicalPlan::Limit { input: Box::new(sort), n: *n };
-        Some(LogicalPlan::Project { exprs: exprs.clone(), input: Box::new(limit) })
+        let sort = LogicalPlan::Sort {
+            input: input.clone(),
+            keys,
+        };
+        let limit = LogicalPlan::Limit {
+            input: Box::new(sort),
+            n: *n,
+        };
+        Some(LogicalPlan::Project {
+            exprs: exprs.clone(),
+            input: Box::new(limit),
+        })
     }
 }
 
@@ -474,7 +519,12 @@ impl Rule for ExtractEquiJoinRule {
         let mut on: Vec<(String, String)> = Vec::new();
         let mut rest: Vec<Expr> = Vec::new();
         for factor in predicate.split_conjunction() {
-            if let Expr::Binary { op: cx_expr::BinOp::Eq, left: a, right: b } = &factor {
+            if let Expr::Binary {
+                op: cx_expr::BinOp::Eq,
+                left: a,
+                right: b,
+            } = &factor
+            {
                 if let (Expr::Column(ca), Expr::Column(cb)) = (a.as_ref(), b.as_ref()) {
                     let key = match (classify_column(ca, &ls, &rs), classify_column(cb, &ls, &rs)) {
                         (Some((0, l)), Some((1, r))) | (Some((1, r)), Some((0, l))) => Some((l, r)),
@@ -567,7 +617,13 @@ impl Rule for TransitivePredicateRule {
     }
 
     fn apply(&self, plan: &LogicalPlan, _ctx: &OptimizerContext) -> Option<LogicalPlan> {
-        let LogicalPlan::Join { left, right, on, join_type } = plan else {
+        let LogicalPlan::Join {
+            left,
+            right,
+            on,
+            join_type,
+        } = plan
+        else {
             return None;
         };
         if *join_type == JoinType::Left {
@@ -637,7 +693,8 @@ pub struct SemanticDipRule;
 /// The induced threshold (0 when the angles exceed a quarter turn —
 /// useless but still sound; we skip below a floor).
 pub fn induced_threshold(theta_join: f32, theta_filter: f32) -> f32 {
-    let a = (theta_join.clamp(-1.0, 1.0) as f64).acos() + (theta_filter.clamp(-1.0, 1.0) as f64).acos();
+    let a =
+        (theta_join.clamp(-1.0, 1.0) as f64).acos() + (theta_filter.clamp(-1.0, 1.0) as f64).acos();
     if a >= std::f64::consts::FRAC_PI_2 {
         0.0
     } else {
@@ -662,9 +719,13 @@ impl Rule for SemanticDipRule {
         let mut cur: &LogicalPlan = left;
         let found = loop {
             match cur {
-                LogicalPlan::SemanticFilter { input, column, target, model, threshold }
-                    if *column == spec.left_column && *model == spec.model =>
-                {
+                LogicalPlan::SemanticFilter {
+                    input,
+                    column,
+                    target,
+                    model,
+                    threshold,
+                } if *column == spec.left_column && *model == spec.model => {
                     break Some((target.clone(), *threshold));
                 }
                 LogicalPlan::Filter { input, .. }
@@ -683,7 +744,13 @@ impl Rule for SemanticDipRule {
         let mut cur: &LogicalPlan = right;
         loop {
             match cur {
-                LogicalPlan::SemanticFilter { input, column, target: t, model, threshold } => {
+                LogicalPlan::SemanticFilter {
+                    input,
+                    column,
+                    target: t,
+                    model,
+                    threshold,
+                } => {
                     if *column == spec.right_column
                         && *t == target
                         && *model == spec.model
@@ -744,7 +811,10 @@ pub fn cascade_predicates(plan: &LogicalPlan, ctx: &OptimizerContext) -> Logical
             });
             let mut out = (**input).clone();
             for f in factors {
-                out = LogicalPlan::Filter { predicate: f, input: Box::new(out) };
+                out = LogicalPlan::Filter {
+                    predicate: f,
+                    input: Box::new(out),
+                };
             }
             return out;
         }
@@ -787,7 +857,10 @@ mod tests {
     }
 
     fn labels() -> LogicalPlan {
-        scan("labels", &[("label", DataType::Utf8), ("category", DataType::Utf8)])
+        scan(
+            "labels",
+            &[("label", DataType::Utf8), ("category", DataType::Utf8)],
+        )
     }
 
     #[test]
@@ -845,7 +918,9 @@ mod tests {
                 input: Box::new(products()),
             }),
         };
-        assert!(PushFilterThroughProjectRule.apply(&blocked, &ctx()).is_none());
+        assert!(PushFilterThroughProjectRule
+            .apply(&blocked, &ctx())
+            .is_none());
     }
 
     #[test]
@@ -902,7 +977,9 @@ mod tests {
                 threshold: 0.9,
             }),
         };
-        let out = PushFilterBelowSemanticFilterRule.apply(&plan, &ctx()).unwrap();
+        let out = PushFilterBelowSemanticFilterRule
+            .apply(&plan, &ctx())
+            .unwrap();
         let LogicalPlan::SemanticFilter { input, .. } = &out else {
             panic!("semantic filter on top");
         };
@@ -962,7 +1039,11 @@ mod tests {
     fn equi_join_extraction_keeps_inexact_keys_in_the_filter() {
         let other = scan(
             "other",
-            &[("i", DataType::Int64), ("f", DataType::Float64), ("s", DataType::Utf8)],
+            &[
+                ("i", DataType::Int64),
+                ("f", DataType::Float64),
+                ("s", DataType::Utf8),
+            ],
         );
         let cross = |predicate: Expr| LogicalPlan::Filter {
             predicate,
@@ -977,7 +1058,10 @@ mod tests {
             assert!(ExtractEquiJoinRule.apply(&cross(factor), &ctx()).is_none());
         }
         let out = ExtractEquiJoinRule
-            .apply(&cross(col("id").eq(col("i")).and(col("price").eq(col("f")))), &ctx())
+            .apply(
+                &cross(col("id").eq(col("i")).and(col("price").eq(col("f")))),
+                &ctx(),
+            )
             .unwrap();
         let LogicalPlan::Filter { predicate, input } = &out else {
             panic!("residual filter expected");
@@ -1000,9 +1084,15 @@ mod tests {
             input: Box::new(LogicalPlan::Sort {
                 keys: keys
                     .iter()
-                    .map(|k| SortKey { column: k.to_string(), ascending: false })
+                    .map(|k| SortKey {
+                        column: k.to_string(),
+                        ascending: false,
+                    })
                     .collect(),
-                input: Box::new(LogicalPlan::Project { exprs, input: Box::new(input) }),
+                input: Box::new(LogicalPlan::Project {
+                    exprs,
+                    input: Box::new(input),
+                }),
             }),
         }
     }
@@ -1013,10 +1103,17 @@ mod tests {
             predicate: col("price").gt(lit(1.0)),
             input: Box::new(products()),
         };
-        let exprs = vec![(col("name"), "n".to_string()), (col("price"), "p".to_string())];
+        let exprs = vec![
+            (col("name"), "n".to_string()),
+            (col("price"), "p".to_string()),
+        ];
         let plan = top_over_project(exprs.clone(), &["p", "n"], filtered.clone());
         let out = ProjectAboveLimitRule.apply(&plan, &ctx()).unwrap();
-        let LogicalPlan::Project { exprs: lifted, input } = &out else {
+        let LogicalPlan::Project {
+            exprs: lifted,
+            input,
+        } = &out
+        else {
             panic!("projection on top: {out:?}");
         };
         assert_eq!(lifted, &exprs);
@@ -1088,7 +1185,10 @@ mod tests {
         let LogicalPlan::SemanticJoin { right, .. } = &out else {
             panic!("semantic join expected");
         };
-        let LogicalPlan::SemanticFilter { threshold, target, .. } = right.as_ref() else {
+        let LogicalPlan::SemanticFilter {
+            threshold, target, ..
+        } = right.as_ref()
+        else {
             panic!("induced semantic filter expected");
         };
         assert_eq!(target.text(), Some("clothes"));
@@ -1120,10 +1220,17 @@ mod tests {
         // Equality (default sel 0.1) runs before range (default 1/3):
         // outermost filter is the LAST to run, so the innermost (closest to
         // scan) is the equality.
-        let LogicalPlan::Filter { input, predicate: outer } = &out else {
+        let LogicalPlan::Filter {
+            input,
+            predicate: outer,
+        } = &out
+        else {
             panic!("cascade top");
         };
-        let LogicalPlan::Filter { predicate: inner, .. } = input.as_ref() else {
+        let LogicalPlan::Filter {
+            predicate: inner, ..
+        } = input.as_ref()
+        else {
             panic!("cascade inner");
         };
         assert_eq!(inner.to_string(), "(name = 'x')");

@@ -33,7 +33,10 @@ pub struct OnlineClusterer {
 impl OnlineClusterer {
     /// A clusterer over `dim`-dimensional embeddings.
     pub fn new(dim: usize, threshold: f32) -> Self {
-        assert!((0.0..=1.0).contains(&threshold), "threshold must be in [0,1]");
+        assert!(
+            (0.0..=1.0).contains(&threshold),
+            "threshold must be in [0,1]"
+        );
         OnlineClusterer {
             dim,
             threshold,
@@ -177,14 +180,26 @@ pub fn pairwise_metrics(predicted: &[usize], truth: &[&str]) -> PairwiseMetrics 
     let same_pred: u64 = pred_sizes.values().map(|&n| choose2(n)).sum();
     let same_truth: u64 = truth_sizes.values().map(|&n| choose2(n)).sum();
 
-    let precision = if same_pred == 0 { 1.0 } else { same_both as f64 / same_pred as f64 };
-    let recall = if same_truth == 0 { 1.0 } else { same_both as f64 / same_truth as f64 };
+    let precision = if same_pred == 0 {
+        1.0
+    } else {
+        same_both as f64 / same_pred as f64
+    };
+    let recall = if same_truth == 0 {
+        1.0
+    } else {
+        same_both as f64 / same_truth as f64
+    };
     let f1 = if precision + recall == 0.0 {
         0.0
     } else {
         2.0 * precision * recall / (precision + recall)
     };
-    PairwiseMetrics { precision, recall, f1 }
+    PairwiseMetrics {
+        precision,
+        recall,
+        f1,
+    }
 }
 
 #[cfg(test)]
@@ -213,7 +228,9 @@ mod tests {
     #[test]
     fn consolidates_synonym_groups() {
         let c = cache();
-        let values = ["dog", "canine", "feline", "puppy", "cat", "boots", "sneakers"];
+        let values = [
+            "dog", "canine", "feline", "puppy", "cat", "boots", "sneakers",
+        ];
         let result = consolidate(&values, &c, 0.82);
         assert_eq!(result.num_clusters(), 3);
         // dog, canine, puppy together.
@@ -261,7 +278,9 @@ mod tests {
     #[test]
     fn consolidation_quality_on_ground_truth() {
         let c = cache();
-        let values = ["dog", "canine", "puppy", "cat", "feline", "kitten", "boots", "sneakers"];
+        let values = [
+            "dog", "canine", "puppy", "cat", "feline", "kitten", "boots", "sneakers",
+        ];
         let truth = ["dog", "dog", "dog", "cat", "cat", "cat", "shoes", "shoes"];
         let result = consolidate(&values, &c, 0.82);
         let m = pairwise_metrics(&result.assignments, &truth);

@@ -99,7 +99,15 @@ impl PhysicalOperator for SemanticFilterExec {
             // Matches per distinct value: the one-probe panel sweep, f32
             // always (one probe can never amortize quantizing a panel).
             let probe = [target.as_str()];
-            let hits = sweep(QuantTier::F32, &cache, &distinct.values, &probe, threshold, 1, &ctx)?;
+            let hits = sweep(
+                QuantTier::F32,
+                &cache,
+                &distinct.values,
+                &probe,
+                threshold,
+                1,
+                &ctx,
+            )?;
             let mut matched = vec![false; distinct.values.len()];
             for (_, id, _) in hits {
                 matched[id as usize] = true;
@@ -208,7 +216,11 @@ mod tests {
 
     fn names(filter: &SemanticFilterExec) -> Vec<String> {
         let out = collect_table(filter).unwrap();
-        out.column_by_name("name").unwrap().utf8_values().unwrap().to_vec()
+        out.column_by_name("name")
+            .unwrap()
+            .utf8_values()
+            .unwrap()
+            .to_vec()
     }
 
     #[test]
@@ -217,10 +229,15 @@ mod tests {
         // "?!" has no n-gram token: it embeds to the zero vector, which
         // scores exactly 0.0 against any target.
         assert!(cache.get("?!").iter().all(|&x| x == 0.0));
-        assert_eq!(reference_score(&cache, "clothes", "?!").to_bits(), 0.0f32.to_bits());
+        assert_eq!(
+            reference_score(&cache, "clothes", "?!").to_bits(),
+            0.0f32.to_bits()
+        );
         let table = Table::from_columns(
             Schema::new(vec![Field::new("name", DataType::Utf8)]),
-            vec![Column::from_strings(["boots", "?!", "parka", "dog", "coat"])],
+            vec![Column::from_strings([
+                "boots", "?!", "parka", "dog", "coat",
+            ])],
         )
         .unwrap();
         let filter_at = |threshold: f32| {
@@ -236,10 +253,16 @@ mod tests {
             if !(0.0..=1.0).contains(&theta) {
                 continue;
             }
-            assert!(names(&filter_at(theta)).contains(&value.to_string()), "{value} at {theta}");
+            assert!(
+                names(&filter_at(theta)).contains(&value.to_string()),
+                "{value} at {theta}"
+            );
             let above = f32::from_bits(theta.to_bits() + 1);
             if above <= 1.0 {
-                assert!(!names(&filter_at(above)).contains(&value.to_string()), "{value}");
+                assert!(
+                    !names(&filter_at(above)).contains(&value.to_string()),
+                    "{value}"
+                );
             }
         }
     }
@@ -249,7 +272,11 @@ mod tests {
         let table = Table::from_rows(
             Schema::new(vec![Field::new("name", DataType::Utf8)]),
             (0..100)
-                .map(|i| vec![cx_storage::Scalar::Utf8(if i % 2 == 0 { "boots" } else { "dog" }.into())])
+                .map(|i| {
+                    vec![cx_storage::Scalar::Utf8(
+                        if i % 2 == 0 { "boots" } else { "dog" }.into(),
+                    )]
+                })
                 .collect(),
         )
         .unwrap()

@@ -238,7 +238,10 @@ mod tests {
         .unwrap();
         let out = collect_table(&gb).unwrap();
         assert_eq!(out.num_rows(), 2);
-        assert_eq!(out.schema().names(), vec!["name", "cluster_id", "n", "total"]);
+        assert_eq!(
+            out.schema().names(),
+            vec!["name", "cluster_id", "n", "total"]
+        );
         // Cluster 0 founded by "dog": dog, canine, puppy.
         let row0 = out.row(0).unwrap();
         assert_eq!(row0[0], Scalar::from("dog"));
@@ -285,30 +288,15 @@ mod tests {
 
     #[test]
     fn validation_errors() {
-        assert!(SemanticGroupByExec::new(
-            sales_scan(false),
-            "amount",
-            0.9,
-            &[],
-            cache()
-        )
-        .is_err());
-        assert!(SemanticGroupByExec::new(
-            sales_scan(false),
-            "name",
-            2.0,
-            &[],
-            cache()
-        )
-        .is_err());
-        let bad_agg = AggSpec { func: AggFunc::Sum, column: None, alias: "x".into() };
-        assert!(SemanticGroupByExec::new(
-            sales_scan(false),
-            "name",
-            0.9,
-            &[bad_agg],
-            cache()
-        )
-        .is_err());
+        assert!(SemanticGroupByExec::new(sales_scan(false), "amount", 0.9, &[], cache()).is_err());
+        assert!(SemanticGroupByExec::new(sales_scan(false), "name", 2.0, &[], cache()).is_err());
+        let bad_agg = AggSpec {
+            func: AggFunc::Sum,
+            column: None,
+            alias: "x".into(),
+        };
+        assert!(
+            SemanticGroupByExec::new(sales_scan(false), "name", 0.9, &[bad_agg], cache()).is_err()
+        );
     }
 }

@@ -95,7 +95,9 @@ impl SemanticJoinExec {
     /// `(output column, ascending)` keys — the lowering of
     /// `Limit(Sort(SemanticJoin))` — materializing only those `k` rows.
     pub fn with_limit(mut self, keys: &[(String, bool)], k: usize) -> Result<Self> {
-        let keys = keys.iter().map(|(name, asc)| Ok((self.schema.index_of(name)?, *asc)));
+        let keys = keys
+            .iter()
+            .map(|(name, asc)| Ok((self.schema.index_of(name)?, *asc)));
         self.limit = Some((keys.collect::<Result<_>>()?, k));
         Ok(self)
     }
@@ -225,7 +227,15 @@ impl SemanticJoinExec {
         } else {
             self.parallelism
         };
-        sweep(self.quant, &self.cache, right, left, self.threshold, workers, ctx)
+        sweep(
+            self.quant,
+            &self.cache,
+            right,
+            left,
+            self.threshold,
+            workers,
+            ctx,
+        )
     }
 }
 
@@ -397,8 +407,17 @@ mod tests {
             let out = collect_table(&join).unwrap();
             assert_eq!(out.num_rows(), exact.num_rows(), "{tier:?}");
             let (a, b) = (
-                exact.column_by_name("sim").unwrap().f64_values().unwrap().to_vec(),
-                out.column_by_name("sim").unwrap().f64_values().unwrap().to_vec(),
+                exact
+                    .column_by_name("sim")
+                    .unwrap()
+                    .f64_values()
+                    .unwrap()
+                    .to_vec(),
+                out.column_by_name("sim")
+                    .unwrap()
+                    .f64_values()
+                    .unwrap()
+                    .to_vec(),
             );
             for (x, y) in a.iter().zip(&b) {
                 assert!((x - y).abs() <= bound, "{tier:?}: {x} vs {y}");
@@ -470,17 +489,9 @@ mod tests {
             ])));
             Arc::new(TableScanExec::new(Arc::new(t))) as Arc<dyn PhysicalOperator>
         };
-        let join = SemanticJoinExec::new(
-            products(),
-            empty,
-            "name",
-            "label",
-            0.9,
-            "sim",
-            cache(),
-            1,
-        )
-        .unwrap();
+        let join =
+            SemanticJoinExec::new(products(), empty, "name", "label", 0.9, "sim", cache(), 1)
+                .unwrap();
         let out = collect_table(&join).unwrap();
         assert_eq!(out.num_rows(), 0);
         assert_eq!(out.schema().len(), 5);
@@ -488,16 +499,8 @@ mod tests {
 
     #[test]
     fn non_utf8_keys_rejected() {
-        let bad = SemanticJoinExec::new(
-            products(),
-            catalog(),
-            "id",
-            "label",
-            0.9,
-            "sim",
-            cache(),
-            1,
-        );
+        let bad =
+            SemanticJoinExec::new(products(), catalog(), "id", "label", 0.9, "sim", cache(), 1);
         assert!(bad.is_err());
     }
 }

@@ -168,7 +168,11 @@ impl CostGate {
         ctx: &QueryContext,
         max_queued: usize,
     ) -> Result<Permit<'_>> {
-        let cost = if cost.is_finite() { cost.max(1.0) } else { self.capacity };
+        let cost = if cost.is_finite() {
+            cost.max(1.0)
+        } else {
+            self.capacity
+        };
         ctx.check()?;
         let mut gate = self.gate.lock();
         gate.skip_abandoned();
@@ -178,7 +182,11 @@ impl CostGate {
             let queued = gate.waiting;
             drop(gate);
             self.counters.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(QueryError::QueueFull { queued, max: max_queued }.into());
+            return Err(QueryError::QueueFull {
+                queued,
+                max: max_queued,
+            }
+            .into());
         }
         let ticket = gate.next_ticket;
         gate.next_ticket += 1;
@@ -242,7 +250,8 @@ impl CostGate {
     /// Counter snapshot.
     pub fn stats(&self) -> AdmissionStats {
         let gate = self.gate.lock();
-        self.counters.snapshot(gate.in_use, gate.active, self.capacity)
+        self.counters
+            .snapshot(gate.in_use, gate.active, self.capacity)
     }
 }
 
@@ -313,7 +322,11 @@ mod tests {
         // Once the second query is in the line it has seen the gate
         // full; it must still be there when the first releases.
         spin_until("the second query queues", || queued(&gate) == 1);
-        assert_eq!(order.load(Ordering::SeqCst), 0, "second query jumped the gate");
+        assert_eq!(
+            order.load(Ordering::SeqCst),
+            0,
+            "second query jumped the gate"
+        );
         drop(first);
         t.join().unwrap();
         assert_eq!(order.load(Ordering::SeqCst), 1);
@@ -333,11 +346,12 @@ mod tests {
     fn queue_bound_sheds_instead_of_queueing() {
         let gate = Arc::new(CostGate::new(10.0));
         let hold = gate.acquire(10.0); // gate full
-        // One waiter occupies the single allowed queue slot.
+                                       // One waiter occupies the single allowed queue slot.
         let waiter = {
             let gate = gate.clone();
             std::thread::spawn(move || {
-                gate.acquire_ctx(10.0, &QueryContext::unbounded(), 1).map(|_| ())
+                gate.acquire_ctx(10.0, &QueryContext::unbounded(), 1)
+                    .map(|_| ())
             })
         };
         spin_until("the waiter queues", || queued(&gate) == 1);
@@ -361,8 +375,12 @@ mod tests {
         // max_queued bounds the *line*, not concurrency: with room in the
         // gate no query is refused.
         let gate = CostGate::new(100.0);
-        let a = gate.acquire_ctx(40.0, &QueryContext::unbounded(), 1).unwrap();
-        let b = gate.acquire_ctx(40.0, &QueryContext::unbounded(), 1).unwrap();
+        let a = gate
+            .acquire_ctx(40.0, &QueryContext::unbounded(), 1)
+            .unwrap();
+        let b = gate
+            .acquire_ctx(40.0, &QueryContext::unbounded(), 1)
+            .unwrap();
         assert_eq!(gate.stats().shed, 0);
         drop(a);
         drop(b);
@@ -381,7 +399,11 @@ mod tests {
             spin_until("the waiter queues", || queued(&gate) == 1);
             clock.advance(timeout);
             assert_eq!(
-                waiter.join().unwrap().err().and_then(|e| e.as_query().cloned()),
+                waiter
+                    .join()
+                    .unwrap()
+                    .err()
+                    .and_then(|e| e.as_query().cloned()),
                 Some(QueryError::DeadlineExceeded)
             );
         });
@@ -389,7 +411,9 @@ mod tests {
         // The line skips the abandoned ticket: the next caller admits
         // as soon as the holder releases.
         drop(hold);
-        let p = gate.acquire_ctx(5.0, &QueryContext::unbounded(), 0).unwrap();
+        let p = gate
+            .acquire_ctx(5.0, &QueryContext::unbounded(), 0)
+            .unwrap();
         drop(p);
     }
 
@@ -404,7 +428,11 @@ mod tests {
             spin_until("the waiter queues", || queued(&gate) == 1);
             token.cancel();
             assert_eq!(
-                waiter.join().unwrap().err().and_then(|e| e.as_query().cloned()),
+                waiter
+                    .join()
+                    .unwrap()
+                    .err()
+                    .and_then(|e| e.as_query().cloned()),
                 Some(QueryError::Cancelled)
             );
         });

@@ -50,7 +50,10 @@ pub struct BatcherConfig {
 
 impl Default for BatcherConfig {
     fn default() -> Self {
-        BatcherConfig { max_batch: 256, linger: Duration::from_micros(500) }
+        BatcherConfig {
+            max_batch: 256,
+            linger: Duration::from_micros(500),
+        }
     }
 }
 
@@ -155,7 +158,9 @@ impl EmbedBatcher {
     pub(crate) fn is_uncached(&self, text: &str) -> bool {
         let uncached = !self.cache.contains(text);
         if !uncached {
-            self.counters.texts_already_cached.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .texts_already_cached
+                .fetch_add(1, Ordering::Relaxed);
         }
         uncached
     }
@@ -164,12 +169,15 @@ impl EmbedBatcher {
     /// texts through [`is_uncached`](Self::is_uncached) and kept these.
     pub(crate) fn warm_uncached(&self, requested: usize, uncached: Vec<String>) -> usize {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        self.counters.texts_requested.fetch_add(requested as u64, Ordering::Relaxed);
+        self.counters
+            .texts_requested
+            .fetch_add(requested as u64, Ordering::Relaxed);
         let waited = uncached.len();
         if waited > 0 {
             // A lone warm-up waits out the linger, in case a concurrent
             // query's warm-up is a moment behind.
-            self.groups.submit(uncached, waited, |members| self.drain(members));
+            self.groups
+                .submit(uncached, waited, |members| self.drain(members));
         }
         waited
     }
@@ -190,8 +198,10 @@ impl EmbedBatcher {
             .map(String::as_str)
             .filter(|t| seen.insert(*t) && !self.cache.contains(t))
             .collect();
-        c.texts_enqueued.fetch_add(texts.len() as u64, Ordering::Relaxed);
-        c.texts_coalesced.fetch_add((submitted - texts.len()) as u64, Ordering::Relaxed);
+        c.texts_enqueued
+            .fetch_add(texts.len() as u64, Ordering::Relaxed);
+        c.texts_coalesced
+            .fetch_add((submitted - texts.len()) as u64, Ordering::Relaxed);
         let dim = self.cache.dim();
         let mut buf = vec![0.0f32; texts.len().min(self.max_batch) * dim];
         for batch in texts.chunks(self.max_batch) {
@@ -202,9 +212,12 @@ impl EmbedBatcher {
                 c.failed_batches.fetch_add(1, Ordering::Relaxed);
             }
             c.batches.fetch_add(1, Ordering::Relaxed);
-            c.batched_texts.fetch_add(batch.len() as u64, Ordering::Relaxed);
-            c.max_batch_size.fetch_max(batch.len() as u64, Ordering::Relaxed);
-            c.max_batch_submitters.fetch_max(members.len() as u64, Ordering::Relaxed);
+            c.batched_texts
+                .fetch_add(batch.len() as u64, Ordering::Relaxed);
+            c.max_batch_size
+                .fetch_max(batch.len() as u64, Ordering::Relaxed);
+            c.max_batch_submitters
+                .fetch_max(members.len() as u64, Ordering::Relaxed);
             if members.len() >= 2 {
                 c.coalesced_batches.fetch_add(1, Ordering::Relaxed);
             }
@@ -251,7 +264,13 @@ impl Server {
     /// operators will embed and the model's cache does not hold yet.
     fn collect_warm_requests(&self, plan: &LogicalPlan, out: &mut BTreeMap<String, Vec<String>>) {
         match plan {
-            LogicalPlan::SemanticFilter { input, column, target, model, .. } => {
+            LogicalPlan::SemanticFilter {
+                input,
+                column,
+                target,
+                model,
+                ..
+            } => {
                 let dst = out.entry(model.clone()).or_default();
                 // A parameterized probe has no text to warm; the bound value
                 // embeds through the cache at execute time.
@@ -267,7 +286,12 @@ impl Server {
                 self.column_values(left, &spec.left_column, &spec.model, dst);
                 self.column_values(right, &spec.right_column, &spec.model, dst);
             }
-            LogicalPlan::SemanticGroupBy { input, column, model, .. } => {
+            LogicalPlan::SemanticGroupBy {
+                input,
+                column,
+                model,
+                ..
+            } => {
                 let dst = out.entry(model.clone()).or_default();
                 self.column_values(input, column, model, dst);
             }
@@ -349,8 +373,14 @@ mod tests {
     fn batcher(max_batch: usize) -> (EmbedBatcher, Arc<ManualClock>) {
         let clock = ManualClock::new();
         let cache = Arc::new(EmbeddingCache::new(Arc::new(HashNGramModel::new(7))));
-        let config = BatcherConfig { max_batch, linger: LINGER };
-        (EmbedBatcher::with_clock(cache, config, clock.clone()), clock)
+        let config = BatcherConfig {
+            max_batch,
+            linger: LINGER,
+        };
+        (
+            EmbedBatcher::with_clock(cache, config, clock.clone()),
+            clock,
+        )
     }
 
     /// A model whose first embedding stops at a gate until the test lets
@@ -456,7 +486,10 @@ mod tests {
         let clock = ManualClock::new();
         let b = EmbedBatcher::with_clock(
             Arc::new(EmbeddingCache::new(model.clone())),
-            BatcherConfig { max_batch: 3, linger: LINGER },
+            BatcherConfig {
+                max_batch: 3,
+                linger: LINGER,
+            },
             clock.clone(),
         );
         std::thread::scope(|s| {
@@ -477,7 +510,11 @@ mod tests {
         });
         assert_eq!(model.stats().invocations(), 3, "a text was embedded twice");
         let s = b.stats();
-        assert_eq!((s.batches, s.texts_enqueued, s.texts_coalesced), (1, 3, 2), "{s:?}");
+        assert_eq!(
+            (s.batches, s.texts_enqueued, s.texts_coalesced),
+            (1, 3, 2),
+            "{s:?}"
+        );
     }
 
     #[test]
@@ -497,11 +534,20 @@ mod tests {
                 &self.0
             }
         }
-        let cache = Arc::new(EmbeddingCache::new(Arc::new(Exploding(ModelStats::default()))));
-        let config = BatcherConfig { max_batch: 1, linger: LINGER };
+        let cache = Arc::new(EmbeddingCache::new(Arc::new(Exploding(
+            ModelStats::default(),
+        ))));
+        let config = BatcherConfig {
+            max_batch: 1,
+            linger: LINGER,
+        };
         let b = EmbedBatcher::with_clock(cache, config, ManualClock::new());
         assert_eq!(b.warm(&["boom"]), 1);
-        assert_eq!(b.warm(&["boom"]), 1, "still uncached, and the batcher still serves");
+        assert_eq!(
+            b.warm(&["boom"]),
+            1,
+            "still uncached, and the batcher still serves"
+        );
         assert_eq!(b.stats().failed_batches, 2);
     }
 }

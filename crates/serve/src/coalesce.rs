@@ -135,7 +135,11 @@ impl<Req, Resp> Coalescer<Req, Resp> {
         drain: impl FnOnce(Vec<Req>) -> Vec<Resp>,
     ) -> Resp {
         loop {
-            let group = self.open.lock().get_or_insert_with(Default::default).clone();
+            let group = self
+                .open
+                .lock()
+                .get_or_insert_with(Default::default)
+                .clone();
             let mut state = group.state.lock();
             if state.sealed || state.weight >= self.max_weight {
                 // Sealed since the slot was read, or full with its leader
@@ -231,11 +235,15 @@ pub(crate) mod testing {
         const POLL: Duration = Duration::from_micros(200);
 
         pub(crate) fn new() -> Arc<Self> {
-            Arc::new(ManualClock { base: SystemClock.now(), advanced_ns: AtomicU64::new(0) })
+            Arc::new(ManualClock {
+                base: SystemClock.now(),
+                advanced_ns: AtomicU64::new(0),
+            })
         }
 
         pub(crate) fn advance(&self, by: Duration) {
-            self.advanced_ns.fetch_add(by.as_nanos() as u64, Ordering::SeqCst);
+            self.advanced_ns
+                .fetch_add(by.as_nanos() as u64, Ordering::SeqCst);
         }
     }
 
@@ -276,7 +284,10 @@ mod tests {
     /// [`tenfold`]) answers each request with ten times itself.
     fn coalescer(max_weight: usize) -> (Arc<Coalescer<u32, u32>>, Arc<ManualClock>) {
         let clock = ManualClock::new();
-        (Arc::new(Coalescer::new(max_weight, LINGER, clock.clone(), || FAILED)), clock)
+        (
+            Arc::new(Coalescer::new(max_weight, LINGER, clock.clone(), || FAILED)),
+            clock,
+        )
     }
 
     /// A drain that records each group it sees.
@@ -301,10 +312,18 @@ mod tests {
     fn seal_policy_is_a_pure_function_of_group_and_time() {
         let t0 = SystemClock.now();
         let deadline = t0 + LINGER;
-        assert!(!seal_due(1, 4, deadline, t0), "under size, inside the window");
+        assert!(
+            !seal_due(1, 4, deadline, t0),
+            "under size, inside the window"
+        );
         assert!(seal_due(4, 4, deadline, t0), "size");
         assert!(seal_due(1, 4, deadline, deadline), "linger");
-        assert!(!seal_due(1, 4, deadline, deadline - Duration::from_nanos(1)));
+        assert!(!seal_due(
+            1,
+            4,
+            deadline,
+            deadline - Duration::from_nanos(1)
+        ));
     }
 
     #[test]
@@ -313,8 +332,9 @@ mod tests {
         let groups = Mutex::new(Vec::new());
         let (c, seen) = (&c, &groups);
         let answers: Vec<u32> = std::thread::scope(|s| {
-            let handles: Vec<_> =
-                (1..=3).map(|r| s.spawn(move || c.submit(r, 1, tenfold(seen)))).collect();
+            let handles: Vec<_> = (1..=3)
+                .map(|r| s.spawn(move || c.submit(r, 1, tenfold(seen))))
+                .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         // Time never passed, so only the third arrival can have sealed.
@@ -435,8 +455,9 @@ mod tests {
         let (c, _clock) = coalescer(2);
         let c = &c;
         let mut answers: Vec<u32> = std::thread::scope(|s| {
-            let handles: Vec<_> =
-                (1..=2).map(|r| s.spawn(move || c.submit(r, 1, |_| vec![99]))).collect();
+            let handles: Vec<_> = (1..=2)
+                .map(|r| s.spawn(move || c.submit(r, 1, |_| vec![99])))
+                .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         answers.sort_unstable();

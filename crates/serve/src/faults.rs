@@ -179,9 +179,9 @@ impl FaultPlan {
                 Ok(())
             }
             Some(FaultKind::Panic) => panic!("injected fault: panic at {site}"),
-            Some(FaultKind::Transient) => {
-                Err(Error::Query(QueryError::Transient(format!("injected fault at {site}"))))
-            }
+            Some(FaultKind::Transient) => Err(Error::Query(QueryError::Transient(format!(
+                "injected fault at {site}"
+            )))),
         }
     }
 }
@@ -228,7 +228,10 @@ mod tests {
             plan.roll(FaultSite::Admission);
         }
         let hit = plan.stats().per_site[FaultSite::Admission.index()];
-        assert!((300..=700).contains(&hit), "5% of 10k draws ≈ 500, got {hit}");
+        assert!(
+            (300..=700).contains(&hit),
+            "5% of 10k draws ≈ 500, got {hit}"
+        );
     }
 
     #[test]

@@ -223,9 +223,15 @@ mod tests {
             ],
         )
         .unwrap();
-        server.engine().register_table("products", replacement).unwrap();
+        server
+            .engine()
+            .register_table("products", replacement)
+            .unwrap();
         let after = server.execute(&q).unwrap();
-        assert!(!after.plan_cache_hit, "stale plan served after catalog change");
+        assert!(
+            !after.plan_cache_hit,
+            "stale plan served after catalog change"
+        );
         assert_eq!(after.table.num_rows(), 1);
         assert!(server.plan_cache_stats().invalidations >= 1);
     }
@@ -254,7 +260,10 @@ mod tests {
         let a = server.session();
         let b = server.session();
         assert_ne!(a.id(), b.id());
-        let q = server.table("kb").unwrap().filter(col("category").eq(lit("clothes")));
+        let q = server
+            .table("kb")
+            .unwrap()
+            .filter(col("category").eq(lit("clothes")));
         a.execute(&q).unwrap();
         b.execute(&q).unwrap();
         assert_eq!(a.queries(), 1);
@@ -323,7 +332,10 @@ mod tests {
         assert_eq!(prepared.param_count(), 2);
         for (target, price) in [("clothes", 20.0), ("clothes", 50.0), ("cat", 5.0)] {
             let got = prepared
-                .execute(&[cx_storage::Scalar::from(target), cx_storage::Scalar::Float64(price)])
+                .execute(&[
+                    cx_storage::Scalar::from(target),
+                    cx_storage::Scalar::Float64(price),
+                ])
                 .unwrap();
             let adhoc = engine
                 .execute(
@@ -335,7 +347,11 @@ mod tests {
                         .sort(&[("product_id", true)]),
                 )
                 .unwrap();
-            assert_eq!(got.table.num_rows(), adhoc.table.num_rows(), "{target}/{price}");
+            assert_eq!(
+                got.table.num_rows(),
+                adhoc.table.num_rows(),
+                "{target}/{price}"
+            );
             for r in 0..adhoc.table.num_rows() {
                 assert_eq!(got.table.row(r).unwrap(), adhoc.table.row(r).unwrap());
             }
@@ -393,9 +409,9 @@ mod tests {
         let rows_b = b.execute(&bind).unwrap().table.num_rows();
         assert_eq!(rows_a, 4); // boots 30, parka 80, sneakers 55, coat 25
         assert_eq!(rows_b, 2); // parka, sneakers
-        // And they don't thrash each other's slots either: the exact
-        // fingerprint is part of the key, so interleaved executions with
-        // fresh bindings keep hitting their own cached plans.
+                               // And they don't thrash each other's slots either: the exact
+                               // fingerprint is part of the key, so interleaved executions with
+                               // fresh bindings keep hitting their own cached plans.
         let bind2 = [cx_storage::Scalar::from("cat")];
         assert!(a.execute(&bind2).unwrap().plan_cache_hit);
         assert!(b.execute(&bind2).unwrap().plan_cache_hit);
@@ -415,13 +431,20 @@ mod tests {
         let template = session
             .table("products")
             .unwrap()
-            .filter(col("product_id").mul(cx_expr::param(0)).gt(cx_expr::param(1)))
+            .filter(
+                col("product_id")
+                    .mul(cx_expr::param(0))
+                    .gt(cx_expr::param(1)),
+            )
             .select(vec![
                 (col("name"), "name"),
                 (col("product_id").mul(cx_expr::param(0)), "scaled"),
             ]);
         let prepared = session.prepare(&template).unwrap();
-        for scale in [cx_storage::Scalar::Float64(0.5), cx_storage::Scalar::Int64(2)] {
+        for scale in [
+            cx_storage::Scalar::Float64(0.5),
+            cx_storage::Scalar::Int64(2),
+        ] {
             let bind = [scale.clone(), cx_storage::Scalar::Float64(1.2)];
             let got = prepared.execute(&bind).unwrap();
             let adhoc = engine
@@ -450,7 +473,11 @@ mod tests {
                 "{scale:?}"
             );
             for r in 0..adhoc.table.num_rows() {
-                assert_eq!(got.table.row(r).unwrap(), adhoc.table.row(r).unwrap(), "{scale:?}");
+                assert_eq!(
+                    got.table.row(r).unwrap(),
+                    adhoc.table.row(r).unwrap(),
+                    "{scale:?}"
+                );
             }
         }
     }

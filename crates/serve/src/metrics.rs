@@ -59,9 +59,17 @@ pub struct MetricGroup {
 /// `docs/ARCHITECTURE.md`'s inventory table presents them, in emission
 /// order.
 pub fn metric_inventory() -> Vec<MetricGroup> {
-    let group = |title, labels, metrics| MetricGroup { title, labels, metrics };
+    let group = |title, labels, metrics| MetricGroup {
+        title,
+        labels,
+        metrics,
+    };
     vec![
-        group("snapshot stamp", &[], &[cx_obs::STAMP_MS, cx_obs::STAMP_SEQUENCE]),
+        group(
+            "snapshot stamp",
+            &[],
+            &[cx_obs::STAMP_MS, cx_obs::STAMP_SEQUENCE],
+        ),
         group("serving", &[], ServerStats::DESCRIPTORS),
         group("plan cache", &[], PlanCacheStats::DESCRIPTORS),
         group("admission", &[], AdmissionStats::DESCRIPTORS),
@@ -70,7 +78,11 @@ pub fn metric_inventory() -> Vec<MetricGroup> {
         group("faults (plan installed)", &["site"], &[FAULTS]),
         group("embed batcher", &["model"], BatcherStats::DESCRIPTORS),
         group("latency summaries", &[], &[LATENCY, QUEUE_WAIT]),
-        group("per-operator", &["operator"], &[OPERATOR_ROWS, OPERATOR_LATENCY]),
+        group(
+            "per-operator",
+            &["operator"],
+            &[OPERATOR_ROWS, OPERATOR_LATENCY],
+        ),
         group("trace ring", &[], &[TRACE_RING_LEN]),
         group("profiler", &[], ProfileTotalsStats::DESCRIPTORS),
         group("incidents", &[], &[INCIDENTS_TOTAL, INCIDENTS_RETAINED]),
@@ -126,24 +138,59 @@ impl Server {
         s.sql.export(&[], &mut m);
         if let Some(f) = self.fault_stats() {
             for (site, injected) in FaultSite::ALL.iter().zip(f.per_site) {
-                m.counter(FAULTS.name, FAULTS.help, &[("site", site.label())], injected);
+                m.counter(
+                    FAULTS.name,
+                    FAULTS.help,
+                    &[("site", site.label())],
+                    injected,
+                );
             }
         }
         for (model, b) in &s.batchers {
             b.export(&[("model", model.as_str())], &mut m);
         }
         m.summary_from_hist(LATENCY.name, LATENCY.help, &[], self.latency_histogram());
-        m.summary_from_hist(QUEUE_WAIT.name, QUEUE_WAIT.help, &[], self.queue_wait_histogram());
+        m.summary_from_hist(
+            QUEUE_WAIT.name,
+            QUEUE_WAIT.help,
+            &[],
+            self.queue_wait_histogram(),
+        );
         for (op, h) in self.exec_metrics().handles() {
             let labels = [("operator", op.as_str())];
-            m.counter(OPERATOR_ROWS.name, OPERATOR_ROWS.help, &labels, h.rows_out());
-            m.summary_from_hist(OPERATOR_LATENCY.name, OPERATOR_LATENCY.help, &labels, h.latency());
+            m.counter(
+                OPERATOR_ROWS.name,
+                OPERATOR_ROWS.help,
+                &labels,
+                h.rows_out(),
+            );
+            m.summary_from_hist(
+                OPERATOR_LATENCY.name,
+                OPERATOR_LATENCY.help,
+                &labels,
+                h.latency(),
+            );
         }
-        m.gauge(TRACE_RING_LEN.name, TRACE_RING_LEN.help, &[], self.trace_ring.len() as f64);
+        m.gauge(
+            TRACE_RING_LEN.name,
+            TRACE_RING_LEN.help,
+            &[],
+            self.trace_ring.len() as f64,
+        );
         self.profile_totals().export(&[], &mut m);
         let incidents = self.incidents();
-        m.counter(INCIDENTS_TOTAL.name, INCIDENTS_TOTAL.help, &[], incidents.total());
-        m.gauge(INCIDENTS_RETAINED.name, INCIDENTS_RETAINED.help, &[], incidents.len() as f64);
+        m.counter(
+            INCIDENTS_TOTAL.name,
+            INCIDENTS_TOTAL.help,
+            &[],
+            incidents.total(),
+        );
+        m.gauge(
+            INCIDENTS_RETAINED.name,
+            INCIDENTS_RETAINED.help,
+            &[],
+            incidents.len() as f64,
+        );
         m.gauge(
             SIMD_INFO.name,
             &format!("{}: {}", SIMD_INFO.help, s.simd),
@@ -173,14 +220,29 @@ impl Server {
         let s = self.stats();
         let mut out = String::new();
         family_line(&mut out, "serving", "cx_serve_", &s);
-        family_line(&mut out, "plan cache", "cx_serve_plan_cache_", &s.plan_cache);
+        family_line(
+            &mut out,
+            "plan cache",
+            "cx_serve_plan_cache_",
+            &s.plan_cache,
+        );
         family_line(&mut out, "admission", "cx_serve_admission_", &s.admission);
         family_line(&mut out, "lifecycle", "cx_serve_", &s.lifecycle);
         if s.sql.statements > 0 {
             family_line(&mut out, "sql", "cx_serve_sql_", &s.sql);
         }
-        quantile_line(&mut out, "latency", &self.latency_histogram().snapshot(), "samples");
-        quantile_line(&mut out, "queue wait", &self.queue_wait_histogram().snapshot(), "samples");
+        quantile_line(
+            &mut out,
+            "latency",
+            &self.latency_histogram().snapshot(),
+            "samples",
+        );
+        quantile_line(
+            &mut out,
+            "queue wait",
+            &self.queue_wait_histogram().snapshot(),
+            "samples",
+        );
         let config = self.config();
         if config.tracing {
             out.push_str(&format!(
@@ -228,7 +290,12 @@ impl Server {
             ));
         }
         for (model, b) in &s.batchers {
-            family_line(&mut out, &format!("embed batcher [{model}]"), "cx_serve_batcher_", b);
+            family_line(
+                &mut out,
+                &format!("embed batcher [{model}]"),
+                "cx_serve_batcher_",
+                b,
+            );
         }
         out.push_str("operator metrics:\n");
         out.push_str(&self.exec_metrics().report());

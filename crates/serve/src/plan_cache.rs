@@ -243,7 +243,15 @@ impl PlanCache {
         let mut state = self.state.lock();
         let (map, tick) = &mut *state;
         *tick += 1;
-        let replaced = map.insert(key, Slot { plan, last_used: *tick }).is_some();
+        let replaced = map
+            .insert(
+                key,
+                Slot {
+                    plan,
+                    last_used: *tick,
+                },
+            )
+            .is_some();
         if !replaced && map.len() > self.capacity {
             // O(len) victim scan: plan caches hold dozens-to-hundreds of
             // entries and eviction only runs when full, so a linked-list
@@ -265,7 +273,11 @@ impl PlanCache {
     pub fn entries(&self) -> Vec<PlanEntryInfo> {
         let entries: Vec<(u64, u64, Arc<CachedPlan>)> = {
             let state = self.state.lock();
-            state.0.iter().map(|(k, s)| (*k, s.last_used, s.plan.clone())).collect()
+            state
+                .0
+                .iter()
+                .map(|(k, s)| (*k, s.last_used, s.plan.clone()))
+                .collect()
         };
         entries
             .into_iter()
@@ -382,7 +394,10 @@ mod tests {
         assert_eq!(entries[0].catalog_version, 3);
         assert!(!entries[0].volatile);
         assert!(!entries[0].has_result);
-        assert!(entries[1].last_used > entries[0].last_used, "key 2 used more recently");
+        assert!(
+            entries[1].last_used > entries[0].last_used,
+            "key 2 used more recently"
+        );
     }
 
     #[test]
@@ -392,8 +407,14 @@ mod tests {
         let b = BindingKey::new(&[Scalar::from("boots"), Scalar::Int64(2)]);
         assert_eq!(a, b);
         // Value, type, and split differences all separate keys.
-        assert_ne!(a, BindingKey::new(&[Scalar::from("boots"), Scalar::Int64(3)]));
-        assert_ne!(a, BindingKey::new(&[Scalar::from("boots"), Scalar::Float64(2.0)]));
+        assert_ne!(
+            a,
+            BindingKey::new(&[Scalar::from("boots"), Scalar::Int64(3)])
+        );
+        assert_ne!(
+            a,
+            BindingKey::new(&[Scalar::from("boots"), Scalar::Float64(2.0)])
+        );
         assert_ne!(
             BindingKey::new(&[Scalar::from("ab"), Scalar::from("c")]),
             BindingKey::new(&[Scalar::from("a"), Scalar::from("bc")])

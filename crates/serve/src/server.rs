@@ -54,11 +54,11 @@ use crate::coalesce::{Clock, SystemClock};
 use crate::faults::{FaultPlan, FaultSite, FaultStats};
 use crate::plan_cache::{BindingKey, CachedPlan, PlanCache, PlanCacheStats};
 use crate::prepared::{Prepared, Statement};
+use crate::watchdog::{WatchdogConfig, WatchdogHandle};
 use context_engine::{Engine, Query};
 use cx_exec::logical::LogicalPlan;
 use cx_exec::metrics::InstrumentedExec;
 use cx_exec::{collect_table, ExecMetrics, PhysicalOperator};
-use crate::watchdog::{WatchdogConfig, WatchdogHandle};
 use cx_obs::{Histogram, IncidentLog, ProfileSpan, QueryProfile, QueryTrace, TraceRing};
 use cx_optimizer::OptimizerConfig;
 use cx_storage::{
@@ -390,9 +390,11 @@ impl ProfileTotals {
         self.cpu_ns.fetch_add(p.cpu_ns, Ordering::Relaxed);
         self.alloc_count.fetch_add(p.alloc_count, Ordering::Relaxed);
         self.alloc_bytes.fetch_add(p.alloc_bytes, Ordering::Relaxed);
-        self.pairs_scored.fetch_add(p.pairs_scored, Ordering::Relaxed);
+        self.pairs_scored
+            .fetch_add(p.pairs_scored, Ordering::Relaxed);
         self.panel_tiles.fetch_add(p.panel_tiles, Ordering::Relaxed);
-        self.bytes_charged.fetch_add(p.bytes_charged, Ordering::Relaxed);
+        self.bytes_charged
+            .fetch_add(p.bytes_charged, Ordering::Relaxed);
     }
 }
 
@@ -461,7 +463,9 @@ impl Server {
             latency_hist: Histogram::new(),
             queue_wait_hist: Histogram::new(),
             incidents: Arc::new(IncidentLog::new(
-                config.watchdog.map_or(DEFAULT_INCIDENT_CAPACITY, |w| w.incident_capacity),
+                config
+                    .watchdog
+                    .map_or(DEFAULT_INCIDENT_CAPACITY, |w| w.incident_capacity),
             )),
             watchdog: Mutex::new(None),
             snapshot_seq: AtomicU64::new(0),
@@ -476,8 +480,7 @@ impl Server {
         // server wins its engine's telemetry tables.
         crate::systab::register_all(&server);
         if let Some(wd) = config.watchdog {
-            *server.watchdog.lock() =
-                Some(crate::watchdog::spawn(Arc::downgrade(&server), wd));
+            *server.watchdog.lock() = Some(crate::watchdog::spawn(Arc::downgrade(&server), wd));
         }
         server
     }
@@ -617,7 +620,9 @@ impl Server {
             // selectivities, but admission should weigh the real query.
             let bind_span = cx_obs::span("bind_params");
             let (root, cost) = if params.is_empty() {
-                let root = self.engine.lower_plan_with(&cached.optimized, stmt.config)?;
+                let root = self
+                    .engine
+                    .lower_plan_with(&cached.optimized, stmt.config)?;
                 (root, cached.estimated_cost)
             } else {
                 let bound = cached.optimized.bind_params(params)?;
@@ -639,11 +644,12 @@ impl Server {
 
         let mut result = self.run_with_recovery(trace.as_ref(), attempt);
         if result.is_ok() && !params.is_empty() {
-            self.serving.prepared_queries.fetch_add(1, Ordering::Relaxed);
+            self.serving
+                .prepared_queries
+                .fetch_add(1, Ordering::Relaxed);
         }
         self.record_outcome(&result);
-        let profile =
-            profile_span.map(|p| p.finish(ctx.budget().map_or(0, |b| b.allocated())));
+        let profile = profile_span.map(|p| p.finish(ctx.budget().map_or(0, |b| b.allocated())));
         self.finish_query(trace, start, &mut result, profile);
         result
     }
@@ -698,7 +704,9 @@ impl Server {
         if let Some(timeout) = options.timeout.or(self.config.default_timeout) {
             ctx = ctx.with_timeout(timeout);
         }
-        let budget = options.memory_budget.unwrap_or(self.config.default_memory_budget);
+        let budget = options
+            .memory_budget
+            .unwrap_or(self.config.default_memory_budget);
         if budget > 0 {
             ctx = ctx.with_budget(Arc::new(MemoryBudget::new(budget)));
         } else if self.config.profiling {
@@ -742,7 +750,9 @@ impl Server {
         match std::panic::catch_unwind(AssertUnwindSafe(f)) {
             Ok(result) => result,
             Err(_) => {
-                self.lifecycle.contained_panics.fetch_add(1, Ordering::Relaxed);
+                self.lifecycle
+                    .contained_panics
+                    .fetch_add(1, Ordering::Relaxed);
                 Err(QueryError::Transient("query execution panicked (contained)".into()).into())
             }
         }
@@ -836,7 +846,9 @@ impl Server {
             cached.bound_results.lock().get(binding).cloned()?
         };
         self.serving.queries.fetch_add(1, Ordering::Relaxed);
-        self.serving.result_cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.serving
+            .result_cache_hits
+            .fetch_add(1, Ordering::Relaxed);
         Some(ServeResult {
             table,
             elapsed: started.elapsed(),
@@ -863,7 +875,9 @@ impl Server {
         }
         let wait_started = Instant::now();
         let _span = cx_obs::span("admission");
-        let _permit = self.gate.acquire_ctx(unit.cost, &unit.ctx, self.config.max_queued)?;
+        let _permit = self
+            .gate
+            .acquire_ctx(unit.cost, &unit.ctx, self.config.max_queued)?;
         drop(_span);
         self.queue_wait_hist.record_duration(wait_started.elapsed());
         let root = InstrumentedExec::new(unit.root.clone(), &self.metrics);
@@ -1183,7 +1197,9 @@ impl Session {
     pub fn explain_analyze(&self, query: &Query) -> Result<String> {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let stmt = Statement::adhoc(query, self.optimizer_config());
-        let result = self.server.serve_statement(&stmt, &[], &QueryOptions::default(), true)?;
+        let result = self
+            .server
+            .serve_statement(&stmt, &[], &QueryOptions::default(), true)?;
         Ok(result.trace.map(|t| t.render()).unwrap_or_default())
     }
 

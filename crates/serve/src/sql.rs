@@ -112,7 +112,10 @@ struct EngineProvider<'a> {
 
 impl cx_sql::SchemaProvider for EngineProvider<'_> {
     fn table_schema(&self, name: &str) -> Option<Schema> {
-        self.engine.table(name).ok().and_then(|q| q.plan().schema().ok())
+        self.engine
+            .table(name)
+            .ok()
+            .and_then(|q| q.plan().schema().ok())
     }
 
     fn model_names(&self) -> Vec<String> {
@@ -191,7 +194,9 @@ impl Session {
         })?;
         let parse_dur = parse_start.elapsed();
         let bind_start = Instant::now();
-        let provider = EngineProvider { engine: server.engine() };
+        let provider = EngineProvider {
+            engine: server.engine(),
+        };
         let bound = cx_sql::bind(&stmt, &provider).map_err(|e| {
             server.sql.errors.fetch_add(1, Ordering::Relaxed);
             sql_error(&e)
@@ -225,7 +230,9 @@ impl Session {
                 }
                 let result = self.serve_select(query.plan, true)?;
                 attach_sql_spans(&result, text, parse_start, parse_dur, bind_start, bind_dur);
-                Ok(SqlResponse::Explain(result.trace.map(|t| t.render()).unwrap_or_default()))
+                Ok(SqlResponse::Explain(
+                    result.trace.map(|t| t.render()).unwrap_or_default(),
+                ))
             }
             Bound::Prepare { name, query } => {
                 let prepared = Arc::new(self.prepare(&Query::from_plan(query.plan))?);
@@ -273,7 +280,10 @@ impl Session {
         let result =
             server.serve_statement(&stmt, &literals, &QueryOptions::default(), trace_this)?;
         if !literals.is_empty() && result.plan_cache_hit {
-            server.sql.auto_param_shape_hits.fetch_add(1, Ordering::Relaxed);
+            server
+                .sql
+                .auto_param_shape_hits
+                .fetch_add(1, Ordering::Relaxed);
         }
         Ok(result)
     }
@@ -379,11 +389,22 @@ mod tests {
 
     #[test]
     fn auto_param_off_plans_exactly() {
-        let config = ServeConfig { sql_auto_param: false, ..ServeConfig::default() };
+        let config = ServeConfig {
+            sql_auto_param: false,
+            ..ServeConfig::default()
+        };
         let server = server_with_data(config);
         let session = server.session();
-        rows(session.sql("SELECT name FROM products WHERE price > 10.0").unwrap());
-        rows(session.sql("SELECT name FROM products WHERE price > 20.0").unwrap());
+        rows(
+            session
+                .sql("SELECT name FROM products WHERE price > 10.0")
+                .unwrap(),
+        );
+        rows(
+            session
+                .sql("SELECT name FROM products WHERE price > 20.0")
+                .unwrap(),
+        );
         let stats = server.sql_stats();
         assert_eq!(stats.auto_param, 0);
         // Distinct literals are distinct exact fingerprints: two misses.
@@ -417,7 +438,9 @@ mod tests {
         assert_eq!(r.table.num_rows(), 4);
         // Unknown names and unbound ad-hoc parameters are typed errors.
         assert!(session.sql("EXECUTE nope (1)").is_err());
-        assert!(session.sql("SELECT * FROM products WHERE price > $0").is_err());
+        assert!(session
+            .sql("SELECT * FROM products WHERE price > $0")
+            .is_err());
     }
 
     #[test]
@@ -445,14 +468,21 @@ mod tests {
             for text in [
                 format!("SELECT * FROM products WHERE price > {i}.5"),
                 format!("SELECT * FROM products LIMIT {}", i + 1),
-                format!("SELECT * FROM products WHERE name SEMANTIC LIKE '{t}' (0.{})", 50 + i),
+                format!(
+                    "SELECT * FROM products WHERE name SEMANTIC LIKE '{t}' (0.{})",
+                    50 + i
+                ),
             ] {
                 rows(session.sql(&text).unwrap());
             }
         }
         // Thirty literals per shape, one registry entry per operator kind.
-        let kinds: Vec<String> =
-            server.exec_metrics().snapshot().into_iter().map(|(kind, ..)| kind).collect();
+        let kinds: Vec<String> = server
+            .exec_metrics()
+            .snapshot()
+            .into_iter()
+            .map(|(kind, ..)| kind)
+            .collect();
         assert!(kinds.len() <= 3, "{kinds:?}");
         assert!(kinds.iter().all(|k| !k.contains('[')), "{kinds:?}");
     }
@@ -461,8 +491,9 @@ mod tests {
     fn explain_and_analyze_render() {
         let server = server_with_data(ServeConfig::default());
         let session = server.session();
-        let SqlResponse::Explain(plan) =
-            session.sql("EXPLAIN SELECT name FROM products WHERE price > 10.0").unwrap()
+        let SqlResponse::Explain(plan) = session
+            .sql("EXPLAIN SELECT name FROM products WHERE price > 10.0")
+            .unwrap()
         else {
             panic!()
         };
@@ -476,25 +507,49 @@ mod tests {
         else {
             panic!()
         };
-        for stage in ["sql_parse", "sql_bind", "plan_cache", "bind_params", "execute"] {
+        for stage in [
+            "sql_parse",
+            "sql_bind",
+            "plan_cache",
+            "bind_params",
+            "execute",
+        ] {
             assert!(spans.contains(stage), "no `{stage}` in:\n{spans}");
         }
-        assert!(server.last_trace().is_none(), "nothing retained with tracing off");
+        assert!(
+            server.last_trace().is_none(),
+            "nothing retained with tracing off"
+        );
         // It explained the plan the server serves: the plain statement
         // with another literal finds the shape ANALYZE cached.
         let stats = server.sql_stats();
-        assert_eq!((stats.auto_param, stats.exact_fallback), (1, 0), "{stats:?}");
-        let r = rows(session.sql("SELECT name FROM products WHERE price > 50.0").unwrap());
+        assert_eq!(
+            (stats.auto_param, stats.exact_fallback),
+            (1, 0),
+            "{stats:?}"
+        );
+        let r = rows(
+            session
+                .sql("SELECT name FROM products WHERE price > 50.0")
+                .unwrap(),
+        );
         assert!(r.plan_cache_hit && r.trace.is_none());
         assert_eq!(server.plan_cache_stats().misses, 1);
     }
 
     #[test]
     fn traces_carry_parse_and_bind_spans() {
-        let config = ServeConfig { tracing: true, ..ServeConfig::default() };
+        let config = ServeConfig {
+            tracing: true,
+            ..ServeConfig::default()
+        };
         let server = server_with_data(config);
         let session = server.session();
-        let r = rows(session.sql("SELECT name FROM products WHERE price > 10.0").unwrap());
+        let r = rows(
+            session
+                .sql("SELECT name FROM products WHERE price > 10.0")
+                .unwrap(),
+        );
         let rendered = r.trace.as_ref().expect("tracing on").render();
         assert!(rendered.contains("sql_parse"), "{rendered}");
         assert!(rendered.contains("sql_bind"), "{rendered}");

@@ -57,7 +57,9 @@ fn chunk_from(schema: &Arc<Schema>, columns: Vec<Column>) -> Result<Vec<Chunk>> 
 
 /// First whitespace-separated `key=` token's value in a span detail.
 fn detail_token<'a>(detail: &'a str, key: &str) -> Option<&'a str> {
-    detail.split_whitespace().find_map(|tok| tok.strip_prefix(key))
+    detail
+        .split_whitespace()
+        .find_map(|tok| tok.strip_prefix(key))
 }
 
 /// `cx.queries`: one row per trace retained in the ring.
@@ -100,7 +102,9 @@ impl SystemTableSource for QueriesTable {
     }
 
     fn snapshot(&self) -> Result<Vec<Chunk>> {
-        let Some(server) = self.server.upgrade() else { return Ok(vec![]) };
+        let Some(server) = self.server.upgrade() else {
+            return Ok(vec![]);
+        };
         let traces = server.traces();
         let mut query = Vec::new();
         let mut outcome = Vec::new();
@@ -204,7 +208,9 @@ impl SystemTableSource for SpansTable {
     }
 
     fn snapshot(&self) -> Result<Vec<Chunk>> {
-        let Some(server) = self.server.upgrade() else { return Ok(vec![]) };
+        let Some(server) = self.server.upgrade() else {
+            return Ok(vec![]);
+        };
         let mut query = Vec::new();
         let mut span = Vec::new();
         let mut detail = Vec::new();
@@ -268,7 +274,9 @@ impl SystemTableSource for HistogramsTable {
     }
 
     fn snapshot(&self) -> Result<Vec<Chunk>> {
-        let Some(server) = self.server.upgrade() else { return Ok(vec![]) };
+        let Some(server) = self.server.upgrade() else {
+            return Ok(vec![]);
+        };
         let mut name = Vec::new();
         let mut low = Vec::new();
         let mut mid = Vec::new();
@@ -282,7 +290,10 @@ impl SystemTableSource for HistogramsTable {
             }
         };
         push("latency", server.latency_histogram().nonzero_buckets());
-        push("queue_wait", server.queue_wait_histogram().nonzero_buckets());
+        push(
+            "queue_wait",
+            server.queue_wait_histogram().nonzero_buckets(),
+        );
         for (op, h) in server.exec_metrics().handles() {
             push(&format!("operator:{op}"), h.latency().nonzero_buckets());
         }
@@ -330,7 +341,9 @@ impl SystemTableSource for MetricsTable {
     }
 
     fn snapshot(&self) -> Result<Vec<Chunk>> {
-        let Some(server) = self.server.upgrade() else { return Ok(vec![]) };
+        let Some(server) = self.server.upgrade() else {
+            return Ok(vec![]);
+        };
         let snap = server.metrics_snapshot();
         let mut name = Vec::new();
         let mut labels = Vec::new();
@@ -359,7 +372,11 @@ impl SystemTableSource for MetricsTable {
                     row(m.name.clone(), rendered, "counter", *v as f64)
                 }
                 cx_obs::MetricValue::Gauge(v) => row(m.name.clone(), rendered, "gauge", *v),
-                cx_obs::MetricValue::Summary { quantiles, count, sum } => {
+                cx_obs::MetricValue::Summary {
+                    quantiles,
+                    count,
+                    sum,
+                } => {
                     for (q, v) in quantiles {
                         let ql = if rendered.is_empty() {
                             format!("quantile={q}")
@@ -369,7 +386,12 @@ impl SystemTableSource for MetricsTable {
                         row(m.name.clone(), ql, "summary", *v);
                     }
                     row(format!("{}_sum", m.name), rendered.clone(), "summary", *sum);
-                    row(format!("{}_count", m.name), rendered, "summary", *count as f64);
+                    row(
+                        format!("{}_count", m.name),
+                        rendered,
+                        "summary",
+                        *count as f64,
+                    );
                 }
             }
         }
@@ -421,14 +443,19 @@ impl SystemTableSource for PlanCacheTable {
     }
 
     fn snapshot(&self) -> Result<Vec<Chunk>> {
-        let Some(server) = self.server.upgrade() else { return Ok(vec![]) };
+        let Some(server) = self.server.upgrade() else {
+            return Ok(vec![]);
+        };
         let mut entries = server.plan_cache_entries();
         entries.sort_by_key(|e| std::cmp::Reverse(e.last_used));
         chunk_from(
             &self.schema,
             vec![
                 Column::from_strings(
-                    entries.iter().map(|e| format!("{:016x}", e.key)).collect::<Vec<_>>(),
+                    entries
+                        .iter()
+                        .map(|e| format!("{:016x}", e.key))
+                        .collect::<Vec<_>>(),
                 ),
                 Column::from_i64(entries.iter().map(|e| e.catalog_version as i64).collect()),
                 Column::from_f64(entries.iter().map(|e| e.estimated_rows).collect()),
@@ -476,7 +503,9 @@ impl SystemTableSource for IncidentsTable {
     }
 
     fn snapshot(&self) -> Result<Vec<Chunk>> {
-        let Some(server) = self.server.upgrade() else { return Ok(vec![]) };
+        let Some(server) = self.server.upgrade() else {
+            return Ok(vec![]);
+        };
         let records = server.incidents().recent();
         chunk_from(
             &self.schema,
@@ -484,9 +513,7 @@ impl SystemTableSource for IncidentsTable {
                 Column::from_i64(records.iter().map(|r| r.seq as i64).collect()),
                 Column::from_i64(records.iter().map(|r| r.at_ms as i64).collect()),
                 Column::from_strings(records.iter().map(|r| r.kind).collect::<Vec<_>>()),
-                Column::from_strings(
-                    records.iter().map(|r| r.detail.clone()).collect::<Vec<_>>(),
-                ),
+                Column::from_strings(records.iter().map(|r| r.detail.clone()).collect::<Vec<_>>()),
                 Column::from_f64(records.iter().map(|r| r.value).collect()),
                 Column::from_f64(records.iter().map(|r| r.threshold).collect()),
             ],

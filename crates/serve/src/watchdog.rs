@@ -152,7 +152,9 @@ pub(crate) fn spawn(server: Weak<Server>, config: WatchdogConfig) -> WatchdogHan
                         break;
                     }
                 }
-                let Some(server) = server.upgrade() else { break };
+                let Some(server) = server.upgrade() else {
+                    break;
+                };
                 tick(&server, &mut state);
                 // `server` drops here; if it was the last strong handle,
                 // `Server::drop` runs on this thread and the handle
@@ -161,7 +163,11 @@ pub(crate) fn spawn(server: Weak<Server>, config: WatchdogConfig) -> WatchdogHan
         })
         .expect("spawn cx-watchdog thread");
     let thread_id = join.thread().id();
-    WatchdogHandle { stop, join: Some(join), thread_id }
+    WatchdogHandle {
+        stop,
+        join: Some(join),
+        thread_id,
+    }
 }
 
 /// One sampling tick: diff, detect, append incidents.
@@ -177,9 +183,7 @@ fn tick(server: &Server, state: &mut WatchdogState) {
     let tick_count: u64 = delta.iter().map(|b| b.count).sum();
     if tick_count >= cfg.min_samples.max(1) {
         let p99 = percentile(&delta, 0.99);
-        if cfg.window > 0
-            && cfg.p99_regression_factor > 0.0
-            && state.p99_window.len() >= cfg.window
+        if cfg.window > 0 && cfg.p99_regression_factor > 0.0 && state.p99_window.len() >= cfg.window
         {
             let mut sorted: Vec<u64> = state.p99_window.iter().copied().collect();
             sorted.sort_unstable();
@@ -234,9 +238,8 @@ fn tick(server: &Server, state: &mut WatchdogState) {
     // Fault bursts: injected faults plus transient failures plus
     // contained panics, whoever's counting.
     let l = server.lifecycle_stats();
-    let faults_now = server.fault_stats().map_or(0, |f| f.total())
-        + l.transient_failures
-        + l.contained_panics;
+    let faults_now =
+        server.fault_stats().map_or(0, |f| f.total()) + l.transient_failures + l.contained_panics;
     let fault_delta = faults_now.saturating_sub(state.prev_faults);
     state.prev_faults = faults_now;
     if cfg.fault_burst > 0 && fault_delta >= cfg.fault_burst {
@@ -260,9 +263,16 @@ fn diff_buckets(prev: &[BucketCount], cur: &[BucketCount]) -> Vec<BucketCount> {
         while pi < prev.len() && prev[pi].mid < b.mid {
             pi += 1;
         }
-        let old = if pi < prev.len() && prev[pi].mid == b.mid { prev[pi].count } else { 0 };
+        let old = if pi < prev.len() && prev[pi].mid == b.mid {
+            prev[pi].count
+        } else {
+            0
+        };
         if b.count > old {
-            out.push(BucketCount { count: b.count - old, ..*b });
+            out.push(BucketCount {
+                count: b.count - old,
+                ..*b
+            });
         }
     }
     out
@@ -291,7 +301,11 @@ mod tests {
     use super::*;
 
     fn b(mid: u64, count: u64) -> BucketCount {
-        BucketCount { low: mid, mid, count }
+        BucketCount {
+            low: mid,
+            mid,
+            count,
+        }
     }
 
     #[test]

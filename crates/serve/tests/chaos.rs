@@ -28,7 +28,12 @@ fn build_engine(n: usize) -> Arc<Engine> {
     let vocab = cx_datagen::vocab::all_words(&clusters);
     let names = generate_corpus(
         &vocab,
-        CorpusConfig { size: n, zipf_s: 1.0, max_words: 2, seed: 11 },
+        CorpusConfig {
+            size: n,
+            zipf_s: 1.0,
+            max_words: 2,
+            seed: 11,
+        },
     );
     let products = Table::from_columns(
         Schema::new(vec![
@@ -47,7 +52,12 @@ fn build_engine(n: usize) -> Arc<Engine> {
 
     let labels = generate_corpus(
         &vocab,
-        CorpusConfig { size: n.max(128), zipf_s: 0.6, max_words: 2, seed: 23 },
+        CorpusConfig {
+            size: n.max(128),
+            zipf_s: 0.6,
+            max_words: 2,
+            seed: 23,
+        },
     );
     let label_table = Table::from_columns(
         Schema::new(vec![Field::new("label", DataType::Utf8)]),
@@ -67,7 +77,13 @@ fn heavy_join(engine: &Engine, threshold: f32) -> Query {
     engine
         .table("products")
         .unwrap()
-        .semantic_join(engine.table("labels").unwrap(), "name", "label", "m", threshold)
+        .semantic_join(
+            engine.table("labels").unwrap(),
+            "name",
+            "label",
+            "m",
+            threshold,
+        )
         .sort(&[("product_id", true)])
         .limit(50)
 }
@@ -78,7 +94,13 @@ fn full_sorted_join(engine: &Engine, threshold: f32) -> Query {
     engine
         .table("products")
         .unwrap()
-        .semantic_join(engine.table("labels").unwrap(), "name", "label", "m", threshold)
+        .semantic_join(
+            engine.table("labels").unwrap(),
+            "name",
+            "label",
+            "m",
+            threshold,
+        )
         .sort(&[("product_id", true)])
 }
 
@@ -104,13 +126,23 @@ fn deadline_expires_solo_query_with_bounded_overshoot() {
 
     let q2 = full_sorted_join(&engine, 0.931); // distinct literal: no memo replay
     let deadline = Duration::from_millis(5);
-    let options = QueryOptions { timeout: Some(deadline), ..Default::default() };
+    let options = QueryOptions {
+        timeout: Some(deadline),
+        ..Default::default()
+    };
     let started = Instant::now();
     let err = server.execute_with_options(&q2, &options).unwrap_err();
-    assert_eq!(as_query_error(&err), Some(&QueryError::DeadlineExceeded), "{err}");
+    assert_eq!(
+        as_query_error(&err),
+        Some(&QueryError::DeadlineExceeded),
+        "{err}"
+    );
     // Cooperative checks run per tile/chunk: the query must die well
     // before a full sweep would finish, not at some unbounded point.
-    assert!(started.elapsed() < Duration::from_secs(5), "query outlived its deadline");
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "query outlived its deadline"
+    );
     assert_eq!(server.lifecycle_stats().deadline_exceeded, 1);
     // The premise, checked: without a deadline the same statement runs
     // for at least four deadlines.
@@ -129,7 +161,10 @@ fn cancellation_stops_query_mid_flight() {
     server.execute(&heavy_join(&engine, 0.93)).unwrap(); // warm plan
 
     let token = CancelToken::new();
-    let options = QueryOptions { cancel: Some(token.clone()), ..Default::default() };
+    let options = QueryOptions {
+        cancel: Some(token.clone()),
+        ..Default::default()
+    };
     let q = heavy_join(&engine, 0.9312);
     let handle = {
         let server = server.clone();
@@ -145,7 +180,10 @@ fn cancellation_stops_query_mid_flight() {
         Ok(_) => {
             let token = CancelToken::new();
             token.cancel();
-            let options = QueryOptions { cancel: Some(token), ..Default::default() };
+            let options = QueryOptions {
+                cancel: Some(token),
+                ..Default::default()
+            };
             let err = server
                 .execute_with_options(&heavy_join(&engine, 0.9313), &options)
                 .unwrap_err();
@@ -161,7 +199,10 @@ fn memory_budget_stops_oversized_query() {
     let server = Server::new(engine.clone(), ServeConfig::default());
     let q = heavy_join(&engine, 0.93);
     // A few hundred bytes cannot hold the arena panels this sweep builds.
-    let options = QueryOptions { memory_budget: Some(512), ..Default::default() };
+    let options = QueryOptions {
+        memory_budget: Some(512),
+        ..Default::default()
+    };
     let err = server.execute_with_options(&q, &options).unwrap_err();
     match as_query_error(&err) {
         Some(QueryError::MemoryBudget { allocated, limit }) => {
@@ -181,13 +222,25 @@ fn server_default_timeout_applies_when_options_are_silent() {
     let engine = build_engine(600);
     let server = Server::new(
         engine.clone(),
-        ServeConfig { default_timeout: Some(Duration::from_millis(2)), ..ServeConfig::default() },
+        ServeConfig {
+            default_timeout: Some(Duration::from_millis(2)),
+            ..ServeConfig::default()
+        },
     );
     let err = server.execute(&heavy_join(&engine, 0.93)).unwrap_err();
-    assert_eq!(as_query_error(&err), Some(&QueryError::DeadlineExceeded), "{err}");
+    assert_eq!(
+        as_query_error(&err),
+        Some(&QueryError::DeadlineExceeded),
+        "{err}"
+    );
     // An explicit per-query timeout overrides the default.
-    let options = QueryOptions { timeout: Some(Duration::from_secs(600)), ..Default::default() };
-    assert!(server.execute_with_options(&heavy_join(&engine, 0.93), &options).is_ok());
+    let options = QueryOptions {
+        timeout: Some(Duration::from_secs(600)),
+        ..Default::default()
+    };
+    assert!(server
+        .execute_with_options(&heavy_join(&engine, 0.93), &options)
+        .is_ok());
 }
 
 #[test]
@@ -235,12 +288,18 @@ fn bounded_queue_sheds_with_queue_full() {
         .collect();
     let succeeded = results.iter().filter(|r| r.is_ok()).count();
     assert!(succeeded >= 1, "at least the gate holder must finish");
-    assert!(!shed.is_empty(), "a 6-client burst over a 1-slot queue must shed");
+    assert!(
+        !shed.is_empty(),
+        "a 6-client burst over a 1-slot queue must shed"
+    );
     for (queued, max) in shed {
         assert_eq!(max, 1);
         assert!(queued >= 1);
     }
-    assert_eq!(server.admission_stats().shed as usize, results.len() - succeeded);
+    assert_eq!(
+        server.admission_stats().shed as usize,
+        results.len() - succeeded
+    );
     // Shedding is backpressure, not damage: the next query is served.
     assert!(server.execute(&q).is_ok());
 }
@@ -251,8 +310,24 @@ fn bounded_queue_sheds_with_queue_full() {
 /// once per attempt (embed warm-up only on a plan-cache miss); every seed
 /// listed faults within its first 90 admission draws (seed 7 first
 /// faults at draw 60).
-const STORM_SEEDS: [u64; 16] =
-    [0xC0FFEE, 7, 99, 1, 2, 3, 5, 11, 13, 42, 101, 1234, 0xBEEF, 0x5EED, 0xDEAD_BEEF, 31337];
+const STORM_SEEDS: [u64; 16] = [
+    0xC0FFEE,
+    7,
+    99,
+    1,
+    2,
+    3,
+    5,
+    11,
+    13,
+    42,
+    101,
+    1234,
+    0xBEEF,
+    0x5EED,
+    0xDEAD_BEEF,
+    31337,
+];
 
 #[test]
 fn seeded_fault_storm_preserves_correctness_and_service() {
@@ -280,8 +355,10 @@ fn seeded_fault_storm_preserves_correctness_and_service() {
             }
         })
         .collect();
-    let truth: Vec<Arc<Table>> =
-        queries.iter().map(|q| Arc::new(engine.execute(q).unwrap().table)).collect();
+    let truth: Vec<Arc<Table>> = queries
+        .iter()
+        .map(|q| Arc::new(engine.execute(q).unwrap().table))
+        .collect();
 
     const CLIENTS: usize = 3;
     const ROUNDS: usize = 3;
@@ -348,7 +425,10 @@ fn seeded_fault_storm_preserves_correctness_and_service() {
             CLIENTS * ROUNDS * queries.len(),
             "seed {seed:#x}: lost statements"
         );
-        assert!(faults.total() > 0, "seed {seed:#x}: storm injected nothing; widen it");
+        assert!(
+            faults.total() > 0,
+            "seed {seed:#x}: storm injected nothing; widen it"
+        );
         assert!(served > 0, "seed {seed:#x}: storm killed every query");
         // The retry-once policy recovered at least some transient faults
         // (first-attempt transients = retries; only double faults fail).
@@ -362,7 +442,11 @@ fn seeded_fault_storm_preserves_correctness_and_service() {
         let (replay, original) = (FaultPlan::new(seed, 0.05), FaultPlan::new(seed, 0.05));
         for site in cx_serve::FaultSite::ALL {
             for _ in 0..100 {
-                assert_eq!(replay.roll(site), original.roll(site), "seed {seed:#x}: {site:?}");
+                assert_eq!(
+                    replay.roll(site),
+                    original.roll(site),
+                    "seed {seed:#x}: {site:?}"
+                );
             }
         }
 
@@ -371,7 +455,11 @@ fn seeded_fault_storm_preserves_correctness_and_service() {
         let after = server
             .execute(&queries[0])
             .unwrap_or_else(|e| panic!("seed {seed:#x}: post-storm query failed: {e}"));
-        assert_tables_equal(&after.table, &truth[0], &format!("seed {seed:#x} post-storm"));
+        assert_tables_equal(
+            &after.table,
+            &truth[0],
+            &format!("seed {seed:#x} post-storm"),
+        );
     }
 }
 
@@ -383,7 +471,11 @@ fn transient_admission_failure_retries_once() {
     let engine = build_engine(200);
     let server = Server::new(
         engine.clone(),
-        ServeConfig { cache_results: false, tracing: true, ..ServeConfig::default() },
+        ServeConfig {
+            cache_results: false,
+            tracing: true,
+            ..ServeConfig::default()
+        },
     );
     let q = heavy_join(&engine, 0.93);
     // Plan first, so the faulted run resolves a cached plan and never
@@ -398,7 +490,11 @@ fn transient_admission_failure_retries_once() {
     assert_tables_equal(&retried.table, &solo.table, "retried vs fault-free");
     assert_eq!(faults.per_site, [0, 1], "one admission fault, nothing else");
     let lifecycle = server.lifecycle_stats();
-    assert_eq!((lifecycle.retries, lifecycle.transient_failures), (1, 0), "{lifecycle:?}");
+    assert_eq!(
+        (lifecycle.retries, lifecycle.transient_failures),
+        (1, 0),
+        "{lifecycle:?}"
+    );
     let trace = retried.trace.expect("tracing is on");
     let names: Vec<_> = trace.events().iter().map(|e| e.name).collect();
     assert_eq!(names, ["fault", "retry"], "{}", trace.render());

@@ -24,7 +24,10 @@ fn busy_server() -> Arc<Server> {
             Field::new("product_id", DataType::Int64),
             Field::new("name", DataType::Utf8),
         ]),
-        vec![Column::from_i64((0..names.len() as i64).collect()), Column::from_strings(names)],
+        vec![
+            Column::from_i64((0..names.len() as i64).collect()),
+            Column::from_strings(names),
+        ],
     )
     .unwrap();
     engine.register_table("products", products).unwrap();
@@ -35,18 +38,33 @@ fn busy_server() -> Arc<Server> {
             profiling: true,
             // Never fires on its own: the run below must stay quiet
             // between the snapshots the tests compare.
-            watchdog: Some(WatchdogConfig { min_samples: u64::MAX, ..WatchdogConfig::default() }),
+            watchdog: Some(WatchdogConfig {
+                min_samples: u64::MAX,
+                ..WatchdogConfig::default()
+            }),
             ..ServeConfig::default()
         },
     );
     server.set_fault_plan(Some(Arc::new(FaultPlan::new(3, 0.0))));
-    let q = server.table("products").unwrap().semantic_filter("name", "boots", "m", 0.8);
+    let q = server
+        .table("products")
+        .unwrap()
+        .semantic_filter("name", "boots", "m", 0.8);
     server.execute(&q).unwrap();
     server.execute(&q).unwrap();
     let session = server.session();
-    let template = session.table("products").unwrap().semantic_filter_param("name", 0, "m", 0.8);
-    session.prepare(&template).unwrap().execute(&[Scalar::from("parka")]).unwrap();
-    session.sql("SELECT name FROM products WHERE product_id > 2").unwrap();
+    let template = session
+        .table("products")
+        .unwrap()
+        .semantic_filter_param("name", 0, "m", 0.8);
+    session
+        .prepare(&template)
+        .unwrap()
+        .execute(&[Scalar::from("parka")])
+        .unwrap();
+    session
+        .sql("SELECT name FROM products WHERE product_id > 2")
+        .unwrap();
     server
 }
 
@@ -63,7 +81,11 @@ fn series(d: &MetricDesc) -> Vec<String> {
 }
 
 fn declared_series() -> HashSet<String> {
-    metric_inventory().iter().flat_map(|g| g.metrics).flat_map(series).collect()
+    metric_inventory()
+        .iter()
+        .flat_map(|g| g.metrics)
+        .flat_map(series)
+        .collect()
 }
 
 #[test]
@@ -92,19 +114,37 @@ fn exposition_carries_every_declared_metric_once_and_nothing_else() {
                     .filter(|k| d.kind != MetricKind::Summary || *k != "quantile")
                     .collect();
                 assert_eq!(keys, group.labels, "{}: label keys", d.name);
-                assert!(label_sets.insert(s.labels.clone()), "{} {:?} twice", d.name, s.labels);
+                assert!(
+                    label_sets.insert(s.labels.clone()),
+                    "{} {:?} twice",
+                    d.name,
+                    s.labels
+                );
             }
-            assert!(!label_sets.is_empty(), "{} declared but not exported", d.name);
+            assert!(
+                !label_sets.is_empty(),
+                "{} declared but not exported",
+                d.name
+            );
             if group.labels.is_empty() {
                 let expected = if d.kind == MetricKind::Summary { 3 } else { 1 };
-                assert_eq!(label_sets.len(), expected, "{}: unlabelled sample count", d.name);
+                assert_eq!(
+                    label_sets.len(),
+                    expected,
+                    "{}: unlabelled sample count",
+                    d.name
+                );
             }
         }
     }
 
     let declared = declared_series();
     for s in &parsed.samples {
-        assert!(declared.contains(&s.name), "{} is exported but not declared", s.name);
+        assert!(
+            declared.contains(&s.name),
+            "{} is exported but not declared",
+            s.name
+        );
     }
 
     // Every family's values survive the round trip: what the exposition
@@ -121,8 +161,11 @@ fn exposition_carries_every_declared_metric_once_and_nothing_else() {
         b.export(&[("model", model.as_str())], &mut expected);
     }
     for m in expected.metrics() {
-        let labels: Vec<(&str, &str)> =
-            m.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        let labels: Vec<(&str, &str)> = m
+            .labels
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
         assert_eq!(
             parsed.value(&m.name, &labels),
             expected.value(&m.name),
@@ -130,9 +173,18 @@ fn exposition_carries_every_declared_metric_once_and_nothing_else() {
             m.name
         );
     }
-    assert_eq!(parsed.value("cx_serve_queries_total", &[]), Some(stats.queries as f64));
-    assert_eq!(parsed.value("cx_serve_plan_cache_len", &[]), Some(stats.plan_cache.len as f64));
-    assert_eq!(parsed.value("cx_serve_sql_statements_total", &[]), Some(1.0));
+    assert_eq!(
+        parsed.value("cx_serve_queries_total", &[]),
+        Some(stats.queries as f64)
+    );
+    assert_eq!(
+        parsed.value("cx_serve_plan_cache_len", &[]),
+        Some(stats.plan_cache.len as f64)
+    );
+    assert_eq!(
+        parsed.value("cx_serve_sql_statements_total", &[]),
+        Some(1.0)
+    );
     assert!(profile.profiled_queries >= 4);
 }
 
@@ -146,20 +198,38 @@ fn json_and_cx_metrics_carry_the_declared_rows() {
     let json = server.metrics_json();
     for group in metric_inventory().iter().skip(1) {
         for d in group.metrics {
-            assert!(json.contains(&format!("\"name\": \"{}\"", d.name)), "{} not in JSON", d.name);
+            assert!(
+                json.contains(&format!("\"name\": \"{}\"", d.name)),
+                "{} not in JSON",
+                d.name
+            );
         }
     }
     assert!(json.contains("\"timestamp_ms\"") && json.contains("\"sequence\""));
 
-    let result = server.execute(&server.table("cx.metrics").unwrap()).unwrap();
+    let result = server
+        .execute(&server.table("cx.metrics").unwrap())
+        .unwrap();
     let chunk = result.table.to_chunk().unwrap();
-    let rows: HashSet<String> =
-        chunk.column_by_name("name").unwrap().utf8_values().unwrap().iter().cloned().collect();
+    let rows: HashSet<String> = chunk
+        .column_by_name("name")
+        .unwrap()
+        .utf8_values()
+        .unwrap()
+        .iter()
+        .cloned()
+        .collect();
     for name in &declared {
-        assert!(rows.contains(name), "{name} is declared but has no cx.metrics row");
+        assert!(
+            rows.contains(name),
+            "{name} is declared but has no cx.metrics row"
+        );
     }
     for name in &rows {
-        assert!(declared.contains(name), "cx.metrics row {name} is not declared");
+        assert!(
+            declared.contains(name),
+            "cx.metrics row {name} is not declared"
+        );
     }
 }
 
@@ -194,8 +264,10 @@ fn architecture_doc_inventory_matches_the_declarations() {
         .nth(1)
         .and_then(|rest| rest.split("\n### ").next())
         .expect("docs/ARCHITECTURE.md has a `### Metric inventory` section");
-    let documented: Vec<&str> =
-        section.lines().filter(|l| l.starts_with("| ") && l.contains("| `cx_")).collect();
+    let documented: Vec<&str> = section
+        .lines()
+        .filter(|l| l.starts_with("| ") && l.contains("| `cx_"))
+        .collect();
     let expected = documented_rows();
     let regenerate = || {
         format!(
@@ -205,9 +277,17 @@ fn architecture_doc_inventory_matches_the_declarations() {
         )
     };
     for row in &expected {
-        assert!(documented.contains(&row.as_str()), "missing row: {row}\n\n{}", regenerate());
+        assert!(
+            documented.contains(&row.as_str()),
+            "missing row: {row}\n\n{}",
+            regenerate()
+        );
     }
     for row in &documented {
-        assert!(expected.iter().any(|e| e == row), "stale row: {row}\n\n{}", regenerate());
+        assert!(
+            expected.iter().any(|e| e == row),
+            "stale row: {row}\n\n{}",
+            regenerate()
+        );
     }
 }

@@ -21,7 +21,14 @@ fn build_engine() -> Arc<Engine> {
     let space = Arc::new(cx_datagen::build_space(&specs, 64, 42));
     engine.register_model(Arc::new(ClusteredTextModel::new("m", space, 7)));
     let names = [
-        "boots", "parka", "kitten", "sneakers", "coat", "puppy", "oxfords", "windbreaker",
+        "boots",
+        "parka",
+        "kitten",
+        "sneakers",
+        "coat",
+        "puppy",
+        "oxfords",
+        "windbreaker",
     ];
     let products = Table::from_columns(
         Schema::new(vec![

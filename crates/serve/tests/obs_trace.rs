@@ -19,8 +19,18 @@ fn build_engine() -> Arc<Engine> {
     let space = Arc::new(cx_datagen::build_space(&specs, 64, 42));
     engine.register_model(Arc::new(ClusteredTextModel::new("m", space, 7)));
     let names = [
-        "boots", "parka", "kitten", "sneakers", "coat", "puppy", "oxfords", "windbreaker",
-        "blazer", "canine", "feline", "lace-ups",
+        "boots",
+        "parka",
+        "kitten",
+        "sneakers",
+        "coat",
+        "puppy",
+        "oxfords",
+        "windbreaker",
+        "blazer",
+        "canine",
+        "feline",
+        "lace-ups",
     ];
     let products = Table::from_columns(
         Schema::new(vec![
@@ -53,10 +63,21 @@ fn span_names(spans: &[SpanRecord]) -> Vec<&'static str> {
 fn register_join_tables(engine: &Engine) {
     let vocab = cx_datagen::vocab::all_words(&cx_datagen::table1_clusters());
     let corpus = |size, seed| {
-        generate_corpus(&vocab, CorpusConfig { size, zipf_s: 0.6, max_words: 2, seed })
+        generate_corpus(
+            &vocab,
+            CorpusConfig {
+                size,
+                zipf_s: 0.6,
+                max_words: 2,
+                seed,
+            },
+        )
     };
     let items = Table::from_columns(
-        Schema::new(vec![Field::new("name", DataType::Utf8), Field::new("price", DataType::Float64)]),
+        Schema::new(vec![
+            Field::new("name", DataType::Utf8),
+            Field::new("price", DataType::Float64),
+        ]),
         vec![
             Column::from_strings(corpus(1500, 11)),
             Column::from_f64((0..1500).map(|i| (i % 200) as f64).collect()),
@@ -78,7 +99,13 @@ fn register_join_tables(engine: &Engine) {
 fn prepared_storm_traces(threads: usize) -> Vec<QueryTrace> {
     let engine = build_engine();
     register_join_tables(&engine);
-    let server = Server::new(engine, ServeConfig { tracing: true, ..ServeConfig::default() });
+    let server = Server::new(
+        engine,
+        ServeConfig {
+            tracing: true,
+            ..ServeConfig::default()
+        },
+    );
     let rounds = 3;
     let barrier = Arc::new(Barrier::new(threads));
     let traces: Vec<QueryTrace> = std::thread::scope(|s| {
@@ -108,7 +135,10 @@ fn prepared_storm_traces(threads: usize) -> Vec<QueryTrace> {
                 })
             })
             .collect();
-        handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
     });
     assert_eq!(traces.len(), threads * rounds);
     traces
@@ -125,7 +155,13 @@ fn concurrent_prepared_trace_covers_the_lifecycle() {
             "expected >= 6 distinct spans, got {names:?}\n{}",
             trace.render()
         );
-        for required in ["plan_cache", "bind_params", "admission", "execute", "panel_sweep"] {
+        for required in [
+            "plan_cache",
+            "bind_params",
+            "admission",
+            "execute",
+            "panel_sweep",
+        ] {
             assert!(names.contains(&required), "missing {required}: {names:?}");
         }
         // Top-level spans are built non-overlapping, so their sum must
@@ -153,7 +189,11 @@ fn lifecycle_spans_nest_and_order() {
         // admission, then execution — each a top-level stage.
         let stages = ["plan_cache", "bind_params", "admission", "execute"].map(find);
         for pair in stages.windows(2) {
-            assert!(pair[0].start_ns + pair[0].dur_ns <= pair[1].start_ns, "{}", trace.render());
+            assert!(
+                pair[0].start_ns + pair[0].dur_ns <= pair[1].start_ns,
+                "{}",
+                trace.render()
+            );
         }
         assert!(stages.iter().all(|s| s.depth == 0), "{}", trace.render());
 
@@ -185,10 +225,12 @@ fn fault_storm_victims_record_fault_events() {
     // embed site keeps getting consulted; admission strikes every run.
     // Drawing order is deterministic, so seed 7 replays exactly.
     for i in 0..30 {
-        let q = server
-            .table("products")
-            .unwrap()
-            .semantic_filter("name", "boots", "m", 0.70 + 0.005 * i as f32);
+        let q = server.table("products").unwrap().semantic_filter(
+            "name",
+            "boots",
+            "m",
+            0.70 + 0.005 * i as f32,
+        );
         let _ = server.execute(&q);
     }
 
@@ -222,7 +264,10 @@ fn fault_storm_victims_record_fault_events() {
 fn prometheus_snapshot_roundtrips_with_every_counter() {
     let server = Server::new(
         build_engine(),
-        ServeConfig { tracing: true, ..ServeConfig::default() },
+        ServeConfig {
+            tracing: true,
+            ..ServeConfig::default()
+        },
     );
     // Touch every subsystem so per-model and per-operator families exist.
     server.set_fault_plan(Some(Arc::new(FaultPlan::new(3, 0.0))));
@@ -304,7 +349,10 @@ fn prometheus_snapshot_roundtrips_with_every_counter() {
         "cx_obs_incidents_retained",
         "cx_serve_simd_info",
     ] {
-        assert!(parsed.contains(name), "metric missing from exposition: {name}");
+        assert!(
+            parsed.contains(name),
+            "metric missing from exposition: {name}"
+        );
     }
 
     // Values survive the round trip.

@@ -20,8 +20,18 @@ fn build_engine() -> Arc<Engine> {
     let space = Arc::new(cx_datagen::build_space(&specs, 64, 42));
     engine.register_model(Arc::new(ClusteredTextModel::new("m", space, 7)));
     let names = [
-        "boots", "parka", "kitten", "sneakers", "coat", "puppy", "oxfords", "windbreaker",
-        "blazer", "canine", "feline", "lace-ups",
+        "boots",
+        "parka",
+        "kitten",
+        "sneakers",
+        "coat",
+        "puppy",
+        "oxfords",
+        "windbreaker",
+        "blazer",
+        "canine",
+        "feline",
+        "lace-ups",
     ];
     let products = Table::from_columns(
         Schema::new(vec![
@@ -55,7 +65,9 @@ fn metric_value(metrics: &Table, name: &str) -> Option<f64> {
     let labels = labels.utf8_values().unwrap();
     let values = chunk.column_by_name("value").unwrap();
     let values = values.f64_values().unwrap();
-    (0..names.len()).find(|&i| names[i] == name && labels[i].is_empty()).map(|i| values[i])
+    (0..names.len())
+        .find(|&i| names[i] == name && labels[i].is_empty())
+        .map(|i| values[i])
 }
 
 fn semantic_query(server: &Arc<Server>, target: &str) -> context_engine::Query {
@@ -70,7 +82,11 @@ fn semantic_query(server: &Arc<Server>, target: &str) -> context_engine::Query {
 fn cx_tables_agree_with_server_counters_under_traffic() {
     let server = Server::new(
         build_engine(),
-        ServeConfig { tracing: true, profiling: true, ..ServeConfig::default() },
+        ServeConfig {
+            tracing: true,
+            profiling: true,
+            ..ServeConfig::default()
+        },
     );
     for target in ["boots", "parka", "kitten", "sneakers", "coat", "puppy"] {
         server.execute(&semantic_query(&server, target)).unwrap();
@@ -87,7 +103,9 @@ fn cx_tables_agree_with_server_counters_under_traffic() {
             let mut lap = 0usize;
             while !flag.load(Ordering::Relaxed) {
                 let target = ["boots", "parka", "kitten"][lap % 3];
-                traffic_server.execute(&semantic_query(&traffic_server, target)).unwrap();
+                traffic_server
+                    .execute(&semantic_query(&traffic_server, target))
+                    .unwrap();
                 lap += 1;
             }
         });
@@ -101,7 +119,10 @@ fn cx_tables_agree_with_server_counters_under_traffic() {
                 "cx_serve_queries_total {served} outside [{before}, {after}]"
             );
             let queries = scan(&server, "cx.queries");
-            assert!(queries.num_rows() > 0, "trace ring visible through cx.queries");
+            assert!(
+                queries.num_rows() > 0,
+                "trace ring visible through cx.queries"
+            );
         }
         stop.store(true, Ordering::Relaxed);
     });
@@ -120,9 +141,16 @@ fn cx_tables_agree_with_server_counters_under_traffic() {
     let which = which.utf8_values().unwrap().to_vec();
     let counts = chunk.column_by_name("count").unwrap();
     let counts = counts.i64_values().unwrap().to_vec();
-    let bucket_sum: i64 =
-        which.iter().zip(&counts).filter(|(h, _)| h.as_str() == "latency").map(|(_, c)| c).sum();
-    assert_eq!(bucket_sum as u64, latency_count, "latency buckets sum to the histogram count");
+    let bucket_sum: i64 = which
+        .iter()
+        .zip(&counts)
+        .filter(|(h, _)| h.as_str() == "latency")
+        .map(|(_, c)| c)
+        .sum();
+    assert_eq!(
+        bucket_sum as u64, latency_count,
+        "latency buckets sum to the histogram count"
+    );
 
     // Every outcome in the quiescent ring is a success.
     let outcomes = queries.to_chunk().unwrap();
@@ -142,9 +170,15 @@ fn system_table_scans_are_volatile_and_never_memoized() {
     server.execute(&semantic_query(&server, "boots")).unwrap();
 
     let second = server.execute(&q).unwrap();
-    assert!(!second.result_cache_hit, "cx.* results must never come from the memo");
+    assert!(
+        !second.result_cache_hit,
+        "cx.* results must never come from the memo"
+    );
     let v2 = metric_value(&second.table, "cx_serve_queries_total").unwrap();
-    assert!(v2 > v1, "second scan must observe fresh counters ({v1} -> {v2})");
+    assert!(
+        v2 > v1,
+        "second scan must observe fresh counters ({v1} -> {v2})"
+    );
 
     // The plan itself is still cached — only the result memo is skipped —
     // and the cached entry is flagged volatile (visible via cx.plan_cache
@@ -164,7 +198,10 @@ fn explain_analyze_forces_one_trace_without_retention() {
     let q = semantic_query(&server, "boots");
     let rendered = session.explain_analyze(&q).unwrap();
     for required in ["plan_cache", "execute"] {
-        assert!(rendered.contains(required), "missing {required} in:\n{rendered}");
+        assert!(
+            rendered.contains(required),
+            "missing {required} in:\n{rendered}"
+        );
     }
     // The trace is rendered and dropped: nothing is retained in the
     // (capacity-zero) ring.
@@ -177,13 +214,20 @@ fn explain_analyze_forces_one_trace_without_retention() {
 fn profiler_populates_cx_queries_and_totals() {
     let server = Server::new(
         build_engine(),
-        ServeConfig { tracing: true, profiling: true, ..ServeConfig::default() },
+        ServeConfig {
+            tracing: true,
+            profiling: true,
+            ..ServeConfig::default()
+        },
     );
     server.execute(&semantic_query(&server, "kitten")).unwrap();
 
     let totals = server.profile_totals();
     assert_eq!(totals.profiled_queries, 1);
-    assert!(totals.pairs_scored > 0, "semantic sweep must attribute pairs: {totals:?}");
+    assert!(
+        totals.pairs_scored > 0,
+        "semantic sweep must attribute pairs: {totals:?}"
+    );
     assert!(totals.panel_tiles > 0);
 
     let trace = server.last_trace().expect("tracing on");
@@ -194,7 +238,10 @@ fn profiler_populates_cx_queries_and_totals() {
     let chunk = queries.to_chunk().unwrap();
     let pairs = chunk.column_by_name("pairs_scored").unwrap();
     let pairs = pairs.i64_values().unwrap().to_vec();
-    assert!(pairs.iter().any(|&p| p > 0), "cx.queries surfaces pairs_scored: {pairs:?}");
+    assert!(
+        pairs.iter().any(|&p| p > 0),
+        "cx.queries surfaces pairs_scored: {pairs:?}"
+    );
     let tier = chunk.column_by_name("quant_tier").unwrap();
     assert!(
         tier.utf8_values().unwrap().iter().any(|t| !t.is_empty()),
@@ -216,15 +263,25 @@ fn profiled_join_counts_build_tiles_of_its_panel() {
     engine.register_table("labels", labels).unwrap();
     let server = Server::new(
         engine,
-        ServeConfig { tracing: true, profiling: true, ..ServeConfig::default() },
+        ServeConfig {
+            tracing: true,
+            profiling: true,
+            ..ServeConfig::default()
+        },
     );
-    let join = server
-        .table("products")
-        .unwrap()
-        .semantic_join(server.table("labels").unwrap(), "name", "label", "m", 0.9);
+    let join = server.table("products").unwrap().semantic_join(
+        server.table("labels").unwrap(),
+        "name",
+        "label",
+        "m",
+        0.9,
+    );
     server.execute(&join).unwrap();
 
-    let profile = server.last_trace().and_then(|t| t.profile()).expect("profiled query");
+    let profile = server
+        .last_trace()
+        .and_then(|t| t.profile())
+        .expect("profiled query");
     assert_eq!(profile.panel_tiles, n.div_ceil(64) as u64, "{profile:?}");
     assert_eq!(profile.pairs_scored, (12 * n) as u64, "{profile:?}");
 }
@@ -232,14 +289,23 @@ fn profiled_join_counts_build_tiles_of_its_panel() {
 /// The `quant_tier` cell of every `cx.queries` row.
 fn tier_cells(server: &Arc<Server>) -> Vec<String> {
     let chunk = scan(server, "cx.queries").to_chunk().unwrap();
-    chunk.column_by_name("quant_tier").unwrap().utf8_values().unwrap().to_vec()
+    chunk
+        .column_by_name("quant_tier")
+        .unwrap()
+        .utf8_values()
+        .unwrap()
+        .to_vec()
 }
 
 #[test]
 fn concurrent_runs_report_their_quant_tier() {
     let server = Server::new(
         build_engine(),
-        ServeConfig { tracing: true, trace_ring_capacity: 256, ..ServeConfig::default() },
+        ServeConfig {
+            tracing: true,
+            trace_ring_capacity: 256,
+            ..ServeConfig::default()
+        },
     );
     server.execute(&semantic_query(&server, "kitten")).unwrap();
     assert_eq!(tier_cells(&server), ["f32"]);
@@ -260,7 +326,10 @@ fn concurrent_runs_report_their_quant_tier() {
     // The row of the earlier `cx.queries` scan sweeps nothing: no tier.
     let tiers = tier_cells(&server);
     assert_eq!(tiers.iter().filter(|t| *t == "f32").count(), 5, "{tiers:?}");
-    assert!(tiers.iter().all(|t| t == "f32" || t.is_empty()), "{tiers:?}");
+    assert!(
+        tiers.iter().all(|t| t == "f32" || t.is_empty()),
+        "{tiers:?}"
+    );
 }
 
 #[test]
@@ -289,7 +358,10 @@ fn watchdog_fires_on_fault_storm_and_is_queryable() {
 
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while server.incidents().total() == 0 {
-        assert!(std::time::Instant::now() < deadline, "watchdog never fired under fault storm");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "watchdog never fired under fault storm"
+        );
         // Keep faulting; injected transient failures are expected.
         let _ = server.execute(&semantic_query(&server, "boots"));
         std::thread::sleep(Duration::from_millis(1));
@@ -301,11 +373,18 @@ fn watchdog_fires_on_fault_storm_and_is_queryable() {
     let chunk = incidents.to_chunk().unwrap();
     let kinds = chunk.column_by_name("kind").unwrap();
     assert!(
-        kinds.utf8_values().unwrap().iter().any(|k| k == "fault_burst"),
+        kinds
+            .utf8_values()
+            .unwrap()
+            .iter()
+            .any(|k| k == "fault_burst"),
         "expected a fault_burst incident"
     );
     let report = server.report();
-    assert!(report.contains("incidents"), "report surfaces the incident log:\n{report}");
+    assert!(
+        report.contains("incidents"),
+        "report surfaces the incident log:\n{report}"
+    );
 }
 
 #[test]
@@ -326,7 +405,12 @@ fn watchdog_stays_silent_on_clean_run() {
     }
     // Plenty of ticks over healthy traffic.
     std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(server.incidents().total(), 0, "{:?}", server.incidents().recent());
+    assert_eq!(
+        server.incidents().total(),
+        0,
+        "{:?}",
+        server.incidents().recent()
+    );
 }
 
 #[test]
@@ -341,10 +425,15 @@ fn injected_timestamp_makes_snapshots_deterministic() {
     let (s1, s2) = (first.sequence().unwrap(), second.sequence().unwrap());
     assert!(s2 > s1, "sequence must order snapshots ({s1} vs {s2})");
     assert!(server.metrics_json().contains("\"timestamp_ms\": 1234567"));
-    assert!(server.prometheus().contains("cx_obs_snapshot_timestamp_ms 1234567"));
+    assert!(server
+        .prometheus()
+        .contains("cx_obs_snapshot_timestamp_ms 1234567"));
 
     let metrics = scan(&server, "cx.metrics");
-    assert_eq!(metric_value(&metrics, "cx_obs_snapshot_timestamp_ms"), Some(1_234_567.0));
+    assert_eq!(
+        metric_value(&metrics, "cx_obs_snapshot_timestamp_ms"),
+        Some(1_234_567.0)
+    );
 
     server.set_timestamp_source(None);
     assert!(server.now_ms() > 1_234_567, "back on the wall clock");
@@ -355,8 +444,16 @@ fn injected_timestamp_makes_snapshots_deterministic() {
 /// client/round order.
 fn run_storm(server: &Arc<Server>, rounds: usize, introspect: bool) -> Vec<String> {
     const CLIENTS: usize = 8;
-    let targets =
-        ["boots", "parka", "kitten", "sneakers", "coat", "puppy", "oxfords", "windbreaker"];
+    let targets = [
+        "boots",
+        "parka",
+        "kitten",
+        "sneakers",
+        "coat",
+        "puppy",
+        "oxfords",
+        "windbreaker",
+    ];
     let stop = Arc::new(AtomicBool::new(false));
     let barrier = Arc::new(Barrier::new(CLIENTS));
     std::thread::scope(|s| {
@@ -391,11 +488,16 @@ fn run_storm(server: &Arc<Server>, rounds: usize, introspect: bool) -> Vec<Strin
                 })
             })
             .collect();
-        let rows: Vec<String> =
-            clients.into_iter().flat_map(|h| h.join().unwrap()).collect();
+        let rows: Vec<String> = clients
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
         stop.store(true, Ordering::Relaxed);
         if let Some(handle) = scanner {
-            assert!(handle.join().unwrap() > 0, "introspection client never completed a scan");
+            assert!(
+                handle.join().unwrap() > 0,
+                "introspection client never completed a scan"
+            );
         }
         rows
     })
@@ -403,13 +505,23 @@ fn run_storm(server: &Arc<Server>, rounds: usize, introspect: bool) -> Vec<Strin
 
 #[test]
 fn introspection_storm_is_deadlock_free_and_bit_identical() {
-    let config = ServeConfig { tracing: true, profiling: true, ..ServeConfig::default() };
+    let config = ServeConfig {
+        tracing: true,
+        profiling: true,
+        ..ServeConfig::default()
+    };
     let with = Server::new(build_engine(), config);
     let observed = run_storm(&with, 6, true);
 
     let without = Server::new(build_engine(), config);
     let plain = run_storm(&without, 6, false);
 
-    assert_eq!(observed, plain, "introspection must not perturb traffic results");
-    assert!(with.stats().queries > without.stats().queries, "scanner queries were served too");
+    assert_eq!(
+        observed, plain,
+        "introspection must not perturb traffic results"
+    );
+    assert!(
+        with.stats().queries > without.stats().queries,
+        "scanner queries were served too"
+    );
 }

@@ -21,7 +21,9 @@ impl<T> Mutex<T> {
     }
 
     pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(sync::PoisonError::into_inner)
+        self.0
+            .into_inner()
+            .unwrap_or_else(sync::PoisonError::into_inner)
     }
 }
 
@@ -31,7 +33,9 @@ impl<T: ?Sized> Mutex<T> {
     }
 
     pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(sync::PoisonError::into_inner)
+        self.0
+            .get_mut()
+            .unwrap_or_else(sync::PoisonError::into_inner)
     }
 
     /// Whether a holder panicked (shim-only; lets tests prove that the
@@ -52,7 +56,9 @@ impl Condvar {
     }
 
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        self.0.wait(guard).unwrap_or_else(sync::PoisonError::into_inner)
+        self.0
+            .wait(guard)
+            .unwrap_or_else(sync::PoisonError::into_inner)
     }
 
     pub fn wait_timeout<'a, T>(
@@ -60,7 +66,9 @@ impl Condvar {
         guard: MutexGuard<'a, T>,
         timeout: Duration,
     ) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-        self.0.wait_timeout(guard, timeout).unwrap_or_else(sync::PoisonError::into_inner)
+        self.0
+            .wait_timeout(guard, timeout)
+            .unwrap_or_else(sync::PoisonError::into_inner)
     }
 
     pub fn notify_one(&self) {
@@ -82,7 +90,9 @@ impl<T> RwLock<T> {
     }
 
     pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(sync::PoisonError::into_inner)
+        self.0
+            .into_inner()
+            .unwrap_or_else(sync::PoisonError::into_inner)
     }
 }
 
@@ -96,7 +106,9 @@ impl<T: ?Sized> RwLock<T> {
     }
 
     pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(sync::PoisonError::into_inner)
+        self.0
+            .get_mut()
+            .unwrap_or_else(sync::PoisonError::into_inner)
     }
 }
 

@@ -164,7 +164,11 @@ impl<A: Strategy, B: Strategy, C: Strategy> Strategy for (A, B, C) {
     type Value = (A::Value, B::Value, C::Value);
 
     fn generate(&self, rng: &mut TestRng) -> Self::Value {
-        (self.0.generate(rng), self.1.generate(rng), self.2.generate(rng))
+        (
+            self.0.generate(rng),
+            self.1.generate(rng),
+            self.2.generate(rng),
+        )
     }
 }
 
@@ -259,7 +263,10 @@ impl<T> Strategy for OneOf<T> {
     type Value = T;
 
     fn generate(&self, rng: &mut TestRng) -> T {
-        assert!(!self.options.is_empty(), "prop_oneof! needs at least one option");
+        assert!(
+            !self.options.is_empty(),
+            "prop_oneof! needs at least one option"
+        );
         let i = rng.next_below(self.options.len() as u64) as usize;
         self.options[i].generate(rng)
     }
@@ -288,13 +295,19 @@ pub mod prop {
         impl From<std::ops::Range<usize>> for SizeRange {
             fn from(r: std::ops::Range<usize>) -> Self {
                 assert!(r.start < r.end, "empty size range");
-                SizeRange { min: r.start, max: r.end - 1 }
+                SizeRange {
+                    min: r.start,
+                    max: r.end - 1,
+                }
             }
         }
 
         impl From<std::ops::RangeInclusive<usize>> for SizeRange {
             fn from(r: std::ops::RangeInclusive<usize>) -> Self {
-                SizeRange { min: *r.start(), max: *r.end() }
+                SizeRange {
+                    min: *r.start(),
+                    max: *r.end(),
+                }
             }
         }
 
@@ -316,7 +329,10 @@ pub mod prop {
 
         /// `prop::collection::vec(element, len_range)`.
         pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-            VecStrategy { element, size: size.into() }
+            VecStrategy {
+                element,
+                size: size.into(),
+            }
         }
     }
 
@@ -357,7 +373,10 @@ pub struct ProptestConfig {
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        ProptestConfig { cases: 256, max_shrink_iters: 0 }
+        ProptestConfig {
+            cases: 256,
+            max_shrink_iters: 0,
+        }
     }
 }
 

@@ -177,7 +177,11 @@ pub struct UnsupportedSimdMode(pub SimdMode);
 
 impl std::fmt::Display for UnsupportedSimdMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SIMD mode '{}' is not supported on this host", self.0.label())
+        write!(
+            f,
+            "SIMD mode '{}' is not supported on this host",
+            self.0.label()
+        )
     }
 }
 
@@ -215,7 +219,10 @@ fn host_caps() -> HostCaps {
 
 #[cfg(target_arch = "aarch64")]
 fn host_caps() -> HostCaps {
-    HostCaps { neon: std::arch::is_aarch64_feature_detected!("neon"), ..HostCaps::default() }
+    HostCaps {
+        neon: std::arch::is_aarch64_feature_detected!("neon"),
+        ..HostCaps::default()
+    }
 }
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
@@ -235,7 +242,11 @@ fn resolve(mode: SimdMode, caps: HostCaps) -> Option<KernelDispatch> {
             }
             Some(KernelDispatch {
                 f32_path: F32Path::Avx2,
-                f16_path: if caps.f16c { F16Path::F16cAvx2 } else { F16Path::Scalar },
+                f16_path: if caps.f16c {
+                    F16Path::F16cAvx2
+                } else {
+                    F16Path::Scalar
+                },
                 int8_path: Int8Path::Avx2,
             })
         }
@@ -245,7 +256,11 @@ fn resolve(mode: SimdMode, caps: HostCaps) -> Option<KernelDispatch> {
             }
             Some(KernelDispatch {
                 f32_path: F32Path::Avx2,
-                f16_path: if caps.f16c { F16Path::F16cAvx2 } else { F16Path::Scalar },
+                f16_path: if caps.f16c {
+                    F16Path::F16cAvx2
+                } else {
+                    F16Path::Scalar
+                },
                 int8_path: Int8Path::Vnni256,
             })
         }
@@ -255,7 +270,11 @@ fn resolve(mode: SimdMode, caps: HostCaps) -> Option<KernelDispatch> {
             }
             Some(KernelDispatch {
                 f32_path: F32Path::Avx512,
-                f16_path: if caps.f16c { F16Path::F16cAvx512 } else { F16Path::Scalar },
+                f16_path: if caps.f16c {
+                    F16Path::F16cAvx512
+                } else {
+                    F16Path::Scalar
+                },
                 int8_path: if caps.vnni512 {
                     Int8Path::Vnni512
                 } else if caps.vnni256 {
@@ -308,10 +327,16 @@ pub fn resolve_mode(mode: SimdMode) -> Option<KernelDispatch> {
 /// per-ISA property tests sweep.
 pub fn available_modes() -> Vec<SimdMode> {
     let caps = host_caps();
-    [SimdMode::Off, SimdMode::Avx2, SimdMode::Vnni, SimdMode::Avx512, SimdMode::Neon]
-        .into_iter()
-        .filter(|&m| resolve(m, caps).is_some())
-        .collect()
+    [
+        SimdMode::Off,
+        SimdMode::Avx2,
+        SimdMode::Vnni,
+        SimdMode::Avx512,
+        SimdMode::Neon,
+    ]
+    .into_iter()
+    .filter(|&m| resolve(m, caps).is_some())
+    .collect()
 }
 
 // Packed as: byte0 = f32 path, byte1 = f16 path, byte2 = int8 path,
@@ -342,7 +367,11 @@ fn decode(bits: u32) -> KernelDispatch {
         4 => Int8Path::Neon,
         _ => Int8Path::Scalar,
     };
-    KernelDispatch { f32_path, f16_path, int8_path }
+    KernelDispatch {
+        f32_path,
+        f16_path,
+        int8_path,
+    }
 }
 
 fn init_from_env() -> KernelDispatch {
@@ -447,7 +476,12 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrips() {
-        for f32_path in [F32Path::Scalar, F32Path::Avx2, F32Path::Avx512, F32Path::Neon] {
+        for f32_path in [
+            F32Path::Scalar,
+            F32Path::Avx2,
+            F32Path::Avx512,
+            F32Path::Neon,
+        ] {
             for f16_path in [F16Path::Scalar, F16Path::F16cAvx2, F16Path::F16cAvx512] {
                 for int8_path in [
                     Int8Path::Scalar,
@@ -456,7 +490,11 @@ mod tests {
                     Int8Path::Vnni512,
                     Int8Path::Neon,
                 ] {
-                    let d = KernelDispatch { f32_path, f16_path, int8_path };
+                    let d = KernelDispatch {
+                        f32_path,
+                        f16_path,
+                        int8_path,
+                    };
                     assert_eq!(decode(encode(d)), d);
                 }
             }
@@ -484,7 +522,11 @@ mod tests {
     fn unsupported_mode_is_typed() {
         // At most one of neon/avx512 can be native to any host; probing an
         // impossible one exercises the error without assuming the host ISA.
-        let impossible = if cfg!(target_arch = "x86_64") { SimdMode::Neon } else { SimdMode::Avx512 };
+        let impossible = if cfg!(target_arch = "x86_64") {
+            SimdMode::Neon
+        } else {
+            SimdMode::Avx512
+        };
         let err = force_mode(impossible).unwrap_err();
         assert_eq!(err, UnsupportedSimdMode(impossible));
         assert!(err.to_string().contains("not supported"));

@@ -278,18 +278,32 @@ mod x86 {
             let h2 = _mm_loadu_si128(row.add(base + 16) as *const __m128i);
             let h3 = _mm_loadu_si128(row.add(base + 24) as *const __m128i);
             a0lo = _mm256_fmadd_ps(_mm256_cvtph_ps(h0), _mm256_loadu_ps(query.add(base)), a0lo);
-            a0hi = _mm256_fmadd_ps(_mm256_cvtph_ps(h1), _mm256_loadu_ps(query.add(base + 8)), a0hi);
-            a1lo =
-                _mm256_fmadd_ps(_mm256_cvtph_ps(h2), _mm256_loadu_ps(query.add(base + 16)), a1lo);
-            a1hi =
-                _mm256_fmadd_ps(_mm256_cvtph_ps(h3), _mm256_loadu_ps(query.add(base + 24)), a1hi);
+            a0hi = _mm256_fmadd_ps(
+                _mm256_cvtph_ps(h1),
+                _mm256_loadu_ps(query.add(base + 8)),
+                a0hi,
+            );
+            a1lo = _mm256_fmadd_ps(
+                _mm256_cvtph_ps(h2),
+                _mm256_loadu_ps(query.add(base + 16)),
+                a1lo,
+            );
+            a1hi = _mm256_fmadd_ps(
+                _mm256_cvtph_ps(h3),
+                _mm256_loadu_ps(query.add(base + 24)),
+                a1hi,
+            );
         }
         let mut done = chunks * 32;
         if dim - done >= 16 {
             let h0 = _mm_loadu_si128(row.add(done) as *const __m128i);
             let h1 = _mm_loadu_si128(row.add(done + 8) as *const __m128i);
             a0lo = _mm256_fmadd_ps(_mm256_cvtph_ps(h0), _mm256_loadu_ps(query.add(done)), a0lo);
-            a0hi = _mm256_fmadd_ps(_mm256_cvtph_ps(h1), _mm256_loadu_ps(query.add(done + 8)), a0hi);
+            a0hi = _mm256_fmadd_ps(
+                _mm256_cvtph_ps(h1),
+                _mm256_loadu_ps(query.add(done + 8)),
+                a0hi,
+            );
             done += 16;
         }
         let mut lanes = [0.0f32; 16];
@@ -356,7 +370,10 @@ mod x86 {
             for k in 0..MICRO_AVX2 {
                 let mut lanes = [0.0f32; 16];
                 _mm256_storeu_ps(lanes.as_mut_ptr(), _mm256_add_ps(acc[k][0], acc[k][2]));
-                _mm256_storeu_ps(lanes.as_mut_ptr().add(8), _mm256_add_ps(acc[k][1], acc[k][3]));
+                _mm256_storeu_ps(
+                    lanes.as_mut_ptr().add(8),
+                    _mm256_add_ps(acc[k][1], acc[k][3]),
+                );
                 let mut sum = reduce16_tree(&lanes);
                 for i in done..dim {
                     sum = f16_to_f32(*rowp[k].add(i)).mul_add(*q.add(i), sum);
@@ -387,8 +404,11 @@ mod x86 {
             let h0 = _mm256_loadu_si256(row.add(base) as *const __m256i);
             let h1 = _mm256_loadu_si256(row.add(base + 16) as *const __m256i);
             acc0 = _mm512_fmadd_ps(_mm512_cvtph_ps(h0), _mm512_loadu_ps(query.add(base)), acc0);
-            acc1 =
-                _mm512_fmadd_ps(_mm512_cvtph_ps(h1), _mm512_loadu_ps(query.add(base + 16)), acc1);
+            acc1 = _mm512_fmadd_ps(
+                _mm512_cvtph_ps(h1),
+                _mm512_loadu_ps(query.add(base + 16)),
+                acc1,
+            );
         }
         let mut done = chunks * 32;
         if dim - done >= 16 {
@@ -508,7 +528,12 @@ mod x86 {
                 );
                 done += 16;
             }
-            let banks = [(r0, a00, a01), (r1, a10, a11), (r2, a20, a21), (r3, a30, a31)];
+            let banks = [
+                (r0, a00, a01),
+                (r1, a10, a11),
+                (r2, a20, a21),
+                (r3, a30, a31),
+            ];
             for (k, (rp, b0, b1)) in banks.into_iter().enumerate() {
                 let mut lanes = [0.0f32; 16];
                 _mm512_storeu_ps(lanes.as_mut_ptr(), _mm512_add_ps(b0, b1));
@@ -630,7 +655,11 @@ mod tests {
             let mut dst = vec![f32::NAN; n];
             convert_f16_slice(&src, &mut dst);
             for i in 0..n {
-                assert_eq!(dst[i].to_bits(), f16_to_f32(src[i]).to_bits(), "n {n} i {i}");
+                assert_eq!(
+                    dst[i].to_bits(),
+                    f16_to_f32(src[i]).to_bits(),
+                    "n {n} i {i}"
+                );
             }
         }
     }

@@ -88,8 +88,16 @@ pub fn dot_tile_threshold(
     }
     #[cfg(target_arch = "x86_64")]
     let (p, b) = (
-        x86::Rows { ptr: probes.as_ptr(), stride: probe_stride, rows: probe_rows },
-        x86::Rows { ptr: panel.as_ptr(), stride: panel_stride, rows: panel_rows },
+        x86::Rows {
+            ptr: probes.as_ptr(),
+            stride: probe_stride,
+            rows: probe_rows,
+        },
+        x86::Rows {
+            ptr: panel.as_ptr(),
+            stride: panel_stride,
+            rows: panel_rows,
+        },
     );
     match KernelDispatch::active().f32_path {
         #[cfg(target_arch = "x86_64")]
@@ -179,7 +187,7 @@ fn dot_block_scalar(query: &[f32], block: &[f32], stride: usize, out: &mut [f32]
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::super::{reduce8_tree, reduce16_tree};
+    use super::super::{reduce16_tree, reduce8_tree};
     use std::arch::x86_64::*;
 
     /// Tile rows advanced together through the dim loop: each probe chunk
@@ -201,9 +209,15 @@ mod x86 {
         /// mask of lanes `p * R + k`, `p < P`, whose row `r + k` exists.
         #[inline(always)]
         fn tile<const P: usize, const R: usize>(&self, r: usize) -> ([*const f32; R], u32) {
-            let row = |k: usize| self.ptr.wrapping_add((r + k).min(self.rows - 1) * self.stride);
+            let row = |k: usize| {
+                self.ptr
+                    .wrapping_add((r + k).min(self.rows - 1) * self.stride)
+            };
             let live = (1u32 << (self.rows - r).min(R)) - 1;
-            (std::array::from_fn(row), (0..P).fold(0, |m, p| m | live << (p * R)))
+            (
+                std::array::from_fn(row),
+                (0..P).fold(0, |m, p| m | live << (p * R)),
+            )
         }
     }
 
@@ -338,7 +352,11 @@ mod x86 {
         stride: usize,
         out: &mut [f32],
     ) {
-        let rows = Rows { ptr: block.as_ptr(), stride, rows: out.len() };
+        let rows = Rows {
+            ptr: block.as_ptr(),
+            stride,
+            rows: out.len(),
+        };
         for r in (0..rows.rows).step_by(8) {
             let (x, live) = rows.tile::<1, 8>(r);
             let sums = tile8([query.as_ptr()], x, query.len());
@@ -481,7 +499,11 @@ mod x86 {
         stride: usize,
         out: &mut [f32],
     ) {
-        let rows = Rows { ptr: block.as_ptr(), stride, rows: out.len() };
+        let rows = Rows {
+            ptr: block.as_ptr(),
+            stride,
+            rows: out.len(),
+        };
         for r in (0..rows.rows).step_by(16) {
             let (x, live) = rows.tile::<1, 16>(r);
             let sums = tile16([query.as_ptr()], x, query.len());
@@ -595,7 +617,8 @@ mod neon {
                 ];
                 for k in 0..MICRO {
                     for j in 0..4 {
-                        acc[k][j] = vfmaq_f32(acc[k][j], qv[j], vld1q_f32(rowp[k].add(base + j * 4)));
+                        acc[k][j] =
+                            vfmaq_f32(acc[k][j], qv[j], vld1q_f32(rowp[k].add(base + j * 4)));
                     }
                 }
             }

@@ -275,14 +275,12 @@ mod x86 {
                 let sign = _mm256_set1_epi8(-128);
                 let mut r = 0;
                 while r + MICRO <= rows {
-                    let rowp: [*const i8; MICRO] =
-                        std::array::from_fn(|k| b.add((r + k) * stride));
+                    let rowp: [*const i8; MICRO] = std::array::from_fn(|k| b.add((r + k) * stride));
                     let mut acc = [_mm256_setzero_si256(); MICRO];
                     for c in 0..chunks {
                         let va = _mm256_loadu_si256(q.add(c * 32) as *const __m256i);
                         for k in 0..MICRO {
-                            let vb =
-                                _mm256_loadu_si256(rowp[k].add(c * 32) as *const __m256i);
+                            let vb = _mm256_loadu_si256(rowp[k].add(c * 32) as *const __m256i);
                             acc[k] = $dpbusd(acc[k], _mm256_xor_si256(vb, sign), va);
                         }
                     }
@@ -314,7 +312,12 @@ mod x86 {
         };
     }
 
-    vnni256_kernels!(dot_vnni256_avx, dot_block_vnni256_avx, _mm256_dpbusd_avx_epi32, "avxvnni");
+    vnni256_kernels!(
+        dot_vnni256_avx,
+        dot_block_vnni256_avx,
+        _mm256_dpbusd_avx_epi32,
+        "avxvnni"
+    );
     vnni256_kernels!(
         dot_vnni256_evex,
         dot_block_vnni256_evex,
@@ -514,8 +517,7 @@ mod tests {
             let a = vec![-127i8; dim];
             let mut b = vec![-127i8; dim];
             b[dim - 1] = 127;
-            let expect: i32 =
-                a.iter().zip(&b).map(|(&x, &y)| x as i32 * y as i32).sum();
+            let expect: i32 = a.iter().zip(&b).map(|(&x, &y)| x as i32 * y as i32).sum();
             assert_eq!(dot_int8_i32(&a, &b), expect, "dim {dim}");
         }
     }

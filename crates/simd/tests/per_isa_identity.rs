@@ -7,8 +7,7 @@
 
 use cx_simd::{
     available_modes, convert_f16_slice, dot, dot_block, dot_block_f16, dot_block_int8, dot_f16,
-    dot_int8_i32, dot_tile_threshold, f16_to_f32, f32_to_f16, force_mode, KernelDispatch,
-    SimdMode,
+    dot_int8_i32, dot_tile_threshold, f16_to_f32, f32_to_f16, force_mode, KernelDispatch, SimdMode,
 };
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -161,7 +160,10 @@ fn threshold_tile_equals_pairwise_under_every_mode() {
                         mode.label()
                     );
                     if let Some(nan) = nan_row {
-                        assert!(got.iter().all(|&(_, r, _)| r != nan), "NaN row emitted: {tag}");
+                        assert!(
+                            got.iter().all(|&(_, r, _)| r != nan),
+                            "NaN row emitted: {tag}"
+                        );
                     }
                     got.sort_unstable();
                     want.sort_unstable();
@@ -287,7 +289,10 @@ fn f16_conversion_handles_subnormals_identically() {
         0xFC00, 0x3C00, 0xBC00, 0x5640,
     ];
     force_mode(SimdMode::Off).expect("off always resolves");
-    let want: Vec<u32> = interesting.iter().map(|&h| f16_to_f32(h).to_bits()).collect();
+    let want: Vec<u32> = interesting
+        .iter()
+        .map(|&h| f16_to_f32(h).to_bits())
+        .collect();
     for mode in available_modes() {
         force_mode(mode).expect("listed mode resolves");
         let mut out = vec![0.0f32; interesting.len()];
@@ -299,7 +304,12 @@ fn f16_conversion_handles_subnormals_identically() {
                 "convert mode={} half={h:#06x}",
                 mode.label()
             );
-            assert_eq!(f16_to_f32(h).to_bits(), want[i], "scalar entry mode={}", mode.label());
+            assert_eq!(
+                f16_to_f32(h).to_bits(),
+                want[i],
+                "scalar entry mode={}",
+                mode.label()
+            );
         }
     }
 }
@@ -326,7 +336,10 @@ fn zero_rows_and_empty_dims_are_inert_everywhere() {
 fn off_mode_reproduces_the_scalar_ladder_bits() {
     let _guard = lock_modes();
     force_mode(SimdMode::Off).expect("off always resolves");
-    assert_eq!(KernelDispatch::active().report(), "f32=scalar f16=scalar int8=scalar");
+    assert_eq!(
+        KernelDispatch::active().report(),
+        "f32=scalar f16=scalar int8=scalar"
+    );
     let mut rng = Rng(0x0DD);
     for dim in dims() {
         let a = rng.f32_vec(dim);
@@ -341,8 +354,9 @@ fn off_mode_reproduces_the_scalar_ladder_bits() {
                 lanes[l] += a[c * 8 + l] * b[c * 8 + l];
             }
         }
-        let mut want =
-            (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+        let mut want = (lanes[0] + lanes[1])
+            + (lanes[2] + lanes[3])
+            + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
         for i in chunks * 8..dim {
             want += a[i] * b[i];
         }

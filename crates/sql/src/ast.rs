@@ -92,13 +92,26 @@ impl fmt::Display for Probe {
 #[derive(Debug, Clone, PartialEq)]
 pub enum AstExpr {
     Column(ColumnRef),
-    Literal { value: Literal, span: Span },
+    Literal {
+        value: Literal,
+        span: Span,
+    },
     /// `$n` placeholder. Slots are 0-based, matching the engine's
     /// `Expr::Parameter` convention.
-    Param { slot: u32, span: Span },
-    Binary { op: BinOp, left: Box<AstExpr>, right: Box<AstExpr> },
+    Param {
+        slot: u32,
+        span: Span,
+    },
+    Binary {
+        op: BinOp,
+        left: Box<AstExpr>,
+        right: Box<AstExpr>,
+    },
     Not(Box<AstExpr>),
-    IsNull { expr: Box<AstExpr>, negated: bool },
+    IsNull {
+        expr: Box<AstExpr>,
+        negated: bool,
+    },
     /// `col SEMANTIC LIKE probe [USING model] (k, threshold)` — the paper's
     /// semantic-select predicate. Only valid as a top-level `AND` conjunct
     /// of `WHERE` (enforced by the binder).
@@ -157,7 +170,14 @@ impl fmt::Display for AstExpr {
             AstExpr::IsNull { expr, negated } => {
                 write!(f, "({expr} IS {}NULL)", if *negated { "NOT " } else { "" })
             }
-            AstExpr::SemanticLike { column, probe, model, k, threshold, .. } => {
+            AstExpr::SemanticLike {
+                column,
+                probe,
+                model,
+                k,
+                threshold,
+                ..
+            } => {
                 write!(f, "{column} SEMANTIC LIKE {probe}")?;
                 if let Some(m) = model {
                     write!(f, " USING {m}")?;
@@ -176,9 +196,17 @@ impl fmt::Display for AstExpr {
 pub enum SelectItem {
     /// `*` — must be the only item.
     Star,
-    Expr { expr: AstExpr, alias: Option<String> },
+    Expr {
+        expr: AstExpr,
+        alias: Option<String>,
+    },
     /// `COUNT(*)`, `SUM(col)`, ... with an optional `AS` alias.
-    Agg { func: AggFunc, column: Option<ColumnRef>, alias: Option<String>, span: Span },
+    Agg {
+        func: AggFunc,
+        column: Option<ColumnRef>,
+        alias: Option<String>,
+        span: Span,
+    },
 }
 
 impl fmt::Display for SelectItem {
@@ -192,7 +220,12 @@ impl fmt::Display for SelectItem {
                 }
                 Ok(())
             }
-            SelectItem::Agg { func, column, alias, .. } => {
+            SelectItem::Agg {
+                func,
+                column,
+                alias,
+                ..
+            } => {
                 match (func, column) {
                     (AggFunc::CountStar, _) => f.write_str("COUNT(*)")?,
                     (func, Some(c)) => write!(f, "{func}({c})")?,
@@ -229,7 +262,11 @@ impl fmt::Display for TableRef {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Join {
     /// `[INNER|LEFT|SEMI|ANTI] JOIN t ON a = b [AND c = d ...]`
-    Relational { join_type: JoinType, table: TableRef, on: Vec<(ColumnRef, ColumnRef)> },
+    Relational {
+        join_type: JoinType,
+        table: TableRef,
+        on: Vec<(ColumnRef, ColumnRef)>,
+    },
     /// `CROSS JOIN t`
     Cross { table: TableRef },
     /// `SEMANTIC JOIN t [USING model] ON SIM(l, r) >= threshold [SCORE name]`
@@ -251,7 +288,11 @@ pub enum Join {
 impl fmt::Display for Join {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Join::Relational { join_type, table, on } => {
+            Join::Relational {
+                join_type,
+                table,
+                on,
+            } => {
                 write!(f, "{join_type} JOIN {table} ON ")?;
                 for (i, (l, r)) in on.iter().enumerate() {
                     if i > 0 {
@@ -262,7 +303,16 @@ impl fmt::Display for Join {
                 Ok(())
             }
             Join::Cross { table } => write!(f, "CROSS JOIN {table}"),
-            Join::Semantic { table, model, left, right, strict, threshold, score, .. } => {
+            Join::Semantic {
+                table,
+                model,
+                left,
+                right,
+                strict,
+                threshold,
+                score,
+                ..
+            } => {
                 write!(f, "SEMANTIC JOIN {table}")?;
                 if let Some(m) = model {
                     write!(f, " USING {m}")?;
@@ -287,7 +337,12 @@ pub enum GroupBy {
     Columns(Vec<ColumnRef>),
     /// `GROUP BY SEMANTIC col [USING model] (threshold)` — on-the-fly
     /// clustering by embedding similarity.
-    Semantic { column: ColumnRef, model: Option<String>, threshold: f64, span: Span },
+    Semantic {
+        column: ColumnRef,
+        model: Option<String>,
+        threshold: f64,
+        span: Span,
+    },
 }
 
 impl fmt::Display for GroupBy {
@@ -302,7 +357,12 @@ impl fmt::Display for GroupBy {
                 }
                 Ok(())
             }
-            GroupBy::Semantic { column, model, threshold, .. } => {
+            GroupBy::Semantic {
+                column,
+                model,
+                threshold,
+                ..
+            } => {
                 write!(f, "SEMANTIC {column}")?;
                 if let Some(m) = model {
                     write!(f, " USING {m}")?;
@@ -322,7 +382,12 @@ pub struct OrderKey {
 
 impl fmt::Display for OrderKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}", self.column, if self.ascending { "ASC" } else { "DESC" })
+        write!(
+            f,
+            "{} {}",
+            self.column,
+            if self.ascending { "ASC" } else { "DESC" }
+        )
     }
 }
 
@@ -420,10 +485,21 @@ impl fmt::Display for QueryExpr {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
     Query(QueryExpr),
-    Explain { analyze: bool, query: QueryExpr },
-    Prepare { name: String, query: QueryExpr, span: Span },
+    Explain {
+        analyze: bool,
+        query: QueryExpr,
+    },
+    Prepare {
+        name: String,
+        query: QueryExpr,
+        span: Span,
+    },
     /// `EXECUTE name (lit, ...)` — arguments must be literals.
-    Execute { name: String, args: Vec<AstExpr>, span: Span },
+    Execute {
+        name: String,
+        args: Vec<AstExpr>,
+        span: Span,
+    },
 }
 
 impl fmt::Display for Statement {
@@ -431,7 +507,11 @@ impl fmt::Display for Statement {
         match self {
             Statement::Query(q) => write!(f, "{q}"),
             Statement::Explain { analyze, query } => {
-                write!(f, "EXPLAIN {}{query}", if *analyze { "ANALYZE " } else { "" })
+                write!(
+                    f,
+                    "EXPLAIN {}{query}",
+                    if *analyze { "ANALYZE " } else { "" }
+                )
             }
             Statement::Prepare { name, query, .. } => write!(f, "PREPARE {name} AS {query}"),
             Statement::Execute { name, args, .. } => {

@@ -69,12 +69,14 @@ fn literal_scalar(lit: &Literal) -> Scalar {
 pub fn bind(stmt: &Statement, provider: &dyn SchemaProvider) -> Result<Bound, SqlError> {
     match stmt {
         Statement::Query(q) => Ok(Bound::Query(bind_query(q, provider)?)),
-        Statement::Explain { analyze, query } => {
-            Ok(Bound::Explain { analyze: *analyze, query: bind_query(query, provider)? })
-        }
-        Statement::Prepare { name, query, .. } => {
-            Ok(Bound::Prepare { name: name.clone(), query: bind_query(query, provider)? })
-        }
+        Statement::Explain { analyze, query } => Ok(Bound::Explain {
+            analyze: *analyze,
+            query: bind_query(query, provider)?,
+        }),
+        Statement::Prepare { name, query, .. } => Ok(Bound::Prepare {
+            name: name.clone(),
+            query: bind_query(query, provider)?,
+        }),
         Statement::Execute { name, args, .. } => {
             let mut scalars = Vec::with_capacity(args.len());
             for a in args {
@@ -85,13 +87,19 @@ pub fn bind(stmt: &Statement, provider: &dyn SchemaProvider) -> Result<Bound, Sq
                     }
                 }
             }
-            Ok(Bound::Execute { name: name.clone(), args: scalars })
+            Ok(Bound::Execute {
+                name: name.clone(),
+                args: scalars,
+            })
         }
     }
 }
 
 /// Bind a query expression (one select, or a `UNION ALL` chain).
-pub fn bind_query(query: &QueryExpr, provider: &dyn SchemaProvider) -> Result<BoundQuery, SqlError> {
+pub fn bind_query(
+    query: &QueryExpr,
+    provider: &dyn SchemaProvider,
+) -> Result<BoundQuery, SqlError> {
     let param_count = check_params(query)?;
     let plan = if query.selects.len() == 1 {
         bind_select(&query.selects[0], provider, true)?
@@ -145,9 +153,15 @@ pub fn bind_query(query: &QueryExpr, provider: &dyn SchemaProvider) -> Result<Bo
                         format!("unknown column `{}` in UNION ALL ORDER BY", k.column),
                     ));
                 }
-                keys.push(SortKey { column: k.column.name.clone(), ascending: k.ascending });
+                keys.push(SortKey {
+                    column: k.column.name.clone(),
+                    ascending: k.ascending,
+                });
             }
-            plan = LogicalPlan::Sort { input: Box::new(plan), keys };
+            plan = LogicalPlan::Sort {
+                input: Box::new(plan),
+                keys,
+            };
         }
         if let Some(l) = &limit {
             plan = apply_limit(plan, l);
@@ -158,7 +172,8 @@ pub fn bind_query(query: &QueryExpr, provider: &dyn SchemaProvider) -> Result<Bo
 }
 
 fn plan_schema(plan: &LogicalPlan, span: Span) -> Result<Schema, SqlError> {
-    plan.schema().map_err(|e| bind_err(span, format!("invalid query: {e}")))
+    plan.schema()
+        .map_err(|e| bind_err(span, format!("invalid query: {e}")))
 }
 
 fn apply_limit(plan: LogicalPlan, limit: &crate::ast::LimitClause) -> LogicalPlan {
@@ -166,7 +181,10 @@ fn apply_limit(plan: LogicalPlan, limit: &crate::ast::LimitClause) -> LogicalPla
         crate::ast::LimitClause::Fixed(n) => LimitCount::Fixed(*n as usize),
         crate::ast::LimitClause::Param { slot, .. } => LimitCount::Param(*slot as usize),
     };
-    LogicalPlan::Limit { input: Box::new(plan), n }
+    LogicalPlan::Limit {
+        input: Box::new(plan),
+        n,
+    }
 }
 
 /// Validate `$n` slot usage across the whole query: slots must be exactly
@@ -186,7 +204,9 @@ fn check_params(query: &QueryExpr) -> Result<usize, SqlError> {
             slots.push((*slot, *span));
         }
     }
-    let Some(&(max, _)) = slots.iter().max_by_key(|(n, _)| *n) else { return Ok(0) };
+    let Some(&(max, _)) = slots.iter().max_by_key(|(n, _)| *n) else {
+        return Ok(0);
+    };
     for want in 0..max {
         if !slots.iter().any(|(n, _)| *n == want) {
             let (_, span) = slots.iter().find(|(n, _)| *n == max).unwrap();
@@ -209,9 +229,11 @@ fn collect_expr_params(e: &AstExpr, out: &mut Vec<(u32, Span)>) {
         AstExpr::Not(inner) | AstExpr::IsNull { expr: inner, .. } => {
             collect_expr_params(inner, out)
         }
-        AstExpr::SemanticLike { probe: Probe::Param(slot), span, .. } => {
-            out.push((*slot, *span))
-        }
+        AstExpr::SemanticLike {
+            probe: Probe::Param(slot),
+            span,
+            ..
+        } => out.push((*slot, *span)),
         _ => {}
     }
 }
@@ -251,7 +273,11 @@ struct Scope {
 
 impl Scope {
     fn new(table: &crate::ast::TableRef, schema: Schema) -> Self {
-        let columns = schema.names().iter().map(|n| (n.to_string(), n.to_string())).collect();
+        let columns = schema
+            .names()
+            .iter()
+            .map(|n| (n.to_string(), n.to_string()))
+            .collect();
         Scope {
             entries: vec![ScopeEntry {
                 alias: table.alias.clone(),
@@ -272,7 +298,11 @@ impl Scope {
         }
         let mut columns = Vec::with_capacity(right.names().len());
         for n in right.names() {
-            let phys = if self.schema.contains(n) { format!("right.{n}") } else { n.to_string() };
+            let phys = if self.schema.contains(n) {
+                format!("right.{n}")
+            } else {
+                n.to_string()
+            };
             columns.push((n.to_string(), phys));
         }
         self.schema = self.schema.join(right);
@@ -390,8 +420,10 @@ impl<'a> Binder<'a> {
         // FROM + joins.
         let base_schema = self.table_schema(&select.from)?;
         let mut scope = Scope::new(&select.from, base_schema.clone());
-        let mut plan =
-            LogicalPlan::Scan { source: select.from.name.clone(), schema: Arc::new(base_schema) };
+        let mut plan = LogicalPlan::Scan {
+            source: select.from.name.clone(),
+            schema: Arc::new(base_schema),
+        };
         for join in &select.joins {
             plan = self.join(plan, &mut scope, join)?;
         }
@@ -422,10 +454,21 @@ impl<'a> Binder<'a> {
                 });
             }
             if let Some(predicate) = predicate {
-                plan = LogicalPlan::Filter { predicate, input: Box::new(plan) };
+                plan = LogicalPlan::Filter {
+                    predicate,
+                    input: Box::new(plan),
+                };
             }
             for c in &mut semantic {
-                let AstExpr::SemanticLike { column, probe, model, k, threshold, span } = c else {
+                let AstExpr::SemanticLike {
+                    column,
+                    probe,
+                    model,
+                    k,
+                    threshold,
+                    span,
+                } = c
+                else {
                     unreachable!()
                 };
                 let phys = scope.resolve(column)?;
@@ -457,9 +500,15 @@ impl<'a> Binder<'a> {
         // Select list + GROUP BY → aggregation and/or projection.
         let star = select.items.iter().any(|i| matches!(i, SelectItem::Star));
         if star && select.items.len() > 1 {
-            return Err(bind_err(select.span, "`*` cannot be combined with other select items"));
+            return Err(bind_err(
+                select.span,
+                "`*` cannot be combined with other select items",
+            ));
         }
-        let has_agg = select.items.iter().any(|i| matches!(i, SelectItem::Agg { .. }));
+        let has_agg = select
+            .items
+            .iter()
+            .any(|i| matches!(i, SelectItem::Agg { .. }));
 
         // (source physical name, output name) per item, in select order —
         // compared against the natural aggregate output to decide whether a
@@ -486,12 +535,21 @@ impl<'a> Binder<'a> {
                     };
                     (natural, aggs)
                 }
-                GroupBy::Semantic { column, model, threshold, span } => {
+                GroupBy::Semantic {
+                    column,
+                    model,
+                    threshold,
+                    span,
+                } => {
                     let phys = scope.resolve(column)?;
                     let model = self.resolve_model(model, *span)?;
                     let threshold = self.check_threshold(*threshold, *span)?;
-                    let aggs =
-                        self.agg_specs(select, &scope, std::slice::from_ref(&phys), Some("cluster_id"))?;
+                    let aggs = self.agg_specs(
+                        select,
+                        &scope,
+                        std::slice::from_ref(&phys),
+                        Some("cluster_id"),
+                    )?;
                     let natural: Vec<String> = [phys.clone(), "cluster_id".to_string()]
                         .into_iter()
                         .chain(aggs.iter().map(|a| a.alias.clone()))
@@ -511,17 +569,27 @@ impl<'a> Binder<'a> {
             let natural_pairs: Vec<(String, String)> =
                 natural.iter().map(|n| (n.clone(), n.clone())).collect();
             if desired != natural_pairs {
-                project =
-                    Some(desired.into_iter().map(|(src, out)| (col(src), out)).collect());
+                project = Some(
+                    desired
+                        .into_iter()
+                        .map(|(src, out)| (col(src), out))
+                        .collect(),
+                );
             }
         } else if has_agg {
             // Implicit global aggregate: every item must be an aggregate.
             let aggs = self.agg_specs(select, &scope, &[], None)?;
-            plan = LogicalPlan::Aggregate { input: Box::new(plan), group_by: Vec::new(), aggs };
+            plan = LogicalPlan::Aggregate {
+                input: Box::new(plan),
+                group_by: Vec::new(),
+                aggs,
+            };
         } else if !star {
             let mut exprs = Vec::with_capacity(select.items.len());
             for item in &select.items {
-                let SelectItem::Expr { expr, alias } = item else { unreachable!() };
+                let SelectItem::Expr { expr, alias } = item else {
+                    unreachable!()
+                };
                 let bound = self.expr(expr, &scope)?;
                 let name = match alias {
                     Some(a) => a.clone(),
@@ -545,8 +613,9 @@ impl<'a> Binder<'a> {
         let mut sort_below: Vec<SortKey> = Vec::new();
         let mut sort_above: Vec<SortKey> = Vec::new();
         if with_tail && !select.order_by.is_empty() {
-            let output_names: Option<Vec<&str>> =
-                project.as_ref().map(|p| p.iter().map(|(_, n)| n.as_str()).collect());
+            let output_names: Option<Vec<&str>> = project
+                .as_ref()
+                .map(|p| p.iter().map(|(_, n)| n.as_str()).collect());
             let keys = self.sort_keys(&select.order_by, &scope, &pre_schema, &output_names)?;
             match keys {
                 SortPlacement::Above(keys) => sort_above = keys,
@@ -563,7 +632,10 @@ impl<'a> Binder<'a> {
         }
 
         if !sort_below.is_empty() {
-            plan = LogicalPlan::Sort { input: Box::new(plan), keys: sort_below };
+            plan = LogicalPlan::Sort {
+                input: Box::new(plan),
+                keys: sort_below,
+            };
         }
         if let Some(exprs) = project {
             for (i, (_, name)) in exprs.iter().enumerate() {
@@ -574,13 +646,21 @@ impl<'a> Binder<'a> {
                     ));
                 }
             }
-            plan = LogicalPlan::Project { exprs, input: Box::new(plan) };
+            plan = LogicalPlan::Project {
+                exprs,
+                input: Box::new(plan),
+            };
         }
         if select.distinct {
-            plan = LogicalPlan::Distinct { input: Box::new(plan) };
+            plan = LogicalPlan::Distinct {
+                input: Box::new(plan),
+            };
         }
         if !sort_above.is_empty() {
-            plan = LogicalPlan::Sort { input: Box::new(plan), keys: sort_above };
+            plan = LogicalPlan::Sort {
+                input: Box::new(plan),
+                keys: sort_above,
+            };
         }
         if with_tail {
             if let Some(l) = &select.limit {
@@ -597,7 +677,11 @@ impl<'a> Binder<'a> {
         join: &Join,
     ) -> Result<LogicalPlan, SqlError> {
         match join {
-            Join::Relational { join_type, table, on } => {
+            Join::Relational {
+                join_type,
+                table,
+                on,
+            } => {
                 let right_schema = self.table_schema(table)?;
                 let right = LogicalPlan::Scan {
                     source: table.name.clone(),
@@ -623,9 +707,21 @@ impl<'a> Binder<'a> {
                     schema: Arc::new(right_schema.clone()),
                 };
                 scope.add_join(table, &right_schema, true);
-                Ok(LogicalPlan::CrossJoin { left: Box::new(plan), right: Box::new(right) })
+                Ok(LogicalPlan::CrossJoin {
+                    left: Box::new(plan),
+                    right: Box::new(right),
+                })
             }
-            Join::Semantic { table, model, left, right, threshold, score, span, .. } => {
+            Join::Semantic {
+                table,
+                model,
+                left,
+                right,
+                threshold,
+                score,
+                span,
+                ..
+            } => {
                 let right_schema = self.table_schema(table)?;
                 let right_plan = LogicalPlan::Scan {
                     source: table.name.clone(),
@@ -686,7 +782,10 @@ impl<'a> Binder<'a> {
             if right_schema.contains(&c.name) {
                 Ok(c.name.clone())
             } else {
-                Err(bind_err(c.span, format!("unknown column `{c}` in joined table `{}`", table.name)))
+                Err(bind_err(
+                    c.span,
+                    format!("unknown column `{c}` in joined table `{}`", table.name),
+                ))
             }
         };
         match (scope.resolve(l), resolve_right(r)) {
@@ -713,7 +812,12 @@ impl<'a> Binder<'a> {
         let mut aggs = Vec::new();
         for item in &select.items {
             match item {
-                SelectItem::Agg { func, column, alias, span } => {
+                SelectItem::Agg {
+                    func,
+                    column,
+                    alias,
+                    span,
+                } => {
                     let (column, default_alias) = match column {
                         Some(c) => {
                             let phys = scope.resolve(c)?;
@@ -784,7 +888,12 @@ impl<'a> Binder<'a> {
         let mut out = Vec::with_capacity(select.items.len());
         for item in &select.items {
             match item {
-                SelectItem::Agg { func, column, alias, .. } => {
+                SelectItem::Agg {
+                    func,
+                    column,
+                    alias,
+                    ..
+                } => {
                     let default = match column {
                         Some(c) => format!("{}_{}", func_name(*func), c.name.to_ascii_lowercase()),
                         None => "count".to_string(),
@@ -793,7 +902,9 @@ impl<'a> Binder<'a> {
                     out.push((name.clone(), name));
                 }
                 SelectItem::Expr { expr, alias } => {
-                    let AstExpr::Column(c) = expr else { unreachable!() };
+                    let AstExpr::Column(c) = expr else {
+                        unreachable!()
+                    };
                     let src = if extra_key == Some(c.name.as_str()) && c.qualifier.is_none() {
                         c.name.clone()
                     } else {
@@ -819,7 +930,10 @@ impl<'a> Binder<'a> {
             let mut keys = Vec::with_capacity(order_by.len());
             for k in order_by {
                 let phys = self.sort_resolve(k, scope, pre_schema)?;
-                keys.push(SortKey { column: phys, ascending: k.ascending });
+                keys.push(SortKey {
+                    column: phys,
+                    ascending: k.ascending,
+                });
             }
             return Ok(SortPlacement::Above(keys));
         };
@@ -830,14 +944,23 @@ impl<'a> Binder<'a> {
         let mut below = Vec::new();
         for k in order_by {
             if k.column.qualifier.is_none() && output_names.contains(&k.column.name.as_str()) {
-                above.push(SortKey { column: k.column.name.clone(), ascending: k.ascending });
+                above.push(SortKey {
+                    column: k.column.name.clone(),
+                    ascending: k.ascending,
+                });
                 continue;
             }
             let phys = self.sort_resolve(k, scope, pre_schema)?;
             if output_names.contains(&phys.as_str()) {
-                above.push(SortKey { column: phys, ascending: k.ascending });
+                above.push(SortKey {
+                    column: phys,
+                    ascending: k.ascending,
+                });
             } else {
-                below.push(SortKey { column: phys, ascending: k.ascending });
+                below.push(SortKey {
+                    column: phys,
+                    ascending: k.ascending,
+                });
             }
         }
         if below.is_empty() {
@@ -868,7 +991,10 @@ impl<'a> Binder<'a> {
         if pre_schema.contains(&phys) {
             Ok(phys)
         } else {
-            Err(bind_err(k.column.span, format!("unknown column `{}` in ORDER BY", k.column)))
+            Err(bind_err(
+                k.column.span,
+                format!("unknown column `{}` in ORDER BY", k.column),
+            ))
         }
     }
 
@@ -912,7 +1038,11 @@ fn func_name(func: AggFunc) -> &'static str {
 
 fn split_conjuncts<'e>(e: &'e AstExpr, out: &mut Vec<&'e AstExpr>) {
     match e {
-        AstExpr::Binary { op: BinOp::And, left, right } => {
+        AstExpr::Binary {
+            op: BinOp::And,
+            left,
+            right,
+        } => {
             split_conjuncts(left, out);
             split_conjuncts(right, out);
         }

@@ -41,7 +41,12 @@ pub struct SqlError {
 
 impl SqlError {
     pub fn new(kind: SqlErrorKind, line: u32, col: u32, message: impl Into<String>) -> Self {
-        SqlError { kind, line, col, message: message.into() }
+        SqlError {
+            kind,
+            line,
+            col,
+            message: message.into(),
+        }
     }
 }
 

@@ -81,7 +81,11 @@ struct Lexer<'a> {
 
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
-        Lexer { chars: src.chars().peekable(), line: 1, col: 1 }
+        Lexer {
+            chars: src.chars().peekable(),
+            line: 1,
+            col: 1,
+        }
     }
 
     fn peek(&mut self) -> Option<char> {
@@ -140,7 +144,11 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, SqlError> {
         }
         let (line, col) = (lx.line, lx.col);
         let Some(c) = lx.peek() else {
-            out.push(Token { kind: TokenKind::Eof, line, col });
+            out.push(Token {
+                kind: TokenKind::Eof,
+                line,
+                col,
+            });
             return Ok(out);
         };
         let kind = match c {
@@ -192,9 +200,9 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, SqlError> {
                 if digits.is_empty() {
                     return Err(lx.err(line, col, "expected a slot number after `$`"));
                 }
-                let n: u32 = digits
-                    .parse()
-                    .map_err(|_| lx.err(line, col, format!("parameter `${digits}` is out of range")))?;
+                let n: u32 = digits.parse().map_err(|_| {
+                    lx.err(line, col, format!("parameter `${digits}` is out of range"))
+                })?;
                 TokenKind::Param(n)
             }
             '=' => {
@@ -397,7 +405,11 @@ mod tests {
     fn comments_and_semicolon() {
         assert_eq!(
             kinds("SELECT 1 -- trailing comment\n;"),
-            vec![TokenKind::Word("SELECT".into()), TokenKind::Int(1), TokenKind::Eof]
+            vec![
+                TokenKind::Word("SELECT".into()),
+                TokenKind::Int(1),
+                TokenKind::Eof
+            ]
         );
     }
 

@@ -125,7 +125,10 @@ mod tests {
 
     #[test]
     fn simple_select_star_is_a_bare_scan() {
-        assert!(matches!(q("SELECT * FROM products"), LogicalPlan::Scan { .. }));
+        assert!(matches!(
+            q("SELECT * FROM products"),
+            LogicalPlan::Scan { .. }
+        ));
     }
 
     #[test]
@@ -136,26 +139,45 @@ mod tests {
         );
         // Limit(Sort(Project(Filter(Scan)))) — sort above project because
         // price is projected.
-        let LogicalPlan::Limit { input, n } = plan else { panic!("no limit: {plan:?}") };
+        let LogicalPlan::Limit { input, n } = plan else {
+            panic!("no limit: {plan:?}")
+        };
         assert_eq!(n, LimitCount::Fixed(3));
-        let LogicalPlan::Sort { input, keys } = *input else { panic!() };
+        let LogicalPlan::Sort { input, keys } = *input else {
+            panic!()
+        };
         assert_eq!(keys.len(), 1);
         assert!(!keys[0].ascending);
-        let LogicalPlan::Project { exprs, input } = *input else { panic!() };
+        let LogicalPlan::Project { exprs, input } = *input else {
+            panic!()
+        };
         assert_eq!(exprs.len(), 2);
-        let LogicalPlan::Filter { predicate, .. } = *input else { panic!() };
+        let LogicalPlan::Filter { predicate, .. } = *input else {
+            panic!()
+        };
         assert_eq!(
             predicate,
-            col("price").gt(cx_expr::lit(40i64)).and(col("name").not_eq(cx_expr::lit("x")))
+            col("price")
+                .gt(cx_expr::lit(40i64))
+                .and(col("name").not_eq(cx_expr::lit("x")))
         );
     }
 
     #[test]
     fn semantic_like_lowers_with_k_as_limit() {
         let plan = q("SELECT * FROM products WHERE name SEMANTIC LIKE 'boots' (5, 0.4)");
-        let LogicalPlan::Limit { input, n } = plan else { panic!() };
+        let LogicalPlan::Limit { input, n } = plan else {
+            panic!()
+        };
         assert_eq!(n, LimitCount::Fixed(5));
-        let LogicalPlan::SemanticFilter { column, target, model, threshold, .. } = *input else {
+        let LogicalPlan::SemanticFilter {
+            column,
+            target,
+            model,
+            threshold,
+            ..
+        } = *input
+        else {
             panic!()
         };
         assert_eq!(column, "name");
@@ -166,11 +188,11 @@ mod tests {
 
     #[test]
     fn semantic_join_defaults_and_aliases() {
-        let plan = q(
-            "SELECT * FROM products AS p SEMANTIC JOIN labels AS l \
-             ON SIM(p.name, l.label) >= 0.3",
-        );
-        let LogicalPlan::SemanticJoin { spec, .. } = plan else { panic!("{plan:?}") };
+        let plan = q("SELECT * FROM products AS p SEMANTIC JOIN labels AS l \
+             ON SIM(p.name, l.label) >= 0.3");
+        let LogicalPlan::SemanticJoin { spec, .. } = plan else {
+            panic!("{plan:?}")
+        };
         assert_eq!(spec.left_column, "name");
         assert_eq!(spec.right_column, "label");
         assert_eq!(spec.score_column, "similarity");
@@ -180,21 +202,28 @@ mod tests {
     #[test]
     fn join_collision_renames_like_the_engine() {
         // Self-join: right side's product_id becomes right.product_id.
-        let plan = q(
-            "SELECT b.product_id FROM products AS a \
-             INNER JOIN products AS b ON a.product_id = b.product_id",
-        );
-        let LogicalPlan::Project { exprs, input } = plan else { panic!("{plan:?}") };
+        let plan = q("SELECT b.product_id FROM products AS a \
+             INNER JOIN products AS b ON a.product_id = b.product_id");
+        let LogicalPlan::Project { exprs, input } = plan else {
+            panic!("{plan:?}")
+        };
         assert_eq!(exprs[0].1, "right.product_id");
-        let LogicalPlan::Join { on, join_type, .. } = *input else { panic!() };
+        let LogicalPlan::Join { on, join_type, .. } = *input else {
+            panic!()
+        };
         assert_eq!(join_type, JoinType::Inner);
-        assert_eq!(on, vec![("product_id".to_string(), "product_id".to_string())]);
+        assert_eq!(
+            on,
+            vec![("product_id".to_string(), "product_id".to_string())]
+        );
     }
 
     #[test]
     fn group_by_matches_natural_output_without_projection() {
         let plan = q("SELECT name, COUNT(*) FROM products GROUP BY name");
-        let LogicalPlan::Aggregate { group_by, aggs, .. } = plan else { panic!("{plan:?}") };
+        let LogicalPlan::Aggregate { group_by, aggs, .. } = plan else {
+            panic!("{plan:?}")
+        };
         assert_eq!(group_by, vec!["name".to_string()]);
         assert_eq!(aggs, vec![AggSpec::count_star("count")]);
     }
@@ -202,7 +231,9 @@ mod tests {
     #[test]
     fn reordered_group_output_projects() {
         let plan = q("SELECT COUNT(*) AS n, name FROM products GROUP BY name");
-        let LogicalPlan::Project { exprs, .. } = plan else { panic!("{plan:?}") };
+        let LogicalPlan::Project { exprs, .. } = plan else {
+            panic!("{plan:?}")
+        };
         assert_eq!(exprs[0].1, "n");
         assert_eq!(exprs[1].1, "name");
     }
@@ -211,7 +242,14 @@ mod tests {
     fn semantic_group_by_exposes_cluster_id() {
         let plan =
             q("SELECT name, cluster_id, COUNT(*) FROM products GROUP BY SEMANTIC name (0.4)");
-        let LogicalPlan::SemanticGroupBy { column, model, threshold, aggs, .. } = plan else {
+        let LogicalPlan::SemanticGroupBy {
+            column,
+            model,
+            threshold,
+            aggs,
+            ..
+        } = plan
+        else {
             panic!("{plan:?}")
         };
         assert_eq!(column, "name");
@@ -223,9 +261,15 @@ mod tests {
     #[test]
     fn system_tables_resolve() {
         let plan = q("SELECT status FROM cx.queries WHERE query_id >= 0");
-        let LogicalPlan::Project { input, .. } = plan else { panic!("{plan:?}") };
-        let LogicalPlan::Filter { input, .. } = *input else { panic!() };
-        let LogicalPlan::Scan { source, .. } = *input else { panic!() };
+        let LogicalPlan::Project { input, .. } = plan else {
+            panic!("{plan:?}")
+        };
+        let LogicalPlan::Filter { input, .. } = *input else {
+            panic!()
+        };
+        let LogicalPlan::Scan { source, .. } = *input else {
+            panic!()
+        };
         assert_eq!(source, "cx.queries");
     }
 
@@ -235,17 +279,22 @@ mod tests {
             "SELECT name FROM products UNION ALL SELECT label AS name FROM labels \
              ORDER BY name ASC LIMIT 4",
         );
-        let LogicalPlan::Limit { input, .. } = plan else { panic!("{plan:?}") };
-        let LogicalPlan::Sort { input, .. } = *input else { panic!() };
+        let LogicalPlan::Limit { input, .. } = plan else {
+            panic!("{plan:?}")
+        };
+        let LogicalPlan::Sort { input, .. } = *input else {
+            panic!()
+        };
         assert!(matches!(*input, LogicalPlan::Union { .. }));
     }
 
     #[test]
     fn params_flow_through_and_must_be_contiguous() {
-        let Bound::Prepare { name, query } =
-            plan("PREPARE p AS SELECT * FROM products WHERE price > $0 LIMIT $1", &Fixture)
-                .unwrap()
-        else {
+        let Bound::Prepare { name, query } = plan(
+            "PREPARE p AS SELECT * FROM products WHERE price > $0 LIMIT $1",
+            &Fixture,
+        )
+        .unwrap() else {
             panic!()
         };
         assert_eq!(name, "p");
@@ -256,23 +305,24 @@ mod tests {
 
     #[test]
     fn execute_binds_literals() {
-        let Bound::Execute { name, args } =
-            plan("EXECUTE p ('boots', -2, 0.5)", &Fixture).unwrap()
+        let Bound::Execute { name, args } = plan("EXECUTE p ('boots', -2, 0.5)", &Fixture).unwrap()
         else {
             panic!()
         };
         assert_eq!(name, "p");
         assert_eq!(
             args,
-            vec![Scalar::Utf8("boots".into()), Scalar::Int64(-2), Scalar::Float64(0.5)]
+            vec![
+                Scalar::Utf8("boots".into()),
+                Scalar::Int64(-2),
+                Scalar::Float64(0.5)
+            ]
         );
     }
 
     #[test]
     fn nested_semantic_like_is_rejected() {
-        let e = bind_fail(
-            "SELECT * FROM products WHERE price > 1 OR name SEMANTIC LIKE 'x' (0.5)",
-        );
+        let e = bind_fail("SELECT * FROM products WHERE price > 1 OR name SEMANTIC LIKE 'x' (0.5)");
         assert!(e.to_string().contains("top-level AND conjunct"), "{e}");
     }
 
@@ -281,9 +331,7 @@ mod tests {
         let e = bind_fail("SELECT nope FROM products");
         assert_eq!((e.line, e.col), (1, 8));
         assert!(e.to_string().contains("unknown column `nope`"));
-        let e = bind_fail(
-            "SELECT product_id FROM products AS a CROSS JOIN products AS b",
-        );
+        let e = bind_fail("SELECT product_id FROM products AS a CROSS JOIN products AS b");
         assert!(e.to_string().contains("ambiguous"), "{e}");
         let e = bind_fail("SELECT * FROM nope");
         assert!(e.to_string().contains("unknown table `nope`"), "{e}");
@@ -292,7 +340,9 @@ mod tests {
     #[test]
     fn sort_below_projection_when_key_projected_away() {
         let plan = q("SELECT name FROM products ORDER BY price ASC");
-        let LogicalPlan::Project { input, .. } = plan else { panic!("{plan:?}") };
+        let LogicalPlan::Project { input, .. } = plan else {
+            panic!("{plan:?}")
+        };
         assert!(matches!(*input, LogicalPlan::Sort { .. }));
     }
 

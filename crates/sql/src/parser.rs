@@ -12,9 +12,9 @@ use crate::lexer::{tokenize, Token, TokenKind};
 /// Words that cannot be used as bare identifiers (tables, columns, aliases).
 const RESERVED: &[&str] = &[
     "SELECT", "DISTINCT", "FROM", "WHERE", "GROUP", "BY", "ORDER", "LIMIT", "JOIN", "INNER",
-    "LEFT", "SEMI", "ANTI", "CROSS", "ON", "AND", "OR", "NOT", "IS", "NULL", "TRUE", "FALSE",
-    "AS", "SEMANTIC", "LIKE", "USING", "SIM", "UNION", "ALL", "PREPARE", "EXECUTE", "EXPLAIN",
-    "ANALYZE", "ASC", "DESC", "SCORE", "COUNT", "SUM", "MIN", "MAX", "AVG",
+    "LEFT", "SEMI", "ANTI", "CROSS", "ON", "AND", "OR", "NOT", "IS", "NULL", "TRUE", "FALSE", "AS",
+    "SEMANTIC", "LIKE", "USING", "SIM", "UNION", "ALL", "PREPARE", "EXECUTE", "EXPLAIN", "ANALYZE",
+    "ASC", "DESC", "SCORE", "COUNT", "SUM", "MIN", "MAX", "AVG",
 ];
 
 /// Parse one statement (an optional trailing `;` is tolerated by the lexer).
@@ -51,7 +51,10 @@ impl Parser {
 
     fn err_expected(&self, what: &str) -> SqlError {
         let tok = self.peek();
-        self.err_at(tok, format!("expected {what}, found {}", tok.kind.describe()))
+        self.err_at(
+            tok,
+            format!("expected {what}, found {}", tok.kind.describe()),
+        )
     }
 
     /// Uppercased keyword text of the current token, if it is a word.
@@ -106,14 +109,19 @@ impl Parser {
             TokenKind::Word(w) => {
                 if RESERVED.contains(&w.to_ascii_uppercase().as_str()) {
                     let tok = self.peek();
-                    Err(self.err_at(
-                        tok,
-                        format!("expected {what}, found reserved word `{w}`"),
-                    ))
+                    Err(self.err_at(tok, format!("expected {what}, found reserved word `{w}`")))
                 } else {
                     let t = self.bump();
-                    let TokenKind::Word(w) = t.kind else { unreachable!() };
-                    Ok((w, Span { line: t.line, col: t.col }))
+                    let TokenKind::Word(w) = t.kind else {
+                        unreachable!()
+                    };
+                    Ok((
+                        w,
+                        Span {
+                            line: t.line,
+                            col: t.col,
+                        },
+                    ))
                 }
             }
             _ => Err(self.err_expected(what)),
@@ -141,7 +149,11 @@ impl Parser {
                 name: dotted[i + 1..].to_string(),
                 span,
             }),
-            None => Ok(ColumnRef { qualifier: None, name: dotted, span }),
+            None => Ok(ColumnRef {
+                qualifier: None,
+                name: dotted,
+                span,
+            }),
         }
     }
 
@@ -153,18 +165,31 @@ impl Parser {
             Some("EXPLAIN") => {
                 self.bump();
                 let analyze = self.eat_word("ANALYZE");
-                Ok(Statement::Explain { analyze, query: self.query_expr()? })
+                Ok(Statement::Explain {
+                    analyze,
+                    query: self.query_expr()?,
+                })
             }
             Some("PREPARE") => {
                 let t = self.bump();
-                let span = Span { line: t.line, col: t.col };
+                let span = Span {
+                    line: t.line,
+                    col: t.col,
+                };
                 let (name, _) = self.ident("a statement name")?;
                 self.expect_word("AS")?;
-                Ok(Statement::Prepare { name, query: self.query_expr()?, span })
+                Ok(Statement::Prepare {
+                    name,
+                    query: self.query_expr()?,
+                    span,
+                })
             }
             Some("EXECUTE") => {
                 let t = self.bump();
-                let span = Span { line: t.line, col: t.col };
+                let span = Span {
+                    line: t.line,
+                    col: t.col,
+                };
                 let (name, _) = self.ident("a statement name")?;
                 let mut args = Vec::new();
                 if self.peek().kind == TokenKind::LParen {
@@ -205,7 +230,10 @@ impl Parser {
 
     fn select(&mut self) -> Result<Select, SqlError> {
         let t = self.expect_word("SELECT")?;
-        let span = Span { line: t.line, col: t.col };
+        let span = Span {
+            line: t.line,
+            col: t.col,
+        };
         let distinct = self.eat_word("DISTINCT");
         let mut items = vec![self.select_item()?];
         while self.peek().kind == TokenKind::Comma {
@@ -218,7 +246,11 @@ impl Parser {
         while let Some(j) = self.join_step()? {
             joins.push(j);
         }
-        let selection = if self.eat_word("WHERE") { Some(self.expr()?) } else { None };
+        let selection = if self.eat_word("WHERE") {
+            Some(self.expr()?)
+        } else {
+            None
+        };
         let group_by = if self.at_word("GROUP") {
             self.bump();
             self.expect_word("BY")?;
@@ -232,7 +264,12 @@ impl Parser {
             self.expect_word("BY")?;
             loop {
                 let column = self.column_ref()?;
-                let ascending = if self.eat_word("DESC") { false } else { self.eat_word("ASC"); true };
+                let ascending = if self.eat_word("DESC") {
+                    false
+                } else {
+                    self.eat_word("ASC");
+                    true
+                };
                 order_by.push(OrderKey { column, ascending });
                 if self.peek().kind == TokenKind::Comma {
                     self.bump();
@@ -249,14 +286,30 @@ impl Parser {
                 }
                 TokenKind::Param(slot) => {
                     let t = self.bump();
-                    Some(LimitClause::Param { slot, span: Span { line: t.line, col: t.col } })
+                    Some(LimitClause::Param {
+                        slot,
+                        span: Span {
+                            line: t.line,
+                            col: t.col,
+                        },
+                    })
                 }
                 _ => return Err(self.err_expected("a row count or `$n` after `LIMIT`")),
             }
         } else {
             None
         };
-        Ok(Select { distinct, items, from, joins, selection, group_by, order_by, limit, span })
+        Ok(Select {
+            distinct,
+            items,
+            from,
+            joins,
+            selection,
+            group_by,
+            order_by,
+            limit,
+            span,
+        })
     }
 
     fn select_item(&mut self) -> Result<SelectItem, SqlError> {
@@ -275,23 +328,38 @@ impl Parser {
             };
             if let Some(func) = func {
                 let t = self.bump();
-                let span = Span { line: t.line, col: t.col };
-                self.expect_kind(TokenKind::LParen, "`(` after the aggregate function")?;
-                let (func, column) = if func == AggFunc::Count && self.peek().kind == TokenKind::Star
-                {
-                    self.bump();
-                    (AggFunc::CountStar, None)
-                } else {
-                    (func, Some(self.column_ref()?))
+                let span = Span {
+                    line: t.line,
+                    col: t.col,
                 };
+                self.expect_kind(TokenKind::LParen, "`(` after the aggregate function")?;
+                let (func, column) =
+                    if func == AggFunc::Count && self.peek().kind == TokenKind::Star {
+                        self.bump();
+                        (AggFunc::CountStar, None)
+                    } else {
+                        (func, Some(self.column_ref()?))
+                    };
                 self.expect_kind(TokenKind::RParen, "`)` to close the aggregate")?;
-                let alias =
-                    if self.eat_word("AS") { Some(self.ident("an alias after `AS`")?.0) } else { None };
-                return Ok(SelectItem::Agg { func, column, alias, span });
+                let alias = if self.eat_word("AS") {
+                    Some(self.ident("an alias after `AS`")?.0)
+                } else {
+                    None
+                };
+                return Ok(SelectItem::Agg {
+                    func,
+                    column,
+                    alias,
+                    span,
+                });
             }
         }
         let expr = self.expr()?;
-        let alias = if self.eat_word("AS") { Some(self.ident("an alias after `AS`")?.0) } else { None };
+        let alias = if self.eat_word("AS") {
+            Some(self.ident("an alias after `AS`")?.0)
+        } else {
+            None
+        };
         Ok(SelectItem::Expr { expr, alias })
     }
 
@@ -301,7 +369,11 @@ impl Parser {
             Some(self.ident("an alias after `AS`")?.0)
         } else if let Some(w) = self.peek_word() {
             // Bare alias: any non-reserved word directly after the table.
-            if RESERVED.contains(&w.as_str()) { None } else { Some(self.ident("an alias")?.0) }
+            if RESERVED.contains(&w.as_str()) {
+                None
+            } else {
+                Some(self.ident("an alias")?.0)
+            }
         } else {
             None
         };
@@ -326,11 +398,17 @@ impl Parser {
                 // Disambiguate from a future clause starting with SEMANTIC:
                 // here it can only be SEMANTIC JOIN.
                 let t = self.bump();
-                let span = Span { line: t.line, col: t.col };
+                let span = Span {
+                    line: t.line,
+                    col: t.col,
+                };
                 self.expect_word("JOIN")?;
                 let table = self.table_ref()?;
-                let model =
-                    if self.eat_word("USING") { Some(self.ident("a model name")?.0) } else { None };
+                let model = if self.eat_word("USING") {
+                    Some(self.ident("a model name")?.0)
+                } else {
+                    None
+                };
                 self.expect_word("ON")?;
                 self.expect_word("SIM")?;
                 self.expect_kind(TokenKind::LParen, "`(` after `SIM`")?;
@@ -350,8 +428,11 @@ impl Parser {
                     _ => return Err(self.err_expected("`>` or `>=` after `SIM(...)`")),
                 };
                 let threshold = self.number("a similarity threshold")?;
-                let score =
-                    if self.eat_word("SCORE") { Some(self.ident("a score column name")?.0) } else { None };
+                let score = if self.eat_word("SCORE") {
+                    Some(self.ident("a score column name")?.0)
+                } else {
+                    None
+                };
                 return Ok(Some(Join::Semantic {
                     table,
                     model,
@@ -365,7 +446,9 @@ impl Parser {
             }
             _ => None,
         };
-        let Some(join_type) = join_type else { return Ok(None) };
+        let Some(join_type) = join_type else {
+            return Ok(None);
+        };
         if !self.eat_word("JOIN") {
             self.bump(); // INNER / LEFT / SEMI / ANTI
             self.expect_word("JOIN")?;
@@ -382,20 +465,35 @@ impl Parser {
                 break;
             }
         }
-        Ok(Some(Join::Relational { join_type, table, on }))
+        Ok(Some(Join::Relational {
+            join_type,
+            table,
+            on,
+        }))
     }
 
     fn group_by(&mut self) -> Result<GroupBy, SqlError> {
         if self.at_word("SEMANTIC") {
             let t = self.bump();
-            let span = Span { line: t.line, col: t.col };
+            let span = Span {
+                line: t.line,
+                col: t.col,
+            };
             let column = self.column_ref()?;
-            let model =
-                if self.eat_word("USING") { Some(self.ident("a model name")?.0) } else { None };
+            let model = if self.eat_word("USING") {
+                Some(self.ident("a model name")?.0)
+            } else {
+                None
+            };
             self.expect_kind(TokenKind::LParen, "`(` before the cluster threshold")?;
             let threshold = self.number("a cluster threshold")?;
             self.expect_kind(TokenKind::RParen, "`)` after the cluster threshold")?;
-            return Ok(GroupBy::Semantic { column, model, threshold, span });
+            return Ok(GroupBy::Semantic {
+                column,
+                model,
+                threshold,
+                span,
+            });
         }
         let mut cols = vec![self.column_ref()?];
         while self.peek().kind == TokenKind::Comma {
@@ -446,7 +544,11 @@ impl Parser {
         let mut left = self.and_expr()?;
         while self.eat_word("OR") {
             let right = self.and_expr()?;
-            left = AstExpr::Binary { op: BinOp::Or, left: Box::new(left), right: Box::new(right) };
+            left = AstExpr::Binary {
+                op: BinOp::Or,
+                left: Box::new(left),
+                right: Box::new(right),
+            };
         }
         Ok(left)
     }
@@ -455,7 +557,11 @@ impl Parser {
         let mut left = self.not_expr()?;
         while self.eat_word("AND") {
             let right = self.not_expr()?;
-            left = AstExpr::Binary { op: BinOp::And, left: Box::new(left), right: Box::new(right) };
+            left = AstExpr::Binary {
+                op: BinOp::And,
+                left: Box::new(left),
+                right: Box::new(right),
+            };
         }
         Ok(left)
     }
@@ -482,23 +588,32 @@ impl Parser {
         if let Some(op) = op {
             self.bump();
             let right = self.additive()?;
-            return Ok(AstExpr::Binary { op, left: Box::new(left), right: Box::new(right) });
+            return Ok(AstExpr::Binary {
+                op,
+                left: Box::new(left),
+                right: Box::new(right),
+            });
         }
         if self.at_word("IS") {
             self.bump();
             let negated = self.eat_word("NOT");
             self.expect_word("NULL")?;
-            return Ok(AstExpr::IsNull { expr: Box::new(left), negated });
+            return Ok(AstExpr::IsNull {
+                expr: Box::new(left),
+                negated,
+            });
         }
         if self.at_word("SEMANTIC") {
             let t = self.bump();
-            let span = Span { line: t.line, col: t.col };
+            let span = Span {
+                line: t.line,
+                col: t.col,
+            };
             self.expect_word("LIKE")?;
             let AstExpr::Column(column) = left else {
-                return Err(self.err_at(
-                    &t,
-                    "the left side of SEMANTIC LIKE must be a plain column",
-                ));
+                return Err(
+                    self.err_at(&t, "the left side of SEMANTIC LIKE must be a plain column")
+                );
             };
             let probe = match self.peek().kind.clone() {
                 TokenKind::Str(s) => {
@@ -511,21 +626,34 @@ impl Parser {
                 }
                 _ => return Err(self.err_expected("a probe string or `$n` after `SEMANTIC LIKE`")),
             };
-            let model =
-                if self.eat_word("USING") { Some(self.ident("a model name")?.0) } else { None };
+            let model = if self.eat_word("USING") {
+                Some(self.ident("a model name")?.0)
+            } else {
+                None
+            };
             self.expect_kind(TokenKind::LParen, "`(` before the SEMANTIC LIKE threshold")?;
             let first = self.number("a match count or threshold")?;
             let (k, threshold) = if self.peek().kind == TokenKind::Comma {
                 self.bump();
                 if first < 0.0 || first.fract() != 0.0 {
-                    return Err(self.err_at(&t, format!("match count k must be a non-negative integer, got {first}")));
+                    return Err(self.err_at(
+                        &t,
+                        format!("match count k must be a non-negative integer, got {first}"),
+                    ));
                 }
                 (Some(first as u64), self.number("a similarity threshold")?)
             } else {
                 (None, first)
             };
             self.expect_kind(TokenKind::RParen, "`)` to close the SEMANTIC LIKE clause")?;
-            return Ok(AstExpr::SemanticLike { column, probe, model, k, threshold, span });
+            return Ok(AstExpr::SemanticLike {
+                column,
+                probe,
+                model,
+                k,
+                threshold,
+                span,
+            });
         }
         Ok(left)
     }
@@ -540,7 +668,11 @@ impl Parser {
             };
             self.bump();
             let right = self.term()?;
-            left = AstExpr::Binary { op, left: Box::new(left), right: Box::new(right) };
+            left = AstExpr::Binary {
+                op,
+                left: Box::new(left),
+                right: Box::new(right),
+            };
         }
         Ok(left)
     }
@@ -555,14 +687,21 @@ impl Parser {
             };
             self.bump();
             let right = self.primary()?;
-            left = AstExpr::Binary { op, left: Box::new(left), right: Box::new(right) };
+            left = AstExpr::Binary {
+                op,
+                left: Box::new(left),
+                right: Box::new(right),
+            };
         }
         Ok(left)
     }
 
     fn primary(&mut self) -> Result<AstExpr, SqlError> {
         let tok = self.peek().clone();
-        let span = Span { line: tok.line, col: tok.col };
+        let span = Span {
+            line: tok.line,
+            col: tok.col,
+        };
         match tok.kind {
             TokenKind::Minus => {
                 self.bump();
@@ -574,7 +713,9 @@ impl Parser {
                         self.bump();
                         // i64::MIN's magnitude exceeds i64::MAX by one.
                         if n > i64::MAX as u64 + 1 {
-                            return Err(self.err_at(&inner, format!("integer `-{n}` is out of range")));
+                            return Err(
+                                self.err_at(&inner, format!("integer `-{n}` is out of range"))
+                            );
                         }
                         Ok(AstExpr::Literal {
                             value: Literal::Int((n as i128).wrapping_neg() as i64),
@@ -583,7 +724,10 @@ impl Parser {
                     }
                     TokenKind::Float(x) => {
                         self.bump();
-                        Ok(AstExpr::Literal { value: Literal::Float(-x), span })
+                        Ok(AstExpr::Literal {
+                            value: Literal::Float(-x),
+                            span,
+                        })
                     }
                     _ => Err(self.err_expected("a number after unary `-`")),
                 }
@@ -593,15 +737,24 @@ impl Parser {
                 if n > i64::MAX as u64 {
                     return Err(self.err_at(&tok, format!("integer `{n}` is out of range")));
                 }
-                Ok(AstExpr::Literal { value: Literal::Int(n as i64), span })
+                Ok(AstExpr::Literal {
+                    value: Literal::Int(n as i64),
+                    span,
+                })
             }
             TokenKind::Float(x) => {
                 self.bump();
-                Ok(AstExpr::Literal { value: Literal::Float(x), span })
+                Ok(AstExpr::Literal {
+                    value: Literal::Float(x),
+                    span,
+                })
             }
             TokenKind::Str(s) => {
                 self.bump();
-                Ok(AstExpr::Literal { value: Literal::Str(s), span })
+                Ok(AstExpr::Literal {
+                    value: Literal::Str(s),
+                    span,
+                })
             }
             TokenKind::Param(slot) => {
                 self.bump();
@@ -610,21 +763,33 @@ impl Parser {
             TokenKind::LParen => {
                 self.bump();
                 let inner = self.expr()?;
-                self.expect_kind(TokenKind::RParen, "`)` to close the parenthesized expression")?;
+                self.expect_kind(
+                    TokenKind::RParen,
+                    "`)` to close the parenthesized expression",
+                )?;
                 Ok(inner)
             }
             TokenKind::Word(ref w) => match w.to_ascii_uppercase().as_str() {
                 "TRUE" => {
                     self.bump();
-                    Ok(AstExpr::Literal { value: Literal::Bool(true), span })
+                    Ok(AstExpr::Literal {
+                        value: Literal::Bool(true),
+                        span,
+                    })
                 }
                 "FALSE" => {
                     self.bump();
-                    Ok(AstExpr::Literal { value: Literal::Bool(false), span })
+                    Ok(AstExpr::Literal {
+                        value: Literal::Bool(false),
+                        span,
+                    })
                 }
                 "NULL" => {
                     self.bump();
-                    Ok(AstExpr::Literal { value: Literal::Null, span })
+                    Ok(AstExpr::Literal {
+                        value: Literal::Null,
+                        span,
+                    })
                 }
                 _ => Ok(AstExpr::Column(self.column_ref()?)),
             },

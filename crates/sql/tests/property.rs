@@ -93,11 +93,7 @@ fn gen_predicate(rng: &mut Rng, depth: usize) -> String {
                 let op = rng.pick(&["=", "!=", "<", "<=", ">", ">="]);
                 format!("{l} {op} {r}")
             }
-            1 => format!(
-                "{} IS {}NULL",
-                rng.pick(&COLUMNS),
-                rng.pick(&["", "NOT "]),
-            ),
+            1 => format!("{} IS {}NULL", rng.pick(&COLUMNS), rng.pick(&["", "NOT "]),),
             2 => {
                 let col = rng.pick(&COLUMNS);
                 let probe = rng.pick(&PROBES);
@@ -106,7 +102,10 @@ fn gen_predicate(rng: &mut Rng, depth: usize) -> String {
                 if rng.below(2) == 0 {
                     format!("{col} SEMANTIC LIKE '{probe}'{using} ({t})")
                 } else {
-                    format!("{col} SEMANTIC LIKE '{probe}'{using} ({}, {t})", rng.below(9) + 1)
+                    format!(
+                        "{col} SEMANTIC LIKE '{probe}'{using} ({}, {t})",
+                        rng.below(9) + 1
+                    )
                 }
             }
             _ => format!("NOT ({})", gen_predicate(rng, 0)),
@@ -218,7 +217,11 @@ fn parse_print_parse_is_identity() {
             "round-trip changed the AST (iteration {i}):\n  original: {sql}\n  printed: {printed}"
         );
         // And the printing is a fixed point: print(parse(print(x))) == print(x).
-        assert_eq!(printed, ast2.to_string(), "printing is not canonical (iteration {i})");
+        assert_eq!(
+            printed,
+            ast2.to_string(),
+            "printing is not canonical (iteration {i})"
+        );
     }
 }
 
@@ -294,12 +297,18 @@ fn fuzz_never_panics_only_typed_errors() {
         iterations += 1;
     }
     // The mutator must actually be producing garbage, not no-ops.
-    assert!(parse_errors > iterations / 10, "{parse_errors}/{iterations} parse errors");
+    assert!(
+        parse_errors > iterations / 10,
+        "{parse_errors}/{iterations} parse errors"
+    );
     assert!(bind_errors > 0, "no bind errors in {iterations} iterations");
 }
 
 fn check_error(e: &SqlError, input: &str) {
-    assert!(e.line >= 1 && e.col >= 1, "unpositioned error for {input:?}: {e}");
+    assert!(
+        e.line >= 1 && e.col >= 1,
+        "unpositioned error for {input:?}: {e}"
+    );
     let msg = e.to_string();
     assert!(
         msg.contains("error at line"),
@@ -380,4 +389,3 @@ fn first_error(sql: &str) -> SqlError {
         },
     }
 }
-

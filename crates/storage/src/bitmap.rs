@@ -1,6 +1,5 @@
 //! Packed validity bitmaps.
 
-
 /// A packed bitmap storing one bit per row, used for column validity (null
 /// tracking) and filter selection masks.
 ///
@@ -25,7 +24,10 @@ impl Bitmap {
 
     /// Builds a bitmap from an iterator of booleans.
     pub fn from_bools<I: IntoIterator<Item = bool>>(iter: I) -> Self {
-        let mut bm = Bitmap { words: Vec::new(), len: 0 };
+        let mut bm = Bitmap {
+            words: Vec::new(),
+            len: 0,
+        };
         for b in iter {
             bm.push(b);
         }
@@ -106,7 +108,10 @@ impl Bitmap {
             .zip(&other.words)
             .map(|(a, b)| a & b)
             .collect();
-        Bitmap { words, len: self.len }
+        Bitmap {
+            words,
+            len: self.len,
+        }
     }
 
     /// Word-wise logical OR. Panics on length mismatch.
@@ -118,14 +123,20 @@ impl Bitmap {
             .zip(&other.words)
             .map(|(a, b)| a | b)
             .collect();
-        Bitmap { words, len: self.len }
+        Bitmap {
+            words,
+            len: self.len,
+        }
     }
 
     /// Word-wise logical NOT (within `len` bits).
     pub fn not(&self) -> Bitmap {
         let mut words: Vec<u64> = self.words.iter().map(|w| !w).collect();
         Self::mask_tail(&mut words, self.len);
-        Bitmap { words, len: self.len }
+        Bitmap {
+            words,
+            len: self.len,
+        }
     }
 
     /// Iterator over all bits.

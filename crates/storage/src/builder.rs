@@ -86,13 +86,32 @@ impl ColumnBuilder {
 
     /// Finishes the column.
     pub fn finish(self) -> Column {
-        let validity = if self.has_nulls { Some(self.validity) } else { None };
+        let validity = if self.has_nulls {
+            Some(self.validity)
+        } else {
+            None
+        };
         match self.data_type {
-            DataType::Bool => Column::Bool { values: self.bools, validity },
-            DataType::Int64 => Column::Int64 { values: self.ints, validity },
-            DataType::Float64 => Column::Float64 { values: self.floats, validity },
-            DataType::Utf8 => Column::Utf8 { values: self.strings, validity },
-            DataType::Timestamp => Column::Timestamp { values: self.ints, validity },
+            DataType::Bool => Column::Bool {
+                values: self.bools,
+                validity,
+            },
+            DataType::Int64 => Column::Int64 {
+                values: self.ints,
+                validity,
+            },
+            DataType::Float64 => Column::Float64 {
+                values: self.floats,
+                validity,
+            },
+            DataType::Utf8 => Column::Utf8 {
+                values: self.strings,
+                validity,
+            },
+            DataType::Timestamp => Column::Timestamp {
+                values: self.ints,
+                validity,
+            },
         }
     }
 }
@@ -192,7 +211,8 @@ mod tests {
             Field::new("name", DataType::Utf8),
         ]));
         let mut rb = RowBuilder::new(schema);
-        rb.push_row(vec![Scalar::Int64(1), Scalar::from("a")]).unwrap();
+        rb.push_row(vec![Scalar::Int64(1), Scalar::from("a")])
+            .unwrap();
         rb.push_row(vec![Scalar::Int64(2), Scalar::Null]).unwrap();
         assert_eq!(rb.len(), 2);
         let chunk = rb.finish().unwrap();

@@ -39,10 +39,17 @@ impl Chunk {
                 });
             }
             if col.len() != rows {
-                return Err(Error::LengthMismatch { expected: rows, actual: col.len() });
+                return Err(Error::LengthMismatch {
+                    expected: rows,
+                    actual: col.len(),
+                });
             }
         }
-        Ok(Chunk { schema, columns, rows })
+        Ok(Chunk {
+            schema,
+            columns,
+            rows,
+        })
     }
 
     /// An empty (zero-row) chunk for `schema`.
@@ -52,7 +59,11 @@ impl Chunk {
             .iter()
             .map(|f| Column::nulls(f.data_type, 0))
             .collect();
-        Chunk { schema, columns, rows: 0 }
+        Chunk {
+            schema,
+            columns,
+            rows: 0,
+        }
     }
 
     /// The chunk's schema.
@@ -103,7 +114,10 @@ impl Chunk {
     /// Row `i` as a vector of scalars (for tests/display, not hot paths).
     pub fn row(&self, i: usize) -> Result<Vec<Scalar>> {
         if i >= self.rows {
-            return Err(Error::IndexOutOfBounds { index: i, len: self.rows });
+            return Err(Error::IndexOutOfBounds {
+                index: i,
+                len: self.rows,
+            });
         }
         Ok(self.columns.iter().map(|c| c.get(i)).collect())
     }
@@ -116,7 +130,11 @@ impl Chunk {
             .map(|c| c.filter(mask))
             .collect::<Result<Vec<_>>>()?;
         let rows = columns.first().map_or(0, |c| c.len());
-        Ok(Chunk { schema: self.schema.clone(), columns, rows })
+        Ok(Chunk {
+            schema: self.schema.clone(),
+            columns,
+            rows,
+        })
     }
 
     /// A new chunk gathering rows at `indices`.
@@ -140,7 +158,11 @@ impl Chunk {
             .iter()
             .map(|c| c.slice(offset, len))
             .collect::<Result<Vec<_>>>()?;
-        Ok(Chunk { schema: self.schema.clone(), columns, rows: len })
+        Ok(Chunk {
+            schema: self.schema.clone(),
+            columns,
+            rows: len,
+        })
     }
 
     /// A new chunk with only the columns at `indices` (projection).
@@ -150,7 +172,11 @@ impl Chunk {
         for &i in indices {
             columns.push(self.column(i)?.clone());
         }
-        Ok(Chunk { schema, columns, rows: self.rows })
+        Ok(Chunk {
+            schema,
+            columns,
+            rows: self.rows,
+        })
     }
 
     /// Concatenates chunks with identical schemas into one.
@@ -162,14 +188,20 @@ impl Chunk {
         let mut rows = first.rows;
         for chunk in &chunks[1..] {
             if chunk.schema.fields() != first.schema.fields() {
-                return Err(Error::InvalidArgument("concat with mismatched schemas".into()));
+                return Err(Error::InvalidArgument(
+                    "concat with mismatched schemas".into(),
+                ));
             }
             for (acc, col) in columns.iter_mut().zip(&chunk.columns) {
                 *acc = acc.concat(col)?;
             }
             rows += chunk.rows;
         }
-        Ok(Chunk { schema: first.schema.clone(), columns, rows })
+        Ok(Chunk {
+            schema: first.schema.clone(),
+            columns,
+            rows,
+        })
     }
 
     /// Horizontally glues two chunks with equal row counts (join output).
@@ -183,7 +215,11 @@ impl Chunk {
         let schema = Arc::new(self.schema.join(&right.schema));
         let mut columns = self.columns.clone();
         columns.extend(right.columns.iter().cloned());
-        Ok(Chunk { schema, columns, rows: self.rows })
+        Ok(Chunk {
+            schema,
+            columns,
+            rows: self.rows,
+        })
     }
 }
 
@@ -244,10 +280,7 @@ mod tests {
     #[test]
     fn row_access() {
         let c = chunk();
-        assert_eq!(
-            c.row(1).unwrap(),
-            vec![Scalar::Int64(2), Scalar::from("b")]
-        );
+        assert_eq!(c.row(1).unwrap(), vec![Scalar::Int64(2), Scalar::from("b")]);
         assert!(c.row(3).is_err());
     }
 
@@ -260,7 +293,10 @@ mod tests {
         assert_eq!(f.column(0).unwrap().i64_values().unwrap(), &[1, 3]);
 
         let t = c.take(&[2, 2, 0]).unwrap();
-        assert_eq!(t.column(1).unwrap().utf8_values().unwrap(), &["c", "c", "a"]);
+        assert_eq!(
+            t.column(1).unwrap().utf8_values().unwrap(),
+            &["c", "c", "a"]
+        );
 
         let s = c.slice(1, 2).unwrap();
         assert_eq!(s.column(0).unwrap().i64_values().unwrap(), &[2, 3]);
@@ -286,6 +322,9 @@ mod tests {
         let c = chunk();
         let z = c.zip(&c).unwrap();
         assert_eq!(z.num_columns(), 4);
-        assert_eq!(z.schema().names(), vec!["id", "name", "right.id", "right.name"]);
+        assert_eq!(
+            z.schema().names(),
+            vec!["id", "name", "right.id", "right.name"]
+        );
     }
 }

@@ -12,27 +12,51 @@ use crate::types::DataType;
 /// [`Column::get`] exists for plan boundaries, tests, and display.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
-    Bool { values: Vec<bool>, validity: Option<Bitmap> },
-    Int64 { values: Vec<i64>, validity: Option<Bitmap> },
-    Float64 { values: Vec<f64>, validity: Option<Bitmap> },
-    Utf8 { values: Vec<String>, validity: Option<Bitmap> },
-    Timestamp { values: Vec<i64>, validity: Option<Bitmap> },
+    Bool {
+        values: Vec<bool>,
+        validity: Option<Bitmap>,
+    },
+    Int64 {
+        values: Vec<i64>,
+        validity: Option<Bitmap>,
+    },
+    Float64 {
+        values: Vec<f64>,
+        validity: Option<Bitmap>,
+    },
+    Utf8 {
+        values: Vec<String>,
+        validity: Option<Bitmap>,
+    },
+    Timestamp {
+        values: Vec<i64>,
+        validity: Option<Bitmap>,
+    },
 }
 
 impl Column {
     /// A non-null boolean column.
     pub fn from_bools(values: Vec<bool>) -> Self {
-        Column::Bool { values, validity: None }
+        Column::Bool {
+            values,
+            validity: None,
+        }
     }
 
     /// A non-null Int64 column.
     pub fn from_i64(values: Vec<i64>) -> Self {
-        Column::Int64 { values, validity: None }
+        Column::Int64 {
+            values,
+            validity: None,
+        }
     }
 
     /// A non-null Float64 column.
     pub fn from_f64(values: Vec<f64>) -> Self {
-        Column::Float64 { values, validity: None }
+        Column::Float64 {
+            values,
+            validity: None,
+        }
     }
 
     /// A non-null UTF8 column.
@@ -45,18 +69,36 @@ impl Column {
 
     /// A non-null timestamp column (microseconds since epoch).
     pub fn from_timestamps(values: Vec<i64>) -> Self {
-        Column::Timestamp { values, validity: None }
+        Column::Timestamp {
+            values,
+            validity: None,
+        }
     }
 
     /// An all-NULL column of the given type and length.
     pub fn nulls(data_type: DataType, len: usize) -> Self {
         let validity = Some(Bitmap::new(len, false));
         match data_type {
-            DataType::Bool => Column::Bool { values: vec![false; len], validity },
-            DataType::Int64 => Column::Int64 { values: vec![0; len], validity },
-            DataType::Float64 => Column::Float64 { values: vec![0.0; len], validity },
-            DataType::Utf8 => Column::Utf8 { values: vec![String::new(); len], validity },
-            DataType::Timestamp => Column::Timestamp { values: vec![0; len], validity },
+            DataType::Bool => Column::Bool {
+                values: vec![false; len],
+                validity,
+            },
+            DataType::Int64 => Column::Int64 {
+                values: vec![0; len],
+                validity,
+            },
+            DataType::Float64 => Column::Float64 {
+                values: vec![0.0; len],
+                validity,
+            },
+            DataType::Utf8 => Column::Utf8 {
+                values: vec![String::new(); len],
+                validity,
+            },
+            DataType::Timestamp => Column::Timestamp {
+                values: vec![0; len],
+                validity,
+            },
         }
     }
 
@@ -111,9 +153,10 @@ impl Column {
             Column::Bool { values, .. } => values.len(),
             Column::Int64 { values, .. } | Column::Timestamp { values, .. } => values.len() * 8,
             Column::Float64 { values, .. } => values.len() * 8,
-            Column::Utf8 { values, .. } => {
-                values.iter().map(|s| s.len() + std::mem::size_of::<String>()).sum()
-            }
+            Column::Utf8 { values, .. } => values
+                .iter()
+                .map(|s| s.len() + std::mem::size_of::<String>())
+                .sum(),
         };
         value_bytes + validity_bytes
     }
@@ -241,11 +284,26 @@ impl Column {
         }
         let validity = self.validity().map(|v| v.take(indices));
         match self {
-            Column::Bool { values, .. } => Column::Bool { values: gather(values, indices), validity },
-            Column::Int64 { values, .. } => Column::Int64 { values: gather(values, indices), validity },
-            Column::Float64 { values, .. } => Column::Float64 { values: gather(values, indices), validity },
-            Column::Utf8 { values, .. } => Column::Utf8 { values: gather(values, indices), validity },
-            Column::Timestamp { values, .. } => Column::Timestamp { values: gather(values, indices), validity },
+            Column::Bool { values, .. } => Column::Bool {
+                values: gather(values, indices),
+                validity,
+            },
+            Column::Int64 { values, .. } => Column::Int64 {
+                values: gather(values, indices),
+                validity,
+            },
+            Column::Float64 { values, .. } => Column::Float64 {
+                values: gather(values, indices),
+                validity,
+            },
+            Column::Utf8 { values, .. } => Column::Utf8 {
+                values: gather(values, indices),
+                validity,
+            },
+            Column::Timestamp { values, .. } => Column::Timestamp {
+                values: gather(values, indices),
+                validity,
+            },
         }
     }
 
@@ -284,20 +342,29 @@ impl Column {
             out
         }
         Ok(match (self, other) {
-            (Column::Bool { values: a, .. }, Column::Bool { values: b, .. }) => {
-                Column::Bool { values: join(a, b), validity }
-            }
-            (Column::Int64 { values: a, .. }, Column::Int64 { values: b, .. }) => {
-                Column::Int64 { values: join(a, b), validity }
-            }
+            (Column::Bool { values: a, .. }, Column::Bool { values: b, .. }) => Column::Bool {
+                values: join(a, b),
+                validity,
+            },
+            (Column::Int64 { values: a, .. }, Column::Int64 { values: b, .. }) => Column::Int64 {
+                values: join(a, b),
+                validity,
+            },
             (Column::Float64 { values: a, .. }, Column::Float64 { values: b, .. }) => {
-                Column::Float64 { values: join(a, b), validity }
+                Column::Float64 {
+                    values: join(a, b),
+                    validity,
+                }
             }
-            (Column::Utf8 { values: a, .. }, Column::Utf8 { values: b, .. }) => {
-                Column::Utf8 { values: join(a, b), validity }
-            }
+            (Column::Utf8 { values: a, .. }, Column::Utf8 { values: b, .. }) => Column::Utf8 {
+                values: join(a, b),
+                validity,
+            },
             (Column::Timestamp { values: a, .. }, Column::Timestamp { values: b, .. }) => {
-                Column::Timestamp { values: join(a, b), validity }
+                Column::Timestamp {
+                    values: join(a, b),
+                    validity,
+                }
             }
             _ => unreachable!("type equality checked above"),
         })
@@ -418,11 +485,8 @@ mod tests {
 
     #[test]
     fn from_scalars_inference() {
-        let c = Column::from_scalars(
-            &[Scalar::Null, Scalar::from("a"), Scalar::from("b")],
-            None,
-        )
-        .unwrap();
+        let c = Column::from_scalars(&[Scalar::Null, Scalar::from("a"), Scalar::from("b")], None)
+            .unwrap();
         assert_eq!(c.data_type(), DataType::Utf8);
         assert_eq!(c.null_count(), 1);
         assert!(Column::from_scalars(&[Scalar::Null], None).is_err());

@@ -46,7 +46,10 @@ impl fmt::Display for QueryError {
             QueryError::DeadlineExceeded => write!(f, "query deadline exceeded"),
             QueryError::Cancelled => write!(f, "query cancelled"),
             QueryError::MemoryBudget { allocated, limit } => {
-                write!(f, "query memory budget exceeded: allocated {allocated} B, limit {limit} B")
+                write!(
+                    f,
+                    "query memory budget exceeded: allocated {allocated} B, limit {limit} B"
+                )
             }
             QueryError::QueueFull { queued, max } => {
                 write!(f, "admission queue full: {queued} waiting, bound {max}")

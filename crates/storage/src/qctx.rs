@@ -84,7 +84,11 @@ impl MemoryBudget {
     /// A budget of `limit` bytes (0 means unlimited: charges are
     /// recorded but the budget never trips).
     pub fn new(limit: u64) -> Self {
-        MemoryBudget { limit, allocated: AtomicU64::new(0), exceeded: AtomicBool::new(false) }
+        MemoryBudget {
+            limit,
+            allocated: AtomicU64::new(0),
+            exceeded: AtomicBool::new(false),
+        }
     }
 
     /// The configured limit in bytes (0 = unlimited).
@@ -174,7 +178,8 @@ impl QueryContext {
     /// Time left before the deadline (`None` if no deadline; zero if
     /// already past).
     pub fn remaining(&self) -> Option<Duration> {
-        self.deadline.map(|d| d.saturating_duration_since(Instant::now()))
+        self.deadline
+            .map(|d| d.saturating_duration_since(Instant::now()))
     }
 
     /// The context's cancellation token (clone it to cancel from
@@ -324,7 +329,10 @@ mod tests {
         let ctx = QueryContext::unbounded().with_timeout(Duration::from_secs(3600));
         let r = std::panic::catch_unwind(|| ctx.scope(|| panic!("boom")));
         assert!(r.is_err());
-        assert!(QueryContext::current().deadline().is_none(), "panicked scope leaked context");
+        assert!(
+            QueryContext::current().deadline().is_none(),
+            "panicked scope leaked context"
+        );
     }
 
     #[test]
@@ -334,6 +342,9 @@ mod tests {
         let captured = ctx.scope(QueryContext::current);
         token.cancel();
         let handle = std::thread::spawn(move || captured.check());
-        assert_eq!(handle.join().unwrap(), Err(Error::Query(QueryError::Cancelled)));
+        assert_eq!(
+            handle.join().unwrap(),
+            Err(Error::Query(QueryError::Cancelled))
+        );
     }
 }

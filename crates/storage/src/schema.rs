@@ -16,12 +16,20 @@ pub struct Field {
 impl Field {
     /// A nullable field.
     pub fn new(name: impl Into<String>, data_type: DataType) -> Self {
-        Field { name: name.into(), data_type, nullable: true }
+        Field {
+            name: name.into(),
+            data_type,
+            nullable: true,
+        }
     }
 
     /// A non-nullable field.
     pub fn required(name: impl Into<String>, data_type: DataType) -> Self {
-        Field { name: name.into(), data_type, nullable: false }
+        Field {
+            name: name.into(),
+            data_type,
+            nullable: false,
+        }
     }
 }
 
@@ -193,7 +201,10 @@ mod tests {
             Field::new("qty", DataType::Int64),
         ]);
         let joined = left.join(&right);
-        assert_eq!(joined.names(), vec!["id", "name", "price", "right.id", "qty"]);
+        assert_eq!(
+            joined.names(),
+            vec!["id", "name", "price", "right.id", "qty"]
+        );
     }
 
     #[test]

@@ -54,7 +54,12 @@ impl Histogram {
             }
             counts[bucket] += 1;
         }
-        Some(Histogram { min, max, counts, total })
+        Some(Histogram {
+            min,
+            max,
+            counts,
+            total,
+        })
     }
 
     /// Estimated fraction of rows with value `< x` (linear interpolation
@@ -123,13 +128,11 @@ impl ColumnStats {
             }
             min = match min.take() {
                 None => Some(v.clone()),
-                Some(m) => Some(
-                    if v.partial_cmp_sql(&m) == Some(std::cmp::Ordering::Less) {
-                        v.clone()
-                    } else {
-                        m
-                    },
-                ),
+                Some(m) => Some(if v.partial_cmp_sql(&m) == Some(std::cmp::Ordering::Less) {
+                    v.clone()
+                } else {
+                    m
+                }),
             };
             max = match max.take() {
                 None => Some(v.clone()),
@@ -170,7 +173,11 @@ impl ColumnStats {
             max,
             distinct_count,
             histogram,
-            avg_len: if len_n > 0 { Some(len_sum as f64 / len_n as f64) } else { None },
+            avg_len: if len_n > 0 {
+                Some(len_sum as f64 / len_n as f64)
+            } else {
+                None
+            },
         }
     }
 }

@@ -58,7 +58,10 @@ mod tests {
         }
         fn snapshot(&self) -> Result<Vec<Chunk>> {
             let v = self.ticks.fetch_add(1, Ordering::Relaxed);
-            Ok(vec![Chunk::new(self.schema.clone(), vec![Column::from_i64(vec![v])])?])
+            Ok(vec![Chunk::new(
+                self.schema.clone(),
+                vec![Column::from_i64(vec![v])],
+            )?])
         }
     }
 

@@ -23,7 +23,11 @@ pub struct Table {
 impl Table {
     /// An empty table with the given schema.
     pub fn empty(schema: SchemaRef) -> Self {
-        Table { schema, chunks: Vec::new(), rows: 0 }
+        Table {
+            schema,
+            chunks: Vec::new(),
+            rows: 0,
+        }
     }
 
     /// Builds a table from chunks (all must share the schema).
@@ -31,13 +35,15 @@ impl Table {
         let mut rows = 0;
         for chunk in &chunks {
             if chunk.schema().fields() != schema.fields() {
-                return Err(Error::InvalidArgument(
-                    "table chunk schema mismatch".into(),
-                ));
+                return Err(Error::InvalidArgument("table chunk schema mismatch".into()));
             }
             rows += chunk.num_rows();
         }
-        Ok(Table { schema, chunks, rows })
+        Ok(Table {
+            schema,
+            chunks,
+            rows,
+        })
     }
 
     /// Builds a single-chunk table directly from columns.
@@ -45,7 +51,11 @@ impl Table {
         let schema = Arc::new(schema);
         let chunk = Chunk::new(schema.clone(), columns)?;
         let rows = chunk.num_rows();
-        Ok(Table { schema, chunks: vec![chunk], rows })
+        Ok(Table {
+            schema,
+            chunks: vec![chunk],
+            rows,
+        })
     }
 
     /// The table's schema.
@@ -71,7 +81,9 @@ impl Table {
     /// Appends a chunk (schema must match).
     pub fn append(&mut self, chunk: Chunk) -> Result<()> {
         if chunk.schema().fields() != self.schema.fields() {
-            return Err(Error::InvalidArgument("append chunk schema mismatch".into()));
+            return Err(Error::InvalidArgument(
+                "append chunk schema mismatch".into(),
+            ));
         }
         self.rows += chunk.num_rows();
         self.chunks.push(chunk);
@@ -106,7 +118,10 @@ impl Table {
     /// Row `i` across chunk boundaries.
     pub fn row(&self, mut i: usize) -> Result<Vec<Scalar>> {
         if i >= self.rows {
-            return Err(Error::IndexOutOfBounds { index: i, len: self.rows });
+            return Err(Error::IndexOutOfBounds {
+                index: i,
+                len: self.rows,
+            });
         }
         for chunk in &self.chunks {
             if i < chunk.num_rows() {
@@ -145,7 +160,10 @@ impl Table {
         for row in rows {
             builder.push_row(row)?;
             if builder.len() == DEFAULT_CHUNK_ROWS {
-                let full = std::mem::replace(&mut builder, crate::builder::RowBuilder::new(schema.clone()));
+                let full = std::mem::replace(
+                    &mut builder,
+                    crate::builder::RowBuilder::new(schema.clone()),
+                );
                 table.append(full.finish()?)?;
             }
         }

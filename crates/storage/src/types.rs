@@ -25,7 +25,10 @@ impl DataType {
     /// Whether the type is numeric (orderable by arithmetic comparison and
     /// usable in arithmetic expressions).
     pub fn is_numeric(&self) -> bool {
-        matches!(self, DataType::Int64 | DataType::Float64 | DataType::Timestamp)
+        matches!(
+            self,
+            DataType::Int64 | DataType::Float64 | DataType::Timestamp
+        )
     }
 
     /// The common supertype two numeric types coerce to, if any.
@@ -81,7 +84,10 @@ mod tests {
             DataType::common_numeric(DataType::Timestamp, DataType::Int64),
             Some(DataType::Timestamp)
         );
-        assert_eq!(DataType::common_numeric(DataType::Utf8, DataType::Int64), None);
+        assert_eq!(
+            DataType::common_numeric(DataType::Utf8, DataType::Int64),
+            None
+        );
     }
 
     #[test]

@@ -51,7 +51,12 @@ impl<'a> RowBlock<'a> {
     /// call.
     pub fn one(row: &'a [f32]) -> Self {
         let dim = row.len();
-        RowBlock { data: row, stride: dim, dim, rows: 1 }
+        RowBlock {
+            data: row,
+            stride: dim,
+            dim,
+            rows: 1,
+        }
     }
 
     /// Row `r` of the view as a `dim`-length slice.
@@ -74,7 +79,11 @@ impl VectorArena {
     pub fn new(dim: usize) -> Self {
         assert!(dim > 0, "dimension must be positive");
         let stride = dim.next_multiple_of(ROW_ALIGN_FLOATS);
-        VectorArena { dim, stride, data: Vec::new() }
+        VectorArena {
+            dim,
+            stride,
+            data: Vec::new(),
+        }
     }
 
     /// An empty arena with room for `rows` vectors.
@@ -100,7 +109,8 @@ impl VectorArena {
     pub fn push(&mut self, v: &[f32]) -> usize {
         assert_eq!(v.len(), self.dim, "vector has wrong dimension");
         self.data.extend_from_slice(v);
-        self.data.extend(std::iter::repeat_n(0.0, self.stride - self.dim));
+        self.data
+            .extend(std::iter::repeat_n(0.0, self.stride - self.dim));
         self.len() - 1
     }
 

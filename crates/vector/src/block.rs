@@ -107,13 +107,22 @@ pub fn scores_matrix(
     build_rows: usize,
     out: &mut [f32],
 ) {
-    assert!(probe_stride >= dim && build_stride >= dim, "stride shorter than dim");
+    assert!(
+        probe_stride >= dim && build_stride >= dim,
+        "stride shorter than dim"
+    );
     assert_eq!(out.len(), probe_rows * build_rows, "output shape mismatch");
     if probe_rows == 0 || build_rows == 0 {
         return;
     }
-    assert!(probe.len() >= (probe_rows - 1) * probe_stride + dim, "probe block too short");
-    assert!(build.len() >= (build_rows - 1) * build_stride + dim, "build block too short");
+    assert!(
+        probe.len() >= (probe_rows - 1) * probe_stride + dim,
+        "probe block too short"
+    );
+    assert!(
+        build.len() >= (build_rows - 1) * build_stride + dim,
+        "build block too short"
+    );
     for i0 in (0..probe_rows).step_by(TILE) {
         let i1 = (i0 + TILE).min(probe_rows);
         for j0 in (0..build_rows).step_by(TILE) {
@@ -125,7 +134,12 @@ pub fn scores_matrix(
             let mut out_base = i0 * build_rows + j0;
             for _ in i0..i1 {
                 let q = &probe[probe_base..probe_base + dim];
-                dot_block(q, tile, build_stride, &mut out[out_base..out_base + (j1 - j0)]);
+                dot_block(
+                    q,
+                    tile,
+                    build_stride,
+                    &mut out[out_base..out_base + (j1 - j0)],
+                );
                 probe_base += probe_stride;
                 out_base += build_rows;
             }
@@ -172,7 +186,12 @@ mod tests {
         let (probes, rows) = (5, TILE + 13);
         let probe_block = random_block(probes, dim, 40, 5);
         let block = random_block(rows, dim, dim, 6);
-        let view = |data, stride, rows| RowBlock { data, stride, dim, rows };
+        let view = |data, stride, rows| RowBlock {
+            data,
+            stride,
+            dim,
+            rows,
+        };
         let mut full = vec![0.0f32; probes * rows];
         for p in 0..probes {
             let q = &probe_block[p * 40..p * 40 + dim];
@@ -181,7 +200,9 @@ mod tests {
         let floor = full[14];
         let mut emitted = Vec::new();
         let (probe_view, panel_view) = (view(&probe_block, 40, probes), view(&block, dim, rows));
-        dot_block_threshold(probe_view, panel_view, floor, |p, r, s| emitted.push((p, r, s)));
+        dot_block_threshold(probe_view, panel_view, floor, |p, r, s| {
+            emitted.push((p, r, s))
+        });
         emitted.sort_by_key(|&(p, r, _)| (p, r));
         let expected: Vec<(usize, usize, f32)> = full
             .iter()
@@ -203,10 +224,8 @@ mod tests {
         scores_matrix(&probe, ps, m, dim, &build, bs, n, &mut out);
         for i in 0..m {
             for j in 0..n {
-                let exact = dot_unrolled(
-                    &probe[i * ps..i * ps + dim],
-                    &build[j * bs..j * bs + dim],
-                );
+                let exact =
+                    dot_unrolled(&probe[i * ps..i * ps + dim], &build[j * bs..j * bs + dim]);
                 assert_eq!(out[i * n + j].to_bits(), exact.to_bits(), "({i},{j})");
             }
         }
@@ -216,7 +235,12 @@ mod tests {
     fn empty_inputs_are_fine() {
         let mut out = [0.0f32; 0];
         dot_block(&[1.0, 2.0], &[], 2, &mut out);
-        let empty = RowBlock { data: &[], stride: 2, dim: 2, rows: 0 };
+        let empty = RowBlock {
+            data: &[],
+            stride: 2,
+            dim: 2,
+            rows: 0,
+        };
         dot_block_threshold(RowBlock::one(&[1.0, 2.0]), empty, 0.0, |_, _, _| {
             panic!("no rows")
         });

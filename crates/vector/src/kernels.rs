@@ -70,8 +70,12 @@ mod tests {
     use super::*;
 
     fn vecs(n: usize) -> (Vec<f32>, Vec<f32>) {
-        let a: Vec<f32> = (0..n).map(|i| ((i * 31 % 17) as f32 - 8.0) / 10.0).collect();
-        let b: Vec<f32> = (0..n).map(|i| ((i * 13 % 23) as f32 - 11.0) / 10.0).collect();
+        let a: Vec<f32> = (0..n)
+            .map(|i| ((i * 31 % 17) as f32 - 8.0) / 10.0)
+            .collect();
+        let b: Vec<f32> = (0..n)
+            .map(|i| ((i * 13 % 23) as f32 - 11.0) / 10.0)
+            .collect();
         (a, b)
     }
 

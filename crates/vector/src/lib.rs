@@ -44,11 +44,11 @@ pub mod kernels;
 pub mod qarena;
 
 pub use arena::{RowBlock, VectorArena};
+pub use block::{dot_block, dot_block_threshold, scores_matrix};
+pub use cx_embed::quant::QuantTier;
 /// The explicit-SIMD kernel layer the blocked and pairwise kernels
 /// dispatch through (re-exported so operators can surface the active ISA
 /// without a direct `cx-simd` dependency).
 pub use cx_simd as simd;
-pub use cx_embed::quant::QuantTier;
-pub use qarena::{QuantizedArena, UnsupportedTier};
-pub use block::{dot_block, dot_block_threshold, scores_matrix};
 pub use kernels::{cosine, dot, dot_unrolled, norm};
+pub use qarena::{QuantizedArena, UnsupportedTier};

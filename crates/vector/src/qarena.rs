@@ -111,7 +111,12 @@ impl QuantizedArena {
                 QuantizedRows::Int8 { data, scales }
             }
         };
-        Ok(QuantizedArena { dim, stride, rows, data })
+        Ok(QuantizedArena {
+            dim,
+            stride,
+            rows,
+            data,
+        })
     }
 
     /// Embeds `texts` through `cache` into a padded f32 batch

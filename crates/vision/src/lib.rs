@@ -111,7 +111,10 @@ pub struct DetectorNoise {
 
 impl Default for DetectorNoise {
     fn default() -> Self {
-        DetectorNoise { miss_rate: 0.05, spurious_rate: 0.05 }
+        DetectorNoise {
+            miss_rate: 0.05,
+            spurious_rate: 0.05,
+        }
     }
 }
 
@@ -167,14 +170,18 @@ impl ObjectDetector {
     /// Runs detection on one image.
     pub fn detect(&self, image: &SyntheticImage) -> Vec<Detection> {
         self.invocations.fetch_add(1, Ordering::Relaxed);
-        let mut rng = SplitMix64::new(self.seed ^ (image.id as u64).wrapping_mul(0x9E3779B97F4A7C15));
+        let mut rng =
+            SplitMix64::new(self.seed ^ (image.id as u64).wrapping_mul(0x9E3779B97F4A7C15));
         let mut out = Vec::with_capacity(image.latent_objects.len());
         for obj in &image.latent_objects {
             if rng.next_f64() < self.noise.miss_rate {
                 continue;
             }
             let confidence = 0.70 + 0.29 * rng.next_f64();
-            out.push(Detection { label: obj.clone(), confidence });
+            out.push(Detection {
+                label: obj.clone(),
+                confidence,
+            });
         }
         if rng.next_f64() < self.noise.spurious_rate && !self.spurious_vocab.is_empty() {
             let pick = rng.next_range(self.spurious_vocab.len() as u64) as usize;
@@ -262,7 +269,10 @@ mod tests {
         let d = ObjectDetector::with_noise(
             "det",
             1,
-            DetectorNoise { miss_rate: 0.0, spurious_rate: 0.0 },
+            DetectorNoise {
+                miss_rate: 0.0,
+                spurious_rate: 0.0,
+            },
         );
         let img = image(7, 1, &["boots", "dog"]);
         let out = d.detect(&img);
@@ -291,7 +301,9 @@ mod tests {
         assert_eq!(d.invocations(), 3);
         // Pushdown simulation: detect only late images.
         d.reset_invocations();
-        let _ = d.detections_table(s.taken_after(15 * MICROS_PER_DAY)).unwrap();
+        let _ = d
+            .detections_table(s.taken_after(15 * MICROS_PER_DAY))
+            .unwrap();
         assert_eq!(d.invocations(), 2);
     }
 
@@ -301,13 +313,22 @@ mod tests {
         let d = ObjectDetector::with_noise(
             "det",
             1,
-            DetectorNoise { miss_rate: 0.0, spurious_rate: 0.0 },
+            DetectorNoise {
+                miss_rate: 0.0,
+                spurious_rate: 0.0,
+            },
         );
         let t = d.detections_table(s.images()).unwrap();
         assert_eq!(t.num_rows(), 6); // 2 + 1 + 3 detections
         assert_eq!(
             t.schema().names(),
-            vec!["image_id", "date_taken", "label", "confidence", "object_count"]
+            vec![
+                "image_id",
+                "date_taken",
+                "label",
+                "confidence",
+                "object_count"
+            ]
         );
         // object_count is denormalized per image.
         let counts = t.column_by_name("object_count").unwrap();
@@ -320,7 +341,10 @@ mod tests {
         let d = ObjectDetector::with_noise(
             "det",
             1,
-            DetectorNoise { miss_rate: 1.0, spurious_rate: 0.0 },
+            DetectorNoise {
+                miss_rate: 1.0,
+                spurious_rate: 0.0,
+            },
         );
         assert!(d.detect(&image(1, 1, &["a", "b"])).is_empty());
     }

@@ -12,9 +12,7 @@
 //!
 //! Run with: `cargo run --release --example introspection`
 
-use context_analytics::{
-    Engine, EngineConfig, FaultPlan, ServeConfig, Server, WatchdogConfig,
-};
+use context_analytics::{Engine, EngineConfig, FaultPlan, ServeConfig, Server, WatchdogConfig};
 use cx_embed::ClusteredTextModel;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -25,7 +23,16 @@ fn main() -> cx_storage::Result<()> {
     let specs = cx_datagen::table1_clusters();
     let space = Arc::new(cx_datagen::build_space(&specs, 100, 42));
     engine.register_model(Arc::new(ClusteredTextModel::new("fasttext-like", space, 7)));
-    let names = ["boots", "parka", "kitten", "sneakers", "windbreaker", "puppy", "oxfords", "coat"];
+    let names = [
+        "boots",
+        "parka",
+        "kitten",
+        "sneakers",
+        "windbreaker",
+        "puppy",
+        "oxfords",
+        "coat",
+    ];
     let products = cx_storage::Table::from_columns(
         cx_storage::Schema::new(vec![
             cx_storage::Field::new("product_id", cx_storage::DataType::Int64),
@@ -35,7 +42,9 @@ fn main() -> cx_storage::Result<()> {
         vec![
             cx_storage::Column::from_i64((0..names.len() as i64).collect()),
             cx_storage::Column::from_strings(names),
-            cx_storage::Column::from_f64((0..names.len()).map(|i| 30.0 + 20.0 * i as f64).collect()),
+            cx_storage::Column::from_f64(
+                (0..names.len()).map(|i| 30.0 + 20.0 * i as f64).collect(),
+            ),
         ],
     )?;
     engine.register_table("products", products)?;
@@ -83,9 +92,19 @@ fn main() -> cx_storage::Result<()> {
     //    sweep's quantization tier, and the resource profile.
     let cx_queries = server
         .table("cx.queries")?
-        .select_columns(&["query", "outcome", "plan_cache", "total_ms", "cpu_ms", "pairs_scored"])
+        .select_columns(&[
+            "query",
+            "outcome",
+            "plan_cache",
+            "total_ms",
+            "cpu_ms",
+            "pairs_scored",
+        ])
         .limit(6);
-    println!("== cx.queries (latest traces) ==\n{}", server.execute(&cx_queries)?.table);
+    println!(
+        "== cx.queries (latest traces) ==\n{}",
+        server.execute(&cx_queries)?.table
+    );
 
     // 5. `cx.metrics` is the Prometheus export as rows — every counter
     //    the server owns, queryable with the same filter/sort API.
@@ -94,7 +113,10 @@ fn main() -> cx_storage::Result<()> {
         .filter(context_analytics::expr::col("kind").eq(context_analytics::expr::lit("counter")))
         .sort(&[("value", false)])
         .limit(8);
-    println!("== cx.metrics (largest counters) ==\n{}", server.execute(&cx_metrics)?.table);
+    println!(
+        "== cx.metrics (largest counters) ==\n{}",
+        server.execute(&cx_metrics)?.table
+    );
 
     // 6. EXPLAIN ANALYZE: one query executed for real and rendered as
     //    its span tree (it would be traced even with `tracing` off).
@@ -103,7 +125,10 @@ fn main() -> cx_storage::Result<()> {
         .table("products")?
         .semantic_filter("name", "puppy", "fasttext-like", 0.75)
         .sort(&[("product_id", true)]);
-    println!("== explain analyze ==\n{}", session.explain_analyze(&probe)?);
+    println!(
+        "== explain analyze ==\n{}",
+        session.explain_analyze(&probe)?
+    );
 
     // 7. A seeded fault storm trips the watchdog; the incident log is a
     //    table like any other.
@@ -119,7 +144,10 @@ fn main() -> cx_storage::Result<()> {
     }
     server.set_fault_plan(None);
     let cx_incidents = server.table("cx.incidents")?.limit(4);
-    println!("== cx.incidents ==\n{}", server.execute(&cx_incidents)?.table);
+    println!(
+        "== cx.incidents ==\n{}",
+        server.execute(&cx_incidents)?.table
+    );
 
     // 8. The same numbers, aggregated, in the human report.
     println!("{}", server.report());

@@ -22,7 +22,16 @@ fn main() -> cx_storage::Result<()> {
     let specs = cx_datagen::table1_clusters();
     let space = Arc::new(cx_datagen::build_space(&specs, 100, 42));
     engine.register_model(Arc::new(ClusteredTextModel::new("fasttext-like", space, 7)));
-    let names = ["boots", "parka", "kitten", "sneakers", "windbreaker", "puppy", "oxfords", "coat"];
+    let names = [
+        "boots",
+        "parka",
+        "kitten",
+        "sneakers",
+        "windbreaker",
+        "puppy",
+        "oxfords",
+        "coat",
+    ];
     let products = cx_storage::Table::from_columns(
         cx_storage::Schema::new(vec![
             cx_storage::Field::new("product_id", cx_storage::DataType::Int64),
@@ -32,7 +41,9 @@ fn main() -> cx_storage::Result<()> {
         vec![
             cx_storage::Column::from_i64((0..names.len() as i64).collect()),
             cx_storage::Column::from_strings(names),
-            cx_storage::Column::from_f64((0..names.len()).map(|i| 30.0 + 20.0 * i as f64).collect()),
+            cx_storage::Column::from_f64(
+                (0..names.len()).map(|i| 30.0 + 20.0 * i as f64).collect(),
+            ),
         ],
     )?;
     engine.register_table("products", products)?;
@@ -75,7 +86,10 @@ fn main() -> cx_storage::Result<()> {
     if let Some(trace) = server.last_trace() {
         println!("== last query trace ==\n{}", trace.render());
     }
-    println!("slow-query log holds {} entries", server.slow_queries().len());
+    println!(
+        "slow-query log holds {} entries",
+        server.slow_queries().len()
+    );
 
     // 5. Always-on histograms: end-to-end latency quantiles, no tracing
     //    required.
@@ -94,6 +108,9 @@ fn main() -> cx_storage::Result<()> {
     let prom = server.prometheus();
     cx_obs::promparse::parse(&prom).expect("exposition format is valid");
     let preview: Vec<&str> = prom.lines().take(12).collect();
-    println!("== prometheus snapshot (first lines) ==\n{}", preview.join("\n"));
+    println!(
+        "== prometheus snapshot (first lines) ==\n{}",
+        preview.join("\n")
+    );
     Ok(())
 }

@@ -14,7 +14,12 @@ fn main() {
     let specs = table1_clusters();
     let dirty = generate_dirty(
         &specs,
-        DirtyConfig { size: 50_000, typo_rate: 0.2, case_rate: 0.2, seed: 3 },
+        DirtyConfig {
+            size: 50_000,
+            typo_rate: 0.2,
+            case_rate: 0.2,
+            seed: 3,
+        },
     );
     // The space is built from typo-augmented specs: this models the
     // misspelling-oblivious embeddings the paper cites ([17]).

@@ -31,7 +31,14 @@ fn main() -> cx_storage::Result<()> {
         ]),
         vec![
             Column::from_i64(vec![1, 2, 3, 4, 5, 6]),
-            Column::from_strings(["boots", "parka", "kitten", "sneakers", "windbreaker", "puppy"]),
+            Column::from_strings([
+                "boots",
+                "parka",
+                "kitten",
+                "sneakers",
+                "windbreaker",
+                "puppy",
+            ]),
             Column::from_f64(vec![89.5, 120.0, 40.0, 65.0, 30.0, 150.0]),
         ],
     )?;
@@ -57,7 +64,11 @@ fn main() -> cx_storage::Result<()> {
     println!("{}", engine.explain(&query)?);
 
     let result = engine.execute(&query)?;
-    println!("result ({} clusters):\n{}", result.table.num_rows(), result.table);
+    println!(
+        "result ({} clusters):\n{}",
+        result.table.num_rows(),
+        result.table
+    );
     println!("rules fired: {:?}", result.rules_fired);
     println!("elapsed: {:?}", result.elapsed);
     Ok(())

@@ -30,7 +30,14 @@ fn main() -> cx_storage::Result<()> {
         ]),
         vec![
             Column::from_i64(vec![1, 2, 3, 4, 5, 6]),
-            Column::from_strings(["boots", "parka", "kitten", "sneakers", "windbreaker", "puppy"]),
+            Column::from_strings([
+                "boots",
+                "parka",
+                "kitten",
+                "sneakers",
+                "windbreaker",
+                "puppy",
+            ]),
             Column::from_f64(vec![89.5, 120.0, 40.0, 65.0, 30.0, 150.0]),
         ],
     )?;
@@ -79,7 +86,11 @@ fn main() -> cx_storage::Result<()> {
                         result.table.num_rows(),
                         result.elapsed,
                         if result.plan_cache_hit { "hit" } else { "miss" },
-                        if result.result_cache_hit { "hit" } else { "miss" },
+                        if result.result_cache_hit {
+                            "hit"
+                        } else {
+                            "miss"
+                        },
                     );
                 }
             });

@@ -20,15 +20,24 @@ fn build_engine(data: &ShopDataset) -> Engine {
     let engine = Engine::new(EngineConfig::default());
     let space = Arc::new(cx_datagen::build_space(&data.clusters, 100, 42));
     engine.register_model(Arc::new(ClusteredTextModel::new("shop-model", space, 7)));
-    engine.register_table("products", data.products.clone()).unwrap();
-    engine.register_table("transactions", data.transactions.clone()).unwrap();
+    engine
+        .register_table("products", data.products.clone())
+        .unwrap();
+    engine
+        .register_table("transactions", data.transactions.clone())
+        .unwrap();
     engine.register_kb("kb", data.kb.clone()).unwrap();
     let detector = ObjectDetector::with_noise(
         "detector",
         5,
-        DetectorNoise { miss_rate: 0.02, spurious_rate: 0.05 },
+        DetectorNoise {
+            miss_rate: 0.02,
+            spurious_rate: 0.05,
+        },
     );
-    engine.register_images("images", data.images.clone(), &detector).unwrap();
+    engine
+        .register_images("images", data.images.clone(), &detector)
+        .unwrap();
     engine
 }
 
@@ -101,7 +110,10 @@ fn main() {
     assert_eq!(optimized.table.num_rows(), naive.table.num_rows());
 
     println!("\n== optimization effect ==");
-    println!("optimized plan: {optimized_time:?} (rules: {:?})", optimized.rules_fired);
+    println!(
+        "optimized plan: {optimized_time:?} (rules: {:?})",
+        optimized.rules_fired
+    );
     println!("naive plan:     {naive_time:?}");
     println!(
         "speedup:        {:.1}x",

@@ -23,8 +23,16 @@ fn main() -> cx_storage::Result<()> {
     let specs = cx_datagen::table1_clusters();
     let space = Arc::new(cx_datagen::build_space(&specs, 64, 42));
     engine.register_model(Arc::new(ClusteredTextModel::new("m", space, 7)));
-    let names =
-        ["boots", "parka", "kitten", "sneakers", "coat", "puppy", "oxfords", "windbreaker"];
+    let names = [
+        "boots",
+        "parka",
+        "kitten",
+        "sneakers",
+        "coat",
+        "puppy",
+        "oxfords",
+        "windbreaker",
+    ];
     let products = Table::from_columns(
         Schema::new(vec![
             Field::new("product_id", DataType::Int64),
@@ -60,9 +68,10 @@ fn main() -> cx_storage::Result<()> {
     // 2. Plain SQL, served through the same plan cache / admission
     //    machinery as builder queries.
     println!("== relational ==");
-    let r = rows(session.sql(
-        "SELECT name, price FROM products WHERE price > 60.0 ORDER BY price DESC LIMIT 3",
-    )?);
+    let r =
+        rows(session.sql(
+            "SELECT name, price FROM products WHERE price > 60.0 ORDER BY price DESC LIMIT 3",
+        )?);
     println!("{}", r.table);
 
     // 3. The semantic extensions: SEMANTIC LIKE (model-assisted filter),
@@ -111,7 +120,9 @@ fn main() -> cx_storage::Result<()> {
     );
 
     // 5. Explicit PREPARE / EXECUTE — the same machinery, named.
-    session.sql("PREPARE probe AS SELECT name FROM products WHERE name SEMANTIC LIKE $0 USING m (0.7)")?;
+    session.sql(
+        "PREPARE probe AS SELECT name FROM products WHERE name SEMANTIC LIKE $0 USING m (0.7)",
+    )?;
     for probe in ["shoes", "jacket", "pets"] {
         let r = rows(session.sql(&format!("EXECUTE probe ('{probe}')"))?);
         println!("probe {probe:<7}: {} rows", r.table.num_rows());

@@ -30,7 +30,10 @@ fn build_engine(dataset: &ShopDataset) -> Engine {
     let detector = ObjectDetector::with_noise(
         "detector",
         5,
-        DetectorNoise { miss_rate: 0.0, spurious_rate: 0.0 },
+        DetectorNoise {
+            miss_rate: 0.0,
+            spurious_rate: 0.0,
+        },
     );
     engine
         .register_images("images", dataset.images.clone(), &detector)
@@ -45,14 +48,13 @@ fn figure2_query(engine: &Engine) -> context_analytics::Query {
         .table("kb")
         .unwrap()
         .filter(col("category").eq(lit("clothes")));
-    let detections = engine
-        .table("images.detections")
-        .unwrap()
-        .filter(
-            col("date_taken")
-                .gt(lit(cx_storage::Scalar::Timestamp(AFTER_DAY * MICROS_PER_DAY)))
-                .and(col("object_count").gt(lit(MIN_OBJECTS))),
-        );
+    let detections = engine.table("images.detections").unwrap().filter(
+        col("date_taken")
+            .gt(lit(cx_storage::Scalar::Timestamp(
+                AFTER_DAY * MICROS_PER_DAY,
+            )))
+            .and(col("object_count").gt(lit(MIN_OBJECTS))),
+    );
     engine
         .table("products")
         .unwrap()
@@ -109,7 +111,10 @@ fn motivating_query_matches_latent_ground_truth() {
     let recall = 1.0 - missing.len() as f64 / truth.len() as f64;
     let precision = 1.0 - spurious.len() as f64 / got.len().max(1) as f64;
     assert!(recall > 0.95, "recall {recall}: missing {missing:?}");
-    assert!(precision > 0.95, "precision {precision}: spurious {spurious:?}");
+    assert!(
+        precision > 0.95,
+        "precision {precision}: spurious {spurious:?}"
+    );
 }
 
 #[test]
@@ -164,14 +169,32 @@ fn pushdown_reduces_model_invocations() {
 fn date_filter_before_detection_cuts_detector_work() {
     // The NoDB-style lesson: detect only images passing the date filter.
     let data = dataset();
-    let all = ObjectDetector::with_noise("d", 5, DetectorNoise { miss_rate: 0.0, spurious_rate: 0.0 });
+    let all = ObjectDetector::with_noise(
+        "d",
+        5,
+        DetectorNoise {
+            miss_rate: 0.0,
+            spurious_rate: 0.0,
+        },
+    );
     let _ = all.detections_table(data.images.images()).unwrap();
-    let filtered = ObjectDetector::with_noise("d", 5, DetectorNoise { miss_rate: 0.0, spurious_rate: 0.0 });
+    let filtered = ObjectDetector::with_noise(
+        "d",
+        5,
+        DetectorNoise {
+            miss_rate: 0.0,
+            spurious_rate: 0.0,
+        },
+    );
     let _ = filtered
         .detections_table(data.images.taken_after(AFTER_DAY * MICROS_PER_DAY))
         .unwrap();
-    assert!(filtered.invocations() < all.invocations() / 2 + all.invocations() / 4,
-        "filtered {} vs all {}", filtered.invocations(), all.invocations());
+    assert!(
+        filtered.invocations() < all.invocations() / 2 + all.invocations() / 4,
+        "filtered {} vs all {}",
+        filtered.invocations(),
+        all.invocations()
+    );
 }
 
 #[test]

@@ -38,7 +38,12 @@ fn engine_for(items: &[(i64, usize, f64)], labels: &[(usize, i64)]) -> Engine {
         ]),
         vec![
             Column::from_i64(items.iter().map(|(id, _, _)| *id).collect()),
-            Column::from_strings(items.iter().map(|(_, w, _)| WORDS[*w].to_string()).collect::<Vec<_>>()),
+            Column::from_strings(
+                items
+                    .iter()
+                    .map(|(_, w, _)| WORDS[*w].to_string())
+                    .collect::<Vec<_>>(),
+            ),
             Column::from_f64(items.iter().map(|(_, _, p)| *p).collect()),
         ],
     )
@@ -51,7 +56,12 @@ fn engine_for(items: &[(i64, usize, f64)], labels: &[(usize, i64)]) -> Engine {
             Field::new("weight", DataType::Int64),
         ]),
         vec![
-            Column::from_strings(labels.iter().map(|(w, _)| WORDS[*w].to_string()).collect::<Vec<_>>()),
+            Column::from_strings(
+                labels
+                    .iter()
+                    .map(|(w, _)| WORDS[*w].to_string())
+                    .collect::<Vec<_>>(),
+            ),
             Column::from_i64(labels.iter().map(|(_, v)| *v).collect()),
         ],
     )
@@ -218,8 +228,14 @@ fn cross_join_equality_answers_as_sql_with_extraction_on_and_off() {
 
     let engine = Engine::new(EngineConfig::default());
     let a = Table::from_columns(
-        Schema::new(vec![Field::new("i", DataType::Int64), Field::new("x", DataType::Float64)]),
-        vec![Column::from_i64(vec![1, 2]), Column::from_f64(vec![-0.0, f64::NAN])],
+        Schema::new(vec![
+            Field::new("i", DataType::Int64),
+            Field::new("x", DataType::Float64),
+        ]),
+        vec![
+            Column::from_i64(vec![1, 2]),
+            Column::from_f64(vec![-0.0, f64::NAN]),
+        ],
     )
     .unwrap();
     let b = Table::from_columns(

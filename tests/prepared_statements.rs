@@ -16,8 +16,18 @@ use cx_storage::{Column, DataType, Field, Scalar, Schema, Table};
 use std::sync::{Arc, Barrier};
 
 const NAMES: [&str; 12] = [
-    "boots", "parka", "kitten", "sneakers", "coat", "puppy", "oxfords", "windbreaker", "blazer",
-    "canine", "feline", "lace-ups",
+    "boots",
+    "parka",
+    "kitten",
+    "sneakers",
+    "coat",
+    "puppy",
+    "oxfords",
+    "windbreaker",
+    "blazer",
+    "canine",
+    "feline",
+    "lace-ups",
 ];
 
 fn products_table() -> Table {
@@ -49,7 +59,11 @@ fn fresh_engine() -> Arc<Engine> {
 /// scalar equality).
 fn assert_tables_bit_identical(got: &Table, expected: &Table, context: &str) {
     assert_eq!(got.num_rows(), expected.num_rows(), "{context}: row count");
-    assert_eq!(got.schema().names(), expected.schema().names(), "{context}: schema");
+    assert_eq!(
+        got.schema().names(),
+        expected.schema().names(),
+        "{context}: schema"
+    );
     for r in 0..expected.num_rows() {
         let (g, e) = (got.row(r).unwrap(), expected.row(r).unwrap());
         for (c, (gs, es)) in g.iter().zip(&e).enumerate() {
@@ -110,7 +124,11 @@ fn prepared_is_bit_identical_to_adhoc_across_bindings() {
         let price = 10.0 + 5.0 * i as f64;
         let limit = 1 + (i as i64 % 4) * 3;
         let got = prepared
-            .execute(&[Scalar::from(*target), Scalar::Float64(price), Scalar::Int64(limit)])
+            .execute(&[
+                Scalar::from(*target),
+                Scalar::Float64(price),
+                Scalar::Int64(limit),
+            ])
             .unwrap();
         assert_tables_bit_identical(&got.table, &expected[i], &format!("binding {i} ({target})"));
         // Every execution after prepare resolves through the cached shape.
@@ -163,8 +181,14 @@ fn catalog_bump_with_outstanding_handle_reoptimizes_and_never_serves_stale_memo(
     server.engine().register_table("products", shrunk).unwrap();
 
     let after = prepared.execute(&bind).unwrap();
-    assert!(!after.plan_cache_hit, "stale prepared plan served after catalog change");
-    assert!(!after.result_cache_hit, "stale per-binding memo served after catalog change");
+    assert!(
+        !after.plan_cache_hit,
+        "stale prepared plan served after catalog change"
+    );
+    assert!(
+        !after.result_cache_hit,
+        "stale per-binding memo served after catalog change"
+    );
     assert_eq!(after.table.num_rows(), 1);
     assert_eq!(after.table.row(0).unwrap()[0], Scalar::Int64(100));
     assert!(server.plan_cache_stats().invalidations >= 1);
@@ -179,9 +203,7 @@ fn prepared_storm_is_bit_identical_to_serial_execution() {
     // Several rounds per client, so the threads' executions of the one
     // shared handle genuinely overlap.
     let rounds = 6;
-    let binding = |client: usize, round: usize| {
-        (TARGETS[client], 10.0 + 10.0 * round as f64)
-    };
+    let binding = |client: usize, round: usize| (TARGETS[client], 10.0 + 10.0 * round as f64);
 
     // Reference: serial literal execution, cold engine.
     let serial = fresh_engine();

@@ -369,7 +369,11 @@ fn quantizable_arena(dim: usize, rows: usize, seed: u64) -> VectorArena {
     let mut rng = cx_embed::rng::SplitMix64::new(seed);
     let mut arena = VectorArena::new(dim);
     for _ in 0..rows {
-        arena.push(&(0..dim).map(|_| rng.next_f32_symmetric()).collect::<Vec<_>>());
+        arena.push(
+            &(0..dim)
+                .map(|_| rng.next_f32_symmetric())
+                .collect::<Vec<_>>(),
+        );
     }
     if rows > 0 {
         // Rebuild with a zero row in a seed-dependent slot.
@@ -739,7 +743,13 @@ fn keyed_rows(n: usize, rng: &mut cx_embed::rng::SplitMix64) -> Vec<Vec<Scalar>>
                 Scalar::from(["", "a", "b"][rng.next_range(3) as usize]),
             ];
             row.into_iter()
-                .map(|v| if rng.next_range(5) == 0 { Scalar::Null } else { v })
+                .map(|v| {
+                    if rng.next_range(5) == 0 {
+                        Scalar::Null
+                    } else {
+                        v
+                    }
+                })
                 .collect()
         })
         .collect()
@@ -813,10 +823,17 @@ fn reference_aggregate(
         .map(|(mut out, members)| {
             for &(func, col) in aggs {
                 let values: Vec<&Scalar> = match col {
-                    Some(c) => members.iter().map(|r| &r[c]).filter(|v| !v.is_null()).collect(),
+                    Some(c) => members
+                        .iter()
+                        .map(|r| &r[c])
+                        .filter(|v| !v.is_null())
+                        .collect(),
                     None => Vec::new(),
                 };
-                let sum = values.iter().filter_map(|v| v.as_f64()).fold(0.0, |a, b| a + b);
+                let sum = values
+                    .iter()
+                    .filter_map(|v| v.as_f64())
+                    .fold(0.0, |a, b| a + b);
                 let best = |want: Ordering| {
                     values
                         .iter()
@@ -1126,10 +1143,19 @@ fn arb_numeric_expr() -> impl Strategy<Value = Expr> {
         Just(Expr::Literal(Scalar::Null)),
     ];
     leaf.prop_recursive(3, 24, 2, |inner| {
-        (inner.clone(), inner, prop::sample::select(vec![
-            BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div,
-            BinOp::Eq, BinOp::Lt, BinOp::GtEq,
-        ]))
+        (
+            inner.clone(),
+            inner,
+            prop::sample::select(vec![
+                BinOp::Add,
+                BinOp::Sub,
+                BinOp::Mul,
+                BinOp::Div,
+                BinOp::Eq,
+                BinOp::Lt,
+                BinOp::GtEq,
+            ]),
+        )
             .prop_map(|(l, r, op)| Expr::Binary {
                 op,
                 left: Box::new(l),

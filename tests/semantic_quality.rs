@@ -30,11 +30,17 @@ fn table1_session() -> (Session, Arc<SemanticSpace>, Vec<String>) {
     engine.register_table("labels", labels).unwrap();
     let categories = Table::from_columns(
         Schema::new(vec![Field::new("category", DataType::Utf8)]),
-        vec![Column::from_strings(["dog", "cat", "animal", "shoes", "jacket", "clothes"])],
+        vec![Column::from_strings([
+            "dog", "cat", "animal", "shoes", "jacket", "clothes",
+        ])],
     )
     .unwrap();
     engine.register_table("categories", categories).unwrap();
-    (Server::new(engine, ServeConfig::default()).session(), space, words)
+    (
+        Server::new(engine, ServeConfig::default()).session(),
+        space,
+        words,
+    )
 }
 
 /// The `k` vocabulary words nearest `category`, best first.
@@ -50,7 +56,11 @@ fn top_k<'w>(session: &Session, words: &'w [String], category: &str, k: usize) -
         panic!("a SELECT returns rows")
     };
     let ids = r.table.column_by_name("label_id").unwrap();
-    ids.i64_values().unwrap().iter().map(|&id| &words[id as usize]).collect()
+    ids.i64_values()
+        .unwrap()
+        .iter()
+        .map(|&id| &words[id as usize])
+        .collect()
 }
 
 /// Table I: for each category word, the nearest vocabulary words must be
@@ -98,9 +108,7 @@ fn table1_parent_categories_span_children() {
         // paper's "animal: cat, dog, golden retriever, feline" pattern).
         for child in children {
             assert!(
-                got_words
-                    .iter()
-                    .any(|w| space.in_cluster_tree(w, child)),
+                got_words.iter().any(|w| space.in_cluster_tree(w, child)),
                 "{parent}: no match from child {child} in {got_words:?}"
             );
         }
@@ -114,7 +122,12 @@ fn consolidation_recovers_entities_from_dirty_data() {
     let specs = table1_clusters();
     let dirty = generate_dirty(
         &specs,
-        DirtyConfig { size: 2_000, typo_rate: 0.2, case_rate: 0.2, seed: 3 },
+        DirtyConfig {
+            size: 2_000,
+            typo_rate: 0.2,
+            case_rate: 0.2,
+            seed: 3,
+        },
     );
     // Build the misspelling-oblivious space from the augmented specs.
     let space = Arc::new(cx_datagen::build_space(&dirty.augmented_specs, 100, 42));
@@ -131,7 +144,11 @@ fn consolidation_recovers_entities_from_dirty_data() {
     assert!(metrics.f1 > 0.85, "f1 {}", metrics.f1);
     assert!(metrics.recall > 0.9, "recall {}", metrics.recall);
     // Dedup is substantial: thousands of records, a handful of concepts.
-    assert!(result.dedup_ratio() > 50.0, "ratio {}", result.dedup_ratio());
+    assert!(
+        result.dedup_ratio() > 50.0,
+        "ratio {}",
+        result.dedup_ratio()
+    );
 }
 
 /// Embedding cache makes consolidation inference cost proportional to
@@ -141,10 +158,17 @@ fn consolidation_inference_bounded_by_distinct_values() {
     let specs = table1_clusters();
     let dirty = generate_dirty(
         &specs,
-        DirtyConfig { size: 5_000, typo_rate: 0.2, case_rate: 0.2, seed: 5 },
+        DirtyConfig {
+            size: 5_000,
+            typo_rate: 0.2,
+            case_rate: 0.2,
+            seed: 5,
+        },
     );
     let space = Arc::new(cx_datagen::build_space(&dirty.augmented_specs, 64, 42));
-    let cache = Arc::new(EmbeddingCache::new(Arc::new(ClusteredTextModel::new("m", space, 7))));
+    let cache = Arc::new(EmbeddingCache::new(Arc::new(ClusteredTextModel::new(
+        "m", space, 7,
+    ))));
     let values: Vec<&str> = dirty.records.iter().map(|(v, _)| v.as_str()).collect();
     let distinct: std::collections::HashSet<&str> = values.iter().copied().collect();
     consolidate(&values, &cache, 0.82);

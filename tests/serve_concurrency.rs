@@ -28,8 +28,18 @@ fn fresh_engine() -> Arc<Engine> {
     engine.register_model(Arc::new(ClusteredTextModel::new("m", space, 7)));
 
     let names = [
-        "boots", "parka", "kitten", "sneakers", "coat", "puppy", "oxfords", "windbreaker",
-        "loafers", "anorak", "tabby", "hound",
+        "boots",
+        "parka",
+        "kitten",
+        "sneakers",
+        "coat",
+        "puppy",
+        "oxfords",
+        "windbreaker",
+        "loafers",
+        "anorak",
+        "tabby",
+        "hound",
     ];
     let products = Table::from_columns(
         Schema::new(vec![
@@ -107,7 +117,9 @@ fn query_mix(engine: &Engine) -> Vec<Query> {
 }
 
 fn table_rows(table: &Table) -> Vec<Vec<cx_storage::Scalar>> {
-    (0..table.num_rows()).map(|r| table.row(r).unwrap()).collect()
+    (0..table.num_rows())
+        .map(|r| table.row(r).unwrap())
+        .collect()
 }
 
 #[test]
@@ -182,8 +194,16 @@ fn concurrent_serving_is_bit_identical_to_serial_execution() {
         .model()
         .stats()
         .invocations();
-    let serial_calls = serial.embedding_cache("m").unwrap().model().stats().invocations();
-    assert_eq!(model_calls, serial_calls, "server re-embedded cached strings");
+    let serial_calls = serial
+        .embedding_cache("m")
+        .unwrap()
+        .model()
+        .stats()
+        .invocations();
+    assert_eq!(
+        model_calls, serial_calls,
+        "server re-embedded cached strings"
+    );
 }
 
 #[test]
@@ -268,7 +288,11 @@ fn storm(engine: &Engine, i: usize) -> Vec<Query> {
 /// by bits (similarity scores must match to the bit, not just ≈).
 fn assert_tables_bit_identical(got: &Table, expected: &Table, context: &str) {
     assert_eq!(got.num_rows(), expected.num_rows(), "{context}: row count");
-    assert_eq!(got.schema().names(), expected.schema().names(), "{context}: schema");
+    assert_eq!(
+        got.schema().names(),
+        expected.schema().names(),
+        "{context}: schema"
+    );
     for r in 0..expected.num_rows() {
         let (g, e) = (got.row(r).unwrap(), expected.row(r).unwrap());
         for (c, (gs, es)) in g.iter().zip(&e).enumerate() {
@@ -311,7 +335,9 @@ fn distinct_literal_storm_is_bit_identical_to_serial_execution() {
                     let session = server.session();
                     let mine = storm(server.engine(), i);
                     barrier.wait();
-                    mine.iter().map(|q| session.execute(q).unwrap().table).collect::<Vec<_>>()
+                    mine.iter()
+                        .map(|q| session.execute(q).unwrap().table)
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
@@ -359,19 +385,19 @@ fn memoized_replays_never_touch_the_admission_gate() {
         }
     });
     let stats = server.stats();
-    assert_eq!(stats.admission.admitted, admitted_after_first, "memo replay hit the gate");
+    assert_eq!(
+        stats.admission.admitted, admitted_after_first,
+        "memo replay hit the gate"
+    );
     assert_eq!(stats.result_cache_hits, 11);
 }
 
 #[test]
 fn catalog_registration_racing_lookups_never_serves_stale_plans() {
     let engine = fresh_engine();
-    let schema = || {
-        Schema::new(vec![Field::new("marker", DataType::Int64)])
-    };
-    let hot = |marker: i64| {
-        Table::from_columns(schema(), vec![Column::from_i64(vec![marker])]).unwrap()
-    };
+    let schema = || Schema::new(vec![Field::new("marker", DataType::Int64)]);
+    let hot =
+        |marker: i64| Table::from_columns(schema(), vec![Column::from_i64(vec![marker])]).unwrap();
     engine.register_table("hot", hot(0)).unwrap();
     let server = Server::new(engine, ServeConfig::default());
     let q = server.table("hot").unwrap();
@@ -395,7 +421,10 @@ fn catalog_registration_racing_lookups_never_serves_stale_plans() {
             s.spawn(move || {
                 start.wait();
                 for i in 1..=registrations {
-                    server.engine().register_table("hot", hot(i as i64)).unwrap();
+                    server
+                        .engine()
+                        .register_table("hot", hot(i as i64))
+                        .unwrap();
                     published.store(i, Ordering::Release);
                     // Pace the writer so lookups genuinely interleave with
                     // version bumps (an unpaced writer finishes before the
@@ -459,8 +488,13 @@ fn per_session_recall_tolerance_partitions_the_plan_cache() {
     assert!(!a.plan_cache_hit && !b.plan_cache_hit);
     assert_eq!(server.plan_cache_stats().len, 2);
     assert_tables_bit_identical(&b.table, &a.table, "tolerant session");
-    assert!(exact.execute(&q).unwrap().plan_cache_hit || exact.execute(&q).unwrap().result_cache_hit);
-    assert!(tolerant.execute(&q).unwrap().plan_cache_hit || tolerant.execute(&q).unwrap().result_cache_hit);
+    assert!(
+        exact.execute(&q).unwrap().plan_cache_hit || exact.execute(&q).unwrap().result_cache_hit
+    );
+    assert!(
+        tolerant.execute(&q).unwrap().plan_cache_hit
+            || tolerant.execute(&q).unwrap().result_cache_hit
+    );
 
     // Clearing the override rejoins the default partition.
     tolerant.reset_optimizer_config();

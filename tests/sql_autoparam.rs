@@ -15,8 +15,18 @@ use cx_storage::{Column, DataType, Field, Scalar, Schema, Table};
 use std::sync::Arc;
 
 const NAMES: [&str; 12] = [
-    "boots", "parka", "kitten", "sneakers", "coat", "puppy", "oxfords", "windbreaker", "blazer",
-    "canine", "feline", "lace-ups",
+    "boots",
+    "parka",
+    "kitten",
+    "sneakers",
+    "coat",
+    "puppy",
+    "oxfords",
+    "windbreaker",
+    "blazer",
+    "canine",
+    "feline",
+    "lace-ups",
 ];
 
 fn fresh_server(config: ServeConfig) -> Arc<Server> {
@@ -88,13 +98,24 @@ fn int_and_float_literals_share_a_shape() {
     let session = server.session();
     // Int64 literal first: the cached template's parameter slot is
     // re-inferred per binding, so a Float64 literal must reuse it.
-    let a = rows(session.sql("SELECT name FROM products WHERE price > 30").unwrap());
-    let b = rows(session.sql("SELECT name FROM products WHERE price > 45.5").unwrap());
+    let a = rows(
+        session
+            .sql("SELECT name FROM products WHERE price > 30")
+            .unwrap(),
+    );
+    let b = rows(
+        session
+            .sql("SELECT name FROM products WHERE price > 45.5")
+            .unwrap(),
+    );
     assert_eq!(a.table.num_rows(), 9);
     assert_eq!(b.table.num_rows(), 7);
     let stats = server.sql_stats();
     assert_eq!(stats.auto_param, 2);
-    assert_eq!(stats.auto_param_shape_hits, 1, "Int64 vs Float64 literal split the shape");
+    assert_eq!(
+        stats.auto_param_shape_hits, 1,
+        "Int64 vs Float64 literal split the shape"
+    );
     assert_eq!(server.plan_cache_stats().misses, 1);
     // And both results carry the schema the literal implies, not the
     // template's first-seen type.
@@ -108,20 +129,29 @@ fn semantic_probes_share_a_shape_but_thresholds_do_not() {
     let session = server.session();
     // Same threshold, different probe text: the probe is lifted to a
     // parameter, so these are one shape.
-    rows(session
-        .sql("SELECT name FROM products WHERE name SEMANTIC LIKE 'shoes' USING m (0.75)")
-        .unwrap());
-    rows(session
-        .sql("SELECT name FROM products WHERE name SEMANTIC LIKE 'jacket' USING m (0.75)")
-        .unwrap());
+    rows(
+        session
+            .sql("SELECT name FROM products WHERE name SEMANTIC LIKE 'shoes' USING m (0.75)")
+            .unwrap(),
+    );
+    rows(
+        session
+            .sql("SELECT name FROM products WHERE name SEMANTIC LIKE 'jacket' USING m (0.75)")
+            .unwrap(),
+    );
     let after_probes = server.sql_stats();
     assert_eq!(after_probes.auto_param, 2);
-    assert_eq!(after_probes.auto_param_shape_hits, 1, "probe text split the shape");
+    assert_eq!(
+        after_probes.auto_param_shape_hits, 1,
+        "probe text split the shape"
+    );
     // A different threshold is part of the operator, not a literal: it
     // must NOT collapse into the same cached plan.
-    rows(session
-        .sql("SELECT name FROM products WHERE name SEMANTIC LIKE 'shoes' USING m (0.5)")
-        .unwrap());
+    rows(
+        session
+            .sql("SELECT name FROM products WHERE name SEMANTIC LIKE 'shoes' USING m (0.5)")
+            .unwrap(),
+    );
     let after_threshold = server.sql_stats();
     assert_eq!(after_threshold.auto_param, 3);
     assert_eq!(
@@ -135,7 +165,11 @@ fn semantic_probes_share_a_shape_but_thresholds_do_not() {
 fn literal_free_statement_uses_exact_planning() {
     let server = fresh_server(ServeConfig::default());
     let session = server.session();
-    let r = rows(session.sql("SELECT name FROM products ORDER BY name LIMIT 3").unwrap());
+    let r = rows(
+        session
+            .sql("SELECT name FROM products ORDER BY name LIMIT 3")
+            .unwrap(),
+    );
     assert_eq!(r.table.num_rows(), 3);
     let stats = server.sql_stats();
     // LIMIT counts are liftable; a truly literal-free statement is not.
@@ -144,24 +178,38 @@ fn literal_free_statement_uses_exact_planning() {
     assert_eq!(server.sql_stats().exact_fallback, stats.exact_fallback + 1);
     // Replaying the literal-free text still hits the plan/result caches.
     let r3 = rows(session.sql("SELECT name, price FROM products").unwrap());
-    assert!(r3.result_cache_hit, "replay of exact-planned text missed the result cache");
+    assert!(
+        r3.result_cache_hit,
+        "replay of exact-planned text missed the result cache"
+    );
 }
 
 #[test]
 fn auto_param_off_plans_every_literal_exactly() {
-    let config = ServeConfig { sql_auto_param: false, ..ServeConfig::default() };
+    let config = ServeConfig {
+        sql_auto_param: false,
+        ..ServeConfig::default()
+    };
     let server = fresh_server(config);
     let session = server.session();
     for price in [20.0f64, 35.0, 50.0] {
-        rows(session
-            .sql(&format!("SELECT name FROM products WHERE price > {price:?}"))
-            .unwrap());
+        rows(
+            session
+                .sql(&format!(
+                    "SELECT name FROM products WHERE price > {price:?}"
+                ))
+                .unwrap(),
+        );
     }
     let stats = server.sql_stats();
     assert_eq!(stats.statements, 3);
     assert_eq!(stats.auto_param, 0);
     assert_eq!(stats.auto_param_shape_hits, 0);
-    assert_eq!(stats.shape_hit_rate(), 1.0, "rate degenerates to 1.0 with no auto-param");
+    assert_eq!(
+        stats.shape_hit_rate(),
+        1.0,
+        "rate degenerates to 1.0 with no auto-param"
+    );
     // Three distinct exact fingerprints → three optimizer runs.
     assert_eq!(server.plan_cache_stats().misses, 3);
 }
@@ -170,18 +218,29 @@ fn auto_param_off_plans_every_literal_exactly() {
 fn explicit_parameters_require_prepare() {
     let server = fresh_server(ServeConfig::default());
     let session = server.session();
-    let err = session.sql("SELECT name FROM products WHERE price > $0").unwrap_err();
+    let err = session
+        .sql("SELECT name FROM products WHERE price > $0")
+        .unwrap_err();
     let msg = err.to_string();
-    assert!(msg.contains("PREPARE"), "error should point at PREPARE/EXECUTE: {msg}");
+    assert!(
+        msg.contains("PREPARE"),
+        "error should point at PREPARE/EXECUTE: {msg}"
+    );
     assert_eq!(server.sql_stats().errors, 1);
     // The PREPARE/EXECUTE path serves it fine — and still lands in the
     // same plan-cache machinery (one miss for the shape).
-    session.sql("PREPARE by_price AS SELECT name FROM products WHERE price > $0").unwrap();
+    session
+        .sql("PREPARE by_price AS SELECT name FROM products WHERE price > $0")
+        .unwrap();
     let r = rows(session.sql("EXECUTE by_price (40.0)").unwrap());
     assert_eq!(r.table.num_rows(), 7);
     // An ad-hoc statement of the same shape reuses the prepared plan.
     let before = server.plan_cache_stats().misses;
-    rows(session.sql("SELECT name FROM products WHERE price > 62.5").unwrap());
+    rows(
+        session
+            .sql("SELECT name FROM products WHERE price > 62.5")
+            .unwrap(),
+    );
     assert_eq!(
         server.plan_cache_stats().misses,
         before,
@@ -194,7 +253,9 @@ fn explicit_parameters_require_prepare() {
 fn execute_binds_are_type_checked_per_call() {
     let server = fresh_server(ServeConfig::default());
     let session = server.session();
-    session.sql("PREPARE p AS SELECT name FROM products WHERE price > $0").unwrap();
+    session
+        .sql("PREPARE p AS SELECT name FROM products WHERE price > $0")
+        .unwrap();
     let with_int = rows(session.sql("EXECUTE p (30)").unwrap());
     let with_float = rows(session.sql("EXECUTE p (45.5)").unwrap());
     assert_eq!(with_int.table.num_rows(), 9);

@@ -12,15 +12,25 @@
 
 use context_analytics::exec::logical::{AggFunc, AggSpec, JoinType};
 use context_analytics::expr::{col, lit};
-use context_analytics::{Engine, EngineConfig, Query, ServeConfig, Server, SqlResponse};
 use context_analytics::sql::{Bound, SchemaProvider};
+use context_analytics::{Engine, EngineConfig, Query, ServeConfig, Server, SqlResponse};
 use cx_embed::{ClusteredTextModel, HashNGramModel};
 use cx_storage::{Column, DataType, Field, Scalar, Schema, Table};
 use std::sync::Arc;
 
 const NAMES: [&str; 12] = [
-    "boots", "parka", "kitten", "sneakers", "coat", "puppy", "oxfords", "windbreaker", "blazer",
-    "canine", "feline", "lace-ups",
+    "boots",
+    "parka",
+    "kitten",
+    "sneakers",
+    "coat",
+    "puppy",
+    "oxfords",
+    "windbreaker",
+    "blazer",
+    "canine",
+    "feline",
+    "lace-ups",
 ];
 
 fn fresh_engine() -> Arc<Engine> {
@@ -101,7 +111,11 @@ fn twins(engine: &Engine) -> Vec<(String, Query)> {
     );
     twin(
         "SELECT * FROM products WHERE name = 'boots' OR name = 'parka'",
-        t("products").filter(col("name").eq(lit("boots")).or(col("name").eq(lit("parka")))),
+        t("products").filter(
+            col("name")
+                .eq(lit("boots"))
+                .or(col("name").eq(lit("parka"))),
+        ),
     );
     twin(
         "SELECT * FROM products WHERE NOT (price > 40.0)",
@@ -134,29 +148,43 @@ fn twins(engine: &Engine) -> Vec<(String, Query)> {
     );
     twin(
         "SELECT name AS n, price * 0.9 AS sale FROM products ORDER BY n",
-        t("products")
-            .sort(&[("name", true)])
-            .select(vec![(col("name"), "n"), (col("price").mul(lit(0.9)), "sale")]),
+        t("products").sort(&[("name", true)]).select(vec![
+            (col("name"), "n"),
+            (col("price").mul(lit(0.9)), "sale"),
+        ]),
     );
     // Projection, DISTINCT, ORDER BY, LIMIT.
-    twin("SELECT name FROM products", t("products").select_columns(&["name"]));
+    twin(
+        "SELECT name FROM products",
+        t("products").select_columns(&["name"]),
+    );
     twin(
         "SELECT DISTINCT name FROM products ORDER BY name",
-        t("products").select_columns(&["name"]).distinct().sort(&[("name", true)]),
+        t("products")
+            .select_columns(&["name"])
+            .distinct()
+            .sort(&[("name", true)]),
     );
     twin(
         "SELECT * FROM products ORDER BY price DESC, name ASC LIMIT 4",
-        t("products").sort(&[("price", false), ("name", true)]).limit(4),
+        t("products")
+            .sort(&[("price", false), ("name", true)])
+            .limit(4),
     );
     twin(
         "SELECT name FROM products ORDER BY price DESC",
-        t("products").sort(&[("price", false)]).select_columns(&["name"]),
+        t("products")
+            .sort(&[("price", false)])
+            .select_columns(&["name"]),
     );
     twin("SELECT * FROM products LIMIT 3", t("products").limit(3));
     // Semantic filters: probes, thresholds, k-limits.
-    for (probe, threshold) in
-        [("shoes", 0.75), ("jacket", 0.8), ("pets", 0.7), ("clothes", 0.78)]
-    {
+    for (probe, threshold) in [
+        ("shoes", 0.75),
+        ("jacket", 0.8),
+        ("pets", 0.7),
+        ("clothes", 0.78),
+    ] {
         twin(
             &format!(
                 "SELECT * FROM products WHERE name SEMANTIC LIKE '{probe}' ({threshold}) \
@@ -170,7 +198,9 @@ fn twins(engine: &Engine) -> Vec<(String, Query)> {
     for k in [1usize, 3, 5] {
         twin(
             &format!("SELECT * FROM products WHERE name SEMANTIC LIKE 'shoes' ({k}, 0.7)"),
-            t("products").semantic_filter("name", "shoes", "m", 0.7).limit(k),
+            t("products")
+                .semantic_filter("name", "shoes", "m", 0.7)
+                .limit(k),
         );
     }
     twin(
@@ -207,7 +237,10 @@ fn twins(engine: &Engine) -> Vec<(String, Query)> {
         "SELECT COUNT(*) AS n, AVG(price) AS mean FROM products",
         t("products").aggregate(
             &[],
-            vec![AggSpec::count_star("n"), AggSpec::new(AggFunc::Avg, "price", "mean")],
+            vec![
+                AggSpec::count_star("n"),
+                AggSpec::new(AggFunc::Avg, "price", "mean"),
+            ],
         ),
     );
     twin(
@@ -242,21 +275,35 @@ fn twins(engine: &Engine) -> Vec<(String, Query)> {
     );
     twin(
         "SELECT * FROM products SEMI JOIN labels ON product_id = label_id",
-        t("products").join(t("labels"), &[("product_id", "label_id")], JoinType::LeftSemi),
+        t("products").join(
+            t("labels"),
+            &[("product_id", "label_id")],
+            JoinType::LeftSemi,
+        ),
     );
     twin(
         "SELECT * FROM products ANTI JOIN labels ON product_id = label_id",
-        t("products").join(t("labels"), &[("product_id", "label_id")], JoinType::LeftAnti),
+        t("products").join(
+            t("labels"),
+            &[("product_id", "label_id")],
+            JoinType::LeftAnti,
+        ),
     );
     twin(
         "SELECT * FROM products CROSS JOIN labels WHERE price > 80.0",
-        t("products").cross_join(t("labels")).filter(col("price").gt(lit(80.0))),
+        t("products")
+            .cross_join(t("labels"))
+            .filter(col("price").gt(lit(80.0))),
     );
     twin(
         "SELECT a.name, b.price AS bprice FROM products AS a \
          INNER JOIN products AS b ON a.product_id = b.product_id",
         t("products")
-            .join(t("products"), &[("product_id", "product_id")], JoinType::Inner)
+            .join(
+                t("products"),
+                &[("product_id", "product_id")],
+                JoinType::Inner,
+            )
             .select(vec![(col("name"), "name"), (col("right.price"), "bprice")]),
     );
     // Semantic joins: default and named score columns.
@@ -298,7 +345,11 @@ fn twins(engine: &Engine) -> Vec<(String, Query)> {
 /// scalar equality).
 fn assert_tables_bit_identical(got: &Table, expected: &Table, context: &str) {
     assert_eq!(got.num_rows(), expected.num_rows(), "{context}: row count");
-    assert_eq!(got.schema().names(), expected.schema().names(), "{context}: schema");
+    assert_eq!(
+        got.schema().names(),
+        expected.schema().names(),
+        "{context}: schema"
+    );
     for r in 0..expected.num_rows() {
         let (g, e) = (got.row(r).unwrap(), expected.row(r).unwrap());
         for (c, (gs, es)) in g.iter().zip(&e).enumerate() {
@@ -316,7 +367,10 @@ fn assert_tables_bit_identical(got: &Table, expected: &Table, context: &str) {
 /// serial engine.
 fn reference(pairs: &[(String, Query)]) -> Vec<Table> {
     let serial = fresh_engine();
-    pairs.iter().map(|(_, q)| serial.execute(q).unwrap().table).collect()
+    pairs
+        .iter()
+        .map(|(_, q)| serial.execute(q).unwrap().table)
+        .collect()
 }
 
 fn sql_rows(session: &context_analytics::Session, sql: &str) -> Arc<Table> {
@@ -329,7 +383,11 @@ fn sql_rows(session: &context_analytics::Session, sql: &str) -> Arc<Table> {
 #[test]
 fn corpus_is_large_enough() {
     let engine = fresh_engine();
-    assert!(twins(&engine).len() >= 40, "only {} twins", twins(&engine).len());
+    assert!(
+        twins(&engine).len() >= 40,
+        "only {} twins",
+        twins(&engine).len()
+    );
 }
 
 #[test]
@@ -339,7 +397,10 @@ fn adhoc_exact_matches_builder_twins() {
     let expected = reference(&pairs);
     let server = Server::new(
         fresh_engine(),
-        ServeConfig { sql_auto_param: false, ..ServeConfig::default() },
+        ServeConfig {
+            sql_auto_param: false,
+            ..ServeConfig::default()
+        },
     );
     let session = server.session();
     for (i, (sql, _)) in pairs.iter().enumerate() {
@@ -372,7 +433,11 @@ fn auto_param_and_replay_match_builder_twins() {
         assert_tables_bit_identical(&got, &expected[i], &format!("replay: {sql}"));
     }
     let replay_hits = server.stats().result_cache_hits - hits_before;
-    assert_eq!(replay_hits, pairs.len() as u64, "every replay should be a memo hit");
+    assert_eq!(
+        replay_hits,
+        pairs.len() as u64,
+        "every replay should be a memo hit"
+    );
     // Every auto-parameterized replay resolved an already-cached shape.
     let stats = server.sql_stats();
     assert!(
@@ -473,7 +538,9 @@ fn tolerant_semantic_join_serves_its_literals_tier() {
                ON SIM(a_name, b_name) >= 0.8 WHERE a_id >= 1990 ORDER BY a_id, b_id";
     let parsed = context_analytics::sql::parse(sql).unwrap();
     let bound = context_analytics::sql::bind(&parsed, &EngineSchemas(&engine)).unwrap();
-    let Bound::Query(bound) = bound else { panic!("not a query: {sql}") };
+    let Bound::Query(bound) = bound else {
+        panic!("not a query: {sql}")
+    };
     let expected = engine.execute(&Query::from_plan(bound.plan)).unwrap().table;
     assert!(expected.num_rows() > 0);
     let server = Server::new(engine, ServeConfig::default());
