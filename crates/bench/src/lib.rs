@@ -15,6 +15,9 @@
 //! seconds), so they are measured on a subsample and extrapolated by the
 //! exact pair-count ratio, clearly labeled in the output.
 //!
+//! [`paired`] holds the statistics of the `paired` binary, which compares
+//! two builds of the `benchmark/` package over alternating runs.
+//!
 //! [`placement`] is Figure 5's model: device presets and links, operator
 //! affinities, the plan → pipeline linearization and the exact placement
 //! DP that `fig5_hardware` prints. Its numbers are simulation constants;
@@ -22,6 +25,7 @@
 
 pub mod interpreted;
 pub mod measure;
+pub mod paired;
 pub mod placement;
 
 pub use interpreted::InterpretedModel;

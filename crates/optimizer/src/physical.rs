@@ -15,6 +15,8 @@ use cx_exec::operators::{
     ProjectExec, SortExec, SystemTableScanExec, TableScanExec, UnionExec,
 };
 use cx_exec::PhysicalOperator;
+use cx_expr::Expr;
+use cx_semantic::panel::BaseColumn;
 use cx_semantic::{SemanticFilterExec, SemanticGroupByExec, SemanticJoinExec};
 use cx_storage::{Error, Result, SystemTableSource, Table};
 use std::collections::HashMap;
@@ -160,8 +162,12 @@ pub fn create_physical_plan(
                     keys,
                 } => match sorted.as_ref() {
                     LogicalPlan::SemanticJoin { left, right, spec } => {
-                        let join = semantic_join(left, right, spec, ctx, env)?;
-                        Arc::new(join.with_limit(&sort_keys(keys), n)?)
+                        let join = semantic_join(left, right, spec, ctx, env)?
+                            .with_limit(&sort_keys(keys), n)?;
+                        Arc::new(match base_column(right, &spec.right_column, env) {
+                            Some(source) => join.with_resident_build(source),
+                            None => join,
+                        })
                     }
                     _ => {
                         let child = create_physical_plan(sorted, ctx, env)?;
@@ -216,6 +222,25 @@ fn semantic_join(
         SemanticJoinExec::new(l, r, lc, rc, spec.threshold, score, cache, parallelism)?
             .with_quant_tier(tier),
     )
+}
+
+/// The base-table column that `column` of `plan` reads, when it reaches a
+/// scan through filters and plain-column projections only: the key a
+/// top-k semantic join's resident build panel is built from.
+fn base_column(plan: &LogicalPlan, column: &str, env: &PhysicalPlannerEnv) -> Option<BaseColumn> {
+    match plan {
+        LogicalPlan::Scan { source, .. } if env.system_table(source).is_none() => {
+            let table = env.table(source)?;
+            let column = table.schema().index_of(column).ok()?;
+            Some(BaseColumn { table, column })
+        }
+        LogicalPlan::Filter { input, .. } => base_column(input, column, env),
+        LogicalPlan::Project { exprs, input } => match exprs.iter().find(|(_, n)| n == column)? {
+            (Expr::Column(inner), _) => base_column(input, inner, env),
+            _ => None,
+        },
+        _ => None,
+    }
 }
 
 /// The lowering error for a parameter placeholder (`$slot`) left unbound.

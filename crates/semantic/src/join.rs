@@ -14,8 +14,18 @@
 //! schedule differs. A configured quantization tier
 //! ([`SemanticJoinExec::with_quant_tier`]) makes the sweep scan f16/int8
 //! panels, trading a bounded score error for bytes-per-row.
+//!
+//! A top-k join — bounded by [`SemanticJoinExec::with_limit`] with the
+//! score, descending, as its first key, at `F32`, and told its build
+//! column by [`SemanticJoinExec::with_resident_build`] — sweeps that
+//! column's resident cone-tiled panel ([`crate::panel`]) under a floor
+//! that rises to the k-th best row-weighted score
+//! (`sweep::sweep_top_k`), so it scores only the tiles that can
+//! still reach its top k. Its output is the full sweep's, row for row and
+//! bit for bit.
 
-use crate::sweep::{sweep, Distinct, Hit};
+use crate::panel::{resident, BaseColumn};
+use crate::sweep::{sweep, sweep_top_k, Distinct, Hit, RankedBuild};
 use cx_embed::EmbeddingCache;
 use cx_exec::{keys_cmp, top_n_by, ChunkStream, PhysicalOperator};
 use cx_storage::{Chunk, Column, DataType, Error, Field, QueryContext, Result, Schema};
@@ -38,6 +48,9 @@ pub struct SemanticJoinExec {
     /// `ORDER BY … LIMIT k` folded into the join: `(output column,
     /// ascending)` keys and `k` ([`SemanticJoinExec::with_limit`]).
     limit: Option<(Vec<(usize, bool)>, usize)>,
+    /// The base-table column the right key reads, when it traces to one
+    /// ([`SemanticJoinExec::with_resident_build`]).
+    resident: Option<BaseColumn>,
 }
 
 impl SemanticJoinExec {
@@ -88,6 +101,7 @@ impl SemanticJoinExec {
             parallelism: parallelism.max(1),
             schema,
             limit: None,
+            resident: None,
         })
     }
 
@@ -100,6 +114,16 @@ impl SemanticJoinExec {
             .map(|(name, asc)| Ok((self.schema.index_of(name)?, *asc)));
         self.limit = Some((keys.collect::<Result<_>>()?, k));
         Ok(self)
+    }
+
+    /// Names the base-table column the right key reads. A top-k join (a
+    /// limit whose first key is the score, descending, at `F32`) then
+    /// scores that column's resident cone-tiled panel
+    /// ([`crate::panel`]) under a rising floor
+    /// (`sweep::sweep_top_k`) instead of sweeping every pair.
+    pub fn with_resident_build(mut self, source: BaseColumn) -> Self {
+        self.resident = Some(source);
+        self
     }
 
     /// Sets the build-side storage tier of the sweep. `F16`/`Int8` score
@@ -159,8 +183,13 @@ impl PhysicalOperator for SemanticJoinExec {
 
         let left_vals = Distinct::of_column(left.column(self.left_key)?)?;
         let right_vals = Distinct::of_column(right.column(self.right_key)?)?;
+        let (left_rows, right_rows) = (left_vals.rows_per_value(), right_vals.rows_per_value());
 
-        let matches = self.match_values(&left_vals.values, &right_vals.values, &ctx)?;
+        let matches = self.match_values(
+            (&left_vals.values, &left_rows),
+            (&right_vals.values, &right_rows),
+            &ctx,
+        )?;
 
         // Expand value matches to row pairs, in (left value, right value,
         // left row, right row) order.
@@ -168,7 +197,6 @@ impl PhysicalOperator for SemanticJoinExec {
         let mut left_idx: Vec<usize> = Vec::new();
         let mut right_idx: Vec<usize> = Vec::new();
         let mut scores: Vec<f64> = Vec::new();
-        let (left_rows, right_rows) = (left_vals.rows_per_value(), right_vals.rows_per_value());
         for &(lv, rv, score) in &matches {
             for &lr in &left_rows[lv as usize] {
                 for &rr in &right_rows[rv as usize] {
@@ -214,11 +242,26 @@ impl PhysicalOperator for SemanticJoinExec {
 }
 
 impl SemanticJoinExec {
+    /// The k of a top-k join: a limit whose first key is the score,
+    /// descending, at the exact tier.
+    fn top_k(&self) -> Option<usize> {
+        let (keys, k) = self.limit.as_ref()?;
+        let by_score = keys.first() == Some(&(self.schema.len() - 1, false));
+        (by_score && self.quant == QuantTier::F32).then_some(*k)
+    }
+
     /// Value-level matching: `(left value id, right value id, score)`,
     /// ordered by ids regardless of parallelism — the one panel sweep
     /// ([`crate::sweep`]) with the left values as its probes and this
-    /// join's threshold as its floor.
-    fn match_values(&self, left: &[&str], right: &[&str], ctx: &QueryContext) -> Result<Vec<Hit>> {
+    /// join's threshold as its floor. A top-k join over a resident build
+    /// column keeps only the pairs that can reach its top k
+    /// ([`sweep_top_k`]); each side comes with its rows per value.
+    fn match_values(
+        &self,
+        (left, left_rows): (&[&str], &[Vec<u32>]),
+        (right, right_rows): (&[&str], &[Vec<u32>]),
+        ctx: &QueryContext,
+    ) -> Result<Vec<Hit>> {
         if left.is_empty() || right.is_empty() {
             return Ok(Vec::new());
         }
@@ -227,15 +270,21 @@ impl SemanticJoinExec {
         } else {
             self.parallelism
         };
-        sweep(
-            self.quant,
-            &self.cache,
-            right,
-            left,
-            self.threshold,
-            workers,
-            ctx,
-        )
+        if let (Some(k), Some(source)) = (self.top_k(), &self.resident) {
+            let panel = resident(source, &self.cache)?;
+            ctx.check()?;
+            let candidates = panel.candidates(right, right_rows)?;
+            let probe_weights: Vec<u64> = left_rows.iter().map(|r| r.len() as u64).collect();
+            let top = RankedBuild {
+                panel: &panel,
+                candidates: &candidates,
+                probe_weights: &probe_weights,
+                k,
+            };
+            return sweep_top_k(&self.cache, top, left, self.threshold, workers, ctx);
+        }
+        let floor = self.threshold;
+        sweep(self.quant, &self.cache, right, left, floor, workers, ctx)
     }
 }
 
@@ -463,6 +512,69 @@ mod tests {
         assert_eq!(c.model().stats().invocations(), 7);
         // The sweep scored 3×4 distinct-value pairs.
         assert_eq!(profile.pairs_scored, 12);
+    }
+
+    #[test]
+    fn top_k_over_a_resident_panel_scores_fewer_pairs() {
+        use crate::panel::BaseColumn;
+        // Four value clusters of 40 labels each; the probes repeat labels
+        // exactly, so the floor rises to their scores at once.
+        let heads = ["boots", "parka", "mug", "cup"];
+        let labels: Vec<String> = (0..160).map(|i| format!("{} {i}", heads[i % 4])).collect();
+        let table = Arc::new(
+            Table::from_columns(
+                Schema::new(vec![
+                    Field::new("label", DataType::Utf8),
+                    Field::new("kind", DataType::Utf8),
+                ]),
+                vec![
+                    Column::from_strings(labels.iter().map(String::as_str)),
+                    Column::from_strings(labels.iter().map(|l| &l[..3])),
+                ],
+            )
+            .unwrap(),
+        );
+        let probes = Table::from_columns(
+            Schema::new(vec![
+                Field::new("id", DataType::Int64),
+                Field::new("name", DataType::Utf8),
+            ]),
+            vec![
+                Column::from_i64(vec![1, 2]),
+                Column::from_strings(["boots 8", "mug 2"]),
+            ],
+        )
+        .unwrap();
+        let c = cache();
+        let join = || {
+            SemanticJoinExec::new(
+                Arc::new(TableScanExec::new(Arc::new(probes.clone()))),
+                Arc::new(TableScanExec::new(table.clone())),
+                "name",
+                "label",
+                0.0,
+                "sim",
+                c.clone(),
+                1,
+            )
+            .unwrap()
+            .with_limit(&[("sim".into(), false), ("label".into(), true)], 2)
+            .unwrap()
+        };
+        let profiled = |join: SemanticJoinExec| {
+            let window = cx_obs::ProfileSpan::start();
+            let out = collect_table(&join).unwrap();
+            (out, window.finish(0).pairs_scored)
+        };
+        let (full, all_pairs) = profiled(join());
+        let source = BaseColumn {
+            table: table.clone(),
+            column: 0,
+        };
+        let (pruned, scored) = profiled(join().with_resident_build(source));
+        assert_bit_identical(&full, &pruned, "pruned vs full");
+        assert_eq!(all_pairs, 2 * 160);
+        assert!(scored < all_pairs, "scored {scored} of {all_pairs}");
     }
 
     #[test]

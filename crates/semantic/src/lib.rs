@@ -28,6 +28,7 @@ pub mod consolidate;
 pub mod filter;
 pub mod groupby;
 pub mod join;
+pub mod panel;
 pub mod selectivity;
 pub mod sweep;
 

@@ -22,13 +22,27 @@
 //! time, and scores carry the tier's bounded error. Either way the result
 //! is the [`Hit`] list at the floor: a filter's or join's epilogue
 //! consumes only pairs that clear it.
+//!
+//! A top-k join (`ORDER BY similarity DESC … LIMIT k` at `F32`) over a
+//! resident build panel ([`crate::panel`]) takes `sweep_top_k` instead:
+//! the same kernel and arithmetic over the panel's cone tiles, scoring
+//! only the tiles that can still reach the k-th best score. Both sweeps
+//! run inside the one `panel_sweep` span, whose detail reports the
+//! `(probe, tile)` cells visited out of all of them and the pairs scored;
+//! the statement profile credits only the pairs scored.
 
+use crate::panel::ResidentPanel;
 use cx_embed::EmbeddingCache;
 use cx_exec::parallel::parallel_map_ranges;
 use cx_storage::{Chunk, Column, QueryContext, Result};
 use cx_vector::block::{dot_block_threshold, TILE};
-use cx_vector::{QuantTier, QuantizedArena, VectorArena};
-use std::collections::HashMap;
+#[cfg(doc)]
+use cx_vector::cone::ConeTiles;
+use cx_vector::{QuantTier, QuantizedArena, RowBlock, VectorArena};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// The distinct valid values of a UTF8 column, with every row's value id.
 #[derive(Default)]
@@ -88,6 +102,52 @@ impl<'a> Distinct<'a> {
 /// One `(probe id, candidate id, score)` pair of a [`sweep`].
 pub type Hit = (u32, u32, f32);
 
+/// What one sweep scored, for its span and the statement profile.
+#[derive(Default)]
+struct Tally {
+    /// `(probe, build tile)` cells scored.
+    visited: u64,
+    /// `(probe, build tile)` cells in all.
+    cells: u64,
+    /// Probe × candidate pairs the kernels scored.
+    scored: u64,
+    /// Distinct build tiles touched.
+    tiles: u64,
+}
+
+/// Runs one sweep inside the one `panel_sweep` span and credits what it
+/// scored to the statement profile.
+fn swept(
+    tier: QuantTier,
+    (p, c): (usize, usize),
+    body: impl FnOnce() -> Result<(Vec<Hit>, Tally)>,
+) -> Result<Vec<Hit>> {
+    let mut span = cx_obs::span("panel_sweep");
+    let (hits, tally) = body()?;
+    // Credited on the calling thread, after the fan-out: worker threads
+    // carry no profile window.
+    cx_obs::add_pairs(tally.scored);
+    cx_obs::add_tiles(tally.tiles);
+    if span.is_recording() {
+        span.set_detail(format!(
+            "tier={} probes={p} candidates={c} tiles={}/{} scored={} simd={}",
+            tier.label(),
+            tally.visited,
+            tally.cells,
+            tally.scored,
+            cx_vector::simd::KernelDispatch::active().report()
+        ));
+    }
+    Ok(hits)
+}
+
+/// Embeds `texts` through `cache` into a normalized panel.
+fn unit_panel<S: AsRef<str>>(cache: &EmbeddingCache, texts: &[S]) -> VectorArena {
+    let mut arena = VectorArena::from_texts(cache, texts);
+    arena.normalize();
+    arena
+}
+
 /// Scores every probe against every candidate at storage tier `tier` and
 /// returns each pair scoring at or above `floor` (a filter's or join's
 /// threshold), ordered by `(probe id,
@@ -111,62 +171,356 @@ pub fn sweep<C: AsRef<str>, P: AsRef<str>>(
     if p == 0 || c == 0 {
         return Ok(Vec::new());
     }
-    let _span = cx_obs::span_with("panel_sweep", || {
-        format!(
-            "tier={} probes={p} candidates={c} simd={}",
-            tier.label(),
-            cx_vector::simd::KernelDispatch::active().report()
-        )
-    });
-    // Credited on the calling thread, before the fan-out: worker threads
-    // carry no profile window.
-    cx_obs::add_pairs((p * c) as u64);
-    cx_obs::add_tiles(c.div_ceil(TILE) as u64);
-    let mut cand = VectorArena::from_texts(cache, candidates);
-    let mut prob = VectorArena::from_texts(cache, probes);
-    ctx.check()?;
-    cand.normalize();
-    prob.normalize();
-    let quantized = match tier {
-        QuantTier::F32 => None,
-        tier => Some(QuantizedArena::from_arena(&cand, tier)?),
-    };
+    swept(tier, (p, c), || {
+        let cand = unit_panel(cache, candidates);
+        let prob = unit_panel(cache, probes);
+        ctx.check()?;
+        let quantized = match tier {
+            QuantTier::F32 => None,
+            tier => Some(QuantizedArena::from_arena(&cand, tier)?),
+        };
 
-    // The f32 schedule: build-side tiles stay cache-resident while the
-    // probe span streams over them, and the kernel emits straight from
-    // registers. Quantized panels take one kernel call per probe row
-    // through a reused row buffer; the f16/int8 panel moves 2–4× fewer
-    // bytes than the f32 arena.
-    let scan_span = |span: std::ops::Range<usize>| -> Result<Vec<Hit>> {
-        let mut hits: Vec<Hit> = Vec::new();
-        match &quantized {
-            None => {
-                let probes = prob.block(span.clone());
-                for t0 in (0..c).step_by(TILE) {
-                    ctx.check()?;
-                    let tile = cand.block(t0..(t0 + TILE).min(c));
-                    dot_block_threshold(probes, tile, floor, |i, r, score| {
-                        hits.push(((span.start + i) as u32, (t0 + r) as u32, score))
-                    });
+        // The f32 schedule: build-side tiles stay cache-resident while the
+        // probe span streams over them, and the kernel emits straight from
+        // registers. Quantized panels take one kernel call per probe row
+        // through a reused row buffer; the f16/int8 panel moves 2–4× fewer
+        // bytes than the f32 arena.
+        let scan_span = |span: Range<usize>| -> Result<Vec<Hit>> {
+            let mut hits: Vec<Hit> = Vec::new();
+            match &quantized {
+                None => {
+                    let probes = prob.block(span.clone());
+                    for t0 in (0..c).step_by(TILE) {
+                        ctx.check()?;
+                        let tile = cand.block(t0..(t0 + TILE).min(c));
+                        dot_block_threshold(probes, tile, floor, |i, r, score| {
+                            hits.push(((span.start + i) as u32, (t0 + r) as u32, score))
+                        });
+                    }
+                }
+                Some(cand) => {
+                    let mut row = vec![0.0f32; c];
+                    for i in span {
+                        ctx.check()?;
+                        cand.scores_into(prob.row(i), &mut row);
+                        let above = row.iter().enumerate().filter(|(_, s)| **s >= floor);
+                        hits.extend(above.map(|(j, &s)| (i as u32, j as u32, s)));
+                    }
                 }
             }
-            Some(cand) => {
-                let mut row = vec![0.0f32; c];
-                for i in span {
-                    ctx.check()?;
-                    cand.scores_into(prob.row(i), &mut row);
-                    let above = row.iter().enumerate().filter(|(_, s)| **s >= floor);
-                    hits.extend(above.map(|(j, &s)| (i as u32, j as u32, s)));
-                }
-            }
+            Ok(hits)
+        };
+
+        let mut hits = Vec::new();
+        for part in parallel_map_ranges(p, workers, scan_span) {
+            hits.extend(part?);
         }
-        Ok(hits)
-    };
+        hits.sort_unstable_by_key(|&(i, j, _)| (i, j));
+        let tiles = c.div_ceil(TILE) as u64;
+        let (cells, scored) = (p as u64 * tiles, (p * c) as u64);
+        let tally = Tally {
+            visited: cells,
+            cells,
+            scored,
+            tiles,
+        };
+        Ok((hits, tally))
+    })
+}
 
-    let mut hits = Vec::new();
-    for part in parallel_map_ranges(p, workers, scan_span) {
-        hits.extend(part?);
+/// The build side of a [`sweep_top_k`]: a resident cone-tiled panel and
+/// this statement's view of it.
+pub(crate) struct RankedBuild<'a> {
+    /// The resident panel.
+    pub panel: &'a ResidentPanel,
+    /// Per panel row, `(candidate id, weight)`: the weight is the number
+    /// of build rows holding the value, 0 where the statement holds none.
+    pub candidates: &'a [(u32, u64)],
+    /// Per probe, the number of probe-side rows holding it.
+    pub probe_weights: &'a [u64],
+    /// Output rows the statement keeps.
+    pub k: usize,
+}
+
+/// A top-k join's sweep at `F32`: every probe-candidate pair that can be
+/// among the `k` best output rows ordered by score, descending, with
+/// scores bit-identical to [`sweep`]'s; hits ordered by `(probe id,
+/// candidate id)`.
+///
+/// The floor is `max(floor, k-th best row-weighted score)`: a pair of
+/// weight `w` (probe rows × candidate rows) stands for `w` output rows,
+/// so once scored pairs of total weight ≥ k clear a score, no pair below
+/// it can reach the top k. Pairs that tie the floor are kept, so the
+/// epilogue's exact top-k and its tie-break see every pair they would
+/// have seen after a full sweep.
+///
+/// Each probe is bounded against every tile in one probes × centroids
+/// kernel pass ([`ConeTiles::bound`]). Each probe's best-bound tile (the
+/// nearest centroid among ties) is scored first, which seeds the floor;
+/// then every other cell whose bound reaches the floor, tile by tile in
+/// descending order of their best bound, each tile read once for all the
+/// probes it serves, and each cell checked against the floor as it stands
+/// when its tile comes up. Workers share the floor through one atomic.
+/// `ctx` is checked once per scored tile.
+pub(crate) fn sweep_top_k<P: AsRef<str>>(
+    cache: &EmbeddingCache,
+    top: RankedBuild<'_>,
+    probes: &[P],
+    floor: f32,
+    workers: usize,
+    ctx: &QueryContext,
+) -> Result<Vec<Hit>> {
+    let (p, c) = (probes.len(), top.candidates.len());
+    if p == 0 || c == 0 || top.k == 0 {
+        return Ok(Vec::new());
     }
-    hits.sort_unstable_by_key(|&(i, j, _)| (i, j));
-    Ok(hits)
+    swept(QuantTier::F32, (p, c), || {
+        let prob = unit_panel(cache, probes);
+        ctx.check()?;
+        // Scores are at least θ ≥ 0 once offered, so the bits of a
+        // non-negative f32 order like the value.
+        let shared = AtomicU32::new(floor_bits(floor));
+        let parts = parallel_map_ranges(p, workers, |span| {
+            let mut scan = TileScan::bound(&top, &prob, span, &shared);
+            scan.seed(ctx)?;
+            scan.rest(ctx)?;
+            Ok(scan)
+        });
+        let scans = parts.into_iter().collect::<Result<Vec<_>>>()?;
+        // Drop the pairs scored before the floor reached its final height.
+        let floor = f32::from_bits(shared.load(Ordering::Relaxed));
+        let tiles = top.panel.tiles.len();
+        let (mut hits, mut touched) = (Vec::new(), vec![false; tiles]);
+        let mut tally = Tally {
+            cells: (p * tiles) as u64,
+            ..Tally::default()
+        };
+        for scan in scans {
+            hits.extend(scan.hits.into_iter().filter(|h| h.2 >= floor));
+            tally.visited += scan.visited;
+            tally.scored += scan.scored;
+            touched
+                .iter_mut()
+                .zip(scan.touched)
+                .for_each(|(a, b)| *a |= b);
+        }
+        tally.tiles = touched.iter().filter(|&&x| x).count() as u64;
+        hits.sort_unstable_by_key(|&(i, j, _)| (i, j));
+        Ok((hits, tally))
+    })
+}
+
+impl<'a, 't> TileScan<'a, 't> {
+    /// A worker's scan of the probes of `span`, with the bounds of every
+    /// (probe, tile) cell from one kernel pass of the span's probes
+    /// against the tile centroids. A NaN score is never emitted, and the
+    /// 1.0 it leaves behind bounds nothing.
+    fn bound(
+        top: &'a RankedBuild<'t>,
+        prob: &'a VectorArena,
+        span: Range<usize>,
+        shared: &'a AtomicU32,
+    ) -> Self {
+        let tiles = &top.panel.tiles;
+        let t = tiles.len();
+        let mut bounds = vec![1.0f32; span.len() * t];
+        let floorless = f32::NEG_INFINITY;
+        dot_block_threshold(
+            prob.block(span.clone()),
+            tiles.centroids(),
+            floorless,
+            |i, j, s| bounds[i * t + j] = s,
+        );
+        // Each probe's seed: its best-bound tile, the nearest centroid
+        // among ties (a probe inside several cones bounds them all at 1).
+        let mut seeds = Vec::with_capacity(span.len());
+        for row in bounds.chunks_exact_mut(t) {
+            let mut seed = (f32::NEG_INFINITY, f32::NEG_INFINITY, 0);
+            for (j, b) in row.iter_mut().enumerate() {
+                let cos = *b;
+                *b = tiles.bound(j, cos);
+                if (*b, cos) > (seed.0, seed.1) {
+                    seed = (*b, cos, j);
+                }
+            }
+            seeds.push(seed.2 as u32);
+        }
+        TileScan {
+            top,
+            prob,
+            first: span.start,
+            bounds,
+            seeds,
+            best: Weighted::new(top.k as u64, shared),
+            hits: Vec::new(),
+            visited: 0,
+            scored: 0,
+            touched: vec![false; t],
+            gathered: Vec::new(),
+        }
+    }
+
+    /// Scores each probe's best-bound tile, which seeds the floor.
+    fn seed(&mut self, ctx: &QueryContext) -> Result<()> {
+        let t = self.touched.len();
+        let mut cells: Vec<Cell> = Vec::with_capacity(self.bounds.len() / t);
+        for (i, row) in self.bounds.chunks_exact_mut(t).enumerate() {
+            let j = self.seeds[i] as usize;
+            cells.push((row[j], j as u32, i as u32));
+            row[j] = f32::NEG_INFINITY;
+        }
+        self.visit(&cells, ctx)
+    }
+
+    /// Scores every other cell whose bound reaches the floor.
+    fn rest(&mut self, ctx: &QueryContext) -> Result<()> {
+        let (t, floor) = (self.touched.len(), self.best.floor());
+        let mut cells: Vec<Cell> = Vec::new();
+        for (i, row) in self.bounds.chunks_exact(t).enumerate() {
+            let live = row.iter().enumerate().filter(|x| *x.1 >= floor);
+            cells.extend(live.map(|(j, &b)| (b, j as u32, i as u32)));
+        }
+        self.visit(&cells, ctx)
+    }
+}
+
+/// A `(bound, tile, probe)` cell of a top-k sweep; probes count from the
+/// worker's first.
+type Cell = (f32, u32, u32);
+
+/// One worker's scoring state in [`sweep_top_k`].
+struct TileScan<'a, 't> {
+    top: &'a RankedBuild<'t>,
+    prob: &'a VectorArena,
+    first: usize,
+    /// `(probe, tile)` bounds, probe-major; a visited seed reads -inf.
+    bounds: Vec<f32>,
+    /// Each probe's seed tile.
+    seeds: Vec<u32>,
+    best: Weighted<'a>,
+    hits: Vec<Hit>,
+    visited: u64,
+    scored: u64,
+    touched: Vec<bool>,
+    /// The probe rows of one tile's visit, gathered into one block.
+    gathered: Vec<f32>,
+}
+
+impl TileScan<'_, '_> {
+    /// Scores `cells` tile by tile, tiles in descending order of their
+    /// best bound, each against the probes whose bound still reaches the
+    /// floor, gathered into one probe block: a tile is read once per
+    /// visit, however many probes it serves.
+    fn visit(&mut self, cells: &[Cell], ctx: &QueryContext) -> Result<()> {
+        // Bucket the cells by tile (a counting sort), noting each tile's
+        // best bound.
+        let t = self.touched.len();
+        let mut ends = vec![0usize; t + 1];
+        let mut best_bound = vec![f32::NEG_INFINITY; t];
+        for &(b, j, _) in cells {
+            ends[j as usize + 1] += 1;
+            best_bound[j as usize] = best_bound[j as usize].max(b);
+        }
+        (0..t).for_each(|j| ends[j + 1] += ends[j]);
+        let mut fill = ends.clone();
+        let mut bucketed = vec![(0.0f32, 0u32); cells.len()];
+        for &(b, j, i) in cells {
+            bucketed[fill[j as usize]] = (b, i);
+            fill[j as usize] += 1;
+        }
+        let mut order: Vec<usize> = (0..t).filter(|&j| ends[j] < ends[j + 1]).collect();
+        order.sort_by(|&x, &y| best_bound[y].total_cmp(&best_bound[x]));
+        let (panel, stride) = (&self.top.panel.arena, self.prob.stride());
+        for j in order {
+            let floor = self.best.floor();
+            let live = bucketed[ends[j]..ends[j + 1]]
+                .iter()
+                .filter(|c| c.0 >= floor);
+            let probes: Vec<usize> = live.map(|c| self.first + c.1 as usize).collect();
+            if probes.is_empty() {
+                continue;
+            }
+            ctx.check()?;
+            self.gathered.clear();
+            for &p in &probes {
+                self.gathered.extend_from_slice(self.prob.row(p));
+                self.gathered
+                    .resize(self.gathered.len() + stride - panel.dim(), 0.0);
+            }
+            let dim = panel.dim();
+            let block = RowBlock {
+                data: &self.gathered,
+                stride,
+                dim,
+                rows: probes.len(),
+            };
+            let rows = self.top.panel.tiles.rows(j);
+            let at = rows.start;
+            let tile = panel.block(rows);
+            let (top, best, hits) = (self.top, &mut self.best, &mut self.hits);
+            dot_block_threshold(block, tile, floor, |i, r, s| {
+                let (id, w) = top.candidates[at + r];
+                if w > 0 {
+                    hits.push((probes[i] as u32, id, s));
+                    best.offer(s, top.probe_weights[probes[i]] * w);
+                }
+            });
+            self.touched[j] = true;
+            self.visited += probes.len() as u64;
+            self.scored += (probes.len() * tile.rows) as u64;
+        }
+        Ok(())
+    }
+}
+
+/// One worker's row-weighted top-k: the fewest best-scoring pairs whose
+/// weights sum to at least k. Once they do, the lowest of them is a lower
+/// bound on the statement's k-th best output row, and is published to
+/// the shared floor (which only rises).
+struct Weighted<'a> {
+    k: u64,
+    held: u64,
+    heap: BinaryHeap<Reverse<(u32, u64)>>,
+    shared: &'a AtomicU32,
+}
+
+impl<'a> Weighted<'a> {
+    fn new(k: u64, shared: &'a AtomicU32) -> Self {
+        Weighted {
+            k,
+            held: 0,
+            heap: BinaryHeap::new(),
+            shared,
+        }
+    }
+
+    /// The floor every worker has reached so far. Relaxed: the floor
+    /// publishes no other data, and a stale read is a lower floor, which
+    /// only scores more.
+    fn floor(&self) -> f32 {
+        f32::from_bits(self.shared.load(Ordering::Relaxed))
+    }
+
+    /// Counts a scored pair (at or above the floor) of `weight` rows.
+    fn offer(&mut self, score: f32, weight: u64) {
+        self.heap.push(Reverse((floor_bits(score), weight)));
+        self.held += weight;
+        while let Some(&Reverse((_, w))) = self.heap.peek() {
+            if self.held - w < self.k {
+                break;
+            }
+            self.held -= w;
+            self.heap.pop();
+        }
+        if self.held >= self.k {
+            let Reverse((kth, _)) = self.heap.peek().expect("held > 0");
+            self.shared.fetch_max(*kth, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The bits of a score at or above a floor `>= 0`, which order like the
+/// scores: `-0.0` is first made `+0.0`.
+fn floor_bits(score: f32) -> u32 {
+    (score + 0.0).to_bits()
 }

@@ -171,6 +171,38 @@ impl VectorArena {
         }
     }
 
+    /// Reorders the rows in place so that new row `i` is old row
+    /// `order[i]` (`order` a permutation of `0..len`), following each
+    /// cycle through one spare row: the panel is never copied.
+    pub fn reorder(&mut self, order: &[u32]) {
+        assert_eq!(
+            order.len(),
+            self.len(),
+            "order is not a permutation of the rows"
+        );
+        let stride = self.stride;
+        let mut placed = vec![false; order.len()];
+        let mut spare = vec![0.0f32; stride];
+        for start in 0..order.len() {
+            if placed[start] {
+                continue;
+            }
+            spare.copy_from_slice(&self.data[start * stride..(start + 1) * stride]);
+            let mut i = start;
+            loop {
+                placed[i] = true;
+                let src = order[i] as usize;
+                if src == start {
+                    self.data[i * stride..(i + 1) * stride].copy_from_slice(&spare);
+                    break;
+                }
+                self.data
+                    .copy_within(src * stride..(src + 1) * stride, i * stride);
+                i = src;
+            }
+        }
+    }
+
     /// Approximate heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
@@ -247,6 +279,20 @@ mod tests {
         assert_eq!(a.row(0), &[3.0 / 5.0, 4.0 / 5.0]);
         assert!((norm(a.row(0)) - 1.0).abs() < 1e-6);
         assert_eq!(a.row(1), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn reorder_moves_whole_rows() {
+        let mut a = VectorArena::new(3);
+        for i in 0..6 {
+            a.push(&[i as f32, -(i as f32), 0.5]);
+        }
+        let order = [3u32, 0, 5, 4, 1, 2];
+        let before = a.clone();
+        a.reorder(&order);
+        for (i, &src) in order.iter().enumerate() {
+            assert_eq!(a.row(i), before.row(src as usize), "row {i}");
+        }
     }
 
     #[test]

@@ -31,6 +31,8 @@
 //! * [`block`] — the batched rung above it: one query scored against a
 //!   row-major panel of candidates ([`dot_block`]), panels against panels
 //!   ([`scores_matrix`]), with threshold-aware early-exit variants,
+//! * [`cone`] — a panel's rows grouped into cone-bounded tiles by
+//!   spherical k-means: the layout the exact top-k join prunes on,
 //! * [`VectorArena`] — the padded arena above, the crate's one dense f32
 //!   container, fillable straight from an embedding cache and handing out
 //!   zero-copy [`RowBlock`] views,
@@ -40,6 +42,7 @@
 
 pub mod arena;
 pub mod block;
+pub mod cone;
 pub mod kernels;
 pub mod qarena;
 

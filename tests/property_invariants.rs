@@ -1131,6 +1131,101 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// The pruned top-k join: a resident cone-tiled build panel under a rising
+// row-weighted floor keeps exactly what the threshold sweep followed by
+// Sort + Limit keeps, bit for bit.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    #[test]
+    fn pruned_top_k_join_equals_threshold_sweep_then_sort_limit(
+        n_left in 0usize..24,
+        n_right in 1usize..700,
+        threshold in 0.0f32..0.9,
+        seed in any::<u64>(),
+    ) {
+        use cx_embed::{EmbeddingCache, HashNGramModel};
+        use cx_exec::operators::FilterExec;
+        use cx_exec::{LimitExec, PhysicalOperator, SortExec, TableScanExec};
+        use cx_expr::{col, lit};
+        use cx_semantic::panel::BaseColumn;
+        use cx_semantic::SemanticJoinExec;
+        use cx_storage::Table;
+
+        let mut rng = cx_embed::rng::SplitMix64::new(seed);
+        // Words over a small alphabet: values repeat on both sides (rows of
+        // one value multiply a pair's weight), scores tie, and a few hundred
+        // distinct build values fill several cone tiles. One key in
+        // eight is NULL.
+        let mut key = || -> (String, bool) {
+            let len = 2 + rng.next_range(3) as usize;
+            let word = (0..len).map(|_| char::from(b'a' + rng.next_range(5) as u8)).collect();
+            (word, rng.next_range(8) != 0)
+        };
+        let keys_of = |n: usize, key: &mut dyn FnMut() -> (String, bool)| -> Column {
+            let keys: Vec<(String, bool)> = (0..n).map(|_| key()).collect();
+            Column::Utf8 {
+                values: keys.iter().map(|(w, _)| w.clone()).collect(),
+                validity: Some(Bitmap::from_bools(keys.iter().map(|&(_, valid)| valid))),
+            }
+        };
+        let (left_keys, right_keys) = (keys_of(n_left, &mut key), keys_of(n_right, &mut key));
+        let left = Table::from_columns(
+            Schema::new(vec![Field::new("id", DataType::Int64), Field::new("l", DataType::Utf8)]),
+            vec![Column::from_i64((0..n_left as i64).map(|i| i % 3).collect()), left_keys],
+        )
+        .unwrap();
+        let part: Vec<i64> = (0..n_right).map(|_| rng.next_range(3) as i64).collect();
+        let right = Arc::new(
+            Table::from_columns(
+                Schema::new(vec![Field::new("r", DataType::Utf8), Field::new("rid", DataType::Int64)]),
+                vec![right_keys, Column::from_i64(part)],
+            )
+            .unwrap(),
+        );
+        // The pushed-down filter drops about a third of the build rows:
+        // values held only by those rows weigh 0 in the resident panel.
+        let cut = rng.next_range(3) as i64;
+        let build = || -> Arc<dyn PhysicalOperator> {
+            let scan = Arc::new(TableScanExec::new(right.clone()));
+            let pred = col("rid").not_eq(lit(cut));
+            Arc::new(FilterExec::new(scan, &pred).unwrap())
+        };
+        let probe = || -> Arc<dyn PhysicalOperator> {
+            Arc::new(TableScanExec::new(Arc::new(left.clone())))
+        };
+        let cache = Arc::new(EmbeddingCache::new(Arc::new(HashNGramModel::new(3))));
+        let mut keys = vec![("sim".to_string(), false)];
+        keys.extend(sort_keys(&["id", "l", "r", "rid"], &mut rng));
+        let source = BaseColumn { table: right.clone(), column: 0 };
+
+        for workers in [1, 2, 3] {
+            let join = || {
+                SemanticJoinExec::new(probe(), build(), "l", "r", threshold, "sim", cache.clone(), workers)
+                    .unwrap()
+            };
+            let n = cx_exec::collect_table(&join()).unwrap().num_rows();
+            for k in [0, 1, n.saturating_sub(1), n, n + 1] {
+                let sorted = Arc::new(SortExec::new(Arc::new(join()), &keys).unwrap());
+                let want = output_rows(&LimitExec::new(sorted, k));
+                let pruned = join().with_limit(&keys, k).unwrap().with_resident_build(source.clone());
+                let got = output_rows(&pruned);
+                prop_assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    prop_assert_eq!(&g[..4], &w[..4], "{:?} k={} workers={}", keys, k, workers);
+                    match (&g[4], &w[4]) {
+                        (Scalar::Float64(a), Scalar::Float64(b)) => prop_assert_eq!(a.to_bits(), b.to_bits()),
+                        other => prop_assert!(false, "scores {:?}", other),
+                    }
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Expression folding: eval(fold(e)) == eval(e)
 // ---------------------------------------------------------------------------
 
