@@ -236,7 +236,7 @@ impl Engine {
 
     /// Like [`Self::optimize_query`], but under an explicit optimizer
     /// configuration — the hook per-session overrides (e.g. a session's
-    /// own `recall_tolerance`) use without forking the engine.
+    /// own `parallelism`) use without forking the engine.
     pub fn optimize_query_with(&self, query: &Query, config: OptimizerConfig) -> PlannedQuery {
         let _span = cx_obs::span("optimize");
         let snapshot = self.snapshot(config);
@@ -278,8 +278,7 @@ impl Engine {
     }
 
     /// Like [`Self::lower_plan`], but under an explicit optimizer
-    /// configuration (must match the one the plan was optimized with for
-    /// the lowered tiers to agree with the plan's estimates).
+    /// configuration (the one the plan was optimized with).
     pub fn lower_plan_with(
         &self,
         plan: &cx_exec::logical::LogicalPlan,
@@ -564,43 +563,34 @@ mod tests {
     }
 
     #[test]
-    fn per_call_config_overrides_tier_selection() {
-        // A session-level recall tolerance must flow through
+    fn per_call_config_overrides_filter_pushdown() {
+        // A session-level config override must flow through
         // optimize/lower without touching the engine's own config: the
-        // same big join lowers exact by default and quantized under the
-        // override.
-        let engine = Engine::new(EngineConfig::default());
-        engine.register_model(Arc::new(HashNGramModel::new(42)));
-        let rows = 100_000i64;
-        let big = Table::from_columns(
-            Schema::new(vec![Field::new("k", DataType::Utf8)]),
-            vec![Column::from_strings((0..rows).map(|i| format!("k{i}")))],
-        )
-        .unwrap();
-        engine.register_table("big", big).unwrap();
-        let q = engine.table("big").unwrap().semantic_join(
-            engine.table("big").unwrap(),
-            "k",
-            "k",
-            "hash-ngram",
-            0.9,
-        );
-        let mut tolerant = engine.config().optimizer;
-        tolerant.recall_tolerance = 5e-2;
-        let mut exact = tolerant;
-        exact.recall_tolerance = 0.0;
-        let planned = engine.optimize_query_with(&q, tolerant);
-        let quantized = engine.lower_plan_with(&planned.plan, tolerant).unwrap();
-        assert!(
-            cx_exec::physical::display_physical(quantized.as_ref()).contains("quant=int8"),
-            "{}",
-            cx_exec::physical::display_physical(quantized.as_ref())
-        );
-        let planned = engine.optimize_query_with(&q, exact);
-        let plain = engine.lower_plan_with(&planned.plan, exact).unwrap();
-        assert!(!cx_exec::physical::display_physical(plain.as_ref()).contains("quant="));
+        // same query lowers with the price filter pushed below the
+        // semantic filter by default, and above it under the override.
+        let engine = engine_with_data();
+        let q = engine
+            .table("products")
+            .unwrap()
+            .semantic_filter("name", "shoes", "m", 0.5)
+            .filter(col("price").lt(lit(50.0)));
+        let lowered = |config: OptimizerConfig| {
+            let planned = engine.optimize_query_with(&q, config);
+            let op = engine.lower_plan_with(&planned.plan, config).unwrap();
+            (
+                display_physical(op.as_ref()),
+                collect_table(op.as_ref()).unwrap(),
+            )
+        };
+        let mut unpushed = engine.config().optimizer;
+        unpushed.filter_pushdown = false;
+        let (pushed_tree, pushed) = lowered(engine.config().optimizer);
+        let (unpushed_tree, out) = lowered(unpushed);
+        assert!(pushed_tree.starts_with("SemanticFilter"), "{pushed_tree}");
+        assert!(unpushed_tree.starts_with("Filter"), "{unpushed_tree}");
+        assert_eq!(pushed.num_rows(), out.num_rows());
         // The engine's own config is untouched.
-        assert_eq!(engine.config().optimizer.recall_tolerance, 0.0);
+        assert!(engine.config().optimizer.filter_pushdown);
     }
 
     #[test]

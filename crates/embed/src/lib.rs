@@ -23,14 +23,11 @@
 //!   else falls back to hashed n-grams,
 //! * [`EmbeddingCache`] — memoizing cache with prefetch (the "physical
 //!   optimization detail the user may not be aware of" from Figure 4),
-//! * [`quant`] — f16/int8 vector quantization (Section VI's half-precision
-//!   inference opportunity),
 //! * [`ModelRegistry`] — name → model resolution for the engine catalog.
 
 pub mod cache;
 pub mod hash_ngram;
 pub mod model;
-pub mod quant;
 pub mod registry;
 pub mod rng;
 pub mod semantic_space;
@@ -38,10 +35,6 @@ pub mod semantic_space;
 pub use cache::EmbeddingCache;
 pub use hash_ngram::HashNGramModel;
 pub use model::{EmbeddingModel, ModelStats};
-pub use quant::{
-    dot_block_f16, dot_block_int8, dot_int8, f16_to_f32, f32_to_f16, quantize_query_int8,
-    QuantTier, QuantizedVector,
-};
 pub use registry::ModelRegistry;
 pub use semantic_space::{ClusterGeometry, ClusterSpec, ClusteredTextModel, SemanticSpace};
 

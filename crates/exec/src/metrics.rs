@@ -84,8 +84,8 @@ impl ExecMetrics {
     }
 
     /// Annotates this registry with the execution environment the numbers
-    /// were recorded under (e.g. `simd f32=avx512 f16=f16c+avx512
-    /// int8=vnni512`). Shown as the first line of [`ExecMetrics::report`].
+    /// were recorded under (e.g. `simd f32=avx512`). Shown as the first
+    /// line of [`ExecMetrics::report`].
     pub fn set_environment(&self, env: impl Into<String>) {
         *self.environment.write() = Some(env.into());
     }

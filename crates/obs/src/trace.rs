@@ -35,7 +35,7 @@ pub fn span_allocations() -> u64 {
 pub struct SpanRecord {
     /// Site name, e.g. `plan_cache`, `panel_sweep`.
     pub name: &'static str,
-    /// Free-form detail, e.g. `hit`, `tier=f32`.
+    /// Free-form detail, e.g. `hit`, `pairs=12 emitted=3`.
     pub detail: String,
     /// Start offset from the trace's start, in nanoseconds.
     pub start_ns: u64,

@@ -26,12 +26,6 @@ pub struct OptimizerConfig {
     pub data_induced_predicates: bool,
     /// Angular-relaxed semantic filters across semantic joins.
     pub semantic_dip: bool,
-    /// Maximum tolerated absolute cosine-score error for quantized panels
-    /// (the paper's Section VI half-precision opportunity). `0.0` (the
-    /// default) keeps every scan exact (f32); raise it to let large scans
-    /// drop to f16 (error ≲ 1e-3) or int8 (≲ 1.2e-2) — see
-    /// `cost::select_quant_tier`.
-    pub recall_tolerance: f64,
     /// Probe-side parallelism for semantic joins (1 = serial).
     pub parallelism: usize,
 }
@@ -47,7 +41,6 @@ impl OptimizerConfig {
             equijoin_extraction: true,
             data_induced_predicates: true,
             semantic_dip: true,
-            recall_tolerance: 0.0,
             parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
@@ -62,7 +55,6 @@ impl OptimizerConfig {
             equijoin_extraction: false,
             data_induced_predicates: false,
             semantic_dip: false,
-            recall_tolerance: 0.0,
             parallelism: 1,
         }
     }

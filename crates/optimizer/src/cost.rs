@@ -2,15 +2,13 @@
 //!
 //! Units are abstract nanoseconds; the constants encode *relative* operator
 //! weights (model inference ≫ hashing ≫ scanning), which is what rewrite
-//! and tier decisions need. Per Section V, model-operator costs —
+//! decisions need. Per Section V, model-operator costs —
 //! inference per distinct value, similarity kernels per candidate pair —
 //! are first-class terms, not UDF black boxes.
 
 use crate::cardinality::estimate_rows;
-use crate::context::{OptimizerConfig, OptimizerContext};
-use cx_embed::QuantTier;
+use crate::context::OptimizerContext;
 use cx_exec::logical::LogicalPlan;
-use cx_simd::KernelDispatch;
 
 /// Per-row scan cost.
 const SCAN_ROW: f64 = 2.0;
@@ -31,84 +29,6 @@ const SIM_PAIR: f64 = 30.0;
 const AGG_ROW: f64 = 35.0;
 /// Per-comparison sort cost.
 const SORT_CMP: f64 = 12.0;
-
-/// Absolute cosine-score error bound of f16 panels on unit vectors.
-pub const F16_SCORE_ERROR: f64 = 1e-3;
-/// Absolute cosine-score error bound of int8 panels on unit vectors.
-pub const INT8_SCORE_ERROR: f64 = 1.2e-2;
-/// Pair count below which quantizing a panel never pays for its build.
-const QUANT_MIN_PAIRS: f64 = 65_536.0;
-/// Per-value cost of quantizing one build-side row.
-const QUANT_VALUE: f64 = 6.0;
-
-/// Picks the storage tier for a semantic scan expected to evaluate
-/// `est_pairs` similarity pairs under the process's active kernel
-/// dispatch. See [`select_quant_tier_with`] for the selection rule.
-pub fn select_quant_tier(config: &OptimizerConfig, est_pairs: f64) -> QuantTier {
-    select_quant_tier_with(config, est_pairs, &KernelDispatch::active())
-}
-
-/// Picks the storage tier for a semantic scan expected to evaluate
-/// `est_pairs` similarity pairs under an explicit kernel `dispatch`: the
-/// cheapest tier whose documented score error stays within the configured
-/// `recall_tolerance` *and* whose kernel is actually a win on the active
-/// ISA. Small scans stay f32 — quantizing the panel costs more than it
-/// saves below `QUANT_MIN_PAIRS`.
-///
-/// The f16 tier is only selectable when the dispatch runs hardware
-/// conversion ([`KernelDispatch::f16_hardware`]): the software-conversion
-/// f16 kernel is a measured ~15× *loss* versus f32 (bit-twiddling per
-/// element swamps the bandwidth saving), so without F16C the tolerance
-/// ladder skips straight from int8 to f32. int8 stays selectable on every
-/// path — its accumulation is cheap integer math on all ISAs and the 4×
-/// byte shrink wins wherever the panel scan is bandwidth-bound.
-pub fn select_quant_tier_with(
-    config: &OptimizerConfig,
-    est_pairs: f64,
-    dispatch: &KernelDispatch,
-) -> QuantTier {
-    if est_pairs < QUANT_MIN_PAIRS {
-        return QuantTier::F32;
-    }
-    if config.recall_tolerance >= INT8_SCORE_ERROR {
-        QuantTier::Int8
-    } else if config.recall_tolerance >= F16_SCORE_ERROR && dispatch.f16_hardware() {
-        QuantTier::F16
-    } else {
-        QuantTier::F32
-    }
-}
-
-/// Per-pair cost factor of the f16 tier when no F16C path is active: the
-/// measured ratio of software-conversion `dot_block_f16` to f32
-/// `dot_block` (346 vs 22 ns/pair at dim 256). [`select_quant_tier_with`]
-/// never *chooses* f16 on such a dispatch, but externally forced tiers
-/// still get costed honestly.
-const F16_SOFTWARE_FACTOR: f64 = 15.0;
-
-/// Per-pair similarity cost at a storage tier under a kernel dispatch.
-///
-/// On hardware paths the factors track bytes-per-element (f32 4 B →
-/// f16 2 B → int8 1 B), i.e. the data-movement economy of Section VI: at
-/// the cardinalities where quantization is admitted ([`QUANT_MIN_PAIRS`]+)
-/// panels exceed cache and the scan is bandwidth-bound, so moved bytes —
-/// not per-element ALU work — dominate. The one ISA-dependent exception is
-/// f16 without F16C, where per-element software conversion swamps
-/// everything ([`F16_SOFTWARE_FACTOR`]).
-fn sim_pair_cost(tier: QuantTier, dispatch: &KernelDispatch) -> f64 {
-    SIM_PAIR
-        * match tier {
-            QuantTier::F32 => 1.0,
-            QuantTier::F16 => {
-                if dispatch.f16_hardware() {
-                    0.55
-                } else {
-                    F16_SOFTWARE_FACTOR
-                }
-            }
-            QuantTier::Int8 => 0.4,
-        }
-}
 
 /// Estimates the total execution cost of `plan` (inclusive of children).
 pub fn estimate_cost(plan: &LogicalPlan, ctx: &OptimizerContext) -> f64 {
@@ -141,23 +61,12 @@ pub fn node_cost(plan: &LogicalPlan, ctx: &OptimizerContext) -> f64 {
         }
         LogicalPlan::SemanticFilter { input, .. } => {
             let distinct = distinct_estimate(input, ctx);
-            // Always exact f32: a single-probe scan reads the panel once,
-            // so quantizing it (read + converted write) never amortizes —
-            // the physical planner makes the same call.
             distinct * EMBED_VALUE + estimate_rows(input, ctx) * SIM_PAIR
         }
         LogicalPlan::SemanticJoin { left, right, .. } => {
             let dl = distinct_estimate(left, ctx);
             let dr = distinct_estimate(right, ctx);
-            let embed = (dl + dr) * EMBED_VALUE;
-            let dispatch = KernelDispatch::active();
-            let tier = select_quant_tier_with(&ctx.config, dl * dr, &dispatch);
-            let quantize = if tier == QuantTier::F32 {
-                0.0
-            } else {
-                dr * QUANT_VALUE
-            };
-            embed + quantize + dl * dr * sim_pair_cost(tier, &dispatch)
+            (dl + dr) * EMBED_VALUE + dl * dr * SIM_PAIR
         }
         LogicalPlan::SemanticGroupBy { input, .. } => {
             let rows = estimate_rows(input, ctx);
@@ -285,109 +194,5 @@ mod tests {
         let small = scan("s", 100, &mut c);
         let large = scan("L", 100_000, &mut c);
         assert!(estimate_cost(&large, &c) > estimate_cost(&small, &c));
-    }
-
-    /// A dispatch with hardware f16 conversion (explicit, so these tests
-    /// hold regardless of the host CPU or `CX_SIMD`).
-    fn hw_dispatch() -> KernelDispatch {
-        KernelDispatch {
-            f32_path: cx_simd::F32Path::Avx2,
-            f16_path: cx_simd::F16Path::F16cAvx2,
-            int8_path: cx_simd::Int8Path::Avx2,
-        }
-    }
-
-    /// The `CX_SIMD=off` dispatch: every family on its scalar path.
-    fn scalar_dispatch() -> KernelDispatch {
-        cx_simd::resolve_mode(cx_simd::SimdMode::Off).expect("off always resolves")
-    }
-
-    #[test]
-    fn tier_selection_follows_tolerance_and_scale() {
-        let hw = hw_dispatch();
-        let mut config = OptimizerConfig::all();
-        // Default tolerance 0.0: always exact.
-        assert_eq!(select_quant_tier_with(&config, 1e9, &hw), QuantTier::F32);
-        // Tolerance admits f16, then int8.
-        config.recall_tolerance = 2e-3;
-        assert_eq!(select_quant_tier_with(&config, 1e9, &hw), QuantTier::F16);
-        config.recall_tolerance = 5e-2;
-        assert_eq!(select_quant_tier_with(&config, 1e9, &hw), QuantTier::Int8);
-        // Small scans never quantize: build cost dominates.
-        assert_eq!(
-            select_quant_tier_with(&config, 1_000.0, &hw),
-            QuantTier::F32
-        );
-    }
-
-    #[test]
-    fn f16_tier_requires_hardware_conversion() {
-        let mut config = OptimizerConfig::all();
-        config.recall_tolerance = 2e-3; // admits f16, not int8
-        assert_eq!(
-            select_quant_tier_with(&config, 1e9, &hw_dispatch()),
-            QuantTier::F16
-        );
-        // Without F16C the f16 tier is a measured 15× loss: never chosen.
-        assert_eq!(
-            select_quant_tier_with(&config, 1e9, &scalar_dispatch()),
-            QuantTier::F32
-        );
-        // int8's exact integer kernels stay admissible on every path.
-        config.recall_tolerance = 5e-2;
-        assert_eq!(
-            select_quant_tier_with(&config, 1e9, &scalar_dispatch()),
-            QuantTier::Int8
-        );
-    }
-
-    #[test]
-    fn tier_selection_consistent_under_every_host_mode() {
-        // Sweep every mode this host can run (side-effect-free resolution,
-        // not force_mode — other tests in this binary read the active
-        // dispatch concurrently).
-        let mut config = OptimizerConfig::all();
-        config.recall_tolerance = 2e-3;
-        for mode in cx_simd::available_modes() {
-            let d = cx_simd::resolve_mode(mode).expect("listed mode resolves");
-            let tier = select_quant_tier_with(&config, 1e9, &d);
-            if d.f16_hardware() {
-                assert_eq!(tier, QuantTier::F16, "mode {}", mode.label());
-            } else {
-                assert_eq!(tier, QuantTier::F32, "mode {}", mode.label());
-            }
-            // The costed f16 factor must mirror the same gate.
-            let f16_cost = sim_pair_cost(QuantTier::F16, &d);
-            if d.f16_hardware() {
-                assert!(f16_cost < SIM_PAIR, "mode {}", mode.label());
-            } else {
-                assert!(f16_cost > SIM_PAIR, "mode {}", mode.label());
-            }
-        }
-    }
-
-    #[test]
-    fn recall_tolerance_lowers_semantic_join_cost() {
-        let mut exact = ctx();
-        let mut quant = ctx();
-        quant.config.recall_tolerance = 5e-2;
-        let l1 = scan("lq", 20_000, &mut exact);
-        let r1 = scan("rq", 20_000, &mut exact);
-        scan("lq", 20_000, &mut quant);
-        scan("rq", 20_000, &mut quant);
-        let join = LogicalPlan::SemanticJoin {
-            left: Box::new(l1),
-            right: Box::new(r1),
-            spec: SemanticJoinSpec {
-                left_column: "k".into(),
-                right_column: "k".into(),
-                model: "m".into(),
-                threshold: 0.9,
-                score_column: "sim".into(),
-            },
-        };
-        // int8 panels scale the kernel term by ~0.4, so the quantized plan
-        // must be visibly cheaper at equal cardinalities.
-        assert!(node_cost(&join, &quant) < 0.9 * node_cost(&join, &exact));
     }
 }

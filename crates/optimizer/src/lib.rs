@@ -20,7 +20,7 @@
 //!   triangle inequality,
 //! * [`pruning`] — projection (column) pruning,
 //! * [`physical`] — the physical planner: operator implementation and
-//!   the storage tier of each semantic scan,
+//!   the bounds folded into sorts and semantic joins,
 //! * [`optimizer`] — the driver applying rules to fixpoint with a trace.
 
 pub mod cardinality;

@@ -1,14 +1,10 @@
 //! The physical planner: logical plan → executable operator tree.
 //!
-//! Implementation selection happens here: hash vs nested-loop joins, the
-//! storage tier of each semantic join's panel sweep by estimated
-//! distinct-value cardinalities and the configured recall tolerance, and
+//! Implementation selection happens here: hash vs nested-loop joins, and
 //! `Limit(Sort)` as one bounded sort — or, over a semantic join, as the
 //! join's own bound, so only the kept pairs are materialized.
 
-use crate::cardinality::estimate_rows;
 use crate::context::OptimizerContext;
-use crate::cost::select_quant_tier;
 use cx_exec::logical::{LogicalPlan, SemanticJoinSpec, SortKey};
 use cx_exec::operators::{
     DistinctExec, FilterExec, HashAggregateExec, HashJoinExec, LimitExec, NestedLoopJoinExec,
@@ -110,9 +106,6 @@ pub fn create_physical_plan(
             model,
             threshold,
         } => {
-            // The filter scores one target against the panel exactly once,
-            // so quantizing (a full read + converted write of the panel)
-            // can never amortize — the filter is f32-only.
             let target = target.text().ok_or_else(|| unbound(target))?;
             let child = create_physical_plan(input, ctx, env)?;
             let cache = ctx
@@ -198,9 +191,7 @@ fn sort_keys(keys: &[SortKey]) -> Vec<(String, bool)> {
         .collect()
 }
 
-/// Lowers a semantic join. Storage tier of the panel sweep: quantized
-/// panels when the configured recall tolerance and the estimated
-/// distinct-value pair count admit them, exact f32 otherwise.
+/// Lowers a semantic join to the panel sweep.
 fn semantic_join(
     left: &LogicalPlan,
     right: &LogicalPlan,
@@ -208,9 +199,6 @@ fn semantic_join(
     ctx: &OptimizerContext,
     env: &PhysicalPlannerEnv,
 ) -> Result<SemanticJoinExec> {
-    let dl = (estimate_rows(left, ctx) * 0.5).max(1.0);
-    let dr = (estimate_rows(right, ctx) * 0.5).max(1.0);
-    let tier = select_quant_tier(&ctx.config, dl * dr);
     let l = create_physical_plan(left, ctx, env)?;
     let r = create_physical_plan(right, ctx, env)?;
     let cache = ctx
@@ -218,10 +206,7 @@ fn semantic_join(
         .ok_or_else(|| Error::InvalidArgument(format!("unknown model: {}", spec.model)))?;
     let (lc, rc, score) = (&spec.left_column, &spec.right_column, &spec.score_column);
     let parallelism = ctx.config.parallelism;
-    Ok(
-        SemanticJoinExec::new(l, r, lc, rc, spec.threshold, score, cache, parallelism)?
-            .with_quant_tier(tier),
-    )
+    SemanticJoinExec::new(l, r, lc, rc, spec.threshold, score, cache, parallelism)
 }
 
 /// The base-table column that `column` of `plan` reads, when it reaches a
@@ -325,7 +310,6 @@ mod tests {
             },
         };
         let op = create_physical_plan(&plan, &ctx, &env).unwrap();
-        assert!(!op.name().contains("quant="), "{}", op.name());
         // Executes and matches at least the identical strings.
         let out = collect_table(op.as_ref()).unwrap();
         assert!(out.num_rows() >= 4, "got {}", out.num_rows());
@@ -369,70 +353,9 @@ mod tests {
         assert_eq!(collect_table(op.as_ref()).unwrap().num_rows(), 2);
     }
 
-    /// A self semantic join of a 100k-row table: its estimated pair count
-    /// clears the quantization floor.
-    fn big_self_join() -> (PhysicalPlannerEnv, OptimizerContext, LogicalPlan) {
-        let rows = 100_000i64;
-        let table = Table::from_columns(
-            Schema::new(vec![Field::new("k", DataType::Utf8)]),
-            vec![Column::from_strings((0..rows).map(|i| format!("k{i}")))],
-        )
-        .unwrap();
-        let mut env = PhysicalPlannerEnv::new();
-        let registry = Arc::new(ModelRegistry::new());
-        registry.register(Arc::new(HashNGramModel::with_params(
-            "m", 16, 1, 3, 4, 1024,
-        )));
-        let mut ctx = OptimizerContext::new(registry, OptimizerConfig::all());
-        ctx.stats
-            .insert("big".to_string(), TableStats::compute(&table).unwrap());
-        env.register_table("big", Arc::new(table));
-        let scan_big = LogicalPlan::Scan {
-            source: "big".into(),
-            schema: Arc::new(Schema::new(vec![Field::new("k", DataType::Utf8)])),
-        };
-        let plan = LogicalPlan::SemanticJoin {
-            left: Box::new(scan_big.clone()),
-            right: Box::new(scan_big),
-            spec: SemanticJoinSpec {
-                left_column: "k".into(),
-                right_column: "k".into(),
-                model: "m".into(),
-                threshold: 0.9,
-                score_column: "sim".into(),
-            },
-        };
-        (env, ctx, plan)
-    }
-
-    #[test]
-    fn semantic_join_quantizes_when_tolerance_and_scale_admit() {
-        // int8-level recall tolerance on a join large enough to quantize.
-        let (env, mut ctx, plan) = big_self_join();
-        ctx.config.recall_tolerance = 5e-2;
-        let op = create_physical_plan(&plan, &ctx, &env).unwrap();
-        assert!(op.name().contains("quant=int8"), "{}", op.name());
-
-        // Without tolerance the same plan stays exact.
-        let mut exact_ctx = OptimizerContext::new(
-            Arc::new({
-                let r = ModelRegistry::new();
-                r.register(Arc::new(HashNGramModel::with_params(
-                    "m", 16, 1, 3, 4, 1024,
-                )));
-                r
-            }),
-            OptimizerConfig::all(),
-        );
-        exact_ctx.stats = ctx.stats.clone();
-        let op = create_physical_plan(&plan, &exact_ctx, &env).unwrap();
-        assert!(!op.name().contains("quant="), "{}", op.name());
-    }
-
     #[test]
     fn small_semantic_filter_stays_exact() {
-        let (env, mut ctx) = env_and_ctx();
-        ctx.config.recall_tolerance = 5e-2;
+        let (env, ctx) = env_and_ctx();
         let plan = LogicalPlan::SemanticFilter {
             input: Box::new(scan()),
             column: "k".into(),
@@ -441,8 +364,13 @@ mod tests {
             threshold: 0.9,
         };
         let op = create_physical_plan(&plan, &ctx, &env).unwrap();
-        // 4-row input: far below the quantization floor.
-        assert!(!op.name().contains("quant="), "{}", op.name());
+        // Exact f32 scores keep both identical strings.
+        let out = collect_table(op.as_ref()).unwrap();
+        let kept = out.column_by_name("k").unwrap();
+        let boots = (0..out.num_rows())
+            .filter(|&r| kept.get(r).as_str() == Some("boots"))
+            .count();
+        assert_eq!(boots, 2);
     }
 
     #[test]

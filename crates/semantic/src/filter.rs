@@ -12,7 +12,6 @@ use crate::sweep::{sweep, Distinct};
 use cx_embed::EmbeddingCache;
 use cx_exec::{ChunkStream, PhysicalOperator};
 use cx_storage::{Bitmap, DataType, Error, Result, Schema};
-use cx_vector::QuantTier;
 use std::sync::Arc;
 
 /// Filters rows whose `column` value embeds within `threshold` cosine
@@ -96,18 +95,9 @@ impl PhysicalOperator for SemanticFilterExec {
             let chunk = chunk?;
             let distinct = Distinct::of_column(chunk.column(column_index)?)?;
 
-            // Matches per distinct value: the one-probe panel sweep, f32
-            // always (one probe can never amortize quantizing a panel).
+            // Matches per distinct value: the one-probe panel sweep.
             let probe = [target.as_str()];
-            let hits = sweep(
-                QuantTier::F32,
-                &cache,
-                &distinct.values,
-                &probe,
-                threshold,
-                1,
-                &ctx,
-            )?;
+            let hits = sweep(&cache, &distinct.values, &probe, threshold, 1, &ctx)?;
             let mut matched = vec![false; distinct.values.len()];
             for (_, id, _) in hits {
                 matched[id as usize] = true;

@@ -11,12 +11,10 @@
 //! as the build panel: normalize once, score each probe span against
 //! cache-sized tiles of the panel with the blocked kernels. Scores are
 //! bit-identical to a pairwise unrolled dot over normalized rows; only the
-//! schedule differs. A configured quantization tier
-//! ([`SemanticJoinExec::with_quant_tier`]) makes the sweep scan f16/int8
-//! panels, trading a bounded score error for bytes-per-row.
+//! schedule differs.
 //!
 //! A top-k join — bounded by [`SemanticJoinExec::with_limit`] with the
-//! score, descending, as its first key, at `F32`, and told its build
+//! score, descending, as its first key, and told its build
 //! column by [`SemanticJoinExec::with_resident_build`] — sweeps that
 //! column's resident cone-tiled panel ([`crate::panel`]) under a floor
 //! that rises to the k-th best row-weighted score
@@ -29,7 +27,6 @@ use crate::sweep::{sweep, sweep_top_k, Distinct, Hit, RankedBuild};
 use cx_embed::EmbeddingCache;
 use cx_exec::{keys_cmp, top_n_by, ChunkStream, PhysicalOperator};
 use cx_storage::{Chunk, Column, DataType, Error, Field, QueryContext, Result, Schema};
-use cx_vector::QuantTier;
 use std::sync::Arc;
 
 /// The semantic join physical operator.
@@ -39,8 +36,6 @@ pub struct SemanticJoinExec {
     left_key: usize,
     right_key: usize,
     threshold: f32,
-    /// Build-side storage precision of the sweep (F32 = exact).
-    quant: QuantTier,
     cache: Arc<EmbeddingCache>,
     /// Worker threads for the probe phase (1 = serial).
     parallelism: usize,
@@ -96,7 +91,6 @@ impl SemanticJoinExec {
             left_key,
             right_key,
             threshold,
-            quant: QuantTier::F32,
             cache,
             parallelism: parallelism.max(1),
             schema,
@@ -117,28 +111,13 @@ impl SemanticJoinExec {
     }
 
     /// Names the base-table column the right key reads. A top-k join (a
-    /// limit whose first key is the score, descending, at `F32`) then
+    /// limit whose first key is the score, descending) then
     /// scores that column's resident cone-tiled panel
     /// ([`crate::panel`]) under a rising floor
     /// (`sweep::sweep_top_k`) instead of sweeping every pair.
     pub fn with_resident_build(mut self, source: BaseColumn) -> Self {
         self.resident = Some(source);
         self
-    }
-
-    /// Sets the build-side storage tier of the sweep. `F16`/`Int8` score
-    /// quantized panels (`QuantizedArena`) instead of f32 rows — 2–4×
-    /// fewer bytes per candidate at a bounded score error (≲1e-3 /
-    /// ≲1.2e-2 on unit vectors) — so callers with recall tolerance trade
-    /// exactness for memory bandwidth.
-    pub fn with_quant_tier(mut self, tier: QuantTier) -> Self {
-        self.quant = tier;
-        self
-    }
-
-    /// The configured build-side storage tier.
-    pub fn quant_tier(&self) -> QuantTier {
-        self.quant
     }
 }
 
@@ -148,9 +127,8 @@ impl PhysicalOperator for SemanticJoinExec {
             format!(", sort {} keys, limit {k}", keys.len())
         });
         format!(
-            "SemanticJoin [cos>={}{}, model={}{limit}]",
+            "SemanticJoin [cos>={}, model={}{limit}]",
             self.threshold,
-            self.quant.explain_suffix(),
             self.cache.model().name()
         )
     }
@@ -243,11 +221,11 @@ impl PhysicalOperator for SemanticJoinExec {
 
 impl SemanticJoinExec {
     /// The k of a top-k join: a limit whose first key is the score,
-    /// descending, at the exact tier.
+    /// descending.
     fn top_k(&self) -> Option<usize> {
         let (keys, k) = self.limit.as_ref()?;
         let by_score = keys.first() == Some(&(self.schema.len() - 1, false));
-        (by_score && self.quant == QuantTier::F32).then_some(*k)
+        by_score.then_some(*k)
     }
 
     /// Value-level matching: `(left value id, right value id, score)`,
@@ -284,7 +262,7 @@ impl SemanticJoinExec {
             return sweep_top_k(&self.cache, top, left, self.threshold, workers, ctx);
         }
         let floor = self.threshold;
-        sweep(self.quant, &self.cache, right, left, floor, workers, ctx)
+        sweep(&self.cache, right, left, floor, workers, ctx)
     }
 }
 
@@ -430,65 +408,6 @@ mod tests {
         let serial = run(1);
         assert!(serial.num_rows() > 0, "found nothing");
         assert_bit_identical(&serial, &run(4), "parallel vs serial");
-    }
-
-    #[test]
-    fn quantized_tiers_agree_on_well_separated_clusters() {
-        // Cluster separation is far wider than the f16/int8 score error
-        // bounds, so the quantized blocked scans must find exactly the
-        // exact scan's pairs (with scores within the tier bound).
-        let exact = join_with(1);
-        for (tier, bound) in [(QuantTier::F16, 1e-3f64), (QuantTier::Int8, 1.5e-2)] {
-            let join = SemanticJoinExec::new(
-                products(),
-                catalog(),
-                "name",
-                "label",
-                0.85,
-                "sim",
-                cache(),
-                1,
-            )
-            .unwrap()
-            .with_quant_tier(tier);
-            assert_eq!(join.quant_tier(), tier);
-            assert!(join.name().contains(tier.label()), "{}", join.name());
-            let out = collect_table(&join).unwrap();
-            assert_eq!(out.num_rows(), exact.num_rows(), "{tier:?}");
-            let (a, b) = (
-                exact
-                    .column_by_name("sim")
-                    .unwrap()
-                    .f64_values()
-                    .unwrap()
-                    .to_vec(),
-                out.column_by_name("sim")
-                    .unwrap()
-                    .f64_values()
-                    .unwrap()
-                    .to_vec(),
-            );
-            for (x, y) in a.iter().zip(&b) {
-                assert!((x - y).abs() <= bound, "{tier:?}: {x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn f32_tier_is_default_and_unlabeled() {
-        let join = SemanticJoinExec::new(
-            products(),
-            catalog(),
-            "name",
-            "label",
-            0.85,
-            "sim",
-            cache(),
-            1,
-        )
-        .unwrap();
-        assert_eq!(join.quant_tier(), QuantTier::F32);
-        assert!(!join.name().contains("quant="), "{}", join.name());
     }
 
     #[test]

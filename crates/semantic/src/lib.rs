@@ -6,9 +6,7 @@
 //! * **Semantic Select** ([`SemanticFilterExec`]) — `column ~ 'target' USING
 //!   model M WITH cosine >= θ`,
 //! * **Semantic Join** ([`SemanticJoinExec`]) — join keys matched by latent-
-//!   space distance instead of equality, by one panel sweep at the storage
-//!   tier the planner picks (exact f32, or f16/int8 given a recall
-//!   tolerance),
+//!   space distance instead of equality, by one exact f32 panel sweep,
 //! * **Semantic Group-By** ([`SemanticGroupByExec`]) — on-the-fly clustering
 //!   of values by model similarity with per-cluster aggregates.
 //!
@@ -44,7 +42,6 @@ mod tests {
     use cx_embed::{EmbeddingCache, HashNGramModel};
     use cx_storage::QueryContext;
     use cx_vector::kernels::{dot_unrolled, norm};
-    use cx_vector::QuantTier;
     use std::sync::Arc;
 
     /// Unit-norm copy of `v` (a zero vector stays zero).
@@ -61,7 +58,7 @@ mod tests {
         let mut matched = 0;
         for target in ["shoe", "coat"] {
             // A semantic filter's sweep: its target is the one probe row.
-            let hits = sweep(QuantTier::F32, &cache, &candidates, &[target], 0.1, 1, &ctx).unwrap();
+            let hits = sweep(&cache, &candidates, &[target], 0.1, 1, &ctx).unwrap();
             let got: Vec<(u32, u32)> = hits.iter().map(|&(_, j, s)| (j, s.to_bits())).collect();
             // Its complete match list at the threshold, scored as the bare
             // dot of unit-normalized embeddings, in candidate order.

@@ -10,20 +10,17 @@
 //! stacked beside it, so a stacked sweep's hits on a probe equal that
 //! probe's own one-probe sweep, bit for bit.
 //!
-//! One arithmetic, at f32 bit-identical to the pairwise kernels under
+//! One arithmetic, f32 and bit-identical to the pairwise kernels under
 //! one active SIMD path: both sides are normalized once, in place
 //! ([`VectorArena::normalize`]; zero rows stay zero and score 0.0), then
 //! every score is a bare dot (`dot_unrolled`) — the cosine. A filter's
-//! scores therefore equal a join's on the same pair, bit for bit. At
-//! `F32` one `dot_block_threshold` call per build tile scores the whole
-//! probe span against it, two probes per register tile on x86, and keeps
-//! only pairs clearing the floor; at `F16`/`Int8` the normalized candidate
-//! panel is re-encoded as a [`QuantizedArena`], scored one probe row at a
-//! time, and scores carry the tier's bounded error. Either way the result
-//! is the [`Hit`] list at the floor: a filter's or join's epilogue
-//! consumes only pairs that clear it.
+//! scores therefore equal a join's on the same pair, bit for bit. One
+//! `dot_block_threshold` call per build tile scores the whole probe span
+//! against it, two probes per register tile on x86, and keeps only pairs
+//! clearing the floor: the result is the [`Hit`] list at the floor, and a
+//! filter's or join's epilogue consumes only pairs that clear it.
 //!
-//! A top-k join (`ORDER BY similarity DESC … LIMIT k` at `F32`) over a
+//! A top-k join (`ORDER BY similarity DESC … LIMIT k`) over a
 //! resident build panel ([`crate::panel`]) takes `sweep_top_k` instead:
 //! the same kernel and arithmetic over the panel's cone tiles, scoring
 //! only the tiles that can still reach the k-th best score. Both sweeps
@@ -38,7 +35,7 @@ use cx_storage::{Chunk, Column, QueryContext, Result};
 use cx_vector::block::{dot_block_threshold, TILE};
 #[cfg(doc)]
 use cx_vector::cone::ConeTiles;
-use cx_vector::{QuantTier, QuantizedArena, RowBlock, VectorArena};
+use cx_vector::{RowBlock, VectorArena};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::ops::Range;
@@ -118,7 +115,6 @@ struct Tally {
 /// Runs one sweep inside the one `panel_sweep` span and credits what it
 /// scored to the statement profile.
 fn swept(
-    tier: QuantTier,
     (p, c): (usize, usize),
     body: impl FnOnce() -> Result<(Vec<Hit>, Tally)>,
 ) -> Result<Vec<Hit>> {
@@ -130,8 +126,7 @@ fn swept(
     cx_obs::add_tiles(tally.tiles);
     if span.is_recording() {
         span.set_detail(format!(
-            "tier={} probes={p} candidates={c} tiles={}/{} scored={} simd={}",
-            tier.label(),
+            "probes={p} candidates={c} tiles={}/{} scored={} simd={}",
             tally.visited,
             tally.cells,
             tally.scored,
@@ -148,18 +143,16 @@ fn unit_panel<S: AsRef<str>>(cache: &EmbeddingCache, texts: &[S]) -> VectorArena
     arena
 }
 
-/// Scores every probe against every candidate at storage tier `tier` and
-/// returns each pair scoring at or above `floor` (a filter's or join's
-/// threshold), ordered by `(probe id,
-/// candidate id)` whatever the tiling or worker count: embeds both sides
-/// through `cache`, normalizes them in place, and streams probe rows over
-/// cache-sized tiles of the candidate panel.
+/// Scores every probe against every candidate and returns each pair
+/// scoring at or above `floor` (a filter's or join's threshold), ordered
+/// by `(probe id, candidate id)` whatever the tiling or worker count:
+/// embeds both sides through `cache`, normalizes them in place, and
+/// streams probe spans over cache-sized tiles of the candidate panel.
 ///
 /// `workers > 1` fans contiguous probe spans out to scoped threads. `ctx`
-/// is checked once per build tile (per probe row on quantized panels), so
-/// a dead query overshoots by at most one tile.
+/// is checked once per build tile, so a dead query overshoots by at most
+/// one tile.
 pub fn sweep<C: AsRef<str>, P: AsRef<str>>(
-    tier: QuantTier,
     cache: &EmbeddingCache,
     candidates: &[C],
     probes: &[P],
@@ -171,42 +164,22 @@ pub fn sweep<C: AsRef<str>, P: AsRef<str>>(
     if p == 0 || c == 0 {
         return Ok(Vec::new());
     }
-    swept(tier, (p, c), || {
+    swept((p, c), || {
         let cand = unit_panel(cache, candidates);
         let prob = unit_panel(cache, probes);
         ctx.check()?;
-        let quantized = match tier {
-            QuantTier::F32 => None,
-            tier => Some(QuantizedArena::from_arena(&cand, tier)?),
-        };
 
-        // The f32 schedule: build-side tiles stay cache-resident while the
-        // probe span streams over them, and the kernel emits straight from
-        // registers. Quantized panels take one kernel call per probe row
-        // through a reused row buffer; the f16/int8 panel moves 2–4× fewer
-        // bytes than the f32 arena.
+        // Build-side tiles stay cache-resident while the probe span
+        // streams over them, and the kernel emits straight from registers.
         let scan_span = |span: Range<usize>| -> Result<Vec<Hit>> {
             let mut hits: Vec<Hit> = Vec::new();
-            match &quantized {
-                None => {
-                    let probes = prob.block(span.clone());
-                    for t0 in (0..c).step_by(TILE) {
-                        ctx.check()?;
-                        let tile = cand.block(t0..(t0 + TILE).min(c));
-                        dot_block_threshold(probes, tile, floor, |i, r, score| {
-                            hits.push(((span.start + i) as u32, (t0 + r) as u32, score))
-                        });
-                    }
-                }
-                Some(cand) => {
-                    let mut row = vec![0.0f32; c];
-                    for i in span {
-                        ctx.check()?;
-                        cand.scores_into(prob.row(i), &mut row);
-                        let above = row.iter().enumerate().filter(|(_, s)| **s >= floor);
-                        hits.extend(above.map(|(j, &s)| (i as u32, j as u32, s)));
-                    }
-                }
+            let probes = prob.block(span.clone());
+            for t0 in (0..c).step_by(TILE) {
+                ctx.check()?;
+                let tile = cand.block(t0..(t0 + TILE).min(c));
+                dot_block_threshold(probes, tile, floor, |i, r, score| {
+                    hits.push(((span.start + i) as u32, (t0 + r) as u32, score))
+                });
             }
             Ok(hits)
         };
@@ -242,7 +215,7 @@ pub(crate) struct RankedBuild<'a> {
     pub k: usize,
 }
 
-/// A top-k join's sweep at `F32`: every probe-candidate pair that can be
+/// A top-k join's sweep: every probe-candidate pair that can be
 /// among the `k` best output rows ordered by score, descending, with
 /// scores bit-identical to [`sweep`]'s; hits ordered by `(probe id,
 /// candidate id)`.
@@ -274,7 +247,7 @@ pub(crate) fn sweep_top_k<P: AsRef<str>>(
     if p == 0 || c == 0 || top.k == 0 {
         return Ok(Vec::new());
     }
-    swept(QuantTier::F32, (p, c), || {
+    swept((p, c), || {
         let prob = unit_panel(cache, probes);
         ctx.check()?;
         // Scores are at least θ ≥ 0 once offered, so the bits of a

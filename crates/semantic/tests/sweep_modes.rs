@@ -1,5 +1,5 @@
 //! The f32 join sweep under every SIMD mode the host runs: for each
-//! `available_modes()` entry, `sweep(F32)` at 1, 2 and 3 workers
+//! `available_modes()` entry, `sweep` at 1, 2 and 3 workers
 //! returns exactly the pairwise `cx_simd::dot >= floor` pairs over the
 //! normalized rows, bit for bit and ordered by (probe, candidate).
 //!
@@ -10,7 +10,7 @@ use cx_embed::{ClusterGeometry, ClusterSpec, ClusteredTextModel, EmbeddingCache,
 use cx_semantic::sweep::sweep;
 use cx_storage::QueryContext;
 use cx_vector::simd::{available_modes, dot, force_mode, SimdMode};
-use cx_vector::{QuantTier, VectorArena};
+use cx_vector::VectorArena;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Serializes mode-forcing tests; restores `Native` on drop.
@@ -102,16 +102,8 @@ fn f32_join_sweep_equals_pairwise_under_every_mode() {
                             );
                         }
                         for workers in [1usize, 2, 3] {
-                            let hits = sweep(
-                                QuantTier::F32,
-                                &cache,
-                                &candidates,
-                                &probes,
-                                floor,
-                                workers,
-                                &ctx,
-                            )
-                            .unwrap();
+                            let hits =
+                                sweep(&cache, &candidates, &probes, floor, workers, &ctx).unwrap();
                             let got: Vec<(u32, u32, u32)> =
                                 hits.iter().map(|&(i, j, s)| (i, j, s.to_bits())).collect();
                             assert_eq!(

@@ -327,7 +327,6 @@ pub fn config_fingerprint(config: &OptimizerConfig) -> u64 {
         packed |= (*f as u64) << i;
     }
     eat(packed);
-    eat(config.recall_tolerance.to_bits());
     eat(config.parallelism as u64);
     h
 }
@@ -447,8 +446,8 @@ mod tests {
         let none = OptimizerConfig::none();
         assert_eq!(config_fingerprint(&all), config_fingerprint(&all));
         assert_ne!(config_fingerprint(&all), config_fingerprint(&none));
-        let mut tol = all;
-        tol.recall_tolerance = 5e-2;
-        assert_ne!(config_fingerprint(&all), config_fingerprint(&tol));
+        let mut serial = all;
+        serial.parallelism = all.parallelism + 1;
+        assert_ne!(config_fingerprint(&all), config_fingerprint(&serial));
     }
 }

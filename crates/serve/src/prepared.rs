@@ -22,7 +22,7 @@
 //!    estimate over that *bound* plan (the template was costed with
 //!    placeholder defaults), and the bound plan is lowered from the
 //!    engine's planning snapshot into a tree this execution alone runs —
-//!    so each physical choice (a semantic join's panel tier, say) is made
+//!    so each physical choice (a bounded sort's limit, say) is made
 //!    for the bound literals, exactly as ad-hoc execution makes it. The
 //!    result is memoized per binding vector.
 //! 3. **Invalidation** — entries are pinned to the catalog version;

@@ -296,7 +296,7 @@ cx_obs::metric_family! {
         /// Per-model embed-batcher counters, sorted by model name.
         batchers: Vec<(String, BatcherStats)>,
         /// The resolved SIMD kernel dispatch serving every similarity sweep
-        /// (e.g. `f32=avx512 f16=f16c+avx512 int8=vnni512`).
+        /// (e.g. `f32=avx512`).
         simd: String,
     }
 }
@@ -1077,19 +1077,11 @@ impl Session {
             .unwrap_or(self.server.engine().config().optimizer)
     }
 
-    /// Lets this session trade recall for latency without touching other
-    /// sessions or the engine: raises (or clears, with `0.0`) the
-    /// session's quantization `recall_tolerance`. The override flows
-    /// into the plan-cache key through the config fingerprint, so
-    /// sessions at different tolerances partition the cache naturally —
-    /// no forking, no cross-talk.
-    pub fn set_recall_tolerance(&self, tolerance: f64) {
-        let mut config = self.optimizer_config();
-        config.recall_tolerance = tolerance;
-        *self.config.lock() = Some(config);
-    }
-
-    /// Replaces this session's whole optimizer configuration.
+    /// Replaces this session's whole optimizer configuration without
+    /// touching other sessions or the engine. The override flows into the
+    /// plan-cache key through the config fingerprint, so sessions under
+    /// different configs partition the cache naturally — no forking, no
+    /// cross-talk.
     pub fn set_optimizer_config(&self, config: OptimizerConfig) {
         *self.config.lock() = Some(config);
     }

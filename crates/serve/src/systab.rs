@@ -8,7 +8,7 @@
 //!
 //! | table           | contents                                          |
 //! |-----------------|---------------------------------------------------|
-//! | `cx.queries`    | one row per retained trace: outcome, latency, queue wait, plan-cache verdict, quant tier, SIMD path, resource profile |
+//! | `cx.queries`    | one row per retained trace: outcome, latency, queue wait, plan-cache verdict, SIMD path, resource profile |
 //! | `cx.spans`      | every span of every retained trace, flattened      |
 //! | `cx.histograms` | nonzero buckets of every server histogram          |
 //! | `cx.metrics`    | the full metrics snapshot as rows                  |
@@ -55,13 +55,6 @@ fn chunk_from(schema: &Arc<Schema>, columns: Vec<Column>) -> Result<Vec<Chunk>> 
     Ok(vec![Chunk::new(schema.clone(), columns)?])
 }
 
-/// First whitespace-separated `key=` token's value in a span detail.
-fn detail_token<'a>(detail: &'a str, key: &str) -> Option<&'a str> {
-    detail
-        .split_whitespace()
-        .find_map(|tok| tok.strip_prefix(key))
-}
-
 /// `cx.queries`: one row per trace retained in the ring.
 #[derive(Debug)]
 struct QueriesTable {
@@ -79,7 +72,6 @@ impl QueriesTable {
                 Field::required("total_ms", DataType::Float64),
                 Field::required("queue_wait_ms", DataType::Float64),
                 Field::required("plan_cache", DataType::Utf8),
-                Field::required("quant_tier", DataType::Utf8),
                 Field::required("simd", DataType::Utf8),
                 Field::required("cpu_ms", DataType::Float64),
                 Field::required("alloc_count", DataType::Int64),
@@ -111,7 +103,6 @@ impl SystemTableSource for QueriesTable {
         let mut total_ms = Vec::new();
         let mut queue_wait_ms = Vec::new();
         let mut plan_cache = Vec::new();
-        let mut quant_tier = Vec::new();
         let mut simd = Vec::new();
         let mut cpu_ms = Vec::new();
         let mut alloc_count = Vec::new();
@@ -134,12 +125,6 @@ impl SystemTableSource for QueriesTable {
                     .unwrap_or_default(),
             );
             let panel = spans.iter().find(|s| s.name == "panel_sweep");
-            quant_tier.push(
-                panel
-                    .and_then(|s| detail_token(&s.detail, "tier="))
-                    .unwrap_or_default()
-                    .to_string(),
-            );
             simd.push(
                 panel
                     .and_then(|s| s.detail.split_once("simd=").map(|(_, rest)| rest))
@@ -162,7 +147,6 @@ impl SystemTableSource for QueriesTable {
                 Column::from_f64(total_ms),
                 Column::from_f64(queue_wait_ms),
                 Column::from_strings(plan_cache),
-                Column::from_strings(quant_tier),
                 Column::from_strings(simd),
                 Column::from_f64(cpu_ms),
                 Column::from_i64(alloc_count),

@@ -242,10 +242,10 @@ fn profiler_populates_cx_queries_and_totals() {
         pairs.iter().any(|&p| p > 0),
         "cx.queries surfaces pairs_scored: {pairs:?}"
     );
-    let tier = chunk.column_by_name("quant_tier").unwrap();
+    let simd = chunk.column_by_name("simd").unwrap();
     assert!(
-        tier.utf8_values().unwrap().iter().any(|t| !t.is_empty()),
-        "panel sweep tier parsed from span detail"
+        simd.utf8_values().unwrap().iter().any(|t| !t.is_empty()),
+        "panel sweep SIMD path parsed from span detail"
     );
 }
 
@@ -286,32 +286,35 @@ fn profiled_join_counts_build_tiles_of_its_panel() {
     assert_eq!(profile.pairs_scored, (12 * n) as u64, "{profile:?}");
 }
 
-/// The `quant_tier` cell of every `cx.queries` row.
-fn tier_cells(server: &Arc<Server>) -> Vec<String> {
+/// The `pairs_scored` cell of every `cx.queries` row.
+fn pairs_cells(server: &Arc<Server>) -> Vec<i64> {
     let chunk = scan(server, "cx.queries").to_chunk().unwrap();
     chunk
-        .column_by_name("quant_tier")
+        .column_by_name("pairs_scored")
         .unwrap()
-        .utf8_values()
+        .i64_values()
         .unwrap()
         .to_vec()
 }
 
 #[test]
-fn concurrent_runs_report_their_quant_tier() {
+fn concurrent_runs_attribute_their_own_pairs() {
     let server = Server::new(
         build_engine(),
         ServeConfig {
             tracing: true,
+            profiling: true,
             trace_ring_capacity: 256,
             ..ServeConfig::default()
         },
     );
     server.execute(&semantic_query(&server, "kitten")).unwrap();
-    assert_eq!(tier_cells(&server), ["f32"]);
+    // One probe against the 12 distinct product names.
+    assert_eq!(pairs_cells(&server), [12]);
 
     // A barrier storm: every statement sweeps its own panel, so every
-    // trace hosts a `panel_sweep` span naming the same tier.
+    // trace carries exactly its own sweep's pairs, none of its
+    // neighbours'.
     let threads = 4;
     let barrier = Arc::new(Barrier::new(threads));
     std::thread::scope(|s| {
@@ -323,13 +326,11 @@ fn concurrent_runs_report_their_quant_tier() {
             });
         }
     });
-    // The row of the earlier `cx.queries` scan sweeps nothing: no tier.
-    let tiers = tier_cells(&server);
-    assert_eq!(tiers.iter().filter(|t| *t == "f32").count(), 5, "{tiers:?}");
-    assert!(
-        tiers.iter().all(|t| t == "f32" || t.is_empty()),
-        "{tiers:?}"
-    );
+    // The row of the earlier `cx.queries` scan sweeps nothing.
+    let pairs = pairs_cells(&server);
+    assert_eq!(pairs.len(), 6, "{pairs:?}");
+    assert_eq!(pairs.iter().filter(|&&p| p == 12).count(), 5, "{pairs:?}");
+    assert!(pairs.iter().all(|&p| p == 12 || p == 0), "{pairs:?}");
 }
 
 #[test]
@@ -441,7 +442,9 @@ fn injected_timestamp_makes_snapshots_deterministic() {
 
 /// One storm run: 8 clients, fixed per-client targets, `rounds`
 /// executions each; returns every result table rendered row-by-row, in
-/// client/round order.
+/// client/round order. With `introspect`, a scanner loops over
+/// `cx.queries` + `cx.metrics` until the clients finish, and the clients
+/// start only once it has completed its first lap.
 fn run_storm(server: &Arc<Server>, rounds: usize, introspect: bool) -> Vec<String> {
     const CLIENTS: usize = 8;
     let targets = [
@@ -455,17 +458,21 @@ fn run_storm(server: &Arc<Server>, rounds: usize, introspect: bool) -> Vec<Strin
         "windbreaker",
     ];
     let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(CLIENTS));
+    let barrier = Arc::new(Barrier::new(CLIENTS + introspect as usize));
     std::thread::scope(|s| {
         let scanner = introspect.then(|| {
             let server = server.clone();
             let flag = stop.clone();
+            let barrier = barrier.clone();
             s.spawn(move || {
                 let mut laps = 0u64;
-                while !flag.load(Ordering::Relaxed) {
+                while laps == 0 || !flag.load(Ordering::Relaxed) {
                     scan(&server, "cx.queries");
                     scan(&server, "cx.metrics");
                     laps += 1;
+                    if laps == 1 {
+                        barrier.wait();
+                    }
                 }
                 laps
             })

@@ -6,8 +6,7 @@
 //! mutex and restores `Native` before releasing it.
 
 use cx_simd::{
-    available_modes, convert_f16_slice, dot, dot_block, dot_block_f16, dot_block_int8, dot_f16,
-    dot_int8_i32, dot_tile_threshold, f16_to_f32, f32_to_f16, force_mode, KernelDispatch, SimdMode,
+    available_modes, dot, dot_block, dot_tile_threshold, force_mode, KernelDispatch, SimdMode,
 };
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -43,16 +42,8 @@ impl Rng {
         (self.next_u64() >> 40) as f32 / (1u64 << 23) as f32 * 2.0 - 1.0
     }
 
-    fn i8(&mut self) -> i8 {
-        (self.next_u64() >> 56) as u8 as i8
-    }
-
     fn f32_vec(&mut self, n: usize) -> Vec<f32> {
         (0..n).map(|_| self.f32()).collect()
-    }
-
-    fn i8_vec(&mut self, n: usize) -> Vec<i8> {
-        (0..n).map(|_| self.i8()).collect()
     }
 }
 
@@ -175,160 +166,14 @@ fn threshold_tile_equals_pairwise_under_every_mode() {
 }
 
 #[test]
-fn f16_blocked_equals_pairwise_and_scalar_bitwise() {
-    let _guard = lock_modes();
-    // Scalar reference scores, computed once under Off:
-    // (dim, f16 block, query, expected scores) per tested dimension.
-    type F16Case = (usize, Vec<u16>, Vec<f32>, Vec<f32>);
-    let mut refs: Vec<F16Case> = Vec::new();
-    let mut rng = Rng(0xF16);
-    for dim in dims() {
-        let rows = 5usize;
-        let stride = dim + (dim % 3);
-        let query = rng.f32_vec(dim);
-        let mut block = vec![0u16; rows * stride.max(1)];
-        for r in 0..rows {
-            for c in 0..dim {
-                block[r * stride + c] = f32_to_f16(rng.f32());
-            }
-        }
-        let mut out = vec![0.0f32; rows];
-        dot_block_f16(&query, &block, stride, &mut out);
-        refs.push((stride, block, query, out));
-    }
-    // Every other mode must reproduce the scalar bits exactly (cross-ISA
-    // contract: same conversion, same accumulation order).
-    for mode in available_modes() {
-        force_mode(mode).expect("listed mode resolves");
-        for (stride, block, query, want) in &refs {
-            let dim = query.len();
-            let rows = want.len();
-            let mut out = vec![0.0f32; rows];
-            dot_block_f16(query, block, *stride, &mut out);
-            for r in 0..rows {
-                assert_eq!(
-                    out[r].to_bits(),
-                    want[r].to_bits(),
-                    "f16 block mode={} dim={dim} row={r}",
-                    mode.label()
-                );
-                let pairwise = dot_f16(&block[r * stride..r * stride + dim], query);
-                assert_eq!(
-                    pairwise.to_bits(),
-                    want[r].to_bits(),
-                    "f16 pairwise mode={} dim={dim} row={r}",
-                    mode.label()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn int8_identical_across_every_mode() {
-    let _guard = lock_modes();
-    force_mode(SimdMode::Off).expect("off always resolves");
-    let mut rng = Rng(0x1A7);
-    let mut refs: Vec<(Vec<i8>, Vec<i8>, i32)> = Vec::new();
-    for dim in dims() {
-        let a = rng.i8_vec(dim);
-        let b = rng.i8_vec(dim);
-        let want = dot_int8_i32(&a, &b);
-        refs.push((a, b, want));
-    }
-    // Extremes: saturation-prone values must stay exact on every path.
-    for dim in [63usize, 64, 65, 256] {
-        let a = vec![-128i8; dim];
-        let b = vec![127i8; dim];
-        let want = dot_int8_i32(&a, &b);
-        assert_eq!(want, -128 * 127 * dim as i32);
-        refs.push((a, b, want));
-    }
-    for mode in available_modes() {
-        force_mode(mode).expect("listed mode resolves");
-        for (a, b, want) in &refs {
-            assert_eq!(
-                dot_int8_i32(a, b),
-                *want,
-                "int8 pairwise mode={} dim={}",
-                mode.label(),
-                a.len()
-            );
-        }
-        // Blocked ≡ pairwise under the same mode.
-        let dim = 96usize;
-        let stride = 100usize;
-        let rows = 6usize;
-        let mut rng = Rng(0xB10C ^ mode as u64);
-        let query = rng.i8_vec(dim);
-        let mut block = vec![0i8; rows * stride];
-        for r in 0..rows {
-            let row = rng.i8_vec(dim);
-            block[r * stride..r * stride + dim].copy_from_slice(&row);
-        }
-        let mut out = vec![0i32; rows];
-        dot_block_int8(&query, &block, stride, &mut out);
-        for r in 0..rows {
-            assert_eq!(
-                out[r],
-                dot_int8_i32(&query, &block[r * stride..r * stride + dim]),
-                "int8 block mode={} row={r}",
-                mode.label()
-            );
-        }
-    }
-}
-
-#[test]
-fn f16_conversion_handles_subnormals_identically() {
-    let _guard = lock_modes();
-    // Smallest subnormal, largest subnormal, smallest normal, and signed
-    // zeros / infinities: hardware vcvtph2ps must match the bit-twiddler.
-    let interesting: Vec<u16> = vec![
-        0x0000, 0x8000, 0x0001, 0x8001, 0x03FF, 0x83FF, 0x0400, 0x8400, 0x7BFF, 0xFBFF, 0x7C00,
-        0xFC00, 0x3C00, 0xBC00, 0x5640,
-    ];
-    force_mode(SimdMode::Off).expect("off always resolves");
-    let want: Vec<u32> = interesting
-        .iter()
-        .map(|&h| f16_to_f32(h).to_bits())
-        .collect();
-    for mode in available_modes() {
-        force_mode(mode).expect("listed mode resolves");
-        let mut out = vec![0.0f32; interesting.len()];
-        convert_f16_slice(&interesting, &mut out);
-        for (i, (&h, o)) in interesting.iter().zip(&out).enumerate() {
-            assert_eq!(
-                o.to_bits(),
-                want[i],
-                "convert mode={} half={h:#06x}",
-                mode.label()
-            );
-            assert_eq!(
-                f16_to_f32(h).to_bits(),
-                want[i],
-                "scalar entry mode={}",
-                mode.label()
-            );
-        }
-    }
-}
-
-#[test]
 fn zero_rows_and_empty_dims_are_inert_everywhere() {
     let _guard = lock_modes();
     for mode in available_modes() {
         force_mode(mode).expect("listed mode resolves");
         let mut out_f32: Vec<f32> = vec![];
         dot_block(&[1.0, 2.0], &[], 2, &mut out_f32);
-        let mut out_f16: Vec<f32> = vec![];
-        dot_block_f16(&[1.0, 2.0], &[], 2, &mut out_f16);
-        let mut out_i8: Vec<i32> = vec![];
-        dot_block_int8(&[1, 2], &[], 2, &mut out_i8);
         // Zero-dim vectors dot to exactly zero on every path.
         assert_eq!(dot(&[], &[]), 0.0, "mode={}", mode.label());
-        assert_eq!(dot_f16(&[], &[]), 0.0, "mode={}", mode.label());
-        assert_eq!(dot_int8_i32(&[], &[]), 0, "mode={}", mode.label());
     }
 }
 
@@ -336,10 +181,7 @@ fn zero_rows_and_empty_dims_are_inert_everywhere() {
 fn off_mode_reproduces_the_scalar_ladder_bits() {
     let _guard = lock_modes();
     force_mode(SimdMode::Off).expect("off always resolves");
-    assert_eq!(
-        KernelDispatch::active().report(),
-        "f32=scalar f16=scalar int8=scalar"
-    );
+    assert_eq!(KernelDispatch::active().report(), "f32=scalar");
     let mut rng = Rng(0x0DD);
     for dim in dims() {
         let a = rng.f32_vec(dim);

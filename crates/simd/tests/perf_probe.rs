@@ -1,9 +1,9 @@
-//! Manual perf probe (ignored): min-of-N timing for the block kernels and
+//! Manual perf probe (ignored): min-of-N timing for the block kernel and
 //! the probe-tile threshold kernel, robust against noisy shared cores. Run
 //! with
 //! `cargo test -p cx-simd --release --test perf_probe -- --ignored --nocapture`.
 
-use cx_simd::{dot_block, dot_block_f16, dot_block_int8, dot_tile_threshold, f32_to_f16};
+use cx_simd::{dot_block, dot_tile_threshold};
 use std::time::Instant;
 
 fn rows_f32(rows: usize, dim: usize, seed: u64) -> Vec<f32> {
@@ -35,22 +35,10 @@ fn block_kernel_floor() {
     for dim in [256usize, 768] {
         let q = rows_f32(1, dim, 3);
         let block = rows_f32(ROWS, dim, 7);
-        let half: Vec<u16> = block.iter().map(|&x| f32_to_f16(x)).collect();
-        let bytes: Vec<i8> = block.iter().map(|&x| (x * 100.0) as i8).collect();
-        let qi: Vec<i8> = q.iter().map(|&x| (x * 100.0) as i8).collect();
         let mut out = vec![0.0f32; ROWS];
-        let mut outi = vec![0i32; ROWS];
 
         let f32_ns = min_ns(|| dot_block(&q, &block, dim, &mut out), 200, 5);
-        let f16_ns = min_ns(|| dot_block_f16(&q, &half, dim, &mut out), 200, 5);
-        let i8_ns = min_ns(|| dot_block_int8(&qi, &bytes, dim, &mut outi), 200, 5);
-        println!(
-            "dim {dim}: f32 {:.1} ns/pair, f16 {:.1} ns/pair (ratio {:.3}), int8 {:.1} ns/pair",
-            f32_ns / ROWS as f64,
-            f16_ns / ROWS as f64,
-            f16_ns / f32_ns,
-            i8_ns / ROWS as f64,
-        );
+        println!("dim {dim}: f32 {:.1} ns/pair", f32_ns / ROWS as f64);
     }
 
     // The join's schedule: a cache-resident 64-row build tile, probes

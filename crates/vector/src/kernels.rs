@@ -14,9 +14,7 @@
 //! 4. [`crate::block`] — the batched rung: one query against a contiguous
 //!    panel of candidates ([`crate::block::dot_block`]), panels against
 //!    panels ([`crate::block::scores_matrix`]), same per-pair arithmetic
-//!    at batch-at-a-time memory traffic,
-//! 5. quantized kernels live in [`cx_embed::quant`] and are benchmarked
-//!    alongside.
+//!    at batch-at-a-time memory traffic.
 //!
 //! Every rung here scores one pair per call; the blocked rung reuses these
 //! exact accumulation orders so its scores are bit-identical.

@@ -10,17 +10,15 @@
 //!   EmbeddingCache::get_batch_into          (strings → padded rows, 1 copy)
 //!                  │
 //!                  ▼
-//!            VectorArena ───── quantize ────► QuantizedArena (f16 / int8)
-//!                  │                                 │
-//!        blocked kernels (crate::block)      quantized panel kernels
-//!     dot_block / dot_block_threshold /     (cx_embed::quant::dot_block_f16,
-//!             scores_matrix                        dot_block_int8)
-//!                  │                                 │
-//!                  └────────────────┬────────────────┘
-//!                                   ▼
-//!                        the panel sweep (cx_semantic)
-//!                      semantic filter / join,
-//!                   tier picked by the optimizer per scan
+//!            VectorArena
+//!                  │
+//!        blocked kernels (crate::block)
+//!     dot_block / dot_block_threshold /
+//!             scores_matrix
+//!                  │
+//!                  ▼
+//!        the panel sweep (cx_semantic)
+//!        semantic filter / join
 //! ```
 //!
 //! Modules:
@@ -35,23 +33,17 @@
 //!   spherical k-means: the layout the exact top-k join prunes on,
 //! * [`VectorArena`] — the padded arena above, the crate's one dense f32
 //!   container, fillable straight from an embedding cache and handing out
-//!   zero-copy [`RowBlock`] views,
-//! * [`QuantizedArena`] — its f16/int8 sibling (Section VI's
-//!   half-precision opportunity): 2–4× fewer bytes per row at a bounded
-//!   score error, scored by the quantized panel kernels.
+//!   zero-copy [`RowBlock`] views.
 
 pub mod arena;
 pub mod block;
 pub mod cone;
 pub mod kernels;
-pub mod qarena;
 
 pub use arena::{RowBlock, VectorArena};
 pub use block::{dot_block, dot_block_threshold, scores_matrix};
-pub use cx_embed::quant::QuantTier;
 /// The explicit-SIMD kernel layer the blocked and pairwise kernels
 /// dispatch through (re-exported so operators can surface the active ISA
 /// without a direct `cx-simd` dependency).
 pub use cx_simd as simd;
 pub use kernels::{cosine, dot, dot_unrolled, norm};
-pub use qarena::{QuantizedArena, UnsupportedTier};

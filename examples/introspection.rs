@@ -89,7 +89,7 @@ fn main() -> cx_storage::Result<()> {
 
     // 4. The server queries itself. `cx.queries` is one row per traced
     //    query: end-to-end and queue-wait time, plan-cache verdict, the
-    //    sweep's quantization tier, and the resource profile.
+    //    sweep's SIMD path, and the resource profile.
     let cx_queries = server
         .table("cx.queries")?
         .select_columns(&[

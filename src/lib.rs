@@ -12,8 +12,8 @@
 //! |---|---|---|
 //! | [`storage`] | `cx-storage` | columns, chunks, tables, statistics |
 //! | [`expr`] | `cx-expr` | expressions, folding, selectivity |
-//! | [`embed`] | `cx-embed` | representation models, caches, quantization |
-//! | [`vector`] | `cx-vector` | similarity kernels, f32 / quantized arenas |
+//! | [`embed`] | `cx-embed` | representation models, caches |
+//! | [`vector`] | `cx-vector` | similarity kernels, the f32 arena, cone tiles |
 //! | [`exec`] | `cx-exec` | logical plans, relational operators |
 //! | [`sql`] | `cx-sql` | SQL front-end: lexer, parser, binder, semantic grammar |
 //! | [`semantic`] | `cx-semantic` | semantic operators, consolidation |

@@ -1,15 +1,11 @@
 //! Property-based tests on core data-structure invariants: bitmaps,
-//! columns, kernels, SQL top-k, quantization, and expression folding.
+//! columns, kernels, SQL top-k, and expression folding.
 
-use cx_embed::{
-    dot_block_int8, dot_int8, f16_to_f32, f32_to_f16, quantize_query_int8, QuantTier,
-    QuantizedVector,
-};
 use cx_expr::{eval, fold_constants, BinOp, Expr};
 use cx_storage::{Bitmap, Chunk, Column, DataType, Field, Scalar, Schema};
 use cx_vector::block::{dot_block, dot_block_threshold, scores_matrix};
 use cx_vector::kernels::{cosine, dot, dot_unrolled, norm};
-use cx_vector::{QuantizedArena, RowBlock, VectorArena};
+use cx_vector::{RowBlock, VectorArena};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -334,173 +330,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Quantization bounds
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #[test]
-    fn f16_roundtrip_relative_error(x in -60_000.0f32..60_000.0) {
-        let rt = f16_to_f32(f32_to_f16(x));
-        if x.abs() > 1e-4 {
-            let rel = ((rt - x) / x).abs();
-            prop_assert!(rel < 1e-3, "x={x} rt={rt}");
-        }
-    }
-
-    #[test]
-    fn int8_dot_error_bounded(a in f32vec(100), b in f32vec(100)) {
-        let exact = dot(&a, &b);
-        let approx = QuantizedVector::to_int8(&a).dot(&b);
-        // Error bound: per-element quantization error × |b|_1.
-        let max_a = a.iter().fold(0.0f32, |m, x| m.max(x.abs()));
-        let b_l1: f32 = b.iter().map(|x| x.abs()).sum();
-        let bound = (max_a / 127.0) * b_l1 * 0.51 + 1e-3;
-        prop_assert!((exact - approx).abs() <= bound, "{exact} vs {approx} (bound {bound})");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Quantized panel kernels vs pairwise quantized kernels and f32 panels
-// ---------------------------------------------------------------------------
-
-/// A padded arena of random rows; one row zeroed when any exist. Dims
-/// include non-multiples of 8 (both kernels' tail paths).
-fn quantizable_arena(dim: usize, rows: usize, seed: u64) -> VectorArena {
-    let mut rng = cx_embed::rng::SplitMix64::new(seed);
-    let mut arena = VectorArena::new(dim);
-    for _ in 0..rows {
-        arena.push(
-            &(0..dim)
-                .map(|_| rng.next_f32_symmetric())
-                .collect::<Vec<_>>(),
-        );
-    }
-    if rows > 0 {
-        // Rebuild with a zero row in a seed-dependent slot.
-        let z = seed as usize % rows;
-        let mut with_zero = VectorArena::new(dim);
-        for r in 0..rows {
-            if r == z {
-                with_zero.push(&vec![0.0; dim]);
-            } else {
-                with_zero.push(arena.row(r));
-            }
-        }
-        return with_zero;
-    }
-    arena
-}
-
-proptest! {
-    /// The int8 panel kernel is bit-identical to the pairwise `dot_int8`
-    /// ladder: integer accumulation is exact, and the scale multiply order
-    /// matches.
-    #[test]
-    fn int8_panel_bit_identical_to_pairwise(
-        dim in 1usize..130,
-        rows in 0usize..40,
-        seed in any::<u64>(),
-    ) {
-        let arena = quantizable_arena(dim, rows, seed);
-        let mut rng = cx_embed::rng::SplitMix64::new(seed ^ 0xABCD);
-        let qf: Vec<f32> = (0..dim).map(|_| rng.next_f32_symmetric()).collect();
-        let (qi, q_scale) = quantize_query_int8(&qf);
-
-        // Kernel level: raw i32 accumulators equal the scalar sum exactly.
-        let panel = QuantizedArena::from_arena(&arena, QuantTier::Int8).unwrap();
-        let stride = panel.stride();
-        let mut rows_i8 = vec![0i8; arena.len() * stride];
-        let mut scales = vec![0.0f32; arena.len()];
-        for r in 0..arena.len() {
-            let QuantizedVector::Int8 { data, scale } = QuantizedVector::to_int8(arena.row(r))
-            else { unreachable!() };
-            rows_i8[r * stride..r * stride + dim].copy_from_slice(&data);
-            scales[r] = scale;
-        }
-        let mut acc = vec![0i32; arena.len()];
-        dot_block_int8(&qi, &rows_i8, stride, &mut acc);
-        for r in 0..arena.len() {
-            let row = &rows_i8[r * stride..r * stride + dim];
-            let exact: i32 = qi.iter().zip(row).map(|(&x, &y)| x as i32 * y as i32).sum();
-            prop_assert_eq!(acc[r], exact, "row {} accumulator", r);
-        }
-
-        // Arena level: scores equal pairwise dot_int8 to the bit.
-        let got = panel.scores(&qf);
-        for r in 0..arena.len() {
-            let row = &rows_i8[r * stride..r * stride + dim];
-            let want = dot_int8(&qi, q_scale, row, scales[r]);
-            prop_assert_eq!(got[r].to_bits(), want.to_bits(), "row {} score", r);
-        }
-    }
-
-    /// f16 and int8 panel scores stay within their documented absolute
-    /// error bounds of the f32 blocked kernel. Bounds are computed from
-    /// the actual values (triangle inequality over per-element
-    /// quantization error), so they hold for every generated case
-    /// including zero vectors and tail dims.
-    #[test]
-    fn quantized_panels_within_error_bounds_of_f32(
-        dim in 1usize..130,
-        rows in 1usize..40,
-        seed in any::<u64>(),
-    ) {
-        let arena = quantizable_arena(dim, rows, seed);
-        let mut rng = cx_embed::rng::SplitMix64::new(seed ^ 0x5EED);
-        let q: Vec<f32> = (0..dim).map(|_| rng.next_f32_symmetric()).collect();
-        let view = arena.as_block();
-        let mut exact = vec![0.0f32; rows];
-        dot_block(&q, view.data, view.stride, &mut exact);
-
-        // f16: |x - f16(x)| <= 2^-11 |x| in the normal range (plus a tiny
-        // absolute term for subnormal flushing), so
-        // |Δdot| <= Σ |q_i| (2^-11 |x_i| + 6.2e-5) + f32 rounding slack.
-        let f16_panel = QuantizedArena::from_arena(&arena, QuantTier::F16).unwrap();
-        let got = f16_panel.scores(&q);
-        for r in 0..rows {
-            let row = arena.row(r);
-            let bound: f32 = q
-                .iter()
-                .zip(row)
-                .map(|(qi, xi)| qi.abs() * (xi.abs() * 4.9e-4 + 6.2e-5))
-                .sum::<f32>()
-                + 1e-5 * (1.0 + exact[r].abs());
-            prop_assert!(
-                (got[r] - exact[r]).abs() <= bound,
-                "f16 row {}: {} vs {} (bound {})", r, got[r], exact[r], bound
-            );
-        }
-
-        // int8: both sides quantized symmetrically. With s_a = max|a|/127,
-        // |a_i - â_i| <= s_a/2, so
-        // |Δdot| <= Σ (|q_i| s_x/2 + |x_i| s_q/2 + s_q s_x/4) + slack.
-        let (_, s_q) = quantize_query_int8(&q);
-        let int8_panel = QuantizedArena::from_arena(&arena, QuantTier::Int8).unwrap();
-        let got = int8_panel.scores(&q);
-        for r in 0..rows {
-            let row = arena.row(r);
-            let max_x = row.iter().fold(0.0f32, |m, x| m.max(x.abs()));
-            let s_x = if max_x > 0.0 { max_x / 127.0 } else { 0.0 };
-            let bound: f32 = q
-                .iter()
-                .zip(row)
-                .map(|(qi, xi)| 0.51 * (qi.abs() * s_x + xi.abs() * s_q) + s_q * s_x)
-                .sum::<f32>()
-                + 1e-5 * (1.0 + exact[r].abs());
-            prop_assert!(
-                (got[r] - exact[r]).abs() <= bound,
-                "int8 row {}: {} vs {} (bound {})", r, got[r], exact[r], bound
-            );
-        }
-
-        // Zero rows score exactly zero at every tier.
-        let z = seed as usize % rows;
-        prop_assert_eq!(f16_panel.scores(&q)[z], 0.0);
-        prop_assert_eq!(int8_panel.scores(&q)[z], 0.0);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // SemanticJoin: blocked scoring equals a pairwise reference join
 // ---------------------------------------------------------------------------
 
@@ -614,8 +443,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 // The one panel sweep: each probe row is scored on its own, so a span of a
 // stacked sweep is that span's own sweep and a single probe's rows are the
-// one-probe (filter) sweep, whatever the worker count; at f32 all of them
-// are the pairwise reference.
+// one-probe (filter) sweep, whatever the worker count, and all of them are
+// the pairwise reference.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -669,50 +498,45 @@ proptest! {
         };
 
         let cand_rows: Vec<Vec<f32>> = candidates.iter().map(|t| unit(&cache.get(t))).collect();
-        for tier in [QuantTier::F32, QuantTier::F16, QuantTier::Int8] {
-            let run = |probes: &[String], floor: f32, workers: usize| {
-                sweep(tier, &cache, &candidates, probes, floor, workers, &ctx).unwrap()
-            };
-            let whole = run(&stacked, floor, 1);
-            prop_assert_eq!(
-                triples(&whole, 0, stacked.len(), floor),
-                triples(&run(&stacked, floor, 3), 0, stacked.len(), floor),
-                "{:?}: 1 vs 3 workers", tier
-            );
+        let run = |probes: &[String], floor: f32, workers: usize| {
+            sweep(&cache, &candidates, probes, floor, workers, &ctx).unwrap()
+        };
+        let whole = run(&stacked, floor, 1);
+        prop_assert_eq!(
+            triples(&whole, 0, stacked.len(), floor),
+            triples(&run(&stacked, floor, 3), 0, stacked.len(), floor),
+            "1 vs 3 workers"
+        );
 
-            let mut first = 0;
-            for (probes, &threshold) in spans.iter().zip(&thresholds) {
-                let solo = triples(&run(probes, threshold, 1), 0, probes.len(), threshold);
-                prop_assert_eq!(
-                    &triples(&whole, first, probes.len(), threshold),
-                    &solo,
-                    "{:?}: span at stacked row {}", tier, first
-                );
-                first += probes.len();
-                // The filter case: one probe at the span's threshold — a
-                // semantic filter's sweep — returns that probe's rows of the
-                // span's sweep.
-                for (i, probe) in probes.iter().enumerate() {
-                    let filter = run(std::slice::from_ref(probe), threshold, 1);
-                    let rows: Vec<_> =
-                        solo.iter().filter(|t| t.0 == i as u32).map(|&(_, j, s)| (0, j, s)).collect();
-                    prop_assert_eq!(triples(&filter, 0, 1, threshold), rows, "{:?}: filter", tier);
-                }
-                if tier != QuantTier::F32 {
-                    continue;
-                }
-                let mut reference = Vec::new();
-                for (i, probe) in probes.iter().enumerate() {
-                    let probe = unit(&cache.get(probe));
-                    for (j, cand) in cand_rows.iter().enumerate() {
-                        let score = dot_unrolled(&probe, cand);
-                        if score >= threshold {
-                            reference.push((i as u32, j as u32, score.to_bits()));
-                        }
+        let mut first = 0;
+        for (probes, &threshold) in spans.iter().zip(&thresholds) {
+            let solo = triples(&run(probes, threshold, 1), 0, probes.len(), threshold);
+            prop_assert_eq!(
+                &triples(&whole, first, probes.len(), threshold),
+                &solo,
+                "span at stacked row {}", first
+            );
+            first += probes.len();
+            // The filter case: one probe at the span's threshold — a
+            // semantic filter's sweep — returns that probe's rows of the
+            // span's sweep.
+            for (i, probe) in probes.iter().enumerate() {
+                let filter = run(std::slice::from_ref(probe), threshold, 1);
+                let rows: Vec<_> =
+                    solo.iter().filter(|t| t.0 == i as u32).map(|&(_, j, s)| (0, j, s)).collect();
+                prop_assert_eq!(triples(&filter, 0, 1, threshold), rows, "filter");
+            }
+            let mut reference = Vec::new();
+            for (i, probe) in probes.iter().enumerate() {
+                let probe = unit(&cache.get(probe));
+                for (j, cand) in cand_rows.iter().enumerate() {
+                    let score = dot_unrolled(&probe, cand);
+                    if score >= threshold {
+                        reference.push((i as u32, j as u32, score.to_bits()));
                     }
                 }
-                prop_assert_eq!(&solo, &reference, "solo vs pairwise normalized dot");
             }
+            prop_assert_eq!(&solo, &reference, "solo vs pairwise normalized dot");
         }
     }
 }

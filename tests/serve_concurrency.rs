@@ -9,10 +9,11 @@
 //! * memoized replays must never re-enter the admission gate,
 //! * catalog registrations racing plan-cache lookups must never serve a
 //!   stale plan,
-//! * per-session `recall_tolerance` overrides must partition the plan
+//! * per-session optimizer-config overrides must partition the plan
 //!   cache without cross-talk.
 
 use context_analytics::expr::{col, lit};
+use context_analytics::optimizer::OptimizerConfig;
 use context_analytics::{Engine, EngineConfig, Query, ServeConfig, Server};
 use cx_embed::ClusteredTextModel;
 use cx_exec::logical::{AggFunc, AggSpec};
@@ -465,13 +466,19 @@ fn catalog_registration_racing_lookups_never_serves_stale_plans() {
 }
 
 #[test]
-fn per_session_recall_tolerance_partitions_the_plan_cache() {
+fn per_session_config_override_partitions_the_plan_cache() {
     let server = Server::new(fresh_engine(), ServeConfig::default());
-    let exact = server.session();
-    let tolerant = server.session();
-    tolerant.set_recall_tolerance(5e-2);
-    assert_eq!(tolerant.optimizer_config().recall_tolerance, 5e-2);
-    assert_eq!(exact.optimizer_config().recall_tolerance, 0.0);
+    let plain = server.session();
+    let overriding = server.session();
+    let default = plain.optimizer_config();
+    // Any host's default differs from its own parallelism plus one.
+    let wider = default.parallelism + 1;
+    overriding.set_optimizer_config(OptimizerConfig {
+        parallelism: wider,
+        ..default
+    });
+    assert_eq!(overriding.optimizer_config().parallelism, wider);
+    assert_eq!(plain.optimizer_config(), default);
 
     let q = server
         .table("products")
@@ -481,24 +488,24 @@ fn per_session_recall_tolerance_partitions_the_plan_cache() {
 
     // Same query text, different session configs: two distinct plan-cache
     // entries (the config fingerprint partitions the cache), each with
-    // its own hit stream — and identical results here, since this scan is
-    // far below the quantization floor either way.
-    let a = exact.execute(&q).unwrap();
-    let b = tolerant.execute(&q).unwrap();
+    // its own hit stream — and identical results, since parallelism
+    // never changes a result.
+    let a = plain.execute(&q).unwrap();
+    let b = overriding.execute(&q).unwrap();
     assert!(!a.plan_cache_hit && !b.plan_cache_hit);
     assert_eq!(server.plan_cache_stats().len, 2);
-    assert_tables_bit_identical(&b.table, &a.table, "tolerant session");
+    assert_tables_bit_identical(&b.table, &a.table, "overriding session");
     assert!(
-        exact.execute(&q).unwrap().plan_cache_hit || exact.execute(&q).unwrap().result_cache_hit
+        plain.execute(&q).unwrap().plan_cache_hit || plain.execute(&q).unwrap().result_cache_hit
     );
     assert!(
-        tolerant.execute(&q).unwrap().plan_cache_hit
-            || tolerant.execute(&q).unwrap().result_cache_hit
+        overriding.execute(&q).unwrap().plan_cache_hit
+            || overriding.execute(&q).unwrap().result_cache_hit
     );
 
     // Clearing the override rejoins the default partition.
-    tolerant.reset_optimizer_config();
-    let back = tolerant.execute(&q).unwrap();
+    overriding.reset_optimizer_config();
+    let back = overriding.execute(&q).unwrap();
     assert!(back.plan_cache_hit || back.result_cache_hit);
     assert_eq!(server.plan_cache_stats().len, 2);
 }

@@ -508,16 +508,12 @@ impl SchemaProvider for EngineSchemas<'_> {
 }
 
 #[test]
-fn tolerant_semantic_join_serves_its_literals_tier() {
-    // Under an int8-admitting recall tolerance the panel tier follows the
-    // estimated pair count. The auto-parameterized template costs
-    // `a_id >= $0` at a default selectivity whose estimate clears the
-    // quantization floor; the literal's histogram keeps the bare engine
-    // on f32. Served and bare execution must agree bit for bit: the tier
-    // is chosen when the *bound* plan is lowered.
-    let mut config = EngineConfig::default();
-    config.optimizer.recall_tolerance = 5e-2;
-    let engine = Arc::new(Engine::new(config));
+fn served_semantic_join_matches_the_bare_engine() {
+    // The auto-parameterized template costs `a_id >= $0` at a default
+    // selectivity; the bare engine costs the literal through its
+    // histogram. Served and bare execution must still agree bit for bit:
+    // the served plan is lowered only once its parameters are bound.
+    let engine = Arc::new(Engine::new(EngineConfig::default()));
     engine.register_model(Arc::new(HashNGramModel::new(42)));
     let rows = 2_000i64;
     for (table, prefix, modulus) in [("a", "a", 40), ("b", "b", 50)] {
