@@ -111,9 +111,11 @@ pub fn create_physical_plan(
             let cache = ctx
                 .cache_for(model)
                 .ok_or_else(|| Error::InvalidArgument(format!("unknown model: {model}")))?;
-            Arc::new(SemanticFilterExec::new(
-                child, column, target, *threshold, cache,
-            )?)
+            let filter = SemanticFilterExec::new(child, column, target, *threshold, cache)?;
+            Arc::new(match base_column(input, column, env) {
+                Some(source) => filter.with_resident_panel(source),
+                None => filter,
+            })
         }
         LogicalPlan::SemanticJoin { left, right, spec } => {
             Arc::new(semantic_join(left, right, spec, ctx, env)?)
@@ -210,8 +212,9 @@ fn semantic_join(
 }
 
 /// The base-table column that `column` of `plan` reads, when it reaches a
-/// scan through filters and plain-column projections only: the key a
-/// top-k semantic join's resident build panel is built from.
+/// scan through filters and plain-column projections only: the column a
+/// semantic filter's or a top-k semantic join's resident panel is built
+/// from.
 fn base_column(plan: &LogicalPlan, column: &str, env: &PhysicalPlannerEnv) -> Option<BaseColumn> {
     match plan {
         LogicalPlan::Scan { source, .. } if env.system_table(source).is_none() => {

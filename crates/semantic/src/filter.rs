@@ -7,8 +7,15 @@
 //! ([`crate::sweep`]): its target is the only probe row, its threshold the
 //! floor, and a row passes iff its value is among the sweep's hits. Scores
 //! are the join's normalized dot, bit for bit.
+//!
+//! A filter told its column's base-table column
+//! ([`SemanticFilterExec::with_resident_panel`]) scores that column's
+//! resident panel ([`crate::panel`]) once per statement and looks each
+//! row's value up in it. Any other input (a join's output, a UNION) is
+//! deduplicated and swept chunk by chunk.
 
-use crate::sweep::{sweep, Distinct};
+use crate::panel::{resident, BaseColumn, ResidentPanel};
+use crate::sweep::{sweep, sweep_panel, Distinct};
 use cx_embed::EmbeddingCache;
 use cx_exec::{ChunkStream, PhysicalOperator};
 use cx_storage::{Bitmap, DataType, Error, Result, Schema};
@@ -22,6 +29,9 @@ pub struct SemanticFilterExec {
     target: String,
     threshold: f32,
     cache: Arc<EmbeddingCache>,
+    /// The base-table column the filtered column reads, when it traces to
+    /// one ([`SemanticFilterExec::with_resident_panel`]).
+    resident: Option<BaseColumn>,
 }
 
 impl SemanticFilterExec {
@@ -53,7 +63,16 @@ impl SemanticFilterExec {
             target: target.into(),
             threshold,
             cache,
+            resident: None,
         })
+    }
+
+    /// Names the base-table column the filtered column reads. The filter
+    /// then scores that column's resident panel ([`crate::panel`]) once
+    /// per statement instead of embedding each chunk's distinct values.
+    pub fn with_resident_panel(mut self, source: BaseColumn) -> Self {
+        self.resident = Some(source);
+        self
     }
 
     /// The embedding cache backing this operator (for hit/miss inspection).
@@ -86,14 +105,29 @@ impl PhysicalOperator for SemanticFilterExec {
         let cache = self.cache.clone();
         let column_index = self.column_index;
         let threshold = self.threshold;
-        // Lifecycle context, captured once on the installing thread; each
-        // chunk is an embed-batch + panel sweep, so checking here bounds a
-        // dead query's overshoot to one chunk of semantic work.
+        let source = self.resident.clone();
+        // The resident panel and its per-row matches, from the first chunk.
+        let mut scored: Option<(Arc<ResidentPanel>, Bitmap)> = None;
+        // Lifecycle context, captured once on the installing thread;
+        // checking it per chunk bounds a dead query's overshoot to one
+        // chunk of semantic work.
         let ctx = cx_storage::QueryContext::current();
         Ok(Box::new(stream.map(move |chunk| {
             ctx.check()?;
             let chunk = chunk?;
-            let distinct = Distinct::of_column(chunk.column(column_index)?)?;
+            let col = chunk.column(column_index)?;
+            if let Some(source) = &source {
+                let (panel, matched) = match &mut scored {
+                    Some(scored) => scored,
+                    None => {
+                        let panel = resident(source, &cache, false)?;
+                        let matched = sweep_panel(&cache, &panel, &target, threshold, &ctx)?;
+                        scored.insert((panel, matched))
+                    }
+                };
+                return chunk.filter(&panel.passing(col, matched)?);
+            }
+            let distinct = Distinct::of_column(col)?;
 
             // Matches per distinct value: the one-probe panel sweep.
             let probe = [target.as_str()];

