@@ -246,8 +246,8 @@ mod tests {
     #[test]
     fn distinct_keys_number_in_first_seen_order() {
         let a = Column::Utf8 {
-            values: ["x", "y", "x", "", "y", ""].map(String::from).to_vec(),
-            validity: Some(Bitmap::from_bools([true, true, true, true, true, false])),
+            values: ["x", "y", "x", "", "y", ""].map(String::from).into(),
+            validity: Some(Bitmap::from_bools([true, true, true, true, true, false]).into()),
         };
         let b = Column::from_i64(vec![1, 1, 1, 1, 2, 1]);
         let cols = [&a, &b];

@@ -1109,6 +1109,42 @@ mod tests {
     }
 
     #[test]
+    fn project_of_column_references_shares_the_tables_buffers() {
+        let table = Arc::new(
+            Table::from_columns(
+                Schema::new(vec![
+                    Field::new("id", DataType::Int64),
+                    Field::new("name", DataType::Utf8),
+                ]),
+                vec![
+                    Column::from_i64(vec![1, 2, 3, 4, 5]),
+                    Column::from_strings(["boots", "parka", "boots", "mug", "coat"]),
+                ],
+            )
+            .unwrap()
+            .rechunk(2)
+            .unwrap(),
+        );
+        let scan = Arc::new(TableScanExec::new(table.clone()));
+        let project = ProjectExec::new(
+            scan,
+            &[
+                (col("name"), "label".to_string()),
+                (col("id"), "id".to_string()),
+            ],
+        )
+        .unwrap();
+        let out = crate::physical::collect(&project).unwrap();
+        assert_eq!(out.len(), table.chunks().len());
+        for (got, source) in out.iter().zip(table.chunks()) {
+            let name = |c: &Chunk, i| c.column(i).unwrap().utf8_values().unwrap().as_ptr();
+            let id = |c: &Chunk, i| c.column(i).unwrap().i64_values().unwrap().as_ptr();
+            assert_eq!(name(got, 0), name(source, 1));
+            assert_eq!(id(got, 1), id(source, 0));
+        }
+    }
+
+    #[test]
     fn filter_type_check() {
         assert!(FilterExec::new(products(), &col("price").add(lit(1.0))).is_err());
         assert!(FilterExec::new(products(), &col("missing").gt(lit(1.0))).is_err());
@@ -1173,8 +1209,8 @@ mod tests {
         let t = Table::from_columns(
             Schema::new(vec![Field::new("k", DataType::Utf8)]),
             vec![Column::Utf8 {
-                values: vec!["a".into(), "b".into()],
-                validity: Some(Bitmap::from_bools([true, false])),
+                values: vec!["a".into(), "b".into()].into(),
+                validity: Some(Bitmap::from_bools([true, false]).into()),
             }],
         )
         .unwrap();
@@ -1260,8 +1296,8 @@ mod tests {
         let t = Table::from_columns(
             Schema::new(vec![Field::new("x", DataType::Int64)]),
             vec![Column::Int64 {
-                values: vec![1, 0, 3],
-                validity: Some(Bitmap::from_bools([true, false, true])),
+                values: vec![1, 0, 3].into(),
+                validity: Some(Bitmap::from_bools([true, false, true]).into()),
             }],
         )
         .unwrap();

@@ -7,6 +7,8 @@
 use crate::bind::BoundExpr;
 use crate::expr::BinOp;
 use cx_storage::{Bitmap, Chunk, Column, DataType, Error, Result};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Evaluates a bound expression over a chunk, producing one column with the
 /// chunk's row count.
@@ -38,11 +40,9 @@ pub fn eval(expr: &BoundExpr, chunk: &Chunk) -> Result<Column> {
         }
         BoundExpr::IsNull(inner) => {
             let v = eval(inner, chunk)?;
-            let values = (0..v.len()).map(|i| !v.is_valid(i)).collect();
-            Ok(Column::Bool {
-                values,
-                validity: None,
-            })
+            Ok(Column::from_bools(
+                (0..v.len()).map(|i| !v.is_valid(i)).collect(),
+            ))
         }
     }
 }
@@ -57,7 +57,7 @@ pub fn eval_predicate(expr: &BoundExpr, chunk: &Chunk) -> Result<Bitmap> {
     ))
 }
 
-fn as_bool_parts(col: &Column) -> Result<(&[bool], Option<Bitmap>)> {
+fn as_bool_parts(col: &Column) -> Result<(&[bool], Option<Arc<Bitmap>>)> {
     match col {
         Column::Bool { values, validity } => Ok((values, validity.clone())),
         other => Err(Error::TypeMismatch {
@@ -114,8 +114,8 @@ fn eval_logical(op: BinOp, left: &Column, right: &Column) -> Result<Column> {
         }
     }
     Ok(Column::Bool {
-        values,
-        validity: if has_null { Some(validity) } else { None },
+        values: values.into(),
+        validity: has_null.then(|| Arc::new(validity)),
     })
 }
 
@@ -188,8 +188,8 @@ fn eval_comparison(op: BinOp, left: &Column, right: &Column) -> Result<Column> {
         }
     }
     Ok(Column::Bool {
-        values,
-        validity: if has_null { Some(validity) } else { None },
+        values: values.into(),
+        validity: has_null.then(|| Arc::new(validity)),
     })
 }
 
@@ -235,10 +235,10 @@ fn eval_arithmetic(op: BinOp, left: &Column, right: &Column, out_type: DataType)
             }
         }
     }
-    let validity = if has_null { Some(validity) } else { None };
+    let validity = has_null.then(|| Arc::new(validity));
     Ok(match out_type {
         DataType::Float64 => Column::Float64 {
-            values: out_f,
+            values: out_f.into(),
             validity,
         },
         DataType::Int64 => Column::Int64 {
@@ -258,12 +258,14 @@ fn eval_arithmetic(op: BinOp, left: &Column, right: &Column, out_type: DataType)
     })
 }
 
-fn numeric_as_f64(col: &Column) -> Result<Vec<f64>> {
+/// A numeric column's values as `f64`: borrowed for Float64, converted for
+/// Int64 and Timestamp.
+fn numeric_as_f64(col: &Column) -> Result<Cow<'_, [f64]>> {
     Ok(match col {
         Column::Int64 { values, .. } | Column::Timestamp { values, .. } => {
-            values.iter().map(|&v| v as f64).collect()
+            Cow::Owned(values.iter().map(|&v| v as f64).collect())
         }
-        Column::Float64 { values, .. } => values.clone(),
+        Column::Float64 { values, .. } => Cow::Borrowed(values),
         other => {
             return Err(Error::TypeMismatch {
                 expected: "numeric column".into(),
@@ -349,8 +351,8 @@ mod tests {
         let chunk = Chunk::new(
             schema.clone(),
             vec![Column::Int64 {
-                values: vec![1, 2, 3],
-                validity: Some(Bitmap::from_bools([true, false, true])),
+                values: vec![1, 2, 3].into(),
+                validity: Some(Bitmap::from_bools([true, false, true]).into()),
             }],
         )
         .unwrap();
@@ -372,8 +374,8 @@ mod tests {
         let chunk = Chunk::new(
             schema.clone(),
             vec![Column::Int64 {
-                values: vec![5, 0],
-                validity: Some(Bitmap::from_bools([false, true])),
+                values: vec![5, 0].into(),
+                validity: Some(Bitmap::from_bools([false, true]).into()),
             }],
         )
         .unwrap();

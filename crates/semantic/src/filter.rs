@@ -210,8 +210,8 @@ mod tests {
         let table = Table::from_columns(
             Schema::new(vec![Field::new("name", DataType::Utf8)]),
             vec![Column::Utf8 {
-                values: vec!["boots".into(), String::new()],
-                validity: Some(Bitmap::from_bools([true, false])),
+                values: vec!["boots".into(), String::new()].into(),
+                validity: Some(Bitmap::from_bools([true, false]).into()),
             }],
         )
         .unwrap();

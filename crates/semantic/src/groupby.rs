@@ -202,7 +202,7 @@ mod tests {
         let names = ["dog", "canine", "boots", "puppy", "sneakers", "boots"];
         let amounts = [10.0, 20.0, 5.0, 30.0, 7.0, 8.0];
         let validity = if with_null {
-            Some(Bitmap::from_bools([true, true, true, true, true, false]))
+            Some(Bitmap::from_bools([true, true, true, true, true, false]).into())
         } else {
             None
         };

@@ -7,6 +7,7 @@ use crate::error::{Error, Result};
 use crate::scalar::Scalar;
 use crate::schema::SchemaRef;
 use crate::types::DataType;
+use std::sync::Arc;
 
 /// Incrementally builds one typed [`Column`] from scalars.
 #[derive(Debug)]
@@ -86,30 +87,26 @@ impl ColumnBuilder {
 
     /// Finishes the column.
     pub fn finish(self) -> Column {
-        let validity = if self.has_nulls {
-            Some(self.validity)
-        } else {
-            None
-        };
+        let validity = self.has_nulls.then(|| Arc::new(self.validity));
         match self.data_type {
             DataType::Bool => Column::Bool {
-                values: self.bools,
+                values: self.bools.into(),
                 validity,
             },
             DataType::Int64 => Column::Int64 {
-                values: self.ints,
+                values: self.ints.into(),
                 validity,
             },
             DataType::Float64 => Column::Float64 {
-                values: self.floats,
+                values: self.floats.into(),
                 validity,
             },
             DataType::Utf8 => Column::Utf8 {
-                values: self.strings,
+                values: self.strings.into(),
                 validity,
             },
             DataType::Timestamp => Column::Timestamp {
-                values: self.ints,
+                values: self.ints.into(),
                 validity,
             },
         }

@@ -1,4 +1,7 @@
 //! Record chunks: the unit of vectorized execution.
+//!
+//! A chunk's columns share their buffers (see [`Column`]), so cloning,
+//! projecting or zipping chunks copies no row.
 
 use crate::bitmap::Bitmap;
 use crate::column::Column;
@@ -315,6 +318,28 @@ mod tests {
         let all = Chunk::concat(&[c.clone(), c.clone()]).unwrap();
         assert_eq!(all.num_rows(), 6);
         assert!(Chunk::concat(&[]).is_err());
+    }
+
+    /// Each column's value-buffer address.
+    fn buffers(c: &Chunk) -> Vec<*const u8> {
+        c.columns()
+            .iter()
+            .map(|col| match col.data_type() {
+                DataType::Int64 => col.i64_values().unwrap().as_ptr().cast(),
+                _ => col.utf8_values().unwrap().as_ptr().cast(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn clone_project_and_zip_share_buffers() {
+        let c = chunk();
+        let [id, name] = buffers(&c)[..] else {
+            unreachable!("two columns")
+        };
+        assert_eq!(buffers(&c.clone()), [id, name]);
+        assert_eq!(buffers(&c.project(&[1, 0]).unwrap()), [name, id]);
+        assert_eq!(buffers(&c.zip(&c).unwrap()), [id, name, id, name]);
     }
 
     #[test]

@@ -1,36 +1,44 @@
-//! Typed column vectors.
+//! Typed column vectors over shared, immutable buffers.
+//!
+//! A column's values and validity live behind `Arc`s and never change once
+//! built, so cloning a column (a scan handing out a table's chunk, a
+//! projection, a column reference in an expression) is a refcount bump and
+//! copies no row. Every operation that derives data (`filter`, `take`,
+//! `slice`, `concat`, expression evaluation) builds new buffers.
 
 use crate::bitmap::Bitmap;
 use crate::error::{Error, Result};
 use crate::scalar::Scalar;
 use crate::types::DataType;
+use std::sync::Arc;
 
 /// A contiguous, typed column of values with an optional validity bitmap.
 ///
 /// `validity == None` means "all rows valid"; this keeps the common non-null
 /// path free of bitmap reads. Operators work on whole columns (vectorized);
-/// [`Column::get`] exists for plan boundaries, tests, and display.
+/// [`Column::get`] exists for plan boundaries, tests, and display. Build the
+/// buffers with `.into()` from a `Vec` and a [`Bitmap`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     Bool {
-        values: Vec<bool>,
-        validity: Option<Bitmap>,
+        values: Arc<[bool]>,
+        validity: Option<Arc<Bitmap>>,
     },
     Int64 {
-        values: Vec<i64>,
-        validity: Option<Bitmap>,
+        values: Arc<[i64]>,
+        validity: Option<Arc<Bitmap>>,
     },
     Float64 {
-        values: Vec<f64>,
-        validity: Option<Bitmap>,
+        values: Arc<[f64]>,
+        validity: Option<Arc<Bitmap>>,
     },
     Utf8 {
-        values: Vec<String>,
-        validity: Option<Bitmap>,
+        values: Arc<[String]>,
+        validity: Option<Arc<Bitmap>>,
     },
     Timestamp {
-        values: Vec<i64>,
-        validity: Option<Bitmap>,
+        values: Arc<[i64]>,
+        validity: Option<Arc<Bitmap>>,
     },
 }
 
@@ -38,7 +46,7 @@ impl Column {
     /// A non-null boolean column.
     pub fn from_bools(values: Vec<bool>) -> Self {
         Column::Bool {
-            values,
+            values: values.into(),
             validity: None,
         }
     }
@@ -46,7 +54,7 @@ impl Column {
     /// A non-null Int64 column.
     pub fn from_i64(values: Vec<i64>) -> Self {
         Column::Int64 {
-            values,
+            values: values.into(),
             validity: None,
         }
     }
@@ -54,7 +62,7 @@ impl Column {
     /// A non-null Float64 column.
     pub fn from_f64(values: Vec<f64>) -> Self {
         Column::Float64 {
-            values,
+            values: values.into(),
             validity: None,
         }
     }
@@ -70,33 +78,33 @@ impl Column {
     /// A non-null timestamp column (microseconds since epoch).
     pub fn from_timestamps(values: Vec<i64>) -> Self {
         Column::Timestamp {
-            values,
+            values: values.into(),
             validity: None,
         }
     }
 
     /// An all-NULL column of the given type and length.
     pub fn nulls(data_type: DataType, len: usize) -> Self {
-        let validity = Some(Bitmap::new(len, false));
+        let validity = Some(Arc::new(Bitmap::new(len, false)));
         match data_type {
             DataType::Bool => Column::Bool {
-                values: vec![false; len],
+                values: vec![false; len].into(),
                 validity,
             },
             DataType::Int64 => Column::Int64 {
-                values: vec![0; len],
+                values: vec![0; len].into(),
                 validity,
             },
             DataType::Float64 => Column::Float64 {
-                values: vec![0.0; len],
+                values: vec![0.0; len].into(),
                 validity,
             },
             DataType::Utf8 => Column::Utf8 {
-                values: vec![String::new(); len],
+                values: vec![String::new(); len].into(),
                 validity,
             },
             DataType::Timestamp => Column::Timestamp {
-                values: vec![0; len],
+                values: vec![0; len].into(),
                 validity,
             },
         }
@@ -110,10 +118,7 @@ impl Column {
             Scalar::Bool(v) => Column::from_bools(vec![*v; len]),
             Scalar::Int64(v) => Column::from_i64(vec![*v; len]),
             Scalar::Float64(v) => Column::from_f64(vec![*v; len]),
-            Scalar::Utf8(v) => Column::Utf8 {
-                values: vec![v.clone(); len],
-                validity: None,
-            },
+            Scalar::Utf8(v) => Column::from_strings(vec![v.clone(); len]),
             Scalar::Timestamp(v) => Column::from_timestamps(vec![*v; len]),
         }
     }
@@ -168,7 +173,7 @@ impl Column {
             | Column::Int64 { validity, .. }
             | Column::Float64 { validity, .. }
             | Column::Utf8 { validity, .. }
-            | Column::Timestamp { validity, .. } => validity.as_ref(),
+            | Column::Timestamp { validity, .. } => validity.as_deref(),
         }
     }
 
@@ -279,10 +284,10 @@ impl Column {
     }
 
     fn take_unchecked(&self, indices: &[usize]) -> Column {
-        fn gather<T: Clone>(values: &[T], indices: &[usize]) -> Vec<T> {
+        fn gather<T: Clone>(values: &[T], indices: &[usize]) -> Arc<[T]> {
             indices.iter().map(|&i| values[i].clone()).collect()
         }
-        let validity = self.validity().map(|v| v.take(indices));
+        let validity = self.validity().map(|v| Arc::new(v.take(indices)));
         match self {
             Column::Bool { values, .. } => Column::Bool {
                 values: gather(values, indices),
@@ -332,14 +337,11 @@ impl Column {
             (a, b) => {
                 let a = a.cloned().unwrap_or_else(|| Bitmap::new(self.len(), true));
                 let b = b.cloned().unwrap_or_else(|| Bitmap::new(other.len(), true));
-                Some(a.concat(&b))
+                Some(Arc::new(a.concat(&b)))
             }
         };
-        fn join<T: Clone>(a: &[T], b: &[T]) -> Vec<T> {
-            let mut out = Vec::with_capacity(a.len() + b.len());
-            out.extend_from_slice(a);
-            out.extend_from_slice(b);
-            out
+        fn join<T: Clone>(a: &[T], b: &[T]) -> Arc<[T]> {
+            a.iter().chain(b).cloned().collect()
         }
         Ok(match (self, other) {
             (Column::Bool { values: a, .. }, Column::Bool { values: b, .. }) => Column::Bool {
@@ -446,8 +448,8 @@ mod tests {
     #[test]
     fn take_preserves_validity() {
         let c = Column::Int64 {
-            values: vec![1, 2, 3],
-            validity: Some(Bitmap::from_bools([true, false, true])),
+            values: vec![1, 2, 3].into(),
+            validity: Some(Bitmap::from_bools([true, false, true]).into()),
         };
         let t = c.take(&[1, 2]).unwrap();
         assert_eq!(t.get(0), Scalar::Null);
@@ -458,8 +460,8 @@ mod tests {
     fn concat_mixed_validity() {
         let a = Column::from_i64(vec![1, 2]);
         let b = Column::Int64 {
-            values: vec![3, 4],
-            validity: Some(Bitmap::from_bools([false, true])),
+            values: vec![3, 4].into(),
+            validity: Some(Bitmap::from_bools([false, true]).into()),
         };
         let c = a.concat(&b).unwrap();
         assert_eq!(c.len(), 4);
@@ -491,6 +493,79 @@ mod tests {
         assert_eq!(c.null_count(), 1);
         assert!(Column::from_scalars(&[Scalar::Null], None).is_err());
         assert!(Column::from_scalars(&[Scalar::Null], Some(DataType::Bool)).is_ok());
+    }
+
+    /// The address of a column's value buffer.
+    fn buffer(c: &Column) -> *const u8 {
+        match c.data_type() {
+            DataType::Bool => c.bool_values().unwrap().as_ptr().cast(),
+            DataType::Int64 => c.i64_values().unwrap().as_ptr().cast(),
+            DataType::Float64 => c.f64_values().unwrap().as_ptr().cast(),
+            DataType::Utf8 => c.utf8_values().unwrap().as_ptr().cast(),
+            DataType::Timestamp => c.timestamp_values().unwrap().as_ptr().cast(),
+        }
+    }
+
+    /// A deep copy rebuilt row by row from scalars.
+    fn deep_copy(c: &Column) -> Column {
+        let rows: Vec<Scalar> = c.iter().collect();
+        let copy = Column::from_scalars(&rows, Some(c.data_type())).unwrap();
+        assert_ne!(buffer(&copy), buffer(c));
+        copy
+    }
+
+    fn with_nulls() -> Column {
+        Column::from_scalars(
+            &[
+                Scalar::from("a"),
+                Scalar::Null,
+                Scalar::from("a"),
+                Scalar::from(""),
+            ],
+            None,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn clone_shares_buffers() {
+        for c in [
+            sample(),
+            with_nulls(),
+            Column::from_f64(vec![-0.0, f64::NAN]),
+        ] {
+            let copy = c.clone();
+            assert_eq!(buffer(&copy), buffer(&c));
+        }
+    }
+
+    #[test]
+    fn clone_shares_validity() {
+        let c = with_nulls();
+        let copy = c.clone();
+        assert!(std::ptr::eq(
+            copy.validity().unwrap(),
+            c.validity().unwrap()
+        ));
+        assert_eq!(copy.null_count(), 1);
+    }
+
+    #[test]
+    fn derived_columns_get_new_buffers_and_leave_the_source_alone() {
+        for c in [sample(), with_nulls()] {
+            let before = deep_copy(&c);
+            let mask = Bitmap::from_bools((0..c.len()).map(|i| i % 2 == 0));
+            let derived = [
+                c.filter(&mask).unwrap(),
+                c.take(&[0, 0, 1]).unwrap(),
+                c.concat(&c).unwrap(),
+                c.slice(0, c.len()).unwrap(),
+            ];
+            for d in &derived {
+                assert_ne!(buffer(d), buffer(&c));
+            }
+            assert_eq!(c, before);
+        }
     }
 
     #[test]

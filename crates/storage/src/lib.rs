@@ -5,6 +5,7 @@
 //! * [`DataType`] / [`Scalar`] — the logical type system and single values,
 //! * [`Bitmap`] — packed validity (null) bitmaps,
 //! * [`Column`] — typed, contiguous column vectors with optional validity,
+//!   held in shared immutable buffers (a clone is a refcount bump),
 //! * [`Chunk`] — a horizontal slice of a table (a batch of rows, stored
 //!   column-wise) which is the unit of vectorized execution,
 //! * [`Schema`] / [`Field`] — named, typed column descriptors,

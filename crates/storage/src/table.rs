@@ -90,7 +90,8 @@ impl Table {
         Ok(())
     }
 
-    /// All rows as one chunk (copies; for small results and tests).
+    /// All rows as one chunk (copies unless the table has one chunk; for
+    /// small results and tests).
     pub fn to_chunk(&self) -> Result<Chunk> {
         if self.chunks.is_empty() {
             return Ok(Chunk::empty(self.schema.clone()));
@@ -132,7 +133,8 @@ impl Table {
         unreachable!("row index validated above")
     }
 
-    /// The column named `name` materialized across all chunks (copies).
+    /// The column named `name` materialized across all chunks (copies unless
+    /// the table has one chunk).
     pub fn column_by_name(&self, name: &str) -> Result<Column> {
         let idx = self.schema.index_of(name)?;
         let mut parts: Vec<&Column> = Vec::with_capacity(self.chunks.len());

@@ -366,7 +366,7 @@ proptest! {
         let scan = |keys: &[(String, bool)], col: &str| -> Arc<dyn PhysicalOperator> {
             let column = Column::Utf8 {
                 values: keys.iter().map(|(word, _)| word.clone()).collect(),
-                validity: Some(Bitmap::from_bools(keys.iter().map(|&(_, valid)| valid))),
+                validity: Some(Bitmap::from_bools(keys.iter().map(|&(_, valid)| valid)).into()),
             };
             let schema = Schema::new(vec![Field::new(col, DataType::Utf8)]);
             let table = Table::from_columns(schema, vec![column]).unwrap();
@@ -912,7 +912,7 @@ proptest! {
             let keys: Vec<(String, bool)> = (0..n).map(|_| key()).collect();
             Column::Utf8 {
                 values: keys.iter().map(|(w, _)| w.clone()).collect(),
-                validity: Some(Bitmap::from_bools(keys.iter().map(|&(_, valid)| valid))),
+                validity: Some(Bitmap::from_bools(keys.iter().map(|&(_, valid)| valid)).into()),
             }
         };
         let (left_keys, right_keys) = (keys_of(n_left, &mut key), keys_of(n_right, &mut key));
@@ -992,7 +992,7 @@ proptest! {
             let keys: Vec<(String, bool)> = (0..n).map(|_| key()).collect();
             Column::Utf8 {
                 values: keys.iter().map(|(w, _)| w.clone()).collect(),
-                validity: Some(Bitmap::from_bools(keys.iter().map(|&(_, valid)| valid))),
+                validity: Some(Bitmap::from_bools(keys.iter().map(|&(_, valid)| valid)).into()),
             }
         };
         let (left_keys, right_keys) = (keys_of(n_left, &mut key), keys_of(n_right, &mut key));
@@ -1085,7 +1085,7 @@ proptest! {
             .collect();
         let names = Column::Utf8 {
             values: words.iter().map(|(w, _)| w.clone()).collect(),
-            validity: Some(Bitmap::from_bools(words.iter().map(|&(_, valid)| valid))),
+            validity: Some(Bitmap::from_bools(words.iter().map(|&(_, valid)| valid)).into()),
         };
         let part: Vec<i64> = (0..n).map(|_| rng.next_range(3) as i64).collect();
         let table = Table::from_columns(
@@ -1213,5 +1213,130 @@ proptest! {
                 // NULL arithmetic folded away) — that is acceptable.
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Registered tables are immutable; statements over them are repeatable
+// ---------------------------------------------------------------------------
+
+/// Every cell of every chunk, floats by their bits (so NaN and -0.0 compare
+/// exactly), chunk boundaries kept.
+fn cell_bits(table: &cx_storage::Table) -> Vec<Vec<Vec<String>>> {
+    table
+        .chunks()
+        .iter()
+        .map(|chunk| {
+            (0..chunk.num_rows())
+                .map(|i| {
+                    chunk
+                        .row(i)
+                        .unwrap()
+                        .iter()
+                        .map(|cell| match cell {
+                            Scalar::Float64(v) => format!("f64:{:016x}", v.to_bits()),
+                            other => format!("{other:?}"),
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn registered_tables_stay_unchanged_and_statements_repeat_bit_for_bit() {
+    use context_analytics::{Engine, EngineConfig, ServeConfig, Server, SqlResponse};
+    use cx_embed::HashNGramModel;
+    use cx_storage::Table;
+
+    let n = 23;
+    let pool = ["boots", "boot", "coat", "mug", ""];
+    let names: Vec<Scalar> = (0..n)
+        .map(|i| match i % 6 {
+            5 => Scalar::Null,
+            k => Scalar::from(pool[(k + i / 6) % pool.len()]),
+        })
+        .collect();
+    let prices: Vec<Scalar> = (0..n)
+        .map(|i| match i % 7 {
+            0 => Scalar::Float64(f64::NAN),
+            1 => Scalar::Float64(-0.0),
+            2 => Scalar::Float64(0.0),
+            3 => Scalar::Null,
+            k => Scalar::Float64(k as f64 * 1.5),
+        })
+        .collect();
+    let items = Table::from_columns(
+        Schema::new(vec![
+            Field::new("id", DataType::Int64),
+            Field::new("name", DataType::Utf8),
+            Field::new("price", DataType::Float64),
+        ]),
+        vec![
+            Column::from_i64((0..n as i64).collect()),
+            Column::from_scalars(&names, None).unwrap(),
+            Column::from_scalars(&prices, None).unwrap(),
+        ],
+    )
+    .unwrap();
+    let labels = Table::from_columns(
+        Schema::new(vec![
+            Field::new("label_id", DataType::Int64),
+            Field::new("label", DataType::Utf8),
+        ]),
+        vec![
+            Column::from_i64(vec![0, 1, 2, 3]),
+            Column::from_strings(["boots", "coat", "boots", "hat"]),
+        ],
+    )
+    .unwrap();
+    let statements = [
+        "SELECT id, name, price FROM items WHERE price >= 0.0 OR name = 'mug'",
+        "SELECT id, name, label_id FROM items INNER JOIN labels ON name = label",
+        "SELECT name, COUNT(*) AS n, SUM(price) AS total, MIN(price) AS lo \
+         FROM items GROUP BY name ORDER BY name",
+        "SELECT id, price FROM items ORDER BY price DESC, id LIMIT 5",
+        "SELECT name FROM items UNION ALL SELECT label AS name FROM labels",
+        "SELECT id, name FROM items WHERE name SEMANTIC LIKE 'boots' (0.5) ORDER BY id",
+        "SELECT id, label_id, similarity FROM items \
+         SEMANTIC JOIN labels ON SIM(name, label) >= 0.0 \
+         ORDER BY similarity DESC, label_id, id LIMIT 4",
+    ];
+
+    for rows_per_chunk in [1, 7, n] {
+        let items = items.rechunk(rows_per_chunk).unwrap();
+        let labels = labels.rechunk(rows_per_chunk).unwrap();
+        // Deep copies, taken before the tables are registered.
+        let (items_before, labels_before) = (cell_bits(&items), cell_bits(&labels));
+        let engine = Arc::new(Engine::new(EngineConfig::default()));
+        engine.register_model(Arc::new(HashNGramModel::new(3)));
+        engine.register_table("items", items).unwrap();
+        engine.register_table("labels", labels).unwrap();
+        // No result memo: the second run executes too.
+        let config = ServeConfig {
+            cache_results: false,
+            ..ServeConfig::default()
+        };
+        let session = Server::new(engine.clone(), config).session();
+        for sql in statements {
+            let mut answers = (0..2).map(|_| match session.sql(sql).unwrap() {
+                SqlResponse::Rows(r) => cell_bits(&r.table),
+                _ => panic!("a SELECT returns rows: {sql}"),
+            });
+            let first = answers.next().unwrap();
+            assert!(
+                first.iter().any(|chunk| !chunk.is_empty()),
+                "{sql} returns rows"
+            );
+            assert_eq!(
+                answers.next().unwrap(),
+                first,
+                "{sql} at {rows_per_chunk} rows a chunk"
+            );
+        }
+        let catalog = engine.catalog();
+        assert_eq!(cell_bits(&catalog.table("items").unwrap()), items_before);
+        assert_eq!(cell_bits(&catalog.table("labels").unwrap()), labels_before);
     }
 }
