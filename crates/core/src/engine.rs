@@ -613,10 +613,10 @@ mod tests {
     #[test]
     fn racing_first_lookups_share_one_embedding_cache() {
         // Every caller must get the *same* cache for a model. Whoever held
-        // the loser of the creation race (the serving layer's embed
-        // batcher, say) warmed a cache no operator ever read, and every
-        // string was embedded twice — the `serve_concurrency` flake, 30
-        // model calls where 15 suffice.
+        // the loser of the creation race (one of two concurrent first
+        // statements, say) filled a cache no later operator read, and
+        // every string was embedded twice — 30 model calls where 15
+        // suffice.
         let threads = 8;
         for round in 0..200 {
             let engine = Engine::new(EngineConfig::default());

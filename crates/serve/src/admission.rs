@@ -33,18 +33,39 @@
 //! state is a handful of counters that are always left consistent, so a
 //! panicked peer must not brick admission for every later query.
 //!
-//! The gate admits; it does not coalesce, so it is not a client of
-//! [`crate::coalesce`] — but its deadline and cancel-poll waits read the
-//! same clock, which is what lets tests expire a queued waiter
-//! without sleeping.
+//! Deadline and cancel-poll waits read the time only through the
+//! `Clock` handed to the gate, which is what lets tests expire a queued
+//! waiter without sleeping.
 
-use crate::coalesce::{Clock, SystemClock};
 use cx_storage::{QueryContext, QueryError, Result};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Where the gate's waits read the time.
+pub(crate) trait Clock: Send + Sync {
+    /// The current instant on this clock.
+    fn now(&self) -> Instant;
+    /// How long a waiter that wants to wake at `deadline` may block on
+    /// its condvar before it must read `now` again.
+    fn park(&self, deadline: Instant) -> Duration;
+}
+
+/// The real clock: what [`CostGate::new`] runs on.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SystemClock;
+
+impl Clock for SystemClock {
+    fn now(&self) -> Instant {
+        Instant::now()
+    }
+
+    fn park(&self, deadline: Instant) -> Duration {
+        deadline.saturating_duration_since(Instant::now())
+    }
+}
 
 /// How often a blocked waiter re-checks its cancellation token.
 const CANCEL_POLL: Duration = Duration::from_millis(5);
@@ -271,10 +292,65 @@ impl Drop for Permit<'_> {
     }
 }
 
+/// Test support for this crate's clock-driven and concurrent tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use std::sync::atomic::AtomicU64;
+
+    /// A clock that moves only when told to: deadlines measured on it
+    /// expire exactly when a test says so. Waiters re-read it every
+    /// [`ManualClock::POLL`] of real time, so an advance is noticed
+    /// promptly and no outcome depends on how long that takes.
+    #[derive(Debug)]
+    pub(crate) struct ManualClock {
+        base: Instant,
+        advanced_ns: AtomicU64,
+    }
+
+    impl ManualClock {
+        const POLL: Duration = Duration::from_micros(200);
+
+        pub(crate) fn new() -> Arc<Self> {
+            Arc::new(ManualClock {
+                base: SystemClock.now(),
+                advanced_ns: AtomicU64::new(0),
+            })
+        }
+
+        pub(crate) fn advance(&self, by: Duration) {
+            self.advanced_ns
+                .fetch_add(by.as_nanos() as u64, Ordering::SeqCst);
+        }
+    }
+
+    impl Clock for ManualClock {
+        fn now(&self) -> Instant {
+            self.base + Duration::from_nanos(self.advanced_ns.load(Ordering::SeqCst))
+        }
+
+        fn park(&self, _deadline: Instant) -> Duration {
+            Self::POLL
+        }
+    }
+
+    /// Yields until `cond` holds: the tests' way of ordering threads on
+    /// observed state instead of on elapsed time.
+    pub(crate) fn spin_until(what: &str, cond: impl Fn() -> bool) {
+        for _ in 0..50_000_000u64 {
+            if cond() {
+                return;
+            }
+            std::thread::yield_now();
+        }
+        panic!("gave up waiting until {what}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::{spin_until, ManualClock};
     use super::*;
-    use crate::coalesce::testing::{spin_until, ManualClock};
     use cx_storage::{CancelToken, Error};
     use std::sync::atomic::AtomicUsize;
 

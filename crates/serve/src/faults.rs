@@ -32,8 +32,9 @@ const SITES: usize = 2;
 /// The serving-stack boundaries a [`FaultPlan`] can strike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// At plan warm-up on the query thread, before a model's texts are
-    /// submitted to its embed batcher.
+    /// On the query thread, when a plan-cache miss builds a plan with a
+    /// semantic filter, join or group-by: once, before the optimizer,
+    /// whose selectivity sampling is where a plan build embeds.
     Embed,
     /// Before admission (the cost gate) on the query thread.
     Admission,
@@ -68,10 +69,10 @@ impl fmt::Display for FaultSite {
 /// What an injection point does when the dice say "fault".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// `panic!` at the site — exercises the containment boundaries
-    /// (the batcher's `catch_unwind`, the server's top-level guard).
+    /// `panic!` at the site — exercises the server's containment
+    /// boundary at the query's top level.
     Panic,
-    /// Sleep at the site — exercises deadlines and linger bounds.
+    /// Sleep at the site — exercises deadlines.
     Delay,
     /// Return [`QueryError::Transient`] — exercises the retry-once
     /// policy.

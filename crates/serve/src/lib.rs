@@ -15,21 +15,10 @@
 //!   result table ([`ServeConfig::cache_results`]): the engine is
 //!   deterministic and the entry is pinned to one catalog version, so an
 //!   exact replay is the same table and skips execution outright.
-//! * **[`EmbedBatcher`]** — a cross-query embedding batch scheduler:
-//!   concurrent queries' embed working sets coalesce into one group
-//!   (sealed on size or deadline) whose first submitter deduplicates them
-//!   and runs batched [`cx_embed::EmbeddingCache::get_batch_into`] calls
-//!   on its own thread, so N concurrent semantic scans over overlapping
-//!   corpora pay one model pass.
 //! * **[`CostGate`]** — admission control: a cost-weighted semaphore on
 //!   `cx_optimizer::estimate_cost`, bounding the total estimated work
-//!   executing at once.
-//! * **[`coalesce`]** — the leader/follower primitive behind the embed
-//!   batcher: first arrival leads, the group seals on size or linger,
-//!   one drain on the leader's thread serves every member, a drain panic
-//!   costs its group only. No background threads; its only time source
-//!   is a clock passed at construction, so the protocol is tested
-//!   without sleeping.
+//!   executing at once. Its waits read a clock passed at construction,
+//!   so deadline expiry is tested without sleeping.
 //! * **[`Prepared`]** — prepared statements with parameter binding: a
 //!   template with placeholder slots ([`cx_expr::param`],
 //!   `Query::semantic_filter_param`, `Query::limit_param`) is optimized
@@ -57,6 +46,12 @@
 //!   table beside the code that bumps it (atomics, `*Stats` struct,
 //!   `snapshot()`, export and descriptors all come from it), and
 //!   [`metrics`] holds the exporters, the report and [`metric_inventory`].
+//!
+//! There is no cross-statement embed batcher: a statement embeds through
+//! the engine's shared `EmbeddingCache` on its own thread, and a semantic
+//! filter or top-k join over a base column reads that column's resident
+//! panel, built once (see `docs/ARCHITECTURE.md`, "Embedding across
+//! statements").
 //!
 //! ```
 //! use context_engine::{Engine, EngineConfig};
@@ -95,8 +90,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod admission;
-pub mod batcher;
-pub mod coalesce;
 pub mod faults;
 pub mod metrics;
 pub mod plan_cache;
@@ -107,7 +100,6 @@ pub mod systab;
 pub mod watchdog;
 
 pub use admission::{AdmissionStats, CostGate, Permit};
-pub use batcher::{BatcherConfig, BatcherStats, EmbedBatcher};
 pub use faults::{FaultKind, FaultPlan, FaultSite, FaultStats};
 pub use metrics::{metric_inventory, MetricGroup};
 pub use plan_cache::{
@@ -237,19 +229,29 @@ mod tests {
     }
 
     #[test]
-    fn warming_runs_through_the_batcher() {
-        let server = Server::new(engine_with_data(), ServeConfig::default());
+    fn first_execution_embeds_each_distinct_value_once() {
+        let config = ServeConfig {
+            tracing: true,
+            ..ServeConfig::default()
+        };
+        let server = Server::new(engine_with_data(), config);
         let q = server
             .table("products")
             .unwrap()
             .semantic_filter("name", "clothes", "m", 0.75);
-        server.execute(&q).unwrap();
-        let stats = server.batcher("m").unwrap().stats();
-        // The 5 product names + the target went through batched warming.
-        assert!(stats.batches >= 1, "{stats:?}");
-        assert!(stats.batched_texts >= 6, "{stats:?}");
-        // And execution found them cached: the model embedded each distinct
-        // string exactly once.
+        let trace = server.execute(&q).unwrap().trace.unwrap();
+        // The plan-cache miss only optimizes: `optimize` is its one child.
+        let spans = trace.spans();
+        let miss = spans.iter().find(|s| s.name == "plan_cache").unwrap();
+        let under: Vec<_> = spans
+            .iter()
+            .filter(|s| s.depth == 1 && s.start_ns < miss.start_ns + miss.dur_ns)
+            .map(|s| s.name)
+            .collect();
+        assert_eq!((&*miss.detail, &*under), ("miss", &["optimize"][..]));
+        // The 5 product names + the target, each through the shared
+        // cache exactly once: the optimizer's sampling and the execution
+        // read what the other embedded.
         let cache = server.engine().embedding_cache("m").unwrap();
         assert_eq!(cache.model().stats().invocations(), 6);
     }
@@ -507,23 +509,52 @@ mod tests {
 
     #[test]
     fn semantic_statement_runs_at_once_while_another_is_in_flight() {
-        use crate::coalesce::testing::{spin_until, ManualClock};
-        // Releases every clock wait even when a spin below gives up, so a
-        // failure reports instead of hanging the scope's joins.
-        struct Release(Arc<ManualClock>, std::time::Duration);
-        impl Drop for Release {
-            fn drop(&mut self) {
-                self.0.advance(self.1);
+        use crate::admission::testing::spin_until;
+        use cx_embed::{EmbeddingModel, HashNGramModel, ModelStats};
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        /// A model whose every embedding waits until `held` is cleared.
+        struct Blocking {
+            inner: HashNGramModel,
+            held: AtomicBool,
+            entered: AtomicBool,
+        }
+        impl EmbeddingModel for Blocking {
+            fn name(&self) -> &str {
+                "blocking"
+            }
+            fn dim(&self) -> usize {
+                self.inner.dim()
+            }
+            fn embed_into(&self, text: &str, out: &mut [f32]) {
+                self.entered.store(true, Ordering::SeqCst);
+                while self.held.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                self.inner.embed_into(text, out);
+            }
+            fn stats(&self) -> &ModelStats {
+                self.inner.stats()
             }
         }
-        // Every wait in this server is on a clock that moves only when
-        // `Release` drops, and then past any linger.
-        let clock = ManualClock::new();
+        // Releases the model even when a spin below gives up, so a
+        // failure reports instead of hanging the scope's joins.
+        struct Release<'a>(&'a Blocking);
+        impl Drop for Release<'_> {
+            fn drop(&mut self) {
+                self.0.held.store(false, Ordering::SeqCst);
+            }
+        }
+
         let engine = engine_with_data();
-        engine.register_model(Arc::new(cx_embed::HashNGramModel::new(3)));
-        let server = Server::with_clock(engine.clone(), ServeConfig::default(), clock.clone());
-        // Model "m" starts warm, so only the pin below ever parks in a
-        // batcher.
+        let model = Arc::new(Blocking {
+            inner: HashNGramModel::new(3),
+            held: AtomicBool::new(true),
+            entered: AtomicBool::new(false),
+        });
+        engine.register_model(model.clone());
+        let server = Server::new(engine.clone(), ServeConfig::default());
+        // Model "m" starts warm.
         let names = ["boots", "parka", "kitten", "sneakers", "coat", "clothes"];
         engine.embedding_cache("m").unwrap().prefetch(names);
         let filter = server
@@ -531,23 +562,22 @@ mod tests {
             .unwrap()
             .semantic_filter("name", "clothes", "m", 0.75)
             .sort(&[("product_id", true)]);
-        // A statement held in flight: its warm-up lingers in the other
-        // model's (cold) batcher until the clock moves.
+        // A cold statement held in flight inside the blocked model.
         let pin = server.table("products").unwrap().semantic_group_by(
             "name",
-            "hash-ngram",
+            "blocking",
             0.9,
             vec![cx_exec::logical::AggSpec::count_star("n")],
         );
         let served = std::thread::scope(|s| {
-            let release = Release(clock.clone(), std::time::Duration::from_secs(1));
+            let release = Release(&model);
             let pinned = s.spawn(|| server.execute(&pin).unwrap());
-            let cold = server.batcher("hash-ngram").unwrap();
-            spin_until("the pin parks", || cold.groups.parked() == 1);
-            // The filter waits for nobody: it returns with the clock
-            // still frozen.
+            spin_until("the pin embeds", || model.entered.load(Ordering::SeqCst));
+            // The filter waits for nobody: it returns while the pin is
+            // still held.
             let filtered = s.spawn(|| server.execute(&filter).unwrap());
             spin_until("the filter returns", || filtered.is_finished());
+            assert!(!pinned.is_finished(), "the pin was released early");
             drop(release);
             pinned.join().unwrap();
             filtered.join().unwrap()

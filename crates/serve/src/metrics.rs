@@ -16,7 +16,6 @@
 //! emitted and in the inventory — and those tests compare the two.
 
 use crate::admission::AdmissionStats;
-use crate::batcher::BatcherStats;
 use crate::faults::FaultSite;
 use crate::plan_cache::PlanCacheStats;
 use crate::server::{LifecycleStats, ProfileTotalsStats, Server, ServerStats};
@@ -76,7 +75,6 @@ pub fn metric_inventory() -> Vec<MetricGroup> {
         group("lifecycle", &[], LifecycleStats::DESCRIPTORS),
         group("sql", &[], SqlStats::DESCRIPTORS),
         group("faults (plan installed)", &["site"], &[FAULTS]),
-        group("embed batcher", &["model"], BatcherStats::DESCRIPTORS),
         group("latency summaries", &[], &[LATENCY, QUEUE_WAIT]),
         group(
             "per-operator",
@@ -145,9 +143,6 @@ impl Server {
                     injected,
                 );
             }
-        }
-        for (model, b) in &s.batchers {
-            b.export(&[("model", model.as_str())], &mut m);
         }
         m.summary_from_hist(LATENCY.name, LATENCY.help, &[], self.latency_histogram());
         m.summary_from_hist(
@@ -288,14 +283,6 @@ impl Server {
                 f.total(),
                 sites.join(", ")
             ));
-        }
-        for (model, b) in &s.batchers {
-            family_line(
-                &mut out,
-                &format!("embed batcher [{model}]"),
-                "cx_serve_batcher_",
-                b,
-            );
         }
         out.push_str("operator metrics:\n");
         out.push_str(&self.exec_metrics().report());

@@ -5,7 +5,7 @@
 //! literals*: `name ~ $0` for a million different users' search strings.
 //! The plain plan cache cannot help — every distinct literal is a distinct
 //! [`LogicalPlan::fingerprint`], so every request re-optimizes (including
-//! sampling-based selectivity probes) and re-warms. A [`Prepared`] handle
+//! sampling-based selectivity probes). A [`Prepared`] handle
 //! moves that to `prepare` time:
 //!
 //! 1. **Prepare** — the template (built with [`cx_expr::param`],

@@ -7,25 +7,21 @@
 //! function that owns the statement's whole lifecycle; an ad-hoc query is
 //! the zero-parameter case of a prepared statement. Per statement it:
 //!
-//! 1. **warms embeddings** — the raw plan's semantic operators name the
-//!    (model, column) pairs the query will embed; their distinct values
-//!    are submitted to the per-model [`EmbedBatcher`], which coalesces
-//!    overlapping requests from concurrent queries into single batched
-//!    cache fills (warming runs *before* optimization so the optimizer's
-//!    sampling probes hit the cache too),
-//! 2. **resolves the plan** — a [`PlanCache`] lookup on the template's
+//! 1. **resolves the plan** — a [`PlanCache`] lookup on the template's
 //!    `LogicalPlan::fingerprint() ⊕ config_fingerprint(...)`, validated
 //!    against the catalog version; a miss optimizes once and caches the
 //!    optimized logical plan; a replayed (template, binding vector) is
 //!    then served from the entry's result memo, and anything else binds
 //!    its parameters into the optimized plan and lowers the bound plan
 //!    into an operator tree of its own (from the engine's planning
-//!    snapshot, so lowering is a tree walk),
-//! 3. **admits** — [`CostGate::acquire_ctx`] on the optimizer's cost
+//!    snapshot, so lowering is a tree walk). There is no warm-up: what
+//!    the optimizer's sampling and the execution embed goes through the
+//!    engine's shared embedding cache on the statement's own thread,
+//! 2. **admits** — [`CostGate::acquire_ctx`] on the optimizer's cost
 //!    estimate bounds the total estimated cost executing at once, sheds
 //!    with [`QueryError::QueueFull`] past [`ServeConfig::max_queued`]
 //!    waiters, and lets queued queries honor their deadlines,
-//! 4. **executes** — the execution's own physical tree runs wrapped in
+//! 3. **executes** — the execution's own physical tree runs wrapped in
 //!    [`InstrumentedExec`] under the query's [`QueryContext`] scope, so
 //!    deadline/cancellation/budget checks reach every chunk and kernel
 //!    tile, and per-operator rows/time accumulate into the server-level
@@ -49,8 +45,6 @@
 //! with [`Server::set_fault_plan`] to strike these paths on purpose.
 
 use crate::admission::{AdmissionStats, CostGate};
-use crate::batcher::{BatcherConfig, BatcherStats, EmbedBatcher};
-use crate::coalesce::{Clock, SystemClock};
 use crate::faults::{FaultPlan, FaultSite, FaultStats};
 use crate::plan_cache::{BindingKey, CachedPlan, PlanCache, PlanCacheStats};
 use crate::prepared::{Prepared, Statement};
@@ -81,10 +75,6 @@ pub struct ServeConfig {
     /// Total estimated cost (abstract ns) admitted to execute at once.
     /// Non-finite or ≤ 0 disables admission control.
     pub admission_capacity: f64,
-    /// Embed-batcher flush size.
-    pub batch_max: usize,
-    /// Embed-batcher flush deadline.
-    pub batch_linger: Duration,
     /// Memoize each cached plan's result table and serve replays from it.
     /// Sound under the same invariant as the plan cache itself (the engine
     /// is deterministic; results are pinned to a catalog version and
@@ -108,7 +98,7 @@ pub struct ServeConfig {
     /// [`QueryError::QueueFull`] instead of queueing (0 = unbounded).
     pub max_queued: usize,
     /// Record a per-query [`QueryTrace`] of lifecycle spans (plan cache,
-    /// embed warm, admission wait, execution and the operator spans
+    /// optimize, admission wait, execution and the operator spans
     /// beneath it) for every query. Off by default: a span site records
     /// only on a thread this server installed a trace on, and costs one
     /// thread-local load everywhere else — other servers in the process
@@ -156,8 +146,6 @@ impl Default for ServeConfig {
         ServeConfig {
             plan_cache_capacity: 128,
             admission_capacity: 1e9,
-            batch_max: 256,
-            batch_linger: Duration::from_micros(500),
             cache_results: true,
             default_timeout: None,
             default_memory_budget: 0,
@@ -194,7 +182,7 @@ pub struct ServeResult {
     /// so replays are zero-copy (`Arc<Table>` derefs to `Table`; clone the
     /// inner table only if you need to mutate it).
     pub table: Arc<Table>,
-    /// Wall time inside the server (warm + plan + admit + execute).
+    /// Wall time inside the server (plan + admit + execute).
     pub elapsed: Duration,
     /// Optimizer rule trace (from the cached plan on hits).
     pub rules_fired: Vec<String>,
@@ -293,8 +281,6 @@ cx_obs::metric_family! {
         lifecycle: LifecycleStats,
         /// SQL front-end counters ([`Session::sql`]).
         sql: crate::sql::SqlStats,
-        /// Per-model embed-batcher counters, sorted by model name.
-        batchers: Vec<(String, BatcherStats)>,
         /// The resolved SIMD kernel dispatch serving every similarity sweep
         /// (e.g. `f32=avx512`).
         simd: String,
@@ -319,9 +305,6 @@ pub struct Server {
     pub(crate) config: ServeConfig,
     plan_cache: PlanCache,
     pub(crate) gate: CostGate,
-    batchers: RwLock<HashMap<String, Arc<EmbedBatcher>>>,
-    /// What every batcher linger and admission wait is timed on.
-    clock: Arc<dyn Clock>,
     pub(crate) metrics: ExecMetrics,
     serving: ServingCounters,
     pub(crate) lifecycle: LifecycleCounters,
@@ -419,16 +402,6 @@ impl Drop for Server {
 impl Server {
     /// Wraps `engine` for concurrent serving under `config`.
     pub fn new(engine: Arc<Engine>, config: ServeConfig) -> Arc<Self> {
-        Self::with_clock(engine, config, Arc::new(SystemClock))
-    }
-
-    /// [`Server::new`] with every linger and admission wait timed on
-    /// `clock`.
-    pub(crate) fn with_clock(
-        engine: Arc<Engine>,
-        config: ServeConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Arc<Self> {
         // Log the resolved kernel dispatch once per process, not per
         // server: which ISA paths serve the sweeps is global state.
         static SIMD_BANNER: std::sync::Once = std::sync::Once::new();
@@ -445,11 +418,9 @@ impl Server {
         ));
         let server = Arc::new(Server {
             plan_cache: PlanCache::new(config.plan_cache_capacity),
-            gate: CostGate::with_clock(config.admission_capacity, clock.clone()),
+            gate: CostGate::new(config.admission_capacity),
             engine,
             config,
-            batchers: RwLock::new(HashMap::new()),
-            clock,
             metrics,
             serving: ServingCounters::default(),
             lifecycle: LifecycleCounters::default(),
@@ -514,6 +485,16 @@ impl Server {
 
     pub(crate) fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
         self.fault_plan.read().clone()
+    }
+
+    /// Draws `site` from the installed fault plan, if any, recording a
+    /// `fault` event on the statement's trace when it strikes.
+    fn strike(&self, site: FaultSite) -> Result<()> {
+        let Some(plan) = self.fault_plan() else {
+            return Ok(());
+        };
+        plan.strike(site)
+            .inspect_err(|_| cx_obs::event("fault", || site.label().into()))
     }
 
     /// Opens a session handle. Sessions are cheap tagged views over the
@@ -793,13 +774,10 @@ impl Server {
         Ok((cached, false))
     }
 
-    /// First sight of a plan: warms its embedding working set through the
-    /// batcher *before* optimizing, so the optimizer's sampling probes
-    /// and the execution both hit the cache — and so concurrent
-    /// first-timers coalesce into shared batches — then optimizes.
-    /// Plan-cache hits skip all of this: their working set was
-    /// warmed when the plan was first built, and execution re-embeds
-    /// strays through the cache anyway.
+    /// First sight of a plan: optimizes it. The optimizer's selectivity
+    /// sampling is where a plan build embeds, so a plan with a semantic
+    /// operator first draws the installed fault plan's
+    /// [`FaultSite::Embed`] site.
     fn build_plan(
         &self,
         query: &Query,
@@ -807,7 +785,9 @@ impl Server {
         exact_fingerprint: u64,
         version: u64,
     ) -> Result<Arc<CachedPlan>> {
-        self.warm_embeddings(query.plan())?;
+        if plan_has_semantic_operator(query.plan()) {
+            self.strike(FaultSite::Embed)?;
+        }
         let planned = self.engine.optimize_query_with(query, opt_config);
         Ok(Arc::new(CachedPlan {
             volatile: plan_scans_system_table(&planned.plan),
@@ -867,12 +847,7 @@ impl Server {
     /// result and assembles the [`ServeResult`]. Spans record into the
     /// trace the caller installed on this thread.
     pub(crate) fn execute_solo(&self, unit: &ExecUnit) -> Result<ServeResult> {
-        if let Some(plan) = self.fault_plan() {
-            if let Err(e) = plan.strike(FaultSite::Admission) {
-                cx_obs::event("fault", || "admission".into());
-                return Err(e);
-            }
-        }
+        self.strike(FaultSite::Admission)?;
         let wait_started = Instant::now();
         let _span = cx_obs::span("admission");
         let _permit = self
@@ -904,27 +879,6 @@ impl Server {
         })
     }
 
-    /// The batcher for `model` (created on first use), or `None` for
-    /// models the engine does not know.
-    pub fn batcher(&self, model: &str) -> Option<Arc<EmbedBatcher>> {
-        if let Some(b) = self.batchers.read().get(model) {
-            return Some(b.clone());
-        }
-        let cache = self.engine.embedding_cache(model)?;
-        let mut map = self.batchers.write();
-        Some(
-            map.entry(model.to_string())
-                .or_insert_with(|| {
-                    let config = BatcherConfig {
-                        max_batch: self.config.batch_max,
-                        linger: self.config.batch_linger,
-                    };
-                    Arc::new(EmbedBatcher::with_clock(cache, config, self.clock.clone()))
-                })
-                .clone(),
-        )
-    }
-
     /// Plan-cache counters.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.plan_cache.stats()
@@ -942,20 +896,12 @@ impl Server {
 
     /// Full counter snapshot.
     pub fn stats(&self) -> ServerStats {
-        let mut batchers: Vec<(String, BatcherStats)> = self
-            .batchers
-            .read()
-            .iter()
-            .map(|(name, b)| (name.clone(), b.stats()))
-            .collect();
-        batchers.sort_by(|a, b| a.0.cmp(&b.0));
         self.serving.snapshot(
             self.plan_cache.stats(),
             self.gate.stats(),
             ScanSharingStats::default(),
             self.lifecycle.snapshot(),
             self.sql.snapshot(),
-            batchers,
             cx_simd::KernelDispatch::active().report(),
         )
     }
@@ -1040,6 +986,17 @@ fn plan_scans_system_table(plan: &LogicalPlan) -> bool {
         }
     }
     plan.children().into_iter().any(plan_scans_system_table)
+}
+
+/// True when `plan` holds an operator that embeds text: a semantic filter,
+/// join or group-by.
+fn plan_has_semantic_operator(plan: &LogicalPlan) -> bool {
+    matches!(
+        plan,
+        LogicalPlan::SemanticFilter { .. }
+            | LogicalPlan::SemanticJoin { .. }
+            | LogicalPlan::SemanticGroupBy { .. }
+    ) || plan.children().into_iter().any(plan_has_semantic_operator)
 }
 
 /// A per-client handle onto a shared [`Server`].

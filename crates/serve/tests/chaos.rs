@@ -307,7 +307,7 @@ fn bounded_queue_sheds_with_queue_full() {
 /// Fault-plan seeds the storm sweeps: `0xC0FFEE`, `7` and `99` plus
 /// thirteen more. Faults are a pure function of `(seed, site, n)`, so a
 /// seed that fails here is a reproducer. Each statement strikes admission
-/// once per attempt (embed warm-up only on a plan-cache miss); every seed
+/// once per attempt (the embed site only on a plan-cache miss); every seed
 /// listed faults within its first 90 admission draws (seed 7 first
 /// faults at draw 60).
 const STORM_SEEDS: [u64; 16] = [
@@ -498,4 +498,52 @@ fn transient_admission_failure_retries_once() {
     let trace = retried.trace.expect("tracing is on");
     let names: Vec<_> = trace.events().iter().map(|e| e.name).collect();
     assert_eq!(names, ["fault", "retry"], "{}", trace.render());
+}
+
+#[test]
+fn embed_site_strikes_only_when_a_semantic_plan_is_built() {
+    // At rate 1.0 every draw faults, so `per_site` counts draws: the
+    // embed site is drawn once per semantic plan build, and never for a
+    // relational plan or a plan-cache hit. A drawn fault may kill the
+    // statement; only the draws are checked here.
+    let engine = build_engine(200);
+    let server = Server::new(
+        engine.clone(),
+        ServeConfig {
+            cache_results: false,
+            ..ServeConfig::default()
+        },
+    );
+    let embed_draws = || server.fault_stats().unwrap().per_site[0];
+    let semantic = |target: &str| {
+        engine
+            .table("products")
+            .unwrap()
+            .semantic_filter("name", target, "m", 0.85)
+    };
+    let warm = semantic("boots");
+    server.execute(&warm).unwrap();
+
+    server.set_fault_plan(Some(Arc::new(FaultPlan::new(3, 1.0))));
+    let relational = engine
+        .table("products")
+        .unwrap()
+        .filter(cx_expr::col("price").gt(cx_expr::lit(50.0)));
+    let _ = server.execute(&relational);
+    let faults = server.fault_stats().unwrap();
+    assert_eq!(
+        faults.per_site[0], 0,
+        "a relational plan drew the embed site"
+    );
+    assert!(faults.per_site[1] > 0, "the relational statement never ran");
+
+    let _ = server.execute(&warm);
+    assert_eq!(embed_draws(), 0, "a plan-cache hit drew the embed site");
+
+    let _ = server.execute(&semantic("parka"));
+    assert!(
+        embed_draws() >= 1,
+        "a semantic plan build skipped the embed site"
+    );
+    server.set_fault_plan(None);
 }

@@ -12,7 +12,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A server that has touched every subsystem, so every family — the
-/// per-model, per-operator and per-fault-site ones included — has samples.
+/// per-operator and per-fault-site ones included — has samples.
 fn busy_server() -> Arc<Server> {
     let engine = Arc::new(Engine::new(EngineConfig::default()));
     let specs = cx_datagen::table1_clusters();
@@ -156,10 +156,6 @@ fn exposition_carries_every_declared_metric_once_and_nothing_else() {
     stats.lifecycle.export(&[], &mut expected);
     stats.sql.export(&[], &mut expected);
     profile.export(&[], &mut expected);
-    assert_eq!(stats.batchers.len(), 1);
-    for (model, b) in &stats.batchers {
-        b.export(&[("model", model.as_str())], &mut expected);
-    }
     for m in expected.metrics() {
         let labels: Vec<(&str, &str)> = m
             .labels

@@ -299,7 +299,7 @@ fn prometheus_snapshot_roundtrips_with_every_counter() {
     let parsed = promparse::parse(&text).expect("server exposition must parse");
 
     // Every ServerStats / LifecycleStats / FaultStats counter, the cache
-    // rates, the histogram summaries, and the per-model batcher family.
+    // rates, and the histogram summaries.
     for name in [
         "cx_serve_queries_total",
         "cx_serve_sessions_total",
@@ -331,17 +331,6 @@ fn prometheus_snapshot_roundtrips_with_every_counter() {
         "cx_serve_sql_errors_total",
         "cx_serve_sql_shape_hit_rate",
         "cx_serve_faults_injected_total",
-        "cx_serve_batcher_requests_total",
-        "cx_serve_batcher_texts_requested_total",
-        "cx_serve_batcher_texts_enqueued_total",
-        "cx_serve_batcher_texts_already_cached_total",
-        "cx_serve_batcher_texts_coalesced_total",
-        "cx_serve_batcher_batches_total",
-        "cx_serve_batcher_batched_texts_total",
-        "cx_serve_batcher_coalesced_batches_total",
-        "cx_serve_batcher_max_batch_size",
-        "cx_serve_batcher_max_batch_submitters",
-        "cx_serve_batcher_failed_batches_total",
         "cx_serve_query_latency_ns",
         "cx_serve_query_latency_ns_max",
         "cx_serve_queue_wait_ns",

@@ -158,15 +158,6 @@ impl Bitmap {
         out
     }
 
-    /// Concatenates two bitmaps.
-    pub fn concat(&self, other: &Bitmap) -> Bitmap {
-        let mut out = self.clone();
-        for b in other.iter() {
-            out.push(b);
-        }
-        out
-    }
-
     /// A new bitmap with bits gathered from positions `indices`.
     pub fn take(&self, indices: &[usize]) -> Bitmap {
         Bitmap::from_bools(indices.iter().map(|&i| self.get(i)))

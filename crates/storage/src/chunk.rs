@@ -187,23 +187,24 @@ impl Chunk {
         let first = chunks
             .first()
             .ok_or_else(|| Error::InvalidArgument("concat of zero chunks".into()))?;
-        let mut columns = first.columns.clone();
-        let mut rows = first.rows;
-        for chunk in &chunks[1..] {
-            if chunk.schema.fields() != first.schema.fields() {
-                return Err(Error::InvalidArgument(
-                    "concat with mismatched schemas".into(),
-                ));
-            }
-            for (acc, col) in columns.iter_mut().zip(&chunk.columns) {
-                *acc = acc.concat(col)?;
-            }
-            rows += chunk.rows;
+        if chunks[1..]
+            .iter()
+            .any(|chunk| chunk.schema.fields() != first.schema.fields())
+        {
+            return Err(Error::InvalidArgument(
+                "concat with mismatched schemas".into(),
+            ));
         }
+        let columns = (0..first.columns.len())
+            .map(|i| {
+                let parts: Vec<&Column> = chunks.iter().map(|c| &c.columns[i]).collect();
+                Column::concat_all(&parts)
+            })
+            .collect::<Result<Vec<_>>>()?;
         Ok(Chunk {
             schema: first.schema.clone(),
             columns,
-            rows,
+            rows: chunks.iter().map(|c| c.rows).sum(),
         })
     }
 

@@ -324,51 +324,61 @@ impl Column {
         Ok(self.take_unchecked(&indices))
     }
 
-    /// Concatenates two columns of the same type.
+    /// Concatenates two columns of the same type: the two-part case of
+    /// [`Column::concat_all`].
     pub fn concat(&self, other: &Column) -> Result<Column> {
-        if self.data_type() != other.data_type() {
-            return Err(Error::TypeMismatch {
-                expected: self.data_type().to_string(),
-                actual: other.data_type().to_string(),
-            });
+        Column::concat_all(&[self, other])
+    }
+
+    /// Concatenates `parts`, all of one type, in order. The buffers are
+    /// sized once and each part's rows are copied once; a single part is
+    /// returned as a clone, sharing its buffers.
+    pub fn concat_all(parts: &[&Column]) -> Result<Column> {
+        let (first, rest) = parts
+            .split_first()
+            .ok_or_else(|| Error::InvalidArgument("concat of zero columns".into()))?;
+        if rest.is_empty() {
+            return Ok((*first).clone());
         }
-        let validity = match (self.validity(), other.validity()) {
-            (None, None) => None,
-            (a, b) => {
-                let a = a.cloned().unwrap_or_else(|| Bitmap::new(self.len(), true));
-                let b = b.cloned().unwrap_or_else(|| Bitmap::new(other.len(), true));
-                Some(Arc::new(a.concat(&b)))
+        let validity = parts.iter().any(|c| c.validity().is_some()).then(|| {
+            Arc::new(Bitmap::from_bools(
+                parts
+                    .iter()
+                    .flat_map(|c| (0..c.len()).map(|i| c.is_valid(i))),
+            ))
+        });
+        // A part of another type fails its accessor with `TypeMismatch`.
+        fn join<'a, T: Clone + 'a>(
+            parts: &[&'a Column],
+            values: fn(&'a Column) -> Result<&'a [T]>,
+        ) -> Result<Arc<[T]>> {
+            let mut out = Vec::with_capacity(parts.iter().map(|c| c.len()).sum());
+            for part in parts {
+                out.extend_from_slice(values(part)?);
             }
-        };
-        fn join<T: Clone>(a: &[T], b: &[T]) -> Arc<[T]> {
-            a.iter().chain(b).cloned().collect()
+            Ok(out.into())
         }
-        Ok(match (self, other) {
-            (Column::Bool { values: a, .. }, Column::Bool { values: b, .. }) => Column::Bool {
-                values: join(a, b),
+        Ok(match first.data_type() {
+            DataType::Bool => Column::Bool {
+                values: join(parts, Column::bool_values)?,
                 validity,
             },
-            (Column::Int64 { values: a, .. }, Column::Int64 { values: b, .. }) => Column::Int64 {
-                values: join(a, b),
+            DataType::Int64 => Column::Int64 {
+                values: join(parts, Column::i64_values)?,
                 validity,
             },
-            (Column::Float64 { values: a, .. }, Column::Float64 { values: b, .. }) => {
-                Column::Float64 {
-                    values: join(a, b),
-                    validity,
-                }
-            }
-            (Column::Utf8 { values: a, .. }, Column::Utf8 { values: b, .. }) => Column::Utf8 {
-                values: join(a, b),
+            DataType::Float64 => Column::Float64 {
+                values: join(parts, Column::f64_values)?,
                 validity,
             },
-            (Column::Timestamp { values: a, .. }, Column::Timestamp { values: b, .. }) => {
-                Column::Timestamp {
-                    values: join(a, b),
-                    validity,
-                }
-            }
-            _ => unreachable!("type equality checked above"),
+            DataType::Utf8 => Column::Utf8 {
+                values: join(parts, Column::utf8_values)?,
+                validity,
+            },
+            DataType::Timestamp => Column::Timestamp {
+                values: join(parts, Column::timestamp_values)?,
+                validity,
+            },
         })
     }
 

@@ -133,24 +133,19 @@ impl Table {
         unreachable!("row index validated above")
     }
 
-    /// The column named `name` materialized across all chunks (copies unless
-    /// the table has one chunk).
+    /// The column named `name` materialized across all chunks (copies each
+    /// row once unless the table has one chunk, whose buffers it shares).
     pub fn column_by_name(&self, name: &str) -> Result<Column> {
         let idx = self.schema.index_of(name)?;
-        let mut parts: Vec<&Column> = Vec::with_capacity(self.chunks.len());
-        for chunk in &self.chunks {
-            parts.push(chunk.column(idx)?);
+        if self.chunks.is_empty() {
+            return Ok(Column::nulls(self.schema.field_at(idx)?.data_type, 0));
         }
-        match parts.split_first() {
-            None => Ok(Column::nulls(self.schema.field_at(idx)?.data_type, 0)),
-            Some((first, rest)) => {
-                let mut acc = (*first).clone();
-                for col in rest {
-                    acc = acc.concat(col)?;
-                }
-                Ok(acc)
-            }
-        }
+        let parts = self
+            .chunks
+            .iter()
+            .map(|chunk| chunk.column(idx))
+            .collect::<Result<Vec<_>>>()?;
+        Column::concat_all(&parts)
     }
 
     /// Builds a table row-wise from scalars, chunking at
@@ -239,6 +234,61 @@ mod tests {
         assert_eq!(col.len(), 10);
         assert_eq!(col.get(9), Scalar::Int64(9));
         assert!(t.column_by_name("missing").is_err());
+    }
+
+    #[test]
+    fn many_chunk_concat_equals_the_one_chunk_table() {
+        let schema = Schema::new(vec![
+            Field::new("b", DataType::Bool),
+            Field::new("i", DataType::Int64),
+            Field::new("f", DataType::Float64),
+            Field::new("s", DataType::Utf8),
+            Field::new("t", DataType::Timestamp),
+        ]);
+        // NULLs land in some chunks and not in others.
+        let rows = (0..50i64)
+            .map(|i| {
+                if i % 7 == 3 || (20..24).contains(&i) {
+                    vec![Scalar::Null; 5]
+                } else {
+                    vec![
+                        Scalar::Bool(i % 2 == 0),
+                        Scalar::Int64(i),
+                        Scalar::Float64(i as f64 / 4.0),
+                        Scalar::Utf8(format!("v{}", i % 9)),
+                        Scalar::Timestamp(1_000 * i),
+                    ]
+                }
+            })
+            .collect();
+        let whole = Table::from_rows(schema, rows).unwrap();
+        assert_eq!(whole.chunks().len(), 1);
+        let one = &whole.chunks()[0];
+        // One chunk: the column is the chunk's own, buffers shared.
+        assert_eq!(
+            whole
+                .column_by_name("s")
+                .unwrap()
+                .utf8_values()
+                .unwrap()
+                .as_ptr(),
+            one.column(3).unwrap().utf8_values().unwrap().as_ptr()
+        );
+        for rows_per_chunk in [1, 3, 7, 50] {
+            let t = whole.rechunk(rows_per_chunk).unwrap();
+            assert_eq!(t.chunks().len(), 50usize.div_ceil(rows_per_chunk));
+            for (i, field) in whole.schema().fields().iter().enumerate() {
+                assert_eq!(
+                    &t.column_by_name(&field.name).unwrap(),
+                    one.column(i).unwrap(),
+                    "{} at {rows_per_chunk} rows a chunk",
+                    field.name
+                );
+            }
+            let glued = Chunk::concat(t.chunks()).unwrap();
+            assert_eq!(glued.num_rows(), 50);
+            assert_eq!(glued.columns(), one.columns(), "{rows_per_chunk}");
+        }
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! `cx_serve` turns the one-shot engine into a query server: a shared
 //! `Arc<Engine>` behind a [`Server`] with a plan cache (repeated queries
-//! skip optimization and planning, exact replays skip execution), a
-//! cross-query embedding batcher (concurrent semantic queries share one
-//! model pass over overlapping working sets), and cost-based admission
-//! control.
+//! skip optimization and planning, exact replays skip execution) and
+//! cost-based admission control. Every client embeds through the
+//! engine's one shared embedding cache, so a text embedded for one
+//! client is a cache hit for the others.
 //!
 //! Run with: `cargo run --release --example serving`
 
@@ -44,13 +44,14 @@ fn main() -> cx_storage::Result<()> {
     engine.register_table("products", products)?;
 
     // 2. …wrapped in a server. The engine stays fully usable underneath;
-    //    the server adds the shared plan cache, embed batcher, and
+    //    the server adds the shared plan cache, result memos and the
     //    admission gate.
     let server = Server::new(engine, ServeConfig::default());
 
     // 3. Four concurrent clients, each with its own session, each running
     //    a small query mix — note the overlap between clients: that is
-    //    what the plan cache and the embedding batcher exploit.
+    //    what the plan cache, the result memos and the shared embedding
+    //    cache exploit.
     let clients = 4;
     let barrier = Arc::new(Barrier::new(clients));
     std::thread::scope(|s| {
@@ -97,8 +98,8 @@ fn main() -> cx_storage::Result<()> {
         }
     });
 
-    // 4. The server-level report: plan cache, result memo, per-model
-    //    batcher coalescing, admission, per-operator execution metrics.
+    // 4. The server-level report: plan cache, result memo, admission,
+    //    per-operator execution metrics.
     println!("\n{}", server.report());
     Ok(())
 }

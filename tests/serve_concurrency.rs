@@ -2,8 +2,9 @@
 //!
 //! * N threads replaying the same query mix through one shared
 //!   [`Server`] must produce results bit-identical to a serial
-//!   [`Engine::execute`] loop, while the plan cache reports hits and the
-//!   embed batcher coalesces concurrent requests,
+//!   [`Engine::execute`] loop, while the plan cache reports hits and,
+//!   once one serial pass has embedded the mix's texts, the storm embeds
+//!   nothing more,
 //! * an 8-client same-table storm with **distinct literals per query**
 //!   (the plan cache cannot help) must be bit-identical to a serial loop,
 //! * memoized replays must never re-enter the admission gate,
@@ -132,18 +133,41 @@ fn concurrent_serving_is_bit_identical_to_serial_execution() {
         .map(|q| table_rows(&serial.execute(q).unwrap().table))
         .collect();
 
-    // Serving: a second cold engine behind a server. A generous linger
-    // plus a start barrier guarantees the 8 threads' warm requests land in
-    // the same flush window, so coalescing is deterministic.
+    // Serving: a second cold engine behind a server, result memo off so
+    // every storm statement executes.
     let engine = fresh_engine();
     let server = Server::new(
         engine,
         ServeConfig {
-            batch_linger: Duration::from_millis(200),
-            batch_max: 4096,
+            cache_results: false,
             ..ServeConfig::default()
         },
     );
+    let model_calls = || {
+        server
+            .engine()
+            .embedding_cache("m")
+            .unwrap()
+            .model()
+            .stats()
+            .invocations()
+    };
+    let serial_calls = serial
+        .embedding_cache("m")
+        .unwrap()
+        .model()
+        .stats()
+        .invocations();
+
+    // One serial pass through the server embeds what the serial engine
+    // embedded: each distinct text once.
+    let session = server.session();
+    for (i, q) in query_mix(server.engine()).iter().enumerate() {
+        let got = table_rows(&session.execute(q).unwrap().table);
+        assert_eq!(got, expected[i], "query {i} diverged from serial execution");
+    }
+    assert_eq!(model_calls(), serial_calls, "the serial pass re-embedded");
+
     let threads = 8;
     let barrier = Arc::new(Barrier::new(threads));
     std::thread::scope(|s| {
@@ -170,40 +194,17 @@ fn concurrent_serving_is_bit_identical_to_serial_execution() {
         }
     });
 
-    // Plan cache: every thread replays repeated queries; 8 threads × 6
-    // queries over 4 distinct fingerprints must hit.
+    // Plan cache: the serial pass and 8 threads × 6 queries over 4
+    // distinct fingerprints must hit.
     let plan_stats = server.plan_cache_stats();
     assert!(plan_stats.hits >= 1, "plan cache never hit: {plan_stats:?}");
-    assert_eq!(server.stats().queries, (threads * 6) as u64);
+    assert_eq!(server.stats().queries, ((threads + 1) * 6) as u64);
 
-    // Embed batcher: concurrent warm-ups coalesced — at least one flush
-    // served ≥ 2 distinct requests.
-    let batch_stats = server.batcher("m").unwrap().stats();
-    assert!(
-        batch_stats.max_batch_submitters >= 2,
-        "no flush served two concurrent requests: {batch_stats:?}"
-    );
-    assert!(batch_stats.coalesced_batches >= 1, "{batch_stats:?}");
-    assert!(batch_stats.texts_coalesced >= 1, "{batch_stats:?}");
-
-    // And the shared cache means the model embedded each distinct string
-    // once across all 48 served queries — same as the serial engine.
-    let model_calls = server
-        .engine()
-        .embedding_cache("m")
-        .unwrap()
-        .model()
-        .stats()
-        .invocations();
-    let serial_calls = serial
-        .embedding_cache("m")
-        .unwrap()
-        .model()
-        .stats()
-        .invocations();
+    // The shared cache means the storm's 48 executions embedded nothing.
     assert_eq!(
-        model_calls, serial_calls,
-        "server re-embedded cached strings"
+        model_calls(),
+        serial_calls,
+        "the storm re-embedded cached strings"
     );
 }
 
