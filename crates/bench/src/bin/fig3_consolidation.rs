@@ -2,7 +2,7 @@
 //!
 //! Dirty values (synonyms, alternative spellings/forms, typos — exactly the
 //! dirt Section I says dominates context-rich sources) are consolidated by
-//! the online semantic clusterer. Reported across input scales: cluster
+//! `GROUP BY SEMANTIC`'s clustering. Reported across input scales: cluster
 //! quality against ground truth, dedup ratio, throughput, and model
 //! inferences (bounded by distinct values thanks to the embedding cache).
 //!

@@ -36,7 +36,7 @@ pub use logical::{
 };
 pub use metrics::{ExecMetrics, OperatorMetrics};
 pub use operators::{
-    cell_cmp, keys_cmp, scalar_cmp, top_n_by, Accumulator, DistinctExec, FilterExec,
+    cell_cmp, keys_cmp, scalar_cmp, top_n_by, Accumulator, Aggregates, DistinctExec, FilterExec,
     HashAggregateExec, HashJoinExec, LimitExec, NestedLoopJoinExec, ProjectExec, SortExec,
     SystemTableScanExec, TableScanExec, UnionExec,
 };

@@ -686,11 +686,84 @@ impl Accumulator {
     }
 }
 
+/// An aggregate operator's aggregates, resolved against its input, shared
+/// by [`HashAggregateExec`] and the semantic group-by operator.
+pub struct Aggregates {
+    /// Each aggregate with its input column (`None` for `COUNT(*)`).
+    specs: Vec<(AggSpec, Option<usize>)>,
+    /// One fresh accumulator per aggregate, typed by its input column.
+    fresh: Vec<Accumulator>,
+}
+
+impl Aggregates {
+    /// Resolves `aggs` against the operator's `input` schema, returning
+    /// them with their output fields; every aggregate but `COUNT(*)`
+    /// needs an input column.
+    pub fn resolve(aggs: &[AggSpec], input: &Schema) -> Result<(Self, Vec<Field>)> {
+        let mut specs = Vec::with_capacity(aggs.len());
+        let mut fresh = Vec::with_capacity(aggs.len());
+        let mut fields = Vec::with_capacity(aggs.len());
+        for agg in aggs {
+            let idx = agg
+                .column
+                .as_deref()
+                .map(|c| input.index_of(c))
+                .transpose()?;
+            if idx.is_none() && agg.func != AggFunc::CountStar {
+                return Err(Error::InvalidArgument(format!(
+                    "{} requires an input column",
+                    agg.func
+                )));
+            }
+            fields.push(agg.output_field(input)?);
+            fresh.push(Accumulator::new(
+                agg.func,
+                idx.map(|i| input.fields()[i].data_type),
+            ));
+            specs.push((agg.clone(), idx));
+        }
+        Ok((Aggregates { specs, fresh }, fields))
+    }
+
+    /// Number of aggregates.
+    pub fn len(&self) -> usize {
+        self.specs.len()
+    }
+
+    /// Whether there are no aggregates.
+    pub fn is_empty(&self) -> bool {
+        self.specs.is_empty()
+    }
+
+    /// A group's fresh accumulators, one per aggregate.
+    pub fn fresh(&self) -> &[Accumulator] {
+        &self.fresh
+    }
+
+    /// Folds row `row` of `chunk` into a group's accumulators: `COUNT(*)`
+    /// counts every row, `COUNT(col)` the rows whose `col` is valid, and
+    /// every other aggregate folds the row's value.
+    pub fn fold(&self, accs: &mut [Accumulator], chunk: &Chunk, row: usize) {
+        for ((spec, idx), acc) in self.specs.iter().zip(accs) {
+            match (spec.func, idx) {
+                (AggFunc::CountStar, _) => acc.update(None),
+                (AggFunc::Count, Some(i)) => {
+                    if chunk.columns()[*i].is_valid(row) {
+                        acc.update(None);
+                    }
+                }
+                (_, Some(i)) => acc.update(Some(&chunk.columns()[*i].get(row))),
+                (_, None) => unreachable!("checked in resolve"),
+            }
+        }
+    }
+}
+
 /// Hash aggregation with optional grouping keys.
 pub struct HashAggregateExec {
     input: Arc<dyn PhysicalOperator>,
     group_by: Vec<usize>,
-    aggs: Vec<(AggSpec, Option<usize>)>,
+    aggs: Aggregates,
     schema: Arc<Schema>,
 }
 
@@ -708,26 +781,12 @@ impl HashAggregateExec {
             group_idx.push(in_schema.index_of(name)?);
             fields.push(in_schema.field(name)?.clone());
         }
-        let mut agg_cols = Vec::with_capacity(aggs.len());
-        for agg in aggs {
-            let idx = agg
-                .column
-                .as_deref()
-                .map(|c| in_schema.index_of(c))
-                .transpose()?;
-            if idx.is_none() && agg.func != AggFunc::CountStar {
-                return Err(Error::InvalidArgument(format!(
-                    "{} requires an input column",
-                    agg.func
-                )));
-            }
-            fields.push(agg.output_field(&in_schema)?);
-            agg_cols.push((agg.clone(), idx));
-        }
+        let (aggs, agg_fields) = Aggregates::resolve(aggs, &in_schema)?;
+        fields.extend(agg_fields);
         Ok(HashAggregateExec {
             input,
             group_by: group_idx,
-            aggs: agg_cols,
+            aggs,
             schema: Arc::new(Schema::new(fields)),
         })
     }
@@ -751,15 +810,7 @@ impl PhysicalOperator for HashAggregateExec {
     }
 
     fn execute(&self) -> Result<ChunkStream> {
-        let in_schema = self.input.schema();
-        let fresh: Vec<Accumulator> = self
-            .aggs
-            .iter()
-            .map(|(spec, idx)| {
-                Accumulator::new(spec.func, idx.map(|i| in_schema.fields()[i].data_type))
-            })
-            .collect();
-        let width = fresh.len();
+        let width = self.aggs.len();
         let mut groups = KeyIndex::new(self.group_by.len());
         // Group `g`'s accumulators are `accs[g * width..][..width]`.
         let mut accs: Vec<Accumulator> = Vec::new();
@@ -772,31 +823,17 @@ impl PhysicalOperator for HashAggregateExec {
             for row in 0..chunk.num_rows() {
                 let (g, new) = groups.insert(&keys, row)?;
                 if new {
-                    accs.extend_from_slice(&fresh);
+                    accs.extend_from_slice(self.aggs.fresh());
                 }
-                let group = &mut accs[g as usize * width..][..width];
-                for ((spec, idx), acc) in self.aggs.iter().zip(group) {
-                    match (spec.func, idx) {
-                        (AggFunc::CountStar, _) => acc.update(None),
-                        (AggFunc::Count, Some(i)) => {
-                            if chunk.columns()[*i].is_valid(row) {
-                                acc.update(None);
-                            }
-                        }
-                        (_, Some(i)) => {
-                            let v = chunk.columns()[*i].get(row);
-                            acc.update(Some(&v));
-                        }
-                        (_, None) => unreachable!("validated in constructor"),
-                    }
-                }
+                self.aggs
+                    .fold(&mut accs[g as usize * width..][..width], &chunk, row);
             }
         }
 
         // Global aggregate over empty input still yields one row.
         if self.group_by.is_empty() && groups.len() == 0 {
             groups.insert(&[], 0)?;
-            accs = fresh;
+            accs = self.aggs.fresh().to_vec();
         }
 
         // Deterministic output order: group keys sorted stably over

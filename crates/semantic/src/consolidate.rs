@@ -2,101 +2,18 @@
 //!
 //! "Data cleaning, deduplication, entity resolution … a tedious and
 //! domain-expert task becomes completely automated, allowing on-the-fly
-//! result consolidation based on context." This module provides the greedy
-//! online clusterer behind the semantic group-by, a direct consolidation
-//! API over string collections, and pairwise quality metrics so experiments
-//! can report purity/recall against ground truth — something the paper's
-//! prototype could only eyeball.
+//! result consolidation based on context." This module is a direct
+//! consolidation API over string collections — the semantic group-by's
+//! clustering ([`crate::sweep::cluster`]) without the table around it —
+//! and pairwise quality metrics so experiments can report
+//! purity/recall against ground truth, something the paper's prototype
+//! could only eyeball.
 
+use crate::sweep::{cluster, Distinct};
 use cx_embed::EmbeddingCache;
-use cx_vector::kernels::{dot_unrolled, norm};
+use cx_storage::QueryContext;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Greedy online clustering in embedding space.
-///
-/// Values stream in; each joins the existing cluster whose *mean* embedding
-/// is within `threshold` cosine similarity (best match wins), or founds a
-/// new cluster. One pass, no global optimization — this is the online
-/// regime the paper requires ("data cannot be cleaned ahead of time").
-pub struct OnlineClusterer {
-    dim: usize,
-    threshold: f32,
-    /// Unnormalized sums of member embeddings (cosine against the sum
-    /// equals cosine against the mean).
-    sums: Vec<Vec<f32>>,
-    sum_norms: Vec<f32>,
-    counts: Vec<usize>,
-    representatives: Vec<String>,
-}
-
-impl OnlineClusterer {
-    /// A clusterer over `dim`-dimensional embeddings.
-    pub fn new(dim: usize, threshold: f32) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&threshold),
-            "threshold must be in [0,1]"
-        );
-        OnlineClusterer {
-            dim,
-            threshold,
-            sums: Vec::new(),
-            sum_norms: Vec::new(),
-            counts: Vec::new(),
-            representatives: Vec::new(),
-        }
-    }
-
-    /// Assigns `value` (with embedding `emb`) to a cluster, returning the
-    /// cluster id. The first member becomes the representative.
-    pub fn assign(&mut self, value: &str, emb: &[f32]) -> usize {
-        assert_eq!(emb.len(), self.dim, "embedding dimension mismatch");
-        let emb_norm = norm(emb);
-        let mut best: Option<(usize, f32)> = None;
-        for (id, sum) in self.sums.iter().enumerate() {
-            let denom = emb_norm * self.sum_norms[id];
-            if denom == 0.0 {
-                continue;
-            }
-            let sim = dot_unrolled(emb, sum) / denom;
-            if sim >= self.threshold && best.is_none_or(|(_, b)| sim > b) {
-                best = Some((id, sim));
-            }
-        }
-        match best {
-            Some((id, _)) => {
-                for (s, &x) in self.sums[id].iter_mut().zip(emb) {
-                    *s += x;
-                }
-                self.sum_norms[id] = norm(&self.sums[id]);
-                self.counts[id] += 1;
-                id
-            }
-            None => {
-                self.sums.push(emb.to_vec());
-                self.sum_norms.push(emb_norm);
-                self.counts.push(1);
-                self.representatives.push(value.to_string());
-                self.sums.len() - 1
-            }
-        }
-    }
-
-    /// Number of clusters so far.
-    pub fn num_clusters(&self) -> usize {
-        self.sums.len()
-    }
-
-    /// Member count of cluster `id`.
-    pub fn cluster_size(&self, id: usize) -> usize {
-        self.counts[id]
-    }
-
-    /// Representative (first member) of cluster `id`.
-    pub fn representative(&self, id: usize) -> &str {
-        &self.representatives[id]
-    }
-}
 
 /// The outcome of consolidating a value collection.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,26 +41,38 @@ impl ConsolidationResult {
     }
 }
 
-/// Consolidates `values`: embeds each through `cache` and clusters online at
-/// `threshold`.
+/// Consolidates `values`: clusters their distinct values at `threshold`
+/// in first-appearance order, exactly as `GROUP BY SEMANTIC` does, and
+/// gives every input value its value's cluster. A representative is its
+/// cluster's leader, the first value that founded it.
 pub fn consolidate(
     values: &[&str],
     cache: &Arc<EmbeddingCache>,
     threshold: f32,
 ) -> ConsolidationResult {
-    let mut clusterer = OnlineClusterer::new(cache.dim(), threshold);
-    let mut assignments = Vec::with_capacity(values.len());
-    for v in values {
-        let emb = cache.get(v);
-        assignments.push(clusterer.assign(v, &emb));
-    }
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); clusterer.num_clusters()];
+    assert!(
+        (0.0..=1.0).contains(&threshold),
+        "threshold must be in [0,1]"
+    );
+    let distinct = Distinct::of_values(values);
+    let clusters = cluster(cache, &distinct.values, threshold, &QueryContext::default())
+        .expect("a default context never stops a scan");
+    let assignments: Vec<usize> = distinct
+        .row_ids
+        .iter()
+        .map(|id| clusters.of_value[id.expect("no NULL values") as usize] as usize)
+        .collect();
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); clusters.leaders.len()];
     for (i, &c) in assignments.iter().enumerate() {
         members[c].push(i);
     }
     ConsolidationResult {
         assignments,
-        representatives: clusterer.representatives,
+        representatives: clusters
+            .leaders
+            .iter()
+            .map(|&v| distinct.values[v as usize].to_string())
+            .collect(),
         members,
     }
 }
@@ -289,17 +218,13 @@ mod tests {
 
     #[test]
     fn clusterer_centroid_drift_is_bounded() {
-        // Adding same-cluster members must not move the centroid out of the
-        // cluster: assigning the cluster name later still joins it.
+        // Later same-cluster members never move a cluster away from its
+        // leader: the cluster name, arriving last, still joins it.
         let c = cache();
-        let mut cl = OnlineClusterer::new(c.dim(), 0.85);
-        let a = cl.assign("canine", &c.get("canine"));
-        let b = cl.assign("puppy", &c.get("puppy"));
-        let d = cl.assign("dog", &c.get("dog"));
-        assert_eq!(a, b);
-        assert_eq!(a, d);
-        assert_eq!(cl.cluster_size(a), 3);
-        assert_eq!(cl.representative(a), "canine");
+        let result = consolidate(&["canine", "puppy", "dog"], &c, 0.85);
+        assert_eq!(result.assignments, vec![0, 0, 0]);
+        assert_eq!(result.members[0].len(), 3);
+        assert_eq!(result.representatives[0], "canine");
     }
 
     #[test]

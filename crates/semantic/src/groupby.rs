@@ -1,26 +1,33 @@
 //! Semantic Group-By: on-the-fly clustering with per-cluster aggregates.
 //!
 //! "Semantic GroupBy — on-the-fly clustering of the result based on a
-//! model-based similarity threshold" (Section IV). Rows stream through the
-//! online clusterer; aggregates accumulate per cluster exactly as in the
-//! relational hash aggregate.
+//! model-based similarity threshold" (Section IV). The operator takes
+//! its key's distinct values in first-appearance order ([`Distinct`]),
+//! clusters them once ([`cluster`]: fixed leaders, best score at or above
+//! θ, ties to the lowest cluster id), then folds every row into its
+//! value's cluster exactly as the relational hash aggregate folds a
+//! group. Every row of one value lands in one cluster.
 
-use crate::consolidate::OnlineClusterer;
+use crate::sweep::{cluster, Distinct};
 use cx_embed::EmbeddingCache;
-use cx_exec::logical::{AggFunc, AggSpec};
-use cx_exec::{Accumulator, ChunkStream, PhysicalOperator};
-use cx_storage::{Chunk, Column, ColumnBuilder, DataType, Error, Field, Result, Scalar, Schema};
+use cx_exec::logical::AggSpec;
+use cx_exec::{Aggregates, ChunkStream, PhysicalOperator};
+use cx_storage::{
+    Chunk, Column, ColumnBuilder, DataType, Error, Field, QueryContext, Result, Scalar, Schema,
+};
 use std::sync::Arc;
 
 /// Groups rows by the semantic cluster of a string column.
 ///
-/// Output schema: `[column (representative), cluster_id, ...aggregates]`.
-/// NULL values form their own cluster with a NULL representative.
+/// Output schema: `[column (representative), cluster_id, ...aggregates]`,
+/// one row per cluster in founding order; a cluster's representative is
+/// its leader, the value that founded it. NULL values form their own last
+/// cluster with a NULL representative.
 pub struct SemanticGroupByExec {
     input: Arc<dyn PhysicalOperator>,
     column_index: usize,
     threshold: f32,
-    aggs: Vec<(AggSpec, Option<usize>)>,
+    aggs: Aggregates,
     cache: Arc<EmbeddingCache>,
     schema: Arc<Schema>,
 }
@@ -47,31 +54,17 @@ impl SemanticGroupByExec {
                 "semantic threshold must be in [0,1], got {threshold}"
             )));
         }
+        let (aggs, agg_fields) = Aggregates::resolve(aggs, &in_schema)?;
         let mut fields = vec![
             Field::new(column, DataType::Utf8),
             Field::new("cluster_id", DataType::Int64),
         ];
-        let mut agg_cols = Vec::with_capacity(aggs.len());
-        for agg in aggs {
-            let idx = agg
-                .column
-                .as_deref()
-                .map(|c| in_schema.index_of(c))
-                .transpose()?;
-            if idx.is_none() && agg.func != AggFunc::CountStar {
-                return Err(Error::InvalidArgument(format!(
-                    "{} requires an input column",
-                    agg.func
-                )));
-            }
-            fields.push(agg.output_field(&in_schema)?);
-            agg_cols.push((agg.clone(), idx));
-        }
+        fields.extend(agg_fields);
         Ok(SemanticGroupByExec {
             input,
             column_index,
             threshold,
-            aggs: agg_cols,
+            aggs,
             cache,
             schema: Arc::new(Schema::new(fields)),
         })
@@ -96,55 +89,43 @@ impl PhysicalOperator for SemanticGroupByExec {
     }
 
     fn execute(&self) -> Result<ChunkStream> {
-        let in_schema = self.input.schema();
-        let make_accs = || -> Vec<Accumulator> {
-            self.aggs
-                .iter()
-                .map(|(spec, idx)| {
-                    Accumulator::new(spec.func, idx.map(|i| in_schema.fields()[i].data_type))
-                })
-                .collect()
-        };
-
-        let mut clusterer = OnlineClusterer::new(self.cache.dim(), self.threshold);
-        let mut cluster_accs: Vec<Vec<Accumulator>> = Vec::new();
-        let mut null_accs: Option<Vec<Accumulator>> = None;
-
-        let _sweep = cx_obs::span_with("semantic_cluster", || {
-            format!("kind=group-by threshold={}", self.threshold)
-        });
-        let ctx = cx_storage::QueryContext::current();
+        let ctx = QueryContext::current();
+        let mut chunks: Vec<Chunk> = Vec::new();
         for chunk in self.input.execute()? {
             ctx.check()?;
-            let chunk: Chunk = chunk?;
-            let col = chunk.column(self.column_index)?;
-            let values = col.utf8_values()?;
-            for (row, value) in values.iter().enumerate() {
-                let accs = if col.is_valid(row) {
-                    let emb = self.cache.get(value);
-                    let id = clusterer.assign(value, &emb);
-                    if id == cluster_accs.len() {
-                        cluster_accs.push(make_accs());
+            chunks.push(chunk?);
+        }
+        let distinct = Distinct::of_chunks(&chunks, self.column_index)?;
+        let clusters = {
+            let _span = cx_obs::span_with("semantic_cluster", || {
+                format!(
+                    "kind=group-by threshold={} values={}",
+                    self.threshold,
+                    distinct.values.len()
+                )
+            });
+            cluster(&self.cache, &distinct.values, self.threshold, &ctx)?
+        };
+
+        // Cluster `c`'s accumulators are `accs[c * width..][..width]`; the
+        // NULL cluster's come last.
+        let (width, null_id) = (self.aggs.len(), clusters.leaders.len());
+        let mut accs: Vec<_> = (0..=null_id)
+            .flat_map(|_| self.aggs.fresh())
+            .cloned()
+            .collect();
+        let mut any_null = false;
+        let mut row_ids = distinct.row_ids.iter();
+        for chunk in &chunks {
+            for row in 0..chunk.num_rows() {
+                let id = match row_ids.next().expect("one id per row") {
+                    Some(v) => clusters.of_value[*v as usize] as usize,
+                    None => {
+                        any_null = true;
+                        null_id
                     }
-                    &mut cluster_accs[id]
-                } else {
-                    null_accs.get_or_insert_with(make_accs)
                 };
-                for ((spec, idx), acc) in self.aggs.iter().zip(accs.iter_mut()) {
-                    match (spec.func, idx) {
-                        (AggFunc::CountStar, _) => acc.update(None),
-                        (AggFunc::Count, Some(i)) => {
-                            if chunk.columns()[*i].is_valid(row) {
-                                acc.update(None);
-                            }
-                        }
-                        (_, Some(i)) => {
-                            let v = chunk.columns()[*i].get(row);
-                            acc.update(Some(&v));
-                        }
-                        (_, None) => unreachable!("validated in constructor"),
-                    }
-                }
+                self.aggs.fold(&mut accs[id * width..][..width], chunk, row);
             }
         }
 
@@ -154,17 +135,15 @@ impl PhysicalOperator for SemanticGroupByExec {
             .iter()
             .map(|f| ColumnBuilder::new(f.data_type))
             .collect();
-        for (id, accs) in cluster_accs.iter().enumerate() {
-            builders[0].push(Scalar::Utf8(clusterer.representative(id).to_string()))?;
+        let leaders = clusters
+            .leaders
+            .iter()
+            .map(|&v| Some(distinct.values[v as usize]));
+        let groups = leaders.chain(any_null.then_some(None));
+        for (id, representative) in groups.enumerate() {
+            builders[0].push(representative.map_or(Scalar::Null, Scalar::from))?;
             builders[1].push(Scalar::Int64(id as i64))?;
-            for (b, acc) in builders.iter_mut().skip(2).zip(accs.iter()) {
-                b.push(acc.finish())?;
-            }
-        }
-        if let Some(accs) = &null_accs {
-            builders[0].push_null();
-            builders[1].push(Scalar::Int64(cluster_accs.len() as i64))?;
-            for (b, acc) in builders.iter_mut().skip(2).zip(accs.iter()) {
+            for (b, acc) in builders[2..].iter_mut().zip(&accs[id * width..][..width]) {
                 b.push(acc.finish())?;
             }
         }
@@ -178,6 +157,7 @@ impl PhysicalOperator for SemanticGroupByExec {
 mod tests {
     use super::*;
     use cx_embed::{ClusterGeometry, ClusterSpec, ClusteredTextModel, SemanticSpace};
+    use cx_exec::logical::AggFunc;
     use cx_exec::{collect_table, TableScanExec};
     use cx_storage::{Bitmap, Table};
 

@@ -10,17 +10,21 @@
 //! * **Semantic Group-By** ([`SemanticGroupByExec`]) — on-the-fly clustering
 //!   of values by model similarity with per-cluster aggregates.
 //!
-//! The filter and the join reach the similarity kernels through one
-//! function: [`sweep`](mod@sweep) owns the distinct pass, the panel build
-//! and the panel sweep, so a filter is the one-probe case of a join.
+//! Every similarity score is computed in one module: [`sweep`](mod@sweep)
+//! owns the distinct pass, the panel build and the panel sweep, so a
+//! filter is the one-probe case of a join; the group-by clusters its
+//! distinct values there too ([`sweep::cluster`]), one probe per value
+//! against its clusters' fixed leaders.
 //!
-//! On top of the join/group-by machinery, [`consolidate`](mod@consolidate) implements
-//! Figure 3's automated result consolidation (deduplication / entity
-//! resolution), with pairwise quality metrics against ground truth.
+//! [`consolidate`](mod@consolidate) implements Figure 3's automated
+//! result consolidation (deduplication / entity resolution) with the
+//! group-by's clustering, plus pairwise quality metrics against ground
+//! truth.
 //!
 //! [`selectivity`] provides the sampling-based cardinality hooks the
 //! holistic optimizer (Section V) uses to cost these operators like any
-//! relational operator.
+//! relational operator; its probes count matches over the sweep's tile
+//! loop, outside any span.
 
 pub mod consolidate;
 pub mod filter;

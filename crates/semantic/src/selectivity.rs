@@ -6,9 +6,8 @@
 //! follows the paper's own line of work on sampling-based AQP in analytical
 //! engines (Sanca & Ailamaki, DaMoN'22, cited as \[28\]).
 
+use crate::sweep::count_matches;
 use cx_embed::EmbeddingCache;
-use cx_vector::kernels::dot_unrolled;
-use cx_vector::VectorArena;
 use std::sync::Arc;
 
 /// Default cap on sampled values.
@@ -30,17 +29,6 @@ fn stride_sample(values: &[String], cap: usize) -> Vec<&str> {
         .collect()
 }
 
-/// `texts`' embeddings as unit rows, so that a bare dot of two rows is
-/// their cosine — the arithmetic execution scores with.
-fn unit_rows(cache: &EmbeddingCache, texts: &[&str]) -> VectorArena {
-    let mut rows = VectorArena::with_capacity(cache.dim(), texts.len());
-    for text in texts {
-        rows.push(&cache.get(text));
-    }
-    rows.normalize();
-    rows
-}
-
 /// Estimated fraction of `values` whose embedding is within `threshold`
 /// cosine of `target`'s embedding. Returns a value in `[0, 1]`.
 pub fn semantic_filter_selectivity(
@@ -54,12 +42,7 @@ pub fn semantic_filter_selectivity(
     if sample.is_empty() {
         return 0.0;
     }
-    let target = unit_rows(cache, &[target]);
-    let rows = unit_rows(cache, &sample);
-    let matches = (0..rows.len())
-        .filter(|&r| dot_unrolled(target.row(0), rows.row(r)) >= threshold)
-        .count();
-    matches as f64 / sample.len() as f64
+    count_matches(cache, &sample, &[target], threshold) as f64 / sample.len() as f64
 }
 
 /// Estimated fraction of (left, right) value pairs within `threshold`
@@ -77,16 +60,7 @@ pub fn semantic_join_selectivity(
     if left.is_empty() || right.is_empty() {
         return 0.0;
     }
-    let (left_rows, right_rows) = (unit_rows(cache, &left), unit_rows(cache, &right));
-    let mut matches = 0usize;
-    for l in 0..left_rows.len() {
-        for r in 0..right_rows.len() {
-            if dot_unrolled(left_rows.row(l), right_rows.row(r)) >= threshold {
-                matches += 1;
-            }
-        }
-    }
-    matches as f64 / (left.len() * right.len()) as f64
+    count_matches(cache, &right, &left, threshold) as f64 / (left.len() * right.len()) as f64
 }
 
 #[cfg(test)]

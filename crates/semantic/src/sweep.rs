@@ -5,7 +5,10 @@
 //! stack of probe rows against it, keep what clears a floor" is the whole
 //! computation behind the semantic filter and the semantic join. It lives
 //! here once: [`Distinct`] is the dedup, [`sweep`] is the panel build plus
-//! the scan. The filter passes one probe (its target), the join its left
+//! the scan. `GROUP BY SEMANTIC` and Figure 3's consolidation cluster
+//! distinct values with [`cluster`] (each value one probe against the
+//! fixed leaders so far), and the optimizer's sampling probes count
+//! matches with `count_matches`, over the same tile loop. The filter passes one probe (its target), the join its left
 //! distinct values; each probe row is scored independently of the rows
 //! stacked beside it, so a stacked sweep's hits on a probe equal that
 //! probe's own one-probe sweep, bit for bit.
@@ -71,19 +74,31 @@ impl<'a> Distinct<'a> {
         Ok(out)
     }
 
+    /// The distinct pass over a list of (non-NULL) values.
+    pub fn of_values(values: &[&'a str]) -> Self {
+        let mut out = Distinct::default();
+        out.extend(values.iter().map(|&v| Some(v)));
+        out
+    }
+
     fn push(&mut self, col: &'a Column) -> Result<()> {
         let values = col.utf8_values()?;
         self.row_ids.reserve(values.len());
-        for (row, v) in values.iter().enumerate() {
-            let id = col.is_valid(row).then(|| {
-                *self.ids.entry(v.as_str()).or_insert_with(|| {
-                    self.values.push(v.as_str());
+        let valid = |(row, v): (usize, &'a String)| col.is_valid(row).then_some(v.as_str());
+        self.extend(values.iter().enumerate().map(valid));
+        Ok(())
+    }
+
+    fn extend(&mut self, rows: impl Iterator<Item = Option<&'a str>>) {
+        for v in rows {
+            let id = v.map(|v| {
+                *self.ids.entry(v).or_insert_with(|| {
+                    self.values.push(v);
                     (self.values.len() - 1) as u32
                 })
             });
             self.row_ids.push(id);
         }
-        Ok(())
     }
 
     /// Row numbers per value id, ascending (the join's pair expansion).
@@ -221,6 +236,84 @@ fn scan(
         dot_block_threshold(probes, tile, floor, |i, r, score| emit(i, t0 + r, score));
     }
     Ok(())
+}
+
+/// The pairs of `probes` × `candidates` scoring at or above `floor`,
+/// counted over [`sweep`]'s tile loop and arithmetic, bit for bit, but
+/// outside any span and the statement profile: the optimizer's sampling
+/// probes are planning, not a statement's scan.
+pub(crate) fn count_matches(
+    cache: &EmbeddingCache,
+    candidates: &[&str],
+    probes: &[&str],
+    floor: f32,
+) -> usize {
+    if probes.is_empty() || candidates.is_empty() {
+        return 0;
+    }
+    let (prob, cand) = (unit_panel(cache, probes), unit_panel(cache, candidates));
+    let mut matches = 0;
+    let ctx = QueryContext::default();
+    scan(prob.as_block(), &cand, floor, &ctx, |_, _, _| matches += 1)
+        .expect("a default context never stops a scan");
+    matches
+}
+
+/// A one-pass clustering of distinct values: per value its cluster, per
+/// cluster its leader.
+pub struct Clusters {
+    /// Per value, its cluster id.
+    pub of_value: Vec<u32>,
+    /// Per cluster, in founding order, the value id of its leader (its
+    /// first value).
+    pub leaders: Vec<u32>,
+}
+
+/// Clusters distinct `values` in one pass, in their order (first
+/// appearance): each value scores against every cluster's leader and
+/// joins the best-scoring cluster at or above `floor`, the lowest cluster
+/// id among ties; a value that clears no leader founds a cluster and
+/// leads it. Leaders are fixed, so a value's cluster depends only on the
+/// values before it, never on how often they occur.
+///
+/// The values are embedded and normalized once; each is a one-probe
+/// scan of the growing leader panel, so every score is [`sweep`]'s on the
+/// same pair, bit for bit. `ctx` is checked once per leader tile.
+pub fn cluster<S: AsRef<str>>(
+    cache: &EmbeddingCache,
+    values: &[S],
+    floor: f32,
+    ctx: &QueryContext,
+) -> Result<Clusters> {
+    let units = unit_panel(cache, values);
+    let mut leader_rows = VectorArena::new(units.dim());
+    let mut out = Clusters {
+        of_value: Vec::with_capacity(values.len()),
+        leaders: Vec::new(),
+    };
+    for v in 0..units.len() {
+        let mut best: Option<(f32, usize)> = None;
+        scan(
+            units.block(v..v + 1),
+            &leader_rows,
+            floor,
+            ctx,
+            |_, c, s| {
+                if best.is_none_or(|(b, bc)| s > b || (s == b && c < bc)) {
+                    best = Some((s, c));
+                }
+            },
+        )?;
+        let id = match best {
+            Some((_, c)) => c,
+            None => {
+                out.leaders.push(v as u32);
+                leader_rows.push(units.row(v))
+            }
+        };
+        out.of_value.push(id as u32);
+    }
+    Ok(out)
 }
 
 /// A semantic filter's sweep over its column's resident panel: scores

@@ -107,7 +107,7 @@ pub use plan_cache::{
 };
 pub use prepared::Prepared;
 pub use server::{
-    ExecUnit, LifecycleStats, ProfileTotalsStats, QueryOptions, ServeConfig, ServeResult, Server,
+    LifecycleStats, ProfileTotalsStats, QueryOptions, ServeConfig, ServeResult, Server,
     ServerStats, Session,
 };
 pub use sql::{SqlResponse, SqlStats};

@@ -201,31 +201,6 @@ pub struct ServeResult {
     pub trace: Option<QueryTrace>,
 }
 
-/// One statement's execution state as it flows through admission and
-/// execution. With no parameters (an ad-hoc query) it memoizes at the
-/// plan level; with parameters it memoizes per binding vector.
-#[derive(Clone)]
-pub struct ExecUnit {
-    /// The resolved plan-cache entry.
-    pub cached: Arc<CachedPlan>,
-    /// The tree to execute, lowered from the cached plan (bound to the
-    /// statement's parameters) for this execution alone.
-    pub root: Arc<dyn PhysicalOperator>,
-    /// The binding vector's memo key (empty = no parameters; the
-    /// plan-level result memo applies instead of the per-binding one).
-    pub binding: BindingKey,
-    /// Admission weight — the bound-literal cost estimate when there are
-    /// parameters, the cached estimate otherwise.
-    pub cost: f64,
-    /// Whether plan resolution hit the plan cache.
-    pub plan_cache_hit: bool,
-    /// When the server started serving this query.
-    pub started: Instant,
-    /// The query's lifecycle context (deadline, cancellation, budget) —
-    /// installed around its execution and consulted at admission.
-    pub ctx: QueryContext,
-}
-
 cx_obs::metric_family! {
     /// Lifecycle-policy counters: how queries died early and how the server
     /// recovered (see the module docs for the policies themselves).
@@ -611,16 +586,17 @@ impl Server {
                 (root, self.engine.estimate_plan_cost(&bound, stmt.config))
             };
             drop(bind_span);
-            let unit = ExecUnit {
-                cached,
-                root,
-                binding,
-                cost,
+            let table = self.execute_solo(&cached, root, &binding, cost, &ctx)?;
+            Ok(ServeResult {
+                table,
+                elapsed: start.elapsed(),
+                rules_fired: cached.rules_fired.clone(),
+                estimated_rows: cached.estimated_rows,
+                estimated_cost: cost,
                 plan_cache_hit: hit,
-                started: start,
-                ctx: ctx.clone(),
-            };
-            self.execute_solo(&unit)
+                result_cache_hit: false,
+                trace: None,
+            })
         };
 
         let mut result = self.run_with_recovery(trace.as_ref(), attempt);
@@ -842,41 +818,38 @@ impl Server {
     }
 
     /// Runs a statement whose result memo missed: lifecycle-aware
-    /// admission (deadline-aware waiting, `max_queued` shedding), then its
-    /// own tree (instrumented) under its lifecycle context; memoizes the
-    /// result and assembles the [`ServeResult`]. Spans record into the
-    /// trace the caller installed on this thread.
-    pub(crate) fn execute_solo(&self, unit: &ExecUnit) -> Result<ServeResult> {
+    /// admission at `cost` (deadline-aware waiting, `max_queued`
+    /// shedding), then `root`, the execution's own tree (instrumented),
+    /// under its lifecycle context `ctx`; memoizes the result into
+    /// `cached`'s slot for `binding` (empty: the plan-level memo). Spans
+    /// record into the trace the caller installed on this thread.
+    pub(crate) fn execute_solo(
+        &self,
+        cached: &CachedPlan,
+        root: Arc<dyn PhysicalOperator>,
+        binding: &BindingKey,
+        cost: f64,
+        ctx: &QueryContext,
+    ) -> Result<Arc<Table>> {
         self.strike(FaultSite::Admission)?;
         let wait_started = Instant::now();
         let _span = cx_obs::span("admission");
-        let _permit = self
-            .gate
-            .acquire_ctx(unit.cost, &unit.ctx, self.config.max_queued)?;
+        let _permit = self.gate.acquire_ctx(cost, ctx, self.config.max_queued)?;
         drop(_span);
         self.queue_wait_hist.record_duration(wait_started.elapsed());
-        let root = InstrumentedExec::new(unit.root.clone(), &self.metrics);
+        let root = InstrumentedExec::new(root, &self.metrics);
         let exec_span = cx_obs::span("execute");
-        let table = Arc::new(unit.ctx.scope(|| collect_table(&root))?);
+        let table = Arc::new(ctx.scope(|| collect_table(&root))?);
         drop(exec_span);
-        if self.config.cache_results && !unit.cached.volatile {
-            if unit.binding.is_empty() {
-                *unit.cached.result.lock() = Some(table.clone());
+        if self.config.cache_results && !cached.volatile {
+            if binding.is_empty() {
+                *cached.result.lock() = Some(table.clone());
             } else {
-                unit.cached.memoize_binding(&unit.binding, table.clone());
+                cached.memoize_binding(binding, table.clone());
             }
         }
         self.serving.queries.fetch_add(1, Ordering::Relaxed);
-        Ok(ServeResult {
-            table,
-            elapsed: unit.started.elapsed(),
-            rules_fired: unit.cached.rules_fired.clone(),
-            estimated_rows: unit.cached.estimated_rows,
-            estimated_cost: unit.cost,
-            plan_cache_hit: unit.plan_cache_hit,
-            result_cache_hit: false,
-            trace: None,
-        })
+        Ok(table)
     }
 
     /// Plan-cache counters.

@@ -1126,6 +1126,130 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// GROUP BY SEMANTIC: every row of one value lands in one cluster
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// Every row of one value carries one cluster id and one
+    /// representative, the cluster's first value; NULL keys form the last
+    /// cluster. Duplicating a row in place, or re-chunking the input to 1,
+    /// 7 or 1024 rows, changes no id, representative or aggregate beyond
+    /// the duplicate's own row.
+    #[test]
+    fn semantic_group_by_keeps_every_value_in_one_cluster(
+        n in 0usize..60,
+        theta in 0.0f32..1.0,
+        seed in any::<u64>(),
+    ) {
+        use cx_embed::{EmbeddingCache, HashNGramModel};
+        use cx_exec::{AggFunc, AggSpec, TableScanExec};
+        use cx_semantic::SemanticGroupByExec;
+        use cx_storage::Table;
+
+        let mut rng = cx_embed::rng::SplitMix64::new(seed);
+        // Words over a small alphabet, so values repeat; one row in eight
+        // is NULL.
+        let keys: Vec<Option<String>> = (0..n)
+            .map(|_| {
+                let len = 2 + rng.next_range(3) as usize;
+                let word: String = (0..len).map(|_| char::from(b'a' + rng.next_range(4) as u8)).collect();
+                (rng.next_range(8) != 0).then_some(word)
+            })
+            .collect();
+        let amounts: Vec<f64> = (0..n).map(|_| rng.next_range(1000) as f64 / 8.0).collect();
+        let mut values: Vec<&str> = Vec::new();
+        for key in keys.iter().flatten() {
+            if !values.contains(&key.as_str()) {
+                values.push(key);
+            }
+        }
+        // Columns: the key, an amount, and one 0/1 indicator per distinct
+        // value, whose per-cluster SUM says where that value's rows went.
+        let mut fields = vec![Field::new("key", DataType::Utf8), Field::new("amount", DataType::Float64)];
+        fields.extend((0..values.len()).map(|j| Field::new(format!("is{j}"), DataType::Int64)));
+        let mut specs = vec![
+            AggSpec::count_star("n"),
+            AggSpec::new(AggFunc::Sum, "amount", "total"),
+            AggSpec::new(AggFunc::Min, "amount", "lo"),
+            AggSpec::new(AggFunc::Max, "amount", "hi"),
+        ];
+        specs.extend((0..values.len()).map(|j| AggSpec::new(AggFunc::Sum, format!("is{j}"), format!("v{j}"))));
+        let (first_v, total) = (6, 3);
+        let cache = Arc::new(EmbeddingCache::new(Arc::new(HashNGramModel::new(3))));
+        let group_by = |rows: &[usize], rows_per_chunk: usize| {
+            let rows: Vec<Vec<Scalar>> = rows
+                .iter()
+                .map(|&r| {
+                    let mut row = vec![
+                        keys[r].as_deref().map_or(Scalar::Null, Scalar::from),
+                        Scalar::Float64(amounts[r]),
+                    ];
+                    row.extend(values.iter().map(|v| Scalar::Int64(i64::from(keys[r].as_deref() == Some(v)))));
+                    row
+                })
+                .collect();
+            let table = Table::from_rows(Schema::new(fields.clone()), rows).unwrap();
+            let scan = Arc::new(TableScanExec::new(Arc::new(table.rechunk(rows_per_chunk).unwrap())));
+            output_rows(&SemanticGroupByExec::new(scan, "key", theta, &specs, cache.clone()).unwrap())
+        };
+
+        let all: Vec<usize> = (0..n).collect();
+        let out = group_by(&all, n.max(1));
+        let nulls = keys.iter().filter(|k| k.is_none()).count();
+        for (id, row) in out.iter().enumerate() {
+            prop_assert_eq!(&row[1], &Scalar::Int64(id as i64));
+            let members: Vec<usize> = (0..values.len()).filter(|&j| row[first_v + j] != Scalar::Int64(0)).collect();
+            match &row[0] {
+                // The NULL cluster is last and holds the NULL rows alone.
+                Scalar::Null => {
+                    prop_assert_eq!(id, out.len() - 1);
+                    prop_assert!(members.is_empty());
+                    prop_assert_eq!(&row[2], &Scalar::Int64(nulls as i64));
+                }
+                // A representative is its cluster's first value.
+                rep => prop_assert_eq!(rep, &Scalar::from(values[members[0]])),
+            }
+        }
+        prop_assert_eq!(out.len(), out.iter().filter(|r| r[0] != Scalar::Null).count() + usize::from(nulls > 0));
+        // Each value's rows all land in one cluster.
+        for (j, v) in values.iter().enumerate() {
+            let rows = keys.iter().filter(|k| k.as_deref() == Some(*v)).count() as i64;
+            let holders: Vec<Scalar> = out.iter().map(|r| r[first_v + j].clone()).filter(|x| *x != Scalar::Int64(0)).collect();
+            prop_assert_eq!(holders, vec![Scalar::Int64(rows)], "value {}", v);
+        }
+
+        for rows_per_chunk in [1, 7, 1024] {
+            prop_assert_eq!(&group_by(&all, rows_per_chunk), &out, "rows_per_chunk={}", rows_per_chunk);
+        }
+
+        if n > 0 {
+            let d = rng.next_range(n as u64) as usize;
+            let mut duplicated = all.clone();
+            duplicated.insert(d + 1, d);
+            let got = group_by(&duplicated, 7);
+            // The duplicate's cluster counts one row more; its SUM may
+            // round differently. Nothing else moves.
+            let mut want = out.clone();
+            let id = match keys[d].as_deref() {
+                None => want.len() - 1,
+                Some(v) => {
+                    let j = values.iter().position(|x| *x == v).unwrap();
+                    let id = want.iter().position(|r| r[first_v + j] != Scalar::Int64(0)).unwrap();
+                    want[id][first_v + j] = Scalar::Int64(want[id][first_v + j].as_i64().unwrap() + 1);
+                    id
+                }
+            };
+            want[id][2] = Scalar::Int64(want[id][2].as_i64().unwrap() + 1);
+            prop_assert_eq!(got.len(), want.len());
+            want[id][total] = got[id][total].clone();
+            prop_assert_eq!(got, want, "duplicated row {}", d);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Expression folding: eval(fold(e)) == eval(e)
 // ---------------------------------------------------------------------------
 

@@ -3,8 +3,9 @@
 
 use context_analytics::{Engine, EngineConfig, ServeConfig, Server, Session, SqlResponse};
 use cx_datagen::{generate_dirty, table1_clusters, DirtyConfig};
-use cx_embed::{ClusteredTextModel, EmbeddingCache, SemanticSpace};
+use cx_embed::{ClusteredTextModel, EmbeddingCache, EmbeddingModel, ModelStats, SemanticSpace};
 use cx_semantic::{consolidate, pairwise_metrics};
+use cx_storage::Scalar;
 use cx_storage::{Column, DataType, Field, Schema, Table};
 use std::sync::Arc;
 
@@ -173,4 +174,83 @@ fn consolidation_inference_bounded_by_distinct_values() {
     let distinct: std::collections::HashSet<&str> = values.iter().copied().collect();
     consolidate(&values, &cache, 0.82);
     assert_eq!(cache.model().stats().invocations() as usize, distinct.len());
+}
+
+/// A hand-set 2-d model: "A" on the x axis, "B" 55° above it, "C" 50°
+/// below it, so cos(A, B) ≈ 0.57 and cos(A, C) ≈ 0.64 clear θ = 0.5,
+/// while B and C are 105° apart.
+struct Plane(ModelStats);
+
+impl EmbeddingModel for Plane {
+    fn name(&self) -> &str {
+        "plane"
+    }
+    fn dim(&self) -> usize {
+        2
+    }
+    fn embed_into(&self, text: &str, out: &mut [f32]) {
+        self.0.record(text.len());
+        let degrees: f32 = match text {
+            "A" => 0.0,
+            "B" => 55.0,
+            "C" => -50.0,
+            other => panic!("no embedding for {other:?}"),
+        };
+        let (sin, cos) = degrees.to_radians().sin_cos();
+        out.copy_from_slice(&[cos, sin]);
+    }
+    fn stats(&self) -> &ModelStats {
+        &self.0
+    }
+}
+
+/// A group-by puts equal keys in one group. Over A, 20× B, C, A a
+/// clusterer that scores rows against a drifting member sum let the 20
+/// B's pull the first cluster away from A, so the second A joined C's
+/// cluster: `("A", 0, 21)`, `("C", 1, 2)`. Clustering the distinct values
+/// against fixed leaders keeps both A's in A's cluster.
+#[test]
+fn group_by_semantic_puts_every_row_of_a_value_in_one_cluster() {
+    let engine = Arc::new(Engine::new(EngineConfig::default()));
+    engine.register_model(Arc::new(Plane(ModelStats::default())));
+    let mut names = vec!["A"];
+    names.extend(["B"; 20]);
+    names.extend(["C", "A"]);
+    let is_a: Vec<i64> = names.iter().map(|&n| i64::from(n == "A")).collect();
+    let rows = Table::from_columns(
+        Schema::new(vec![
+            Field::new("name", DataType::Utf8),
+            Field::new("is_a", DataType::Int64),
+        ]),
+        vec![Column::from_strings(names), Column::from_i64(is_a)],
+    )
+    .unwrap();
+    engine.register_table("rows", rows).unwrap();
+    let session = Server::new(engine, ServeConfig::default()).session();
+    let SqlResponse::Rows(r) = session
+        .sql(
+            "SELECT name, cluster_id, COUNT(*) AS n, SUM(is_a) AS a_rows FROM rows \
+             GROUP BY SEMANTIC name USING plane (0.5)",
+        )
+        .unwrap()
+    else {
+        panic!("a SELECT returns rows")
+    };
+    let out: Vec<Vec<Scalar>> = (0..r.table.num_rows())
+        .map(|i| r.table.row(i).unwrap())
+        .collect();
+    let with_a: Vec<&Vec<Scalar>> = out
+        .iter()
+        .filter(|row| row[3] != Scalar::Int64(0))
+        .collect();
+    assert_eq!(with_a.len(), 1, "the A rows split across clusters: {out:?}");
+    assert_eq!(
+        out,
+        vec![vec![
+            Scalar::from("A"),
+            Scalar::Int64(0),
+            Scalar::Int64(23),
+            Scalar::Int64(2)
+        ]]
+    );
 }
